@@ -12,21 +12,23 @@
 //! 3. **Time budget** (full mode only) — the 10⁶-chip headline run must
 //!    finish inside [`HEADLINE_BUDGET_S`].
 //! 4. **Tiled-vs-scalar agreement** — at the default lane width the fleet
-//!    aggregates must match the forced width-1 (scalar reference) run:
-//!    discrete counts exactly, the exact per-chip extremes within
-//!    [`DIVERGENCE_GATE`] relative, sketch quantiles in the same bin.
+//!    aggregates must match the forced width-1 (libm) run: discrete
+//!    counts exactly, the exact per-chip extremes within
+//!    [`DIVERGENCE_GATE`] relative, sketch quantiles in the same bin —
+//!    per mission profile, and for the one-spare fleet.
 //! 5. **Tiled speedup** (full mode, lane width > 1) — single-thread tiled
-//!    chips/s must beat the scalar path on **every** mission profile,
+//!    chips/s must beat the width-1 run on **every** mission profile,
 //!    and by ≥ [`W8_SPEEDUP_BAR`]× on the datacenter profile at lane
-//!    width 8. Both sides are re-measured interleaved (min across up to
+//!    width 8, for the weakest-link and the one-spare fleet alike. Both
+//!    sides are re-measured interleaved (min across up to
 //!    [`MAX_ATTEMPTS`] attempts, as BENCH_sweeps does) so noise
 //!    converges out but a real regression stays.
 //! 6. **Spares determinism** — the same fleet with one spare block
-//!    (`spares: 1`) must hold the scalar dispatch (grouped composition
-//!    routes around the lane kernels) and render bit-identical
-//!    aggregates across the full thread × shard matrix *and* across
-//!    forced lane widths, and must never exceed the failure budget more
-//!    often than the weakest-link fleet.
+//!    (`spares: 1`, the lane Poisson-binomial fold) must render
+//!    bit-identical aggregates across the full thread × shard matrix at
+//!    width 1 and at the default width, agree across the two widths
+//!    within [`DIVERGENCE_GATE`], and never exceed the failure budget
+//!    more often than the weakest-link fleet.
 //!
 //! ```text
 //! cargo run --release -p statobd-bench --bin fleet -- \
@@ -37,17 +39,18 @@
 //!
 //! ```text
 //! { "lanes": "...", "rows": [ { "design": "two_block", "scenario":
-//!   "throughput", "profile": "datacenter", "chips": 100000, "threads": 1,
-//!   "shards": 1, "run_s": ..., "chips_per_s": ..., "exceed_budget": ...,
-//!   "deterministic": true, "workspaces_ok": true }, ... ],
-//!   "speedup": [ { "profile": "datacenter", "chips": 100000,
-//!   "lane_width": 8, "scalar_chips_per_s": ..., "tiled_chips_per_s": ...,
-//!   "speedup": ..., "max_rel_divergence": ..., "within_gate": true },
-//!   ... ] }
+//!   "throughput", "profile": "datacenter", "lane_width": 8,
+//!   "chips": 100000, "threads": 1, "shards": 1, "run_s": ...,
+//!   "chips_per_s": ..., "exceed_budget": ..., "deterministic": true,
+//!   "workspaces_ok": true }, ... ],
+//!   "speedup": [ { "profile": "datacenter", "composition":
+//!   "weakest_link", "chips": 100000, "lane_width": 8,
+//!   "scalar_chips_per_s": ..., "tiled_chips_per_s": ..., "speedup": ...,
+//!   "max_rel_divergence": ..., "within_gate": true }, ... ] }
 //! ```
 
 use statobd::{run_fleet, AnalysisSpec, FleetAggregates, FleetConfig, FleetReport, Session};
-use statobd_core::{BlockSpec, ChipSpec};
+use statobd_core::{BlockSpec, ChipAnalysis, ChipSpec};
 use statobd_device::ClosedFormTech;
 use statobd_manager::MissionProfile;
 use statobd_num::impl_json_struct;
@@ -78,6 +81,8 @@ struct FleetRow {
     design: String,
     scenario: String,
     profile: String,
+    /// Chips per lane tile in this run.
+    lane_width: u64,
     chips: u64,
     threads: u64,
     shards: u64,
@@ -96,6 +101,7 @@ impl_json_struct!(FleetRow {
     design,
     scenario,
     profile,
+    lane_width,
     chips,
     threads,
     shards,
@@ -106,13 +112,16 @@ impl_json_struct!(FleetRow {
     workspaces_ok
 });
 
-/// One scalar-vs-tiled speedup row (single thread, one mission profile).
+/// One scalar-vs-tiled speedup row (single thread, one mission profile,
+/// one composition).
 #[derive(Debug, Clone)]
 struct SpeedupRow {
     profile: String,
+    /// `"weakest_link"` or `"spares=<n>"`.
+    composition: String,
     chips: u64,
     /// Lanes per chip tile on the tiled side (the scalar side is always
-    /// the forced width-1 reference path).
+    /// the forced width-1 libm run).
     lane_width: u64,
     scalar_chips_per_s: f64,
     tiled_chips_per_s: f64,
@@ -128,6 +137,7 @@ struct SpeedupRow {
 
 impl_json_struct!(SpeedupRow {
     profile,
+    composition,
     chips,
     lane_width,
     scalar_chips_per_s,
@@ -299,6 +309,7 @@ fn row(report: &FleetReport, scenario: &str, profile: &str, deterministic: bool)
         design: "two_block".to_string(),
         scenario: scenario.to_string(),
         profile: profile.to_string(),
+        lane_width: report.lane_width,
         chips: report.aggregates.chips,
         threads: report.threads,
         shards: report.shards,
@@ -312,9 +323,10 @@ fn row(report: &FleetReport, scenario: &str, profile: &str, deterministic: bool)
 
 fn print_row(r: &FleetRow) {
     println!(
-        "  {:<12} {:<13} chips={:<8} t={} s={}  {:>7.3}s  {:>9.0} chips/s  {}{}",
+        "  {:<12} {:<13} w={} chips={:<8} t={} s={}  {:>7.3}s  {:>9.0} chips/s  {}{}",
         r.scenario,
         r.profile,
+        r.lane_width,
         r.chips,
         r.threads,
         r.shards,
@@ -323,6 +335,54 @@ fn print_row(r: &FleetRow) {
         if r.deterministic { "ok" } else { "DIVERGED" },
         if r.workspaces_ok { "" } else { " ALLOCATING" }
     );
+}
+
+/// One interleaved width-1-vs-default speedup row for `cfg`: both sides
+/// re-measured alternately, keeping each side's best run, until the
+/// default width clears `bar`× or [`MAX_ATTEMPTS`] is spent — noise
+/// converges out, a real regression stays.
+fn measure_speedup(
+    analysis: &ChipAnalysis,
+    tech: &ClosedFormTech,
+    cfg: &FleetConfig,
+    bar: f64,
+) -> SpeedupRow {
+    let run_at = |w: Option<LaneWidth>| {
+        simd::force_width(w);
+        let report = run_fleet(analysis, tech, cfg).expect("fleet runs");
+        simd::force_width(None);
+        report
+    };
+    let mut scalar = run_at(Some(LaneWidth::W1));
+    let mut tiled = run_at(None);
+    let mut attempts = 0;
+    while tiled.chips_per_s < bar * scalar.chips_per_s && attempts < MAX_ATTEMPTS {
+        let s = run_at(Some(LaneWidth::W1));
+        if s.chips_per_s > scalar.chips_per_s {
+            scalar = s;
+        }
+        let t = run_at(None);
+        if t.chips_per_s > tiled.chips_per_s {
+            tiled = t;
+        }
+        attempts += 1;
+    }
+    let divergence = aggregates_divergence(&tiled.aggregates, &scalar.aggregates);
+    SpeedupRow {
+        profile: cfg.profile.name().to_string(),
+        composition: if cfg.spares > 0 {
+            format!("spares={}", cfg.spares)
+        } else {
+            "weakest_link".to_string()
+        },
+        chips: cfg.chips,
+        lane_width: tiled.lane_width,
+        scalar_chips_per_s: scalar.chips_per_s,
+        tiled_chips_per_s: tiled.chips_per_s,
+        speedup: tiled.chips_per_s / scalar.chips_per_s.max(1e-12),
+        max_rel_divergence: divergence.unwrap_or(f64::INFINITY),
+        within_gate: divergence.is_some_and(|d| d <= DIVERGENCE_GATE),
+    }
 }
 
 fn main() {
@@ -367,71 +427,70 @@ fn main() {
     }
 
     // Gate 6 — the redundancy-aware scenario: the same fleet with one
-    // spare over the chip's blocks. Grouped runs force the scalar
-    // dispatch internally, so the aggregates must be bit-identical not
-    // only across the thread × shard matrix but also across *forced
-    // lane widths* — the forced width alternates across the matrix to
-    // prove it. Any divergence past DIVERGENCE_GATE exits non-zero (in
-    // practice the comparison is bit-exact).
+    // spare over the chip's blocks, composed by the lane Poisson-binomial
+    // fold. At each width (forced width 1, then the default dispatch) the
+    // aggregates must be bit-identical across the thread × shard matrix;
+    // across the two widths they must agree within DIVERGENCE_GATE.
     let spares_chips: u64 = if opts.quick { 2_000 } else { 20_000 };
+    let default_width = simd::active_width();
     println!("spares scenario ({spares_chips} chips, 1 spare):");
-    let mut spares_reference: Option<FleetReport> = None;
-    for &threads in &THREAD_MATRIX {
-        for (i, &shards) in SHARD_MATRIX.iter().enumerate() {
-            let forced = if (threads + i) % 2 == 0 {
-                Some(LaneWidth::W1)
-            } else {
-                None
-            };
-            simd::force_width(forced);
-            let report = run_fleet(
-                analysis,
-                &tech,
-                &FleetConfig {
-                    spares: 1,
-                    ..config(
-                        spares_chips,
-                        MissionProfile::datacenter(),
-                        threads,
-                        Some(shards),
-                    )
-                },
-            )
-            .expect("spares fleet runs");
-            simd::force_width(None);
-            if report.lane_width != 1 {
-                eprintln!("ERROR: spares run did not hold the scalar dispatch");
-                all_ok = false;
-            }
-            let deterministic = match &spares_reference {
-                None => {
-                    spares_reference = Some(report.clone());
-                    true
-                }
-                Some(reference) => {
-                    let bit_identical = json::to_string(&reference.aggregates)
-                        == json::to_string(&report.aggregates);
-                    let divergence =
-                        aggregates_divergence(&report.aggregates, &reference.aggregates)
-                            .unwrap_or(f64::INFINITY);
-                    if divergence > DIVERGENCE_GATE {
-                        eprintln!(
-                            "ERROR: spares aggregates diverged across the width/layout \
-                             matrix (max rel {divergence:.3e}, gate {DIVERGENCE_GATE:.0e})"
-                        );
+    let widths: &[LaneWidth] = if default_width == LaneWidth::W1 {
+        &[LaneWidth::W1]
+    } else {
+        &[LaneWidth::W1, default_width]
+    };
+    let mut spares_reference: Vec<FleetReport> = Vec::new();
+    for &width in widths {
+        let mut width_reference: Option<String> = None;
+        for &threads in &THREAD_MATRIX {
+            for &shards in &SHARD_MATRIX {
+                simd::force_width(Some(width));
+                let report = run_fleet(
+                    analysis,
+                    &tech,
+                    &FleetConfig {
+                        spares: 1,
+                        ..config(
+                            spares_chips,
+                            MissionProfile::datacenter(),
+                            threads,
+                            Some(shards),
+                        )
+                    },
+                )
+                .expect("spares fleet runs");
+                simd::force_width(None);
+                let rendered = json::to_string(&report.aggregates);
+                let deterministic = match &width_reference {
+                    None => {
+                        width_reference = Some(rendered);
+                        spares_reference.push(report.clone());
+                        true
                     }
-                    bit_identical && divergence <= DIVERGENCE_GATE
-                }
-            };
-            let r = row(&report, "spares", "datacenter", deterministic);
-            all_ok &= r.deterministic && r.workspaces_ok;
-            print_row(&r);
-            rows.push(r);
+                    Some(r) => r == &rendered,
+                };
+                let r = row(&report, "spares", "datacenter", deterministic);
+                all_ok &= r.deterministic && r.workspaces_ok;
+                print_row(&r);
+                rows.push(r);
+            }
+        }
+    }
+    if let [w1, tiled] = &spares_reference[..] {
+        let divergence =
+            aggregates_divergence(&tiled.aggregates, &w1.aggregates).unwrap_or(f64::INFINITY);
+        if divergence > DIVERGENCE_GATE {
+            eprintln!(
+                "ERROR: spares aggregates at width {} diverged from width 1 \
+                 (max rel {divergence:.3e}, gate {DIVERGENCE_GATE:.0e})",
+                tiled.lane_width
+            );
+            all_ok = false;
         }
     }
     // The spare must matter: a fleet that tolerates one block failure
     // exceeds the budget no more often than the weakest-link fleet.
-    if let (Some(spares), Some(_)) = (&spares_reference, &reference) {
+    if let (Some(spares), Some(_)) = (spares_reference.last(), &reference) {
         let wl_exceed = rows
             .iter()
             .find(|r| r.scenario == "determinism")
@@ -462,62 +521,34 @@ fn main() {
         rows.push(r);
     }
 
-    // Gates 4+5 — scalar vs tiled per mission profile, single thread.
-    // Skipped when the default dispatch is already width 1 (forced scalar
-    // CI runs): both sides would time the identical path and the ≥1×
-    // gate would be a coin flip on noise.
+    // Gates 4+5 — width 1 vs tiled per mission profile, plus the
+    // one-spare fleet on the datacenter profile, single thread. Skipped
+    // when the default dispatch is already width 1 (forced-width CI
+    // runs): both sides would time the identical path and the ≥1× gate
+    // would be a coin flip on noise.
     let mut speedup_rows = Vec::new();
-    let default_width = simd::active_width();
     if default_width.lanes() > 1 {
         let sp_chips: u64 = if opts.quick { 5_000 } else { 100_000 };
         println!("scalar vs tiled, single thread ({sp_chips} chips):");
-        for profile in MissionProfile::all() {
-            let name = profile.name();
-            let cfg = config(sp_chips, profile, 1, None);
-            let run_at = |w: Option<LaneWidth>| {
-                simd::force_width(w);
-                let report = run_fleet(analysis, &tech, &cfg).expect("fleet runs");
-                simd::force_width(None);
-                report
-            };
-            let mut scalar = run_at(Some(LaneWidth::W1));
-            let mut tiled = run_at(None);
-            // Interleaved re-measure, keeping each path's best run: noise
-            // converges out, a real regression stays. The datacenter row
-            // additionally chases the width-8 headline bar.
-            let bar = if name == "datacenter" && default_width.lanes() == 8 {
+        let spares = FleetConfig {
+            spares: 1,
+            ..config(sp_chips, MissionProfile::datacenter(), 1, None)
+        };
+        let configs = MissionProfile::all()
+            .into_iter()
+            .map(|profile| config(sp_chips, profile, 1, None))
+            .chain([spares]);
+        for cfg in configs {
+            // The datacenter rows chase the width-8 headline bar.
+            let bar = if cfg.profile.name() == "datacenter" && default_width.lanes() == 8 {
                 W8_SPEEDUP_BAR
             } else {
                 1.0
             };
-            let mut attempts = 0;
-            while tiled.chips_per_s < bar * scalar.chips_per_s && attempts < MAX_ATTEMPTS {
-                let s = run_at(Some(LaneWidth::W1));
-                if s.chips_per_s > scalar.chips_per_s {
-                    scalar = s;
-                }
-                let t = run_at(None);
-                if t.chips_per_s > tiled.chips_per_s {
-                    tiled = t;
-                }
-                attempts += 1;
-            }
-            let divergence = aggregates_divergence(&tiled.aggregates, &scalar.aggregates);
-            let max_rel_divergence = divergence.unwrap_or(f64::INFINITY);
-            let within_gate = divergence.is_some_and(|d| d <= DIVERGENCE_GATE);
-            let row = SpeedupRow {
-                profile: name.to_string(),
-                chips: sp_chips,
-                lane_width: tiled.lane_width,
-                scalar_chips_per_s: scalar.chips_per_s,
-                tiled_chips_per_s: tiled.chips_per_s,
-                speedup: tiled.chips_per_s / scalar.chips_per_s.max(1e-12),
-                max_rel_divergence,
-                within_gate,
-            };
+            let row = measure_speedup(analysis, &tech, &cfg, bar);
+            let what = format!("{} {}", row.profile, row.composition);
             println!(
-                "  {:<13} w={}  scalar {:>9.0} chips/s  tiled {:>9.0} chips/s  {:.2}x  {}",
-                row.profile,
+                "  {what:<26} w={}  scalar {:>9.0} chips/s  tiled {:>9.0} chips/s  {:.2}x  {}",
                 row.lane_width,
                 row.scalar_chips_per_s,
                 row.tiled_chips_per_s,
@@ -526,14 +557,15 @@ fn main() {
             );
             if !row.within_gate {
                 eprintln!(
-                    "ERROR: {name}: tiled aggregates diverged from scalar \
-                     (max rel {max_rel_divergence:.3e}, gate {DIVERGENCE_GATE:.0e})"
+                    "ERROR: {what}: tiled aggregates diverged from width 1 \
+                     (max rel {:.3e}, gate {DIVERGENCE_GATE:.0e})",
+                    row.max_rel_divergence
                 );
                 all_ok = false;
             }
             if !opts.quick && row.speedup < bar {
                 eprintln!(
-                    "ERROR: {name}: tiled {:.0} chips/s is below {bar}x the scalar \
+                    "ERROR: {what}: tiled {:.0} chips/s is below {bar}x the width-1 \
                      {:.0} chips/s ({:.2}x)",
                     row.tiled_chips_per_s, row.scalar_chips_per_s, row.speedup
                 );

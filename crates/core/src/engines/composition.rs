@@ -35,23 +35,15 @@
 //! [`WeakestLink::absorb`](super::WeakestLink::absorb) — which is what
 //! keeps 1-out-of-1 degenerate configurations exactly on today's
 //! numbers.
+//!
+//! The per-block recurrence itself is [`simd::group_absorb`], run here
+//! at lane width 1 (libm, the scalar bits) and by the fleet's lane
+//! kernels across chip tiles — one definition for both.
 
 use super::WeakestLink;
 use crate::{CoreError, Result};
 use statobd_num::json::{FromJson, Json, JsonError, ToJson};
-
-/// `ln(exp(a) + exp(b))` without overflow, with `−∞` as the exact
-/// additive identity (zero probability mass).
-fn logaddexp(a: f64, b: f64) -> f64 {
-    if a == f64::NEG_INFINITY {
-        return b;
-    }
-    if b == f64::NEG_INFINITY {
-        return a;
-    }
-    let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
-    hi + (lo - hi).exp().ln_1p()
-}
+use statobd_num::simd::{self, GroupLayout};
 
 /// One redundancy group: a set of block indices that survives while at
 /// most [`spares`](RedundancyGroup::spares) of them have failed
@@ -92,10 +84,7 @@ impl Composition {
     /// A single group spanning blocks `0..n_blocks` with `spares`
     /// tolerated failures — the `--spares` CLI scenario.
     pub fn uniform_spares(n_blocks: usize, spares: usize) -> Self {
-        Composition::Groups(vec![RedundancyGroup::new(
-            (0..n_blocks).collect(),
-            spares,
-        )])
+        Composition::Groups(vec![RedundancyGroup::new((0..n_blocks).collect(), spares)])
     }
 
     /// Whether this is the plain weakest-link composition.
@@ -143,10 +132,7 @@ impl Composition {
                     ));
                 }
                 if owner[j] != usize::MAX {
-                    return bad(format!(
-                        "block {j} appears in groups {} and {g}",
-                        owner[j]
-                    ));
+                    return bad(format!("block {j} appears in groups {} and {g}", owner[j]));
                 }
                 owner[j] = g;
             }
@@ -162,22 +148,26 @@ impl Composition {
     pub fn accumulator(&self, n_blocks: usize) -> CompositionAccumulator {
         let inner = match self {
             Composition::WeakestLink => AccImpl::WeakestLink(WeakestLink::new()),
-            Composition::Groups(groups) => {
-                let mut group_of = vec![usize::MAX; n_blocks];
-                let states = groups
-                    .iter()
-                    .enumerate()
-                    .map(|(g, group)| {
-                        for &j in &group.blocks {
-                            group_of[j] = g;
-                        }
-                        GroupState::new(group.spares)
-                    })
-                    .collect();
-                AccImpl::Groups { group_of, states }
-            }
+            Composition::Groups(groups) => AccImpl::Groups {
+                group_of: group_of(groups, n_blocks),
+                states: groups.iter().map(|g| GroupState::new(g.spares)).collect(),
+            },
         };
         CompositionAccumulator { inner }
+    }
+
+    /// The lane-fold shape of this composition for a chip with
+    /// `n_blocks` blocks — `None` for weakest-link, which folds through
+    /// [`simd::WeakestLinkFold`]. The composition must already be
+    /// [`validate`](Composition::validate)d.
+    pub fn group_layout(&self, n_blocks: usize) -> Option<GroupLayout> {
+        match self {
+            Composition::WeakestLink => None,
+            Composition::Groups(groups) => {
+                let spares: Vec<usize> = groups.iter().map(|g| g.spares).collect();
+                Some(GroupLayout::new(group_of(groups, n_blocks), &spares))
+            }
+        }
     }
 
     /// One-shot composition of per-block failure probabilities
@@ -245,60 +235,51 @@ impl FromJson for Composition {
     }
 }
 
-/// Per-group dynamic-program state (see the module docs).
+/// Block index → group index (dense; a validated composition owns every
+/// block).
+fn group_of(groups: &[RedundancyGroup], n_blocks: usize) -> Vec<usize> {
+    let mut group_of = vec![usize::MAX; n_blocks];
+    for (g, group) in groups.iter().enumerate() {
+        for &j in &group.blocks {
+            group_of[j] = g;
+        }
+    }
+    group_of
+}
+
+/// Per-group dynamic-program state (see the module docs), in the
+/// width-1 row shape of [`simd::group_absorb`].
 #[derive(Debug, Clone)]
 struct GroupState {
-    spares: usize,
     /// `ln P(exactly m absorbed blocks failed)` for `m = 0..=spares`.
-    ln_at: Vec<f64>,
+    ln_at: Vec<[f64; 1]>,
     /// `ln P(more than `spares` absorbed blocks failed)`.
-    ln_fail: f64,
+    ln_fail: [f64; 1],
 }
 
 impl GroupState {
     fn new(spares: usize) -> Self {
-        let mut ln_at = vec![f64::NEG_INFINITY; spares + 1];
-        ln_at[0] = 0.0;
+        let mut ln_at = vec![[f64::NEG_INFINITY]; spares + 1];
+        ln_at[0] = [0.0];
         GroupState {
-            spares,
             ln_at,
-            ln_fail: f64::NEG_INFINITY,
+            ln_fail: [f64::NEG_INFINITY],
         }
     }
 
     fn reset(&mut self) {
-        self.ln_at.fill(f64::NEG_INFINITY);
-        self.ln_at[0] = 0.0;
-        self.ln_fail = f64::NEG_INFINITY;
+        self.ln_at.fill([f64::NEG_INFINITY]);
+        self.ln_at[0] = [0.0];
+        self.ln_fail = [f64::NEG_INFINITY];
     }
 
     fn absorb(&mut self, p: f64) {
-        if self.spares == 0 {
-            // Weakest-link within the group: the bit-identical running
-            // sum of `WeakestLink::absorb` (see `ln_survival`).
-            self.ln_at[0] += (-p).ln_1p();
-            return;
-        }
-        let lnp = p.ln();
-        let ln1mp = (-p).ln_1p();
-        // Mass leaving the tracked window never comes back: fold it into
-        // the tail before the in-window shift overwrites `ln_at[spares]`.
-        self.ln_fail = logaddexp(self.ln_fail, self.ln_at[self.spares] + lnp);
-        for m in (1..=self.spares).rev() {
-            self.ln_at[m] = logaddexp(self.ln_at[m] + ln1mp, self.ln_at[m - 1] + lnp);
-        }
-        self.ln_at[0] += ln1mp;
+        simd::group_absorb::<1>(&mut self.ln_at, &mut self.ln_fail, &[p], &[(-p).ln_1p()]);
     }
 
     /// `ln P(group survives)` = `ln(1 − Q)` with `Q` the failure tail.
     fn ln_survival(&self) -> f64 {
-        if self.spares == 0 {
-            // `Σ ln_1p(−p_j)` directly — exactly `WeakestLink`'s state,
-            // with full relative precision on the log scale.
-            self.ln_at[0]
-        } else {
-            (-self.ln_fail.exp()).ln_1p()
-        }
+        simd::group_ln_survival::<1>(&self.ln_at, &self.ln_fail)[0]
     }
 }
 
@@ -317,8 +298,8 @@ enum AccImpl {
 ///
 /// Feed every block once via [`absorb`](CompositionAccumulator::absorb)
 /// (any order), then read the chip-level result; [`reset`] makes the
-/// accumulator reusable without reallocating — the fleet loop evaluates
-/// millions of chips through one of these per shard.
+/// accumulator reusable without reallocating. (The fleet runs the same
+/// recurrence across chip tiles through `num::simd::GroupFold`.)
 #[derive(Debug, Clone)]
 pub struct CompositionAccumulator {
     inner: AccImpl,
@@ -472,10 +453,7 @@ mod tests {
                 let mut bumped = base;
                 bumped[j] = (bumped[j] * 1.5 + 1e-4).min(1.0);
                 let p1 = comp.compose(&bumped);
-                assert!(
-                    p1 >= p0,
-                    "spares={spares} block {j}: {p1:e} < {p0:e}"
-                );
+                assert!(p1 >= p0, "spares={spares} block {j}: {p1:e} < {p0:e}");
             }
         }
     }
@@ -488,18 +466,12 @@ mod tests {
         let p = 1e-12;
         let q = Composition::uniform_spares(2, 1).compose(&[p, p]);
         let exact = p * p;
-        assert!(
-            ((q - exact) / exact).abs() < 1e-12,
-            "{q:e} vs {exact:e}"
-        );
+        assert!(((q - exact) / exact).abs() < 1e-12, "{q:e} vs {exact:e}");
         // 8 blocks at 1e-13, two spares: Q ≈ C(8,3) p³ = 56e-39.
         let p = 1e-13;
         let q = Composition::uniform_spares(8, 2).compose(&[p; 8]);
         let exact = 56.0 * p * p * p;
-        assert!(
-            ((q - exact) / exact).abs() < 1e-10,
-            "{q:e} vs {exact:e}"
-        );
+        assert!(((q - exact) / exact).abs() < 1e-10, "{q:e} vs {exact:e}");
     }
 
     #[test]
@@ -517,6 +489,96 @@ mod tests {
         }
         assert_eq!(first.to_bits(), acc.failure_probability().to_bits());
         assert_eq!(first.to_bits(), comp.compose(&ps).to_bits());
+    }
+
+    /// The fleet's width-1 lane folds are these accumulators, bit for
+    /// bit, on the chip log-survival itself — through the mission-end
+    /// entry and inside the fused survival kernel — for weakest-link and
+    /// every group shape. (Lifetimes alone would hide an ulp drift: it
+    /// rarely flips a bisection step.)
+    #[test]
+    fn width_1_lane_folds_reproduce_the_accumulators_bitwise() {
+        use statobd_num::simd::{self, GroupFold, LaneFold, WeakestLinkFold};
+        // Per block (ln_rate, area, b·u, b²·v): over the age sweep the
+        // failure probabilities run from ~1e-6 to saturation.
+        let blocks = [
+            (-40.0, 1e3, 0.5, 1e-3),
+            (-38.5, 5e2, 0.45, 2e-3),
+            (-41.0, 2e3, 0.55, 5e-4),
+            (-39.0, 50.0, 0.5, 1e-3),
+        ];
+        let block_params: Vec<f64> = blocks
+            .iter()
+            .flat_map(|&(ln_rate, area, _, _)| {
+                [
+                    ln_rate,
+                    area,
+                    simd::failure_poly_threshold(area),
+                    simd::failure_sat_threshold(area),
+                ]
+            })
+            .collect();
+        let bu: Vec<f64> = blocks.iter().map(|b| b.2).collect();
+        let bbv: Vec<f64> = blocks.iter().map(|b| b.3).collect();
+        let ages: Vec<(f64, Vec<f64>)> = (0..160)
+            .map(|i| {
+                let x = 0.375 * i as f64;
+                let ps = blocks
+                    .iter()
+                    .map(|&(ln_rate, area, bu, bbv)| {
+                        let gamma = ln_rate + x;
+                        let ln_g = gamma * bu + 0.5 * gamma * gamma * bbv;
+                        -(-area * ln_g.exp()).exp_m1()
+                    })
+                    .collect();
+                (x, ps)
+            })
+            .collect();
+
+        fn check<F: LaneFold<1>>(
+            what: &str,
+            comp: &Composition,
+            fold: &mut F,
+            ages: &[(f64, Vec<f64>)],
+            tile: (&[f64], &[f64], &[f64]),
+        ) {
+            let mut acc = comp.accumulator(4);
+            for (x, ps) in ages {
+                for (j, &p) in ps.iter().enumerate() {
+                    acc.absorb(j, p);
+                }
+                let want = acc.ln_survival().to_bits();
+                acc.reset();
+                let mut s = [0.0];
+                simd::ln_surv_tile_fold::<1, _>(&[*x], tile.0, tile.1, tile.2, fold, &mut s);
+                assert_eq!(s[0].to_bits(), want, "{what}: fused kernel at x = {x}");
+                fold.clear();
+                for (j, &p) in ps.iter().enumerate() {
+                    fold.absorb(j, &[p]);
+                }
+                let s = fold.ln_survival()[0];
+                assert_eq!(s.to_bits(), want, "{what}: mission-end entry at x = {x}");
+            }
+        }
+
+        let tile = (&block_params[..], &bu[..], &bbv[..]);
+        let weakest_link = Composition::WeakestLink;
+        let mut fold = WeakestLinkFold::<1>::default();
+        check("weakest-link", &weakest_link, &mut fold, &ages, tile);
+        for comp in [
+            Composition::uniform_spares(4, 1),
+            Composition::uniform_spares(4, 3),
+            Composition::Groups(vec![
+                RedundancyGroup::new(vec![0, 2], 1),
+                RedundancyGroup::new(vec![1, 3], 0),
+            ]),
+        ] {
+            comp.validate(4).unwrap();
+            let layout = comp.group_layout(4).expect("grouped");
+            let mut rows = vec![0.0; layout.rows()];
+            let mut fold = GroupFold::<1>::new(&layout, &mut rows);
+            check(&format!("{comp:?}"), &comp, &mut fold, &ages, tile);
+        }
     }
 
     #[test]

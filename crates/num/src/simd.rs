@@ -31,6 +31,11 @@
 //! accumulation order, which is how the engines preserve cross-thread and
 //! batched-vs-scalar bit-identity at any width.
 //!
+//! Kernels that take the lane count as a const generic `W` — [`F64Lanes`],
+//! the composition folds and the fused fleet survival kernels — make the
+//! same choice at compile time instead of reading the dispatch: `W = 1`
+//! is the libm expression, wider tiles the polynomial cores.
+//!
 //! # Error budget
 //!
 //! Measured against `std` (`f64::exp` etc.) over the engines' argument
@@ -45,6 +50,12 @@
 //! * [`ln_1p`](F64Lanes::ln_1p): ≤ 4 ulp-class (`2·atanh(x/(2+x))` odd
 //!   polynomial for `x ∈ [−1/3, 1/2]`, exponent split of `1 + x`
 //!   elsewhere).
+//! * [`ln`](F64Lanes::ln): ≤ 4 ulp-class down to `2⁻¹⁰⁷⁴` (the same
+//!   exponent split; subnormals are pre-scaled by `2⁵⁴`).
+//! * [`logaddexp`](F64Lanes::logaddexp): `max + ln(1 + e^(min − max))`
+//!   with the logarithm by exponent split of `1 + e^(min − max)`: within
+//!   a few ulp of 1 *absolute* — for log-probabilities, the relative
+//!   error of the probability — and `−∞` as the exact identity.
 //!
 //! The engine-level acceptance gate on derived probabilities is `1e-12`
 //! relative — two orders looser than these kernels deliver.
@@ -402,16 +413,7 @@ fn atanh_poly(w: f64) -> f64 {
 fn ln_1p_core(x: f64) -> f64 {
     let s_small = x / (2.0 + x);
     let small = 2.0 * s_small * atanh_poly(s_small * s_small);
-
-    let u = 1.0 + x;
-    let bits = u.to_bits();
-    let e_raw = ((bits >> 52) & 0x7ff) as i64 - 1023;
-    let m_raw = f64::from_bits((bits & 0x000F_FFFF_FFFF_FFFF) | (1023u64 << 52));
-    let shrink = m_raw > std::f64::consts::SQRT_2;
-    let m = select(shrink, 0.5 * m_raw, m_raw);
-    let e = (e_raw + shrink as i64) as f64;
-    let s_big = (m - 1.0) / (m + 1.0);
-    let big = e * LN2_HI + (2.0 * s_big * atanh_poly(s_big * s_big) + e * LN2_LO);
+    let big = ln_split(1.0 + x, 0);
 
     let fast = select((-0.333_333_333_333_333_3..=0.5).contains(&x), small, big);
     let fixed = select(x == -1.0, f64::NEG_INFINITY, fast);
@@ -419,20 +421,121 @@ fn ln_1p_core(x: f64) -> f64 {
     select(x.is_nan() || x < -1.0, f64::NAN, fixed)
 }
 
+/// `ln u` by exponent split, for a positive normal `u` whose true binary
+/// exponent is `extra_e` above its stored one: `u = 2^e·m` with `m ∈
+/// (√2/2, √2]`, then `ln u = e·ln2 + 2·atanh((m − 1)/(m + 1))`, the
+/// reduced argument staying inside [`atanh_poly`]'s `|s| ≤ 0.2` window.
+/// The large arm of [`ln_1p_core`] and the body of [`ln_core`].
+#[inline(always)]
+fn ln_split(u: f64, extra_e: i64) -> f64 {
+    let bits = u.to_bits();
+    let e_raw = ((bits >> 52) & 0x7ff) as i64 - 1023;
+    let m_raw = f64::from_bits((bits & 0x000F_FFFF_FFFF_FFFF) | (1023u64 << 52));
+    let shrink = m_raw > std::f64::consts::SQRT_2;
+    let m = select(shrink, 0.5 * m_raw, m_raw);
+    let e = (e_raw + shrink as i64 + extra_e) as f64;
+    let s = (m - 1.0) / (m + 1.0);
+    e * LN2_HI + (2.0 * s * atanh_poly(s * s) + e * LN2_LO)
+}
+
+/// `2⁵⁴`: lifts every subnormal into the normal range, exactly.
+const TWO_54: f64 = 18_014_398_509_481_984.0;
+
+/// `ln(x)` core. Subnormal arguments are scaled by `2⁵⁴` (exact) and the
+/// exponent corrected, so all of `[2⁻¹⁰⁷⁴, ∞)` goes through the
+/// normal-mantissa split of [`ln_split`]. Domain edges (`±0` → `−∞`,
+/// `+∞` → `+∞`, negative or NaN → NaN) are value-dependent selects, as in
+/// [`ln_1p_core`].
+#[inline(always)]
+fn ln_core(x: f64) -> f64 {
+    let sub = x < f64::MIN_POSITIVE;
+    let v = ln_split(select(sub, x * TWO_54, x), -54 * sub as i64);
+    let v = select(x == 0.0, f64::NEG_INFINITY, v);
+    let v = select(x == f64::INFINITY, f64::INFINITY, v);
+    select(!(x >= 0.0), f64::NAN, v)
+}
+
+// ---------------------------------------------------------------------------
+// Compile-time width selection (width 1 = libm, wider = the cores)
+// ---------------------------------------------------------------------------
+
+#[inline(always)]
+fn exp_w<const W: usize>(x: f64) -> f64 {
+    if W == 1 {
+        x.exp()
+    } else {
+        exp_core(x)
+    }
+}
+
+#[inline(always)]
+fn exp_m1_w<const W: usize>(x: f64) -> f64 {
+    if W == 1 {
+        x.exp_m1()
+    } else {
+        exp_m1_core(x)
+    }
+}
+
+#[inline(always)]
+fn ln_1p_w<const W: usize>(x: f64) -> f64 {
+    if W == 1 {
+        x.ln_1p()
+    } else {
+        ln_1p_core(x)
+    }
+}
+
+#[inline(always)]
+fn ln_w<const W: usize>(x: f64) -> f64 {
+    if W == 1 {
+        x.ln()
+    } else {
+        ln_core(x)
+    }
+}
+
+/// `ln(eᵃ + eᵇ)` without overflow, branch-free: the larger argument plus
+/// `ln(1 + e^(lo − hi))`, then selects that return the other argument
+/// exactly when either side is `−∞` (zero probability mass). Every
+/// select reproduces the branching scalar definition (`if a == −∞ { b }
+/// else if b == −∞ { a } else { hi + ln_1p(exp(lo − hi)) }`), so width 1
+/// — libm `exp`/`ln_1p` — is bit-identical to it.
+///
+/// Wider tiles take `ln(1 + y)` straight from the exponent split of
+/// `1 + y ∈ [1, 2]` ([`ln_split`]) rather than through both `ln_1p`
+/// arms: rounding `1 + y` costs at most half an ulp of 1, *absolute*, in
+/// the logarithm — and for log-probabilities absolute error is what
+/// matters (it is the relative error of the probability), so the result
+/// stays within a few ulp of 1 of the scalar definition.
+#[inline(always)]
+fn logaddexp_w<const W: usize>(a: f64, b: f64) -> f64 {
+    let a_hi = a >= b;
+    let hi = select(a_hi, a, b);
+    let lo = select(a_hi, b, a);
+    let r = if W == 1 {
+        hi + (lo - hi).exp().ln_1p()
+    } else {
+        hi + ln_split(1.0 + exp_core(lo - hi), 0)
+    };
+    let r = select(a == f64::NEG_INFINITY, b, r);
+    select(b == f64::NEG_INFINITY, a, r)
+}
+
 // ---------------------------------------------------------------------------
 // F64Lanes: the array-of-lanes value type
 // ---------------------------------------------------------------------------
 
-/// A `W`-wide bundle of `f64` lanes evaluated elementwise by the
-/// polynomial cores.
+/// A `W`-wide bundle of `f64` lanes evaluated elementwise.
 ///
 /// This is the value-level view of the lane layer: `W` is a compile-time
-/// constant and every operation maps lanes independently, so results are
-/// identical to the slice kernels at widths 4/8 (and to each other at any
-/// `W`). The slice drivers ([`exp_slice`] & co.) are the dispatched fast
-/// path engines should prefer for bulk data; `F64Lanes` exists for
-/// composing custom lane arithmetic and for width-independent testing of
-/// the cores.
+/// constant and every operation maps lanes independently. `W = 1` runs
+/// the libm expressions (bit-identical to `f64::exp` & co.); every wider
+/// `W` runs the polynomial cores, so all widths above one agree bitwise
+/// with each other and with the slice kernels at widths 4/8. The slice
+/// drivers ([`exp_slice`] & co.) are the dispatched fast path engines
+/// should prefer for bulk data; `F64Lanes` exists for composing custom
+/// lane arithmetic and for testing the cores.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct F64Lanes<const W: usize>(pub [f64; W]);
 
@@ -469,17 +572,33 @@ impl<const W: usize> F64Lanes<W> {
 
     /// Elementwise vectorized `exp` (≤ 2 ulp-class, see module docs).
     pub fn exp(self) -> Self {
-        self.map(exp_core)
+        self.map(exp_w::<W>)
     }
 
     /// Elementwise vectorized `exp(x) − 1` (≤ 4 ulp-class).
     pub fn exp_m1(self) -> Self {
-        self.map(exp_m1_core)
+        self.map(exp_m1_w::<W>)
     }
 
     /// Elementwise vectorized `ln(1 + x)` (≤ 4 ulp-class).
     pub fn ln_1p(self) -> Self {
-        self.map(ln_1p_core)
+        self.map(ln_1p_w::<W>)
+    }
+
+    /// Elementwise vectorized `ln x` (≤ 4 ulp-class, subnormals
+    /// included; `0 → −∞`, negative or NaN → NaN).
+    pub fn ln(self) -> Self {
+        self.map(ln_w::<W>)
+    }
+
+    /// Elementwise `ln(eᵃ + eᵇ)` against `other`, with `−∞` as the exact
+    /// identity on either side.
+    pub fn logaddexp(self, other: Self) -> Self {
+        let mut lanes = self.0;
+        for (lane, b) in lanes.iter_mut().zip(other.0) {
+            *lane = logaddexp_w::<W>(*lane, b);
+        }
+        F64Lanes(lanes)
     }
 }
 
@@ -1214,28 +1333,110 @@ pub fn failure_term_slice_bounded(xs: &[f64], scale: f64, lo: f64, hi: f64, out:
 }
 
 // ---------------------------------------------------------------------------
-// Fused lane-tile survival kernel (fleet lifetime bisection)
+// Composition folds (chip composition inside the lane kernels)
 // ---------------------------------------------------------------------------
 
-/// Shared body of [`ln_surv_tile_sum`]: per lane `w`, the log-survival sum
+/// A block failure probability as the compositions absorb it: clamped to
+/// `[0, 1]`, NaN read as certain failure — the rule of `statobd-core`'s
+/// `WeakestLink::absorb` and `CompositionAccumulator::absorb` (a poisoned
+/// block must never raise the reported survival).
+#[inline(always)]
+fn absorbed_p(p: f64) -> f64 {
+    select(p.is_nan(), 1.0, p.clamp(0.0, 1.0))
+}
+
+/// How a `W`-chip tile's per-block failure probabilities compose into
+/// each lane's chip log-survival `ln S` — the per-block step of the fused
+/// survival kernels ([`ln_surv_tile_fold`], [`ln_surv_bisect_fold`]) and
+/// of a caller's mission-end composition.
 ///
-/// ```text
-/// s[w] = Σ_j ln_1p(−clamp(−expm1(−area_j·exp(arg_jw)), 0, 1))
-/// arg_jw = γ·bu[jW+w] + ½γ²·bbv[jW+w],   γ = ln_rate_j + x[w]
-/// ```
+/// A fold is [`clear`](LaneFold::clear)ed, absorbs every block once in
+/// block order, and is then read through
+/// [`ln_survival`](LaneFold::ln_survival). Lane `w`'s result depends only
+/// on lane `w`'s inputs, and the transcendentals are picked at compile
+/// time on `W` (libm at width 1, the polynomial cores wider), so a chip's
+/// bits never depend on which tile or lane it occupies.
+pub trait LaneFold<const W: usize> {
+    /// Resets every lane to the empty chip (`ln S = 0`).
+    fn clear(&mut self);
+
+    /// Absorbs block `j`'s lane failure probabilities `p` (clamped to
+    /// `[0, 1]`; NaN counts as certain failure).
+    fn absorb(&mut self, j: usize, p: &[f64; W]);
+
+    /// Absorbs block `j` from its lane log-hazards `arg`, whose failure
+    /// probabilities are `p = −expm1(−area·exp(arg))`. `x_small` and
+    /// `x_sat` are the block's [`failure_poly_threshold`] and
+    /// [`failure_sat_threshold`]: regime screens a fold may use to skip
+    /// work, never to change bits.
+    fn absorb_hazard(&mut self, j: usize, arg: &[f64; W], area: f64, x_small: f64, x_sat: f64);
+
+    /// Each lane's chip log-survival `ln S ≤ 0`.
+    fn ln_survival(&self) -> [f64; W];
+}
+
+/// The failure-term regime a block's lane log-hazards share (see
+/// [`hazard_regime`]).
+enum Regime {
+    /// Every lane `arg ≥ x_sat`: `p` rounds to exactly 1.
+    Saturated,
+    /// Every lane `arg < x_small`: `|z| <` [`EXPM1_SWITCH`], so `expm1`
+    /// takes its small arm.
+    Polynomial,
+    /// Anything else, every width-1 block, and any block with a NaN lane.
+    Mixed,
+}
+
+/// Screens a block's lane log-hazards into a [`Regime`] from their
+/// bounds, taken by pairwise tree (log₂W select depth, not a serial
+/// W-long chain; each round folds the upper lanes onto the lower ones).
+/// A NaN argument makes the tree results arbitrary, so NaN presence is
+/// folded separately and forces [`Regime::Mixed`], the general cores.
+/// Width 1 always screens `Mixed`: its general route is the libm
+/// expression, which the polynomial shortcuts would not reproduce.
+#[inline(always)]
+fn hazard_regime<const W: usize>(arg: &[f64; W], x_small: f64, x_sat: f64) -> Regime {
+    if W == 1 {
+        return Regime::Mixed;
+    }
+    let mut nan = false;
+    for &a in arg {
+        nan |= a.is_nan();
+    }
+    let mut mn = *arg;
+    let mut mx = *arg;
+    let mut n = W;
+    while n > 1 {
+        let half = n / 2;
+        for i in 0..half {
+            let k = i + n - half;
+            mn[i] = select(mn[k] < mn[i], mn[k], mn[i]);
+            mx[i] = select(mx[k] > mx[i], mx[k], mx[i]);
+        }
+        n -= half;
+    }
+    if nan {
+        Regime::Mixed
+    } else if mn[0] >= x_sat {
+        Regime::Saturated
+    } else if mx[0] < x_small {
+        Regime::Polynomial
+    } else {
+        Regime::Mixed
+    }
+}
+
+/// The weakest-link fold `ln S = Σ_j ln_1p(−p_j)`: the running sum of
+/// `WeakestLink::absorb`, lane by lane.
 ///
-/// evaluated block-sequentially per lane (the scalar accumulation order,
-/// matching [`lane_sum_acc`]). Every step is the exact expression the
-/// three-pass `exp_slice` → scale → `exp_m1_slice` → clamp →
-/// `ln_1p_slice` composition evaluates per element, in the same order, so
-/// the fusion changes no bits — it removes the per-pass dispatch
-/// overhead and intermediate stores, which matter on the few-block tiles
-/// the fleet produces (`n_blocks·W` is typically 8–32 elements).
-///
-/// Per block, the lane-argument bounds screen the tile into a regime,
-/// exactly like [`failure_term_slice`]'s tile screens — each screened
-/// route evaluates the same elementwise expressions the general route
-/// selects for those arguments, so the screens change cost, never bits:
+/// [`absorb`](LaneFold::absorb) — the once-per-chip mission-end entry —
+/// evaluates libm `ln_1p` at every width, the mission-end expression the
+/// lane-tiled fleet has always used. Per bisection step,
+/// [`absorb_hazard`](LaneFold::absorb_hazard) at widths > 1 screens each
+/// block's lane arguments into a regime, exactly like
+/// [`failure_term_slice`]'s tile screens — each screened route evaluates
+/// the same elementwise expressions the general route selects for those
+/// arguments, so the screens change cost, never bits:
 ///
 /// * all `arg ≥ x_sat` → `p` rounds to exactly 1.0 (see [`FAILURE_SAT`])
 ///   and `ln_1p(−1)` is `−∞`, so the block contributes an exact `−∞`
@@ -1247,82 +1448,351 @@ pub fn failure_term_slice_bounded(xs: &[f64], scale: f64, lo: f64, hi: f64, out:
 ///   short polynomials, no second `exp` and no exponent split. This is
 ///   the regime the bisection converges in (per-block `p` near the
 ///   fleet budget), so it carries most of the 52 steps.
-/// * mixed → the general both-arm cores.
+/// * mixed (or any NaN lane) → the general both-arm cores.
 ///
-/// NaN arguments set a separate lane-NaN flag that fails both screens,
-/// routing the block through the general cores, which propagate NaN
-/// elementwise.
+/// Width 1 runs the general libm expression unscreened: the scalar
+/// `WeakestLink` bits.
+#[derive(Clone, Copy, Debug)]
+pub struct WeakestLinkFold<const W: usize> {
+    s: [f64; W],
+}
+
+impl<const W: usize> Default for WeakestLinkFold<W> {
+    fn default() -> Self {
+        WeakestLinkFold { s: [0.0; W] }
+    }
+}
+
+impl<const W: usize> LaneFold<W> for WeakestLinkFold<W> {
+    #[inline(always)]
+    fn clear(&mut self) {
+        self.s = [0.0; W];
+    }
+
+    #[inline(always)]
+    fn absorb(&mut self, _j: usize, p: &[f64; W]) {
+        for w in 0..W {
+            self.s[w] += (-absorbed_p(p[w])).ln_1p();
+        }
+    }
+
+    #[inline(always)]
+    fn absorb_hazard(&mut self, _j: usize, arg: &[f64; W], area: f64, x_small: f64, x_sat: f64) {
+        match hazard_regime(arg, x_small, x_sat) {
+            Regime::Saturated => {
+                for sv in &mut self.s {
+                    *sv += f64::NEG_INFINITY;
+                }
+            }
+            Regime::Polynomial => {
+                for w in 0..W {
+                    let z = exp_core(arg[w]) * -area;
+                    // expm1's small arm (|z| < EXPM1_SWITCH is certified)
+                    // and ln_1p's small arm (−p ∈ [−0.293, 0] ⊂
+                    // [−1/3, 0.5]) — the expressions the general cores
+                    // select here.
+                    let e = z + (z * z) * exp_tail(z);
+                    let neg_p = -((-e).clamp(0.0, 1.0));
+                    let t = neg_p / (2.0 + neg_p);
+                    self.s[w] += 2.0 * t * atanh_poly(t * t);
+                }
+            }
+            Regime::Mixed => {
+                for w in 0..W {
+                    // e = expm1(−A·g) = −p.
+                    let e = exp_m1_w::<W>(exp_w::<W>(arg[w]) * -area);
+                    self.s[w] += ln_1p_w::<W>(-absorbed_p(-e));
+                }
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn ln_survival(&self) -> [f64; W] {
+        self.s
+    }
+}
+
+/// One block's update of a redundancy group's log-space Poisson-binomial
+/// DP, `W` lanes at once — the recurrence of `statobd-core`'s
+/// `CompositionAccumulator` (which runs it at width 1) and of the lane
+/// [`GroupFold`]. `ln_at[m][w]` is lane `w`'s `ln P(exactly m absorbed
+/// blocks failed)` for `m ≤ spares = ln_at.len() − 1`, `ln_fail[w]` its
+/// `ln P(more than spares failed)`; `p` holds the block's clamped failure
+/// probabilities and `ln1mp` their `ln(1 − p)`, which callers often hold
+/// more exactly than `ln_1p(−p)` would rebuild it. Only positive masses
+/// are added, in log space, so nothing cancels even when `Q` sits at the
+/// `p^(s+1)` scale:
+///
+/// ```text
+/// ln_fail  ← logaddexp(ln_fail, ln_at[s] + ln p)
+/// ln_at[m] ← logaddexp(ln_at[m] + ln(1 − p), ln_at[m − 1] + ln p),  m = s, …, 1
+/// ln_at[0] ← ln_at[0] + ln(1 − p)
+/// ```
+///
+/// A spare-less group is weakest-link over its blocks: only the last line
+/// runs, and `ln_at[0]` is the running `Σ ln(1 − p)`.
+///
+/// # Panics
+///
+/// Panics if `ln_at` is empty.
 #[inline(always)]
-fn ln_surv_tile_body<const W: usize>(
+pub fn group_absorb<const W: usize>(
+    ln_at: &mut [[f64; W]],
+    ln_fail: &mut [f64; W],
+    p: &[f64; W],
+    ln1mp: &[f64; W],
+) {
+    // Plain lane loops throughout: `array::map` closures do not inline
+    // into the `#[target_feature]` clones and would run per lane.
+    let spares = ln_at.len() - 1;
+    if spares > 0 {
+        let mut lnp = [0.0; W];
+        for w in 0..W {
+            lnp[w] = ln_w::<W>(p[w]);
+        }
+        // Mass leaving the tracked window never comes back: fold it into
+        // the tail before the in-window shift overwrites `ln_at[spares]`.
+        for w in 0..W {
+            ln_fail[w] = logaddexp_w::<W>(ln_fail[w], ln_at[spares][w] + lnp[w]);
+        }
+        for m in (1..=spares).rev() {
+            for w in 0..W {
+                ln_at[m][w] = logaddexp_w::<W>(ln_at[m][w] + ln1mp[w], ln_at[m - 1][w] + lnp[w]);
+            }
+        }
+    }
+    for w in 0..W {
+        ln_at[0][w] += ln1mp[w];
+    }
+}
+
+/// A redundancy group's log-survival `ln(1 − Q)` per lane, read from its
+/// [`group_absorb`] state: `ln_at[0]` itself for a spare-less group (the
+/// weakest-link sum, at full log-scale precision), `ln_1p(−exp(ln_fail))`
+/// otherwise.
+///
+/// # Panics
+///
+/// Panics if `ln_at` is empty.
+#[inline(always)]
+pub fn group_ln_survival<const W: usize>(ln_at: &[[f64; W]], ln_fail: &[f64; W]) -> [f64; W] {
+    if ln_at.len() == 1 {
+        return ln_at[0];
+    }
+    let mut s = [0.0; W];
+    for w in 0..W {
+        s[w] = ln_1p_w::<W>(-exp_w::<W>(ln_fail[w]));
+    }
+    s
+}
+
+/// The lane-independent shape of a [`GroupFold`]: the redundancy group
+/// of each block, and where each group's state sits in the fold's row
+/// buffer — `spares + 1` rows of `ln_at[m]`, then one `ln_fail` row (see
+/// [`group_absorb`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct GroupLayout {
+    /// Block → group index.
+    group_of: Vec<usize>,
+    /// Per group, its state rows.
+    rows: Vec<std::ops::Range<usize>>,
+}
+
+impl GroupLayout {
+    /// The layout of groups tolerating `spares[g]` block failures each,
+    /// block `j` belonging to group `group_of[j]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block names a group outside `spares`.
+    pub fn new(group_of: Vec<usize>, spares: &[usize]) -> Self {
+        assert!(
+            group_of.iter().all(|&g| g < spares.len()),
+            "block assigned to an unknown redundancy group"
+        );
+        let mut next = 0;
+        let rows = spares
+            .iter()
+            .map(|&s| {
+                let r = next..next + s + 2;
+                next = r.end;
+                r
+            })
+            .collect();
+        GroupLayout { group_of, rows }
+    }
+
+    /// The `[f64; W]` state rows one fold of this layout holds: the row
+    /// buffer handed to [`GroupFold::new`] has `rows() · W` values.
+    pub fn rows(&self) -> usize {
+        self.rows.last().map_or(0, |r| r.end)
+    }
+}
+
+/// The redundancy-group fold: every group runs the log-space
+/// Poisson-binomial DP of [`group_absorb`] across the lanes, and the chip
+/// log-survival sums the groups' [`group_ln_survival`] in group order —
+/// lane for lane the operation sequence of `CompositionAccumulator`,
+/// whose bits the width-1 instance reproduces.
+///
+/// The state lives in a caller-owned row buffer sized once from the
+/// layout, so folding a chip allocates nothing, for any number of groups
+/// and spares.
+#[derive(Debug)]
+pub struct GroupFold<'a, const W: usize> {
+    layout: &'a GroupLayout,
+    rows: &'a mut [[f64; W]],
+}
+
+impl<'a, const W: usize> GroupFold<'a, W> {
+    /// A fold of `layout` keeping its state in `rows`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len() != layout.rows() · W`.
+    pub fn new(layout: &'a GroupLayout, rows: &'a mut [f64]) -> Self {
+        let (rows, rest) = rows.as_chunks_mut::<W>();
+        assert!(
+            rest.is_empty() && rows.len() == layout.rows(),
+            "a group fold holds layout.rows() · W state values"
+        );
+        GroupFold { layout, rows }
+    }
+
+    /// Runs [`group_absorb`] on block `j`'s group.
+    #[inline(always)]
+    fn absorb_into_group(&mut self, j: usize, p: &[f64; W], ln1mp: &[f64; W]) {
+        let rows = self.layout.rows[self.layout.group_of[j]].clone();
+        let (ln_fail, ln_at) = self.rows[rows]
+            .split_last_mut()
+            .expect("a group has state rows");
+        group_absorb::<W>(ln_at, ln_fail, p, ln1mp);
+    }
+}
+
+impl<const W: usize> LaneFold<W> for GroupFold<'_, W> {
+    #[inline(always)]
+    fn clear(&mut self) {
+        for r in &self.layout.rows {
+            let group = &mut self.rows[r.clone()];
+            group.fill([f64::NEG_INFINITY; W]);
+            group[0] = [0.0; W];
+        }
+    }
+
+    #[inline(always)]
+    fn absorb(&mut self, j: usize, p: &[f64; W]) {
+        let mut clamped = [0.0; W];
+        let mut ln1mp = [0.0; W];
+        for w in 0..W {
+            clamped[w] = absorbed_p(p[w]);
+            ln1mp[w] = ln_1p_w::<W>(-clamped[w]);
+        }
+        self.absorb_into_group(j, &clamped, &ln1mp);
+    }
+
+    #[inline(always)]
+    fn absorb_hazard(&mut self, j: usize, arg: &[f64; W], area: f64, x_small: f64, x_sat: f64) {
+        let mut z = [0.0; W];
+        for w in 0..W {
+            z[w] = exp_w::<W>(arg[w]) * -area;
+        }
+        // e = expm1(z) = −p. The screened regimes take the arm the
+        // general core selects there: exactly −1 when saturated (see
+        // [`FAILURE_SAT`]), the small polynomial when `|z|` is certified
+        // below [`EXPM1_SWITCH`].
+        let mut e = [0.0; W];
+        match hazard_regime(arg, x_small, x_sat) {
+            Regime::Saturated => e = [-1.0; W],
+            Regime::Polynomial => {
+                for w in 0..W {
+                    e[w] = z[w] + (z[w] * z[w]) * exp_tail(z[w]);
+                }
+            }
+            Regime::Mixed => {
+                for w in 0..W {
+                    e[w] = exp_m1_w::<W>(z[w]);
+                }
+            }
+        }
+        let mut p = [0.0; W];
+        let mut ln1mp = [0.0; W];
+        for w in 0..W {
+            p[w] = absorbed_p(-e[w]);
+            // `1 − p = e^z`, so `ln(1 − p)` is `z` itself — exact, and one
+            // core cheaper than `ln_1p(−p)`, which width 1 keeps for the
+            // scalar bits. (A NaN hazard is certain failure: `−∞`.)
+            ln1mp[w] = if W == 1 {
+                (-p[w]).ln_1p()
+            } else {
+                select(z[w].is_nan(), f64::NEG_INFINITY, z[w])
+            };
+        }
+        self.absorb_into_group(j, &p, &ln1mp);
+    }
+
+    #[inline(always)]
+    fn ln_survival(&self) -> [f64; W] {
+        let mut total = [0.0; W];
+        for r in &self.layout.rows {
+            let (ln_fail, ln_at) = self.rows[r.clone()]
+                .split_last()
+                .expect("a group has state rows");
+            let s = group_ln_survival::<W>(ln_at, ln_fail);
+            for w in 0..W {
+                total[w] += s[w];
+            }
+        }
+        total
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fused lane-tile survival kernel (fleet lifetime bisection)
+// ---------------------------------------------------------------------------
+
+/// Shared body of [`ln_surv_tile_fold`]: per lane `w`, the chip
+/// log-survival at log-age `x[w]`,
+///
+/// ```text
+/// s[w] = fold over blocks j of p_jw = −expm1(−area_j·exp(arg_jw))
+/// arg_jw = γ·bu[jW+w] + ½γ²·bbv[jW+w],   γ = ln_rate_j + x[w]
+/// ```
+///
+/// absorbing the blocks in order through `fold`'s
+/// [`absorb_hazard`](LaneFold::absorb_hazard). Under the
+/// [`WeakestLinkFold`] every step is the exact expression the three-pass
+/// `exp_slice` → scale → `exp_m1_slice` → clamp → `ln_1p_slice`
+/// composition evaluates per element, summed block-sequentially per lane
+/// (the scalar accumulation order, matching [`lane_sum_acc`]), so the
+/// fusion changes no bits — it removes the per-pass dispatch overhead and
+/// intermediate stores, which matter on the few-block tiles the fleet
+/// produces (`n_blocks·W` is typically 8–32 elements).
+#[inline(always)]
+fn ln_surv_tile_body<const W: usize, F: LaneFold<W>>(
     x: &[f64; W],
     block_params: &[f64],
     bu: &[f64],
     bbv: &[f64],
+    fold: &mut F,
     out: &mut [f64; W],
 ) {
-    let mut s = [0.0; W];
-    for ((bp, bu_j), bbv_j) in block_params
+    fold.clear();
+    for (j, ((bp, bu_j), bbv_j)) in block_params
         .chunks_exact(4)
         .zip(bu.chunks_exact(W))
         .zip(bbv.chunks_exact(W))
+        .enumerate()
     {
-        let (ln_rate, area, x_small, x_sat) = (bp[0], bp[1], bp[2], bp[3]);
         let mut arg = [0.0; W];
         for w in 0..W {
-            let gamma = ln_rate + x[w];
+            let gamma = bp[0] + x[w];
             arg[w] = gamma * bu_j[w] + 0.5 * gamma * gamma * bbv_j[w];
         }
-        // Lane bounds by pairwise tree (log₂W select depth, not a
-        // serial W-long chain). A NaN argument makes the tree results
-        // arbitrary, so NaN presence is folded separately and fails
-        // both screens, routing the block through the general cores.
-        let mut nan = false;
-        for &a in &arg {
-            nan |= a.is_nan();
-        }
-        let mut mn = arg;
-        let mut mx = arg;
-        let mut half = W;
-        while half > 1 {
-            half /= 2;
-            for i in 0..half {
-                mn[i] = select(mn[i + half] < mn[i], mn[i + half], mn[i]);
-                mx[i] = select(mx[i + half] > mx[i], mx[i + half], mx[i]);
-            }
-        }
-        let (amin, amax) = (mn[0], mx[0]);
-        if !nan && amin >= x_sat {
-            for sv in &mut s {
-                *sv += f64::NEG_INFINITY;
-            }
-            continue;
-        }
-        let mut term = [0.0; W];
-        if !nan && amax < x_small {
-            for w in 0..W {
-                let z = exp_core(arg[w]) * -area;
-                // expm1's small arm (|z| < EXPM1_SWITCH is certified) and
-                // ln_1p's small arm (−p ∈ [−0.293, 0] ⊂ [−1/3, 0.5]) —
-                // the same expressions the general cores select here.
-                let e = z + (z * z) * exp_tail(z);
-                let neg_p = -((-e).clamp(0.0, 1.0));
-                let t = neg_p / (2.0 + neg_p);
-                term[w] = 2.0 * t * atanh_poly(t * t);
-            }
-        } else {
-            for w in 0..W {
-                let z = exp_core(arg[w]) * -area;
-                let e = exp_m1_core(z);
-                // e = expm1(−A·g) = −p; the ln_1p argument is
-                // −clamp(p, 0, 1).
-                term[w] = ln_1p_core(-((-e).clamp(0.0, 1.0)));
-            }
-        }
-        for w in 0..W {
-            s[w] += term[w];
-        }
+        fold.absorb_hazard(j, &arg, bp[1], bp[2], bp[3]);
     }
-    *out = s;
+    *out = fold.ln_survival();
 }
 
 /// AVX2 clone of [`ln_surv_tile_body`] (same IEEE arithmetic, 256-bit
@@ -1333,14 +1803,15 @@ fn ln_surv_tile_body<const W: usize>(
 /// Caller must have verified `avx2` via `is_x86_feature_detected!`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn ln_surv_tile_avx2<const W: usize>(
+unsafe fn ln_surv_tile_avx2<const W: usize, F: LaneFold<W>>(
     x: &[f64; W],
     block_params: &[f64],
     bu: &[f64],
     bbv: &[f64],
+    fold: &mut F,
     out: &mut [f64; W],
 ) {
-    ln_surv_tile_body::<W>(x, block_params, bu, bbv, out);
+    ln_surv_tile_body::<W, F>(x, block_params, bu, bbv, fold, out);
 }
 
 /// AVX-512F clone of [`ln_surv_tile_body`].
@@ -1350,47 +1821,19 @@ unsafe fn ln_surv_tile_avx2<const W: usize>(
 /// Caller must have verified `avx512f` via `is_x86_feature_detected!`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn ln_surv_tile_avx512<const W: usize>(
+unsafe fn ln_surv_tile_avx512<const W: usize, F: LaneFold<W>>(
     x: &[f64; W],
     block_params: &[f64],
     bu: &[f64],
     bbv: &[f64],
+    fold: &mut F,
     out: &mut [f64; W],
 ) {
-    ln_surv_tile_body::<W>(x, block_params, bu, bbv, out);
+    ln_surv_tile_body::<W, F>(x, block_params, bu, bbv, fold, out);
 }
 
-/// One step of the fleet's lane-parallel lifetime bisection, fused:
-/// fills `out[w]` with the `W`-chip tile's log-survival sums at per-lane
-/// log-ages `x[w]`. `block_params` holds one `(ln_rate, area, x_small,
-/// x_sat)` quad per block, where `x_small =`
-/// [`failure_poly_threshold`]`(area)` and `x_sat =`
-/// [`failure_sat_threshold`]`(area)` are the precomputed regime screens
-/// (see [`ln_surv_tile_body`]); `bu`/`bbv` are the `[block][lane]` SoA
-/// scratch (`bu[j·W + w]` is lane `w`'s `b_eff·u` for block `j`).
-///
-/// Elementwise this evaluates the polynomial cores behind
-/// [`exp_slice`]/[`exp_m1_slice`]/[`ln_1p_slice`] with bit-identical
-/// results to that three-pass composition (see [`ln_surv_tile_body`]) —
-/// callers choose it for the dispatch economics, not different math: the
-/// bisection calls this ~54 times per tile on slices of `n_blocks·W`
-/// elements, where three dispatched passes plus two fixup loops per step
-/// cost more than the transcendental work itself. Dispatch is by detected
-/// ISA alone; the caller has already committed to lane width `W`, so the
-/// scalar-exact width-1 route does not apply (the fleet's width-1 path
-/// never calls this).
-///
-/// # Panics
-///
-/// Panics if `block_params.len()` is not a multiple of 4 or `bu`/`bbv`
-/// are not exactly `(block_params.len() / 4) · W` long.
-pub fn ln_surv_tile_sum<const W: usize>(
-    x: &[f64; W],
-    block_params: &[f64],
-    bu: &[f64],
-    bbv: &[f64],
-    out: &mut [f64; W],
-) {
+/// Checks the shape contract shared by the fused survival kernels.
+fn assert_tile_shape<const W: usize>(block_params: &[f64], bu: &[f64], bbv: &[f64]) {
     assert_eq!(
         block_params.len() % 4,
         0,
@@ -1399,29 +1842,80 @@ pub fn ln_surv_tile_sum<const W: usize>(
     let n = block_params.len() / 4 * W;
     assert_eq!(bu.len(), n, "bu tile length mismatch");
     assert_eq!(bbv.len(), n, "bbv tile length mismatch");
+}
+
+/// One step of the fleet's lane-parallel lifetime bisection, fused:
+/// fills `out[w]` with the `W`-chip tile's chip log-survivals at per-lane
+/// log-ages `x[w]`, the blocks composed through `fold`.
+/// `block_params` holds one `(ln_rate, area, x_small, x_sat)` quad per
+/// block, where `x_small =` [`failure_poly_threshold`]`(area)` and
+/// `x_sat =` [`failure_sat_threshold`]`(area)` are the precomputed
+/// regime screens (see [`WeakestLinkFold`]); `bu`/`bbv` are the
+/// `[block][lane]` SoA scratch (`bu[j·W + w]` is lane `w`'s `b_eff·u`
+/// for block `j`).
+///
+/// The transcendentals are the fold's (libm at `W = 1`, the polynomial
+/// cores wider); callers choose the fused kernel for the dispatch
+/// economics, not different math: the bisection evaluates ~54 of these
+/// per tile on slices of `n_blocks·W` elements, where dispatched passes
+/// plus fixup loops per step would cost more than the transcendental
+/// work itself. Dispatch is by detected ISA alone — the caller has
+/// already committed to the lane width `W`.
+///
+/// # Panics
+///
+/// Panics if `block_params.len()` is not a multiple of 4 or `bu`/`bbv`
+/// are not exactly `(block_params.len() / 4) · W` long.
+pub fn ln_surv_tile_fold<const W: usize, F: LaneFold<W>>(
+    x: &[f64; W],
+    block_params: &[f64],
+    bu: &[f64],
+    bbv: &[f64],
+    fold: &mut F,
+    out: &mut [f64; W],
+) {
+    assert_tile_shape::<W>(block_params, bu, bbv);
     match isa() {
-        Isa::Portable => ln_surv_tile_body::<W>(x, block_params, bu, bbv, out),
+        Isa::Portable => ln_surv_tile_body::<W, F>(x, block_params, bu, bbv, fold, out),
         // SAFETY: `isa()` only reports tiers confirmed by runtime CPUID
         // feature detection on this machine.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { ln_surv_tile_avx2::<W>(x, block_params, bu, bbv, out) },
+        Isa::Avx2 => unsafe { ln_surv_tile_avx2::<W, F>(x, block_params, bu, bbv, fold, out) },
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { ln_surv_tile_avx512::<W>(x, block_params, bu, bbv, out) },
+        Isa::Avx512 => unsafe { ln_surv_tile_avx512::<W, F>(x, block_params, bu, bbv, fold, out) },
     }
 }
 
-/// Shared body of [`ln_surv_bisect`]: `steps` rounds of per-lane
+/// [`ln_surv_tile_fold`] under the [`WeakestLinkFold`]: the tile
+/// log-survival sums `Σ_j ln_1p(−p_j)`.
+///
+/// # Panics
+///
+/// As [`ln_surv_tile_fold`].
+pub fn ln_surv_tile_sum<const W: usize>(
+    x: &[f64; W],
+    block_params: &[f64],
+    bu: &[f64],
+    bbv: &[f64],
+    out: &mut [f64; W],
+) {
+    let mut fold = WeakestLinkFold::default();
+    ln_surv_tile_fold::<W, _>(x, block_params, bu, bbv, &mut fold, out);
+}
+
+/// Shared body of [`ln_surv_bisect_fold`]: `steps` rounds of per-lane
 /// bracket halving. Each round evaluates the tile log-survival at the
 /// per-lane midpoints through [`ln_surv_tile_body`], then moves each
 /// lane's own bracket with branchless bitwise selects on `s ≤ target`
 /// (NaN compares false, freezing that lane's bracket — the caller's
 /// mask semantics). Bit-identical, round for round, to a caller loop of
-/// [`ln_surv_tile_sum`] + [`lane_le`] + [`lane_select`]; hoisting the
+/// [`ln_surv_tile_fold`] + [`lane_le`] + [`lane_select`]; hoisting the
 /// loop inside the dispatched clone exists purely so the bracket state
 /// stays in registers across all `steps` rounds instead of paying a
 /// non-inlinable dispatch per round.
 #[inline(always)]
-fn ln_surv_bisect_body<const W: usize>(
+#[allow(clippy::too_many_arguments)]
+fn ln_surv_bisect_body<const W: usize, F: LaneFold<W>>(
     lo: &mut [f64; W],
     hi: &mut [f64; W],
     target: f64,
@@ -1429,6 +1923,7 @@ fn ln_surv_bisect_body<const W: usize>(
     block_params: &[f64],
     bu: &[f64],
     bbv: &[f64],
+    fold: &mut F,
 ) {
     for _ in 0..steps {
         let mut mid = [0.0; W];
@@ -1436,7 +1931,7 @@ fn ln_surv_bisect_body<const W: usize>(
             mid[w] = 0.5 * (lo[w] + hi[w]);
         }
         let mut s = [0.0; W];
-        ln_surv_tile_body::<W>(&mid, block_params, bu, bbv, &mut s);
+        ln_surv_tile_body::<W, F>(&mid, block_params, bu, bbv, fold, &mut s);
         for w in 0..W {
             let le = s[w] <= target;
             hi[w] = select(le, mid[w], hi[w]);
@@ -1453,7 +1948,7 @@ fn ln_surv_bisect_body<const W: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn ln_surv_bisect_avx2<const W: usize>(
+unsafe fn ln_surv_bisect_avx2<const W: usize, F: LaneFold<W>>(
     lo: &mut [f64; W],
     hi: &mut [f64; W],
     target: f64,
@@ -1461,8 +1956,9 @@ unsafe fn ln_surv_bisect_avx2<const W: usize>(
     block_params: &[f64],
     bu: &[f64],
     bbv: &[f64],
+    fold: &mut F,
 ) {
-    ln_surv_bisect_body::<W>(lo, hi, target, steps, block_params, bu, bbv);
+    ln_surv_bisect_body::<W, F>(lo, hi, target, steps, block_params, bu, bbv, fold);
 }
 
 /// AVX-512F clone of [`ln_surv_bisect_body`].
@@ -1473,7 +1969,7 @@ unsafe fn ln_surv_bisect_avx2<const W: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn ln_surv_bisect_avx512<const W: usize>(
+unsafe fn ln_surv_bisect_avx512<const W: usize, F: LaneFold<W>>(
     lo: &mut [f64; W],
     hi: &mut [f64; W],
     target: f64,
@@ -1481,15 +1977,16 @@ unsafe fn ln_surv_bisect_avx512<const W: usize>(
     block_params: &[f64],
     bu: &[f64],
     bbv: &[f64],
+    fold: &mut F,
 ) {
-    ln_surv_bisect_body::<W>(lo, hi, target, steps, block_params, bu, bbv);
+    ln_surv_bisect_body::<W, F>(lo, hi, target, steps, block_params, bu, bbv, fold);
 }
 
 /// The fleet's lane-parallel masked lifetime bisection, whole-loop
 /// fused: runs `steps` rounds of per-lane bracket halving on
-/// `lo`/`hi` in place, against the log-survival threshold `target`.
-/// Parameters and per-element math are exactly
-/// [`ln_surv_tile_sum`]'s; see [`ln_surv_bisect_body`] for the
+/// `lo`/`hi` in place, against the log-survival threshold `target`, the
+/// blocks composed through `fold`. Parameters and per-element math are
+/// exactly [`ln_surv_tile_fold`]'s; see [`ln_surv_bisect_body`] for the
 /// bit-identity contract with the unfused caller loop and the NaN/mask
 /// semantics. One dispatched call replaces `steps` of them — the
 /// bracket arrays live in registers for the whole solve.
@@ -1499,6 +1996,39 @@ unsafe fn ln_surv_bisect_avx512<const W: usize>(
 /// Panics if `block_params.len()` is not a multiple of 4 or `bu`/`bbv`
 /// are not exactly `(block_params.len() / 4) · W` long.
 #[allow(clippy::too_many_arguments)]
+pub fn ln_surv_bisect_fold<const W: usize, F: LaneFold<W>>(
+    lo: &mut [f64; W],
+    hi: &mut [f64; W],
+    target: f64,
+    steps: u32,
+    block_params: &[f64],
+    bu: &[f64],
+    bbv: &[f64],
+    fold: &mut F,
+) {
+    assert_tile_shape::<W>(block_params, bu, bbv);
+    match isa() {
+        Isa::Portable => {
+            ln_surv_bisect_body::<W, F>(lo, hi, target, steps, block_params, bu, bbv, fold)
+        }
+        // SAFETY: `isa()` only reports tiers confirmed by runtime CPUID
+        // feature detection on this machine.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe {
+            ln_surv_bisect_avx2::<W, F>(lo, hi, target, steps, block_params, bu, bbv, fold)
+        },
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe {
+            ln_surv_bisect_avx512::<W, F>(lo, hi, target, steps, block_params, bu, bbv, fold)
+        },
+    }
+}
+
+/// [`ln_surv_bisect_fold`] under the [`WeakestLinkFold`].
+///
+/// # Panics
+///
+/// As [`ln_surv_bisect_fold`].
 pub fn ln_surv_bisect<const W: usize>(
     lo: &mut [f64; W],
     hi: &mut [f64; W],
@@ -1508,27 +2038,8 @@ pub fn ln_surv_bisect<const W: usize>(
     bu: &[f64],
     bbv: &[f64],
 ) {
-    assert_eq!(
-        block_params.len() % 4,
-        0,
-        "block params are (ln_rate, area, x_small, x_sat) quads"
-    );
-    let n = block_params.len() / 4 * W;
-    assert_eq!(bu.len(), n, "bu tile length mismatch");
-    assert_eq!(bbv.len(), n, "bbv tile length mismatch");
-    match isa() {
-        Isa::Portable => ln_surv_bisect_body::<W>(lo, hi, target, steps, block_params, bu, bbv),
-        // SAFETY: `isa()` only reports tiers confirmed by runtime CPUID
-        // feature detection on this machine.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe {
-            ln_surv_bisect_avx2::<W>(lo, hi, target, steps, block_params, bu, bbv)
-        },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe {
-            ln_surv_bisect_avx512::<W>(lo, hi, target, steps, block_params, bu, bbv)
-        },
-    }
+    let mut fold = WeakestLinkFold::default();
+    ln_surv_bisect_fold::<W, _>(lo, hi, target, steps, block_params, bu, bbv, &mut fold);
 }
 
 #[cfg(test)]
@@ -1905,6 +2416,85 @@ mod tests {
             lane_sum_acc::<W>(&b, &mut want);
             for w in 0..W {
                 assert_eq!(fused[w].to_bits(), want[w].to_bits(), "lane {w} at x0 {x0}");
+            }
+        }
+    }
+
+    #[test]
+    fn group_fold_lanes_match_their_width_1_instance() {
+        // Two groups — blocks 0 and 2 share one spare, block 1 has none —
+        // through the fused tile kernel over ages spanning the saturated,
+        // mixed and polynomial regimes: each lane of the 8-wide fold sits
+        // within the lane cores' budget of the libm width-1 fold on that
+        // lane's inputs, and the 4-wide fold matches it bitwise.
+        let layout = GroupLayout::new(vec![0, 1, 0], &[1, 0]);
+        let mut block_params = Vec::new();
+        for (ln_rate, area) in [(2.1, 60_000.0), (1.7, 140_000.0), (-0.4, 5.0)] {
+            block_params.extend([
+                ln_rate,
+                area,
+                failure_poly_threshold(area),
+                failure_sat_threshold(area),
+            ]);
+        }
+        let bu: Vec<f64> = (0..24).map(|i| -9.0 - (i as f64 * 0.37).sin()).collect();
+        let bbv: Vec<f64> = (0..24)
+            .map(|i| 1e-4 * (1.0 + (i as f64 * 0.61).cos()))
+            .collect();
+        let lane = |w: usize, x: f64| -> f64 {
+            let pick = |v: &[f64]| -> Vec<f64> { (0..3).map(|j| v[j * 8 + w]).collect() };
+            let mut rows = vec![0.0; layout.rows()];
+            let mut s = [0.0];
+            let mut fold = GroupFold::<1>::new(&layout, &mut rows);
+            ln_surv_tile_fold::<1, _>(
+                &[x],
+                &block_params,
+                &pick(&bu),
+                &pick(&bbv),
+                &mut fold,
+                &mut s,
+            );
+            s[0]
+        };
+        for x0 in [5.0, 10.0, 14.0, 18.0, 22.5, 26.0, 30.0] {
+            let x: [f64; 8] = std::array::from_fn(|w| x0 + 0.25 * w as f64);
+            let mut rows = vec![0.0; layout.rows() * 8];
+            let mut s8 = [0.0; 8];
+            let mut fold = GroupFold::<8>::new(&layout, &mut rows);
+            ln_surv_tile_fold::<8, _>(&x, &block_params, &bu, &bbv, &mut fold, &mut s8);
+            for half in 0..2 {
+                let lanes = |v: &[f64]| -> Vec<f64> {
+                    (0..3)
+                        .flat_map(|j| v[j * 8 + 4 * half..j * 8 + 4 * half + 4].to_vec())
+                        .collect()
+                };
+                let x4: [f64; 4] = std::array::from_fn(|w| x[4 * half + w]);
+                let mut rows = vec![0.0; layout.rows() * 4];
+                let mut s4 = [0.0; 4];
+                let mut fold = GroupFold::<4>::new(&layout, &mut rows);
+                ln_surv_tile_fold::<4, _>(
+                    &x4,
+                    &block_params,
+                    &lanes(&bu),
+                    &lanes(&bbv),
+                    &mut fold,
+                    &mut s4,
+                );
+                for w in 0..4 {
+                    assert_eq!(
+                        s4[w].to_bits(),
+                        s8[4 * half + w].to_bits(),
+                        "w4 vs w8 at {x0}"
+                    );
+                }
+            }
+            for w in 0..8 {
+                let want = lane(w, x[w]);
+                assert!(
+                    rel_err(s8[w], want) < 1e-12,
+                    "lane {w} at x0 {x0}: {:e} vs {want:e}",
+                    s8[w]
+                );
             }
         }
     }

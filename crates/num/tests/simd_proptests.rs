@@ -1,16 +1,16 @@
 //! Property-based tests of the `num::simd` lane layer: seeded random
 //! sweeps over the engines' argument ranges checking the vectorized
-//! `exp`/`exp_m1`/`ln_1p` kernels against `std` libm within the
-//! documented error budget, width-1 bit-identity with the historical
-//! scalar expressions, and bitwise agreement between lane widths 4
-//! and 8.
+//! `exp`/`exp_m1`/`ln_1p`/`ln`/`logaddexp` kernels against `std` libm
+//! (or the scalar definition) within the documented error budget,
+//! width-1 bit-identity with the historical scalar expressions, and
+//! bitwise agreement between lane widths 4 and 8.
 //!
 //! Width forcing is process-global, so every test that touches it
 //! serializes on one mutex and restores the default before releasing —
 //! the suite passes under any `STATOBD_LANES` setting.
 
 use statobd_num::rng::{Rng, Xoshiro256pp};
-use statobd_num::simd::{self, LaneWidth};
+use statobd_num::simd::{self, F64Lanes, LaneWidth};
 use std::sync::{Mutex, MutexGuard};
 
 /// Serializes tests that force the process-global lane width.
@@ -191,6 +191,183 @@ fn lane_kernels_handle_edge_arguments() {
         assert!(out[1].is_nan(), "ln_1p below the domain is NaN");
         assert_eq!(out[2], f64::INFINITY);
         assert!(out[3].is_nan());
+    }
+}
+
+/// Distance in units in the last place between two finite values of the
+/// same sign (or both zero).
+fn ulps(a: f64, b: f64) -> u64 {
+    if a == b {
+        return 0;
+    }
+    assert_eq!(a.is_sign_negative(), b.is_sign_negative(), "{a:e} vs {b:e}");
+    a.to_bits().abs_diff(b.to_bits())
+}
+
+/// Evaluates a lane op over `xs` in `W`-wide chunks (`xs.len() % W == 0`).
+fn lanes_map<const W: usize>(xs: &[f64], f: impl Fn(F64Lanes<W>) -> F64Lanes<W>) -> Vec<f64> {
+    xs.chunks_exact(W)
+        .flat_map(|c| f(F64Lanes::<W>::from_slice(c)).to_array())
+        .collect()
+}
+
+/// Probabilities spread log-uniformly over every binade of `[2⁻¹⁰⁷⁴, 1]`,
+/// subnormals included, plus the binade edges.
+fn probabilities(rng: &mut Xoshiro256pp, n: usize) -> Vec<f64> {
+    let mut xs: Vec<f64> = (0..n)
+        .map(|_| {
+            let e = rng.gen_range(-1074.0..0.0f64);
+            2f64.powf(e).max(f64::from_bits(1))
+        })
+        .collect();
+    xs.extend([
+        f64::from_bits(1),
+        f64::from_bits(2),
+        f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+        f64::MIN_POSITIVE,
+        1e-300,
+        0.5,
+        std::f64::consts::FRAC_1_SQRT_2,
+        1.0 - f64::EPSILON,
+        1.0 - f64::EPSILON / 2.0,
+    ]);
+    xs.resize(xs.len().next_multiple_of(8), 1.0);
+    xs
+}
+
+#[test]
+fn lane_ln_stays_within_four_ulps_down_to_subnormals() {
+    let mut rng = Xoshiro256pp::seed_from_u64(0x51D4);
+    let xs = probabilities(&mut rng, 8000);
+    let w8 = lanes_map::<8>(&xs, F64Lanes::ln);
+    let w4 = lanes_map::<4>(&xs, F64Lanes::ln);
+    let w1 = lanes_map::<1>(&xs, F64Lanes::ln);
+    for (i, &x) in xs.iter().enumerate() {
+        let want = x.ln();
+        assert!(
+            ulps(w8[i], want) <= 4,
+            "ln({x:e}) = {:e} vs {want:e}",
+            w8[i]
+        );
+        assert_eq!(w4[i].to_bits(), w8[i].to_bits(), "w4 vs w8 at {x:e}");
+        assert_eq!(w1[i].to_bits(), want.to_bits(), "w1 vs libm at {x:e}");
+    }
+}
+
+#[test]
+fn lane_ln_edges_are_exact() {
+    let xs = [
+        0.0,
+        -0.0,
+        1.0,
+        f64::NAN,
+        -1.0,
+        -f64::from_bits(1),
+        f64::INFINITY,
+        2.0,
+    ];
+    for got in [
+        F64Lanes::<8>::from_slice(&xs).ln().to_array().to_vec(),
+        lanes_map::<4>(&xs, F64Lanes::ln),
+    ] {
+        assert_eq!(got[0], f64::NEG_INFINITY, "ln 0");
+        assert_eq!(got[1], f64::NEG_INFINITY, "ln −0");
+        assert_eq!(got[2].to_bits(), 0.0f64.to_bits(), "ln 1 is +0");
+        assert!(
+            got[3].is_nan() && got[4].is_nan() && got[5].is_nan(),
+            "NaN / negative"
+        );
+        assert_eq!(got[6], f64::INFINITY, "ln ∞");
+        assert!(ulps(got[7], std::f64::consts::LN_2) <= 4);
+    }
+}
+
+/// The branching scalar `logaddexp` the redundancy-group DP was first
+/// written with: `−∞` is the exact additive identity.
+fn logaddexp_scalar(a: f64, b: f64) -> f64 {
+    if a == f64::NEG_INFINITY {
+        return b;
+    }
+    if b == f64::NEG_INFINITY {
+        return a;
+    }
+    let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
+    hi + (lo - hi).exp().ln_1p()
+}
+
+#[test]
+fn lane_logaddexp_matches_the_scalar_definition() {
+    let mut rng = Xoshiro256pp::seed_from_u64(0x51D5);
+    // Log-probabilities from the DP's range: near-certain mass down to
+    // the deep tail, plus exact zero mass (−∞) on either side.
+    let draw = |rng: &mut Xoshiro256pp| {
+        let u = rng.gen_range(0.0..1.0);
+        if u < 0.08 {
+            f64::NEG_INFINITY
+        } else if u < 0.16 {
+            -rng.gen_range(0.0..1e-12)
+        } else {
+            -10f64.powf(rng.gen_range(-15.0..2.9))
+        }
+    };
+    let a: Vec<f64> = (0..8000).map(|_| draw(&mut rng)).collect();
+    let b: Vec<f64> = (0..8000).map(|_| draw(&mut rng)).collect();
+    let lae = |w: usize| -> Vec<f64> {
+        (0..a.len())
+            .step_by(w)
+            .flat_map(|i| match w {
+                1 => F64Lanes::<1>::from_slice(&a[i..])
+                    .logaddexp(F64Lanes::from_slice(&b[i..]))
+                    .to_array()
+                    .to_vec(),
+                4 => F64Lanes::<4>::from_slice(&a[i..])
+                    .logaddexp(F64Lanes::from_slice(&b[i..]))
+                    .to_array()
+                    .to_vec(),
+                _ => F64Lanes::<8>::from_slice(&a[i..])
+                    .logaddexp(F64Lanes::from_slice(&b[i..]))
+                    .to_array()
+                    .to_vec(),
+            })
+            .collect()
+    };
+    let (w1, w4, w8) = (lae(1), lae(4), lae(8));
+    for i in 0..a.len() {
+        let want = logaddexp_scalar(a[i], b[i]);
+        assert_eq!(
+            w1[i].to_bits(),
+            want.to_bits(),
+            "w1 at ({:e}, {:e})",
+            a[i],
+            b[i]
+        );
+        assert_eq!(
+            w4[i].to_bits(),
+            w8[i].to_bits(),
+            "w4 vs w8 at ({:e}, {:e})",
+            a[i],
+            b[i]
+        );
+        if a[i] == f64::NEG_INFINITY || b[i] == f64::NEG_INFINITY {
+            // The identity is exact, not approximate.
+            assert_eq!(
+                w8[i].to_bits(),
+                want.to_bits(),
+                "identity at ({:e}, {:e})",
+                a[i],
+                b[i]
+            );
+        } else {
+            // Log-probabilities: the error budget is absolute near 0 and
+            // relative in the tail.
+            assert!(
+                (w8[i] - want).abs() <= 4.0 * f64::EPSILON * want.abs().max(1.0),
+                "logaddexp({:e}, {:e}) = {:e} vs {want:e}",
+                a[i],
+                b[i],
+                w8[i]
+            );
+        }
     }
 }
 

@@ -963,11 +963,11 @@ fn fleet(design_arg: &str, opts: &FleetOptions) -> Result<(), String> {
         report.threads, report.shards, report.run_s, report.chips_per_s, report.workspaces_created
     );
     println!(
-        "  {}: {} chips/tile, {} lane tile(s), scalar tail {} chip(s)",
+        "  {}: {} chips/tile, {} lane tile(s), {} masked lane(s) in the last",
         report.lanes,
         report.lane_width,
         report.lane_tiles,
-        a.chips - report.lane_tiles * report.lane_width
+        (report.lane_tiles * report.lane_width).saturating_sub(a.chips)
     );
     println!(
         "budget P = {:.1e}: {} chips over budget at mission end ({:.3}%)",

@@ -35,36 +35,42 @@
 //!
 //! # Lane tiling
 //!
-//! The hot path evaluates chips in **lane tiles** of the active
-//! `num::simd` width `W` (8 on AVX-512F, 4 on AVX2), lane dimension
-//! across chips: each lane still consumes its own `substream(chip)` in
-//! the documented draw order (the sampling stays per-lane scalar — the
-//! polar method is rejection-based), but the `(u, v)` dot products, the
-//! mission-end failure terms and each of the 52 lifetime-bisection steps
-//! run `W` chips at once through the lane kernels, with per-lane lo/hi
-//! selects and censoring masks. Lane-tile boundaries are absolute
-//! multiples of `W` inside the fixed [`TILE_CHIPS`] work tiles
-//! (`TILE_CHIPS % 8 == 0`), so a chip's route — and therefore its bits —
-//! is a pure function of `(chip, chips, W)`, never of the shard layout:
-//! the bit-identity guarantees above hold per fixed width. Width 1 and
-//! the ragged tail at `chips` route through the scalar reference path
-//! [`CompiledFleet::evaluate_chip`]; tiled and scalar outcomes agree to
+//! Every chip is evaluated in a **lane tile** of the active `num::simd`
+//! width `W` (8 on AVX-512F, 4 on AVX2, 1 under `STATOBD_LANES=1`), lane
+//! dimension across chips: each lane still consumes its own
+//! `substream(chip)` in the documented draw order (the sampling stays
+//! per-lane scalar — the polar method is rejection-based), but the
+//! `(u, v)` dot products, the mission-end failure terms and each of the
+//! 52 lifetime-bisection steps run `W` chips at once through the lane
+//! kernels, with per-lane lo/hi selects and censoring masks. Lane-tile
+//! boundaries are absolute multiples of `W` inside the fixed
+//! [`TILE_CHIPS`] work tiles (`TILE_CHIPS % 8 == 0`); the ragged tail at
+//! the fleet end runs as a masked partial tile, whose spare lanes
+//! evaluate the chips past the end and are dropped. Every lane kernel is
+//! elementwise, so a chip's bits are a pure function of `(chip, W)` —
+//! never of the shard layout, the fleet size or its tile neighbours: the
+//! bit-identity guarantees above hold per fixed width. `W = 1` runs the
+//! same kernel on the libm expressions (picked at compile time), which
+//! reproduces the historical scalar bits; wider tiles agree with it to
 //! ≤ 1e-12 relative per chip (enforced by `tests/fleet_consistency.rs`).
 //!
-//! Redundancy-grouped runs ([`FleetConfig::spares`] > 0, or an analysis
-//! carrying a non-trivial [`Composition`]) force the scalar route for
-//! *every* chip — the fused lane kernels hard-code the weakest-link
-//! sum — so grouped aggregates are additionally bit-identical across
-//! lane widths, not just per fixed width.
+//! The blocks compose into chip failure through a [`LaneFold`]: the
+//! weakest-link sum, or — for redundancy-grouped runs
+//! ([`FleetConfig::spares`] > 0, or an analysis carrying a grouped
+//! [`Composition`]) — the log-space Poisson-binomial DP of
+//! [`simd::group_absorb`], run across the lanes on state rows held in
+//! the shard workspace. Grouped aggregates are therefore bit-identical
+//! across threads × shards at each width, and agree across widths within
+//! the same 1e-12 gate as weakest-link runs.
 //!
 //! # Constant-memory guarantee
 //!
 //! The hot path is allocation-free per chip: each shard allocates one
-//! reusable [`Workspace`] (principal-component and per-block scratch
-//! buffers) up front and every chip reuses it. The number of workspaces
-//! actually created is reported in
-//! [`FleetReport::workspaces_created`] and asserted (≤ shard count) by
-//! the `fleet` bench binary.
+//! reusable [`Workspace`] (principal-component and per-block tile
+//! scratch, plus the composition fold's state rows) up front and every
+//! chip reuses it. The number of workspaces actually created is
+//! reported in [`FleetReport::workspaces_created`] and asserted (≤ shard
+//! count) by the `fleet` bench binary.
 //!
 //! [`FieldSampler`]: statobd_variation::FieldSampler
 //! [`MissionProfile`]: statobd_manager::MissionProfile
@@ -72,18 +78,16 @@
 //! [`Histogram1d`]: statobd_num::hist::Histogram1d
 //! [`QuantileSketch`]: statobd_num::stats::QuantileSketch
 //! [`run_indexed`]: statobd_num::parallel::run_indexed
+//! [`LaneFold`]: statobd_num::simd::LaneFold
 
 use crate::error::{Error, Result};
-use statobd_core::{
-    conditional_block_failure, params, ChipAnalysis, Composition, CompositionAccumulator,
-    GCoefficients,
-};
+use statobd_core::{conditional_block_failure, params, ChipAnalysis, Composition, GCoefficients};
 use statobd_device::ObdTechnology;
 use statobd_manager::MissionProfile;
 use statobd_num::impl_json_struct;
 use statobd_num::parallel::{resolve_threads, run_indexed};
 use statobd_num::rng::{Rng, Xoshiro256pp};
-use statobd_num::simd::{self, LaneWidth};
+use statobd_num::simd::{self, GroupFold, GroupLayout, LaneFold, LaneWidth, WeakestLinkFold};
 use statobd_num::stats::QuantileSketch;
 use statobd_variation::{FieldSampler, SystematicPattern, ThicknessModel};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -142,10 +146,11 @@ pub struct FleetConfig {
     /// Spare budget for redundancy-aware composition: `0` inherits the
     /// analysis's own [`Composition`]; `s > 0` overrides it with a
     /// single k-out-of-n group spanning every block that tolerates `s`
-    /// block failures before the chip fails. Grouped runs route every
-    /// chip through the scalar reference path (the lane-tiled kernels
-    /// are weakest-link only), so aggregates stay bit-identical at any
-    /// lane width as well as any thread/shard layout.
+    /// block failures before the chip fails. Grouped runs take the same
+    /// lane tiles as weakest-link ones, composing through the lane
+    /// Poisson-binomial fold: aggregates are bit-identical at any
+    /// thread/shard layout per lane width, and agree across widths
+    /// within 1e-12.
     pub spares: usize,
 }
 
@@ -237,57 +242,52 @@ struct CompiledFleet<'a> {
     budget: f64,
     /// `ln(1 − budget)`: the log-survival threshold of the lifetime solve.
     ln1p_neg_budget: f64,
-    /// How block failures compose into chip failure: the analysis's own
-    /// composition, or the [`FleetConfig::spares`] override. Non-trivial
-    /// groups force the scalar dispatch (see [`CompiledFleet::width`]).
-    composition: Composition,
+    /// How block failures compose into chip failure — the analysis's own
+    /// composition or the [`FleetConfig::spares`] override — as a lane
+    /// fold layout; `None` is weakest-link.
+    groups: Option<GroupLayout>,
 }
 
-/// Per-shard scratch buffers, allocated once and reused by every chip the
-/// shard evaluates (the constant-memory guarantee).
+/// Per-shard scratch, allocated once and reused by every chip the shard
+/// evaluates (the constant-memory guarantee).
 #[derive(Debug)]
 struct Workspace<'a> {
+    tile: TileScratch<'a>,
+    /// The group fold's Poisson-binomial state rows
+    /// ([`GroupLayout::rows`] × lane width values), cleared per
+    /// evaluation; empty under weakest-link.
+    fold_rows: Vec<f64>,
+}
+
+/// The per-tile sampling and `[block][lane]` buffers of a [`Workspace`].
+#[derive(Debug)]
+struct TileScratch<'a> {
     /// The shard's thickness-field sampler, hoisted out of the per-chip
     /// loop and [`FieldSampler::reset`] per chip — so the hot path runs
     /// no constructor at all.
     sampler: FieldSampler<'a>,
-    /// Principal-component draw of the current chip (scalar path).
-    z: Vec<f64>,
-    /// Per-block `b_eff·u` of the current chip (scalar path).
-    bu: Vec<f64>,
-    /// Per-block `b_eff²·v` of the current chip (scalar path).
-    bbv: Vec<f64>,
     /// SoA principal-component tile: `z_tile[k·W + w]` is component `k`
     /// of the tile's lane-`w` chip.
     z_tile: Vec<f64>,
     /// Per-`[block][lane]` `b_eff·u` of the current tile.
-    tile_bu: Vec<f64>,
+    bu: Vec<f64>,
     /// Per-`[block][lane]` `b_eff²·v` of the current tile.
-    tile_bbv: Vec<f64>,
-    /// The chip-level composition accumulator, reset per chip (and per
-    /// bisection step) — the hot path never allocates group state.
-    chip_acc: CompositionAccumulator,
+    bbv: Vec<f64>,
 }
 
 impl<'a> Workspace<'a> {
-    fn new(
-        model: &'a ThicknessModel,
-        n_components: usize,
-        n_blocks: usize,
-        lanes: usize,
-        composition: &Composition,
-        created: &AtomicU64,
-    ) -> Self {
+    fn new(fleet: &CompiledFleet<'a>, lanes: usize, created: &AtomicU64) -> Self {
         created.fetch_add(1, Ordering::Relaxed);
+        let model: &'a ThicknessModel = fleet.analysis.model();
+        let n_blocks = fleet.blocks.len();
         Workspace {
-            sampler: FieldSampler::new(model),
-            z: vec![0.0; n_components],
-            bu: vec![0.0; n_blocks],
-            bbv: vec![0.0; n_blocks],
-            z_tile: vec![0.0; n_components * lanes],
-            tile_bu: vec![0.0; n_blocks * lanes],
-            tile_bbv: vec![0.0; n_blocks * lanes],
-            chip_acc: composition.accumulator(n_blocks),
+            tile: TileScratch {
+                sampler: FieldSampler::new(model),
+                z_tile: vec![0.0; model.n_components() * lanes],
+                bu: vec![0.0; n_blocks * lanes],
+                bbv: vec![0.0; n_blocks * lanes],
+            },
+            fold_rows: vec![0.0; fleet.groups.as_ref().map_or(0, GroupLayout::rows) * lanes],
         }
     }
 }
@@ -467,10 +467,11 @@ pub struct FleetReport {
     /// SIMD lane dispatch active during the run, e.g.
     /// `"8 lanes (avx512f, default)"` (see [`simd::dispatch_label`]).
     pub lanes: String,
-    /// Chips evaluated per lane tile (1 = the scalar reference path).
+    /// Chips evaluated per lane tile (1 = the libm expressions, the
+    /// historical scalar bits), for every composition.
     pub lane_width: u64,
-    /// Full lane tiles evaluated through the tiled path; the ragged tail
-    /// at the fleet end and width-1 runs go through the scalar path.
+    /// Lane tiles evaluated, `⌈chips / lane_width⌉`: the last one is a
+    /// masked partial tile when `lane_width` does not divide the fleet.
     pub lane_tiles: u64,
     /// Wall time of the evaluation+reduction (seconds).
     pub run_s: f64,
@@ -540,12 +541,12 @@ fn compile_fleet<'a>(
             ]
         })
         .collect();
-    let composition = if config.spares > 0 {
+    let groups = if config.spares > 0 {
         let c = Composition::uniform_spares(analysis.n_blocks(), config.spares);
         c.validate(analysis.n_blocks())?;
-        c
+        c.group_layout(analysis.n_blocks())
     } else {
-        analysis.composition().clone()
+        analysis.composition().group_layout(analysis.n_blocks())
     };
     Ok(CompiledFleet {
         analysis,
@@ -555,13 +556,12 @@ fn compile_fleet<'a>(
         wafer: config.wafer,
         budget: config.budget,
         ln1p_neg_budget: (-config.budget).ln_1p(),
-        composition,
+        groups,
     })
 }
 
 /// Updates the running weakest-block argmax with block `j`'s mission-end
-/// failure probability `p` — the single definition shared by the scalar
-/// and lane-tiled paths.
+/// failure probability `p`, one lane at a time.
 ///
 /// The rule, made explicit: the strict `>` against a `−∞` seed means
 /// **ties resolve to the lowest block index** (a later equal `p` never
@@ -577,175 +577,87 @@ fn update_weakest(j: usize, p: f64, weakest_block: &mut usize, weakest_p: &mut f
 }
 
 impl CompiledFleet<'_> {
-    /// The lane dispatch this fleet runs at: the active `num::simd`
-    /// width under weakest-link composition, forced to the scalar
-    /// reference path ([`LaneWidth::W1`]) when redundancy groups are in
-    /// play — the fused bisection/failure-term kernels hard-code the
-    /// weakest-link sum, and forcing one route keeps grouped aggregates
-    /// bit-identical at every build's active width.
-    fn width(&self) -> LaneWidth {
-        if self.composition.is_weakest_link() {
-            simd::active_width()
-        } else {
-            LaneWidth::W1
-        }
-    }
-
-    /// Evaluates chip `chip` into `ws`, allocation-free — the scalar
-    /// reference path (lane width 1 and the ragged tail tile).
-    fn evaluate_chip(&self, chip: u64, ws: &mut Workspace<'_>) -> ChipOutcome {
-        let mut rng = self.base_rng.substream(chip);
-        // Draw order is part of the contract (the consistency test
-        // replays it): wafer position first, then the principal
-        // components. The shard sampler is reset per chip — draw-for-draw
-        // identical to a fresh sampler, with no per-chip constructor.
-        let x = rng.gen_range(0.0..1.0);
-        let y = rng.gen_range(0.0..1.0);
-        let offset = self.wafer.offset(x, y);
-        ws.sampler.reset();
-        ws.sampler.sample_z_into(&mut rng, &mut ws.z);
-
-        // Mission-end failure probability — composed through the chip's
-        // redundancy structure (the weakest-link accumulator variant
-        // reproduces the historical `Σ ln(1 − p)` bits verbatim) — and
-        // the per-block (b·u, b²·v) cache for the lifetime solve. The
-        // accumulators and scratch live in disjoint workspace fields.
-        let chip_acc = &mut ws.chip_acc;
-        let (bu, bbv) = (&mut ws.bu, &mut ws.bbv);
-        chip_acc.reset();
-        let mut weakest_block = 0usize;
-        let mut weakest_p = f64::NEG_INFINITY;
-        for (j, (block, mission)) in self.analysis.blocks().iter().zip(&self.blocks).enumerate() {
-            let (u, v) = block.moments().uv_given_z(&ws.z);
-            // A uniform die-mean thickness shift moves the block mean
-            // one-for-one and leaves the within-block spread unchanged.
-            let u = u + offset;
-            bu[j] = mission.b_eff * u;
-            bbv[j] = mission.b_eff * mission.b_eff * v;
-            let p = conditional_block_failure(mission.area, mission.coeff_mission.g(u, v));
-            chip_acc.absorb(j, p);
-            update_weakest(j, p, &mut weakest_block, &mut weakest_p);
-        }
-        let p_mission = chip_acc.failure_probability();
-
-        // Budget lifetime under steady mission repetition:
-        // γ_j(t) = ln_rate_j + ln t, so on x = ln t the chip log-survival
-        // ln S(x) = Σ_group ln S_group(x) is monotone decreasing (more
-        // time never helps any block); bisect for ln S(x) = ln(1 − budget).
-        // Weakest-link degenerates to the historical Σ_j ln(1 − p_j(x))
-        // with the same accumulation order and bits.
-        let mut ln_surv = |x: f64| {
-            chip_acc.reset();
-            for (j, mission) in self.blocks.iter().enumerate() {
-                let gamma = mission.ln_rate + x;
-                let ln_g = gamma * bu[j] + 0.5 * gamma * gamma * bbv[j];
-                let p = -(-mission.area * ln_g.exp()).exp_m1();
-                chip_acc.absorb(j, p);
-            }
-            chip_acc.ln_survival()
-        };
-        let (mut lo, mut hi) = (LIFE_BRACKET_S.0.ln(), LIFE_BRACKET_S.1.ln());
-        let mut censored_low = false;
-        let mut censored_high = false;
-        let lifetime_s = if ln_surv(lo) <= self.ln1p_neg_budget {
-            censored_low = true;
-            LIFE_BRACKET_S.0
-        } else if ln_surv(hi) > self.ln1p_neg_budget {
-            censored_high = true;
-            LIFE_BRACKET_S.1
-        } else {
-            for _ in 0..LIFE_BISECTIONS {
-                let mid = 0.5 * (lo + hi);
-                if ln_surv(mid) <= self.ln1p_neg_budget {
-                    hi = mid;
-                } else {
-                    lo = mid;
-                }
-            }
-            (0.5 * (lo + hi)).exp()
-        };
-        ChipOutcome {
-            p_mission,
-            weakest_block,
-            lifetime_s,
-            censored_low,
-            censored_high,
-        }
-    }
-
-    /// Evaluates the chip range `[chip_lo, chip_hi)` through the active
-    /// lane dispatch, feeding each outcome to `sink` in chip order and
-    /// returning the number of full lane tiles evaluated.
-    ///
-    /// Width 1 routes every chip through the scalar reference path
-    /// ([`CompiledFleet::evaluate_chip`]) — bit-identical to the
-    /// pre-tiling code by construction. At widths 4/8 full `W`-chip tiles
-    /// go through [`CompiledFleet::evaluate_tile`]; the ragged tail
-    /// (fewer than `W` chips at the range end) falls back to the scalar
-    /// path. Callers pass work-tile ranges aligned to [`TILE_CHIPS`], so
-    /// tails only occur at the fleet end and tile membership is a pure
-    /// function of `(chip, chips, W)`.
-    fn evaluate_range(
+    /// Evaluates the chip range `[chip_lo, chip_hi)` in lane tiles of
+    /// `width`, feeding each outcome to `sink` in chip order and
+    /// returning the number of lane tiles evaluated. Callers pass
+    /// work-tile ranges aligned to [`TILE_CHIPS`], so a partial tile
+    /// only ever occurs at the fleet end.
+    fn evaluate(
         &self,
+        width: LaneWidth,
         chip_lo: u64,
         chip_hi: u64,
-        width: LaneWidth,
         ws: &mut Workspace<'_>,
         sink: &mut impl FnMut(ChipOutcome),
     ) -> u64 {
         match width {
-            LaneWidth::W1 => {
-                for chip in chip_lo..chip_hi {
-                    sink(self.evaluate_chip(chip, ws));
-                }
-                0
-            }
-            LaneWidth::W4 => self.evaluate_range_tiled::<4>(chip_lo, chip_hi, ws, sink),
-            LaneWidth::W8 => self.evaluate_range_tiled::<8>(chip_lo, chip_hi, ws, sink),
+            LaneWidth::W1 => self.evaluate_lanes::<1>(chip_lo, chip_hi, ws, sink),
+            LaneWidth::W4 => self.evaluate_lanes::<4>(chip_lo, chip_hi, ws, sink),
+            LaneWidth::W8 => self.evaluate_lanes::<8>(chip_lo, chip_hi, ws, sink),
         }
     }
 
-    fn evaluate_range_tiled<const W: usize>(
+    /// [`CompiledFleet::evaluate`] at lane width `W`, composing through
+    /// the fleet's fold.
+    fn evaluate_lanes<const W: usize>(
         &self,
         chip_lo: u64,
         chip_hi: u64,
         ws: &mut Workspace<'_>,
         sink: &mut impl FnMut(ChipOutcome),
     ) -> u64 {
-        let n = chip_hi.saturating_sub(chip_lo);
-        let full = n - n % W as u64;
+        match &self.groups {
+            None => {
+                let mut fold = WeakestLinkFold::<W>::default();
+                self.evaluate_tiles(chip_lo, chip_hi, &mut ws.tile, &mut fold, sink)
+            }
+            Some(layout) => {
+                let mut fold = GroupFold::<W>::new(layout, &mut ws.fold_rows);
+                self.evaluate_tiles(chip_lo, chip_hi, &mut ws.tile, &mut fold, sink)
+            }
+        }
+    }
+
+    /// The lane-tile loop of [`CompiledFleet::evaluate_lanes`].
+    fn evaluate_tiles<const W: usize>(
+        &self,
+        chip_lo: u64,
+        chip_hi: u64,
+        tile: &mut TileScratch<'_>,
+        fold: &mut impl LaneFold<W>,
+        sink: &mut impl FnMut(ChipOutcome),
+    ) -> u64 {
         let mut tiles = 0;
-        let mut chip = chip_lo;
-        while chip < chip_lo + full {
-            for outcome in self.evaluate_tile::<W>(chip, ws) {
+        for chip0 in (chip_lo..chip_hi).step_by(W) {
+            // Lanes past `chip_hi` evaluate the chips that follow it and
+            // are masked out here.
+            let live = (chip_hi - chip0).min(W as u64) as usize;
+            for &outcome in &self.evaluate_tile::<W>(chip0, tile, fold)[..live] {
                 sink(outcome);
             }
             tiles += 1;
-            chip += W as u64;
-        }
-        for chip in chip_lo + full..chip_hi {
-            sink(self.evaluate_chip(chip, ws));
         }
         tiles
     }
 
     /// Evaluates the `W` chips `chip0..chip0 + W` as one lane tile:
     /// per-lane scalar sampling (the substream draw-order contract), then
-    /// `(u, v)` dot products, mission-end failure terms and the
-    /// lane-parallel masked lifetime bisection across all `W` chips at
-    /// once. Agrees with [`CompiledFleet::evaluate_chip`] to ≤ 1e-12
-    /// relative per chip (the lane kernels' error budget).
+    /// `(u, v)` dot products, mission-end failure terms composed through
+    /// `fold`, and the lane-parallel masked lifetime bisection across all
+    /// `W` chips at once. Every stage is elementwise per lane, so each
+    /// outcome is a function of its own chip and `W` alone.
     fn evaluate_tile<const W: usize>(
         &self,
         chip0: u64,
-        ws: &mut Workspace<'_>,
+        ws: &mut TileScratch<'_>,
+        fold: &mut impl LaneFold<W>,
     ) -> [ChipOutcome; W] {
-        // The fused lane kernels hard-code the weakest-link composition;
-        // grouped runs are routed to width 1 by [`CompiledFleet::width`].
-        debug_assert!(self.composition.is_weakest_link());
-        // Sampling stays per-lane scalar — the polar method is
-        // rejection-based, so each lane consumes exactly the substream
-        // draws its chip would consume on the scalar path.
+        // Draw order is part of the contract (the consistency test
+        // replays it): wafer position first, then the principal
+        // components. Sampling stays per-lane scalar — the polar method
+        // is rejection-based, so each lane consumes exactly its chip's
+        // substream draws. The shard sampler is reset per chip —
+        // draw-for-draw identical to a fresh sampler.
         let mut offsets = [0.0; W];
         for (w, offset) in offsets.iter_mut().enumerate() {
             let mut rng = self.base_rng.substream(chip0 + w as u64);
@@ -757,43 +669,57 @@ impl CompiledFleet<'_> {
         }
 
         // Mission end: (u, v) lane dots per block, the failure term for
-        // all W chips through the fused kernel, per-lane weakest link.
+        // all W chips, the composition fold and a per-lane weakest block.
         let mut u = [0.0; W];
         let mut v = [0.0; W];
         let mut args = [0.0; W];
         let mut p = [0.0; W];
-        let mut ln_survival = [0.0; W];
         let mut weakest_p = [f64::NEG_INFINITY; W];
         let mut weakest_block = [0usize; W];
+        fold.clear();
         for (j, (block, mission)) in self.analysis.blocks().iter().zip(&self.blocks).enumerate() {
             block
                 .moments()
                 .uv_given_z_tile::<W>(&ws.z_tile, &mut u, &mut v);
             for w in 0..W {
+                // A uniform die-mean thickness shift moves the block mean
+                // one-for-one and leaves the within-block spread unchanged.
                 let uw = u[w] + offsets[w];
-                ws.tile_bu[j * W + w] = mission.b_eff * uw;
-                ws.tile_bbv[j * W + w] = mission.b_eff * mission.b_eff * v[w];
+                ws.bu[j * W + w] = mission.b_eff * uw;
+                ws.bbv[j * W + w] = mission.b_eff * mission.b_eff * v[w];
                 args[w] = mission.coeff_mission.s1 * uw + mission.coeff_mission.s2 * v[w];
             }
-            simd::failure_term_slice(&args, mission.area, &mut p);
+            if W == 1 {
+                // Width 1 is the libm expression by construction, not by
+                // the global dispatch the slice kernel reads.
+                p[0] = conditional_block_failure(mission.area, args[0].exp());
+            } else {
+                simd::failure_term_slice(&args, mission.area, &mut p);
+            }
+            fold.absorb(j, &p);
             for w in 0..W {
-                // Same composition as WeakestLink::absorb; the argmax
-                // applies [`update_weakest`]'s documented tie/NaN rule,
-                // exactly like the scalar path.
-                ln_survival[w] += (-p[w].clamp(0.0, 1.0)).ln_1p();
+                // The argmax applies [`update_weakest`]'s documented
+                // tie/NaN rule.
                 update_weakest(j, p[w], &mut weakest_block[w], &mut weakest_p[w]);
             }
         }
+        let ln_mission = fold.ln_survival();
 
-        // Censoring masks from the bracket edges, with the scalar path's
-        // precedence: a low-censored lane never reports high censoring.
+        // Budget lifetime under steady mission repetition:
+        // γ_j(t) = ln_rate_j + ln t, so on x = ln t the chip log-survival
+        // ln S(x) is monotone decreasing (more time never helps any
+        // block); bisect for ln S(x) = ln(1 − budget). Censoring masks
+        // come from the bracket edges: a low-censored lane never reports
+        // high censoring.
+        let n = self.blocks.len() * W;
+        let (bu, bbv) = (&ws.bu[..n], &ws.bbv[..n]);
         let target = self.ln1p_neg_budget;
         let lo_edge = [LIFE_BRACKET_S.0.ln(); W];
         let hi_edge = [LIFE_BRACKET_S.1.ln(); W];
         let mut s = [0.0; W];
-        self.ln_surv_tile::<W>(&lo_edge, ws, &mut s);
+        simd::ln_surv_tile_fold(&lo_edge, &self.block_params, bu, bbv, fold, &mut s);
         let censored_low = simd::lane_le::<W>(&s, target);
-        self.ln_surv_tile::<W>(&hi_edge, ws, &mut s);
+        simd::ln_surv_tile_fold(&hi_edge, &self.block_params, bu, bbv, fold, &mut s);
         let reaches_budget = simd::lane_le::<W>(&s, target);
         let mut active = [false; W];
         let mut censored_high = [false; W];
@@ -808,19 +734,19 @@ impl CompiledFleet<'_> {
         // converges somewhere, but the censored edge wins below); if the
         // whole tile is censored the 52 steps are skipped. The whole
         // solve is one dispatched kernel call so the brackets stay in
-        // registers across steps — see [`simd::ln_surv_bisect`].
+        // registers across steps — see [`simd::ln_surv_bisect_fold`].
         let mut lo = lo_edge;
         let mut hi = hi_edge;
         if simd::lane_any::<W>(&active) {
-            let n = self.blocks.len() * W;
-            simd::ln_surv_bisect::<W>(
+            simd::ln_surv_bisect_fold(
                 &mut lo,
                 &mut hi,
                 target,
                 LIFE_BISECTIONS,
                 &self.block_params,
-                &ws.tile_bu[..n],
-                &ws.tile_bbv[..n],
+                bu,
+                bbv,
+                fold,
             );
         }
 
@@ -840,7 +766,7 @@ impl CompiledFleet<'_> {
                 (0.5 * (lo[w] + hi[w])).exp()
             };
             out[w] = ChipOutcome {
-                p_mission: -ln_survival[w].exp_m1(),
+                p_mission: -ln_mission[w].exp_m1(),
                 weakest_block: weakest_block[w],
                 lifetime_s,
                 censored_low: censored_low[w],
@@ -848,26 +774,6 @@ impl CompiledFleet<'_> {
             };
         }
         out
-    }
-
-    /// The tile log-survival `s[w] = ln S_w(x[w])` at per-lane ages
-    /// `x = ln t`, through the fused lane `exp`/`exp_m1`/`ln_1p` kernel
-    /// over the `[block][lane]` scratch — the lane-width form of the
-    /// scalar path's `ln_surv` closure, same op order per element and
-    /// block-sequential per-lane sums (the scalar accumulation order),
-    /// so lane and scalar ln S differ only by the kernels' elementwise
-    /// rounding. One dispatched call per bisection step; see
-    /// [`simd::ln_surv_tile_sum`] for why fusion matters on the
-    /// `n_blocks·W`-element tiles this produces.
-    fn ln_surv_tile<const W: usize>(&self, x: &[f64; W], ws: &mut Workspace<'_>, s: &mut [f64; W]) {
-        let n = self.blocks.len() * W;
-        simd::ln_surv_tile_sum::<W>(
-            x,
-            &self.block_params,
-            &ws.tile_bu[..n],
-            &ws.tile_bbv[..n],
-            s,
-        );
     }
 }
 
@@ -894,26 +800,16 @@ pub fn run_fleet(
         .max(1)
         .min(n_tiles.max(1) as usize);
     let n_blocks = analysis.n_blocks();
-    let model = analysis.model();
-    let n_components = model.n_components();
     let workspaces_created = AtomicU64::new(0);
     let lane_tiles = AtomicU64::new(0);
     // Captured once so every shard runs the same dispatch even if a
-    // concurrent force_width lands mid-run (and so grouped runs hold
-    // the scalar route everywhere).
-    let width = compiled.width();
+    // concurrent force_width lands mid-run.
+    let width = simd::active_width();
 
     // Shard s owns the contiguous tile range [s·T/S, (s+1)·T/S).
     let shard_results: Vec<Result<ShardAcc>> = run_indexed(shards, threads, |s| {
         let mut acc = ShardAcc::new(n_blocks)?;
-        let mut ws = Workspace::new(
-            model,
-            n_components,
-            n_blocks,
-            width.lanes(),
-            &compiled.composition,
-            &workspaces_created,
-        );
+        let mut ws = Workspace::new(&compiled, width.lanes(), &workspaces_created);
         let tile_lo = n_tiles * s as u64 / shards as u64;
         let tile_hi = n_tiles * (s as u64 + 1) / shards as u64;
         let mut shard_lane_tiles = 0;
@@ -921,7 +817,7 @@ pub fn run_fleet(
             let chip_lo = tile * TILE_CHIPS;
             let chip_hi = (chip_lo + TILE_CHIPS).min(config.chips);
             shard_lane_tiles +=
-                compiled.evaluate_range(chip_lo, chip_hi, width, &mut ws, &mut |outcome| {
+                compiled.evaluate(width, chip_lo, chip_hi, &mut ws, &mut |outcome| {
                     acc.absorb(&outcome, compiled.budget);
                 });
         }
@@ -993,11 +889,9 @@ pub fn run_fleet(
 /// consistency tests (`tests/fleet_consistency.rs`), which re-derive the
 /// same outcomes through the public per-instance APIs.
 ///
-/// Chips route through the same lane-tiled dispatch as [`run_fleet`], so
-/// outcomes match the streaming run bit for bit whenever `n` equals
-/// `config.chips` or is a multiple of the active lane width (otherwise
-/// the last few chips take the scalar tail here but a lane tile there —
-/// still within the 1e-12 cross-path gate).
+/// Chips route through the same lane tiles as [`run_fleet`] at the
+/// active width, and a chip's outcome depends only on the chip and the
+/// width, so every outcome matches the streaming run bit for bit.
 ///
 /// # Errors
 ///
@@ -1009,25 +903,11 @@ pub fn chip_outcomes(
     n: u64,
 ) -> Result<Vec<ChipOutcome>> {
     let compiled = compile_fleet(analysis, tech, config)?;
-    let counter = AtomicU64::new(0);
-    let width = compiled.width();
-    let mut ws = Workspace::new(
-        analysis.model(),
-        analysis.model().n_components(),
-        analysis.n_blocks(),
-        width.lanes(),
-        &compiled.composition,
-        &counter,
-    );
+    let width = simd::active_width();
+    let mut ws = Workspace::new(&compiled, width.lanes(), &AtomicU64::new(0));
     let n = n.min(config.chips);
     let mut outcomes = Vec::with_capacity(n as usize);
-    for tile in 0..n.div_ceil(TILE_CHIPS) {
-        let chip_lo = tile * TILE_CHIPS;
-        let chip_hi = (chip_lo + TILE_CHIPS).min(n);
-        compiled.evaluate_range(chip_lo, chip_hi, width, &mut ws, &mut |outcome| {
-            outcomes.push(outcome);
-        });
-    }
+    compiled.evaluate(width, 0, n, &mut ws, &mut |outcome| outcomes.push(outcome));
     Ok(outcomes)
 }
 
@@ -1129,10 +1009,7 @@ mod tests {
                 ..base.clone()
             };
             let report = run_fleet(session.analysis(), &tech, &config).unwrap();
-            // Grouped runs hold the scalar dispatch, making the
-            // aggregates width-independent too.
-            assert_eq!(report.lane_width, 1, "grouped runs force the scalar path");
-            assert_eq!(report.lane_tiles, 0);
+            assert!(report.workspaces_created <= report.shards);
             let rendered = json::to_string(&report.aggregates);
             match &reference {
                 None => reference = Some(rendered),
@@ -1147,8 +1024,7 @@ mod tests {
         }
         // And the improvement is real, not a no-op: the median mission
         // probability collapses (both blocks must fail).
-        let grouped: FleetAggregates =
-            json::from_str(reference.as_deref().unwrap()).unwrap();
+        let grouped: FleetAggregates = json::from_str(reference.as_deref().unwrap()).unwrap();
         assert!(
             grouped.p_mission_quantiles[3] < 1e-3 * wl.aggregates.p_mission_quantiles[3],
             "grouped median {:.3e} vs weakest-link median {:.3e}",
@@ -1159,10 +1035,7 @@ mod tests {
         assert!(run_fleet(
             session.analysis(),
             &tech,
-            &FleetConfig {
-                spares: 2,
-                ..base
-            }
+            &FleetConfig { spares: 2, ..base }
         )
         .is_err());
     }
@@ -1267,75 +1140,28 @@ mod tests {
         );
     }
 
-    /// Width 1 must route through [`CompiledFleet::evaluate_chip`]
-    /// verbatim — the scalar libm path, not a 1-lane instance of the
-    /// tiled kernels (whose `exp`/`exp_m1`/`ln_1p` cores round
-    /// differently in the last ulp). Routing W1 through
-    /// `evaluate_tile::<1>` would silently break the historical bits.
-    #[test]
-    fn width_1_dispatch_is_bit_identical_to_scalar_reference() {
-        let session = tiny_analysis();
-        let tech = session.spec().tech.tech();
-        let config = small_config(37);
-        let compiled = compile_fleet(session.analysis(), &tech, &config).unwrap();
-        let model = session.analysis().model();
-        let counter = AtomicU64::new(0);
-        let n_blocks = session.analysis().n_blocks();
-        let mut ws = Workspace::new(
-            model,
-            model.n_components(),
-            n_blocks,
-            1,
-            &Composition::WeakestLink,
-            &counter,
-        );
-        let mut w1 = Vec::new();
-        let tiles = compiled.evaluate_range(0, 37, LaneWidth::W1, &mut ws, &mut |o| w1.push(o));
-        assert_eq!(tiles, 0, "width 1 reports no lane tiles");
-        assert_eq!(w1.len(), 37);
-        for (chip, t) in w1.iter().enumerate() {
-            let s = compiled.evaluate_chip(chip as u64, &mut ws);
-            assert_eq!(
-                t.p_mission.to_bits(),
-                s.p_mission.to_bits(),
-                "chip {chip} p"
-            );
-            assert_eq!(
-                t.lifetime_s.to_bits(),
-                s.lifetime_s.to_bits(),
-                "chip {chip} lifetime"
-            );
-            assert_eq!(
-                (t.weakest_block, t.censored_low, t.censored_high),
-                (s.weakest_block, s.censored_low, s.censored_high),
-                "chip {chip} discrete outcome"
-            );
-        }
-    }
-
-    /// The ragged tail below one lane width must fall back to the scalar
-    /// path and report zero tiles; full tiles are counted.
+    /// The ragged tail below one lane width runs as a masked partial
+    /// tile: it is counted, and its spare lanes never reach the sink —
+    /// for either composition, at every width.
     #[test]
     fn tiled_range_counts_tiles_and_covers_ragged_tail() {
         let session = tiny_analysis();
         let tech = session.spec().tech.tech();
-        let config = small_config(19);
-        let compiled = compile_fleet(session.analysis(), &tech, &config).unwrap();
-        let model = session.analysis().model();
-        let counter = AtomicU64::new(0);
-        let n_blocks = session.analysis().n_blocks();
-        let mut ws = Workspace::new(
-            model,
-            model.n_components(),
-            n_blocks,
-            8,
-            &Composition::WeakestLink,
-            &counter,
-        );
-        let mut seen = 0u64;
-        let tiles = compiled.evaluate_range(0, 19, LaneWidth::W8, &mut ws, &mut |_| seen += 1);
-        assert_eq!(tiles, 2, "19 chips = 2 full width-8 tiles + tail of 3");
-        assert_eq!(seen, 19, "every chip reported exactly once");
+        for spares in [0, 1] {
+            let config = FleetConfig {
+                spares,
+                ..small_config(19)
+            };
+            let compiled = compile_fleet(session.analysis(), &tech, &config).unwrap();
+            for (width, want_tiles) in [(LaneWidth::W1, 19), (LaneWidth::W4, 5), (LaneWidth::W8, 3)]
+            {
+                let mut ws = Workspace::new(&compiled, width.lanes(), &AtomicU64::new(0));
+                let mut seen = 0u64;
+                let tiles = compiled.evaluate(width, 0, 19, &mut ws, &mut |_| seen += 1);
+                assert_eq!(tiles, want_tiles, "{width:?} spares={spares}: lane tiles");
+                assert_eq!(seen, 19, "every chip reported exactly once");
+            }
+        }
     }
 
     #[test]

@@ -534,9 +534,10 @@ mod tests {
             .get("lane_tiles")
             .and_then(Json::as_f64)
             .expect("lane_tiles field");
-        assert!(
-            lane_tiles * lane_width <= 600.0,
-            "tiles cover at most the fleet: {lane_tiles} x {lane_width}"
+        assert_eq!(
+            lane_tiles,
+            (600.0 / lane_width).ceil(),
+            "lane tiles cover the fleet exactly once: {lane_tiles} x {lane_width}"
         );
         // A different shard count must not change the aggregates.
         assert_eq!(

@@ -39,7 +39,11 @@ fn sweep_times() -> Vec<f64> {
 /// Every engine on a benchmark design answers the committed sweep
 /// bit-identically whether built cold or loaded from the cache.
 fn roundtrip_all_engines(benchmark: Benchmark, grid_side: usize) {
-    let scratch = Scratch::new("roundtrip");
+    // One scratch cache per design: the per-design tests run concurrently
+    // in one process, and a shared directory would let one test's
+    // cleanup delete the other's artifacts between its cold and warm
+    // opens.
+    let scratch = Scratch::new(&format!("roundtrip-{}", benchmark.name()));
     let cache = scratch.cache();
     let ts = sweep_times();
     for kind in EngineKind::ALL {
