@@ -16,7 +16,7 @@ use statobd_core::{
 use statobd_device::ClosedFormTech;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = statobd_bench::harness::quick_flag();
     // The paper simulates 10 000 sample chips for this figure.
     let mc_chips = if quick { 500 } else { 10_000 };
 

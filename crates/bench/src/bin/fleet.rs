@@ -20,9 +20,9 @@
 //!    chips/s must beat the width-1 run on **every** mission profile,
 //!    and by ≥ [`W8_SPEEDUP_BAR`]× on the datacenter profile at lane
 //!    width 8, for the weakest-link and the one-spare fleet alike. Both
-//!    sides are re-measured interleaved (min across up to
-//!    [`MAX_ATTEMPTS`] attempts, as BENCH_sweeps does) so noise
-//!    converges out but a real regression stays.
+//!    sides are re-measured interleaved
+//!    ([`remeasure`], as BENCH_sweeps does) so noise converges out but a
+//!    real regression stays.
 //! 6. **Spares determinism** — the same fleet with one spare block
 //!    (`spares: 1`, the lane Poisson-binomial fold) must render
 //!    bit-identical aggregates across the full thread × shard matrix at
@@ -50,6 +50,7 @@
 //! ```
 
 use statobd::{run_fleet, AnalysisSpec, FleetAggregates, FleetConfig, FleetReport, Session};
+use statobd_bench::harness::{at_least, rel_divergence, remeasure, Cli, Gates};
 use statobd_core::{BlockSpec, ChipAnalysis, ChipSpec};
 use statobd_device::ClosedFormTech;
 use statobd_manager::MissionProfile;
@@ -71,9 +72,6 @@ const W8_SPEEDUP_BAR: f64 = 2.5;
 /// Relative gate on the exact aggregate extremes between the tiled and
 /// the scalar run (the lane kernels' per-chip error budget).
 const DIVERGENCE_GATE: f64 = 1e-12;
-
-/// Interleaved re-measure cap for the speedup rows.
-const MAX_ATTEMPTS: usize = 12;
 
 /// One measurement row.
 #[derive(Debug, Clone)]
@@ -162,106 +160,38 @@ impl_json_struct!(Report {
     speedup
 });
 
-/// Tiled-vs-scalar aggregate divergence: `None` if any discrete count
-/// differs or a sketch quantile landed in a different bin (rendered as
-/// an infinite divergence by the caller); otherwise the max relative
-/// difference over the exact per-chip extremes.
-fn aggregates_divergence(tiled: &FleetAggregates, scalar: &FleetAggregates) -> Option<f64> {
-    if tiled.exceed_budget != scalar.exceed_budget
-        || tiled.censored_low != scalar.censored_low
-        || tiled.censored_high != scalar.censored_high
-        || tiled.weakest_counts != scalar.weakest_counts
-    {
-        return None;
-    }
-    let rel = |a: f64, b: f64| {
-        if a == b {
-            0.0
-        } else {
-            (a - b).abs() / b.abs().max(f64::MIN_POSITIVE)
-        }
+/// Tiled-vs-scalar aggregate divergence: infinite if any discrete count
+/// differs or a sketch quantile landed in a different bin; otherwise the
+/// max relative difference over the exact per-chip extremes.
+fn aggregates_divergence(tiled: &FleetAggregates, scalar: &FleetAggregates) -> f64 {
+    let counts = |a: &FleetAggregates| {
+        (
+            a.exceed_budget,
+            a.censored_low,
+            a.censored_high,
+            a.weakest_counts.clone(),
+        )
+    };
+    let quantiles =
+        |a: &FleetAggregates| [&a.lifetime_quantiles_s[..], &a.p_mission_quantiles].concat();
+    let extremes = |a: &FleetAggregates| {
+        [
+            a.lifetime_min_s,
+            a.lifetime_max_s,
+            a.p_mission_min,
+            a.p_mission_max,
+        ]
     };
     // Quantiles pass through the log-sketch's binning: a sub-gate per-chip
     // difference either leaves them bit-identical or moves one whole bin,
     // so "same bin" is the right equality there (1e-9 spans rounding in
     // the pow/log round-trip but never a bin).
-    for (a, b) in tiled
-        .lifetime_quantiles_s
-        .iter()
-        .zip(&scalar.lifetime_quantiles_s)
-        .chain(
-            tiled
-                .p_mission_quantiles
-                .iter()
-                .zip(&scalar.p_mission_quantiles),
-        )
+    if counts(tiled) != counts(scalar)
+        || rel_divergence(&quantiles(tiled), &quantiles(scalar)) > 1e-9
     {
-        if rel(*a, *b) > 1e-9 {
-            return None;
-        }
+        return f64::INFINITY;
     }
-    Some(
-        [
-            rel(tiled.lifetime_min_s, scalar.lifetime_min_s),
-            rel(tiled.lifetime_max_s, scalar.lifetime_max_s),
-            rel(tiled.p_mission_min, scalar.p_mission_min),
-            rel(tiled.p_mission_max, scalar.p_mission_max),
-        ]
-        .into_iter()
-        .fold(0.0, f64::max),
-    )
-}
-
-struct Options {
-    out: String,
-    quick: bool,
-    /// Headline fleet size.
-    chips: u64,
-    /// Thread override for the throughput/headline rows (0 = all cores).
-    threads: usize,
-}
-
-fn parse_options() -> Options {
-    let mut opts = Options {
-        out: "BENCH_fleet.json".to_string(),
-        quick: false,
-        chips: 1_000_000,
-        threads: 0,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--out" => opts.out = value("--out"),
-            "--chips" => {
-                opts.chips = value("--chips").parse().unwrap_or_else(|_| {
-                    eprintln!("bad chip count");
-                    std::process::exit(2);
-                });
-                if opts.chips == 0 {
-                    eprintln!("--chips: need at least one chip");
-                    std::process::exit(2);
-                }
-            }
-            "--threads" => {
-                opts.threads = value("--threads").parse().unwrap_or_else(|_| {
-                    eprintln!("bad thread count");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    opts
+    rel_divergence(&extremes(tiled), &extremes(scalar))
 }
 
 /// The benchmark design: a hot two-block chip over a 10×10 correlation
@@ -304,8 +234,18 @@ fn config(
     }
 }
 
-fn row(report: &FleetReport, scenario: &str, profile: &str, deterministic: bool) -> FleetRow {
-    FleetRow {
+/// Records one run as a row: printed, gated (aggregates bit-identical
+/// to the scenario's reference run, no per-chip allocation) and appended
+/// to `rows`.
+fn push_row(
+    rows: &mut Vec<FleetRow>,
+    gates: &mut Gates,
+    report: &FleetReport,
+    scenario: &str,
+    profile: &str,
+    deterministic: bool,
+) {
+    let r = FleetRow {
         design: "two_block".to_string(),
         scenario: scenario.to_string(),
         profile: profile.to_string(),
@@ -318,10 +258,7 @@ fn row(report: &FleetReport, scenario: &str, profile: &str, deterministic: bool)
         exceed_budget: report.aggregates.exceed_budget,
         deterministic,
         workspaces_ok: report.workspaces_created <= report.shards,
-    }
-}
-
-fn print_row(r: &FleetRow) {
+    };
     println!(
         "  {:<12} {:<13} w={} chips={:<8} t={} s={}  {:>7.3}s  {:>9.0} chips/s  {}{}",
         r.scenario,
@@ -335,38 +272,68 @@ fn print_row(r: &FleetRow) {
         if r.deterministic { "ok" } else { "DIVERGED" },
         if r.workspaces_ok { "" } else { " ALLOCATING" }
     );
+    gates.check(r.deterministic && r.workspaces_ok, || {
+        format!(
+            "{scenario} {profile} w={} t={} s={}: aggregates diverged across \
+             threads/shards or the hot path allocated per chip",
+            r.lane_width, r.threads, r.shards
+        )
+    });
+    rows.push(r);
 }
 
-/// One interleaved width-1-vs-default speedup row for `cfg`: both sides
-/// re-measured alternately, keeping each side's best run, until the
-/// default width clears `bar`× or [`MAX_ATTEMPTS`] is spent — noise
-/// converges out, a real regression stays.
+/// Runs `base` across the thread × shard matrix at lane width `width`
+/// (`None`: the default dispatch), one row each, gating aggregates
+/// bit-identical (compared as compact JSON) to the first run, which it
+/// returns.
+fn matrix(
+    analysis: &ChipAnalysis,
+    tech: &ClosedFormTech,
+    rows: &mut Vec<FleetRow>,
+    gates: &mut Gates,
+    base: &FleetConfig,
+    scenario: &str,
+    width: Option<LaneWidth>,
+) -> FleetReport {
+    let mut reference: Option<FleetReport> = None;
+    for threads in THREAD_MATRIX {
+        for shards in SHARD_MATRIX {
+            simd::force_width(width);
+            let cfg = FleetConfig {
+                threads: Some(threads),
+                shards: Some(shards),
+                ..base.clone()
+            };
+            let report = run_fleet(analysis, tech, &cfg).expect("fleet runs");
+            simd::force_width(None);
+            let deterministic = reference.as_ref().is_none_or(|r| {
+                json::to_string(&r.aggregates) == json::to_string(&report.aggregates)
+            });
+            push_row(rows, gates, &report, scenario, "datacenter", deterministic);
+            reference.get_or_insert(report);
+        }
+    }
+    reference.expect("the matrix is not empty")
+}
+
+/// One width-1-vs-default speedup row for `cfg`, re-measured
+/// interleaved until the default width clears `bar`×.
 fn measure_speedup(
     analysis: &ChipAnalysis,
     tech: &ClosedFormTech,
     cfg: &FleetConfig,
     bar: f64,
 ) -> SpeedupRow {
-    let run_at = |w: Option<LaneWidth>| {
-        simd::force_width(w);
-        let report = run_fleet(analysis, tech, cfg).expect("fleet runs");
-        simd::force_width(None);
-        report
-    };
-    let mut scalar = run_at(Some(LaneWidth::W1));
-    let mut tiled = run_at(None);
-    let mut attempts = 0;
-    while tiled.chips_per_s < bar * scalar.chips_per_s && attempts < MAX_ATTEMPTS {
-        let s = run_at(Some(LaneWidth::W1));
-        if s.chips_per_s > scalar.chips_per_s {
-            scalar = s;
-        }
-        let t = run_at(None);
-        if t.chips_per_s > tiled.chips_per_s {
-            tiled = t;
-        }
-        attempts += 1;
-    }
+    let (scalar, tiled) = remeasure(
+        bar,
+        |r: &FleetReport| r.run_s,
+        |tiled| {
+            simd::force_width((!tiled).then_some(LaneWidth::W1));
+            let report = run_fleet(analysis, tech, cfg).expect("fleet runs");
+            simd::force_width(None);
+            report
+        },
+    );
     let divergence = aggregates_divergence(&tiled.aggregates, &scalar.aggregates);
     SpeedupRow {
         profile: cfg.profile.name().to_string(),
@@ -380,58 +347,44 @@ fn measure_speedup(
         scalar_chips_per_s: scalar.chips_per_s,
         tiled_chips_per_s: tiled.chips_per_s,
         speedup: tiled.chips_per_s / scalar.chips_per_s.max(1e-12),
-        max_rel_divergence: divergence.unwrap_or(f64::INFINITY),
-        within_gate: divergence.is_some_and(|d| d <= DIVERGENCE_GATE),
+        max_rel_divergence: divergence,
+        within_gate: divergence <= DIVERGENCE_GATE,
     }
 }
 
 fn main() {
-    let opts = parse_options();
+    let mut cli = Cli::from_env();
+    let threads = cli.threads(0);
+    let headline_chips = cli.flag("--chips", at_least(1), 1_000_000, 10_000);
+    let quick = cli.quick;
+    let mut gates = cli.gates("BENCH_fleet.json");
     let session = bench_session();
     let analysis = session.analysis();
     let tech = ClosedFormTech::nominal_45nm();
     let mut rows = Vec::new();
-    let mut all_ok = true;
 
     // Gate 1+2 — the determinism matrix: one fleet, every thread × shard
-    // combination, aggregates compared bit-for-bit as compact JSON.
-    let det_chips: u64 = if opts.quick { 2_000 } else { 20_000 };
+    // combination, aggregates compared bit-for-bit.
+    let det_chips: u64 = if quick { 2_000 } else { 20_000 };
     println!("determinism matrix ({det_chips} chips):");
-    let mut reference: Option<String> = None;
-    for &threads in &THREAD_MATRIX {
-        for &shards in &SHARD_MATRIX {
-            let report = run_fleet(
-                analysis,
-                &tech,
-                &config(
-                    det_chips,
-                    MissionProfile::datacenter(),
-                    threads,
-                    Some(shards),
-                ),
-            )
-            .expect("fleet runs");
-            let rendered = json::to_string(&report.aggregates);
-            let deterministic = match &reference {
-                None => {
-                    reference = Some(rendered);
-                    true
-                }
-                Some(r) => r == &rendered,
-            };
-            let r = row(&report, "determinism", "datacenter", deterministic);
-            all_ok &= r.deterministic && r.workspaces_ok;
-            print_row(&r);
-            rows.push(r);
-        }
-    }
+    let datacenter = |chips| config(chips, MissionProfile::datacenter(), 0, None);
+    let det_cfg = datacenter(det_chips);
+    let weakest_link = matrix(
+        analysis,
+        &tech,
+        &mut rows,
+        &mut gates,
+        &det_cfg,
+        "determinism",
+        None,
+    );
 
     // Gate 6 — the redundancy-aware scenario: the same fleet with one
     // spare over the chip's blocks, composed by the lane Poisson-binomial
     // fold. At each width (forced width 1, then the default dispatch) the
     // aggregates must be bit-identical across the thread × shard matrix;
     // across the two widths they must agree within DIVERGENCE_GATE.
-    let spares_chips: u64 = if opts.quick { 2_000 } else { 20_000 };
+    let spares_chips: u64 = if quick { 2_000 } else { 20_000 };
     let default_width = simd::active_width();
     println!("spares scenario ({spares_chips} chips, 1 spare):");
     let widths: &[LaneWidth] = if default_width == LaneWidth::W1 {
@@ -439,86 +392,49 @@ fn main() {
     } else {
         &[LaneWidth::W1, default_width]
     };
-    let mut spares_reference: Vec<FleetReport> = Vec::new();
-    for &width in widths {
-        let mut width_reference: Option<String> = None;
-        for &threads in &THREAD_MATRIX {
-            for &shards in &SHARD_MATRIX {
-                simd::force_width(Some(width));
-                let report = run_fleet(
-                    analysis,
-                    &tech,
-                    &FleetConfig {
-                        spares: 1,
-                        ..config(
-                            spares_chips,
-                            MissionProfile::datacenter(),
-                            threads,
-                            Some(shards),
-                        )
-                    },
-                )
-                .expect("spares fleet runs");
-                simd::force_width(None);
-                let rendered = json::to_string(&report.aggregates);
-                let deterministic = match &width_reference {
-                    None => {
-                        width_reference = Some(rendered);
-                        spares_reference.push(report.clone());
-                        true
-                    }
-                    Some(r) => r == &rendered,
-                };
-                let r = row(&report, "spares", "datacenter", deterministic);
-                all_ok &= r.deterministic && r.workspaces_ok;
-                print_row(&r);
-                rows.push(r);
-            }
-        }
-    }
-    if let [w1, tiled] = &spares_reference[..] {
-        let divergence =
-            aggregates_divergence(&tiled.aggregates, &w1.aggregates).unwrap_or(f64::INFINITY);
-        if divergence > DIVERGENCE_GATE {
-            eprintln!(
-                "ERROR: spares aggregates at width {} diverged from width 1 \
+    let spares_cfg = FleetConfig {
+        spares: 1,
+        ..datacenter(spares_chips)
+    };
+    let spares: Vec<FleetReport> = widths
+        .iter()
+        .map(|&w| {
+            let (rows, gates, cfg) = (&mut rows, &mut gates, &spares_cfg);
+            matrix(analysis, &tech, rows, gates, cfg, "spares", Some(w))
+        })
+        .collect();
+    if let [w1, tiled] = &spares[..] {
+        let divergence = aggregates_divergence(&tiled.aggregates, &w1.aggregates);
+        gates.check(divergence <= DIVERGENCE_GATE, || {
+            format!(
+                "spares aggregates at width {} diverged from width 1 \
                  (max rel {divergence:.3e}, gate {DIVERGENCE_GATE:.0e})",
                 tiled.lane_width
-            );
-            all_ok = false;
-        }
+            )
+        });
     }
     // The spare must matter: a fleet that tolerates one block failure
     // exceeds the budget no more often than the weakest-link fleet.
-    if let (Some(spares), Some(_)) = (spares_reference.last(), &reference) {
-        let wl_exceed = rows
-            .iter()
-            .find(|r| r.scenario == "determinism")
-            .map_or(0, |r| r.exceed_budget);
-        if spares_chips == det_chips && spares.aggregates.exceed_budget > wl_exceed {
-            eprintln!(
-                "ERROR: spares fleet exceeds the budget more often ({}) than weakest-link ({})",
-                spares.aggregates.exceed_budget, wl_exceed
-            );
-            all_ok = false;
-        }
-    }
+    let exceed = spares
+        .last()
+        .expect("one width at least")
+        .aggregates
+        .exceed_budget;
+    let wl_exceed = weakest_link.aggregates.exceed_budget;
+    gates.check(spares_chips != det_chips || exceed <= wl_exceed, || {
+        format!(
+            "spares fleet exceeds the budget more often ({exceed}) than weakest-link ({wl_exceed})"
+        )
+    });
 
     // Per-profile throughput at a moderate fleet size.
-    let prof_chips: u64 = if opts.quick { 5_000 } else { 100_000 };
+    let prof_chips: u64 = if quick { 5_000 } else { 100_000 };
     println!("profile throughput ({prof_chips} chips):");
     for profile in MissionProfile::all() {
         let name = profile.name();
-        let report = run_fleet(
-            analysis,
-            &tech,
-            &config(prof_chips, profile, opts.threads, None),
-        )
-        .expect("fleet runs");
-        let r = row(&report, "throughput", name, true);
-        all_ok &= r.workspaces_ok;
-        print_row(&r);
-        rows.push(r);
+        let report = run_fleet(analysis, &tech, &config(prof_chips, profile, threads, None))
+            .expect("fleet runs");
+        push_row(&mut rows, &mut gates, &report, "throughput", name, true);
     }
 
     // Gates 4+5 — width 1 vs tiled per mission profile, plus the
@@ -528,7 +444,7 @@ fn main() {
     // would be a coin flip on noise.
     let mut speedup_rows = Vec::new();
     if default_width.lanes() > 1 {
-        let sp_chips: u64 = if opts.quick { 5_000 } else { 100_000 };
+        let sp_chips: u64 = if quick { 5_000 } else { 100_000 };
         println!("scalar vs tiled, single thread ({sp_chips} chips):");
         let spares = FleetConfig {
             spares: 1,
@@ -555,22 +471,20 @@ fn main() {
                 row.speedup,
                 if row.within_gate { "agree" } else { "DIVERGED" }
             );
-            if !row.within_gate {
-                eprintln!(
-                    "ERROR: {what}: tiled aggregates diverged from width 1 \
+            gates.check(row.within_gate, || {
+                format!(
+                    "{what}: tiled aggregates diverged from width 1 \
                      (max rel {:.3e}, gate {DIVERGENCE_GATE:.0e})",
                     row.max_rel_divergence
-                );
-                all_ok = false;
-            }
-            if !opts.quick && row.speedup < bar {
-                eprintln!(
-                    "ERROR: {what}: tiled {:.0} chips/s is below {bar}x the width-1 \
+                )
+            });
+            gates.bar(row.speedup >= bar, || {
+                format!(
+                    "{what}: tiled {:.0} chips/s is below {bar}x the width-1 \
                      {:.0} chips/s ({:.2}x)",
                     row.tiled_chips_per_s, row.scalar_chips_per_s, row.speedup
-                );
-                all_ok = false;
-            }
+                )
+            });
             speedup_rows.push(row);
         }
     } else {
@@ -578,43 +492,31 @@ fn main() {
     }
 
     // Gate 3 — the headline: a production-scale fleet, all cores.
-    let headline_chips = if opts.quick { 10_000 } else { opts.chips };
     println!("headline ({headline_chips} chips):");
     let report = run_fleet(
         analysis,
         &tech,
-        &config(
-            headline_chips,
-            MissionProfile::datacenter(),
-            opts.threads,
-            None,
-        ),
+        &config(headline_chips, MissionProfile::datacenter(), threads, None),
     )
     .expect("fleet runs");
-    let r = row(&report, "headline", "datacenter", true);
-    all_ok &= r.workspaces_ok;
-    if !opts.quick && r.run_s > HEADLINE_BUDGET_S {
-        eprintln!(
-            "ERROR: headline run took {:.1}s, budget {HEADLINE_BUDGET_S}s",
-            r.run_s
-        );
-        all_ok = false;
-    }
-    print_row(&r);
-    rows.push(r);
+    gates.bar(report.run_s <= HEADLINE_BUDGET_S, || {
+        format!(
+            "headline run took {:.1}s, budget {HEADLINE_BUDGET_S}s",
+            report.run_s
+        )
+    });
+    push_row(
+        &mut rows,
+        &mut gates,
+        &report,
+        "headline",
+        "datacenter",
+        true,
+    );
 
-    let report = Report {
+    gates.finish(&Report {
         lanes: statobd_num::simd::dispatch_label(),
         rows,
         speedup: speedup_rows,
-    };
-    std::fs::write(&opts.out, json::to_string_pretty(&report)).expect("report written");
-    println!("wrote {}", opts.out);
-    if !all_ok {
-        eprintln!(
-            "ERROR: fleet aggregates diverged across threads/shards or lane widths, \
-             allocated per chip, missed the tiled speedup bar, or blew the time budget"
-        );
-        std::process::exit(1);
-    }
+    });
 }

@@ -28,7 +28,8 @@
 //!     [--quick] [--out BENCH_kernels.json] [--threads 1]
 //! ```
 
-use statobd_bench::{measure_min, session_for, BRACKET};
+use statobd_bench::harness::{log_times, rel_divergence, Cli};
+use statobd_bench::{measure_min, session_for};
 use statobd_circuits::Benchmark;
 use statobd_core::{
     build_engine, EngineSpec, HybridConfig, HybridTables, MonteCarloConfig, ReliabilityEngine,
@@ -89,99 +90,36 @@ impl_json_struct!(KernelReport {
     rows
 });
 
-struct Options {
-    out: String,
-    threads: usize,
-    quick: bool,
-}
-
-fn parse_options() -> Options {
-    let mut opts = Options {
-        out: "BENCH_kernels.json".to_string(),
-        threads: 1,
-        quick: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--out" => opts.out = value("--out"),
-            "--threads" => {
-                opts.threads = value("--threads").parse().unwrap_or_else(|_| {
-                    eprintln!("bad thread count");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    opts
-}
-
-/// Max relative deviation between a row's values and the width-1
-/// reference (denominator floored at the smallest positive normal, so
-/// exact zeros compare exactly).
-fn max_rel_err(got: &[f64], reference: &[f64]) -> f64 {
-    got.iter()
-        .zip(reference)
-        .map(|(&g, &r)| {
-            if g == r {
-                0.0
-            } else {
-                (g - r).abs() / r.abs().max(f64::MIN_POSITIVE)
-            }
-        })
-        .fold(0.0, f64::max)
-}
-
-/// Accumulates one kernel's per-width measurements and emits rows; the
-/// width-1 measurement must be pushed first (it becomes the reference
-/// for both the speedup and the accuracy gate).
-struct KernelCells<'a> {
-    kernel: &'a str,
-    unit: &'a str,
-    scalar_s: f64,
-    reference: Vec<f64>,
-}
-
-impl<'a> KernelCells<'a> {
-    fn new(kernel: &'a str, unit: &'a str) -> Self {
-        Self {
-            kernel,
-            unit,
-            scalar_s: 0.0,
-            reference: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, rows: &mut Vec<KernelRow>, width: LaneWidth, eval_s: f64, values: &[f64]) {
-        if width == LaneWidth::W1 {
-            self.scalar_s = eval_s;
-            self.reference = values.to_vec();
-        }
+/// Measures one kernel at every lane width: `measure` runs after the
+/// width is forced and returns seconds per evaluation unit plus the
+/// values; the width-1 run is the reference for both the speedup and the
+/// accuracy gate.
+fn bench_widths(
+    kernel: &str,
+    unit: &str,
+    rows: &mut Vec<KernelRow>,
+    mut measure: impl FnMut() -> (f64, Vec<f64>),
+) {
+    let mut scalar: Option<(f64, Vec<f64>)> = None;
+    for width in WIDTHS {
+        simd::force_width(Some(width));
+        let (eval_s, values) = measure();
+        let (scalar_s, reference) = scalar.get_or_insert_with(|| (eval_s, values.clone()));
         let row = KernelRow {
-            kernel: self.kernel.to_string(),
-            unit: self.unit.to_string(),
+            kernel: kernel.to_string(),
+            unit: unit.to_string(),
             width: width.lanes(),
             eval_s,
-            speedup_vs_scalar: self.scalar_s / eval_s.max(1e-12),
-            max_rel_err: max_rel_err(values, &self.reference),
+            speedup_vs_scalar: *scalar_s / eval_s.max(1e-12),
+            max_rel_err: rel_divergence(&values, reference),
         };
         println!(
             "  {:<18} w={:<2} {:>10.4e} s/{:<14} {:>6.2}x  rel {:.2e}",
-            row.kernel, row.width, row.eval_s, self.unit, row.speedup_vs_scalar, row.max_rel_err
+            row.kernel, row.width, row.eval_s, unit, row.speedup_vs_scalar, row.max_rel_err
         );
         rows.push(row);
     }
+    simd::force_width(None);
 }
 
 /// Benchmarks one raw slice kernel at every width: the timed unit is the
@@ -194,16 +132,13 @@ fn bench_slice(
     args: &[f64],
     f: impl Fn(&[f64], &mut [f64]),
 ) {
-    let mut cells = KernelCells::new(kernel, unit);
     let mut out = vec![0.0; args.len()];
-    for width in WIDTHS {
-        simd::force_width(Some(width));
+    bench_widths(kernel, unit, rows, || {
         f(args, &mut out);
         let eval_s = measure_min(|| f(args, &mut out));
         f(args, &mut out);
-        cells.push(rows, width, eval_s, &out);
-    }
-    simd::force_width(None);
+        (eval_s, out.clone())
+    });
 }
 
 /// Benchmarks an engine-level kernel at every width. `setup` runs once
@@ -216,17 +151,11 @@ fn bench_engine<E: FnMut() -> Vec<f64>>(
     rows: &mut Vec<KernelRow>,
     mut setup: impl FnMut() -> E,
 ) {
-    let mut cells = KernelCells::new(kernel, unit);
-    for width in WIDTHS {
-        simd::force_width(Some(width));
+    bench_widths(kernel, unit, rows, || {
         let mut eval = setup();
         let values = eval();
-        let eval_s = measure_min(|| {
-            eval();
-        });
-        cells.push(rows, width, eval_s, &values);
-    }
-    simd::force_width(None);
+        (measure_min(&mut eval), values)
+    });
 }
 
 /// Seeded argument samples for the raw slice kernels, spanning the
@@ -248,8 +177,11 @@ fn sample_args(n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
 }
 
 fn main() {
-    let opts = parse_options();
-    let threads = (opts.threads > 0).then_some(opts.threads);
+    let mut cli = Cli::from_env();
+    let threads_flag = cli.threads(1);
+    let quick = cli.quick;
+    let mut gates = cli.gates("BENCH_kernels.json");
+    let threads = (threads_flag > 0).then_some(threads_flag);
     // Resolve the dispatch before any width forcing so the report shows
     // the production decision.
     let dispatch = simd::dispatch_label();
@@ -258,7 +190,7 @@ fn main() {
     let mut rows: Vec<KernelRow> = Vec::new();
 
     // --- Raw slice kernels -------------------------------------------------
-    let n_args = if opts.quick { 20_000 } else { 200_000 };
+    let n_args = if quick { 20_000 } else { 200_000 };
     let (exp_args, exp_m1_args, ln_1p_args) = sample_args(n_args);
     let unit = format!("{}k-elem slice", n_args / 1000);
     bench_slice("exp_slice", &unit, &mut rows, &exp_args, simd::exp_slice);
@@ -287,12 +219,8 @@ fn main() {
     // --- Engine kernels ----------------------------------------------------
     let session = session_for(Benchmark::C3, 0.5);
     let analysis = session.analysis();
-    let n_sweep = if opts.quick { 32 } else { 256 };
-    let (t_lo, t_hi) = BRACKET;
-    let ratio = (t_hi / t_lo).ln();
-    let ts: Vec<f64> = (0..n_sweep)
-        .map(|i| t_lo * (ratio * i as f64 / (n_sweep - 1) as f64).exp())
-        .collect();
+    let n_sweep = if quick { 32 } else { 256 };
+    let ts = log_times(n_sweep);
 
     bench_engine(
         "st_fast_integrate",
@@ -307,8 +235,8 @@ fn main() {
     );
 
     let hybrid_config = HybridConfig {
-        n_gamma: if opts.quick { 30 } else { 100 },
-        n_b: if opts.quick { 30 } else { 100 },
+        n_gamma: if quick { 30 } else { 100 },
+        n_b: if quick { 30 } else { 100 },
         threads,
         ..HybridConfig::default()
     };
@@ -324,7 +252,7 @@ fn main() {
     });
 
     let mc_config = MonteCarloConfig {
-        n_chips: if opts.quick { 100 } else { 500 },
+        n_chips: if quick { 100 } else { 500 },
         ..MonteCarloConfig::default()
     };
     let mc_ts: Vec<f64> = ts[..ts.len().min(64)].to_vec();
@@ -341,46 +269,31 @@ fn main() {
     );
 
     // --- Gates -------------------------------------------------------------
-    let mut failures: Vec<String> = Vec::new();
-    for row in &rows {
-        if row.width > 1 && row.max_rel_err > GATE_REL_ERR {
-            failures.push(format!(
+    for row in rows.iter().filter(|r| r.width > 1) {
+        gates.check(row.max_rel_err <= GATE_REL_ERR, || {
+            format!(
                 "{} w={}: rel err {:.3e} above the {GATE_REL_ERR:.0e} gate",
                 row.kernel, row.width, row.max_rel_err
-            ));
-        }
+            )
+        });
     }
-    if !opts.quick {
-        for kernel in ["st_fast_integrate", "hybrid_table_fill"] {
-            let best = rows
-                .iter()
-                .filter(|r| r.kernel == kernel && r.width > 1)
-                .map(|r| r.speedup_vs_scalar)
-                .fold(0.0, f64::max);
-            if best < GATE_SPEEDUP {
-                failures.push(format!(
-                    "{kernel}: best lane speedup {best:.2}x below the {GATE_SPEEDUP}x bar"
-                ));
-            }
-        }
+    for kernel in ["st_fast_integrate", "hybrid_table_fill"] {
+        let best = rows
+            .iter()
+            .filter(|r| r.kernel == kernel && r.width > 1)
+            .map(|r| r.speedup_vs_scalar)
+            .fold(0.0, f64::max);
+        gates.bar(best >= GATE_SPEEDUP, || {
+            format!("{kernel}: best lane speedup {best:.2}x below the {GATE_SPEEDUP}x bar")
+        });
     }
 
-    let report = KernelReport {
+    gates.finish(&KernelReport {
         dispatch,
-        threads: opts.threads,
-        quick: opts.quick,
+        threads: threads_flag,
+        quick,
         gate_speedup: GATE_SPEEDUP,
         gate_rel_err: GATE_REL_ERR,
         rows,
-    };
-    std::fs::write(&opts.out, statobd_num::json::to_string_pretty(&report))
-        .expect("report written");
-    println!("wrote {}", opts.out);
-    if !failures.is_empty() {
-        eprintln!("ERROR: kernel gates failed:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
+    });
 }

@@ -27,6 +27,7 @@
 //!   ... ] }
 //! ```
 
+use statobd_bench::harness::{at_least, design, list, rel_divergence, Cli};
 use statobd_bench::session_for;
 use statobd_circuits::Benchmark;
 use statobd_core::{HybridTables, ReliabilityEngine};
@@ -95,69 +96,6 @@ struct ManagerReport {
 
 impl_json_struct!(ManagerReport { threads, rows });
 
-struct Options {
-    out: String,
-    designs: Vec<Benchmark>,
-    steps: usize,
-    threads: usize,
-}
-
-fn parse_benchmark(name: &str) -> Benchmark {
-    Benchmark::parse(name).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
-}
-
-fn parse_options() -> Options {
-    let mut opts = Options {
-        out: "BENCH_manager.json".to_string(),
-        designs: vec![Benchmark::C1, Benchmark::C3],
-        steps: 2000,
-        threads: 1,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--quick" => {
-                opts.designs = vec![Benchmark::C1];
-                opts.steps = 200;
-            }
-            "--out" => opts.out = value("--out"),
-            "--designs" => {
-                opts.designs = value("--designs").split(',').map(parse_benchmark).collect();
-            }
-            "--steps" => {
-                opts.steps = value("--steps").parse().unwrap_or_else(|_| {
-                    eprintln!("bad step count");
-                    std::process::exit(2);
-                });
-                if opts.steps == 0 {
-                    eprintln!("--steps: need at least one step");
-                    std::process::exit(2);
-                }
-            }
-            "--threads" => {
-                opts.threads = value("--threads").parse().unwrap_or_else(|_| {
-                    eprintln!("bad thread count");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    opts
-}
-
 fn print_row(row: &ManagerRow) {
     println!(
         "  {:<9} steps={:<5} build {:>7.3}s  run {:>8.4}s  {:>9.0} steps/s  \
@@ -178,14 +116,22 @@ fn print_row(row: &ManagerRow) {
 }
 
 fn main() {
-    let opts = parse_options();
-    let threads = (opts.threads > 0).then_some(opts.threads);
+    let mut cli = Cli::from_env();
+    let threads_flag = cli.threads(1);
+    let designs = cli.flag(
+        "--designs",
+        list(design),
+        vec![Benchmark::C1, Benchmark::C3],
+        vec![Benchmark::C1],
+    );
+    let steps = cli.flag("--steps", at_least(1), 2000, 200);
+    let mut gates = cli.gates("BENCH_manager.json");
+    let threads = (threads_flag > 0).then_some(threads_flag);
     let tech = ClosedFormTech::nominal_45nm();
     let service_life_s = 10.0 * YEAR_S;
     let mut rows = Vec::new();
-    let mut all_within = true;
 
-    for &benchmark in &opts.designs {
+    for &benchmark in &designs {
         let session = session_for(benchmark, 0.5);
         let analysis = session.analysis();
         let n_blocks = analysis.n_blocks();
@@ -227,9 +173,9 @@ fn main() {
         .expect("manager builds");
         let build_s = build_start.elapsed().as_secs_f64();
 
-        let dt_s = 0.8 * service_life_s / opts.steps as f64;
+        let dt_s = 0.8 * service_life_s / steps as f64;
         let run_start = Instant::now();
-        for _ in 0..opts.steps {
+        for _ in 0..steps {
             mgr.step(dt_s, &spec_temps, vdd_spec).expect("step");
         }
         let run_s = run_start.elapsed().as_secs_f64();
@@ -243,21 +189,26 @@ fn main() {
         let p_direct = direct
             .failure_probability(mgr.damage().elapsed_s())
             .expect("direct eval");
-        let rel = ((p_mgr - p_direct) / p_direct).abs();
-        let within = rel <= TOLERANCE;
-        all_within &= within;
+        let rel = rel_divergence(&[p_mgr], &[p_direct]);
+        let within = gates.check(rel <= TOLERANCE, || {
+            format!(
+                "{}: constant-point manager P(t) diverged from the direct Hybrid engine \
+                 (rel {rel:.3e})",
+                benchmark.name()
+            )
+        });
 
         // One monitoring sweep + one projection sweep per step
         // (monitoring ladder has a single level).
-        let queries = (2 * n_blocks * opts.steps) as f64;
+        let queries = (2 * n_blocks * steps) as f64;
         let row = ManagerRow {
             design: benchmark.name().to_string(),
             scenario: "monitor".to_string(),
             blocks: n_blocks as u64,
-            steps: opts.steps as u64,
+            steps: steps as u64,
             build_s,
             run_s,
-            steps_per_s: opts.steps as f64 / run_s.max(1e-12),
+            steps_per_s: steps as f64 / run_s.max(1e-12),
             per_query_us: run_s / queries * 1e6,
             rel_vs_hybrid: rel,
             transitions: mgr.transitions(),
@@ -294,24 +245,13 @@ fn main() {
             ],
         };
         let build_start = Instant::now();
-        let mut mgr = ReliabilityManager::new(
-            analysis,
-            Box::new(tech),
-            policy,
-            ManagerConfig {
-                tables: statobd_core::HybridConfig {
-                    threads,
-                    ..statobd_core::HybridConfig::default()
-                },
-                ..ManagerConfig::default()
-            },
-        )
-        .expect("manager builds");
+        let mut mgr = ReliabilityManager::new(analysis, Box::new(tech), policy, manager_config)
+            .expect("manager builds");
         let build_s = build_start.elapsed().as_secs_f64();
 
         let hot: Vec<f64> = spec_temps.iter().map(|t| t + 8.0).collect();
         let run_start = Instant::now();
-        for i in 0..opts.steps {
+        for i in 0..steps {
             // Alternate turbo bursts with typical stretches.
             let (temps, vdd) = if i % 8 < 2 {
                 (&hot, vdd_spec * 1.05)
@@ -323,15 +263,15 @@ fn main() {
         let run_s = run_start.elapsed().as_secs_f64();
         // ≥ 2 sweeps per step, more when the ladder moved; report the
         // conservative lower bound so the µs figure is an upper bound.
-        let queries = (2 * n_blocks * opts.steps) as f64;
+        let queries = (2 * n_blocks * steps) as f64;
         let row = ManagerRow {
             design: benchmark.name().to_string(),
             scenario: "throttle".to_string(),
             blocks: n_blocks as u64,
-            steps: opts.steps as u64,
+            steps: steps as u64,
             build_s,
             run_s,
-            steps_per_s: opts.steps as f64 / run_s.max(1e-12),
+            steps_per_s: steps as f64 / run_s.max(1e-12),
             per_query_us: run_s / queries * 1e6,
             rel_vs_hybrid: f64::NAN,
             transitions: mgr.transitions(),
@@ -342,15 +282,8 @@ fn main() {
         rows.push(row);
     }
 
-    let report = ManagerReport {
-        threads: opts.threads,
+    gates.finish(&ManagerReport {
+        threads: threads_flag,
         rows,
-    };
-    std::fs::write(&opts.out, statobd_num::json::to_string_pretty(&report))
-        .expect("report written");
-    println!("wrote {}", opts.out);
-    if !all_within {
-        eprintln!("ERROR: constant-point manager P(t) diverged from the direct Hybrid engine");
-        std::process::exit(1);
-    }
+    });
 }

@@ -28,6 +28,7 @@
 //!   "consistent": true }, ... ] }
 //! ```
 
+use statobd_bench::harness::{at_least, fraction, list, Cli};
 use statobd_core::params::NOMINAL_THICKNESS_NM;
 use statobd_num::eigen::{SpectralOptions, SpectralSolver};
 use statobd_num::impl_json_struct;
@@ -94,82 +95,15 @@ impl_json_struct!(ModelReport {
     rows
 });
 
-struct Options {
-    out: String,
-    grids: Vec<usize>,
-    threads: usize,
-    solvers: Vec<SpectralSolver>,
-    energy: f64,
-}
-
-fn parse_solver(name: &str) -> SpectralSolver {
-    match name.trim().to_ascii_lowercase().as_str() {
-        "jacobi" => SpectralSolver::Jacobi,
-        "tridiagonal_ql" | "ql" => SpectralSolver::TridiagonalQl,
-        "lanczos" => SpectralSolver::Lanczos,
-        other => {
-            eprintln!("unknown solver {other:?} (expected jacobi, tridiagonal_ql or lanczos)");
-            std::process::exit(2);
-        }
+fn parse_solver(name: &str) -> Result<SpectralSolver, String> {
+    match name.to_ascii_lowercase().as_str() {
+        "jacobi" => Ok(SpectralSolver::Jacobi),
+        "tridiagonal_ql" | "ql" => Ok(SpectralSolver::TridiagonalQl),
+        "lanczos" => Ok(SpectralSolver::Lanczos),
+        other => Err(format!(
+            "unknown solver {other:?} (expected jacobi, tridiagonal_ql or lanczos)"
+        )),
     }
-}
-
-fn parse_options() -> Options {
-    let mut opts = Options {
-        out: "BENCH_models.json".to_string(),
-        grids: vec![8, 16, 32],
-        threads: 1,
-        solvers: vec![
-            SpectralSolver::Jacobi,
-            SpectralSolver::TridiagonalQl,
-            SpectralSolver::Lanczos,
-        ],
-        energy: DEFAULT_ENERGY,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--quick" => opts.grids = vec![8, 16],
-            "--out" => opts.out = value("--out"),
-            "--grids" => {
-                opts.grids = value("--grids")
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse().unwrap_or_else(|_| {
-                            eprintln!("bad grid side {s:?}");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-            }
-            "--threads" => {
-                opts.threads = value("--threads").parse().unwrap_or_else(|_| {
-                    eprintln!("bad thread count");
-                    std::process::exit(2);
-                });
-            }
-            "--solvers" => {
-                opts.solvers = value("--solvers").split(',').map(parse_solver).collect();
-            }
-            "--energy" => {
-                opts.energy = value("--energy").parse().unwrap_or_else(|_| {
-                    eprintln!("bad energy fraction");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    opts
 }
 
 fn build_with(
@@ -200,36 +134,57 @@ fn models_agree(model: &ThicknessModel, reference: &ThicknessModel) -> bool {
 }
 
 fn main() {
-    let opts = parse_options();
+    let mut cli = Cli::from_env();
+    let threads = cli.threads(1);
+    // A 1×1 grid has no correlation structure to decompose.
+    let grids = cli.flag("--grids", list(at_least(2)), vec![8, 16, 32], vec![8, 16]);
+    let all_solvers = vec![
+        SpectralSolver::Jacobi,
+        SpectralSolver::TridiagonalQl,
+        SpectralSolver::Lanczos,
+    ];
+    let solvers = cli.flag(
+        "--solvers",
+        list(parse_solver),
+        all_solvers.clone(),
+        all_solvers,
+    );
+    let energy = cli.flag("--energy", fraction, DEFAULT_ENERGY, DEFAULT_ENERGY);
+    let mut gates = cli.gates("BENCH_models.json");
     let mut rows = Vec::new();
-    let mut all_consistent = true;
 
-    for &side in &opts.grids {
+    for &side in &grids {
         let n = side * side;
         println!("grid {side}x{side} ({n} grids):");
         // Lanczos computes only the retained components, so a full-spectrum
         // request would just fall through to the dense path — skip that
         // redundant cell.
-        let energies = if opts.energy < 1.0 {
-            vec![1.0, opts.energy]
+        let energies = if energy < 1.0 {
+            vec![1.0, energy]
         } else {
             vec![1.0]
         };
         for &energy in &energies {
             let mut reference: Option<ThicknessModel> = None;
-            for &solver in &opts.solvers {
+            for &solver in &solvers {
                 if solver == SpectralSolver::Lanczos && energy >= 1.0 {
                     continue;
                 }
                 let spectral = SpectralOptions::energy(energy)
                     .with_solver(solver)
-                    .with_threads(opts.threads);
+                    .with_threads(threads);
                 let (model, stats) = build_with(side, spectral);
                 let consistent = reference
                     .as_ref()
                     .map(|r| models_agree(&model, r))
                     .unwrap_or(true);
-                all_consistent &= consistent;
+                gates.check(consistent, || {
+                    format!(
+                        "{side}x{side} {} at energy {energy}: model diverged from the \
+                         Jacobi reference",
+                        solver.name()
+                    )
+                });
                 if solver == SpectralSolver::Jacobi {
                     reference = Some(model);
                 }
@@ -271,16 +226,9 @@ fn main() {
         }
     }
 
-    let report = ModelReport {
-        threads: opts.threads,
-        energy: opts.energy,
+    gates.finish(&ModelReport {
+        threads,
+        energy,
         rows,
-    };
-    std::fs::write(&opts.out, statobd_num::json::to_string_pretty(&report))
-        .expect("report written");
-    println!("wrote {}", opts.out);
-    if !all_consistent {
-        eprintln!("ERROR: a solver produced a model diverging from the Jacobi reference");
-        std::process::exit(1);
-    }
+    });
 }

@@ -28,6 +28,7 @@
 //! ```
 
 use statobd::{serve_lines, AnalysisSpec, ArtifactCache, EngineKind, ServeConfig, Session};
+use statobd_bench::harness::{at_least, bit_identical, design, log_times, Cli};
 use statobd_circuits::Benchmark;
 use statobd_num::impl_json_struct;
 use statobd_num::json::ToJson;
@@ -37,8 +38,9 @@ use std::time::Instant;
 /// Minimum warm/cold speedup the full run enforces; `--quick` designs
 /// are too small for the ratio to be stable, so they only record it.
 const MIN_SPEEDUP: f64 = 10.0;
-/// Committed query sweep for the bit-equality check (log-spaced).
-const SWEEP: (f64, f64, usize) = (1e6, 1e12, 64);
+/// Points of the committed query sweep for the bit-equality check
+/// (log-spaced across the lifetime bracket).
+const SWEEP_POINTS: usize = 64;
 
 /// The whole report (`BENCH_serve.json`).
 #[derive(Debug, Clone)]
@@ -83,81 +85,14 @@ impl_json_struct!(ServeReport {
     speedup_ok
 });
 
-struct Options {
-    out: String,
-    design: Benchmark,
-    threads: usize,
-    queries: usize,
-    quick: bool,
-}
-
-fn parse_options() -> Options {
-    let mut opts = Options {
-        out: "BENCH_serve.json".to_string(),
-        design: Benchmark::C3,
-        threads: 1,
-        queries: 20_000,
-        quick: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--quick" => {
-                opts.quick = true;
-                opts.design = Benchmark::C1;
-                opts.queries = 2_000;
-            }
-            "--out" => opts.out = value("--out"),
-            "--design" => {
-                opts.design = Benchmark::parse(&value("--design")).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
-            }
-            "--threads" => {
-                opts.threads = value("--threads").parse().unwrap_or_else(|_| {
-                    eprintln!("bad thread count");
-                    std::process::exit(2);
-                });
-            }
-            "--queries" => {
-                opts.queries = value("--queries").parse().unwrap_or_else(|_| {
-                    eprintln!("bad query count");
-                    std::process::exit(2);
-                });
-                if opts.queries == 0 {
-                    eprintln!("--queries: need at least one query");
-                    std::process::exit(2);
-                }
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    opts
-}
-
-/// Log-spaced times over the committed sweep bracket.
-fn sweep_times() -> Vec<f64> {
-    let (t_lo, t_hi, n) = SWEEP;
-    let ratio = (t_hi / t_lo).ln();
-    (0..n)
-        .map(|i| t_lo * (ratio * i as f64 / (n - 1) as f64).exp())
-        .collect()
-}
-
 fn main() {
-    let opts = parse_options();
-    let threads = (opts.threads > 0).then_some(opts.threads);
-    let spec = AnalysisSpec::benchmark(opts.design)
+    let mut cli = Cli::from_env();
+    let threads_flag = cli.threads(1);
+    let design = cli.flag("--design", design, Benchmark::C3, Benchmark::C1);
+    let queries = cli.flag("--queries", at_least(1), 20_000, 2_000);
+    let mut gates = cli.gates("BENCH_serve.json");
+    let threads = (threads_flag > 0).then_some(threads_flag);
+    let spec = AnalysisSpec::benchmark(design)
         .with_engine(EngineKind::Hybrid)
         .with_threads(threads);
 
@@ -182,19 +117,15 @@ fn main() {
     let speedup = cold_build_s / warm_load_s.max(1e-12);
 
     // The committed sweep must be bit-identical across the two paths.
-    let ts = sweep_times();
+    let ts = log_times(SWEEP_POINTS);
     let p_cold = cold.p_at_many(&ts).expect("cold sweep");
     let p_warm = warm.p_at_many(&ts).expect("warm sweep");
-    let bit_identical = p_cold.len() == p_warm.len()
-        && p_cold
-            .iter()
-            .zip(&p_warm)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
+    let bit_identical = bit_identical(&p_cold, &p_warm);
 
     // Sustained direct queries on the warm session.
     let query_start = Instant::now();
     let mut checksum = 0.0;
-    for i in 0..opts.queries {
+    for i in 0..queries {
         checksum += warm.p_at(ts[i % ts.len()]).expect("query");
     }
     let query_s = query_start.elapsed().as_secs_f64();
@@ -208,7 +139,7 @@ fn main() {
         "{{\"op\": \"open\", \"session\": \"bench\", \"spec\": {}}}\n",
         spec.to_json().to_compact()
     );
-    for i in 0..opts.queries {
+    for i in 0..queries {
         script.push_str(&format!(
             "{{\"op\": \"p_at\", \"session\": \"bench\", \"t_s\": {:e}}}\n",
             ts[i % ts.len()]
@@ -224,23 +155,26 @@ fn main() {
     serve_lines(Cursor::new(script.as_bytes()), &mut replies, config).expect("serve loop");
     let serve_s = serve_start.elapsed().as_secs_f64();
     let reply_text = String::from_utf8(replies).expect("utf-8 replies");
-    let all_ok = reply_text.lines().all(|l| l.contains("\"ok\":true"));
+    // One reply per request (open, the queries, shutdown), all ok: an
+    // empty reply stream must not pass vacuously.
+    let replies = reply_text.lines().count();
+    let all_ok = replies == queries + 2 && reply_text.lines().all(|l| l.contains("\"ok\":true"));
 
     let _ = std::fs::remove_dir_all(&scratch);
 
     let speedup_ok = speedup >= MIN_SPEEDUP && warm_source == "cache";
     let report = ServeReport {
-        design: opts.design.name().to_string(),
+        design: design.name().to_string(),
         engine: EngineKind::Hybrid.name().to_string(),
-        threads: opts.threads,
+        threads: threads_flag,
         cold_build_s,
         warm_load_s,
         speedup,
         warm_source: warm_source.clone(),
         bit_identical,
-        queries: opts.queries as u64,
-        session_queries_per_s: opts.queries as f64 / query_s.max(1e-12),
-        serve_requests_per_s: (opts.queries + 2) as f64 / serve_s.max(1e-12),
+        queries: queries as u64,
+        session_queries_per_s: queries as f64 / query_s.max(1e-12),
+        serve_requests_per_s: (queries + 2) as f64 / serve_s.max(1e-12),
         speedup_ok,
     };
     println!(
@@ -257,24 +191,20 @@ fn main() {
         report.session_queries_per_s,
         report.serve_requests_per_s
     );
-    std::fs::write(&opts.out, statobd_num::json::to_string_pretty(&report))
-        .expect("report written");
-    println!("wrote {}", opts.out);
-
-    if warm_source != "cache" {
-        eprintln!("ERROR: warm open did not come from the artifact cache");
-        std::process::exit(1);
-    }
-    if !bit_identical {
-        eprintln!("ERROR: warm session diverged from the cold build");
-        std::process::exit(1);
-    }
-    if !all_ok {
-        eprintln!("ERROR: a serve reply reported ok=false");
-        std::process::exit(1);
-    }
-    if !opts.quick && !speedup_ok {
-        eprintln!("ERROR: warm load speedup {speedup:.1}x is below {MIN_SPEEDUP}x");
-        std::process::exit(1);
-    }
+    gates.check(warm_source == "cache", || {
+        "warm open did not come from the artifact cache".to_string()
+    });
+    gates.check(bit_identical, || {
+        "warm session diverged from the cold build".to_string()
+    });
+    gates.check(all_ok, || {
+        format!(
+            "serve wrote {replies} replies for {} requests, or one reported ok=false",
+            queries + 2
+        )
+    });
+    gates.bar(speedup_ok, || {
+        format!("warm load speedup {speedup:.1}x is below {MIN_SPEEDUP}x")
+    });
+    gates.finish(&report);
 }

@@ -33,6 +33,7 @@
 //!   "bit_identical": true }, ... ] }
 //! ```
 
+use statobd_bench::harness::{at_least, bit_identical, design, list, log_times, remeasure, Cli};
 use statobd_bench::{measure_min, session_for, BRACKET};
 use statobd_circuits::Benchmark;
 use statobd_core::{build_engine, EngineKind, EngineSpec, MonteCarloConfig};
@@ -84,100 +85,23 @@ struct SweepReport {
 
 impl_json_struct!(SweepReport { threads, rows });
 
-struct Options {
-    out: String,
-    designs: Vec<Benchmark>,
-    sweeps: Vec<usize>,
-    threads: usize,
-    mc_chips: usize,
-    quick: bool,
-}
-
-fn parse_benchmark(name: &str) -> Benchmark {
-    Benchmark::parse(name).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
-}
-
-fn parse_options() -> Options {
-    let mut opts = Options {
-        out: "BENCH_sweeps.json".to_string(),
-        designs: vec![Benchmark::C1, Benchmark::C3],
-        sweeps: vec![20, 200],
-        threads: 1,
-        mc_chips: 1000,
-        quick: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--quick" => {
-                opts.designs = vec![Benchmark::C1];
-                opts.sweeps = vec![8, 40];
-                opts.mc_chips = 200;
-                opts.quick = true;
-            }
-            "--out" => opts.out = value("--out"),
-            "--designs" => {
-                opts.designs = value("--designs").split(',').map(parse_benchmark).collect();
-            }
-            "--sweeps" => {
-                opts.sweeps = value("--sweeps")
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse().unwrap_or_else(|_| {
-                            eprintln!("bad sweep length {s:?}");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-            }
-            "--threads" => {
-                opts.threads = value("--threads").parse().unwrap_or_else(|_| {
-                    eprintln!("bad thread count");
-                    std::process::exit(2);
-                });
-            }
-            "--mc-chips" => {
-                opts.mc_chips = value("--mc-chips").parse().unwrap_or_else(|_| {
-                    eprintln!("bad chip count");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    opts
-}
-
-/// Log-spaced times over the default lifetime bracket.
-fn sweep_times(n: usize) -> Vec<f64> {
-    let (t_lo, t_hi) = BRACKET;
-    let ratio = (t_hi / t_lo).ln();
-    (0..n)
-        .map(|i| t_lo * (ratio * i as f64 / (n - 1) as f64).exp())
-        .collect()
-}
-
 fn main() {
-    let opts = parse_options();
-    let threads = (opts.threads > 0).then_some(opts.threads);
+    let mut cli = Cli::from_env();
+    let threads_flag = cli.threads(1);
+    let designs = cli.flag(
+        "--designs",
+        list(design),
+        vec![Benchmark::C1, Benchmark::C3],
+        vec![Benchmark::C1],
+    );
+    let sweeps = cli.flag("--sweeps", list(at_least(2)), vec![20, 200], vec![8, 40]);
+    let mc_chips = cli.flag("--mc-chips", at_least(1), 1000, 200);
+    let mut gates = cli.gates("BENCH_sweeps.json");
+    let threads = (threads_flag > 0).then_some(threads_flag);
     let mut rows = Vec::new();
-    let mut all_identical = true;
-    let mut regressions: Vec<String> = Vec::new();
     println!("lane dispatch: {}", statobd_num::simd::dispatch_label());
 
-    for &benchmark in &opts.designs {
+    for &benchmark in &designs {
         let session = session_for(benchmark, 0.5);
         let analysis = session.analysis();
         let devices = analysis.spec().total_devices();
@@ -191,7 +115,7 @@ fn main() {
         for kind in EngineKind::ALL {
             let spec = match kind.default_spec() {
                 EngineSpec::MonteCarlo(c) => EngineSpec::MonteCarlo(MonteCarloConfig {
-                    n_chips: opts.mc_chips,
+                    n_chips: mc_chips,
                     ..c
                 }),
                 other => other,
@@ -208,8 +132,8 @@ fn main() {
                 .failure_probability(0.5 * (BRACKET.0 + BRACKET.1))
                 .expect("warm-up eval");
 
-            for &n in &opts.sweeps {
-                let ts = sweep_times(n.max(2));
+            for &n in &sweeps {
+                let ts = log_times(n);
 
                 let scalar: Vec<f64> = ts
                     .iter()
@@ -217,51 +141,43 @@ fn main() {
                     .collect();
                 let batched = engine.failure_probabilities(&ts).expect("batched eval");
 
-                let bit_identical = scalar.len() == batched.len()
-                    && scalar
-                        .iter()
-                        .zip(&batched)
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                all_identical &= bit_identical;
-
-                let mut scalar_eval_s = measure_min(|| {
-                    for &t in &ts {
-                        engine.failure_probability(t).expect("scalar eval");
-                    }
-                });
-                let mut batched_eval_s = measure_min(|| {
-                    engine.failure_probabilities(&ts).expect("batched eval");
+                let bit_identical = bit_identical(&scalar, &batched);
+                gates.check(bit_identical, || {
+                    format!(
+                        "{} {} n={n}: batched results diverged from the scalar loop",
+                        benchmark.name(),
+                        kind.name()
+                    )
                 });
 
                 // Near-tie rows (engines whose batched path saves only
                 // per-call overhead) can land a hair under 1.0x from
-                // run-to-run jitter between the two measurements above.
-                // Re-measure interleaved, keeping each path's min across
-                // attempts: noise converges out, a real regression stays.
-                let mut attempts = 0;
-                while batched_eval_s > scalar_eval_s && attempts < 12 {
-                    scalar_eval_s = scalar_eval_s.min(measure_min(|| {
-                        for &t in &ts {
-                            engine.failure_probability(t).expect("scalar eval");
-                        }
-                    }));
-                    batched_eval_s = batched_eval_s.min(measure_min(|| {
-                        engine.failure_probabilities(&ts).expect("batched eval");
-                    }));
-                    attempts += 1;
-                }
-
+                // run-to-run jitter between two measurements: re-measure
+                // interleaved, keeping each path's min across attempts.
+                let (scalar_eval_s, batched_eval_s) = remeasure(
+                    1.0,
+                    |s| *s,
+                    |batched| {
+                        measure_min(|| {
+                            if batched {
+                                engine.failure_probabilities(&ts).expect("batched eval");
+                            } else {
+                                for &t in &ts {
+                                    engine.failure_probability(t).expect("scalar eval");
+                                }
+                            }
+                        })
+                    },
+                );
                 let speedup = scalar_eval_s / batched_eval_s.max(1e-12);
-                if !opts.quick && speedup < 1.0 {
-                    regressions.push(format!(
-                        "{} {} n={}: batched {:.3e}s slower than scalar {:.3e}s ({speedup:.3}x)",
+                gates.bar(speedup >= 1.0, || {
+                    format!(
+                        "{} {} n={n}: batched {batched_eval_s:.3e}s slower than scalar \
+                         {scalar_eval_s:.3e}s ({speedup:.3}x)",
                         benchmark.name(),
                         kind.name(),
-                        ts.len(),
-                        batched_eval_s,
-                        scalar_eval_s,
-                    ));
-                }
+                    )
+                });
                 let row = SweepRow {
                     design: benchmark.name().to_string(),
                     engine: kind.name().to_string(),
@@ -294,22 +210,8 @@ fn main() {
         }
     }
 
-    let report = SweepReport {
-        threads: opts.threads,
+    gates.finish(&SweepReport {
+        threads: threads_flag,
         rows,
-    };
-    std::fs::write(&opts.out, statobd_num::json::to_string_pretty(&report))
-        .expect("report written");
-    println!("wrote {}", opts.out);
-    if !all_identical {
-        eprintln!("ERROR: batched results diverged from the scalar loop");
-        std::process::exit(1);
-    }
-    if !regressions.is_empty() {
-        eprintln!("ERROR: batched path slower than the scalar loop:");
-        for r in &regressions {
-            eprintln!("  {r}");
-        }
-        std::process::exit(1);
-    }
+    });
 }

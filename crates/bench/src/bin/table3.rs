@@ -12,7 +12,7 @@ use statobd_core::{MonteCarloConfig, StMcConfig};
 use statobd_device::ClosedFormTech;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = statobd_bench::harness::quick_flag();
     let designs: Vec<Benchmark> = if quick {
         vec![Benchmark::C1, Benchmark::C2]
     } else {

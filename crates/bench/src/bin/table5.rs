@@ -11,7 +11,7 @@ use statobd_core::MonteCarloConfig;
 use statobd_device::ClosedFormTech;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = statobd_bench::harness::quick_flag();
     let mc_chips = if quick { 200 } else { 1000 };
     let rhos = [0.05, 0.25, 0.5];
     let grid_sides = [10usize, 20, 25];

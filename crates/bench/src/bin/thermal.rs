@@ -27,6 +27,7 @@
 //! steady map (block mean and max within 1e-6 K); the run exits non-zero
 //! on mismatch. Defaults measure the algorithmic win at `--threads 1`.
 
+use statobd_bench::harness::{at_least, list, Cli};
 use statobd_num::impl_json_struct;
 use statobd_thermal::{
     alpha_ev6_floorplan, alpha_ev6_power, BlockPower, Floorplan, PowerModel, TemperatureMap,
@@ -97,55 +98,6 @@ struct ThermalReport {
 
 impl_json_struct!(ThermalReport { threads, rows });
 
-struct Options {
-    out: String,
-    grids: Vec<usize>,
-    threads: usize,
-}
-
-fn parse_options() -> Options {
-    let mut opts = Options {
-        out: "BENCH_thermal.json".to_string(),
-        grids: vec![64, 128, 256, 512],
-        threads: 1,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--quick" => opts.grids = vec![32, 64],
-            "--out" => opts.out = value("--out"),
-            "--grids" => {
-                opts.grids = value("--grids")
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse().unwrap_or_else(|_| {
-                            eprintln!("bad grid side {s:?}");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-            }
-            "--threads" => {
-                opts.threads = value("--threads").parse().unwrap_or_else(|_| {
-                    eprintln!("bad thread count");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    opts
-}
-
 /// The alpha power profile with leakage folded into fixed dynamic power —
 /// turns the fixed point into a single linear solve of the same total
 /// wattage.
@@ -206,9 +158,17 @@ fn print_row(row: &ThermalRow) {
 }
 
 fn main() {
-    let opts = parse_options();
+    let mut cli = Cli::from_env();
+    let threads = cli.threads(1);
+    let grids = cli.flag(
+        "--grids",
+        list(at_least(1)),
+        vec![64, 128, 256, 512],
+        vec![32, 64],
+    );
+    let mut gates = cli.gates("BENCH_thermal.json");
     // The thermal solver reads its thread budget from the environment.
-    std::env::set_var("STATOBD_THREADS", opts.threads.to_string());
+    std::env::set_var("STATOBD_THREADS", threads.to_string());
     let fp = alpha_ev6_floorplan().expect("floorplan");
     let pm = alpha_ev6_power().expect("power");
     let pm_steady = zero_leakage(&pm);
@@ -220,8 +180,7 @@ fn main() {
     ];
 
     let mut rows: Vec<ThermalRow> = Vec::new();
-    let mut all_consistent = true;
-    for &side in &opts.grids {
+    for &side in &grids {
         println!("grid {side}x{side} ({} cells):", side * side);
         let mut reference: Option<Vec<f64>> = None;
         let mut leakage_reference: Option<Vec<f64>> = None;
@@ -232,43 +191,9 @@ fn main() {
         };
 
         for &solver in &solvers {
-            // Steady: one linear solve, the headline comparison.
-            let t0 = std::time::Instant::now();
-            let map = ThermalSolver::new(config(side, solver, true))
-                .solve(&fp, &pm_steady)
-                .expect("steady solve");
-            let total_s = t0.elapsed().as_secs_f64();
-            let temps = block_temps(&map, &fp);
-            let consistent = reference
-                .as_ref()
-                .map(|r| agrees(&temps, r))
-                .unwrap_or(true);
-            all_consistent &= consistent;
-            if reference.is_none() {
-                reference = Some(temps);
-            }
-            let b = map.breakdown();
-            let row = ThermalRow {
-                grid_side: side,
-                n_cells: side * side,
-                kind: "steady".to_string(),
-                solver: b.solver.clone(),
-                assembly_s: b.assembly_s,
-                precond_s: b.precond_s,
-                solve_s: b.solve_s,
-                total_s,
-                outer_iters: map.leakage_iterations(),
-                total_cg_iters: map.total_cg_iterations(),
-                final_residual: map.final_residual(),
-                speedup_vs_jacobi: baseline(&rows, "steady")
-                    .map(|b| b / total_s.max(1e-12))
-                    .unwrap_or(0.0),
-                consistent,
-            };
-            print_row(&row);
-            rows.push(row);
-
-            // Leakage fixed point, warm vs cold.
+            // Steady: one linear solve, the headline comparison; then the
+            // leakage fixed point, warm vs cold.
+            let mut kinds = vec![("steady", true)];
             if matches!(
                 solver,
                 ThermalSolverKind::PlainCg | ThermalSolverKind::JacobiPcg
@@ -278,23 +203,29 @@ fn main() {
                     "  (skipping {} leakage rows at {side}x{side}: cold loop is minutes-slow)",
                     solver.name()
                 );
-                continue;
+            } else {
+                kinds.extend([("leakage_warm", true), ("leakage_cold", false)]);
             }
-            for (kind, warm) in [("leakage_warm", true), ("leakage_cold", false)] {
+            for (kind, warm) in kinds {
+                let (power, reference) = if kind == "steady" {
+                    (&pm_steady, &mut reference)
+                } else {
+                    (&pm, &mut leakage_reference)
+                };
                 let t0 = std::time::Instant::now();
                 let map = ThermalSolver::new(config(side, solver, warm))
-                    .solve(&fp, &pm)
-                    .expect("leakage solve");
+                    .solve(&fp, power)
+                    .expect("thermal solve");
                 let total_s = t0.elapsed().as_secs_f64();
                 let temps = block_temps(&map, &fp);
-                let consistent = leakage_reference
-                    .as_ref()
-                    .map(|r| agrees(&temps, r))
-                    .unwrap_or(true);
-                all_consistent &= consistent;
-                if leakage_reference.is_none() {
-                    leakage_reference = Some(temps);
-                }
+                let consistent = reference.as_ref().is_none_or(|r| agrees(&temps, r));
+                gates.check(consistent, || {
+                    format!(
+                        "{side}x{side} {kind} {}: block temperatures diverged from the reference",
+                        solver.name()
+                    )
+                });
+                reference.get_or_insert(temps);
                 let b = map.breakdown();
                 let row = ThermalRow {
                     grid_side: side,
@@ -347,15 +278,5 @@ fn main() {
         rows.push(row);
     }
 
-    let report = ThermalReport {
-        threads: opts.threads,
-        rows,
-    };
-    std::fs::write(&opts.out, statobd_num::json::to_string_pretty(&report))
-        .expect("report written");
-    println!("wrote {}", opts.out);
-    if !all_consistent {
-        eprintln!("ERROR: a solver produced block temperatures diverging from the reference");
-        std::process::exit(1);
-    }
+    gates.finish(&ThermalReport { threads, rows });
 }

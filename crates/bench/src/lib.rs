@@ -1,9 +1,10 @@
 //! Shared harness utilities for the table/figure reproduction binaries.
 //!
 //! Every binary in this crate regenerates one table or figure of the
-//! paper's evaluation; this library holds the shared plumbing: building
-//! the thickness model for a design, timing engines, solving the
-//! per-million lifetime criteria and formatting rows.
+//! paper's evaluation or re-checks one gated claim; this library holds
+//! the shared plumbing: building the thickness model for a design,
+//! timing engines, solving the per-million lifetime criteria, formatting
+//! rows, and the [`harness`] the gated binaries run on.
 
 use statobd_circuits::BuiltDesign;
 use statobd_core::{
@@ -14,6 +15,7 @@ use statobd_device::ObdTechnology;
 use statobd_variation::{CorrelationKernel, ThicknessModel, ThicknessModelBuilder, VarianceBudget};
 use std::time::Instant;
 
+pub mod harness;
 pub mod timing;
 
 /// Default lifetime search bracket (seconds).
@@ -155,24 +157,8 @@ pub const MIN_MEASURE_S: f64 = 1e-3;
 /// repetitions, each amplified to at least [`MIN_MEASURE_S`] of work,
 /// returning seconds per single call of `f`. The first (probe) call also
 /// serves as a warm-up for caches and lazy state inside `f`.
-pub fn measure_min(mut f: impl FnMut()) -> f64 {
-    let probe_start = Instant::now();
-    f();
-    let probe = probe_start.elapsed().as_secs_f64();
-    let iters = if probe < MIN_MEASURE_S {
-        ((MIN_MEASURE_S / probe.max(1e-9)).ceil() as usize).clamp(2, 10_000)
-    } else {
-        1
-    };
-    let mut best = probe;
-    for _ in 0..MEASURE_REPS - 1 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(start.elapsed().as_secs_f64() / iters as f64);
-    }
-    best
+pub fn measure_min<T>(f: impl FnMut() -> T) -> f64 {
+    timing::sample(MIN_MEASURE_S, MEASURE_REPS - 1, f64::INFINITY, f).best_s
 }
 
 /// Formats seconds for table cells: sub-millisecond values in scientific

@@ -86,11 +86,7 @@ impl GuardBand {
             alpha_worst_s: worst.alpha_s(),
             b_worst: worst.b_per_nm(),
             total_area: analysis.spec().total_area(),
-            block_areas: analysis
-                .blocks()
-                .iter()
-                .map(|b| b.spec().area())
-                .collect(),
+            block_areas: analysis.blocks().iter().map(|b| b.spec().area()).collect(),
             composition: analysis.composition().clone(),
         })
     }

@@ -16,8 +16,8 @@
 //! reliability monitor.
 
 use crate::chip::ChipAnalysis;
-use crate::engines::st_fast::{BlockQuadrature, StFastConfig};
 use crate::engines::composition::Composition;
+use crate::engines::st_fast::{BlockQuadrature, StFastConfig};
 use crate::engines::ReliabilityEngine;
 use crate::gfun::GCoefficients;
 use crate::{CoreError, Result};

@@ -81,13 +81,13 @@ pub mod params;
 
 pub use blod::{uv_from_grid_base, BlodMoments, MeanDist, VarianceDist};
 pub use chip::{AnalysisBlock, BlockSpec, ChipAnalysis, ChipSpec};
+pub use engines::composition::{Composition, CompositionAccumulator, RedundancyGroup};
 pub use engines::guard::{GuardBand, GuardBandConfig};
 pub use engines::hybrid::{HybridConfig, HybridTables};
 pub use engines::monte_carlo::{MonteCarlo, MonteCarloConfig};
 pub use engines::st_closed::StClosed;
 pub use engines::st_fast::{StFast, StFastConfig, VarianceMethod};
 pub use engines::st_mc::{StMc, StMcConfig};
-pub use engines::composition::{Composition, CompositionAccumulator, RedundancyGroup};
 pub use engines::{
     build_engine, compose_weakest_link, edit_distance, EngineKind, EngineSpec, ReliabilityEngine,
     WeakestLink,

@@ -239,10 +239,7 @@ impl ReliabilityManager {
     ///
     /// Propagates table-query failures.
     pub fn failure_probability_now(&self) -> Result<f64> {
-        let mut chip = self
-            .tables
-            .composition()
-            .accumulator(self.last_b.len());
+        let mut chip = self.tables.composition().accumulator(self.last_b.len());
         for (j, (&xi, &b)) in self
             .damage
             .effective_ages()

@@ -71,13 +71,12 @@
 //!                    cache load, wall time, retained components)
 //!   --curve <n>      print an n-point P(t) failure-rate curve around the
 //!                    solved lifetime (one batched engine sweep)
-//!   --tables <path>  export hybrid lookup tables as JSON
 //! ```
 
 use statobd::circuits::Benchmark;
 use statobd::core::{
     build_engine, params, solve_lifetime, ChipSpec, EngineKind, EngineSpec, GuardBand,
-    GuardBandConfig, HybridConfig, HybridTables, MonteCarloConfig, StFast, StFastConfig,
+    GuardBandConfig, HybridConfig, MonteCarloConfig, StFast, StFastConfig,
 };
 use statobd::manager::{
     DamageState, DvfsLevel, ManageSpec, ManagerConfig, MissionProfile, PhaseSpec, PolicyConfig,
@@ -100,7 +99,6 @@ struct Options {
     threads: Option<usize>,
     mc_chips: Option<usize>,
     curve_points: Option<usize>,
-    tables_out: Option<String>,
     cache: bool,
     timings: bool,
 }
@@ -116,7 +114,6 @@ impl Default for Options {
             threads: None,
             mc_chips: None,
             curve_points: None,
-            tables_out: None,
             cache: false,
             timings: false,
         }
@@ -154,7 +151,7 @@ impl Options {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  statobd template <out.json>\n  statobd analyze <spec.json> [--rho f] [--grid n] [--l0 n] [--target f] [--engine name] [--threads n] [--mc n] [--curve n] [--tables path] [--cache] [--timings]\n  statobd bench <C1|C2|C3|C4|C5|C6|MC16> [same options]\n  statobd serve [--socket path] [--cache-dir path] [--no-cache|--quick] [--max-sessions n]\n  statobd thermal <floorplan.json> <power.json> [--solver name] [--grid n] [--timings]\n  statobd manage <spec.json> <schedule.json> [--rho f] [--grid n] [--l0 n] [--threads n] [--checkpoint path]\n  statobd manage template <out.json>\n  statobd fleet <spec.json|C1..MC16> [--chips n] [--profile name] [--seed n] [--budget f] [--wafer-depth f] [--rho f] [--grid n] [--threads n] [--shards n] [--spares n] [--json]"
+        "usage:\n  statobd template <out.json>\n  statobd analyze <spec.json> [--rho f] [--grid n] [--l0 n] [--target f] [--engine name] [--threads n] [--mc n] [--curve n] [--cache] [--timings]\n  statobd bench <C1|C2|C3|C4|C5|C6|MC16> [same options]\n  statobd serve [--socket path] [--cache-dir path] [--no-cache|--quick] [--max-sessions n]\n  statobd thermal <floorplan.json> <power.json> [--solver name] [--grid n] [--timings]\n  statobd manage <spec.json> <schedule.json> [--rho f] [--grid n] [--l0 n] [--threads n] [--checkpoint path]\n  statobd manage template <out.json>\n  statobd fleet <spec.json|C1..MC16> [--chips n] [--profile name] [--seed n] [--budget f] [--wafer-depth f] [--rho f] [--grid n] [--threads n] [--shards n] [--spares n] [--json]"
     );
     ExitCode::FAILURE
 }
@@ -307,7 +304,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                         .map_err(|e| format!("--threads: {e}"))?,
                 )
             }
-            "--tables" => opts.tables_out = Some(value("--tables")?),
             "--cache" => opts.cache = true,
             "--timings" => opts.timings = true,
             other => return Err(format!("unknown option {other}")),
@@ -702,14 +698,6 @@ fn report(design: DesignSource, opts: &Options) -> Result<(), String> {
             kind,
             100.0 * ((t_fast - t_mc) / t_mc).abs()
         );
-    }
-
-    if let Some(path) = &opts.tables_out {
-        let tables =
-            HybridTables::build(analysis, HybridConfig::default()).map_err(|e| e.to_string())?;
-        std::fs::write(path, tables.to_json().map_err(|e| e.to_string())?)
-            .map_err(|e| e.to_string())?;
-        println!("hybrid lookup tables written to {path}");
     }
 
     println!("\nper-block contributions at the {kind} lifetime:");

@@ -76,35 +76,6 @@ fn unknown_option_is_reported() {
 }
 
 #[test]
-fn tables_export_writes_valid_json() {
-    let dir = std::env::temp_dir().join("statobd_cli_tables");
-    std::fs::create_dir_all(&dir).unwrap();
-    let spec = dir.join("spec.json");
-    let tables = dir.join("tables.json");
-    Command::new(bin())
-        .args(["template", spec.to_str().unwrap()])
-        .output()
-        .expect("template");
-    let out = Command::new(bin())
-        .args([
-            "analyze",
-            spec.to_str().unwrap(),
-            "--grid",
-            "6",
-            "--tables",
-            tables.to_str().unwrap(),
-        ])
-        .output()
-        .expect("analyze with tables");
-    assert!(out.status.success(), "{out:?}");
-    let json = std::fs::read_to_string(&tables).unwrap();
-    // Must load back as hybrid tables.
-    let restored = statobd::core::HybridTables::from_json(&json);
-    assert!(restored.is_ok());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn degenerate_option_values_fail_fast() {
     // These used to parse fine and blow up (or mislead) deep inside the
     // analysis; now the CLI rejects them before building anything.
