@@ -34,13 +34,13 @@ fn bench_spectral_eigen() {
         let a = DMatrix::from_fn(n, n, |i, j| {
             (-((i as f64 - j as f64).abs()) / (n as f64 / 4.0)).exp()
         });
-        // Full-spectrum backends.
-        for solver in [SpectralSolver::Jacobi, SpectralSolver::TridiagonalQl] {
-            let opts = SpectralOptions::full().with_solver(solver).with_threads(1);
-            group.bench(&format!("{}_{n}x{n}", solver.name()), || {
-                black_box(SymmetricEigen::with_options(&a, &opts).unwrap())
-            });
-        }
+        // Full-spectrum backend.
+        let opts = SpectralOptions::full()
+            .with_solver(SpectralSolver::TridiagonalQl)
+            .with_threads(1);
+        group.bench(&format!("tridiagonal_ql_{n}x{n}"), || {
+            black_box(SymmetricEigen::with_options(&a, &opts).unwrap())
+        });
         // Top-k path at the default model-construction energy target.
         let opts = SpectralOptions::energy(0.95)
             .with_solver(SpectralSolver::Lanczos)

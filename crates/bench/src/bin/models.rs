@@ -1,5 +1,5 @@
 //! Model-construction benchmark: times `ThicknessModelBuilder` across the
-//! spectral backends (Jacobi reference, Householder+QL full spectrum,
+//! spectral backends (Householder+QL full spectrum, the reference, and
 //! Lanczos top-k) and emits machine-readable `BENCH_models.json` so the
 //! repo accumulates a perf trajectory for the spectral pipeline.
 //!
@@ -13,7 +13,7 @@
 //! ```text
 //! cargo run --release -p statobd-bench --bin models -- \
 //!     [--quick] [--out BENCH_models.json] [--grids 8,16,32] \
-//!     [--threads 1] [--solvers jacobi,tridiagonal_ql,lanczos] \
+//!     [--threads 1] [--solvers tridiagonal_ql,lanczos] \
 //!     [--energy 0.95]
 //! ```
 //!
@@ -24,7 +24,7 @@
 //! { "threads": 1, "energy": 0.95, "rows": [ { "grid_side": 32,
 //!   "n_grids": 1024, "solver": "lanczos", "energy_fraction": 0.95,
 //!   "n_components": ..., "covariance_s": ..., "eigen_s": ...,
-//!   "truncation_s": ..., "total_s": ..., "speedup_vs_jacobi": ...,
+//!   "truncation_s": ..., "total_s": ..., "speedup_vs_ql": ...,
 //!   "consistent": true }, ... ] }
 //! ```
 
@@ -57,10 +57,10 @@ struct ModelRow {
     truncation_s: f64,
     /// Whole model construction.
     total_s: f64,
-    /// Jacobi total at the same energy target divided by this total
-    /// (0 when no Jacobi baseline ran).
-    speedup_vs_jacobi: f64,
-    /// Whether the model matches the Jacobi-built one (component count and
+    /// QL total at the same energy target divided by this total (0 when no
+    /// QL baseline ran).
+    speedup_vs_ql: f64,
+    /// Whether the model matches the QL-built one (component count and
     /// probed covariance entries; the run aborts non-zero if any is false).
     consistent: bool,
 }
@@ -75,7 +75,7 @@ impl_json_struct!(ModelRow {
     eigen_s,
     truncation_s,
     total_s,
-    speedup_vs_jacobi,
+    speedup_vs_ql,
     consistent
 });
 
@@ -97,11 +97,10 @@ impl_json_struct!(ModelReport {
 
 fn parse_solver(name: &str) -> Result<SpectralSolver, String> {
     match name.to_ascii_lowercase().as_str() {
-        "jacobi" => Ok(SpectralSolver::Jacobi),
         "tridiagonal_ql" | "ql" => Ok(SpectralSolver::TridiagonalQl),
         "lanczos" => Ok(SpectralSolver::Lanczos),
         other => Err(format!(
-            "unknown solver {other:?} (expected jacobi, tridiagonal_ql or lanczos)"
+            "unknown solver {other:?} (expected tridiagonal_ql or lanczos)"
         )),
     }
 }
@@ -120,7 +119,7 @@ fn build_with(
         .expect("model builds")
 }
 
-/// Component count plus probed covariance entries must match the Jacobi
+/// Component count plus probed covariance entries must match the QL
 /// reference (the spectral backend must not change the model).
 fn models_agree(model: &ThicknessModel, reference: &ThicknessModel) -> bool {
     let n = reference.n_grids();
@@ -138,11 +137,7 @@ fn main() {
     let threads = cli.threads(1);
     // A 1×1 grid has no correlation structure to decompose.
     let grids = cli.flag("--grids", list(at_least(2)), vec![8, 16, 32], vec![8, 16]);
-    let all_solvers = vec![
-        SpectralSolver::Jacobi,
-        SpectralSolver::TridiagonalQl,
-        SpectralSolver::Lanczos,
-    ];
+    let all_solvers = vec![SpectralSolver::TridiagonalQl, SpectralSolver::Lanczos];
     let solvers = cli.flag(
         "--solvers",
         list(parse_solver),
@@ -181,17 +176,19 @@ fn main() {
                 gates.check(consistent, || {
                     format!(
                         "{side}x{side} {} at energy {energy}: model diverged from the \
-                         Jacobi reference",
+                         QL reference",
                         solver.name()
                     )
                 });
-                if solver == SpectralSolver::Jacobi {
+                if solver == SpectralSolver::TridiagonalQl {
                     reference = Some(model);
                 }
                 let baseline = rows
                     .iter()
                     .find(|r: &&ModelRow| {
-                        r.grid_side == side && r.solver == "jacobi" && r.energy_fraction == energy
+                        r.grid_side == side
+                            && r.solver == "tridiagonal_ql"
+                            && r.energy_fraction == energy
                     })
                     .map(|r| r.total_s);
                 let total_s = stats.total_s();
@@ -205,7 +202,7 @@ fn main() {
                     eigen_s: stats.eigen_s,
                     truncation_s: stats.truncation_s,
                     total_s,
-                    speedup_vs_jacobi: baseline.map(|b| b / total_s.max(1e-12)).unwrap_or(0.0),
+                    speedup_vs_ql: baseline.map(|b| b / total_s.max(1e-12)).unwrap_or(0.0),
                     consistent,
                 };
                 println!(
@@ -218,7 +215,7 @@ fn main() {
                     row.eigen_s,
                     row.truncation_s,
                     row.total_s,
-                    row.speedup_vs_jacobi,
+                    row.speedup_vs_ql,
                     if consistent { "ok" } else { "MISMATCH" }
                 );
                 rows.push(row);

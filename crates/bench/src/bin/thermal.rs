@@ -1,7 +1,7 @@
 //! Thermal linear-algebra benchmark: times the steady-state solve, the
 //! leakage fixed point (warm vs cold start) and the transient stepper
-//! across the linear-solver tiers (plain CG, Jacobi-PCG, IC(0)-PCG,
-//! MGCG) on the Alpha EV6 reference profile, and emits machine-readable
+//! with both linear solvers (IC(0)-PCG, the reference, and MGCG) on the
+//! Alpha EV6 reference profile, and emits machine-readable
 //! `BENCH_thermal.json` so the repo accumulates a perf trajectory for the
 //! thermal fast path.
 //!
@@ -14,18 +14,18 @@
 //! Row kinds:
 //!
 //! * `steady` — one linear solve (leakage folded into fixed dynamic
-//!   power), every solver at every grid: the MGCG-vs-Jacobi speedup
+//!   power), both solvers at every grid: the MGCG-vs-IC(0) speedup
 //!   headline.
 //! * `leakage_warm` / `leakage_cold` — the full leakage–temperature fixed
 //!   point with warm starting on and off; the CG-iteration totals show
-//!   what warm starting buys. Plain CG and Jacobi-PCG are skipped above
-//!   128² where a cold leakage loop costs minutes.
+//!   what warm starting buys.
 //! * `transient` — a 3·τ_v backward-Euler run with the auto-dispatched
 //!   solver: one operator + preconditioner build amortized over all steps.
 //!
 //! Every solved temperature field is checked against the grid's first
-//! steady map (block mean and max within 1e-6 K); the run exits non-zero
-//! on mismatch. Defaults measure the algorithmic win at `--threads 1`.
+//! IC(0) map of the same problem, steady or leakage (block mean and max
+//! within 1e-6 K); the run exits non-zero on mismatch. Defaults measure
+//! the algorithmic win at `--threads 1`.
 
 use statobd_bench::harness::{at_least, list, Cli};
 use statobd_num::impl_json_struct;
@@ -36,10 +36,6 @@ use statobd_thermal::{
 
 /// Consistency tolerance (K) on block mean/max temperatures.
 const AGREE_TOL_K: f64 = 1e-6;
-
-/// Cold leakage loops with non-scalable solvers are minutes-slow past
-/// this grid side; those cells are skipped (and logged).
-const SLOW_SOLVER_LEAKAGE_LIMIT: usize = 128;
 
 /// One measurement: a (grid, kind, solver) cell.
 #[derive(Debug, Clone)]
@@ -64,9 +60,9 @@ struct ThermalRow {
     total_cg_iters: usize,
     /// Relative residual of the final CG solve (0 for transient rows).
     final_residual: f64,
-    /// Jacobi-PCG total at the same (grid, kind) divided by this total
-    /// (0 when no Jacobi baseline ran).
-    speedup_vs_jacobi: f64,
+    /// IC(0)-PCG total at the same (grid, kind) divided by this total (0
+    /// for the IC(0) rows themselves and for transient rows).
+    speedup_vs_ic0: f64,
     /// Whether block temperatures match the grid's reference map (the run
     /// aborts non-zero if any is false).
     consistent: bool,
@@ -84,7 +80,7 @@ impl_json_struct!(ThermalRow {
     outer_iters,
     total_cg_iters,
     final_residual,
-    speedup_vs_jacobi,
+    speedup_vs_ic0,
     consistent
 });
 
@@ -152,7 +148,7 @@ fn print_row(row: &ThermalRow) {
         row.precond_s,
         row.solve_s,
         row.total_s,
-        row.speedup_vs_jacobi,
+        row.speedup_vs_ic0,
         if row.consistent { "ok" } else { "MISMATCH" }
     );
 }
@@ -172,12 +168,7 @@ fn main() {
     let fp = alpha_ev6_floorplan().expect("floorplan");
     let pm = alpha_ev6_power().expect("power");
     let pm_steady = zero_leakage(&pm);
-    let solvers = [
-        ThermalSolverKind::JacobiPcg,
-        ThermalSolverKind::PlainCg,
-        ThermalSolverKind::Ic0Pcg,
-        ThermalSolverKind::Mgcg,
-    ];
+    let solvers = [ThermalSolverKind::Ic0Pcg, ThermalSolverKind::Mgcg];
 
     let mut rows: Vec<ThermalRow> = Vec::new();
     for &side in &grids {
@@ -186,27 +177,18 @@ fn main() {
         let mut leakage_reference: Option<Vec<f64>> = None;
         let baseline = |rows: &[ThermalRow], kind: &str| {
             rows.iter()
-                .find(|r| r.grid_side == side && r.kind == kind && r.solver == "jacobi_pcg")
+                .find(|r| r.grid_side == side && r.kind == kind && r.solver == "ic0_pcg")
                 .map(|r| r.total_s)
         };
 
         for &solver in &solvers {
             // Steady: one linear solve, the headline comparison; then the
             // leakage fixed point, warm vs cold.
-            let mut kinds = vec![("steady", true)];
-            if matches!(
-                solver,
-                ThermalSolverKind::PlainCg | ThermalSolverKind::JacobiPcg
-            ) && side > SLOW_SOLVER_LEAKAGE_LIMIT
-            {
-                println!(
-                    "  (skipping {} leakage rows at {side}x{side}: cold loop is minutes-slow)",
-                    solver.name()
-                );
-            } else {
-                kinds.extend([("leakage_warm", true), ("leakage_cold", false)]);
-            }
-            for (kind, warm) in kinds {
+            for (kind, warm) in [
+                ("steady", true),
+                ("leakage_warm", true),
+                ("leakage_cold", false),
+            ] {
                 let (power, reference) = if kind == "steady" {
                     (&pm_steady, &mut reference)
                 } else {
@@ -239,7 +221,7 @@ fn main() {
                     outer_iters: map.leakage_iterations(),
                     total_cg_iters: map.total_cg_iterations(),
                     final_residual: map.final_residual(),
-                    speedup_vs_jacobi: baseline(&rows, kind)
+                    speedup_vs_ic0: baseline(&rows, kind)
                         .map(|b| b / total_s.max(1e-12))
                         .unwrap_or(0.0),
                     consistent,
@@ -271,7 +253,7 @@ fn main() {
             outer_iters: s.steps,
             total_cg_iters: s.total_cg_iterations,
             final_residual: 0.0,
-            speedup_vs_jacobi: 0.0,
+            speedup_vs_ic0: 0.0,
             consistent: true,
         };
         print_row(&row);

@@ -1,14 +1,14 @@
 //! Preconditioned conjugate-gradient solver for symmetric positive-definite
 //! sparse systems (the thermal grid's conductance matrix).
 //!
-//! The solver is generic over a [`Preconditioner`]: the classic Jacobi
-//! diagonal lives here, zero-fill incomplete Cholesky in
-//! [`crate::precond`], and a geometric-multigrid V-cycle in
-//! [`crate::multigrid`] — the latter two are what make large thermal grids
-//! converge in tens rather than thousands of iterations. [`solve_pcg`]
-//! additionally accepts an initial guess so fixed-point loops (the thermal
-//! leakage iteration, implicit transient stepping) can warm-start from the
-//! previous solution.
+//! The solver is generic over a [`Preconditioner`]: zero-fill incomplete
+//! Cholesky lives in [`crate::precond`] and a geometric-multigrid V-cycle
+//! in [`crate::multigrid`] — they are what make large thermal grids
+//! converge in tens rather than thousands of iterations. The identity
+//! ([`IdentityPreconditioner`], plain CG) is the unpreconditioned baseline
+//! the tests measure them against. [`solve_pcg`] accepts an initial guess
+//! so fixed-point loops (the thermal leakage iteration, implicit transient
+//! stepping) can warm-start from the previous solution.
 
 use crate::matrix::{axpy, dot};
 use crate::sparse::CsrMatrix;
@@ -48,43 +48,6 @@ impl Preconditioner for IdentityPreconditioner {
     }
 }
 
-/// The Jacobi (diagonal) preconditioner `M = diag(A)`.
-#[derive(Debug, Clone)]
-pub struct JacobiPreconditioner {
-    inv_diag: Vec<f64>,
-}
-
-impl JacobiPreconditioner {
-    /// Extracts the diagonal of `a`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::NotPositiveDefinite`] if any diagonal entry is
-    /// not strictly positive.
-    pub fn new(a: &CsrMatrix) -> Result<Self> {
-        let d = a.diagonal();
-        if d.iter().any(|&v| v <= 0.0) {
-            return Err(NumError::NotPositiveDefinite);
-        }
-        Ok(JacobiPreconditioner {
-            inv_diag: d.iter().map(|&v| 1.0 / v).collect(),
-        })
-    }
-}
-
-impl Preconditioner for JacobiPreconditioner {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        assert_eq!(r.len(), self.inv_diag.len(), "dimension mismatch");
-        for ((zi, ri), di) in z.iter_mut().zip(r).zip(&self.inv_diag) {
-            *zi = ri * di;
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "jacobi"
-    }
-}
-
 /// Options controlling the conjugate-gradient iteration.
 #[derive(Debug, Clone, Copy)]
 pub struct CgOptions {
@@ -92,9 +55,6 @@ pub struct CgOptions {
     pub rel_tol: f64,
     /// Hard cap on iterations.
     pub max_iter: usize,
-    /// Use the Jacobi (diagonal) preconditioner ([`solve_cg`] only;
-    /// [`solve_pcg`] takes the preconditioner as an argument).
-    pub jacobi_precondition: bool,
 }
 
 impl Default for CgOptions {
@@ -102,7 +62,6 @@ impl Default for CgOptions {
         CgOptions {
             rel_tol: 1e-10,
             max_iter: 10_000,
-            jacobi_precondition: true,
         }
     }
 }
@@ -118,11 +77,18 @@ pub struct CgSolution {
     pub relative_residual: f64,
 }
 
-/// Solves `A·x = b` for SPD `A` by preconditioned conjugate gradients.
+/// Solves `A·x = b` for SPD `A` by conjugate gradients with the
+/// preconditioner `m` and an optional warm-start guess `x0` (`None` starts
+/// from zero).
+///
+/// The convergence test is on the *true* residual `‖b − A·x‖ ≤
+/// rel_tol·‖b‖`, independent of the guess and the preconditioner, so
+/// different variants of the same solve are directly comparable.
 ///
 /// # Errors
 ///
-/// * [`NumError::Dimension`] if shapes are inconsistent,
+/// * [`NumError::Dimension`] if shapes are inconsistent (including an
+///   `x0` of the wrong length),
 /// * [`NumError::NoConvergence`] if `max_iter` is exhausted,
 /// * [`NumError::NotPositiveDefinite`] if a non-positive curvature
 ///   `pᵀ·A·p ≤ 0` is detected (the matrix is not SPD).
@@ -131,7 +97,7 @@ pub struct CgSolution {
 ///
 /// ```
 /// use statobd_num::sparse::CooMatrix;
-/// use statobd_num::cg::{solve_cg, CgOptions};
+/// use statobd_num::cg::{solve_pcg, CgOptions, IdentityPreconditioner};
 ///
 /// let mut coo = CooMatrix::new(2, 2);
 /// coo.push(0, 0, 4.0);
@@ -139,30 +105,10 @@ pub struct CgSolution {
 /// coo.push(1, 0, 1.0);
 /// coo.push(1, 1, 3.0);
 /// let a = coo.to_csr();
-/// let sol = solve_cg(&a, &[1.0, 2.0], &CgOptions::default())?;
+/// let sol = solve_pcg(&a, &[1.0, 2.0], None, &IdentityPreconditioner, &CgOptions::default())?;
 /// assert!(sol.relative_residual < 1e-9);
 /// # Ok::<(), statobd_num::NumError>(())
 /// ```
-pub fn solve_cg(a: &CsrMatrix, b: &[f64], opts: &CgOptions) -> Result<CgSolution> {
-    if opts.jacobi_precondition {
-        let m = JacobiPreconditioner::new(a)?;
-        solve_pcg(a, b, None, &m, opts)
-    } else {
-        solve_pcg(a, b, None, &IdentityPreconditioner, opts)
-    }
-}
-
-/// Solves `A·x = b` by CG with an explicit preconditioner and an optional
-/// warm-start guess `x0` (`None` starts from zero).
-///
-/// The convergence test is on the *true* residual `‖b − A·x‖ ≤
-/// rel_tol·‖b‖`, independent of the guess and the preconditioner, so
-/// different variants of the same solve are directly comparable.
-///
-/// # Errors
-///
-/// Same contract as [`solve_cg`]; additionally [`NumError::Dimension`] if
-/// `x0` has the wrong length.
 pub fn solve_pcg(
     a: &CsrMatrix,
     b: &[f64],
@@ -241,6 +187,7 @@ pub fn solve_pcg(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::precond::Ic0;
     use crate::sparse::CooMatrix;
 
     fn laplacian_1d(n: usize) -> CsrMatrix {
@@ -258,12 +205,21 @@ mod tests {
         coo.to_csr()
     }
 
+    fn unpreconditioned(
+        a: &CsrMatrix,
+        b: &[f64],
+        x0: Option<&[f64]>,
+        opts: &CgOptions,
+    ) -> Result<CgSolution> {
+        solve_pcg(a, b, x0, &IdentityPreconditioner, opts)
+    }
+
     #[test]
     fn solves_small_spd() {
         let a = laplacian_1d(50);
         let x_true: Vec<f64> = (0..50).map(|i| (i as f64 * 0.3).sin()).collect();
         let b = a.mul_vec(&x_true).unwrap();
-        let sol = solve_cg(&a, &b, &CgOptions::default()).unwrap();
+        let sol = unpreconditioned(&a, &b, None, &CgOptions::default()).unwrap();
         for (xi, ti) in sol.x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-7, "{xi} vs {ti}");
         }
@@ -272,14 +228,15 @@ mod tests {
     #[test]
     fn zero_rhs_returns_zero() {
         let a = laplacian_1d(10);
-        let sol = solve_cg(&a, &[0.0; 10], &CgOptions::default()).unwrap();
+        let sol = unpreconditioned(&a, &[0.0; 10], None, &CgOptions::default()).unwrap();
         assert!(sol.x.iter().all(|&v| v == 0.0));
         assert_eq!(sol.iterations, 0);
     }
 
     #[test]
     fn preconditioner_reduces_iterations() {
-        // Badly scaled diagonal: Jacobi helps a lot.
+        // Badly scaled diagonal: plain CG struggles, IC(0) (exact on a
+        // tridiagonal pattern) converges at once.
         let n = 100;
         let mut coo = CooMatrix::new(n, n);
         for i in 0..n {
@@ -294,17 +251,15 @@ mod tests {
         }
         let a = coo.to_csr();
         let b = vec![1.0; n];
-        let with = solve_cg(&a, &b, &CgOptions::default()).unwrap();
-        let without = solve_cg(
-            &a,
-            &b,
-            &CgOptions {
-                jacobi_precondition: false,
-                ..CgOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(with.iterations <= without.iterations);
+        let opts = CgOptions::default();
+        let with = solve_pcg(&a, &b, None, &Ic0::new(&a).unwrap(), &opts).unwrap();
+        let without = unpreconditioned(&a, &b, None, &opts).unwrap();
+        assert!(
+            with.iterations < without.iterations,
+            "ic0 {} vs unpreconditioned {}",
+            with.iterations,
+            without.iterations
+        );
     }
 
     #[test]
@@ -313,15 +268,7 @@ mod tests {
         coo.push(0, 0, 1.0);
         coo.push(1, 1, -1.0);
         let a = coo.to_csr();
-        let err = solve_pcg(
-            &a,
-            &[1.0, 1.0],
-            None,
-            &IdentityPreconditioner,
-            &CgOptions::default(),
-        );
-        assert!(matches!(err, Err(NumError::NotPositiveDefinite)));
-        let err = solve_cg(&a, &[1.0, 1.0], &CgOptions::default());
+        let err = unpreconditioned(&a, &[1.0, 1.0], None, &CgOptions::default());
         assert!(matches!(err, Err(NumError::NotPositiveDefinite)));
     }
 
@@ -329,15 +276,11 @@ mod tests {
     fn iteration_budget_is_respected() {
         let a = laplacian_1d(200);
         let b = vec![1.0; 200];
-        let err = solve_cg(
-            &a,
-            &b,
-            &CgOptions {
-                max_iter: 2,
-                rel_tol: 1e-14,
-                jacobi_precondition: false,
-            },
-        );
+        let opts = CgOptions {
+            max_iter: 2,
+            rel_tol: 1e-14,
+        };
+        let err = unpreconditioned(&a, &b, None, &opts);
         assert!(matches!(err, Err(NumError::NoConvergence { .. })));
     }
 
@@ -346,15 +289,8 @@ mod tests {
         let a = laplacian_1d(80);
         let x_true: Vec<f64> = (0..80).map(|i| (i as f64 * 0.17).cos()).collect();
         let b = a.mul_vec(&x_true).unwrap();
-        let cold = solve_cg(&a, &b, &CgOptions::default()).unwrap();
-        let warm = solve_pcg(
-            &a,
-            &b,
-            Some(&cold.x),
-            &JacobiPreconditioner::new(&a).unwrap(),
-            &CgOptions::default(),
-        )
-        .unwrap();
+        let cold = unpreconditioned(&a, &b, None, &CgOptions::default()).unwrap();
+        let warm = unpreconditioned(&a, &b, Some(&cold.x), &CgOptions::default()).unwrap();
         assert_eq!(warm.iterations, 0);
         assert_eq!(warm.x, cold.x);
     }
@@ -364,13 +300,12 @@ mod tests {
         let a = laplacian_1d(300);
         let x_true: Vec<f64> = (0..300).map(|i| (i as f64 * 0.05).sin()).collect();
         let b = a.mul_vec(&x_true).unwrap();
-        let m = JacobiPreconditioner::new(&a).unwrap();
         let opts = CgOptions::default();
-        let cold = solve_pcg(&a, &b, None, &m, &opts).unwrap();
+        let cold = unpreconditioned(&a, &b, None, &opts).unwrap();
         // Perturb the exact solution slightly: the warm start should need
         // far fewer iterations than the cold start.
         let guess: Vec<f64> = x_true.iter().map(|&v| v + 1e-6).collect();
-        let warm = solve_pcg(&a, &b, Some(&guess), &m, &opts).unwrap();
+        let warm = unpreconditioned(&a, &b, Some(&guess), &opts).unwrap();
         assert!(
             warm.iterations < cold.iterations,
             "warm {} vs cold {}",
@@ -385,13 +320,7 @@ mod tests {
     #[test]
     fn warm_start_dimension_checked() {
         let a = laplacian_1d(10);
-        let err = solve_pcg(
-            &a,
-            &[1.0; 10],
-            Some(&[0.0; 9]),
-            &IdentityPreconditioner,
-            &CgOptions::default(),
-        );
+        let err = unpreconditioned(&a, &[1.0; 10], Some(&[0.0; 9]), &CgOptions::default());
         assert!(matches!(err, Err(NumError::Dimension { .. })));
     }
 }

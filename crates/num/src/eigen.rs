@@ -1,25 +1,19 @@
-//! Symmetric eigendecomposition with a tiered solver backend.
+//! Symmetric eigendecomposition with a two-backend solver.
 //!
 //! The spatial-correlation matrices used by the variation model are dense
 //! and symmetric, with sizes ranging from a few dozen rows (coarse grids,
-//! BLOD Gram matrices) to a few thousand (fine grids). No single algorithm
-//! is right across that range, so [`SymmetricEigen`] dispatches between
-//! three backends through [`SpectralOptions`]:
+//! BLOD Gram matrices) to a few thousand (fine grids). [`SymmetricEigen`]
+//! dispatches between two backends through [`SpectralOptions`]:
 //!
-//! * **Jacobi** (cyclic / round-robin rotations, in this module) — simple
-//!   and numerically excellent (small eigenvalues to high *relative*
-//!   accuracy), but `O(n³)` per sweep with a large constant. The default
-//!   for small matrices.
 //! * **Tridiagonal QL** ([`crate::tridiag`]) — Householder reduction +
-//!   implicit-shift QL. The full-spectrum workhorse from
-//!   [`SymmetricEigen::JACOBI_MAX_DIM`] upward: same `O(n³)` class but a
-//!   several-fold smaller constant and no sweep-count growth.
+//!   implicit-shift QL. The full-spectrum solver at every size.
 //! * **Lanczos** ([`crate::lanczos`]) — blocked Krylov top-k with full
 //!   reorthogonalization. Used when the caller asks for a truncated
-//!   spectrum (`energy_fraction < 1`) on a large matrix: only the retained
+//!   spectrum (`energy_fraction < 1`) of a matrix at least
+//!   [`SymmetricEigen::LANCZOS_MIN_DIM`] rows: only the retained
 //!   components are ever computed.
 //!
-//! All three sort eigenvalues descending and agree to solver tolerance, so
+//! Both sort eigenvalues descending and agree to solver tolerance, so
 //! consumers can switch freely; the truncation rule is shared
 //! ([`crate::lanczos::filter_full_spectrum`]) so a partial solve retains
 //! exactly the components a full solve + truncate would.
@@ -33,11 +27,10 @@ use crate::{NumError, Result};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpectralSolver {
     /// Choose automatically from the matrix size and requested truncation:
-    /// Jacobi below [`SymmetricEigen::JACOBI_MAX_DIM`], Lanczos for
-    /// truncated spectra of large matrices, tridiagonal QL otherwise.
+    /// Lanczos for truncated spectra from
+    /// [`SymmetricEigen::LANCZOS_MIN_DIM`] rows upward, tridiagonal QL
+    /// otherwise.
     Auto,
-    /// Cyclic (sequential) or round-robin (parallel) Jacobi rotations.
-    Jacobi,
     /// Householder tridiagonalization + implicit-shift QL.
     TridiagonalQl,
     /// Blocked Lanczos with full reorthogonalization (top-k only).
@@ -49,7 +42,6 @@ impl SpectralSolver {
     pub fn name(self) -> &'static str {
         match self {
             SpectralSolver::Auto => "auto",
-            SpectralSolver::Jacobi => "jacobi",
             SpectralSolver::TridiagonalQl => "tridiagonal_ql",
             SpectralSolver::Lanczos => "lanczos",
         }
@@ -59,9 +51,9 @@ impl SpectralSolver {
 /// How much of the spectrum to compute, with which backend, to what
 /// accuracy.
 ///
-/// The default ([`SpectralOptions::full`]) reproduces the historical
-/// behaviour of [`SymmetricEigen::new`]: the complete spectrum, solver
-/// chosen by size. [`SpectralOptions::energy`] requests a truncated
+/// The default ([`SpectralOptions::full`]) is the behaviour of
+/// [`SymmetricEigen::new`]: the complete spectrum by tridiagonal QL.
+/// [`SpectralOptions::energy`] requests a truncated
 /// decomposition that stops once the retained eigenvalues capture the
 /// given fraction of `trace(A)` — on large matrices this takes the
 /// Lanczos path and never computes the discarded components.
@@ -90,10 +82,10 @@ pub struct SpectralOptions {
     pub energy_fraction: f64,
     /// Hard cap on retained components (`None` = no cap).
     pub max_components: Option<usize>,
-    /// Convergence tolerance, relative to the spectral scale: Jacobi
-    /// off-diagonal norm, or Lanczos Ritz-pair residual.
+    /// Lanczos Ritz-pair residual tolerance, relative to the spectral
+    /// scale (QL always converges to working precision).
     pub tol: f64,
-    /// Worker threads for the parallel kernels (`None` = respect the
+    /// Worker threads for the Lanczos kernels (`None` = respect the
     /// `STATOBD_THREADS` environment override, defaulting to the available
     /// cores). Results are bit-identical at any thread count.
     pub threads: Option<usize>,
@@ -208,25 +200,15 @@ pub struct SymmetricEigen {
 }
 
 impl SymmetricEigen {
-    /// Default tolerance on the off-diagonal Frobenius norm, relative to the
-    /// matrix norm.
+    /// Default Lanczos residual tolerance, relative to the matrix norm.
     pub const DEFAULT_TOL: f64 = 1e-12;
-
-    /// Maximum number of Jacobi sweeps before reporting non-convergence.
-    pub const MAX_SWEEPS: usize = 64;
-
-    /// Below this dimension the auto dispatch keeps cyclic Jacobi (its
-    /// high relative accuracy on tiny spectra is worth the constant); at
-    /// or above it the full spectrum goes to tridiagonal QL.
-    pub const JACOBI_MAX_DIM: usize = 64;
 
     /// Truncated spectra of matrices at least this large take the Lanczos
     /// top-k path; smaller ones solve fully and truncate.
     pub const LANCZOS_MIN_DIM: usize = 128;
 
-    /// Computes the **full** eigendecomposition of a symmetric matrix,
-    /// choosing the solver by size (Jacobi below
-    /// [`Self::JACOBI_MAX_DIM`], tridiagonal QL at or above it).
+    /// Computes the **full** eigendecomposition of a symmetric matrix by
+    /// tridiagonal QL.
     ///
     /// # Errors
     ///
@@ -257,51 +239,33 @@ impl SymmetricEigen {
             return Err(NumError::NotSymmetric);
         }
         let n = a.nrows();
-        let threads = crate::parallel::resolve_threads(opts.threads);
         let wants_partial = opts.wants_partial(n);
         let solver = match opts.solver {
-            SpectralSolver::Auto => {
-                if n < Self::JACOBI_MAX_DIM {
-                    SpectralSolver::Jacobi
-                } else if wants_partial && n >= Self::LANCZOS_MIN_DIM {
-                    SpectralSolver::Lanczos
-                } else {
-                    SpectralSolver::TridiagonalQl
-                }
+            SpectralSolver::Auto if wants_partial && n >= Self::LANCZOS_MIN_DIM => {
+                SpectralSolver::Lanczos
             }
+            SpectralSolver::Auto => SpectralSolver::TridiagonalQl,
             s => s,
         };
 
-        let cap = opts.max_components.unwrap_or(n).min(n);
         let rule = StopRule::EnergyFraction(opts.energy_fraction);
-        let truncate = |vals: Vec<f64>, vecs: DMatrix| -> (Vec<f64>, DMatrix) {
+        let (eigenvalues, eigenvectors) = if solver == SpectralSolver::Lanczos {
+            let lopts = LanczosOptions {
+                rule,
+                tol: opts.tol,
+                max_components: opts.max_components,
+                threads: crate::parallel::resolve_threads(opts.threads),
+                ..LanczosOptions::default()
+            };
+            lanczos::top_eigenpairs(a, &lopts)?
+        } else {
+            let (vals, vecs) = symmetric_eigen_ql(a)?;
             if wants_partial {
+                let cap = opts.max_components.unwrap_or(n).min(n);
                 lanczos::filter_full_spectrum(&vals, &vecs, rule, cap)
             } else {
                 (vals, vecs)
             }
-        };
-
-        let (eigenvalues, eigenvectors) = match solver {
-            SpectralSolver::Jacobi => {
-                let full = Self::decompose(a, opts.tol, threads)?;
-                truncate(full.eigenvalues, full.eigenvectors)
-            }
-            SpectralSolver::TridiagonalQl => {
-                let (vals, vecs) = symmetric_eigen_ql(a)?;
-                truncate(vals, vecs)
-            }
-            SpectralSolver::Lanczos => {
-                let lopts = LanczosOptions {
-                    rule,
-                    tol: opts.tol,
-                    max_components: opts.max_components,
-                    threads,
-                    ..LanczosOptions::default()
-                };
-                lanczos::top_eigenpairs(a, &lopts)?
-            }
-            SpectralSolver::Auto => unreachable!("Auto resolved above"),
         };
         Ok(SymmetricEigen {
             eigenvalues,
@@ -309,153 +273,6 @@ impl SymmetricEigen {
             dimension: n,
             solver,
         })
-    }
-
-    /// Matrices at least this large use the parallel round-robin rotation
-    /// ordering; below it the thread fan-out costs more than it saves.
-    pub const PARALLEL_MIN_DIM: usize = 64;
-
-    fn decompose(a: &DMatrix, tol: f64, threads: usize) -> Result<Self> {
-        let n = a.nrows();
-        let mut m = a.clone();
-        // Symmetrize exactly so rounding asymmetry cannot accumulate.
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let avg = 0.5 * (m[(i, j)] + m[(j, i)]);
-                m[(i, j)] = avg;
-                m[(j, i)] = avg;
-            }
-        }
-        let mut v = DMatrix::identity(n);
-        let norm = m.frobenius_norm().max(f64::MIN_POSITIVE);
-        let threshold = tol * norm;
-
-        if n >= Self::PARALLEL_MIN_DIM && threads > 1 {
-            Self::sweep_round_robin(&mut m, &mut v, threshold, threads)?;
-        } else {
-            Self::sweep_cyclic(&mut m, &mut v, threshold)?;
-        }
-
-        // Extract and sort (descending by eigenvalue).
-        let mut order: Vec<usize> = (0..n).collect();
-        let eigenvalues_raw: Vec<f64> = (0..n).map(|i| m[(i, i)]).collect();
-        order.sort_by(|&i, &j| {
-            eigenvalues_raw[j]
-                .partial_cmp(&eigenvalues_raw[i])
-                .expect("eigenvalues are finite")
-        });
-        let eigenvalues: Vec<f64> = order.iter().map(|&i| eigenvalues_raw[i]).collect();
-        let eigenvectors = DMatrix::from_fn(n, n, |i, k| v[(i, order[k])]);
-
-        Ok(SymmetricEigen {
-            eigenvalues,
-            eigenvectors,
-            dimension: n,
-            solver: SpectralSolver::Jacobi,
-        })
-    }
-
-    /// The classic sequential cyclic-by-row ordering.
-    fn sweep_cyclic(m: &mut DMatrix, v: &mut DMatrix, threshold: f64) -> Result<()> {
-        let n = m.nrows();
-        let mut sweeps = 0;
-        loop {
-            let off = off_diagonal_norm(m);
-            if off <= threshold {
-                return Ok(());
-            }
-            if sweeps >= Self::MAX_SWEEPS {
-                return Err(NumError::NoConvergence {
-                    iterations: sweeps,
-                    residual: off,
-                    dimension: n,
-                });
-            }
-            sweeps += 1;
-            for p in 0..n {
-                for q in (p + 1)..n {
-                    let apq = m[(p, q)];
-                    if apq.abs() <= threshold / (n as f64) {
-                        continue;
-                    }
-                    let (c, s) = jacobi_rotation(m[(p, p)], m[(q, q)], apq);
-                    apply_rotation(m, v, p, q, c, s);
-                }
-            }
-        }
-    }
-
-    /// Parallel rotation ordering: a round-robin tournament schedule makes
-    /// each round a set of ⌊n/2⌋ *disjoint* pivot pairs. Disjoint
-    /// rotations commute, so the round's combined rotation `J` applies in
-    /// two parallel passes — columns (`M·J`), then, via the transpose of
-    /// the symmetric intermediate, rows (`Jᵀ·M·J`) — with every pass a
-    /// data-parallel per-row update. Rounds, pair order, and chunk
-    /// boundaries are all fixed, so the decomposition is identical at any
-    /// thread count.
-    fn sweep_round_robin(
-        m: &mut DMatrix,
-        v: &mut DMatrix,
-        threshold: f64,
-        threads: usize,
-    ) -> Result<()> {
-        let n = m.nrows();
-        // Pad to even; the extra slot is a bye the pairing skips.
-        let n_slots = n + n % 2;
-        let mut sweeps = 0;
-        loop {
-            let off = off_diagonal_norm(m);
-            if off <= threshold {
-                return Ok(());
-            }
-            if sweeps >= Self::MAX_SWEEPS {
-                return Err(NumError::NoConvergence {
-                    iterations: sweeps,
-                    residual: off,
-                    dimension: n,
-                });
-            }
-            sweeps += 1;
-            let mut slots: Vec<usize> = (0..n_slots).collect();
-            for _round in 0..n_slots - 1 {
-                // Pivot angles come from the round-start matrix; the
-                // entries they read are untouched by the round's other
-                // (disjoint) rotations, so this matches applying the
-                // round sequentially.
-                let mut rots: Vec<(usize, usize, f64, f64)> = Vec::with_capacity(n_slots / 2);
-                for i in 0..n_slots / 2 {
-                    let (mut p, mut q) = (slots[i], slots[n_slots - 1 - i]);
-                    if p > q {
-                        std::mem::swap(&mut p, &mut q);
-                    }
-                    if q >= n {
-                        continue;
-                    }
-                    let apq = m[(p, q)];
-                    if apq.abs() <= threshold / (n as f64) {
-                        continue;
-                    }
-                    let (c, s) = jacobi_rotation(m[(p, p)], m[(q, q)], apq);
-                    rots.push((p, q, c, s));
-                }
-                if !rots.is_empty() {
-                    apply_round_columns(m, &rots, threads);
-                    *m = m.transpose();
-                    apply_round_columns(m, &rots, threads);
-                    apply_round_columns(v, &rots, threads);
-                }
-                slots[1..].rotate_right(1);
-            }
-            // The transpose trick assumes bit-symmetry; restore it so
-            // rounding asymmetry cannot accumulate across sweeps.
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let avg = 0.5 * (m[(i, j)] + m[(j, i)]);
-                    m[(i, j)] = avg;
-                    m[(j, i)] = avg;
-                }
-            }
-        }
     }
 
     /// Eigenvalues in descending order (the leading `k ≤ n` for truncated
@@ -511,75 +328,6 @@ impl SymmetricEigen {
                 })
                 .sum()
         })
-    }
-}
-
-/// Applies a round of disjoint column rotations (`M ← M·J`) with the rows
-/// fanned out over threads (each row is touched only in columns `p`, `q`
-/// of its own rotations, so rows are independent work items).
-fn apply_round_columns(m: &mut DMatrix, rots: &[(usize, usize, f64, f64)], threads: usize) {
-    let ncols = m.ncols();
-    // 8 rows per chunk balances scheduling overhead against tail idling;
-    // the boundaries depend only on the matrix size.
-    let chunk_len = 8 * ncols;
-    crate::parallel::for_each_chunk_mut(m.as_mut_slice(), chunk_len, threads, |_, chunk| {
-        for row in chunk.chunks_mut(ncols) {
-            for &(p, q, c, s) in rots {
-                let rp = row[p];
-                let rq = row[q];
-                row[p] = c * rp - s * rq;
-                row[q] = s * rp + c * rq;
-            }
-        }
-    });
-}
-
-/// Frobenius norm of the strictly-off-diagonal part.
-fn off_diagonal_norm(m: &DMatrix) -> f64 {
-    let n = m.nrows();
-    let mut acc = 0.0;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            acc += 2.0 * m[(i, j)] * m[(i, j)];
-        }
-    }
-    acc.sqrt()
-}
-
-/// Computes the (cos, sin) of the Jacobi rotation that annihilates `a_pq`.
-fn jacobi_rotation(app: f64, aqq: f64, apq: f64) -> (f64, f64) {
-    let theta = (aqq - app) / (2.0 * apq);
-    // Choose the smaller-magnitude root for stability (Golub & Van Loan).
-    let t = if theta >= 0.0 {
-        1.0 / (theta + (1.0 + theta * theta).sqrt())
-    } else {
-        -1.0 / (-theta + (1.0 + theta * theta).sqrt())
-    };
-    let c = 1.0 / (1.0 + t * t).sqrt();
-    (c, t * c)
-}
-
-/// Applies the symmetric rotation `J(p,q,θ)ᵀ · M · J(p,q,θ)` in place and
-/// accumulates the rotation into `V`.
-fn apply_rotation(m: &mut DMatrix, v: &mut DMatrix, p: usize, q: usize, c: f64, s: f64) {
-    let n = m.nrows();
-    for k in 0..n {
-        let mkp = m[(k, p)];
-        let mkq = m[(k, q)];
-        m[(k, p)] = c * mkp - s * mkq;
-        m[(k, q)] = s * mkp + c * mkq;
-    }
-    for k in 0..n {
-        let mpk = m[(p, k)];
-        let mqk = m[(q, k)];
-        m[(p, k)] = c * mpk - s * mqk;
-        m[(q, k)] = s * mpk + c * mqk;
-    }
-    for k in 0..n {
-        let vkp = v[(k, p)];
-        let vkq = v[(k, q)];
-        v[(k, p)] = c * vkp - s * vkq;
-        v[(k, q)] = s * vkp + c * vkq;
     }
 }
 
@@ -656,45 +404,6 @@ mod tests {
         assert_close(sum, a.trace(), 1e-9);
     }
 
-    #[test]
-    fn parallel_path_matches_sequential_invariants() {
-        // Large enough to take the round-robin path (when >1 core is
-        // available); the sequential path must satisfy the same checks.
-        let side = 9;
-        let n = side * side;
-        assert!(n >= SymmetricEigen::PARALLEL_MIN_DIM);
-        let coord = |k: usize| ((k % side) as f64, (k / side) as f64);
-        let a = DMatrix::from_fn(n, n, |i, j| {
-            let (xi, yi) = coord(i);
-            let (xj, yj) = coord(j);
-            (-(((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt()) / 3.0).exp()
-        });
-        // Force Jacobi: at this size the auto dispatch would pick QL.
-        let opts = SpectralOptions::full().with_solver(SpectralSolver::Jacobi);
-        let e = SymmetricEigen::with_options(&a, &opts).unwrap();
-        assert_eq!(e.solver(), SpectralSolver::Jacobi);
-        // Reconstruction, orthonormality, trace, and PSD-ness.
-        let r = e.reconstruct();
-        for i in 0..n {
-            for j in 0..n {
-                assert_close(r[(i, j)], a[(i, j)], 1e-8);
-            }
-        }
-        let v = e.eigenvectors();
-        let vtv = v.transpose().mul(v).unwrap();
-        for i in 0..n {
-            for j in 0..n {
-                let expected = if i == j { 1.0 } else { 0.0 };
-                assert_close(vtv[(i, j)], expected, 1e-9);
-            }
-        }
-        let sum: f64 = e.eigenvalues().iter().sum();
-        assert_close(sum, a.trace(), 1e-8);
-        for &l in e.eigenvalues() {
-            assert!(l > -1e-8, "eigenvalue {l} should be non-negative");
-        }
-    }
-
     fn grid_kernel(side: usize, corr: f64) -> DMatrix {
         let n = side * side;
         let coord = |k: usize| ((k % side) as f64, (k / side) as f64);
@@ -709,13 +418,14 @@ mod tests {
     fn auto_dispatch_picks_by_size_and_truncation() {
         let small = grid_kernel(4, 2.0); // n = 16
         let e = SymmetricEigen::new(&small).unwrap();
-        assert_eq!(e.solver(), SpectralSolver::Jacobi);
-        assert!(e.is_full());
-
-        let large = grid_kernel(9, 2.0); // n = 81 ≥ JACOBI_MAX_DIM
-        let e = SymmetricEigen::new(&large).unwrap();
         assert_eq!(e.solver(), SpectralSolver::TridiagonalQl);
         assert!(e.is_full());
+
+        // Truncated, but below LANCZOS_MIN_DIM: full QL solve + truncate.
+        let large = grid_kernel(9, 2.0); // n = 81
+        let e = SymmetricEigen::with_options(&large, &SpectralOptions::energy(0.95)).unwrap();
+        assert_eq!(e.solver(), SpectralSolver::TridiagonalQl);
+        assert!(!e.is_full());
         assert_eq!(e.dimension(), 81);
 
         let huge = grid_kernel(12, 2.0); // n = 144 ≥ LANCZOS_MIN_DIM
@@ -726,40 +436,10 @@ mod tests {
     }
 
     #[test]
-    fn solvers_agree_on_the_same_matrix() {
-        let a = grid_kernel(9, 3.0); // n = 81, degenerate pairs included
-        let jac = SymmetricEigen::with_options(
-            &a,
-            &SpectralOptions::full().with_solver(SpectralSolver::Jacobi),
-        )
-        .unwrap();
-        let ql = SymmetricEigen::with_options(
-            &a,
-            &SpectralOptions::full().with_solver(SpectralSolver::TridiagonalQl),
-        )
-        .unwrap();
-        let scale = jac.eigenvalues()[0];
-        for (j, q) in jac.eigenvalues().iter().zip(ql.eigenvalues()) {
-            assert_close(*j, *q, 1e-10 * scale);
-        }
-        // Eigenvectors may differ by sign / degenerate-subspace rotation;
-        // compare the reconstructions instead.
-        let rj = jac.reconstruct();
-        let rq = ql.reconstruct();
-        for (x, y) in rj.as_slice().iter().zip(rq.as_slice()) {
-            assert_close(*x, *y, 1e-9 * scale);
-        }
-    }
-
-    #[test]
     fn truncated_decomposition_matches_leading_full_spectrum() {
         let a = grid_kernel(8, 2.0); // n = 64
         let full = SymmetricEigen::new(&a).unwrap();
-        for solver in [
-            SpectralSolver::Jacobi,
-            SpectralSolver::TridiagonalQl,
-            SpectralSolver::Lanczos,
-        ] {
+        for solver in [SpectralSolver::TridiagonalQl, SpectralSolver::Lanczos] {
             let part =
                 SymmetricEigen::with_options(&a, &SpectralOptions::energy(0.9).with_solver(solver))
                     .unwrap();

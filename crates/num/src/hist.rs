@@ -339,13 +339,6 @@ impl Histogram2d {
         self.counts.iter().map(|&c| c as f64 / n).collect()
     }
 
-    /// Joint density per bin (integrates to 1 over in-range mass).
-    pub fn joint_density(&self) -> Vec<f64> {
-        let (wx, wy) = self.bin_widths();
-        let norm = self.total_in_range.max(1) as f64 * wx * wy;
-        self.counts.iter().map(|&c| c as f64 / norm).collect()
-    }
-
     /// Marginal probability over x (length `xbins`).
     pub fn marginal_x(&self) -> Vec<f64> {
         let n = self.total_in_range.max(1) as f64;

@@ -3,7 +3,7 @@
 //!
 //! The spatial-correlation covariances this workspace decomposes have
 //! rapidly decaying spectra: a handful of Karhunen–Loève components carry
-//! essentially all the variance, yet the full Jacobi or QL solvers pay
+//! essentially all the variance, yet the full QL solver pays
 //! `O(n³)` to resolve every one of the `n` eigenpairs before the consumer
 //! throws most of them away. This module computes only the retained
 //! leading eigenpairs by building a blocked Krylov basis with **full

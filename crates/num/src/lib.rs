@@ -3,18 +3,18 @@
 //! This crate provides the self-contained numerical substrate needed by the
 //! statistical oxide-breakdown reliability analysis:
 //!
-//! * dense linear algebra ([`matrix::DMatrix`], tiered symmetric
-//!   eigendecomposition — Jacobi, Householder tridiagonalization +
-//!   implicit-shift QL, blocked Lanczos top-k — plus Cholesky and LU
-//!   factorizations),
+//! * dense linear algebra ([`matrix::DMatrix`], symmetric
+//!   eigendecomposition — Householder tridiagonalization + implicit-shift
+//!   QL for full spectra, blocked Lanczos for truncated ones — plus a
+//!   Cholesky factorization),
 //! * sparse matrices and a preconditioned conjugate-gradient solver with a
-//!   pluggable [`cg::Preconditioner`] — Jacobi diagonal, zero-fill
-//!   incomplete Cholesky ([`precond::Ic0`]) and a geometric-multigrid
-//!   V-cycle ([`multigrid::Multigrid`]) — used by the thermal simulator,
+//!   pluggable [`cg::Preconditioner`] — zero-fill incomplete Cholesky
+//!   ([`precond::Ic0`]) and a geometric-multigrid V-cycle
+//!   ([`multigrid::Multigrid`]) — used by the thermal simulator,
 //! * special functions (`erf`, `ln_gamma`, regularized incomplete gamma),
 //! * probability distributions (normal, gamma/χ², Weibull, exponential) with
 //!   PDFs, CDFs, quantiles and sampling,
-//! * 1-D and 2-D quadrature rules (midpoint, Simpson, Gauss–Legendre),
+//! * 1-D quadrature rules (midpoint, Simpson, Gauss–Legendre),
 //! * interpolation (linear, bilinear, on rectilinear grids),
 //! * histograms and descriptive statistics (R², mutual information,
 //!   Kolmogorov–Smirnov distance),
@@ -60,7 +60,6 @@ pub mod hist;
 pub mod interp;
 pub mod json;
 pub mod lanczos;
-pub mod lu;
 pub mod matrix;
 pub mod multigrid;
 pub mod parallel;
@@ -87,15 +86,13 @@ pub enum NumError {
     /// A factorization failed because the matrix is not (numerically)
     /// positive definite.
     NotPositiveDefinite,
-    /// A factorization failed because the matrix is singular.
-    Singular,
     /// The input matrix was expected to be symmetric but is not.
     NotSymmetric,
     /// An iterative method failed to converge within its iteration budget.
     NoConvergence {
-        /// Number of iterations (or sweeps) performed before giving up.
+        /// Number of iterations performed before giving up.
         iterations: usize,
-        /// Residual (or remaining off-diagonal norm) at the point of failure.
+        /// Residual at the point of failure.
         residual: f64,
         /// Problem size the iteration ran on (matrix dimension, eigenvalue
         /// count, …) — context for diagnosing which decomposition failed.
@@ -113,7 +110,6 @@ impl std::fmt::Display for NumError {
         match self {
             NumError::Dimension { detail } => write!(f, "dimension mismatch: {detail}"),
             NumError::NotPositiveDefinite => write!(f, "matrix is not positive definite"),
-            NumError::Singular => write!(f, "matrix is singular"),
             NumError::NotSymmetric => write!(f, "matrix is not symmetric"),
             NumError::NoConvergence {
                 iterations,

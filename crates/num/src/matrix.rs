@@ -217,52 +217,6 @@ impl DMatrix {
         y
     }
 
-    /// Matrix–matrix product `A·B` with the rows of the output fanned out
-    /// over `threads` workers (the blocked eigensolver mat-vec kernel).
-    ///
-    /// Row `i` of the output depends only on row `i` of `A`, so the result
-    /// is bit-identical at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::Dimension`] if `self.ncols() != other.nrows()`.
-    pub fn mul_parallel(&self, other: &DMatrix, threads: usize) -> Result<DMatrix> {
-        if self.ncols != other.nrows {
-            return Err(NumError::Dimension {
-                detail: format!(
-                    "cannot multiply {}x{} by {}x{}",
-                    self.nrows, self.ncols, other.nrows, other.ncols
-                ),
-            });
-        }
-        let work = self.nrows * self.ncols * other.ncols;
-        if threads <= 1 || work < Self::PARALLEL_MATVEC_MIN_FLOPS {
-            return self.mul(other);
-        }
-        let mut out = DMatrix::zeros(self.nrows, other.ncols);
-        let rows_per_chunk = 8;
-        let out_cols = other.ncols;
-        crate::parallel::for_each_chunk_mut(
-            out.as_mut_slice(),
-            rows_per_chunk * out_cols,
-            threads,
-            |ci, chunk| {
-                for (r, orow) in chunk.chunks_mut(out_cols).enumerate() {
-                    let i = ci * rows_per_chunk + r;
-                    for (k, &aik) in self.row(i).iter().enumerate() {
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        for (o, b) in orow.iter_mut().zip(other.row(k)) {
-                            *o += aik * b;
-                        }
-                    }
-                }
-            },
-        );
-        Ok(out)
-    }
-
     /// Matrix–matrix product `A·B`.
     ///
     /// # Errors
@@ -531,22 +485,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_products_are_bit_identical_to_serial() {
+    fn parallel_matvec_is_bit_identical_to_serial() {
         // Large enough to take the parallel path when threads > 1.
         let n = 300;
         let a = DMatrix::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 97) as f64 / 9.7 - 5.0);
         let x: Vec<f64> = (0..n).map(|i| ((i * 13) % 29) as f64 - 14.0).collect();
-        let b = DMatrix::from_fn(n, 4, |i, j| ((i * 7 + j * 3) % 23) as f64 - 11.0);
-        let serial_vec = a.mul_vec(&x);
-        let serial_mat = a.mul(&b).unwrap();
+        let serial = a.mul_vec(&x);
         for threads in [1, 2, 8] {
             let pv = a.mul_vec_parallel(&x, threads);
-            for (s, p) in serial_vec.iter().zip(&pv) {
-                assert_eq!(s.to_bits(), p.to_bits(), "matvec, threads={threads}");
-            }
-            let pm = a.mul_parallel(&b, threads).unwrap();
-            for (s, p) in serial_mat.as_slice().iter().zip(pm.as_slice()) {
-                assert_eq!(s.to_bits(), p.to_bits(), "matmul, threads={threads}");
+            for (s, p) in serial.iter().zip(&pv) {
+                assert_eq!(s.to_bits(), p.to_bits(), "threads={threads}");
             }
         }
     }

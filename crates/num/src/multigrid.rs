@@ -12,12 +12,11 @@
 //! symmetric positive definite, and the coarsest level is handled directly
 //! by the existing dense [`Cholesky`].
 //!
-//! The cycle is usable standalone ([`Multigrid::solve`]) or — because the
-//! symmetric smoothing makes one V-cycle an SPD linear operator — as a CG
-//! preconditioner ([`Preconditioner`] impl), which is the configuration
-//! ("MGCG") the thermal solver dispatches to on large grids.
+//! The symmetric smoothing makes one V-cycle an SPD linear operator, so the
+//! cycle serves as a CG preconditioner ([`Preconditioner`] impl): the
+//! configuration ("MGCG") the thermal solver dispatches to on large grids.
 
-use crate::cg::{CgSolution, Preconditioner};
+use crate::cg::Preconditioner;
 use crate::cholesky::Cholesky;
 use crate::matrix::DMatrix;
 use crate::sparse::{CooMatrix, CsrMatrix};
@@ -67,6 +66,7 @@ struct Level {
 /// # Example
 ///
 /// ```
+/// use statobd_num::cg::{solve_pcg, CgOptions};
 /// use statobd_num::multigrid::{Multigrid, MultigridOptions};
 /// use statobd_num::sparse::CooMatrix;
 ///
@@ -90,7 +90,8 @@ struct Level {
 /// }
 /// let a = coo.to_csr();
 /// let mg = Multigrid::new(&a, nx, ny, &MultigridOptions::default())?;
-/// let sol = mg.solve(&vec![1.0; n], None, 1e-10, 50)?;
+/// let b: Vec<f64> = (0..n).map(|i| (i % 5) as f64).collect();
+/// let sol = solve_pcg(&a, &b, None, &mg, &CgOptions::default())?;
 /// assert!(sol.relative_residual <= 1e-10);
 /// # Ok::<(), statobd_num::NumError>(())
 /// ```
@@ -222,7 +223,7 @@ impl Multigrid {
     /// # Panics
     ///
     /// Panics if the vector lengths do not match the operator dimension.
-    pub fn v_cycle(&self, b: &[f64], x: &mut [f64]) {
+    fn v_cycle(&self, b: &[f64], x: &mut [f64]) {
         assert_eq!(b.len(), self.n, "rhs length mismatch");
         assert_eq!(x.len(), self.n, "solution length mismatch");
         self.cycle(0, b, x);
@@ -265,78 +266,6 @@ impl Multigrid {
         }
         self.smooth(level, b, x, self.opts.nu_post);
     }
-
-    /// Solves `A·x = b` by standalone V-cycle iteration from the optional
-    /// warm start `x0`, stopping at `‖b − A·x‖ ≤ rel_tol·‖b‖`.
-    ///
-    /// # Errors
-    ///
-    /// * [`NumError::Dimension`] on mismatched vector lengths,
-    /// * [`NumError::NoConvergence`] if `max_cycles` V-cycles do not reach
-    ///   the tolerance.
-    pub fn solve(
-        &self,
-        b: &[f64],
-        x0: Option<&[f64]>,
-        rel_tol: f64,
-        max_cycles: usize,
-    ) -> Result<CgSolution> {
-        if b.len() != self.n || x0.is_some_and(|x| x.len() != self.n) {
-            return Err(NumError::Dimension {
-                detail: format!(
-                    "multigrid solve needs length-{} vectors, got b {} and x0 {:?}",
-                    self.n,
-                    b.len(),
-                    x0.map(<[f64]>::len)
-                ),
-            });
-        }
-        let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if b_norm == 0.0 {
-            return Ok(CgSolution {
-                x: vec![0.0; self.n],
-                iterations: 0,
-                relative_residual: 0.0,
-            });
-        }
-        if self.levels.is_empty() {
-            // Single-level hierarchy: the Cholesky solve is exact.
-            let x = self.coarse.solve(b).expect("dimension checked above");
-            return Ok(CgSolution {
-                x,
-                iterations: 1,
-                relative_residual: 0.0,
-            });
-        }
-        let mut x = x0.map_or_else(|| vec![0.0; self.n], <[f64]>::to_vec);
-        let mut ax = vec![0.0; self.n];
-        let mut residual = f64::INFINITY;
-        for cycle in 0..=max_cycles {
-            self.levels[0].a.mul_vec_into(&x, &mut ax);
-            residual = ax
-                .iter()
-                .zip(b)
-                .map(|(a, b)| (b - a) * (b - a))
-                .sum::<f64>()
-                .sqrt()
-                / b_norm;
-            if residual <= rel_tol {
-                return Ok(CgSolution {
-                    x,
-                    iterations: cycle,
-                    relative_residual: residual,
-                });
-            }
-            if cycle < max_cycles {
-                self.v_cycle(b, &mut x);
-            }
-        }
-        Err(NumError::NoConvergence {
-            iterations: max_cycles,
-            residual,
-            dimension: self.n,
-        })
-    }
 }
 
 /// Reciprocal of the operator diagonal, validated positive.
@@ -350,14 +279,8 @@ fn invert_diagonal(a: &CsrMatrix) -> Result<Vec<f64>> {
 
 impl Preconditioner for Multigrid {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
+        // A single-level hierarchy makes the V-cycle the exact coarse solve.
         z.fill(0.0);
-        if self.levels.is_empty() {
-            // Degenerate single-level hierarchy: the V-cycle is the exact
-            // coarse solve.
-            let solved = self.coarse.solve(r).expect("dimension fixed");
-            z.copy_from_slice(&solved);
-            return;
-        }
         self.v_cycle(r, z);
     }
 
@@ -369,7 +292,7 @@ impl Preconditioner for Multigrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cg::{solve_pcg, CgOptions, JacobiPreconditioner};
+    use crate::cg::{solve_pcg, CgOptions, CgSolution, IdentityPreconditioner};
 
     /// 5-point conductance operator matching the thermal grid's structure.
     fn grid_operator(nx: usize, ny: usize, g_lat: f64, g_v: f64) -> CsrMatrix {
@@ -392,75 +315,60 @@ mod tests {
         coo.to_csr()
     }
 
-    #[test]
-    fn standalone_solve_matches_cg() {
-        let (nx, ny) = (32, 32);
-        let a = grid_operator(nx, ny, 0.25, 1e-4);
-        let b: Vec<f64> = (0..nx * ny).map(|i| ((i % 7) as f64) - 3.0).collect();
-        let mg = Multigrid::new(&a, nx, ny, &MultigridOptions::default()).unwrap();
-        let mg_sol = mg.solve(&b, None, 1e-10, 100).unwrap();
-        let cg_sol = solve_pcg(
-            &a,
-            &b,
-            None,
-            &JacobiPreconditioner::new(&a).unwrap(),
-            &CgOptions {
-                rel_tol: 1e-12,
-                max_iter: 50_000,
-                jacobi_precondition: true,
-            },
-        )
-        .unwrap();
-        let scale = cg_sol.x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        for (m, c) in mg_sol.x.iter().zip(&cg_sol.x) {
-            assert!((m - c).abs() < 1e-6 * scale, "{m} vs {c}");
-        }
+    /// A right-hand side that is not constant: every row of
+    /// [`grid_operator`] sums to `g_v`, so a constant vector is an exact
+    /// eigenvector and any CG variant would converge in one iteration.
+    fn rough_rhs(n: usize) -> Vec<f64> {
+        (0..n).map(|i| ((i % 7) as f64) - 3.0).collect()
+    }
+
+    fn mgcg(a: &CsrMatrix, nx: usize, ny: usize, b: &[f64], x0: Option<&[f64]>) -> CgSolution {
+        let mg = Multigrid::new(a, nx, ny, &MultigridOptions::default()).unwrap();
+        let opts = CgOptions {
+            rel_tol: 1e-9,
+            max_iter: 200,
+        };
+        solve_pcg(a, b, x0, &mg, &opts).unwrap()
     }
 
     #[test]
-    fn cycle_count_is_resolution_independent() {
-        // The whole point of multigrid: V-cycle counts stay O(1) as the
-        // grid refines, while CG iteration counts grow.
-        let opts = MultigridOptions::default();
-        let mut cycles = Vec::new();
+    fn mgcg_iterations_are_resolution_independent() {
+        // The whole point of multigrid: MGCG iteration counts stay O(1) as
+        // the grid refines, while plain CG counts grow.
+        let mut iters = Vec::new();
         for side in [16usize, 32, 64] {
             // Vertical conductance scales with cell area (total fixed),
             // matching the thermal grid's refinement behaviour.
             let a = grid_operator(side, side, 0.25, 2.0 / (side * side) as f64);
-            let b = vec![1.0; side * side];
-            let mg = Multigrid::new(&a, side, side, &opts).unwrap();
-            let sol = mg.solve(&b, None, 1e-9, 200).unwrap();
-            cycles.push(sol.iterations);
+            iters.push(mgcg(&a, side, side, &rough_rhs(side * side), None).iterations);
         }
-        let max = *cycles.iter().max().unwrap();
-        let min = *cycles.iter().min().unwrap();
+        let max = *iters.iter().max().unwrap();
+        let min = *iters.iter().min().unwrap();
         assert!(
             max <= min + 10 && max < 60,
-            "cycle counts grew with resolution: {cycles:?}"
+            "MGCG iterations grew with resolution: {iters:?}"
         );
     }
 
     #[test]
-    fn mgcg_beats_jacobi_iterations_on_large_grid() {
+    fn mgcg_beats_unpreconditioned_cg_on_large_grid() {
         let (nx, ny) = (48, 48);
         let a = grid_operator(nx, ny, 0.25, 1e-6);
-        let b = vec![0.01; nx * ny];
+        let b = rough_rhs(nx * ny);
         let opts = CgOptions {
             rel_tol: 1e-9,
             max_iter: 50_000,
-            jacobi_precondition: true,
         };
-        let jac = solve_pcg(&a, &b, None, &JacobiPreconditioner::new(&a).unwrap(), &opts).unwrap();
-        let mg = Multigrid::new(&a, nx, ny, &MultigridOptions::default()).unwrap();
-        let mgcg = solve_pcg(&a, &b, None, &mg, &opts).unwrap();
+        let plain = solve_pcg(&a, &b, None, &IdentityPreconditioner, &opts).unwrap();
+        let mgcg = mgcg(&a, nx, ny, &b, None);
         assert!(
-            mgcg.iterations * 5 < jac.iterations,
-            "mgcg {} vs jacobi {}",
+            mgcg.iterations * 5 < plain.iterations,
+            "mgcg {} vs unpreconditioned {}",
             mgcg.iterations,
-            jac.iterations
+            plain.iterations
         );
-        let scale = jac.x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        for (m, c) in mgcg.x.iter().zip(&jac.x) {
+        let scale = plain.x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (m, c) in mgcg.x.iter().zip(&plain.x) {
             assert!((m - c).abs() < 1e-6 * scale);
         }
     }
@@ -469,9 +377,7 @@ mod tests {
     fn non_power_of_two_and_rectangular_grids_work() {
         for (nx, ny) in [(20usize, 12usize), (17, 31), (9, 9)] {
             let a = grid_operator(nx, ny, 1.0, 0.01);
-            let b = vec![1.0; nx * ny];
-            let mg = Multigrid::new(&a, nx, ny, &MultigridOptions::default()).unwrap();
-            let sol = mg.solve(&b, None, 1e-9, 200).unwrap();
+            let sol = mgcg(&a, nx, ny, &rough_rhs(nx * ny), None);
             assert!(sol.relative_residual <= 1e-9, "{nx}x{ny} did not converge");
         }
     }
@@ -482,8 +388,10 @@ mod tests {
         let a = grid_operator(nx, ny, 1.0, 0.5);
         let mg = Multigrid::new(&a, nx, ny, &MultigridOptions::default()).unwrap();
         assert_eq!(mg.n_levels(), 1);
-        let b = vec![1.0; 16];
-        let sol = mg.solve(&b, None, 1e-12, 3).unwrap();
+        // The single-level V-cycle is the exact Cholesky solve, so MGCG
+        // converges in one step.
+        let b = rough_rhs(16);
+        let sol = mgcg(&a, nx, ny, &b, None);
         assert_eq!(sol.iterations, 1);
         let r = a.mul_vec(&sol.x).unwrap();
         for (ri, bi) in r.iter().zip(&b) {
@@ -492,13 +400,13 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_skips_cycles() {
+    fn warm_start_skips_iterations() {
         let (nx, ny) = (16, 16);
         let a = grid_operator(nx, ny, 0.25, 1e-3);
-        let b = vec![1.0; nx * ny];
-        let mg = Multigrid::new(&a, nx, ny, &MultigridOptions::default()).unwrap();
-        let cold = mg.solve(&b, None, 1e-10, 100).unwrap();
-        let warm = mg.solve(&b, Some(&cold.x), 1e-10, 100).unwrap();
+        let b = rough_rhs(nx * ny);
+        let cold = mgcg(&a, nx, ny, &b, None);
+        assert!(cold.iterations > 0);
+        let warm = mgcg(&a, nx, ny, &b, Some(&cold.x));
         assert_eq!(warm.iterations, 0);
     }
 
@@ -511,7 +419,7 @@ mod tests {
         ));
         let mg = Multigrid::new(&a, 4, 4, &MultigridOptions::default()).unwrap();
         assert!(matches!(
-            mg.solve(&[1.0; 9], None, 1e-9, 10),
+            solve_pcg(&a, &[1.0; 9], None, &mg, &CgOptions::default()),
             Err(NumError::Dimension { .. })
         ));
     }

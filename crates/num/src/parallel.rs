@@ -80,17 +80,6 @@ where
     pairs.into_iter().map(|(_, v)| v).collect()
 }
 
-/// Sums `f(i)` over `0..n`, always in index order.
-///
-/// Floating-point addition is not associative; folding the per-index terms
-/// in index order keeps the sum bit-identical at any thread count.
-pub fn sum_indexed<F>(n: usize, threads: usize, f: F) -> f64
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    run_indexed(n, threads, f).into_iter().sum()
-}
-
 /// Runs `f(chunk_index, chunk)` over `chunk_len`-sized chunks of `data`
 /// across `threads` workers.
 ///
@@ -197,17 +186,6 @@ mod tests {
     fn run_indexed_handles_empty_and_single() {
         assert!(run_indexed(0, 4, |i| i).is_empty());
         assert_eq!(run_indexed(1, 4, |i| i + 10), vec![10]);
-    }
-
-    #[test]
-    fn sum_is_bit_identical_across_thread_counts() {
-        // Terms of wildly different magnitude expose any reordering.
-        let term = |i: usize| (10f64).powi((i % 30) as i32 - 15) * ((i * 2654435761) as f64);
-        let reference = sum_indexed(1000, 1, term);
-        for threads in [2, 3, 4, 8, 16] {
-            let got = sum_indexed(1000, threads, term);
-            assert_eq!(got.to_bits(), reference.to_bits(), "threads={threads}");
-        }
     }
 
     #[test]

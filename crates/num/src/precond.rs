@@ -5,7 +5,7 @@
 //! pattern of the lower triangle of `A`, so `L·Lᵀ ≈ A` with no fill-in.
 //! Applying the preconditioner is one forward and one backward triangular
 //! solve — `O(nnz)` — while the iteration count of preconditioned CG on
-//! grid Laplacians drops severalfold versus the Jacobi diagonal. For
+//! grid Laplacians drops severalfold versus plain CG. For
 //! M-matrices (the thermal conductance matrices: positive diagonal,
 //! non-positive off-diagonals, diagonally dominant) the factorization is
 //! guaranteed to exist.
@@ -177,7 +177,7 @@ impl Preconditioner for Ic0 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cg::{solve_pcg, CgOptions, JacobiPreconditioner};
+    use crate::cg::{solve_pcg, CgOptions, IdentityPreconditioner};
     use crate::sparse::CooMatrix;
 
     fn laplacian_2d(nx: usize, ny: usize, diag_boost: f64) -> CsrMatrix {
@@ -238,20 +238,24 @@ mod tests {
     }
 
     #[test]
-    fn beats_jacobi_on_grid_laplacian() {
+    fn beats_unpreconditioned_cg_on_grid_laplacian() {
         let a = laplacian_2d(24, 24, 1e-3);
-        let b = vec![1.0; a.nrows()];
+        // Not constant: every row of the operator sums to the diagonal
+        // boost, so a constant vector is an eigenvector and plain CG would
+        // converge in one iteration.
+        let b: Vec<f64> = (0..a.nrows()).map(|i| ((i % 7) as f64) - 3.0).collect();
         let opts = CgOptions::default();
-        let jac = solve_pcg(&a, &b, None, &JacobiPreconditioner::new(&a).unwrap(), &opts).unwrap();
+        let plain = solve_pcg(&a, &b, None, &IdentityPreconditioner, &opts).unwrap();
         let ic = solve_pcg(&a, &b, None, &Ic0::new(&a).unwrap(), &opts).unwrap();
         assert!(
-            ic.iterations < jac.iterations,
-            "ic0 {} vs jacobi {}",
+            ic.iterations < plain.iterations,
+            "ic0 {} vs unpreconditioned {}",
             ic.iterations,
-            jac.iterations
+            plain.iterations
         );
-        for (x, y) in ic.x.iter().zip(&jac.x) {
-            assert!((x - y).abs() < 1e-6);
+        let scale = plain.x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (x, y) in ic.x.iter().zip(&plain.x) {
+            assert!((x - y).abs() < 1e-6 * scale);
         }
     }
 

@@ -1,5 +1,4 @@
-//! Numerical quadrature: midpoint, Simpson and Gauss–Legendre rules in 1-D,
-//! plus tensor-product 2-D rules.
+//! Numerical quadrature: midpoint, Simpson and Gauss–Legendre rules in 1-D.
 //!
 //! The paper's overall algorithm (its Fig. 9) evaluates the ensemble
 //! reliability with an `l0 × l0` midpoint "integral sum"; the Gauss–Legendre
@@ -151,34 +150,6 @@ pub fn integrate_1d(
     Ok(Quadrature::new(rule, n, a, b)?.integrate(f))
 }
 
-/// Integrates `f(x, y)` over `[ax, bx] × [ay, by]` with a tensor-product
-/// rule of `nx × ny` points.
-///
-/// This is the `l0 × l0` "sub-domain integral sum" of the paper's Fig. 9
-/// when `rule == QuadRule::Midpoint` and `nx == ny == l0`.
-///
-/// # Errors
-///
-/// Propagates [`Quadrature::new`] errors.
-pub fn integrate_2d(
-    rule: QuadRule,
-    nx: usize,
-    ny: usize,
-    (ax, bx): (f64, f64),
-    (ay, by): (f64, f64),
-    mut f: impl FnMut(f64, f64) -> f64,
-) -> Result<f64> {
-    let qx = Quadrature::new(rule, nx, ax, bx)?;
-    let qy = Quadrature::new(rule, ny, ay, by)?;
-    let mut acc = 0.0;
-    for (&x, &wx) in qx.nodes().iter().zip(qx.weights()) {
-        for (&y, &wy) in qy.nodes().iter().zip(qy.weights()) {
-            acc += wx * wy * f(x, y);
-        }
-    }
-    Ok(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,42 +194,6 @@ mod tests {
             let sum: f64 = q.weights().iter().sum();
             assert_close(sum, 7.0, 1e-11);
         }
-    }
-
-    #[test]
-    fn gaussian_integral_2d() {
-        // ∫∫ φ(x)φ(y) over [−8, 8]² = 1.
-        let phi = |x: f64| (-0.5 * x * x).exp() / (2.0 * std::f64::consts::PI).sqrt();
-        let v = integrate_2d(
-            QuadRule::GaussLegendre,
-            48,
-            48,
-            (-8.0, 8.0),
-            (-8.0, 8.0),
-            |x, y| phi(x) * phi(y),
-        )
-        .unwrap();
-        assert_close(v, 1.0, 1e-10);
-    }
-
-    #[test]
-    fn midpoint_2d_matches_paper_l0_style() {
-        // The paper's l0 = 10 midpoint sum on a smooth integrand: expect
-        // percent-level accuracy, consistent with its reported ~1% errors.
-        let phi = |x: f64| (-0.5 * x * x).exp() / (2.0 * std::f64::consts::PI).sqrt();
-        let v = integrate_2d(
-            QuadRule::Midpoint,
-            10,
-            10,
-            (-4.0, 4.0),
-            (-4.0, 4.0),
-            |x, y| phi(x) * phi(y),
-        )
-        .unwrap();
-        assert!(
-            (v - 1.0).abs() < 0.02,
-            "midpoint 10x10 error too large: {v}"
-        );
     }
 
     #[test]

@@ -1,21 +1,17 @@
 //! Householder tridiagonalization and the implicit-shift QL
 //! eigensolver for symmetric matrices.
 //!
-//! This is the full-spectrum workhorse of the tiered spectral pipeline
-//! (see [`crate::eigen::SpectralOptions`]): a symmetric matrix is first
+//! This is the full-spectrum solver of the spectral pipeline (see
+//! [`crate::eigen::SpectralOptions`]): a symmetric matrix is first
 //! reduced to tridiagonal form `A = Q·T·Qᵀ` by `n − 2` Householder
 //! reflections (`~4n³/3` flops), then the tridiagonal eigenproblem is
 //! solved by QL iterations with implicit Wilkinson shifts, accumulating
 //! the rotations into `Q`. The total cost is `O(n³)` with a small
-//! constant and — unlike cyclic Jacobi — no sweep-count blow-up on large
-//! matrices, which makes it the preferred full-spectrum solver from a few
-//! dozen rows upward.
+//! constant and no sweep-count growth on large matrices.
 //!
-//! The tridiagonal QL stage is exposed on its own
-//! ([`tridiagonal_eigen`]) because the Lanczos top-k path
-//! ([`crate::lanczos`]) projects onto a small tridiagonal matrix it needs
-//! decomposed, and the dense path ([`symmetric_eigen_ql`]) reuses the
-//! exact same iteration.
+//! The Lanczos top-k path ([`crate::lanczos`]) calls
+//! [`symmetric_eigen_ql`] on its small projected block matrix, so both
+//! backends share this one dense iteration.
 
 use crate::matrix::DMatrix;
 use crate::{NumError, Result};
@@ -56,41 +52,6 @@ pub fn symmetric_eigen_ql(a: &DMatrix) -> Result<(Vec<f64>, DMatrix)> {
     let (mut d, mut e) = householder_tridiagonalize(&mut q);
     ql_implicit_shift(&mut d, &mut e, &mut q)?;
     Ok(sort_descending(d, q))
-}
-
-/// Eigendecomposition of a symmetric **tridiagonal** matrix given its
-/// diagonal (`diag`, length `n`) and subdiagonal (`sub`, length `n − 1`),
-/// via implicit-shift QL.
-///
-/// Returns `(eigenvalues, eigenvectors)` sorted descending; the
-/// eigenvectors are expressed in the basis the tridiagonal matrix was
-/// given in (i.e. the accumulation matrix starts as the identity).
-///
-/// # Errors
-///
-/// * [`NumError::Dimension`] if `sub.len() + 1 != diag.len()`,
-/// * [`NumError::NoConvergence`] if QL fails to deflate an eigenvalue.
-pub fn tridiagonal_eigen(diag: &[f64], sub: &[f64]) -> Result<(Vec<f64>, DMatrix)> {
-    let n = diag.len();
-    if n == 0 {
-        return Ok((Vec::new(), DMatrix::zeros(0, 0)));
-    }
-    if sub.len() + 1 != n {
-        return Err(NumError::Dimension {
-            detail: format!(
-                "tridiagonal with {n} diagonal entries needs {} subdiagonal entries, got {}",
-                n - 1,
-                sub.len()
-            ),
-        });
-    }
-    let mut d = diag.to_vec();
-    // Internal convention: e[i] couples rows i−1 and i, e[0] unused.
-    let mut e = vec![0.0; n];
-    e[1..].copy_from_slice(sub);
-    let mut z = DMatrix::identity(n);
-    ql_implicit_shift(&mut d, &mut e, &mut z)?;
-    Ok(sort_descending(d, z))
 }
 
 /// Reduces the symmetric matrix stored in `a` to tridiagonal form,
@@ -348,12 +309,9 @@ mod tests {
     }
 
     #[test]
-    fn tridiagonal_eigen_matches_dense_path() {
+    fn free_particle_chain_matches_closed_form_spectrum() {
         // Free-particle chain: known spectrum 2 − 2·cos(kπ/(n+1)).
         let n = 12;
-        let diag = vec![2.0; n];
-        let sub = vec![-1.0; n - 1];
-        let (vals, vecs) = tridiagonal_eigen(&diag, &sub).unwrap();
         let dense = DMatrix::from_fn(n, n, |i, j| {
             if i == j {
                 2.0
@@ -363,20 +321,13 @@ mod tests {
                 0.0
             }
         });
+        let (vals, vecs) = symmetric_eigen_ql(&dense).unwrap();
         check_decomposition(&dense, &vals, &vecs, 1e-10);
         for (k, &v) in vals.iter().enumerate() {
             let expect =
                 2.0 - 2.0 * ((n - k) as f64 * std::f64::consts::PI / (n as f64 + 1.0)).cos();
             assert_close(v, expect, 1e-10);
         }
-    }
-
-    #[test]
-    fn tridiagonal_eigen_rejects_bad_lengths() {
-        assert!(matches!(
-            tridiagonal_eigen(&[1.0, 2.0], &[0.5, 0.5]),
-            Err(NumError::Dimension { .. })
-        ));
     }
 
     #[test]

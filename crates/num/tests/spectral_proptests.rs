@@ -1,21 +1,27 @@
-//! Cross-solver spectral consistency: the Householder+QL and Lanczos
-//! backends must reproduce the Jacobi reference on random SPD matrices
-//! with a known, well-separated spectrum (seeded, so failures reproduce
-//! exactly).
+//! Spectral backends against a planted oracle: the Householder+QL and
+//! Lanczos solvers must recover the known eigenvalues and eigenvectors of
+//! random SPD matrices with a well-separated spectrum (seeded, so failures
+//! reproduce exactly).
 
 use statobd_num::eigen::{SpectralOptions, SpectralSolver, SymmetricEigen};
 use statobd_num::matrix::DMatrix;
 use statobd_num::rng::{Rng, Xoshiro256pp};
 
-/// Random SPD matrix with the well-separated spectrum `((n−i)/n)²`,
-/// `i = 0..n`: a diagonal conjugated by random Givens rotations (which
-/// preserve the spectrum exactly).
-fn random_spd<R: Rng + ?Sized>(rng: &mut R, n: usize) -> DMatrix {
+/// The planted eigenvalue `k` of [`random_spd`]: `((n−k)/n)²`, descending.
+fn planted(n: usize, k: usize) -> f64 {
+    ((n - k) as f64 / n as f64).powi(2)
+}
+
+/// Random SPD matrix `A = Q·diag(λ)·Qᵀ` with the well-separated spectrum
+/// [`planted`], returned with its eigenbasis `Q` (column `k` pairs with
+/// `λ_k`): a diagonal conjugated by random Givens rotations, which preserve
+/// the spectrum exactly, with the same rotations applied to an identity.
+fn random_spd<R: Rng + ?Sized>(rng: &mut R, n: usize) -> (DMatrix, DMatrix) {
     let mut a = DMatrix::zeros(n, n);
     for i in 0..n {
-        let l = (n - i) as f64 / n as f64;
-        a[(i, i)] = l * l;
+        a[(i, i)] = planted(n, i);
     }
+    let mut q = DMatrix::identity(n);
     for _ in 0..4 * n {
         let i = rng.gen_index(n);
         let mut j = rng.gen_index(n);
@@ -24,10 +30,12 @@ fn random_spd<R: Rng + ?Sized>(rng: &mut R, n: usize) -> DMatrix {
         }
         let theta = rng.gen_range(0.0..std::f64::consts::TAU);
         let (s, c) = theta.sin_cos();
-        for k in 0..n {
-            let (ai, aj) = (a[(i, k)], a[(j, k)]);
-            a[(i, k)] = c * ai - s * aj;
-            a[(j, k)] = s * ai + c * aj;
+        for m in [&mut a, &mut q] {
+            for k in 0..n {
+                let (mi, mj) = (m[(i, k)], m[(j, k)]);
+                m[(i, k)] = c * mi - s * mj;
+                m[(j, k)] = s * mi + c * mj;
+            }
         }
         for k in 0..n {
             let (ai, aj) = (a[(k, i)], a[(k, j)]);
@@ -43,7 +51,7 @@ fn random_spd<R: Rng + ?Sized>(rng: &mut R, n: usize) -> DMatrix {
             a[(j, i)] = m;
         }
     }
-    a
+    (a, q)
 }
 
 fn solve(a: &DMatrix, opts: &SpectralOptions) -> SymmetricEigen {
@@ -79,8 +87,7 @@ fn assert_column_matches(v: &DMatrix, reference: &DMatrix, k: usize, tol: f64) {
     }
 }
 
-/// Cases per size: the Jacobi reference is O(n³) per sweep, so the large
-/// size runs once.
+/// Cases per size: the solvers are O(n³), so the large size runs once.
 fn cases_for(n: usize) -> usize {
     match n {
         8 => 4,
@@ -90,32 +97,25 @@ fn cases_for(n: usize) -> usize {
 }
 
 #[test]
-fn ql_matches_jacobi_on_random_spd() {
+fn ql_recovers_the_planted_eigenpairs() {
     let mut rng = Xoshiro256pp::seed_from_u64(0x51EC);
     for &n in &[8usize, 64, 256] {
         for _ in 0..cases_for(n) {
-            let a = random_spd(&mut rng, n);
-            let jac = solve(
-                &a,
-                &SpectralOptions::full().with_solver(SpectralSolver::Jacobi),
-            );
+            let (a, basis) = random_spd(&mut rng, n);
             let ql = solve(
                 &a,
                 &SpectralOptions::full().with_solver(SpectralSolver::TridiagonalQl),
             );
             assert_eq!(ql.n_components(), n);
-            for (k, (l_ql, l_jac)) in ql.eigenvalues().iter().zip(jac.eigenvalues()).enumerate() {
-                // The planted spectrum is ((n−k)/n)²; both solvers must
-                // agree with it and with each other.
-                let planted = ((n - k) as f64 / n as f64).powi(2);
+            for (k, l_ql) in ql.eigenvalues().iter().enumerate() {
+                let want = planted(n, k);
                 assert!(
-                    (l_ql - l_jac).abs() < 1e-10,
-                    "λ[{k}] n={n}: QL {l_ql} vs Jacobi {l_jac}"
+                    (l_ql - want).abs() < 1e-10,
+                    "λ[{k}] n={n}: QL {l_ql} vs planted {want}"
                 );
-                assert!((l_ql - planted).abs() < 1e-10, "λ[{k}] n={n} vs planted");
             }
             for k in 0..n {
-                assert_column_matches(ql.eigenvectors(), jac.eigenvectors(), k, 1e-8);
+                assert_column_matches(ql.eigenvectors(), &basis, k, 1e-8);
             }
             // Full-spectrum round trip.
             let recon = ql.reconstruct();
@@ -132,16 +132,12 @@ fn ql_matches_jacobi_on_random_spd() {
 }
 
 #[test]
-fn lanczos_matches_jacobi_top_components() {
+fn lanczos_recovers_the_planted_top_components() {
     let mut rng = Xoshiro256pp::seed_from_u64(0x1A2C);
     let energy = 0.9;
     for &n in &[8usize, 64, 256] {
         for _ in 0..cases_for(n) {
-            let a = random_spd(&mut rng, n);
-            let jac = solve(
-                &a,
-                &SpectralOptions::full().with_solver(SpectralSolver::Jacobi),
-            );
+            let (a, basis) = random_spd(&mut rng, n);
             let lan = solve(
                 &a,
                 &SpectralOptions::energy(energy)
@@ -154,17 +150,18 @@ fn lanczos_matches_jacobi_top_components() {
                 "partial solve must truncate (k = {k}, n = {n})"
             );
             // The retained energy must meet the target.
-            let trace: f64 = jac.eigenvalues().iter().sum();
+            let trace: f64 = (0..n).map(|i| planted(n, i)).sum();
             let kept: f64 = lan.eigenvalues().iter().sum();
             assert!(kept >= energy * trace * (1.0 - 1e-12));
-            for (i, (l_lan, l_jac)) in lan.eigenvalues().iter().zip(jac.eigenvalues()).enumerate() {
+            for (i, l_lan) in lan.eigenvalues().iter().enumerate() {
+                let want = planted(n, i);
                 assert!(
-                    (l_lan - l_jac).abs() < 1e-10,
-                    "λ[{i}] n={n}: Lanczos {l_lan} vs Jacobi {l_jac}"
+                    (l_lan - want).abs() < 1e-10,
+                    "λ[{i}] n={n}: Lanczos {l_lan} vs planted {want}"
                 );
             }
             for i in 0..k {
-                assert_column_matches(lan.eigenvectors(), jac.eigenvectors(), i, 1e-8);
+                assert_column_matches(lan.eigenvectors(), &basis, i, 1e-8);
             }
             // Rank-k round trip: the reconstruction error is exactly the
             // dropped spectral mass, ‖A − VΛVᵀ‖_F² = Σ_{i≥k} λᵢ².
@@ -176,7 +173,7 @@ fn lanczos_matches_jacobi_top_components() {
                     err2 += d * d;
                 }
             }
-            let dropped2: f64 = jac.eigenvalues()[k..].iter().map(|l| l * l).sum();
+            let dropped2: f64 = (k..n).map(|i| planted(n, i).powi(2)).sum();
             assert!(
                 (err2 - dropped2).abs() < 1e-9 * (1.0 + dropped2),
                 "rank-{k} round trip n={n}: ‖Δ‖² {err2:.6e} vs dropped {dropped2:.6e}"

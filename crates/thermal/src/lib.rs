@@ -11,8 +11,8 @@
 //! 3. a [`ThermalSolver`] that discretizes the die into a grid of thermal
 //!    cells with lateral silicon conductances and a vertical
 //!    package-to-ambient path, and solves the steady state with
-//!    preconditioned conjugate gradients — tiered backends from plain CG
-//!    through `IC(0)` to multigrid-preconditioned CG, chosen by
+//!    preconditioned conjugate gradients — `IC(0)` on small and medium
+//!    grids, multigrid-preconditioned CG on large ones, chosen by
 //!    [`ThermalSolverKind`] — iterating the warm-started
 //!    leakage–temperature fixed point,
 //! 4. a [`TemperatureMap`] from which per-block worst-case/mean

@@ -15,28 +15,25 @@
 //! fixed point to convergence, warm-starting each linear solve from the
 //! previous temperature field.
 //!
-//! The linear-solver backend is tiered ([`ThermalSolverKind`]), mirroring
-//! the spectral pipeline's `SpectralOptions` dispatch: plain CG and
-//! Jacobi-PCG for reference, zero-fill incomplete Cholesky (`IC(0)`) PCG
-//! for small/medium grids, and multigrid-preconditioned CG (MGCG) — whose
-//! iteration count does not grow with resolution — for large ones.
-//! [`ThermalSolverKind::Auto`] picks by grid size.
+//! The linear solver ([`ThermalSolverKind`]) is zero-fill incomplete
+//! Cholesky (`IC(0)`) PCG for small/medium grids and multigrid-
+//! preconditioned CG (MGCG) — whose iteration count does not grow with
+//! resolution — for large ones. [`ThermalSolverKind::Auto`] picks by grid
+//! size, mirroring the spectral pipeline's `SpectralOptions` dispatch.
 
 use crate::floorplan::{Floorplan, Rect};
 use crate::power::PowerModel;
 use crate::{Result, ThermalError};
-use statobd_num::cg::{
-    solve_pcg, CgOptions, IdentityPreconditioner, JacobiPreconditioner, Preconditioner,
-};
+use statobd_num::cg::{solve_pcg, CgOptions, Preconditioner};
 use statobd_num::impl_json_struct;
 use statobd_num::json::{FromJson, Json, JsonError, ToJson};
 use statobd_num::multigrid::{Multigrid, MultigridOptions};
 use statobd_num::precond::Ic0;
 use statobd_num::sparse::{CooMatrix, CsrMatrix};
 
-/// Which linear-solver variant backs the thermal solve.
+/// Which preconditioned CG variant backs the thermal solve.
 ///
-/// All variants produce the same temperature field to solver tolerance;
+/// Both variants produce the same temperature field to solver tolerance;
 /// they differ only in cost. `Auto` dispatches by grid size the way the
 /// spectral pipeline's `SpectralOptions` dispatches eigensolvers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,10 +42,6 @@ pub enum ThermalSolverKind {
     /// [`ThermalSolverKind::MGCG_MIN_CELLS`] cells upward, `IC(0)`-PCG
     /// below.
     Auto,
-    /// Unpreconditioned conjugate gradients (reference/baseline).
-    PlainCg,
-    /// Jacobi (diagonal) preconditioned CG — the historical default.
-    JacobiPcg,
     /// Zero-fill incomplete-Cholesky preconditioned CG.
     Ic0Pcg,
     /// Geometric-multigrid V-cycle preconditioned CG.
@@ -62,23 +55,31 @@ impl ThermalSolverKind {
     /// crossover on the alpha profile, see `BENCH_thermal.json`).
     pub const MGCG_MIN_CELLS: usize = 64 * 64;
 
+    /// Every kind, in the order error messages list their names.
+    pub const ALL: [ThermalSolverKind; 3] = [
+        ThermalSolverKind::Auto,
+        ThermalSolverKind::Ic0Pcg,
+        ThermalSolverKind::Mgcg,
+    ];
+
     /// Stable lower-case name for logs, stats and benchmark reports.
     pub fn name(self) -> &'static str {
         match self {
             ThermalSolverKind::Auto => "auto",
-            ThermalSolverKind::PlainCg => "plain_cg",
-            ThermalSolverKind::JacobiPcg => "jacobi_pcg",
             ThermalSolverKind::Ic0Pcg => "ic0_pcg",
             ThermalSolverKind::Mgcg => "mgcg",
         }
+    }
+
+    /// The accepted names, comma-separated, for error messages.
+    pub fn expected() -> String {
+        Self::ALL.map(Self::name).join(", ")
     }
 
     /// Parses a solver name (accepting a few aliases).
     pub fn parse(name: &str) -> Option<Self> {
         match name.trim().to_ascii_lowercase().as_str() {
             "auto" => Some(ThermalSolverKind::Auto),
-            "plain_cg" | "plain" | "cg" => Some(ThermalSolverKind::PlainCg),
-            "jacobi_pcg" | "jacobi" => Some(ThermalSolverKind::JacobiPcg),
             "ic0_pcg" | "ic0" => Some(ThermalSolverKind::Ic0Pcg),
             "mgcg" | "multigrid" => Some(ThermalSolverKind::Mgcg),
             _ => None,
@@ -112,8 +113,12 @@ impl FromJson for ThermalSolverKind {
         let name = v
             .as_str()
             .ok_or_else(|| JsonError::new(format!("expected a solver name string, got {v}")))?;
-        ThermalSolverKind::parse(name)
-            .ok_or_else(|| JsonError::new(format!("unknown thermal solver {name:?}")))
+        ThermalSolverKind::parse(name).ok_or_else(|| {
+            JsonError::new(format!(
+                "unknown thermal solver {name:?} (expected {})",
+                ThermalSolverKind::expected()
+            ))
+        })
     }
 
     fn from_missing() -> Option<Self> {
@@ -147,7 +152,8 @@ pub struct ThermalConfig {
     /// Leakage e-folding temperature (K) — leakage multiplies by `e` every
     /// `theta` kelvin.
     pub leakage_theta_k: f64,
-    /// Maximum leakage fixed-point iterations.
+    /// Maximum leakage fixed-point iterations (at least 1: the first
+    /// iteration is the thermal solve itself).
     pub max_leakage_iters: usize,
     /// Convergence tolerance on the temperature update (K).
     pub leakage_tol_k: f64,
@@ -228,6 +234,7 @@ impl ThermalConfig {
             ("r_package", self.r_package),
             ("ambient_k", self.ambient_k),
             ("leakage_theta_k", self.leakage_theta_k),
+            ("leakage_tol_k", self.leakage_tol_k),
             ("c_volumetric", self.c_volumetric),
         ] {
             if !(v > 0.0) || !v.is_finite() {
@@ -235,6 +242,11 @@ impl ThermalConfig {
                     detail: format!("{name} must be positive, got {v}"),
                 });
             }
+        }
+        if self.max_leakage_iters == 0 {
+            return Err(ThermalError::InvalidParameter {
+                detail: "max_leakage_iters must be at least 1".to_string(),
+            });
         }
         if !(self.cg_rel_tol > 0.0) || self.cg_rel_tol >= 1.0 {
             return Err(ThermalError::InvalidParameter {
@@ -254,7 +266,6 @@ impl ThermalConfig {
         CgOptions {
             rel_tol: self.cg_rel_tol,
             max_iter: self.cg_max_iter,
-            jacobi_precondition: false,
         }
     }
 }
@@ -374,10 +385,6 @@ pub(crate) fn rasterize_power(
 /// operator (all leakage iterations, all transient steps).
 #[derive(Debug)]
 pub(crate) enum BuiltPreconditioner {
-    /// No preconditioning (plain CG).
-    Identity(IdentityPreconditioner),
-    /// Diagonal scaling.
-    Jacobi(JacobiPreconditioner),
     /// Zero-fill incomplete Cholesky.
     Ic0(Ic0),
     /// Geometric-multigrid V-cycle (MGCG).
@@ -398,10 +405,6 @@ impl BuiltPreconditioner {
         };
         Ok(match kind.resolve(nx * ny) {
             ThermalSolverKind::Auto => unreachable!("resolve never returns Auto"),
-            ThermalSolverKind::PlainCg => BuiltPreconditioner::Identity(IdentityPreconditioner),
-            ThermalSolverKind::JacobiPcg => {
-                BuiltPreconditioner::Jacobi(JacobiPreconditioner::new(a).map_err(fail)?)
-            }
             ThermalSolverKind::Ic0Pcg => BuiltPreconditioner::Ic0(Ic0::new(a).map_err(fail)?),
             ThermalSolverKind::Mgcg => BuiltPreconditioner::Multigrid(Box::new(
                 Multigrid::new(a, nx, ny, &MultigridOptions::default()).map_err(fail)?,
@@ -412,8 +415,6 @@ impl BuiltPreconditioner {
     /// The trait object the CG solver consumes.
     pub(crate) fn as_dyn(&self) -> &dyn Preconditioner {
         match self {
-            BuiltPreconditioner::Identity(m) => m,
-            BuiltPreconditioner::Jacobi(m) => m,
             BuiltPreconditioner::Ic0(m) => m,
             BuiltPreconditioner::Multigrid(m) => m.as_ref(),
         }
@@ -425,8 +426,7 @@ impl BuiltPreconditioner {
 /// real cost.
 #[derive(Debug, Clone, Default)]
 pub struct SolveBreakdown {
-    /// Resolved linear-solver name (`plain_cg`, `jacobi_pcg`, `ic0_pcg`,
-    /// `mgcg`).
+    /// Resolved linear-solver name (`ic0_pcg` or `mgcg`).
     pub solver: String,
     /// Conductance assembly plus power rasterization seconds.
     pub assembly_s: f64,
@@ -754,6 +754,8 @@ mod tests {
     use super::*;
     use crate::floorplan::{Block, Floorplan, Rect};
     use crate::power::{BlockPower, PowerModel};
+    use statobd_num::cholesky::Cholesky;
+    use statobd_num::matrix::DMatrix;
 
     fn one_block_chip(power_w: f64) -> (Floorplan, PowerModel) {
         let mut fp = Floorplan::new(0.016, 0.016).unwrap();
@@ -920,6 +922,31 @@ mod tests {
             ..ThermalConfig::default()
         };
         assert!(ThermalSolver::new(cfg).solve(&fp, &pm).is_err());
+        // A loop that cannot run or cannot stop would leave the die at
+        // ambient or silently skip the convergence test.
+        for cfg in [
+            ThermalConfig {
+                max_leakage_iters: 0,
+                ..ThermalConfig::default()
+            },
+            ThermalConfig {
+                leakage_tol_k: f64::NAN,
+                ..ThermalConfig::default()
+            },
+            ThermalConfig {
+                leakage_tol_k: 0.0,
+                ..ThermalConfig::default()
+            },
+            ThermalConfig {
+                leakage_tol_k: -1e-3,
+                ..ThermalConfig::default()
+            },
+        ] {
+            assert!(matches!(
+                ThermalSolver::new(cfg).solve(&fp, &pm),
+                Err(ThermalError::InvalidParameter { .. })
+            ));
+        }
     }
 
     #[test]
@@ -946,20 +973,29 @@ mod tests {
 
     #[test]
     fn solver_kind_parse_and_names_round_trip() {
-        for kind in [
-            ThermalSolverKind::Auto,
-            ThermalSolverKind::PlainCg,
-            ThermalSolverKind::JacobiPcg,
-            ThermalSolverKind::Ic0Pcg,
-            ThermalSolverKind::Mgcg,
-        ] {
+        for kind in ThermalSolverKind::ALL {
             assert_eq!(ThermalSolverKind::parse(kind.name()), Some(kind));
         }
+        assert_eq!(ThermalSolverKind::expected(), "auto, ic0_pcg, mgcg");
         assert_eq!(
             ThermalSolverKind::parse("multigrid"),
             Some(ThermalSolverKind::Mgcg)
         );
         assert_eq!(ThermalSolverKind::parse("nope"), None);
+        // The retired tiers fail loudly instead of aliasing to a survivor.
+        for retired in ["plain_cg", "jacobi_pcg", "jacobi", "cg"] {
+            assert_eq!(ThermalSolverKind::parse(retired), None, "{retired}");
+        }
+        let json = statobd_num::json::to_string(&ThermalConfig::default());
+        assert!(json.contains(r#""solver":"auto""#), "{json}");
+        let retired = json.replace(r#""solver":"auto""#, r#""solver":"jacobi_pcg""#);
+        let err = statobd_num::json::from_str::<ThermalConfig>(&retired)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("unknown thermal solver") && err.contains("auto, ic0_pcg, mgcg"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -973,8 +1009,8 @@ mod tests {
             ThermalSolverKind::Mgcg
         );
         assert_eq!(
-            ThermalSolverKind::PlainCg.resolve(1 << 20),
-            ThermalSolverKind::PlainCg
+            ThermalSolverKind::Ic0Pcg.resolve(1 << 20),
+            ThermalSolverKind::Ic0Pcg
         );
     }
 
@@ -1008,39 +1044,42 @@ mod tests {
     }
 
     #[test]
-    fn all_solver_kinds_agree_on_a_hotspot() {
+    fn both_kinds_match_a_dense_cholesky_solve_on_a_hotspot() {
         let mut fp = Floorplan::new(0.016, 0.016).unwrap();
         fp.add_block(Block::new("hot", Rect::new(0.001, 0.001, 0.004, 0.004).unwrap()).unwrap())
             .unwrap();
         fp.add_block(Block::new("rest", Rect::new(0.008, 0.008, 0.008, 0.008).unwrap()).unwrap())
             .unwrap();
+        // Leakage-free, so the steady state is one linear system.
         let mut pm = PowerModel::new();
-        pm.set_block_power("hot", BlockPower::new(15.0, 2.0).unwrap())
+        pm.set_block_power("hot", BlockPower::new(15.0, 0.0).unwrap())
             .unwrap();
-        pm.set_block_power("rest", BlockPower::new(2.0, 0.5).unwrap())
+        pm.set_block_power("rest", BlockPower::new(2.0, 0.0).unwrap())
             .unwrap();
-        let reference = ThermalSolver::new(ThermalConfig {
+        let cfg = ThermalConfig {
             nx: 24,
             ny: 24,
-            solver: ThermalSolverKind::PlainCg,
             ..ThermalConfig::default()
-        })
-        .solve(&fp, &pm)
-        .unwrap();
-        for kind in [
-            ThermalSolverKind::JacobiPcg,
-            ThermalSolverKind::Ic0Pcg,
-            ThermalSolverKind::Mgcg,
-        ] {
+        };
+        // The oracle: a dense Cholesky solve of the same assembled operator.
+        let op = assemble_conductance(&cfg, fp.die_w(), fp.die_h());
+        let (dyn_cell, _) = rasterize_power(&fp, &pm, cfg.nx, cfg.ny);
+        let rhs: Vec<f64> = dyn_cell
+            .iter()
+            .map(|p| p + op.g_v * cfg.ambient_k)
+            .collect();
+        let n = rhs.len();
+        let dense = DMatrix::from_fn(n, n, |i, j| op.matrix.get(i, j));
+        let exact = Cholesky::new(&dense).unwrap().solve(&rhs).unwrap();
+        for kind in [ThermalSolverKind::Ic0Pcg, ThermalSolverKind::Mgcg] {
             let map = ThermalSolver::new(ThermalConfig {
-                nx: 24,
-                ny: 24,
                 solver: kind,
-                ..ThermalConfig::default()
+                ..cfg
             })
             .solve(&fp, &pm)
             .unwrap();
-            for (a, b) in map.temps().iter().zip(reference.temps()) {
+            assert_eq!(map.breakdown().solver, kind.name());
+            for (a, b) in map.temps().iter().zip(&exact) {
                 assert!((a - b).abs() < 1e-6, "{} diverged: {a} vs {b}", kind.name());
             }
         }

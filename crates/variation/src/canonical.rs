@@ -356,7 +356,7 @@ impl ThicknessModel {
         // cumulative energy fraction. The total energy is the trace — for
         // a PSD covariance that equals the positive-eigenvalue sum, and
         // using the trace keeps the selection identical whether the
-        // spectrum arrived complete (Jacobi/QL) or already truncated at
+        // spectrum arrived complete (QL) or already truncated at
         // the same target (Lanczos).
         let total_energy = covariance.trace();
         let mut kept = 0;
@@ -775,7 +775,7 @@ mod tests {
             .unwrap();
         assert_eq!(stats.n_grids, 64);
         assert_eq!(stats.n_components, model.n_components());
-        // n = 64 ≥ JACOBI_MAX_DIM, full spectrum → tridiagonal QL.
+        // Full spectrum → tridiagonal QL.
         assert_eq!(stats.solver, SpectralSolver::TridiagonalQl);
         assert!(stats.covariance_s >= 0.0);
         assert!(stats.eigen_s >= 0.0);
@@ -799,18 +799,15 @@ mod tests {
         // 0.95 of the energy sits in the leading ~30 components, while
         // 0.9999 would need essentially all 64.
         let energy = 0.95;
-        let jac = build(SpectralOptions::energy(energy).with_solver(SpectralSolver::Jacobi));
         let ql = build(SpectralOptions::energy(energy).with_solver(SpectralSolver::TridiagonalQl));
         let lan = build(SpectralOptions::energy(energy).with_solver(SpectralSolver::Lanczos));
-        assert_eq!(jac.n_components(), ql.n_components());
-        assert_eq!(jac.n_components(), lan.n_components());
-        assert!(jac.n_components() < 64, "energy target should truncate");
+        assert_eq!(ql.n_components(), lan.n_components());
+        assert!(ql.n_components() < 64, "energy target should truncate");
         // The loadings differ by sign / degenerate rotation, but the
         // covariance they span is the same model.
-        let scale = jac.covariance(0, 0);
+        let scale = ql.covariance(0, 0);
         for &(a, b) in &[(0usize, 0usize), (0, 63), (9, 40), (21, 21)] {
-            assert!((jac.covariance(a, b) - ql.covariance(a, b)).abs() < 1e-10 * scale);
-            assert!((jac.covariance(a, b) - lan.covariance(a, b)).abs() < 1e-8 * scale);
+            assert!((ql.covariance(a, b) - lan.covariance(a, b)).abs() < 1e-8 * scale);
         }
     }
 

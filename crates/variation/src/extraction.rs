@@ -179,17 +179,10 @@ pub fn nearest_psd(m: &DMatrix) -> Result<(DMatrix, f64)> {
 pub fn nearest_psd_with(m: &DMatrix, spectral: &SpectralOptions) -> Result<(DMatrix, f64)> {
     let n = m.nrows();
     let solver = match spectral.solver {
-        SpectralSolver::Auto => {
-            if n >= SymmetricEigen::LANCZOS_MIN_DIM {
-                // Negative-spectrum extraction is a top-k problem on −A,
-                // so size alone decides — no energy fraction involved.
-                SpectralSolver::Lanczos
-            } else if n < SymmetricEigen::JACOBI_MAX_DIM {
-                SpectralSolver::Jacobi
-            } else {
-                SpectralSolver::TridiagonalQl
-            }
-        }
+        // Negative-spectrum extraction is a top-k problem on −A, so size
+        // alone decides — no energy fraction involved.
+        SpectralSolver::Auto if n >= SymmetricEigen::LANCZOS_MIN_DIM => SpectralSolver::Lanczos,
+        SpectralSolver::Auto => SpectralSolver::TridiagonalQl,
         s => s,
     };
 

@@ -48,8 +48,11 @@ use std::path::{Path, PathBuf};
 
 /// The artifact format version; bump on any layout change so stale caches
 /// are rejected cleanly instead of misparsed. Version 2 introduced the
-/// two-line header/payload layout and packed float arrays.
-pub const FORMAT_VERSION: u64 = 2;
+/// two-line header/payload layout and packed float arrays; version 3 marks
+/// the move of correlation grids below 8 × 8 from Jacobi to QL, whose
+/// eigenbasis inside degenerate clusters differs, so a cold build and an
+/// older artifact would sample different (equally valid) realizations.
+pub const FORMAT_VERSION: u64 = 3;
 
 /// Environment variable overriding the default cache root.
 pub const CACHE_ENV: &str = "STATOBD_CACHE";

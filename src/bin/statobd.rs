@@ -48,8 +48,8 @@
 //!                    exists, and save the updated state back on exit
 //!
 //! options for thermal:
-//!   --solver <name>  linear solver: auto, plain_cg, jacobi_pcg, ic0_pcg,
-//!                    mgcg (default auto: picks by grid size)
+//!   --solver <name>  linear solver: auto, ic0_pcg, mgcg (default auto:
+//!                    IC(0)-PCG below 64x64 cells, MGCG from there up)
 //!   --grid <n>       thermal grid side                (default 64)
 //!   --timings        print the assembly / preconditioner / solve
 //!                    wall-time breakdown, per-iteration CG counts and the
@@ -151,7 +151,7 @@ impl Options {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  statobd template <out.json>\n  statobd analyze <spec.json> [--rho f] [--grid n] [--l0 n] [--target f] [--engine name] [--threads n] [--mc n] [--curve n] [--cache] [--timings]\n  statobd bench <C1|C2|C3|C4|C5|C6|MC16> [same options]\n  statobd serve [--socket path] [--cache-dir path] [--no-cache|--quick] [--max-sessions n]\n  statobd thermal <floorplan.json> <power.json> [--solver name] [--grid n] [--timings]\n  statobd manage <spec.json> <schedule.json> [--rho f] [--grid n] [--l0 n] [--threads n] [--checkpoint path]\n  statobd manage template <out.json>\n  statobd fleet <spec.json|C1..MC16> [--chips n] [--profile name] [--seed n] [--budget f] [--wafer-depth f] [--rho f] [--grid n] [--threads n] [--shards n] [--spares n] [--json]"
+        "usage:\n  statobd template <out.json>\n  statobd analyze <spec.json> [--rho f] [--grid n] [--l0 n] [--target f] [--engine name] [--threads n] [--mc n] [--curve n] [--cache] [--timings]\n  statobd bench <C1|C2|C3|C4|C5|C6|MC16> [same options]\n  statobd serve [--socket path] [--cache-dir path] [--no-cache|--quick] [--max-sessions n]\n  statobd thermal <floorplan.json> <power.json> [--solver auto|ic0_pcg|mgcg] [--grid n] [--timings]\n  statobd manage <spec.json> <schedule.json> [--rho f] [--grid n] [--l0 n] [--threads n] [--checkpoint path]\n  statobd manage template <out.json>\n  statobd fleet <spec.json|C1..MC16> [--chips n] [--profile name] [--seed n] [--budget f] [--wafer-depth f] [--rho f] [--grid n] [--threads n] [--shards n] [--spares n] [--json]"
     );
     ExitCode::FAILURE
 }
@@ -179,8 +179,12 @@ fn parse_thermal_options(args: &[String]) -> Result<ThermalOptions, String> {
         match flag.as_str() {
             "--solver" => {
                 let name = value("--solver")?;
-                opts.solver = ThermalSolverKind::parse(&name)
-                    .ok_or_else(|| format!("--solver: unknown solver '{name}'"))?;
+                opts.solver = ThermalSolverKind::parse(&name).ok_or_else(|| {
+                    format!(
+                        "--solver: unknown solver '{name}' (expected {})",
+                        ThermalSolverKind::expected()
+                    )
+                })?;
             }
             "--grid" => {
                 opts.grid = Some(

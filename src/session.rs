@@ -471,6 +471,7 @@ pub(crate) fn compile(spec: &AnalysisSpec) -> Result<CompiledModel> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use statobd_circuits::Benchmark;
     use statobd_core::{BlockSpec, ChipSpec, EngineKind};
 
     fn tiny_chip() -> ChipSpec {
@@ -509,6 +510,16 @@ mod tests {
         assert!(curve.windows(2).all(|w| w[0].1 <= w[1].1), "monotone");
         assert_eq!(s.stats().queries, 7);
         assert_eq!(s.stats().source, SessionSource::Cold);
+    }
+
+    #[test]
+    fn build_rejects_a_thermal_loop_that_cannot_run() {
+        // Zero leakage iterations would leave the die at ambient and report
+        // a lifetime ~10x too long; the spec must fail instead.
+        let mut spec = AnalysisSpec::benchmark(Benchmark::C1).with_grid_side(4);
+        spec.thermal.max_leakage_iters = 0;
+        let err = Session::build(&spec).expect_err("build must fail");
+        assert!(err.to_string().contains("max_leakage_iters"), "{err}");
     }
 
     #[test]

@@ -572,5 +572,13 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("grd_side"), "{err}");
+        // A retired thermal solver tier is an unknown name, not an alias.
+        let text = json::to_string(&AnalysisSpec::benchmark(Benchmark::C1));
+        assert_eq!(text.matches(r#""solver":"auto""#).count(), 1, "{text}");
+        let retired = text.replace(r#""solver":"auto""#, r#""solver":"jacobi_pcg""#);
+        let err = json::from_str::<AnalysisSpec>(&retired)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("unknown thermal solver"), "{err}");
     }
 }

@@ -289,6 +289,23 @@ fn thermal_subcommand_reports_block_temperatures() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("die: min"), "{stdout}");
     assert!(stdout.contains("hot"), "{stdout}");
+
+    // The retired solver tiers are unknown names, not aliases.
+    for retired in ["plain_cg", "jacobi_pcg"] {
+        let out = Command::new(bin())
+            .args([
+                "thermal",
+                fp_path.to_str().unwrap(),
+                pm_path.to_str().unwrap(),
+                "--solver",
+                retired,
+            ])
+            .output()
+            .expect("run thermal");
+        assert!(!out.status.success(), "{retired} should be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("auto, ic0_pcg, mgcg"), "{stderr}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,6 +1,6 @@
 //! Downstream invariance of the spectral backend: a thickness model built
 //! through the Lanczos top-k path must drive the analytic engine to the
-//! same chip failure probabilities as the Jacobi-built model.
+//! same chip failure probabilities as the QL-built model.
 //!
 //! Both models truncate at the same energy target, so they retain the
 //! identical component set (the truncation rule is shared across solvers
@@ -53,36 +53,36 @@ fn failure_curve(analysis: &ChipAnalysis) -> Vec<f64> {
 }
 
 fn assert_curves_match(benchmark: Benchmark) {
-    let jacobi = analysis_with_solver(benchmark, SpectralSolver::Jacobi);
+    let ql = analysis_with_solver(benchmark, SpectralSolver::TridiagonalQl);
     let lanczos = analysis_with_solver(benchmark, SpectralSolver::Lanczos);
     assert_eq!(
-        jacobi.model().n_components(),
+        ql.model().n_components(),
         lanczos.model().n_components(),
         "solvers retained different component sets"
     );
 
-    let p_jac = failure_curve(&jacobi);
+    let p_ql = failure_curve(&ql);
     let p_lan = failure_curve(&lanczos);
     assert!(
-        p_jac.iter().any(|&p| p > 1e-6 && p < 1.0),
+        p_ql.iter().any(|&p| p > 1e-6 && p < 1.0),
         "degenerate P(t) curve for {benchmark:?}"
     );
-    for (i, (&a, &b)) in p_jac.iter().zip(&p_lan).enumerate() {
+    for (i, (&a, &b)) in p_ql.iter().zip(&p_lan).enumerate() {
         let scale = a.abs().max(1e-300);
         let rel = (a - b).abs() / scale;
         assert!(
             rel <= 1e-9,
-            "{benchmark:?} P(t[{i}]): Jacobi {a:e} vs Lanczos {b:e} (rel {rel:.3e})"
+            "{benchmark:?} P(t[{i}]): QL {a:e} vs Lanczos {b:e} (rel {rel:.3e})"
         );
     }
 }
 
 #[test]
-fn lanczos_built_model_matches_jacobi_on_c1() {
+fn lanczos_built_model_matches_ql_on_c1() {
     assert_curves_match(Benchmark::C1);
 }
 
 #[test]
-fn lanczos_built_model_matches_jacobi_on_c3() {
+fn lanczos_built_model_matches_ql_on_c3() {
     assert_curves_match(Benchmark::C3);
 }

@@ -1,20 +1,12 @@
-//! Cross-solver consistency of the thermal fast path: every linear-solver
-//! tier (plain CG, Jacobi-PCG, IC(0)-PCG, MGCG) must produce the same
-//! temperature field on the reference profiles, warm starting must change
-//! the cost but not the fixed point, and the transient stepper must
-//! amortize one operator build over all steps.
+//! Cross-solver consistency of the thermal fast path: MGCG must produce
+//! the same temperature field as IC(0)-PCG on the reference profiles, warm
+//! starting must change the cost but not the fixed point, and the
+//! transient stepper must amortize one operator build over all steps.
 
 use statobd::thermal::{
     alpha_ev6_floorplan, alpha_ev6_power, many_core_floorplan, many_core_power, Floorplan,
     PowerModel, TemperatureMap, ThermalConfig, ThermalSolver, ThermalSolverKind,
 };
-
-const KINDS: [ThermalSolverKind; 4] = [
-    ThermalSolverKind::PlainCg,
-    ThermalSolverKind::JacobiPcg,
-    ThermalSolverKind::Ic0Pcg,
-    ThermalSolverKind::Mgcg,
-];
 
 fn solve_with(kind: ThermalSolverKind, fp: &Floorplan, pm: &PowerModel) -> TemperatureMap {
     let solver = ThermalSolver::new(ThermalConfig {
@@ -25,7 +17,8 @@ fn solve_with(kind: ThermalSolverKind, fp: &Floorplan, pm: &PowerModel) -> Tempe
 }
 
 /// Per-cell fields must agree to 1e-8 relative, block temperatures to
-/// 1e-6 K — the contract that lets any tier feed the reliability model.
+/// 1e-6 K — the contract that lets either solver feed the reliability
+/// model.
 fn assert_fields_agree(reference: &TemperatureMap, other: &TemperatureMap, label: &str) {
     for (a, b) in other.temps().iter().zip(reference.temps()) {
         assert!(
@@ -55,24 +48,20 @@ fn assert_blocks_agree(fp: &Floorplan, reference: &TemperatureMap, other: &Tempe
 fn all_solver_tiers_agree_on_alpha_profile() {
     let fp = alpha_ev6_floorplan().unwrap();
     let pm = alpha_ev6_power().unwrap();
-    let reference = solve_with(KINDS[0], &fp, &pm);
-    for &kind in &KINDS[1..] {
-        let map = solve_with(kind, &fp, &pm);
-        assert_fields_agree(&reference, &map, kind.name());
-        assert_blocks_agree(&fp, &reference, &map);
-    }
+    let reference = solve_with(ThermalSolverKind::Ic0Pcg, &fp, &pm);
+    let map = solve_with(ThermalSolverKind::Mgcg, &fp, &pm);
+    assert_fields_agree(&reference, &map, "mgcg");
+    assert_blocks_agree(&fp, &reference, &map);
 }
 
 #[test]
 fn all_solver_tiers_agree_on_many_core_profile() {
     let fp = many_core_floorplan().unwrap();
     let pm = many_core_power(&[0, 3, 5, 10, 12, 15], 9.0).unwrap();
-    let reference = solve_with(KINDS[0], &fp, &pm);
-    for &kind in &KINDS[1..] {
-        let map = solve_with(kind, &fp, &pm);
-        assert_fields_agree(&reference, &map, kind.name());
-        assert_blocks_agree(&fp, &reference, &map);
-    }
+    let reference = solve_with(ThermalSolverKind::Ic0Pcg, &fp, &pm);
+    let map = solve_with(ThermalSolverKind::Mgcg, &fp, &pm);
+    assert_fields_agree(&reference, &map, "mgcg");
+    assert_blocks_agree(&fp, &reference, &map);
 }
 
 #[test]
