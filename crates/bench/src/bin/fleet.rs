@@ -50,10 +50,11 @@
 //! ```
 
 use statobd::{run_fleet, AnalysisSpec, FleetAggregates, FleetConfig, FleetReport, Session};
-use statobd_bench::harness::{at_least, rel_divergence, remeasure, Cli, Gates};
+use statobd_bench::harness::{rel_divergence, remeasure, Cli, Gates};
 use statobd_core::{BlockSpec, ChipAnalysis, ChipSpec};
 use statobd_device::ClosedFormTech;
 use statobd_manager::MissionProfile;
+use statobd_num::flags::at_least;
 use statobd_num::impl_json_struct;
 use statobd_num::json;
 use statobd_num::simd::{self, LaneWidth};

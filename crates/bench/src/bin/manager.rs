@@ -27,12 +27,13 @@
 //!   ... ] }
 //! ```
 
-use statobd_bench::harness::{at_least, design, list, rel_divergence, Cli};
+use statobd_bench::harness::{design, rel_divergence, Cli};
 use statobd_bench::session_for;
 use statobd_circuits::Benchmark;
 use statobd_core::{HybridTables, ReliabilityEngine};
 use statobd_device::ClosedFormTech;
 use statobd_manager::{DvfsLevel, ManagerConfig, PolicyConfig, ReliabilityManager};
+use statobd_num::flags::{at_least, list};
 use statobd_num::impl_json_struct;
 use std::time::Instant;
 

@@ -28,9 +28,10 @@
 //!   "consistent": true }, ... ] }
 //! ```
 
-use statobd_bench::harness::{at_least, fraction, list, Cli};
+use statobd_bench::harness::Cli;
 use statobd_core::params::NOMINAL_THICKNESS_NM;
 use statobd_num::eigen::{SpectralOptions, SpectralSolver};
+use statobd_num::flags::{at_least, fraction, list};
 use statobd_num::impl_json_struct;
 use statobd_variation::{
     CorrelationKernel, GridSpec, ThicknessModel, ThicknessModelBuilder, VarianceBudget,

@@ -28,8 +28,9 @@
 //! ```
 
 use statobd::{serve_lines, AnalysisSpec, ArtifactCache, EngineKind, ServeConfig, Session};
-use statobd_bench::harness::{at_least, bit_identical, design, log_times, Cli};
+use statobd_bench::harness::{bit_identical, design, log_times, Cli};
 use statobd_circuits::Benchmark;
+use statobd_num::flags::at_least;
 use statobd_num::impl_json_struct;
 use statobd_num::json::ToJson;
 use std::io::Cursor;

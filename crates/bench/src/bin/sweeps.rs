@@ -33,10 +33,11 @@
 //!   "bit_identical": true }, ... ] }
 //! ```
 
-use statobd_bench::harness::{at_least, bit_identical, design, list, log_times, remeasure, Cli};
+use statobd_bench::harness::{bit_identical, design, log_times, remeasure, Cli};
 use statobd_bench::{measure_min, session_for, BRACKET};
 use statobd_circuits::Benchmark;
 use statobd_core::{build_engine, EngineKind, EngineSpec, MonteCarloConfig};
+use statobd_num::flags::{at_least, list};
 use statobd_num::impl_json_struct;
 use std::time::Instant;
 

@@ -27,7 +27,8 @@
 //! within 1e-6 K); the run exits non-zero on mismatch. Defaults measure
 //! the algorithmic win at `--threads 1`.
 
-use statobd_bench::harness::{at_least, list, Cli};
+use statobd_bench::harness::Cli;
+use statobd_num::flags::{at_least, list};
 use statobd_num::impl_json_struct;
 use statobd_thermal::{
     alpha_ev6_floorplan, alpha_ev6_power, BlockPower, Floorplan, PowerModel, TemperatureMap,

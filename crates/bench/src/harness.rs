@@ -1,5 +1,6 @@
-//! The harness every gated bench binary runs on: one order-independent
-//! flag parser ([`Cli`]), one gate collector that writes the JSON report
+//! The harness every gated bench binary runs on: one command line
+//! ([`Cli`]: `--quick` and `--out` on top of the binary's own
+//! [`Flags`]), one gate collector that writes the JSON report
 //! ([`Gates`]), one interleaved re-measure ([`remeasure`]), one NaN-aware
 //! relative divergence ([`rel_divergence`]) and one log-spaced time grid
 //! ([`log_times`]).
@@ -10,56 +11,35 @@
 
 use crate::BRACKET;
 use statobd_circuits::Benchmark;
+use statobd_num::flags::{at_least, path, Flags};
 use statobd_num::json::{self, ToJson};
-use std::fmt::Display;
-use std::str::FromStr;
 
-/// A command line of `--quick` plus `--flag value` pairs. Every flag but
-/// `--quick` takes a value, and the order of flags never matters: an
-/// explicit value always beats the `--quick` default.
-#[derive(Debug, Default)]
+/// A bench binary's command line: `--quick` plus its [`Flags`], in any
+/// order. An explicit value always beats the `--quick` default.
+#[derive(Debug)]
 pub struct Cli {
     /// `--quick`: smoke-sized defaults; speed bars are recorded, not
     /// enforced.
     pub quick: bool,
-    /// Arguments no getter has claimed yet (`None`: the flag's value is
-    /// missing).
-    given: Vec<(String, Option<String>)>,
-    errors: Vec<String>,
+    flags: Flags,
 }
 
 impl Cli {
     /// Reads the process arguments.
     pub fn from_env() -> Cli {
-        Cli::new(std::env::args().skip(1))
+        Cli::new(Flags::new(std::env::args().skip(1)))
     }
 
-    /// Splits `args` into `--quick` and `--flag value` pairs; problems
-    /// are collected for [`Cli::check`].
-    fn new(args: impl IntoIterator<Item = String>) -> Cli {
-        let mut cli = Cli::default();
-        let mut args = args.into_iter().peekable();
-        while let Some(arg) = args.next() {
-            if arg == "--quick" {
-                cli.quick = true;
-                continue;
-            }
-            let value = arg
-                .starts_with("--")
-                .then(|| args.next_if(|v| !v.starts_with("--")))
-                .flatten();
-            if cli.given.iter().any(|(flag, _)| *flag == arg) {
-                cli.errors.push(format!("{arg} given twice"));
-            } else {
-                cli.given.push((arg, value));
-            }
+    fn new(mut flags: Flags) -> Cli {
+        Cli {
+            quick: flags.switch("--quick"),
+            flags,
         }
-        cli
     }
 
     /// The value of `name` read by `parse`, else the full-run or the
-    /// `--quick` default. A bad or missing value is recorded, and
-    /// [`Cli::gates`] exits 2 on it.
+    /// `--quick` default. A bad or missing value makes [`Cli::gates`]
+    /// exit 2.
     pub fn flag<T>(
         &mut self,
         name: &str,
@@ -68,20 +48,7 @@ impl Cli {
         quick: T,
     ) -> T {
         let default = if self.quick { quick } else { full };
-        let Some(i) = self.given.iter().position(|(flag, _)| flag == name) else {
-            return default;
-        };
-        match self.given.remove(i).1.map(|v| parse(&v)) {
-            Some(Ok(value)) => value,
-            Some(Err(e)) => {
-                self.errors.push(format!("{name}: {e}"));
-                default
-            }
-            None => {
-                self.errors.push(format!("{name} needs a value"));
-                default
-            }
-        }
+        self.flags.value(name, parse, default)
     }
 
     /// `--threads` (0 = all cores).
@@ -89,38 +56,12 @@ impl Cli {
         self.flag("--threads", at_least(0), default, default)
     }
 
-    /// Every bad, missing or unknown argument, one per line.
-    fn check(&self) -> Result<(), String> {
-        let unknown = self
-            .given
-            .iter()
-            .map(|(a, _)| format!("unknown argument {a:?}"));
-        let problems: Vec<String> = self.errors.iter().cloned().chain(unknown).collect();
-        if problems.is_empty() {
-            Ok(())
-        } else {
-            Err(problems.join("\n"))
-        }
-    }
-
-    /// Exits 2 listing every problem [`Cli::check`] finds.
-    fn finish(&self) {
-        if let Err(problems) = self.check() {
-            eprintln!("{problems}");
-            std::process::exit(2);
-        }
-    }
-
     /// Reads `--out` (default `out`) and ends the parse: exits 2 listing
     /// every bad, missing or unknown argument, else opens the gate
     /// collector for the report.
     pub fn gates(mut self, out: &str) -> Gates {
-        let path = |s: &str| match s {
-            "" => Err("empty path".to_string()),
-            s => Ok(s.to_string()),
-        };
-        let out = self.flag("--out", path, out.to_string(), out.to_string());
-        self.finish();
+        let out = self.flags.value("--out", path, out.to_string());
+        exit_on_bad_arguments(self.flags.finish());
         Gates {
             quick: self.quick,
             out,
@@ -129,36 +70,19 @@ impl Cli {
     }
 }
 
+/// Exits 2 listing every problem of a finished parse.
+fn exit_on_bad_arguments(parsed: Result<(), String>) {
+    if let Err(problems) = parsed {
+        eprintln!("{problems}");
+        std::process::exit(2);
+    }
+}
+
 /// `--quick` for a binary that takes no other flag.
 pub fn quick_flag() -> bool {
     let cli = Cli::from_env();
-    cli.finish();
+    exit_on_bad_arguments(cli.flags.finish());
     cli.quick
-}
-
-/// Parses a number no smaller than `min`.
-pub fn at_least<T: FromStr + PartialOrd + Display + Copy>(
-    min: T,
-) -> impl Fn(&str) -> Result<T, String> {
-    move |s| match s.trim().parse() {
-        Ok(v) if v >= min => Ok(v),
-        _ => Err(format!("expected a number >= {min}, got {s:?}")),
-    }
-}
-
-/// Parses a fraction in (0, 1].
-pub fn fraction(s: &str) -> Result<f64, String> {
-    match s.trim().parse() {
-        Ok(v) if v > 0.0 && v <= 1.0 => Ok(v),
-        _ => Err(format!("expected a fraction in (0, 1], got {s:?}")),
-    }
-}
-
-/// Parses a comma-separated list with `item`.
-pub fn list<T>(
-    item: impl Fn(&str) -> Result<T, String>,
-) -> impl Fn(&str) -> Result<Vec<T>, String> {
-    move |s| s.split(',').map(|x| item(x.trim())).collect()
 }
 
 /// Parses a benchmark design name (`C1` … `MC16`).
@@ -273,15 +197,16 @@ pub fn log_times(n: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use statobd_num::flags::list;
 
     fn cli(args: &[&str]) -> Cli {
-        Cli::new(args.iter().map(|a| a.to_string()))
+        Cli::new(Flags::new(args))
     }
 
     fn sweeps(args: &[&str]) -> (Vec<usize>, Result<(), String>) {
         let mut cli = cli(args);
         let sweeps = cli.flag("--sweeps", list(at_least(2)), vec![20, 200], vec![8, 40]);
-        (sweeps, cli.check())
+        (sweeps, cli.flags.finish())
     }
 
     #[test]
@@ -297,36 +222,20 @@ mod tests {
 
     #[test]
     fn degenerate_values_fail_at_parse_time() {
+        // The generic parser cases live with `statobd_num::flags`; these
+        // are the harness's own flags.
         for bad in [
-            &["--sweeps", "0"][..],
-            &["--sweeps", "1"],
-            &["--sweeps", "4,x"],
-            &["--sweeps"],
-            &["--sweeps", "--quick"],
-            &["--sweeps", "4", "--sweeps", "8"],
-            &["--bogus"],
-            &["stray"],
+            &["--sweeps", "--quick"][..],
+            &["--quick", "--quick"],
+            &["--quick", "yes"],
         ] {
             assert!(sweeps(bad).1.is_err(), "{bad:?} accepted");
         }
         let fails = |args: &[&str], read: &dyn Fn(&mut Cli)| {
             let mut c = cli(args);
             read(&mut c);
-            c.check().is_err()
+            c.flags.finish().is_err()
         };
-        let positive = |c: &mut Cli| {
-            c.flag("--grids", list(at_least(2usize)), vec![], vec![]);
-        };
-        assert!(fails(&["--grids", "0"], &positive));
-        assert!(fails(&["--grids", "16,1"], &positive));
-        assert!(!fails(&["--grids", "16,2"], &positive));
-        let energy = |c: &mut Cli| {
-            c.flag("--energy", fraction, 0.95, 0.95);
-        };
-        for bad in ["0", "-0.5", "1.5", "NaN", "x"] {
-            assert!(fails(&["--energy", bad], &energy), "--energy {bad}");
-        }
-        assert!(!fails(&["--energy", "1"], &energy));
         let threads = |c: &mut Cli| {
             c.threads(1);
         };

@@ -24,6 +24,7 @@
 //!   vectorized `exp`/`exp_m1`/`ln_1p` kernels for the engines' hot
 //!   transcendental loops,
 //! * a JSON value model with parser and serializers ([`json`]),
+//! * an order-independent command-line flag parser ([`flags`]),
 //! * stable, toolchain-independent FNV-1a content hashing ([`hash`]),
 //! * chunked scoped-thread parallelism with deterministic reduction order
 //!   ([`parallel`]).
@@ -55,6 +56,7 @@ pub mod cg;
 pub mod cholesky;
 pub mod dist;
 pub mod eigen;
+pub mod flags;
 pub mod hash;
 pub mod hist;
 pub mod interp;

@@ -3,19 +3,24 @@
 //!
 //! ```text
 //! statobd template <out.json>          write an example chip spec
-//! statobd analyze  <spec.json> [opts]  analyze a chip spec
-//! statobd bench    <C1..C6|MC16>       analyze a bundled benchmark design
+//! statobd analyze  <design> [opts]     analyze a design: a bundled
+//!                                      benchmark (C1..C6, MC16), else a
+//!                                      chip-spec path
+//! statobd bench    <design> [opts]     the same as analyze
 //! statobd serve    [opts]              answer line-delimited JSON queries
 //!                                      over hot sessions (see below)
 //! statobd thermal  <floorplan.json> <power.json> [opts]
 //!                                      solve the steady-state thermal map
-//! statobd manage   <spec.json> <schedule.json> [opts]
+//! statobd manage   <design> <schedule.json> [opts]
 //!                                      run the dynamic reliability manager
 //!                                      over a phase schedule
 //! statobd manage template <out.json>   write an example schedule
-//! statobd fleet    <spec.json|C1..MC16> [opts]
-//!                                      stream a sampled chip population
+//! statobd fleet    <design> [opts]     stream a sampled chip population
 //!                                      through a mission profile
+//!
+//! Flags come in any order. A bad or missing value, a repeated flag, a
+//! switch given a value and an unknown flag are all reported before any
+//! work starts (exit 1).
 //!
 //! options for fleet:
 //!   --chips <n>      fleet size                      (default 100000)
@@ -24,6 +29,8 @@
 //!   --seed <n>       root RNG seed                   (default 42)
 //!   --budget <f>     failure-probability budget      (default 1e-6)
 //!   --wafer-depth <f> wafer bowl depth in nm, 0 = none (default 0.02)
+//!   --spares <n>     tolerate n block failures: one k-out-of-n group over
+//!                    every block (default 0: weakest link)
 //!   --rho <f>        relative correlation distance   (default 0.5)
 //!   --grid <n>       correlation grid side           (default 25)
 //!   --threads <n>    worker threads
@@ -60,8 +67,8 @@
 //!   --grid <n>       correlation grid side           (default 25)
 //!   --l0 <n>         integration sub-domains         (default 10)
 //!   --target <f>     failure-probability target      (default 1e-6)
-//!   --engine <name>  primary engine: st_fast, st_MC, st_closed, hybrid
-//!                    (default st_fast)
+//!   --engine <name>  primary engine: st_fast, st_MC, st_closed, hybrid,
+//!                    guard, MC (case-insensitive; default st_fast)
 //!   --threads <n>    worker threads for parallel engines (default: the
 //!                    STATOBD_THREADS environment variable, then all cores)
 //!   --mc <n>         also run Monte-Carlo with n chips
@@ -69,8 +76,8 @@
 //!                    model if present, save it after a cold build
 //!   --timings        print the session build breakdown (cold build vs
 //!                    cache load, wall time, retained components)
-//!   --curve <n>      print an n-point P(t) failure-rate curve around the
-//!                    solved lifetime (one batched engine sweep)
+//!   --curve <n>      print an n-point (n >= 2) P(t) failure-rate curve
+//!                    around the solved lifetime (one batched engine sweep)
 //! ```
 
 use statobd::circuits::Benchmark;
@@ -81,148 +88,91 @@ use statobd::core::{
 use statobd::manager::{
     DamageState, DvfsLevel, ManageSpec, ManagerConfig, MissionProfile, PhaseSpec, PolicyConfig,
 };
+use statobd::num::flags::{at_least, path, positive, probability, Flags};
+use statobd::num::json::{self, FromJson};
 use statobd::thermal::{
     kelvin_to_celsius, Floorplan, PowerModel, ThermalConfig, ThermalSolver, ThermalSolverKind,
 };
-use statobd::variation::SystematicPattern;
-use statobd::{run_fleet, FleetConfig};
-use statobd::{AnalysisSpec, ArtifactCache, DesignSource, ServeConfig, Session};
+use statobd::variation::{CorrelationKernel, SystematicPattern};
+use statobd::{run_fleet, AnalysisSpec, ArtifactCache, FleetConfig, ServeConfig, Session};
 use std::process::ExitCode;
-
-#[derive(Debug)]
-struct Options {
-    rho: f64,
-    grid: usize,
-    l0: usize,
-    target: f64,
-    engine: EngineKind,
-    threads: Option<usize>,
-    mc_chips: Option<usize>,
-    curve_points: Option<usize>,
-    cache: bool,
-    timings: bool,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            rho: params::DEFAULT_CORRELATION_DISTANCE,
-            grid: params::DEFAULT_GRID_SIDE,
-            l0: params::DEFAULT_L0,
-            target: params::ONE_PER_MILLION,
-            engine: EngineKind::StFast,
-            threads: None,
-            mc_chips: None,
-            curve_points: None,
-            cache: false,
-            timings: false,
-        }
-    }
-}
-
-impl Options {
-    /// The primary engine's construction spec.
-    fn engine_spec(&self) -> EngineSpec {
-        let spec = match self.engine {
-            EngineKind::StFast => EngineSpec::StFast(StFastConfig {
-                l0: self.l0,
-                ..Default::default()
-            }),
-            kind => kind.default_spec(),
-        };
-        spec.with_threads(self.threads)
-    }
-
-    /// The declarative analysis spec these options denote for `design`.
-    fn to_spec(&self, design: DesignSource) -> AnalysisSpec {
-        let mut spec = match design {
-            DesignSource::Benchmark(b) => AnalysisSpec::benchmark(b),
-            DesignSource::Chip(c) => AnalysisSpec::chip(c),
-        };
-        spec.grid_side = self.grid;
-        spec.model.kernel = statobd::variation::CorrelationKernel::Exponential {
-            rel_distance: self.rho,
-        };
-        spec.engine = self.engine_spec();
-        spec.threads = self.threads;
-        spec
-    }
-}
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  statobd template <out.json>\n  statobd analyze <spec.json> [--rho f] [--grid n] [--l0 n] [--target f] [--engine name] [--threads n] [--mc n] [--curve n] [--cache] [--timings]\n  statobd bench <C1|C2|C3|C4|C5|C6|MC16> [same options]\n  statobd serve [--socket path] [--cache-dir path] [--no-cache|--quick] [--max-sessions n]\n  statobd thermal <floorplan.json> <power.json> [--solver auto|ic0_pcg|mgcg] [--grid n] [--timings]\n  statobd manage <spec.json> <schedule.json> [--rho f] [--grid n] [--l0 n] [--threads n] [--checkpoint path]\n  statobd manage template <out.json>\n  statobd fleet <spec.json|C1..MC16> [--chips n] [--profile name] [--seed n] [--budget f] [--wafer-depth f] [--rho f] [--grid n] [--threads n] [--shards n] [--spares n] [--json]"
+        "usage:\n  statobd template <out.json>\n  statobd analyze <C1..C6|MC16|spec.json> [--rho f] [--grid n] [--l0 n] [--target f] [--engine st_fast|st_MC|st_closed|hybrid|guard|MC] [--threads n] [--mc n] [--curve n] [--cache] [--timings]\n  statobd bench <C1..C6|MC16|spec.json> [same options as analyze]\n  statobd serve [--socket path] [--cache-dir path] [--no-cache|--quick] [--max-sessions n]\n  statobd thermal <floorplan.json> <power.json> [--solver auto|ic0_pcg|mgcg] [--grid n] [--timings]\n  statobd manage <C1..C6|MC16|spec.json> <schedule.json> [--rho f] [--grid n] [--l0 n] [--threads n] [--checkpoint path]\n  statobd manage template <out.json>\n  statobd fleet <C1..C6|MC16|spec.json> [--chips n] [--profile name] [--seed n] [--budget f] [--wafer-depth f] [--spares n] [--rho f] [--grid n] [--threads n] [--shards n] [--json]"
     );
     ExitCode::FAILURE
 }
 
-#[derive(Debug)]
-struct ThermalOptions {
-    solver: ThermalSolverKind,
-    grid: Option<usize>,
-    timings: bool,
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))
 }
 
-fn parse_thermal_options(args: &[String]) -> Result<ThermalOptions, String> {
-    let mut opts = ThermalOptions {
-        solver: ThermalSolverKind::Auto,
-        grid: None,
-        timings: false,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--solver" => {
-                let name = value("--solver")?;
-                opts.solver = ThermalSolverKind::parse(&name).ok_or_else(|| {
-                    format!(
-                        "--solver: unknown solver '{name}' (expected {})",
-                        ThermalSolverKind::expected()
-                    )
-                })?;
-            }
-            "--grid" => {
-                opts.grid = Some(
-                    value("--grid")?
-                        .parse()
-                        .map_err(|e| format!("--grid: {e}"))?,
-                )
-            }
-            "--timings" => opts.timings = true,
-            other => return Err(format!("unknown option {other}")),
+fn read_json<T: FromJson>(path: &str) -> Result<T, String> {
+    json::from_str(&read(path)?).map_err(|e| format!("parsing {path}: {e}"))
+}
+
+/// Reads `--rho`, `--grid` and `--threads`, ends the parse, and only then
+/// resolves the design argument — a bundled benchmark name, else a
+/// chip-spec path — so every bad flag is reported before the design file
+/// is read. An argument that is neither gets the benchmark menu.
+fn analysis_spec(design: &str, mut flags: Flags) -> Result<AnalysisSpec, String> {
+    let rho = flags.opt("--rho", positive);
+    let grid = flags.opt("--grid", at_least(1));
+    let threads = flags.opt("--threads", at_least(1));
+    flags.finish()?;
+    let mut spec = match Benchmark::parse(design) {
+        Ok(bench) => AnalysisSpec::benchmark(bench),
+        Err(unknown) if !std::path::Path::new(design).exists() => {
+            return Err(format!("{unknown}, and no chip-spec file of that name"))
         }
+        Err(_) => AnalysisSpec::chip(read_json::<ChipSpec>(design)?),
+    };
+    if let Some(rel_distance) = rho {
+        spec.model.kernel = CorrelationKernel::Exponential { rel_distance };
     }
-    if opts.grid == Some(0) {
-        return Err("--grid: the thermal grid needs at least one cell per side".to_string());
-    }
-    Ok(opts)
+    spec.grid_side = grid.unwrap_or(spec.grid_side);
+    Ok(spec.with_threads(threads))
 }
 
-fn thermal(fp_path: &str, pm_path: &str, opts: &ThermalOptions) -> Result<(), String> {
-    let fp: Floorplan = statobd::num::json::from_str(
-        &std::fs::read_to_string(fp_path).map_err(|e| format!("reading {fp_path}: {e}"))?,
-    )
-    .map_err(|e| format!("parsing {fp_path}: {e}"))?;
-    let pm: PowerModel = statobd::num::json::from_str(
-        &std::fs::read_to_string(pm_path).map_err(|e| format!("reading {pm_path}: {e}"))?,
-    )
-    .map_err(|e| format!("parsing {pm_path}: {e}"))?;
-    let mut config = ThermalConfig {
-        solver: opts.solver,
-        ..ThermalConfig::default()
-    };
-    if let Some(side) = opts.grid {
-        config.nx = side;
-        config.ny = side;
+/// The st_fast configuration `--l0` selects (threads unset).
+fn st_fast_config(flags: &mut Flags) -> StFastConfig {
+    let defaults = StFastConfig::default();
+    StFastConfig {
+        l0: flags.value("--l0", at_least(1), defaults.l0),
+        ..defaults
     }
+}
+
+/// The thermal solve `--solver` and `--grid` select.
+fn thermal_config(flags: &mut Flags) -> ThermalConfig {
+    let defaults = ThermalConfig::default();
+    let solver = |name: &str| {
+        ThermalSolverKind::parse(name).ok_or_else(|| {
+            format!(
+                "unknown solver '{name}' (expected {})",
+                ThermalSolverKind::expected()
+            )
+        })
+    };
+    let side = flags.opt("--grid", at_least(1));
+    ThermalConfig {
+        solver: flags.value("--solver", solver, defaults.solver),
+        nx: side.unwrap_or(defaults.nx),
+        ny: side.unwrap_or(defaults.ny),
+        ..defaults
+    }
+}
+
+fn thermal(fp_path: &str, pm_path: &str, mut flags: Flags) -> Result<(), String> {
+    let config = thermal_config(&mut flags);
+    let timings = flags.switch("--timings");
+    flags.finish()?;
+    let fp: Floorplan = read_json(fp_path)?;
+    let pm: PowerModel = read_json(pm_path)?;
     let solver = ThermalSolver::new(config);
     let map = solver.solve(&fp, &pm).map_err(|e| e.to_string())?;
-    if opts.timings {
+    if timings {
         let b = map.breakdown();
         println!(
             "thermal solve: {}x{} grid, solver {}",
@@ -265,94 +215,8 @@ fn thermal(fp_path: &str, pm_path: &str, opts: &ThermalOptions) -> Result<(), St
     Ok(())
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--rho" => opts.rho = value("--rho")?.parse().map_err(|e| format!("--rho: {e}"))?,
-            "--grid" => {
-                opts.grid = value("--grid")?
-                    .parse()
-                    .map_err(|e| format!("--grid: {e}"))?
-            }
-            "--l0" => opts.l0 = value("--l0")?.parse().map_err(|e| format!("--l0: {e}"))?,
-            "--target" => {
-                opts.target = value("--target")?
-                    .parse()
-                    .map_err(|e| format!("--target: {e}"))?
-            }
-            "--mc" => {
-                opts.mc_chips = Some(value("--mc")?.parse().map_err(|e| format!("--mc: {e}"))?)
-            }
-            "--curve" => {
-                opts.curve_points = Some(
-                    value("--curve")?
-                        .parse()
-                        .map_err(|e| format!("--curve: {e}"))?,
-                )
-            }
-            "--engine" => {
-                let name = value("--engine")?;
-                opts.engine = EngineKind::parse(&name).map_err(|e| format!("--engine: {e}"))?;
-            }
-            "--threads" => {
-                opts.threads = Some(
-                    value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--cache" => opts.cache = true,
-            "--timings" => opts.timings = true,
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
-    validate_options(&opts)?;
-    Ok(opts)
-}
-
-/// Rejects parameter values that would only fail (or silently produce
-/// nonsense) deep inside the analysis: zero grid sides, zero quadrature
-/// sub-domains, non-positive correlation distances, empty Monte-Carlo
-/// populations and empty curves.
-fn validate_options(opts: &Options) -> Result<(), String> {
-    if !(opts.rho > 0.0) || !opts.rho.is_finite() {
-        return Err(format!(
-            "--rho: correlation distance must be positive and finite, got {}",
-            opts.rho
-        ));
-    }
-    if opts.grid == 0 {
-        return Err("--grid: the correlation grid needs at least one cell per side".to_string());
-    }
-    if opts.l0 == 0 {
-        return Err("--l0: the quadrature needs at least one sub-domain".to_string());
-    }
-    if !(opts.target > 0.0) || opts.target >= 1.0 {
-        return Err(format!(
-            "--target: failure-probability target must be in (0, 1), got {}",
-            opts.target
-        ));
-    }
-    if opts.mc_chips == Some(0) {
-        return Err("--mc: the Monte-Carlo population needs at least one chip".to_string());
-    }
-    if opts.curve_points == Some(0) {
-        return Err("--curve: the P(t) curve needs at least one point".to_string());
-    }
-    if opts.threads == Some(0) {
-        return Err("--threads: need at least one worker thread".to_string());
-    }
-    Ok(())
-}
-
-fn template(path: &str) -> Result<(), String> {
+fn template(path: &str, flags: Flags) -> Result<(), String> {
+    flags.finish()?;
     let mut spec = ChipSpec::new();
     spec.add_block(
         statobd::core::BlockSpec::new(
@@ -371,7 +235,7 @@ fn template(path: &str) -> Result<(), String> {
             .map_err(|e| e.to_string())?,
     )
     .map_err(|e| e.to_string())?;
-    let json = statobd::num::json::to_string_pretty(&spec);
+    let json = json::to_string_pretty(&spec);
     std::fs::write(path, json).map_err(|e| e.to_string())?;
     println!("wrote example spec to {path}");
     println!(
@@ -381,70 +245,10 @@ fn template(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-#[derive(Debug)]
-struct ManageOptions {
-    rho: f64,
-    grid: usize,
-    l0: usize,
-    threads: Option<usize>,
-    checkpoint: Option<String>,
-}
-
-fn parse_manage_options(args: &[String]) -> Result<ManageOptions, String> {
-    let mut opts = ManageOptions {
-        rho: params::DEFAULT_CORRELATION_DISTANCE,
-        grid: params::DEFAULT_GRID_SIDE,
-        l0: params::DEFAULT_L0,
-        threads: None,
-        checkpoint: None,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--rho" => opts.rho = value("--rho")?.parse().map_err(|e| format!("--rho: {e}"))?,
-            "--grid" => {
-                opts.grid = value("--grid")?
-                    .parse()
-                    .map_err(|e| format!("--grid: {e}"))?
-            }
-            "--l0" => opts.l0 = value("--l0")?.parse().map_err(|e| format!("--l0: {e}"))?,
-            "--threads" => {
-                opts.threads = Some(
-                    value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--checkpoint" => opts.checkpoint = Some(value("--checkpoint")?),
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
-    if !(opts.rho > 0.0) || !opts.rho.is_finite() {
-        return Err(format!(
-            "--rho: correlation distance must be positive and finite, got {}",
-            opts.rho
-        ));
-    }
-    if opts.grid == 0 {
-        return Err("--grid: the correlation grid needs at least one cell per side".to_string());
-    }
-    if opts.l0 == 0 {
-        return Err("--l0: the quadrature needs at least one sub-domain".to_string());
-    }
-    if opts.threads == Some(0) {
-        return Err("--threads: need at least one worker thread".to_string());
-    }
-    Ok(opts)
-}
-
 /// Writes an example `statobd manage` schedule: a 1-ppm five-year budget,
 /// a three-level DVFS ladder and a bursty typical/turbo/idle pattern.
-fn manage_template(path: &str) -> Result<(), String> {
+fn manage_template(path: &str, flags: Flags) -> Result<(), String> {
+    flags.finish()?;
     const MONTH_S: f64 = 2.63e6;
     let spec = ManageSpec {
         policy: PolicyConfig {
@@ -499,36 +303,26 @@ fn manage_template(path: &str) -> Result<(), String> {
 }
 
 /// Runs the dynamic reliability manager over a phase schedule.
-fn manage(spec_path: &str, schedule_path: &str, opts: &ManageOptions) -> Result<(), String> {
-    let chip: ChipSpec = statobd::num::json::from_str(
-        &std::fs::read_to_string(spec_path).map_err(|e| format!("reading {spec_path}: {e}"))?,
-    )
-    .map_err(|e| format!("parsing {spec_path}: {e}"))?;
-    let schedule = ManageSpec::from_json(
-        &std::fs::read_to_string(schedule_path)
-            .map_err(|e| format!("reading {schedule_path}: {e}"))?,
-    )
-    .map_err(|e| format!("parsing {schedule_path}: {e}"))?;
-
+fn manage(design: &str, schedule_path: &str, mut flags: Flags) -> Result<(), String> {
+    let defaults = HybridConfig::default();
+    let l0 = flags.value("--l0", at_least(1), defaults.quadrature_l0);
+    let checkpoint = flags.opt("--checkpoint", path);
     // The manager needs only the compiled analysis; the (cheap) closed-form
     // engine keeps session construction light.
-    let mut aspec = AnalysisSpec::chip(chip);
-    aspec.grid_side = opts.grid;
-    aspec.model.kernel = statobd::variation::CorrelationKernel::Exponential {
-        rel_distance: opts.rho,
+    let aspec = analysis_spec(design, flags)?.with_engine(EngineKind::StClosed);
+    let tables = HybridConfig {
+        quadrature_l0: l0,
+        threads: aspec.threads,
+        ..defaults
     };
-    aspec.engine = EngineKind::StClosed.default_spec();
-    aspec.threads = opts.threads;
+    let schedule = ManageSpec::from_json(&read(schedule_path)?)
+        .map_err(|e| format!("parsing {schedule_path}: {e}"))?;
     let mut session = Session::build(&aspec).map_err(|e| e.to_string())?;
     let n_blocks = session.analysis().n_blocks();
 
     let start = std::time::Instant::now();
     let manager_config = ManagerConfig {
-        tables: HybridConfig {
-            quadrature_l0: opts.l0,
-            threads: opts.threads,
-            ..HybridConfig::default()
-        },
+        tables,
         ..ManagerConfig::default()
     };
     session
@@ -552,7 +346,7 @@ fn manage(spec_path: &str, schedule_path: &str, opts: &ManageOptions) -> Result<
         start.elapsed().as_secs_f64()
     );
 
-    if let Some(path) = &opts.checkpoint {
+    if let Some(path) = &checkpoint {
         match std::fs::read_to_string(path) {
             Ok(json) => {
                 let state = DamageState::from_json(&json).map_err(|e| e.to_string())?;
@@ -614,18 +408,33 @@ fn manage(spec_path: &str, schedule_path: &str, opts: &ManageOptions) -> Result<
         if p_final <= budget { "met" } else { "exceeded" }
     );
 
-    if let Some(path) = &opts.checkpoint {
+    if let Some(path) = &checkpoint {
         std::fs::write(path, mgr.damage().to_json()).map_err(|e| format!("writing {path}: {e}"))?;
         println!("damage state checkpointed to {path}");
     }
     Ok(())
 }
 
-/// Compiles the session for `design` (through the artifact cache when
-/// `--cache` is set) and prints the full report.
-fn report(design: DesignSource, opts: &Options) -> Result<(), String> {
-    let spec = opts.to_spec(design);
-    let mut session = if opts.cache {
+/// `analyze`/`bench`: compiles the session for a design (through the
+/// artifact cache with `--cache`) and prints the full report.
+fn report(design: &str, mut flags: Flags) -> Result<(), String> {
+    let engine = |name: &str| EngineKind::parse(name).map_err(|e| e.to_string());
+    let engine = flags.opt("--engine", engine);
+    // The per-block breakdown always runs st_fast, whatever the engine.
+    let mut st_fast = st_fast_config(&mut flags);
+    let target = flags.value("--target", probability, params::ONE_PER_MILLION);
+    let mc_chips = flags.opt("--mc", at_least(1));
+    let curve_points = flags.opt("--curve", at_least(2));
+    let cache = flags.switch("--cache");
+    let timings = flags.switch("--timings");
+    let mut spec = analysis_spec(design, flags)?;
+    st_fast.threads = spec.threads;
+    spec.engine = match engine.unwrap_or(spec.engine.kind()) {
+        EngineKind::StFast => EngineSpec::StFast(st_fast),
+        kind => kind.default_spec().with_threads(spec.threads),
+    };
+
+    let mut session = if cache {
         let cache = ArtifactCache::open_default().map_err(|e| e.to_string())?;
         Session::open(&spec, &cache)
     } else {
@@ -636,7 +445,7 @@ fn report(design: DesignSource, opts: &Options) -> Result<(), String> {
     if let Some(note) = &session.stats().note {
         eprintln!("warning: {note}");
     }
-    if opts.timings {
+    if timings {
         let stats = session.stats();
         println!(
             "session: {} build in {:.4} s, {} components retained, spec hash {}",
@@ -655,14 +464,14 @@ fn report(design: DesignSource, opts: &Options) -> Result<(), String> {
     );
 
     let years = |t: f64| t / 3.156e7;
-    let kind = opts.engine;
+    let kind = spec.engine.kind();
 
     let start = std::time::Instant::now();
-    let t_fast = session.lifetime(opts.target).map_err(|e| e.to_string())?;
+    let t_fast = session.lifetime(target).map_err(|e| e.to_string())?;
     println!(
         "{} lifetime @ P={:.1e}: {:.3e} s ({:.2} years)  [{:.1} ms]",
         kind,
-        opts.target,
+        target,
         t_fast,
         years(t_fast),
         start.elapsed().as_secs_f64() * 1e3
@@ -676,7 +485,7 @@ fn report(design: DesignSource, opts: &Options) -> Result<(), String> {
 
     let analysis = session.analysis();
     let guard = GuardBand::new(analysis, GuardBandConfig::default()).map_err(|e| e.to_string())?;
-    let t_guard = guard.lifetime(opts.target).map_err(|e| e.to_string())?;
+    let t_guard = guard.lifetime(target).map_err(|e| e.to_string())?;
     println!(
         "guard-band corner:            {:.3e} s ({:.2} years)  [{:.0}% pessimistic]",
         t_guard,
@@ -684,15 +493,15 @@ fn report(design: DesignSource, opts: &Options) -> Result<(), String> {
         100.0 * (1.0 - t_guard / t_fast)
     );
 
-    if let Some(chips) = opts.mc_chips {
+    if let Some(chips) = mc_chips {
         let start = std::time::Instant::now();
         let mc_spec = EngineSpec::MonteCarlo(MonteCarloConfig {
             n_chips: chips,
-            threads: opts.threads,
+            threads: spec.threads,
             ..Default::default()
         });
         let mut mc = build_engine(analysis, &mc_spec).map_err(|e| e.to_string())?;
-        let t_mc = solve_lifetime(mc.as_mut(), opts.target, statobd::LIFETIME_BRACKET_S)
+        let t_mc = solve_lifetime(mc.as_mut(), target, statobd::LIFETIME_BRACKET_S)
             .map_err(|e| e.to_string())?;
         println!(
             "Monte-Carlo ({chips} chips):     {:.3e} s ({:.2} years)  [{:.1} s; {} error {:.2}%]",
@@ -705,14 +514,7 @@ fn report(design: DesignSource, opts: &Options) -> Result<(), String> {
     }
 
     println!("\nper-block contributions at the {kind} lifetime:");
-    let breakdown = StFast::new(
-        analysis,
-        StFastConfig {
-            l0: opts.l0,
-            threads: opts.threads,
-            ..Default::default()
-        },
-    );
+    let breakdown = StFast::new(analysis, st_fast);
     let blocks: Vec<(String, f64, f64)> = analysis
         .blocks()
         .iter()
@@ -732,8 +534,7 @@ fn report(design: DesignSource, opts: &Options) -> Result<(), String> {
         println!("  {name:<12} {:>7.1} C  P_j = {p:.3e}", temp_k - 273.15);
     }
 
-    if let Some(n) = opts.curve_points {
-        let n = n.max(2);
+    if let Some(n) = curve_points {
         // Two decades either side of the solved lifetime covers the whole
         // interesting region of the S-curve; one batched sweep.
         let start = std::time::Instant::now();
@@ -752,187 +553,46 @@ fn report(design: DesignSource, opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-#[derive(Debug)]
-struct FleetOptions {
-    chips: u64,
-    profile: MissionProfile,
-    seed: u64,
-    budget: f64,
-    wafer_depth: f64,
-    rho: f64,
-    grid: usize,
-    threads: Option<usize>,
-    shards: Option<usize>,
-    spares: usize,
-    json: bool,
-}
-
-fn parse_fleet_options(args: &[String]) -> Result<FleetOptions, String> {
-    let mut opts = FleetOptions {
-        chips: 100_000,
-        profile: MissionProfile::datacenter(),
-        seed: 42,
-        budget: params::ONE_PER_MILLION,
-        wafer_depth: 0.02,
-        rho: params::DEFAULT_CORRELATION_DISTANCE,
-        grid: params::DEFAULT_GRID_SIDE,
-        threads: None,
-        shards: None,
-        spares: 0,
-        json: false,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--chips" => {
-                opts.chips = value("--chips")?
-                    .parse()
-                    .map_err(|e| format!("--chips: {e}"))?
-            }
-            "--profile" => {
-                // Resolve at parse time: an unknown name fails here with a
-                // did-you-mean suggestion, not after the model compiles.
-                let name = value("--profile")?;
-                opts.profile =
-                    MissionProfile::named(&name).map_err(|e| format!("--profile: {e}"))?;
-            }
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--budget" => {
-                opts.budget = value("--budget")?
-                    .parse()
-                    .map_err(|e| format!("--budget: {e}"))?
-            }
-            "--wafer-depth" => {
-                opts.wafer_depth = value("--wafer-depth")?
-                    .parse()
-                    .map_err(|e| format!("--wafer-depth: {e}"))?
-            }
-            "--rho" => opts.rho = value("--rho")?.parse().map_err(|e| format!("--rho: {e}"))?,
-            "--grid" => {
-                opts.grid = value("--grid")?
-                    .parse()
-                    .map_err(|e| format!("--grid: {e}"))?
-            }
-            "--threads" => {
-                opts.threads = Some(
-                    value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--shards" => {
-                opts.shards = Some(
-                    value("--shards")?
-                        .parse()
-                        .map_err(|e| format!("--shards: {e}"))?,
-                )
-            }
-            "--spares" => {
-                opts.spares = value("--spares")?
-                    .parse()
-                    .map_err(|e| format!("--spares: {e}"))?
-            }
-            "--json" => opts.json = true,
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
-    if opts.chips == 0 {
-        return Err("--chips: the fleet needs at least one chip".to_string());
-    }
-    if opts.shards == Some(0) {
-        return Err("--shards: need at least one shard".to_string());
-    }
-    if opts.threads == Some(0) {
-        return Err("--threads: need at least one worker thread".to_string());
-    }
-    if !(opts.budget > 0.0) || opts.budget >= 1.0 {
-        return Err(format!(
-            "--budget: failure-probability budget must be in (0, 1), got {}",
-            opts.budget
-        ));
-    }
-    if !(opts.wafer_depth >= 0.0) || !opts.wafer_depth.is_finite() {
-        return Err(format!(
-            "--wafer-depth: bowl depth must be non-negative and finite, got {}",
-            opts.wafer_depth
-        ));
-    }
-    if !(opts.rho > 0.0) || !opts.rho.is_finite() {
-        return Err(format!(
-            "--rho: correlation distance must be positive and finite, got {}",
-            opts.rho
-        ));
-    }
-    if opts.grid == 0 {
-        return Err("--grid: the correlation grid needs at least one cell per side".to_string());
-    }
-    Ok(opts)
-}
-
-impl FleetOptions {
-    fn config(&self) -> FleetConfig {
-        FleetConfig {
-            chips: self.chips,
-            profile: self.profile.clone(),
-            seed: self.seed,
-            budget: self.budget,
-            wafer: if self.wafer_depth > 0.0 {
-                SystematicPattern::Bowl {
-                    depth: self.wafer_depth,
-                    center: (0.5, 0.5),
-                }
-            } else {
-                SystematicPattern::None
+/// The fleet run the flags select (threads unset); every default comes
+/// from [`FleetConfig::default`].
+fn fleet_config(flags: &mut Flags) -> FleetConfig {
+    let defaults = FleetConfig::default();
+    // Resolved at parse time: an unknown profile fails with a
+    // did-you-mean suggestion before the model compiles.
+    let profile = |name: &str| MissionProfile::named(name).map_err(|e| e.to_string());
+    FleetConfig {
+        chips: flags.value("--chips", at_least(1), defaults.chips),
+        profile: flags.value("--profile", profile, defaults.profile),
+        seed: flags.value("--seed", at_least(0), defaults.seed),
+        budget: flags.value("--budget", probability, defaults.budget),
+        wafer: match flags.opt("--wafer-depth", at_least(0.0)) {
+            Some(depth) if depth > 0.0 => SystematicPattern::Bowl {
+                depth,
+                center: (0.5, 0.5),
             },
-            threads: self.threads,
-            shards: self.shards,
-            spares: self.spares,
-        }
+            Some(_) => SystematicPattern::None,
+            None => defaults.wafer,
+        },
+        shards: flags.opt("--shards", at_least(1)),
+        spares: flags.value("--spares", at_least(0), defaults.spares),
+        ..defaults
     }
 }
 
 /// Streams a sampled chip population through a mission profile.
-fn fleet(design_arg: &str, opts: &FleetOptions) -> Result<(), String> {
-    // The design argument is a bundled benchmark name or a chip-spec path.
-    let design = match Benchmark::parse(design_arg) {
-        Ok(bench) => DesignSource::Benchmark(bench),
-        Err(_) => {
-            let json = std::fs::read_to_string(design_arg)
-                .map_err(|e| format!("reading {design_arg}: {e}"))?;
-            DesignSource::Chip(
-                statobd::num::json::from_str::<ChipSpec>(&json)
-                    .map_err(|e| format!("parsing {design_arg}: {e}"))?,
-            )
-        }
-    };
+fn fleet(design: &str, mut flags: Flags) -> Result<(), String> {
+    let mut config = fleet_config(&mut flags);
+    let as_json = flags.switch("--json");
     // The fleet never queries the engine; the closed-form selection keeps
     // the session build light.
-    let mut aspec = match design {
-        DesignSource::Benchmark(b) => AnalysisSpec::benchmark(b),
-        DesignSource::Chip(c) => AnalysisSpec::chip(c),
-    };
-    aspec.grid_side = opts.grid;
-    aspec.model.kernel = statobd::variation::CorrelationKernel::Exponential {
-        rel_distance: opts.rho,
-    };
-    aspec.engine = EngineKind::StClosed.default_spec();
-    aspec.threads = opts.threads;
+    let aspec = analysis_spec(design, flags)?.with_engine(EngineKind::StClosed);
+    config.threads = aspec.threads;
     let session = Session::build(&aspec).map_err(|e| e.to_string())?;
     let tech = session.spec().tech.tech();
 
-    let config = opts.config();
     let report = run_fleet(session.analysis(), &tech, &config).map_err(|e| e.to_string())?;
-    if opts.json {
-        println!("{}", statobd::num::json::to_string_pretty(&report));
+    if as_json {
+        println!("{}", json::to_string_pretty(&report));
         return Ok(());
     }
 
@@ -942,12 +602,12 @@ fn fleet(design_arg: &str, opts: &FleetOptions) -> Result<(), String> {
         "fleet: {} chips through '{}' ({})",
         a.chips,
         a.profile,
-        opts.profile.description()
+        config.profile.description()
     );
-    if opts.spares > 0 {
+    if config.spares > 0 {
         println!(
             "  redundancy: one group over all blocks, {} spare(s) (chip fails only past {} block failures)",
-            opts.spares, opts.spares
+            config.spares, config.spares
         );
     }
     println!(
@@ -999,130 +659,41 @@ fn fleet(design_arg: &str, opts: &FleetOptions) -> Result<(), String> {
     Ok(())
 }
 
-#[derive(Debug, Default)]
-struct ServeOptions {
-    socket: Option<String>,
-    cache_dir: Option<String>,
-    no_cache: bool,
-    max_sessions: Option<usize>,
-}
-
-fn parse_serve_options(args: &[String]) -> Result<ServeOptions, String> {
-    let mut opts = ServeOptions::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--socket" => opts.socket = Some(value("--socket")?),
-            "--cache-dir" => opts.cache_dir = Some(value("--cache-dir")?),
-            "--no-cache" | "--quick" => opts.no_cache = true,
-            "--max-sessions" => {
-                opts.max_sessions = Some(
-                    value("--max-sessions")?
-                        .parse()
-                        .map_err(|e| format!("--max-sessions: {e}"))?,
-                )
-            }
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
-    if opts.max_sessions == Some(0) {
-        return Err("--max-sessions: the server needs room for at least one session".to_string());
-    }
-    Ok(opts)
-}
-
-fn serve_cmd(opts: &ServeOptions) -> Result<(), String> {
-    let mut config = ServeConfig::default();
-    if let Some(n) = opts.max_sessions {
-        config.max_sessions = n;
-    }
-    config.cache = if opts.no_cache {
-        None
-    } else if let Some(dir) = &opts.cache_dir {
-        Some(ArtifactCache::new(dir))
-    } else {
+/// Answers line-delimited JSON requests on stdin/stdout or a unix socket.
+fn serve(mut flags: Flags) -> Result<(), String> {
+    let socket = flags.opt("--socket", path);
+    let cache_dir = flags.opt("--cache-dir", path);
+    // Both switches are read, so giving both is not an error.
+    let no_cache = flags.switch("--no-cache") | flags.switch("--quick");
+    let config = ServeConfig {
+        max_sessions: flags.value(
+            "--max-sessions",
+            at_least(1),
+            ServeConfig::default().max_sessions,
+        ),
         // Serving without any cache root (e.g. no $HOME) is fine: every
         // open is just a cold build.
-        ArtifactCache::default_root().map(ArtifactCache::new)
+        cache: match cache_dir {
+            _ if no_cache => None,
+            Some(dir) => Some(ArtifactCache::new(dir)),
+            None => ArtifactCache::default_root().map(ArtifactCache::new),
+        },
     };
-    let socket = opts.socket.as_ref().map(std::path::Path::new);
-    statobd::serve(config, socket).map_err(|e| e.to_string())
+    flags.finish()?;
+    statobd::serve(config, socket.as_deref().map(std::path::Path::new)).map_err(|e| e.to_string())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        return usage();
-    };
-    let result = match cmd.as_str() {
-        "template" => {
-            let Some(path) = args.get(1) else {
-                return usage();
-            };
-            template(path)
-        }
-        "analyze" => {
-            let Some(path) = args.get(1) else {
-                return usage();
-            };
-            match parse_options(&args[2..]) {
-                Ok(opts) => std::fs::read_to_string(path)
-                    .map_err(|e| format!("reading {path}: {e}"))
-                    .and_then(|json| {
-                        statobd::num::json::from_str::<ChipSpec>(&json)
-                            .map_err(|e| format!("parsing {path}: {e}"))
-                    })
-                    .and_then(|spec| report(DesignSource::Chip(spec), &opts)),
-                Err(e) => Err(e),
-            }
-        }
-        "serve" => match parse_serve_options(&args[1..]) {
-            Ok(opts) => serve_cmd(&opts),
-            Err(e) => Err(e),
-        },
-        "thermal" => {
-            let (Some(fp), Some(pm)) = (args.get(1), args.get(2)) else {
-                return usage();
-            };
-            match parse_thermal_options(&args[3..]) {
-                Ok(opts) => thermal(fp, pm, &opts),
-                Err(e) => Err(e),
-            }
-        }
-        "manage" => match (args.get(1).map(String::as_str), args.get(2)) {
-            (Some("template"), Some(path)) => manage_template(path),
-            (Some(spec), Some(schedule)) => match parse_manage_options(&args[3..]) {
-                Ok(opts) => manage(spec, schedule, &opts),
-                Err(e) => Err(e),
-            },
-            _ => return usage(),
-        },
-        "fleet" => {
-            let Some(design) = args.get(1) else {
-                return usage();
-            };
-            match parse_fleet_options(&args[2..]) {
-                Ok(opts) => fleet(design, &opts),
-                Err(e) => Err(e),
-            }
-        }
-        "bench" => {
-            let Some(name) = args.get(1) else {
-                return usage();
-            };
-            match Benchmark::parse(name).map_err(|e| e.to_string()) {
-                Ok(bench) => match parse_options(&args[2..]) {
-                    Ok(opts) => report(DesignSource::Benchmark(bench), &opts),
-                    Err(e) => Err(e),
-                },
-                Err(e) => Err(e),
-            }
-        }
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let result = match args.as_slice() {
+        ["template", path, rest @ ..] => template(path, Flags::new(rest)),
+        ["analyze" | "bench", design, rest @ ..] => report(design, Flags::new(rest)),
+        ["serve", rest @ ..] => serve(Flags::new(rest)),
+        ["thermal", fp, pm, rest @ ..] => thermal(fp, pm, Flags::new(rest)),
+        ["manage", "template", path, rest @ ..] => manage_template(path, Flags::new(rest)),
+        ["manage", design, schedule, rest @ ..] => manage(design, schedule, Flags::new(rest)),
+        ["fleet", design, rest @ ..] => fleet(design, Flags::new(rest)),
         _ => return usage(),
     };
     match result {
@@ -1138,33 +709,55 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+    fn flags(list: &[&str]) -> Flags {
+        Flags::new(list)
     }
 
     #[test]
     fn parse_options_accepts_sane_flags() {
-        let opts = parse_options(&args(&[
+        let mut f = flags(&[
             "--rho",
             "0.4",
             "--grid",
             "12",
             "--l0",
             "8",
-            "--mc",
-            "50",
-            "--curve",
-            "5",
             "--threads",
             "2",
-        ]))
-        .unwrap();
-        assert_eq!(opts.grid, 12);
-        assert_eq!(opts.l0, 8);
-        assert_eq!(opts.mc_chips, Some(50));
-        assert_eq!(opts.curve_points, Some(5));
-        assert_eq!(opts.threads, Some(2));
-        assert!((opts.rho - 0.4).abs() < 1e-12);
+        ]);
+        let st_fast = st_fast_config(&mut f);
+        let spec = analysis_spec("C1", f).unwrap();
+        assert_eq!(spec.grid_side, 12);
+        assert_eq!(spec.threads, Some(2));
+        assert_eq!(st_fast.l0, 8);
+        assert_eq!(
+            spec.model.kernel,
+            CorrelationKernel::Exponential { rel_distance: 0.4 }
+        );
+        // The report's own flags parse too: with one bad value among them,
+        // that value is the only problem reported (and nothing runs).
+        let err = report(
+            "C1",
+            flags(&[
+                "--l0",
+                "8",
+                "--mc",
+                "50",
+                "--curve",
+                "5",
+                "--engine",
+                "HYBRID",
+                "--cache",
+                "--timings",
+                "--target",
+                "0",
+            ]),
+        )
+        .unwrap_err();
+        assert!(
+            err.starts_with("--target") && err.lines().count() == 1,
+            "{err}"
+        );
     }
 
     #[test]
@@ -1179,11 +772,14 @@ mod tests {
             (vec!["--rho", "nan"], "--rho"),
             (vec!["--mc", "0"], "--mc"),
             (vec!["--curve", "0"], "--curve"),
+            (vec!["--curve", "1"], "--curve"),
             (vec!["--threads", "0"], "--threads"),
             (vec!["--target", "0"], "--target"),
             (vec!["--target", "1.5"], "--target"),
+            (vec!["--grid", "0", "--grid", "6"], "--grid given twice"),
+            (vec!["--cache", "yes"], "--cache takes no value"),
         ] {
-            let err = parse_options(&args(&bad)).unwrap_err();
+            let err = report("C1", flags(&bad)).unwrap_err();
             assert!(
                 err.contains(needle),
                 "rejection for {bad:?} should mention {needle}: {err}"
@@ -1193,13 +789,24 @@ mod tests {
 
     #[test]
     fn parse_options_rejects_unknown_and_dangling_flags() {
-        assert!(parse_options(&args(&["--frobnicate"])).is_err());
-        assert!(parse_options(&args(&["--rho"])).is_err());
+        assert!(report("C1", flags(&["--frobnicate"])).is_err());
+        assert!(report("C1", flags(&["--rho"])).is_err());
+        let err = report("C9", flags(&[])).unwrap_err();
+        assert!(err.contains("one of: C1"), "benchmark menu missing: {err}");
+        // Every flag problem is reported before the design file is read.
+        let not_a_spec = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+        let err = report(not_a_spec, flags(&["--grid", "0", "--bogus"])).unwrap_err();
+        assert!(
+            err.starts_with("--grid") && err.ends_with("unknown option --bogus"),
+            "{err}"
+        );
+        let err = report(not_a_spec, flags(&[])).unwrap_err();
+        assert!(err.starts_with("parsing"), "{err}");
     }
 
     #[test]
     fn parse_fleet_options_accepts_sane_flags() {
-        let opts = parse_fleet_options(&args(&[
+        let mut f = flags(&[
             "--chips",
             "5000",
             "--profile",
@@ -1214,16 +821,31 @@ mod tests {
             "2",
             "--shards",
             "5",
-            "--json",
-        ]))
-        .unwrap();
-        assert_eq!(opts.chips, 5000);
-        assert_eq!(opts.profile.name(), "automotive");
-        assert_eq!(opts.seed, 7);
-        assert_eq!(opts.threads, Some(2));
-        assert_eq!(opts.shards, Some(5));
-        assert!(opts.json);
-        assert_eq!(opts.config().wafer, SystematicPattern::None);
+            "--spares",
+            "1",
+        ]);
+        let config = fleet_config(&mut f);
+        let spec = analysis_spec("C1", f).unwrap();
+        assert_eq!(config.chips, 5000);
+        assert_eq!(config.profile.name(), "automotive");
+        assert_eq!(config.seed, 7);
+        assert_eq!(config.budget, 1e-5);
+        assert_eq!(spec.threads, Some(2));
+        assert_eq!(config.shards, Some(5));
+        assert_eq!(config.spares, 1);
+        assert_eq!(config.wafer, SystematicPattern::None);
+        // Absent flags keep the library defaults.
+        let config = fleet_config(&mut flags(&[]));
+        let defaults = FleetConfig::default();
+        assert_eq!(
+            (config.chips, config.seed, config.wafer),
+            (defaults.chips, defaults.seed, defaults.wafer)
+        );
+        let err = fleet("C1", flags(&["--json", "--chips", "0"])).unwrap_err();
+        assert!(
+            err.starts_with("--chips") && err.lines().count() == 1,
+            "{err}"
+        );
     }
 
     #[test]
@@ -1239,8 +861,9 @@ mod tests {
             (vec!["--grid", "0"], "--grid"),
             (vec!["--profile"], "--profile"),
             (vec!["--frobnicate"], "--frobnicate"),
+            (vec!["--json", "yes"], "--json takes no value"),
         ] {
-            let err = parse_fleet_options(&args(&bad)).unwrap_err();
+            let err = fleet("C1", flags(&bad)).unwrap_err();
             assert!(
                 err.contains(needle),
                 "rejection for {bad:?} should mention {needle}: {err}"
@@ -1250,34 +873,66 @@ mod tests {
 
     #[test]
     fn parse_fleet_options_suggests_profile_names() {
-        let err = parse_fleet_options(&args(&["--profile", "datacentre"])).unwrap_err();
+        let err = fleet("C1", flags(&["--profile", "datacentre"])).unwrap_err();
         assert!(err.contains("did you mean 'datacenter'"), "{err}");
         assert!(err.contains("htol"), "menu missing from: {err}");
     }
 
     #[test]
     fn parse_thermal_options_rejects_zero_grid() {
-        assert!(parse_thermal_options(&args(&["--grid", "0"])).is_err());
-        assert!(parse_thermal_options(&args(&["--grid", "32"])).is_ok());
+        let parse = |args: &[&str]| {
+            let mut f = flags(args);
+            let config = thermal_config(&mut f);
+            f.finish().map(|()| config)
+        };
+        assert!(parse(&["--grid", "0"]).is_err());
+        let config = parse(&["--grid", "32", "--solver", "mgcg"]).unwrap();
+        assert_eq!((config.nx, config.ny), (32, 32));
+        assert_eq!(config.solver, ThermalSolverKind::Mgcg);
+        assert!(parse(&["--solver", "jacobi_pcg"]).is_err());
     }
 
     #[test]
     fn parse_manage_options_validates_like_analyze() {
-        let opts =
-            parse_manage_options(&args(&["--checkpoint", "state.json", "--grid", "10"])).unwrap();
-        assert_eq!(opts.checkpoint.as_deref(), Some("state.json"));
-        assert_eq!(opts.grid, 10);
+        // With good flags, the missing schedule is the first failure.
+        let err = manage(
+            "C1",
+            "/nonexistent/schedule.json",
+            flags(&["--checkpoint", "state.json", "--grid", "10"]),
+        )
+        .unwrap_err();
+        assert!(
+            err.starts_with("reading /nonexistent/schedule.json"),
+            "{err}"
+        );
         for bad in [
             vec!["--l0", "0"],
             vec!["--grid", "0"],
             vec!["--rho", "0"],
             vec!["--threads", "0"],
             vec!["--unknown"],
+            vec!["--checkpoint", ""],
         ] {
+            let err = manage("C1", "/nonexistent/schedule.json", flags(&bad)).unwrap_err();
             assert!(
-                parse_manage_options(&args(&bad)).is_err(),
-                "{bad:?} should be rejected"
+                err.contains(bad[0]),
+                "{bad:?} should be rejected before the schedule is read: {err}"
             );
         }
+    }
+
+    #[test]
+    fn serve_and_template_reject_bad_flags_before_running() {
+        for bad in [
+            vec!["--max-sessions", "0"],
+            vec!["--no-cache", "--no-cache"],
+            vec!["--socket"],
+        ] {
+            let err = serve(flags(&bad)).unwrap_err();
+            assert!(err.contains(bad[0]), "{bad:?}: {err}");
+        }
+        assert!(template("/nonexistent/out.json", flags(&["--bogus"]))
+            .unwrap_err()
+            .contains("--bogus"));
     }
 }

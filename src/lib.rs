@@ -74,6 +74,7 @@ pub use fleet::{
 pub use serve::{serve, serve_lines, ServeConfig};
 pub use session::{
     Session, SessionSource, SessionStats, DEFAULT_SERVICE_LIFE_S, LIFETIME_BRACKET_S,
+    MAX_SWEEP_POINTS,
 };
 pub use spec::{AnalysisSpec, DesignSource, ModelSpec, TechSpec};
 

@@ -147,7 +147,8 @@ impl Server {
             "sweep" => {
                 let t_lo = num_field(request, "t_lo_s")?;
                 let t_hi = num_field(request, "t_hi_s")?;
-                let points = num_field(request, "points")? as usize;
+                let points = opt_field(request, "points")?
+                    .ok_or_else(|| Error::Spec("request needs an integer 'points'".to_string()))?;
                 let curve = self.session(request)?.sweep(t_lo, t_hi, points)?;
                 let rows = curve
                     .into_iter()
@@ -167,57 +168,30 @@ impl Server {
                 let dt_s = num_field(request, "dt_s")?;
                 let vdd_v = num_field(request, "vdd_v")?;
                 let session = self.session(request)?;
-                let report = match request.get("temps_k") {
-                    Some(temps) => {
-                        let temps = Vec::<f64>::from_json(temps).map_err(Error::from)?;
-                        session.manage_step(dt_s, &temps, vdd_v)?
-                    }
+                let report = match opt_field::<Vec<f64>>(request, "temps_k")? {
+                    Some(temps) => session.manage_step(dt_s, &temps, vdd_v)?,
                     None => {
-                        let dt_k = request.get("dt_k").and_then(Json::as_f64).unwrap_or(0.0);
+                        let dt_k = opt_field(request, "dt_k")?.unwrap_or(0.0);
                         session.manage_step_uniform(dt_s, dt_k, vdd_v)?
                     }
                 };
                 ok(report_json(&report))
             }
             "fleet" => {
-                let defaults = FleetConfig::default();
-                let chips = match request.get("chips") {
-                    Some(v) => u64::from_json(v).map_err(Error::from)?,
-                    None => defaults.chips,
-                };
-                let profile = match request.get("profile") {
-                    Some(v) => {
-                        let name = String::from_json(v).map_err(Error::from)?;
-                        MissionProfile::named(&name)?
-                    }
-                    None => defaults.profile,
-                };
-                let seed = match request.get("seed") {
-                    Some(v) => u64::from_json(v).map_err(Error::from)?,
-                    None => defaults.seed,
-                };
-                let budget = match request.get("budget") {
-                    Some(v) => f64::from_json(v).map_err(Error::from)?,
-                    None => defaults.budget,
-                };
-                let shards = match request.get("shards") {
-                    Some(v) => Some(usize::from_json(v).map_err(Error::from)?),
-                    None => None,
-                };
-                let spares = match request.get("spares") {
-                    Some(v) => usize::from_json(v).map_err(Error::from)?,
-                    None => defaults.spares,
-                };
                 let session = self.session(request)?;
+                let defaults = FleetConfig::default();
                 let config = FleetConfig {
-                    chips,
-                    profile,
-                    seed,
-                    budget,
+                    chips: opt_field(request, "chips")?.unwrap_or(defaults.chips),
+                    profile: match opt_field::<String>(request, "profile")? {
+                        Some(name) => MissionProfile::named(&name)?,
+                        None => defaults.profile,
+                    },
+                    seed: opt_field(request, "seed")?.unwrap_or(defaults.seed),
+                    budget: opt_field(request, "budget")?.unwrap_or(defaults.budget),
                     wafer: defaults.wafer,
                     threads: session.spec().threads,
-                    shards,
-                    spares,
+                    shards: opt_field(request, "shards")?,
+                    spares: opt_field(request, "spares")?.unwrap_or(defaults.spares),
                 };
                 let tech = session.spec().tech.tech();
                 let report = run_fleet(session.analysis(), &tech, &config)?;
@@ -314,6 +288,15 @@ fn num_field(request: &Json, name: &str) -> Result<f64> {
         .get(name)
         .and_then(Json::as_f64)
         .ok_or_else(|| Error::Spec(format!("request needs a number '{name}'")))
+}
+
+/// The optional field `name` read as a `T`: present but mistyped is an
+/// error, not a default.
+fn opt_field<T: FromJson>(request: &Json, name: &str) -> Result<Option<T>> {
+    request
+        .get(name)
+        .map(|v| T::from_json(v).map_err(|e| Error::Spec(format!("field '{name}': {e}"))))
+        .transpose()
 }
 
 fn report_json(report: &StepReport) -> Json {
@@ -556,6 +539,11 @@ mod tests {
     #[test]
     fn errors_are_structured_replies_not_exits() {
         let spec = tiny_spec_json();
+        let sweep = |points: &str| {
+            format!(
+                r#"{{"op": "sweep", "session": "s", "t_lo_s": 1e7, "t_hi_s": 1e9, "points": {points}}}"#
+            )
+        };
         let replies = run(&[
             "not json at all".to_string(),
             r#"{"op": "p_at", "session": "nope", "t_s": 1.0}"#.to_string(),
@@ -563,13 +551,26 @@ mod tests {
             r#"{"op": "open", "session": "s", "spec": {"design": "C9"}}"#.to_string(),
             // The server must still work after four failures.
             format!(r#"{{"op": "open", "session": "s", "spec": {spec}}}"#),
+            // A huge point count is refused, not allocated.
+            sweep("1e12"),
+            // A fractional count is an error, not truncated.
+            sweep("2.7"),
+            // A mistyped optional field is an error, not its default.
+            r#"{"op": "manage_step", "session": "s", "dt_s": 1e6, "vdd_v": 1.2, "dt_k": "+40"}"#
+                .to_string(),
+            r#"{"op": "p_at", "session": "s", "t_s": 1e8}"#.to_string(),
         ]);
-        assert_eq!(replies.len(), 5);
-        for reply in &replies[..4] {
-            assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
-            assert!(reply.get("error").and_then(Json::as_str).is_some());
+        let ok = [false, false, false, false, true, false, false, false, true];
+        assert_eq!(replies.len(), ok.len());
+        for (reply, ok) in replies.iter().zip(ok) {
+            assert_eq!(
+                reply.get("ok").and_then(Json::as_bool),
+                Some(ok),
+                "{}",
+                reply.to_compact()
+            );
+            assert_eq!(reply.get("error").is_some(), !ok);
         }
-        assert_eq!(replies[4].get("ok").and_then(Json::as_bool), Some(true));
     }
 
     #[test]

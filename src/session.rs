@@ -45,6 +45,10 @@ use std::sync::Arc;
 /// few dozen bisections.
 pub const LIFETIME_BRACKET_S: (f64, f64) = (1e4, 1e13);
 
+/// The most points one [`Session::sweep`] evaluates: far beyond any
+/// plotted curve, and small enough that a request cannot exhaust memory.
+pub const MAX_SWEEP_POINTS: usize = 100_000;
+
 /// Default service life assumed by the lazy reliability manager: five
 /// years, the paper's DRM evaluation horizon.
 pub const DEFAULT_SERVICE_LIFE_S: f64 = 5.0 * 3.156e7;
@@ -299,8 +303,14 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Rejects empty or inverted ranges; propagates engine failures.
+    /// Rejects empty or inverted ranges and more than
+    /// [`MAX_SWEEP_POINTS`] points; propagates engine failures.
     pub fn sweep(&mut self, t_lo_s: f64, t_hi_s: f64, n: usize) -> Result<Vec<(f64, f64)>> {
+        if n > MAX_SWEEP_POINTS {
+            return Err(Error::Spec(format!(
+                "sweep: at most {MAX_SWEEP_POINTS} points, got {n}"
+            )));
+        }
         self.stats.queries += n as u64;
         failure_rate_curve(self.engine.as_mut(), t_lo_s, t_hi_s, n).map_err(Error::from)
     }

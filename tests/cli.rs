@@ -27,6 +27,10 @@ fn template_then_analyze_round_trip() {
             "6",
             "--l0",
             "6",
+            "--mc",
+            "50",
+            "--curve",
+            "5",
         ])
         .output()
         .expect("run analyze");
@@ -41,6 +45,8 @@ fn template_then_analyze_round_trip() {
         "missing guard: {stdout}"
     );
     assert!(stdout.contains("per-block contributions"), "{stdout}");
+    assert!(stdout.contains("Monte-Carlo (50 chips)"), "{stdout}");
+    assert!(stdout.contains("P(t) curve, 5 points"), "{stdout}");
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -80,12 +86,14 @@ fn degenerate_option_values_fail_fast() {
     // These used to parse fine and blow up (or mislead) deep inside the
     // analysis; now the CLI rejects them before building anything.
     for bad in [
-        ["--l0", "0"],
-        ["--grid", "0"],
-        ["--rho", "0"],
-        ["--rho", "-1"],
-        ["--mc", "0"],
-        ["--curve", "0"],
+        &["--l0", "0"][..],
+        &["--grid", "0"],
+        &["--rho", "0"],
+        &["--rho", "-1"],
+        &["--mc", "0"],
+        &["--curve", "0"],
+        // A repeated flag is an error, not "last value wins".
+        &["--grid", "6", "--grid", "8"],
     ] {
         let out = Command::new(bin())
             .args(["bench", "C1"])
@@ -99,6 +107,29 @@ fn degenerate_option_values_fail_fast() {
             "rejection for {bad:?} should mention the flag: {stderr}"
         );
     }
+}
+
+#[test]
+fn l0_reaches_the_st_fast_engine() {
+    // The st_fast lifetime line without its wall-time annotation.
+    let lifetime = |extra: &[&str]| {
+        let out = Command::new(bin())
+            .args(["bench", "C1", "--grid", "4"])
+            .args(extra)
+            .output()
+            .expect("run bench");
+        assert!(out.status.success(), "{out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("st_fast lifetime"))
+            .unwrap_or_else(|| panic!("missing lifetime: {stdout}"));
+        line.split("  [").next().unwrap().to_string()
+    };
+    // A two-sub-domain quadrature moves the solved lifetime; the default
+    // is ten.
+    assert_ne!(lifetime(&[]), lifetime(&["--l0", "2"]));
+    assert_eq!(lifetime(&[]), lifetime(&["--l0", "10"]));
 }
 
 #[test]
