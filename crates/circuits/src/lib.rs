@@ -27,11 +27,9 @@
 #![warn(missing_debug_implementations)]
 
 mod builder;
-mod refine;
 mod synthetic;
 
 pub use builder::{build_design, BuiltDesign, DesignConfig};
-pub use refine::{refine_blocks, RefinedBlock};
 pub use synthetic::synthetic_floorplan;
 
 use statobd_core::CoreError;

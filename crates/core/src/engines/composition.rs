@@ -297,9 +297,10 @@ enum AccImpl {
 /// per-block failure probabilities.
 ///
 /// Feed every block once via [`absorb`](CompositionAccumulator::absorb)
-/// (any order), then read the chip-level result; [`reset`] makes the
-/// accumulator reusable without reallocating. (The fleet runs the same
-/// recurrence across chip tiles through `num::simd::GroupFold`.)
+/// (any order), then read the chip-level result;
+/// [`reset`](CompositionAccumulator::reset) makes the accumulator
+/// reusable without reallocating. (The fleet runs the same recurrence
+/// across chip tiles through `num::simd::GroupFold`.)
 #[derive(Debug, Clone)]
 pub struct CompositionAccumulator {
     inner: AccImpl,

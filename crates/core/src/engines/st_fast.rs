@@ -751,8 +751,8 @@ impl ReliabilityEngine for StFast<'_> {
     }
 
     /// Reuses the time-independent quadrature node sets and evaluates the
-    /// sweep as `(block × time-chunk)` work items of up to [`T_CHUNK`]
-    /// times each, every chunk running one [`BlockQuadrature::integrate_many`]
+    /// sweep as `(block × time-chunk)` work items of up to `T_CHUNK` (64)
+    /// times each, every chunk running one `BlockQuadrature::integrate_many`
     /// lane sweep. Chunk boundaries are fixed (never derived from the
     /// thread count), per-item accumulation matches the single-call node
     /// order, and the per-time weakest-link compositions run in block

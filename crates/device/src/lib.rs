@@ -8,10 +8,10 @@
 //! ```
 //!
 //! The scale `α` and thickness-slope coefficient `b` depend on temperature
-//! and stress voltage; both a closed-form model ([`ClosedFormTech`]) and a
-//! lookup-table model ([`TableTech`]) are provided, as the paper says the
-//! parameters "can be characterized using some closed-form models or
-//! look-up tables w.r.t. temperature".
+//! and stress voltage through the [`ObdTechnology`] trait; the paper says
+//! the parameters "can be characterized using some closed-form models or
+//! look-up tables w.r.t. temperature", and the closed-form model
+//! ([`ClosedFormTech`]) is the one provided.
 //!
 //! A cell-based percolation degradation simulator ([`degradation`])
 //! reproduces the paper's Fig. 3: gate leakage under stress showing a soft
@@ -27,7 +27,7 @@ mod tech;
 
 pub use degradation::{DegradationSimulator, LeakageTrace, PercolationConfig};
 pub use device::{DeviceObd, FailureCriterion};
-pub use tech::{ClosedFormTech, ObdTechnology, TableTech};
+pub use tech::{ClosedFormTech, ObdTechnology};
 
 /// Boltzmann constant (eV/K).
 pub const BOLTZMANN_EV: f64 = 8.617_333_262e-5;

@@ -14,7 +14,6 @@
 
 use crate::{DeviceError, Result, BOLTZMANN_EV};
 use statobd_num::impl_json_struct;
-use statobd_num::interp::LinearInterp;
 
 /// Temperature/voltage-dependent OBD technology parameters.
 ///
@@ -164,87 +163,6 @@ impl ObdTechnology for ClosedFormTech {
     }
 }
 
-/// Lookup-table technology model: `ln α(T)` and `b(T)` sampled on a
-/// temperature axis with linear interpolation, plus the closed-form
-/// voltage power law.
-///
-/// This is the "look-up tables w.r.t. temperature for a given process"
-/// variant the paper mentions, and what a fab would actually hand over
-/// after stress characterization.
-#[derive(Debug, Clone)]
-pub struct TableTech {
-    ln_alpha: LinearInterp,
-    b_table: LinearInterp,
-    v_ref: f64,
-    voltage_exp: f64,
-}
-
-impl TableTech {
-    /// Builds a table by sampling another technology model over
-    /// `[t_lo_k, t_hi_k]` with `points` samples.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::InvalidParameter`] if the range is invalid
-    /// or `points < 2`.
-    pub fn from_model<M: ObdTechnology>(
-        model: &M,
-        t_lo_k: f64,
-        t_hi_k: f64,
-        points: usize,
-        v_ref: f64,
-        voltage_exp: f64,
-    ) -> Result<Self> {
-        if !(t_lo_k > 0.0) || !(t_hi_k > t_lo_k) || points < 2 {
-            return Err(DeviceError::InvalidParameter {
-                detail: format!(
-                    "need 0 < t_lo < t_hi and points >= 2, got [{t_lo_k}, {t_hi_k}] x {points}"
-                ),
-            });
-        }
-        if !(v_ref > 0.0) {
-            return Err(DeviceError::InvalidParameter {
-                detail: format!("v_ref must be positive, got {v_ref}"),
-            });
-        }
-        let ts: Vec<f64> = (0..points)
-            .map(|i| t_lo_k + (t_hi_k - t_lo_k) * i as f64 / (points - 1) as f64)
-            .collect();
-        let ln_alphas: Vec<f64> = ts.iter().map(|&t| model.alpha(t, v_ref).ln()).collect();
-        let bs: Vec<f64> = ts.iter().map(|&t| model.b(t)).collect();
-        let ln_alpha = LinearInterp::new(ts.clone(), ln_alphas).map_err(|e| {
-            DeviceError::InvalidParameter {
-                detail: format!("alpha table: {e}"),
-            }
-        })?;
-        let b_table = LinearInterp::new(ts, bs).map_err(|e| DeviceError::InvalidParameter {
-            detail: format!("b table: {e}"),
-        })?;
-        Ok(TableTech {
-            ln_alpha,
-            b_table,
-            v_ref,
-            voltage_exp,
-        })
-    }
-
-    /// The temperature axis of the table.
-    pub fn temperatures(&self) -> &[f64] {
-        self.ln_alpha.xs()
-    }
-}
-
-impl ObdTechnology for TableTech {
-    fn alpha(&self, t_k: f64, vdd_v: f64) -> f64 {
-        let base = self.ln_alpha.eval(t_k).exp();
-        base * (vdd_v / self.v_ref).powf(-self.voltage_exp)
-    }
-
-    fn b(&self, t_k: f64) -> f64 {
-        self.b_table.eval(t_k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,37 +212,5 @@ mod tests {
         assert!(ClosedFormTech::new(1e16, 0.0, 1.2, 0.8, 40.0, 0.65, 0.0).is_err());
         assert!(ClosedFormTech::new(1e16, 345.0, 1.2, -0.8, 40.0, 0.65, 0.0).is_err());
         assert!(ClosedFormTech::new(1e16, 345.0, 1.2, 0.8, 40.0, 0.0, 0.0).is_err());
-    }
-
-    #[test]
-    fn table_matches_closed_form_at_nodes_and_between() {
-        let cf = ClosedFormTech::nominal_45nm();
-        let table = TableTech::from_model(&cf, 300.0, 400.0, 101, 1.2, 40.0).unwrap();
-        for &t in &[300.0, 333.0, 345.15, 399.99] {
-            let rel = (table.alpha(t, 1.2) - cf.alpha(t, 1.2)).abs() / cf.alpha(t, 1.2);
-            assert!(rel < 2e-3, "alpha at {t}: rel err {rel}");
-            assert!((table.b(t) - cf.b(t)).abs() < 1e-6, "b at {t}");
-        }
-        // Voltage dependence carried over.
-        let r = table.alpha(350.0, 1.3) / table.alpha(350.0, 1.2);
-        let expected = (1.3f64 / 1.2).powf(-40.0);
-        assert!((r - expected).abs() / expected < 1e-12);
-    }
-
-    #[test]
-    fn table_clamps_outside_range() {
-        let cf = ClosedFormTech::nominal_45nm();
-        let table = TableTech::from_model(&cf, 320.0, 380.0, 61, 1.2, 40.0).unwrap();
-        // Clamped: queries outside return the edge values.
-        assert_eq!(table.alpha(200.0, 1.2), table.alpha(320.0, 1.2));
-        assert_eq!(table.b(500.0), table.b(380.0));
-    }
-
-    #[test]
-    fn table_rejects_bad_ranges() {
-        let cf = ClosedFormTech::nominal_45nm();
-        assert!(TableTech::from_model(&cf, 380.0, 320.0, 10, 1.2, 40.0).is_err());
-        assert!(TableTech::from_model(&cf, 320.0, 380.0, 1, 1.2, 40.0).is_err());
-        assert!(TableTech::from_model(&cf, 320.0, 380.0, 10, 0.0, 40.0).is_err());
     }
 }

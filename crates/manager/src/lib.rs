@@ -18,10 +18,8 @@
 //!   failure-probability budget (n-per-million), a DVFS ladder of
 //!   [`DvfsLevel`]s, and a hysteresis factor so the throttle does not
 //!   oscillate at the budget boundary.
-//! * [`OperatingPhase`] / [`resolve_thermal_phases`] — piecewise-constant
-//!   operating points, either given directly (per-block temperatures +
-//!   supply voltage) or produced from per-phase [`PowerModel`]s through
-//!   `statobd-thermal`'s steady/transient solvers.
+//! * [`OperatingPhase`] — a piecewise-constant operating point: per-block
+//!   temperatures and a supply voltage, held for a duration.
 //! * [`MissionProfile`] — a library of named stress histories
 //!   (HTOL/LTOL qualification, datacenter, automotive, burn-in + field)
 //!   expressed as design-independent [`PhaseSpec`] sequences; the fleet
@@ -36,8 +34,6 @@
 //! life ([`statobd_core::HybridConfig::covering_gamma`]), and
 //! [`ReliabilityManager::off_grid_queries`] must stay zero in a healthy
 //! deployment.
-//!
-//! [`PowerModel`]: statobd_thermal::PowerModel
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -52,7 +48,7 @@ pub use damage::DamageState;
 pub use manager::{ManagerConfig, ReliabilityManager, StepReport};
 pub use policy::{DvfsLevel, PolicyConfig};
 pub use profile::{MissionProfile, YEAR_S};
-pub use schedule::{resolve_thermal_phases, ManageSpec, OperatingPhase, PhaseSpec, ThermalPhase};
+pub use schedule::{ManageSpec, OperatingPhase, PhaseSpec};
 
 /// Errors produced by the reliability manager.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,8 +60,6 @@ pub enum ManagerError {
     },
     /// An underlying reliability-engine operation failed.
     Core(statobd_core::CoreError),
-    /// An underlying thermal solve failed.
-    Thermal(statobd_thermal::ThermalError),
 }
 
 impl std::fmt::Display for ManagerError {
@@ -73,7 +67,6 @@ impl std::fmt::Display for ManagerError {
         match self {
             ManagerError::InvalidParameter { detail } => write!(f, "invalid parameter: {detail}"),
             ManagerError::Core(e) => write!(f, "reliability engine failure: {e}"),
-            ManagerError::Thermal(e) => write!(f, "thermal solve failure: {e}"),
         }
     }
 }
@@ -82,7 +75,6 @@ impl std::error::Error for ManagerError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ManagerError::Core(e) => Some(e),
-            ManagerError::Thermal(e) => Some(e),
             ManagerError::InvalidParameter { .. } => None,
         }
     }
@@ -91,12 +83,6 @@ impl std::error::Error for ManagerError {
 impl From<statobd_core::CoreError> for ManagerError {
     fn from(e: statobd_core::CoreError) -> Self {
         ManagerError::Core(e)
-    }
-}
-
-impl From<statobd_thermal::ThermalError> for ManagerError {
-    fn from(e: statobd_thermal::ThermalError) -> Self {
-        ManagerError::Thermal(e)
     }
 }
 

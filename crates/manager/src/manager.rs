@@ -3,7 +3,7 @@
 
 use crate::damage::DamageState;
 use crate::policy::PolicyConfig;
-use crate::schedule::OperatingPhase;
+use crate::schedule::{unphysical_temperature, OperatingPhase};
 use crate::{ManagerError, Result};
 use statobd_core::{ChipAnalysis, HybridConfig, HybridTables};
 use statobd_device::ObdTechnology;
@@ -266,7 +266,9 @@ impl ReliabilityManager {
     /// # Errors
     ///
     /// Returns [`ManagerError::InvalidParameter`] for a bad operating
-    /// point and propagates table-query failures.
+    /// point — including a temperature that is not finite and above 0 K
+    /// at any ladder level's offset — before any damage accrues, and
+    /// propagates table-query failures.
     pub fn step(&mut self, dt_s: f64, temps_k: &[f64], vdd_req_v: f64) -> Result<StepReport> {
         if temps_k.len() != self.last_b.len() {
             return Err(ManagerError::InvalidParameter {
@@ -280,6 +282,20 @@ impl ReliabilityManager {
         if !(vdd_req_v > 0.0) {
             return Err(ManagerError::InvalidParameter {
                 detail: format!("requested voltage must be positive, got {vdd_req_v}"),
+            });
+        }
+        // The coolest ladder offset bounds every temperature the step
+        // evaluates, whichever level it ends on.
+        let coolest_k = self
+            .policy
+            .levels
+            .iter()
+            .map(|l| l.dt_when_capped_k)
+            .fold(0.0, f64::min);
+        let evaluated = temps_k.iter().flat_map(|&t| [t, t + coolest_k]);
+        if let Some(bad) = unphysical_temperature(evaluated) {
+            return Err(ManagerError::InvalidParameter {
+                detail: format!("temperature {bad} K is not physical"),
             });
         }
         // 1. Damage accrues at the operating point the current level
@@ -663,5 +679,41 @@ mod tests {
         assert!(mgr.step(1.0, &[350.0], 1.2).is_err());
         assert!(mgr.step(1.0, &[350.0, 340.0], -1.0).is_err());
         assert!(mgr.step(-1.0, &[350.0, 340.0], 1.2).is_err());
+        for bad in [-32.0, 0.0, f64::NAN, f64::INFINITY] {
+            assert!(mgr.step(1.0, &[350.0, bad], 1.2).is_err(), "{bad} K");
+        }
+    }
+
+    #[test]
+    fn rejected_step_leaves_no_damage_behind() {
+        let a = analysis();
+        let temps = [368.15, 341.15];
+        let mut fresh = monitoring_manager(&a);
+        let want = fresh.step(YEAR_S, &temps, 1.2).unwrap();
+        let mut mgr = monitoring_manager(&a);
+        // 400 K below the spec temperatures: −32 K on the hot block.
+        let cold: Vec<f64> = temps.iter().map(|t| t - 400.0).collect();
+        assert!(mgr.step(YEAR_S, &cold, 1.2).is_err());
+        let got = mgr.step(YEAR_S, &temps, 1.2).unwrap();
+        assert_eq!(got.p_now.to_bits(), want.p_now.to_bits());
+        assert_eq!(got.p_projected.to_bits(), want.p_projected.to_bits());
+        assert_eq!(mgr.damage().elapsed_s(), YEAR_S);
+        // A ladder level that runs cooler when capped is checked too: at
+        // 5 K a −6 K offset would leave the physical range.
+        let mut policy = PolicyConfig::monitoring_only(1.0, 10.0 * YEAR_S);
+        policy.levels.push(DvfsLevel {
+            name: "slow".to_string(),
+            vdd_cap_v: 1.0,
+            dt_when_capped_k: -6.0,
+        });
+        let mut laddered = ReliabilityManager::new(
+            &a,
+            Box::new(ClosedFormTech::nominal_45nm()),
+            policy,
+            ManagerConfig::default(),
+        )
+        .unwrap();
+        assert!(laddered.step(YEAR_S, &[5.0, 341.15], 1.2).is_err());
+        assert_eq!(laddered.damage().elapsed_s(), 0.0);
     }
 }

@@ -1,11 +1,9 @@
-//! Piecewise-constant operating schedules, and their production from
-//! per-phase power models through the thermal solver.
+//! Piecewise-constant operating schedules.
 
 use crate::policy::PolicyConfig;
 use crate::{ManagerError, Result};
 use statobd_core::ChipSpec;
 use statobd_num::impl_json_struct;
-use statobd_thermal::{Floorplan, PowerModel, ThermalSolver};
 
 /// One piecewise-constant operating phase: per-block temperatures and a
 /// requested supply voltage, held for `duration_s`.
@@ -65,13 +63,19 @@ impl OperatingPhase {
                 ),
             });
         }
-        if let Some(&bad) = self.temps_k.iter().find(|t| !(**t > 0.0) || !t.is_finite()) {
+        if let Some(bad) = unphysical_temperature(self.temps_k.iter().copied()) {
             return Err(ManagerError::InvalidParameter {
                 detail: format!("phase '{}': temperature {bad} K is not physical", self.name),
             });
         }
         Ok(())
     }
+}
+
+/// The first of `temps_k` that is not a finite temperature above 0 K —
+/// where the technology law `α(T)` stops being defined — if any.
+pub(crate) fn unphysical_temperature(temps_k: impl IntoIterator<Item = f64>) -> Option<f64> {
+    temps_k.into_iter().find(|t| !(*t > 0.0) || !t.is_finite())
 }
 
 /// A design-independent phase description for schedule files: a uniform
@@ -177,97 +181,10 @@ impl ManageSpec {
     }
 }
 
-/// A phase given as a power model: the thermal solver turns it into the
-/// per-block temperatures of an [`OperatingPhase`].
-#[derive(Debug)]
-pub struct ThermalPhase<'a> {
-    /// Display name.
-    pub name: String,
-    /// Phase duration (s).
-    pub duration_s: f64,
-    /// The phase's power draw.
-    pub power: &'a PowerModel,
-    /// Requested supply voltage (V).
-    pub vdd_v: f64,
-}
-
-/// Resolves a sequence of power-model phases into operating phases by
-/// running the thermal solver — the coupling the paper's Sec. IV-A
-/// profile analysis implies ("to ensure a correct operation throughout
-/// the entire life time for any application profile").
-///
-/// Each phase's per-block temperature is the worst case over (a) its own
-/// steady state and (b) the re-equilibration transient from the previous
-/// phase's thermal state, so a hot phase's tail is charged to the cool
-/// phase that follows it. The transient starts from the previous phase's
-/// mean die temperature (a uniform-field approximation) and the
-/// simulated window is clamped to a few vertical thermal time constants
-/// `τ_v = r_package · c_vol · t_die` — die thermal equilibrium is
-/// reached in milliseconds-to-seconds while phases last hours-to-months,
-/// so simulating past a few `τ_v` only burns backward-Euler steps
-/// without changing the worst case.
-///
-/// Temperatures are reported in floorplan block order; build the
-/// [`ChipSpec`] from the same floorplan order so the phases line up.
-///
-/// # Errors
-///
-/// Returns [`ManagerError::InvalidParameter`] for an empty phase list or
-/// non-positive durations, and propagates thermal-solve failures.
-pub fn resolve_thermal_phases(
-    solver: &ThermalSolver,
-    floorplan: &Floorplan,
-    phases: &[ThermalPhase<'_>],
-) -> Result<Vec<OperatingPhase>> {
-    if phases.is_empty() {
-        return Err(ManagerError::InvalidParameter {
-            detail: "need at least one thermal phase".to_string(),
-        });
-    }
-    let cfg = solver.config();
-    let tau_v = cfg.r_package * cfg.c_volumetric * cfg.die_thickness;
-    let mut out = Vec::with_capacity(phases.len());
-    let mut prev_mean_k: Option<f64> = None;
-    for phase in phases {
-        if !(phase.duration_s > 0.0) {
-            return Err(ManagerError::InvalidParameter {
-                detail: format!(
-                    "thermal phase '{}': duration must be positive, got {}",
-                    phase.name, phase.duration_s
-                ),
-            });
-        }
-        let steady = solver.solve(floorplan, phase.power)?;
-        let mut temps_k: Vec<f64> = floorplan
-            .blocks()
-            .iter()
-            .map(|b| steady.block_stats(b.rect()).max_k)
-            .collect();
-        if let Some(t0) = prev_mean_k {
-            let window_s = phase.duration_s.min(8.0 * tau_v);
-            let transient = solver.solve_transient(floorplan, phase.power, t0, window_s, 4)?;
-            for (_, map) in &transient.snapshots {
-                for (t, b) in temps_k.iter_mut().zip(floorplan.blocks()) {
-                    *t = t.max(map.block_stats(b.rect()).max_k);
-                }
-            }
-        }
-        prev_mean_k = Some(steady.mean_k());
-        out.push(OperatingPhase {
-            name: phase.name.clone(),
-            duration_s: phase.duration_s,
-            temps_k,
-            vdd_v: phase.vdd_v,
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::DvfsLevel;
-    use statobd_thermal::{alpha_ev6_floorplan, alpha_ev6_power, ThermalConfig};
 
     #[test]
     fn phase_validation_catches_mismatches() {
@@ -352,70 +269,5 @@ mod tests {
         let mut bad = spec;
         bad.policy.budget = 0.0;
         assert!(ManageSpec::from_json(&bad.to_json()).is_err());
-    }
-
-    #[test]
-    fn thermal_phases_charge_hot_tails_to_the_next_phase() {
-        let fp = alpha_ev6_floorplan().unwrap();
-        let solver = ThermalSolver::new(ThermalConfig {
-            nx: 16,
-            ny: 16,
-            ..ThermalConfig::default()
-        });
-        let hot = alpha_ev6_power().unwrap();
-        // A cool phase: same shape, one third the power.
-        let mut cool = PowerModel::new();
-        for b in fp.blocks() {
-            let p = hot.block_power(b.name()).unwrap();
-            cool.set_block_power(
-                b.name(),
-                statobd_thermal::BlockPower::new(p.dynamic_w() / 3.0, p.leakage_ref_w() / 3.0)
-                    .unwrap(),
-            )
-            .unwrap();
-        }
-        let phases = [
-            ThermalPhase {
-                name: "hot".to_string(),
-                duration_s: 3600.0,
-                power: &hot,
-                vdd_v: 1.2,
-            },
-            ThermalPhase {
-                name: "cool".to_string(),
-                duration_s: 3600.0,
-                power: &cool,
-                vdd_v: 1.1,
-            },
-        ];
-        let resolved = resolve_thermal_phases(&solver, &fp, &phases).unwrap();
-        assert_eq!(resolved.len(), 2);
-        assert_eq!(resolved[0].temps_k.len(), fp.blocks().len());
-        // The cool phase inherits part of the hot phase's tail: its
-        // worst-case temperatures exceed its own steady state...
-        let cool_steady = solver.solve(&fp, &cool).unwrap();
-        let steady_max: Vec<f64> = fp
-            .blocks()
-            .iter()
-            .map(|b| cool_steady.block_stats(b.rect()).max_k)
-            .collect();
-        assert!(resolved[1]
-            .temps_k
-            .iter()
-            .zip(&steady_max)
-            .all(|(got, steady)| got >= steady));
-        assert!(resolved[1]
-            .temps_k
-            .iter()
-            .zip(&steady_max)
-            .any(|(got, steady)| *got > steady + 0.5));
-        // ...but stays below the hot phase's.
-        assert!(resolved[1]
-            .temps_k
-            .iter()
-            .zip(&resolved[0].temps_k)
-            .all(|(cool, hot)| cool <= hot));
-        // Empty input is rejected.
-        assert!(resolve_thermal_phases(&solver, &fp, &[]).is_err());
     }
 }

@@ -1,6 +1,6 @@
 //! Probability distributions with PDFs, CDFs, quantiles, moments and
-//! sampling: normal, gamma, χ² (including fractional degrees of freedom, as
-//! produced by the Yuan–Bentler approximation), Weibull and exponential.
+//! sampling: normal, gamma and χ² (including fractional degrees of
+//! freedom, as produced by the Yuan–Bentler approximation).
 
 use crate::rng::NormalSampler;
 use crate::rng::Rng;
@@ -282,161 +282,6 @@ impl ContinuousDistribution for ChiSquared {
     }
 }
 
-/// Weibull distribution with scale `α` and shape `β`:
-/// `F(t) = 1 − exp(−(t/α)^β)`.
-///
-/// This is the distribution of an individual device's time-to-breakdown
-/// (paper eq. 3 with unit area).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weibull {
-    scale: f64,
-    shape: f64,
-}
-
-impl Weibull {
-    /// Creates a Weibull distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::Domain`] if `scale <= 0` or `shape <= 0`.
-    pub fn new(scale: f64, shape: f64) -> Result<Self> {
-        if !(scale > 0.0) || !(shape > 0.0) {
-            return Err(NumError::Domain {
-                detail: format!("Weibull requires scale > 0 and shape > 0, got ({scale}, {shape})"),
-            });
-        }
-        Ok(Weibull { scale, shape })
-    }
-
-    /// Scale parameter `α` (the characteristic life: `F(α) = 1 − e⁻¹`).
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-
-    /// Shape parameter `β` (the Weibull slope).
-    pub fn shape(&self) -> f64 {
-        self.shape
-    }
-
-    /// Draws one sample by inversion: `t = α·(−ln U)^{1/β}`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        self.scale * (-u.ln()).powf(1.0 / self.shape)
-    }
-}
-
-impl ContinuousDistribution for Weibull {
-    fn pdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            return 0.0;
-        }
-        if x == 0.0 {
-            return match self.shape.partial_cmp(&1.0) {
-                Some(std::cmp::Ordering::Less) => f64::INFINITY,
-                Some(std::cmp::Ordering::Equal) => 1.0 / self.scale,
-                _ => 0.0,
-            };
-        }
-        let z = x / self.scale;
-        (self.shape / self.scale) * z.powf(self.shape - 1.0) * (-z.powf(self.shape)).exp()
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        -(-((x / self.scale).powf(self.shape))).exp_m1()
-    }
-
-    fn quantile(&self, p: f64) -> Result<f64> {
-        if !(0.0..1.0).contains(&p) {
-            return Err(NumError::Domain {
-                detail: format!("quantile requires 0 <= p < 1, got {p}"),
-            });
-        }
-        // t = α (−ln(1−p))^{1/β}; use ln_1p for small p accuracy.
-        Ok(self.scale * (-(-p).ln_1p()).powf(1.0 / self.shape))
-    }
-
-    fn mean(&self) -> f64 {
-        self.scale * (ln_gamma(1.0 + 1.0 / self.shape)).exp()
-    }
-
-    fn variance(&self) -> f64 {
-        let g1 = (ln_gamma(1.0 + 1.0 / self.shape)).exp();
-        let g2 = (ln_gamma(1.0 + 2.0 / self.shape)).exp();
-        self.scale * self.scale * (g2 - g1 * g1)
-    }
-}
-
-/// Exponential distribution with rate `λ` (mean `1/λ`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    rate: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::Domain`] if `rate <= 0`.
-    pub fn new(rate: f64) -> Result<Self> {
-        if !(rate > 0.0) {
-            return Err(NumError::Domain {
-                detail: format!("Exponential requires rate > 0, got {rate}"),
-            });
-        }
-        Ok(Exponential { rate })
-    }
-
-    /// Rate parameter `λ`.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// Draws one sample by inversion.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        -u.ln() / self.rate
-    }
-}
-
-impl ContinuousDistribution for Exponential {
-    fn pdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            0.0
-        } else {
-            self.rate * (-self.rate * x).exp()
-        }
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            0.0
-        } else {
-            -(-self.rate * x).exp_m1()
-        }
-    }
-
-    fn quantile(&self, p: f64) -> Result<f64> {
-        if !(0.0..1.0).contains(&p) {
-            return Err(NumError::Domain {
-                detail: format!("quantile requires 0 <= p < 1, got {p}"),
-            });
-        }
-        Ok(-(-p).ln_1p() / self.rate)
-    }
-
-    fn mean(&self) -> f64 {
-        1.0 / self.rate
-    }
-
-    fn variance(&self) -> f64 {
-        1.0 / (self.rate * self.rate)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,27 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn weibull_cdf_matches_formula() {
-        let w = Weibull::new(100.0, 1.4).unwrap();
-        for &t in &[1.0, 10.0, 63.0, 250.0] {
-            let expected = 1.0 - (-(t / 100.0f64).powf(1.4)).exp();
-            assert_close(w.cdf(t), expected, 1e-13);
-        }
-        // Characteristic life: F(α) = 1 − e⁻¹.
-        assert_close(w.cdf(100.0), 1.0 - (-1.0f64).exp(), 1e-13);
-    }
-
-    #[test]
-    fn weibull_quantile_small_p_is_accurate() {
-        let w = Weibull::new(1e9, 1.4).unwrap();
-        let p = 1e-12;
-        let t = w.quantile(p).unwrap();
-        // F(t) should round-trip even at the 1e-12 level thanks to expm1/ln1p.
-        let rel = (w.cdf(t) - p).abs() / p;
-        assert!(rel < 1e-9, "relative error {rel}");
-    }
-
-    #[test]
     fn sampling_moments_converge() {
         let mut rng = Xoshiro256pp::seed_from_u64(42);
         let mut ns = NormalSampler::new();
@@ -526,10 +350,6 @@ mod tests {
         let n = 200_000;
         let mean: f64 = (0..n).map(|_| g.sample(&mut rng, &mut ns)).sum::<f64>() / n as f64;
         assert_close(mean, g.mean(), 0.05);
-
-        let w = Weibull::new(10.0, 2.0).unwrap();
-        let wmean: f64 = (0..n).map(|_| w.sample(&mut rng)).sum::<f64>() / n as f64;
-        assert_close(wmean, w.mean(), 0.05);
     }
 
     #[test]
@@ -543,19 +363,8 @@ mod tests {
     }
 
     #[test]
-    fn exponential_basics() {
-        let e = Exponential::new(0.5).unwrap();
-        assert_close(e.mean(), 2.0, 1e-14);
-        assert_close(e.cdf(e.quantile(0.9).unwrap()), 0.9, 1e-12);
-        assert!(Exponential::new(0.0).is_err());
-    }
-
-    #[test]
     fn pdf_nonnegative_and_zero_left_of_support() {
         let g = Gamma::new(2.0, 1.0).unwrap();
-        let w = Weibull::new(1.0, 2.0).unwrap();
         assert_eq!(g.pdf(-1.0), 0.0);
-        assert_eq!(w.pdf(-0.5), 0.0);
-        assert_eq!(w.cdf(-0.5), 0.0);
     }
 }

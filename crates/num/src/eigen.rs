@@ -18,7 +18,7 @@
 //! ([`crate::lanczos::filter_full_spectrum`]) so a partial solve retains
 //! exactly the components a full solve + truncate would.
 
-use crate::lanczos::{self, LanczosOptions, StopRule};
+use crate::lanczos::{self, LanczosOptions};
 use crate::matrix::DMatrix;
 use crate::tridiag::symmetric_eigen_ql;
 use crate::{NumError, Result};
@@ -248,10 +248,9 @@ impl SymmetricEigen {
             s => s,
         };
 
-        let rule = StopRule::EnergyFraction(opts.energy_fraction);
         let (eigenvalues, eigenvectors) = if solver == SpectralSolver::Lanczos {
             let lopts = LanczosOptions {
-                rule,
+                energy_fraction: opts.energy_fraction,
                 tol: opts.tol,
                 max_components: opts.max_components,
                 threads: crate::parallel::resolve_threads(opts.threads),
@@ -262,7 +261,7 @@ impl SymmetricEigen {
             let (vals, vecs) = symmetric_eigen_ql(a)?;
             if wants_partial {
                 let cap = opts.max_components.unwrap_or(n).min(n);
-                lanczos::filter_full_spectrum(&vals, &vecs, rule, cap)
+                lanczos::filter_full_spectrum(&vals, &vecs, opts.energy_fraction, cap)
             } else {
                 (vals, vecs)
             }

@@ -1,8 +1,7 @@
-//! Interpolation: 1-D linear, 2-D bilinear, and monotone cubic (PCHIP).
+//! Bilinear interpolation on a rectilinear grid.
 //!
 //! The hybrid analytical/table-lookup reliability engine (paper Sec. IV-E)
-//! interpolates a precomputed `(ln(t/α), b)` table bilinearly; the
-//! lookup-table technology model interpolates `α(T)`/`b(T)` linearly.
+//! interpolates a precomputed `(ln(t/α), b)` table bilinearly.
 
 use crate::{NumError, Result};
 
@@ -48,51 +47,6 @@ fn validate_axis(axis: &[f64], name: &str) -> Result<()> {
         });
     }
     Ok(())
-}
-
-/// 1-D piecewise-linear interpolant over a strictly increasing axis.
-///
-/// Queries outside the axis range are clamped to the endpoint values (the
-/// technology tables are always constructed to cover the operating range,
-/// so clamping is the conservative behaviour).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinearInterp {
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-}
-
-impl LinearInterp {
-    /// Creates an interpolant from matched samples.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::Domain`] if the axis is too short, not strictly
-    /// increasing, or the lengths differ.
-    pub fn new(xs: Vec<f64>, ys: Vec<f64>) -> Result<Self> {
-        validate_axis(&xs, "x")?;
-        if xs.len() != ys.len() {
-            return Err(NumError::Domain {
-                detail: format!("xs has {} points but ys has {}", xs.len(), ys.len()),
-            });
-        }
-        Ok(LinearInterp { xs, ys })
-    }
-
-    /// Evaluates the interpolant at `x` (clamped to the axis range).
-    pub fn eval(&self, x: f64) -> f64 {
-        let (i, t) = locate(&self.xs, x);
-        self.ys[i] * (1.0 - t) + self.ys[i + 1] * t
-    }
-
-    /// The sample axis.
-    pub fn xs(&self) -> &[f64] {
-        &self.xs
-    }
-
-    /// The sample values.
-    pub fn ys(&self) -> &[f64] {
-        &self.ys
-    }
 }
 
 /// 2-D bilinear interpolant over a rectilinear grid.
@@ -180,30 +134,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn linear_exact_on_nodes_and_midpoints() {
-        let li = LinearInterp::new(vec![0.0, 1.0, 3.0], vec![2.0, 4.0, 0.0]).unwrap();
-        assert_eq!(li.eval(0.0), 2.0);
-        assert_eq!(li.eval(1.0), 4.0);
-        assert_eq!(li.eval(0.5), 3.0);
-        assert_eq!(li.eval(2.0), 2.0);
-    }
-
-    #[test]
-    fn linear_clamps_out_of_range() {
-        let li = LinearInterp::new(vec![0.0, 1.0], vec![5.0, 7.0]).unwrap();
-        assert_eq!(li.eval(-10.0), 5.0);
-        assert_eq!(li.eval(10.0), 7.0);
-    }
-
-    #[test]
-    fn linear_rejects_bad_input() {
-        assert!(LinearInterp::new(vec![0.0], vec![1.0]).is_err());
-        assert!(LinearInterp::new(vec![0.0, 0.0], vec![1.0, 2.0]).is_err());
-        assert!(LinearInterp::new(vec![1.0, 0.0], vec![1.0, 2.0]).is_err());
-        assert!(LinearInterp::new(vec![0.0, 1.0], vec![1.0]).is_err());
-    }
-
-    #[test]
     fn bilinear_reproduces_bilinear_functions() {
         // f(x,y) = 2x + 3y + xy is reproduced exactly by bilinear interp.
         let xs: Vec<f64> = (0..5).map(|i| i as f64).collect();
@@ -232,194 +162,13 @@ mod tests {
     fn bilinear_rejects_wrong_value_count() {
         assert!(Bilinear::new(vec![0.0, 1.0], vec![0.0, 1.0], vec![1.0; 3]).is_err());
     }
-}
-
-/// Monotone piecewise-cubic Hermite interpolant (PCHIP, Fritsch–Carlson).
-///
-/// Unlike a natural cubic spline, PCHIP never overshoots: on intervals
-/// where the data is monotone the interpolant is monotone too, which makes
-/// it the right choice for interpolating reliability curves `P(t)` and
-/// lifetime tables where an overshoot would manufacture non-physical
-/// non-monotonicity.
-///
-/// Out-of-range queries clamp to the endpoint values, like
-/// [`LinearInterp`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PchipInterp {
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    /// Endpoint derivatives per node (Fritsch–Carlson limited).
-    ds: Vec<f64>,
-}
-
-impl PchipInterp {
-    /// Creates a PCHIP interpolant from matched samples.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::Domain`] if the axis is too short, not strictly
-    /// increasing, or the lengths differ.
-    pub fn new(xs: Vec<f64>, ys: Vec<f64>) -> Result<Self> {
-        validate_axis(&xs, "x")?;
-        if xs.len() != ys.len() {
-            return Err(NumError::Domain {
-                detail: format!("xs has {} points but ys has {}", xs.len(), ys.len()),
-            });
-        }
-        let n = xs.len();
-        // Interval slopes.
-        let h: Vec<f64> = xs.windows(2).map(|w| w[1] - w[0]).collect();
-        let delta: Vec<f64> = (0..n - 1).map(|i| (ys[i + 1] - ys[i]) / h[i]).collect();
-        // Fritsch–Carlson derivative limiting.
-        let mut ds = vec![0.0; n];
-        if n == 2 {
-            ds[0] = delta[0];
-            ds[1] = delta[0];
-        } else {
-            // Interior nodes: weighted harmonic mean when slopes agree in
-            // sign, zero otherwise (local extremum).
-            for i in 1..n - 1 {
-                if delta[i - 1] * delta[i] > 0.0 {
-                    let w1 = 2.0 * h[i] + h[i - 1];
-                    let w2 = h[i] + 2.0 * h[i - 1];
-                    ds[i] = (w1 + w2) / (w1 / delta[i - 1] + w2 / delta[i]);
-                }
-            }
-            // One-sided endpoint formulas with monotonicity clamps.
-            let end = |h0: f64, h1: f64, d0: f64, d1: f64| -> f64 {
-                let d = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1);
-                if d * d0 <= 0.0 {
-                    0.0
-                } else if d0 * d1 < 0.0 && d.abs() > 3.0 * d0.abs() {
-                    3.0 * d0
-                } else {
-                    d
-                }
-            };
-            ds[0] = end(h[0], h[1], delta[0], delta[1]);
-            ds[n - 1] = end(h[n - 2], h[n - 3], delta[n - 2], delta[n - 3]);
-        }
-        Ok(PchipInterp { xs, ys, ds })
-    }
-
-    /// Evaluates the interpolant at `x` (clamped to the axis range).
-    pub fn eval(&self, x: f64) -> f64 {
-        if x <= self.xs[0] {
-            return self.ys[0];
-        }
-        let n = self.xs.len();
-        if x >= self.xs[n - 1] {
-            return self.ys[n - 1];
-        }
-        let (i, _) = locate(&self.xs, x);
-        let h = self.xs[i + 1] - self.xs[i];
-        let t = (x - self.xs[i]) / h;
-        // Cubic Hermite basis.
-        let t2 = t * t;
-        let t3 = t2 * t;
-        let h00 = 2.0 * t3 - 3.0 * t2 + 1.0;
-        let h10 = t3 - 2.0 * t2 + t;
-        let h01 = -2.0 * t3 + 3.0 * t2;
-        let h11 = t3 - t2;
-        h00 * self.ys[i] + h10 * h * self.ds[i] + h01 * self.ys[i + 1] + h11 * h * self.ds[i + 1]
-    }
-
-    /// The sample axis.
-    pub fn xs(&self) -> &[f64] {
-        &self.xs
-    }
-
-    /// The sample values.
-    pub fn ys(&self) -> &[f64] {
-        &self.ys
-    }
-}
-
-#[cfg(test)]
-mod pchip_tests {
-    use super::*;
 
     #[test]
-    fn interpolates_nodes_exactly() {
-        let p = PchipInterp::new(vec![0.0, 1.0, 2.5, 4.0], vec![1.0, 3.0, 2.0, 5.0]).unwrap();
-        for (x, y) in [(0.0, 1.0), (1.0, 3.0), (2.5, 2.0), (4.0, 5.0)] {
-            assert!((p.eval(x) - y).abs() < 1e-14, "at {x}");
-        }
-    }
-
-    #[test]
-    fn preserves_monotonicity() {
-        // Steep-then-flat data that a natural cubic spline would overshoot.
-        let p =
-            PchipInterp::new(vec![0.0, 1.0, 2.0, 3.0, 4.0], vec![0.0, 0.1, 0.9, 1.0, 1.0]).unwrap();
-        let mut prev = f64::NEG_INFINITY;
-        for i in 0..=400 {
-            let x = i as f64 / 100.0;
-            let y = p.eval(x);
-            assert!(y >= prev - 1e-12, "non-monotone at {x}: {y} < {prev}");
-            assert!((-1e-12..=1.0 + 1e-12).contains(&y), "overshoot at {x}: {y}");
-            prev = y;
-        }
-    }
-
-    #[test]
-    fn flat_data_stays_flat() {
-        let p = PchipInterp::new(vec![0.0, 1.0, 2.0], vec![5.0, 5.0, 5.0]).unwrap();
-        for i in 0..20 {
-            assert!((p.eval(i as f64 * 0.1) - 5.0).abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn clamps_out_of_range() {
-        let p = PchipInterp::new(vec![0.0, 1.0], vec![2.0, 4.0]).unwrap();
-        assert_eq!(p.eval(-1.0), 2.0);
-        assert_eq!(p.eval(9.0), 4.0);
-    }
-
-    #[test]
-    fn two_points_reduce_to_linear() {
-        let p = PchipInterp::new(vec![0.0, 2.0], vec![1.0, 5.0]).unwrap();
-        assert!((p.eval(1.0) - 3.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn local_extrema_get_zero_slope() {
-        // A peak at the middle node: derivative there must be zero so the
-        // interpolant does not overshoot the peak.
-        let p = PchipInterp::new(vec![0.0, 1.0, 2.0], vec![0.0, 1.0, 0.0]).unwrap();
-        let peak = p.eval(1.0);
-        for i in 0..=200 {
-            let y = p.eval(i as f64 / 100.0);
-            assert!(y <= peak + 1e-12, "overshoot above the data maximum");
-        }
-    }
-
-    #[test]
-    fn rejects_bad_input() {
-        assert!(PchipInterp::new(vec![0.0], vec![1.0]).is_err());
-        assert!(PchipInterp::new(vec![1.0, 0.0], vec![1.0, 2.0]).is_err());
-        assert!(PchipInterp::new(vec![0.0, 1.0], vec![1.0]).is_err());
-    }
-
-    #[test]
-    fn smooth_data_accuracy_beats_linear() {
-        // On a smooth function PCHIP (cubic) should beat linear interp.
-        let xs: Vec<f64> = (0..9).map(|i| i as f64 * 0.5).collect();
-        let ys: Vec<f64> = xs.iter().map(|&x| (x * 0.8).sin()).collect();
-        let pchip = PchipInterp::new(xs.clone(), ys.clone()).unwrap();
-        let lin = LinearInterp::new(xs, ys).unwrap();
-        let mut pchip_err = 0.0f64;
-        let mut lin_err = 0.0f64;
-        for i in 0..=160 {
-            let x = i as f64 * 0.025;
-            let truth = (x * 0.8f64).sin();
-            pchip_err = pchip_err.max((pchip.eval(x) - truth).abs());
-            lin_err = lin_err.max((lin.eval(x) - truth).abs());
-        }
-        assert!(
-            pchip_err < lin_err,
-            "pchip {pchip_err:.2e} should beat linear {lin_err:.2e}"
-        );
+    fn bilinear_rejects_bad_axes() {
+        let ys = vec![0.0, 1.0];
+        assert!(Bilinear::new(vec![0.0], ys.clone(), vec![1.0; 2]).is_err());
+        assert!(Bilinear::new(vec![0.0, 0.0], ys.clone(), vec![1.0; 4]).is_err());
+        assert!(Bilinear::new(vec![1.0, 0.0], ys.clone(), vec![1.0; 4]).is_err());
+        assert!(Bilinear::new(ys, vec![1.0, 0.0], vec![1.0; 4]).is_err());
     }
 }

@@ -8,7 +8,7 @@
 //! become single-key objects, and tuples/arrays become JSON arrays.
 //!
 //! Conversions go through the [`ToJson`] / [`FromJson`] traits; the
-//! [`impl_json_struct!`] macro derives both for plain named-field structs
+//! [`impl_json_struct!`](crate::impl_json_struct) macro derives both for plain named-field structs
 //! (invoke it inside the defining module so private fields stay private).
 //!
 //! # Example

@@ -8,12 +8,8 @@
 //! throws most of them away. This module computes only the retained
 //! leading eigenpairs by building a blocked Krylov basis with **full
 //! reorthogonalization** and extracting Ritz pairs by explicit
-//! Rayleigh–Ritz projection, stopping as soon as a [`StopRule`] is met:
-//!
-//! * [`StopRule::EnergyFraction`] — the converged leading eigenvalues
-//!   capture a target fraction of `trace(A)` (model truncation),
-//! * [`StopRule::AboveThreshold`] — every eigenvalue above a threshold has
-//!   converged (negative-spectrum extraction for PSD repair, run on `−A`).
+//! Rayleigh–Ritz projection, stopping as soon as the converged leading
+//! eigenvalues capture a target fraction of `trace(A)` (model truncation).
 //!
 //! Design notes:
 //!
@@ -27,13 +23,13 @@
 //!   spectrum.
 //! * Full two-pass (CGS2) reorthogonalization keeps the basis orthonormal
 //!   to machine precision, so no ghost eigenvalues appear.
-//! * Once a stop rule is first satisfied it must survive one further
+//! * Once the energy target is first met it must survive one further
 //!   block expansion unchanged (same count, same eigenvalues within
 //!   tolerance) before the result is accepted — insurance against Ritz
 //!   values that interlace below a still-hidden eigenvalue.
 //! * If the basis grows past `n/2` the asymptotic advantage is gone and
 //!   the iteration falls back to the dense QL solver
-//!   ([`crate::tridiag::symmetric_eigen_ql`]), filtered by the same rule,
+//!   ([`crate::tridiag::symmetric_eigen_ql`]), truncated by the same rule,
 //!   so the routine always terminates with a correct answer.
 //!
 //! All matrix products go through the deterministic parallel kernels in
@@ -44,25 +40,15 @@ use crate::rng::{NormalSampler, Xoshiro256pp};
 use crate::tridiag::symmetric_eigen_ql;
 use crate::{NumError, Result};
 
-/// When to stop extracting leading eigenpairs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum StopRule {
-    /// Stop once the converged leading eigenvalues sum to at least this
-    /// fraction of `trace(A)`. The trace is used as the total energy (for
-    /// a PSD matrix they agree; for a slightly indefinite one the trace is
-    /// what downstream truncation normalizes by, keeping the retained
-    /// component count identical to a full-spectrum solve).
-    EnergyFraction(f64),
-    /// Stop once every eigenvalue strictly greater than this threshold has
-    /// converged (and the next Ritz value sits at or below it).
-    AboveThreshold(f64),
-}
-
 /// Options for [`top_eigenpairs`].
 #[derive(Debug, Clone, Copy)]
 pub struct LanczosOptions {
-    /// Stopping rule deciding how much of the leading spectrum to resolve.
-    pub rule: StopRule,
+    /// Stop once the converged leading eigenvalues sum to at least this
+    /// fraction of `trace(A)`, in `[0, 1]`. The trace is used as the total
+    /// energy (for a PSD matrix they agree; for a slightly indefinite one
+    /// the trace is what downstream truncation normalizes by, keeping the
+    /// retained component count identical to a full-spectrum solve).
+    pub energy_fraction: f64,
     /// Residual tolerance relative to the spectral scale: a Ritz pair
     /// `(θ, y)` counts as converged when `‖A·y − θ·y‖ ≤ tol·max|θ|`.
     pub tol: f64,
@@ -82,7 +68,7 @@ pub struct LanczosOptions {
 impl Default for LanczosOptions {
     fn default() -> Self {
         LanczosOptions {
-            rule: StopRule::EnergyFraction(1.0),
+            energy_fraction: 1.0,
             tol: 1e-12,
             block_size: 4,
             seed: 0x5bd1_e995_9e37_79b9,
@@ -92,7 +78,7 @@ impl Default for LanczosOptions {
     }
 }
 
-/// Outcome of scanning the current Ritz spectrum against the stop rule.
+/// Outcome of scanning the current Ritz spectrum against the energy target.
 enum Scan {
     /// Leading `k` pairs satisfy the rule.
     Satisfied(usize),
@@ -100,8 +86,8 @@ enum Scan {
     NotYet,
 }
 
-/// Computes the leading eigenpairs of the symmetric matrix `a` until the
-/// stop rule in `opts` is satisfied.
+/// Computes the leading eigenpairs of the symmetric matrix `a` until they
+/// capture the energy fraction in `opts`.
 ///
 /// Returns `(eigenvalues, eigenvectors)` with eigenvalues descending and
 /// the `n × k` eigenvector matrix holding the matching unit vectors in
@@ -111,7 +97,8 @@ enum Scan {
 /// # Errors
 ///
 /// * [`NumError::Dimension`] if `a` is not square,
-/// * [`NumError::Domain`] if the rule or tolerance is out of range,
+/// * [`NumError::Domain`] if the energy fraction or tolerance is out of
+///   range,
 /// * [`NumError::NoConvergence`] propagated from the dense fallback
 ///   (does not occur for finite symmetric input in practice).
 pub fn top_eigenpairs(a: &DMatrix, opts: &LanczosOptions) -> Result<(Vec<f64>, DMatrix)> {
@@ -129,6 +116,7 @@ pub fn top_eigenpairs(a: &DMatrix, opts: &LanczosOptions) -> Result<(Vec<f64>, D
     if n == 0 {
         return Ok((Vec::new(), DMatrix::zeros(0, 0)));
     }
+    let fraction = opts.energy_fraction;
     let cap = opts.max_components.unwrap_or(n).min(n);
     if cap == 0 || a.frobenius_norm() == 0.0 {
         return Ok((Vec::new(), DMatrix::zeros(n, 0)));
@@ -140,7 +128,7 @@ pub fn top_eigenpairs(a: &DMatrix, opts: &LanczosOptions) -> Result<(Vec<f64>, D
     if n <= 4 * block {
         // Too small for a Krylov basis to pay off.
         let (vals, vecs) = symmetric_eigen_ql(a)?;
-        return Ok(filter_full_spectrum(&vals, &vecs, opts.rule, cap));
+        return Ok(filter_full_spectrum(&vals, &vecs, fraction, cap));
     }
 
     let trace = a.trace();
@@ -153,7 +141,7 @@ pub fn top_eigenpairs(a: &DMatrix, opts: &LanczosOptions) -> Result<(Vec<f64>, D
     let mut aq_cols: Vec<Vec<f64>> = Vec::new(); // cached A·q
     let mut h_rows: Vec<Vec<f64>> = Vec::new(); // H = QᵀAQ, grown per block
     let mut next_check = block;
-    // First satisfaction of the rule, awaiting confirmation:
+    // First satisfaction of the target, awaiting confirmation:
     // (k, eigenvalues of the leading k pairs at that checkpoint).
     let mut pending: Option<(usize, Vec<f64>)> = None;
     let mut exhausted = false;
@@ -221,80 +209,49 @@ pub fn top_eigenpairs(a: &DMatrix, opts: &LanczosOptions) -> Result<(Vec<f64>, D
             return Ok((Vec::new(), DMatrix::zeros(n, 0)));
         }
         let res_tol = opts.tol * scale;
-        let mut residuals: Vec<Option<f64>> = vec![None; m];
-        let converged = |i: usize, residuals: &mut Vec<Option<f64>>| -> bool {
-            let r = *residuals[i]
-                .get_or_insert_with(|| ritz_residual(&q_cols, &aq_cols, &s, i, theta[i]));
-            r <= res_tol
-        };
+        let converged = |i: usize| ritz_residual(&q_cols, &aq_cols, &s, i, theta[i]) <= res_tol;
 
         let complete = m == n || exhausted;
-        let scan = match opts.rule {
-            StopRule::EnergyFraction(f) => {
-                let target = f * trace;
-                let scale = theta.first().map(|t| t.abs()).unwrap_or(0.0);
-                let mut energy = 0.0;
-                let mut k = 0;
-                let mut verdict = Scan::NotYet;
-                while k < m {
-                    let target_met = energy >= target && target > 0.0;
-                    // Never cut inside a numerically degenerate cluster:
-                    // the retained subspace would depend on the solver
-                    // (see `extend_over_cluster`). Keep absorbing cluster
-                    // members — which must also converge — before stopping.
-                    let in_cluster = target_met
-                        && k > 0
-                        && theta[k] > 0.0
-                        && (theta[k - 1] - theta[k]).abs() <= CLUSTER_REL_GAP * scale;
-                    if (target_met && !in_cluster) || k == cap {
-                        verdict = Scan::Satisfied(k);
-                        break;
-                    }
-                    if theta[k] <= 0.0 {
-                        // Positive spectrum exhausted; with a complete
-                        // basis this is everything there is.
-                        if complete {
-                            verdict = Scan::Satisfied(k);
-                        }
-                        break;
-                    }
-                    if !converged(k, &mut residuals) {
-                        break;
-                    }
-                    energy += theta[k];
-                    k += 1;
+        let scan = {
+            let target = fraction * trace;
+            let scale = theta.first().map(|t| t.abs()).unwrap_or(0.0);
+            let mut energy = 0.0;
+            let mut k = 0;
+            let mut verdict = Scan::NotYet;
+            while k < m {
+                let target_met = energy >= target && target > 0.0;
+                // Never cut inside a numerically degenerate cluster:
+                // the retained subspace would depend on the solver
+                // (see `extend_over_cluster`). Keep absorbing cluster
+                // members — which must also converge — before stopping.
+                let in_cluster = target_met
+                    && k > 0
+                    && theta[k] > 0.0
+                    && (theta[k - 1] - theta[k]).abs() <= CLUSTER_REL_GAP * scale;
+                if (target_met && !in_cluster) || k == cap {
+                    verdict = Scan::Satisfied(k);
+                    break;
                 }
-                if let Scan::NotYet = verdict {
-                    if k == m && (energy >= target || complete) {
+                if theta[k] <= 0.0 {
+                    // Positive spectrum exhausted; with a complete
+                    // basis this is everything there is.
+                    if complete {
                         verdict = Scan::Satisfied(k);
                     }
+                    break;
                 }
-                verdict
+                if !converged(k) {
+                    break;
+                }
+                energy += theta[k];
+                k += 1;
             }
-            StopRule::AboveThreshold(t) => {
-                // Certifying "nothing above t remains" needs the leading
-                // Ritz pair itself converged: Ritz values approach
-                // eigenvalues from below, so an unconverged θ₀ at or
-                // below t proves nothing about λ_max.
-                let mut verdict = Scan::NotYet;
-                if converged(0, &mut residuals) {
-                    let mut k = 0;
-                    let mut all_converged = true;
-                    while k < m && theta[k] > t && k < cap {
-                        if !converged(k, &mut residuals) {
-                            all_converged = false;
-                            break;
-                        }
-                        k += 1;
-                    }
-                    // Accept only if the basis also shows spectrum at or
-                    // below t (or is complete): the tail must be visible.
-                    if all_converged && (k < m || complete || k == cap) {
-                        verdict = Scan::Satisfied(k);
-                    }
+            if let Scan::NotYet = verdict {
+                if k == m && (energy >= target || complete) {
+                    verdict = Scan::Satisfied(k);
                 }
-                verdict
             }
+            verdict
         };
 
         match scan {
@@ -322,48 +279,12 @@ pub fn top_eigenpairs(a: &DMatrix, opts: &LanczosOptions) -> Result<(Vec<f64>, D
 
     // Krylov phase did not settle within budget: dense fallback.
     let (vals, vecs) = symmetric_eigen_ql(a)?;
-    Ok(filter_full_spectrum(&vals, &vecs, opts.rule, cap))
+    Ok(filter_full_spectrum(&vals, &vecs, fraction, cap))
 }
 
-/// Extracts the eigenpairs of `a` with eigenvalue **below** `-threshold`
-/// (`threshold ≥ 0`), most negative first — the partial decomposition
-/// needed to project a slightly indefinite covariance back onto the PSD
-/// cone without resolving its (much larger) positive spectrum.
-///
-/// Implemented as [`top_eigenpairs`] on `−A` with
-/// [`StopRule::AboveThreshold`].
-///
-/// # Errors
-///
-/// As for [`top_eigenpairs`]; additionally [`NumError::Domain`] if
-/// `threshold` is negative or non-finite.
-pub fn negative_eigenpairs(
-    a: &DMatrix,
-    threshold: f64,
-    threads: usize,
-) -> Result<(Vec<f64>, DMatrix)> {
-    if !(threshold >= 0.0 && threshold.is_finite()) {
-        return Err(NumError::Domain {
-            detail: format!("negative-spectrum threshold must be finite and >= 0, got {threshold}"),
-        });
-    }
-    let mut neg = a.clone();
-    neg.scale_mut(-1.0);
-    let opts = LanczosOptions {
-        rule: StopRule::AboveThreshold(threshold),
-        threads,
-        ..LanczosOptions::default()
-    };
-    let (mut vals, vecs) = top_eigenpairs(&neg, &opts)?;
-    for v in &mut vals {
-        *v = -*v;
-    }
-    Ok((vals, vecs))
-}
-
-/// Applies a [`StopRule`] to a fully resolved spectrum (descending
-/// eigenvalues, matching eigenvector columns), returning the retained
-/// leading pairs capped at `max_components`.
+/// Truncates a fully resolved spectrum (descending eigenvalues, matching
+/// eigenvector columns) at the energy fraction `energy_fraction` of its
+/// sum, returning the retained leading pairs capped at `max_components`.
 ///
 /// This is the truncation the iterative path converges to; the dense
 /// solvers use it so that "solve fully, then truncate" and "solve
@@ -371,33 +292,24 @@ pub fn negative_eigenpairs(
 pub fn filter_full_spectrum(
     values: &[f64],
     vectors: &DMatrix,
-    rule: StopRule,
+    energy_fraction: f64,
     max_components: usize,
 ) -> (Vec<f64>, DMatrix) {
     let n = values.len();
-    let k = match rule {
-        StopRule::EnergyFraction(f) => {
-            let target = f * values.iter().sum::<f64>();
-            let mut energy = 0.0;
-            let mut k = 0;
-            while k < n && k < max_components {
-                if energy >= target && target > 0.0 {
-                    break;
-                }
-                if values[k] <= 0.0 {
-                    break;
-                }
-                energy += values[k];
-                k += 1;
-            }
-            extend_over_cluster(values, k, max_components)
+    let target = energy_fraction * values.iter().sum::<f64>();
+    let mut energy = 0.0;
+    let mut k = 0;
+    while k < n && k < max_components {
+        if energy >= target && target > 0.0 {
+            break;
         }
-        StopRule::AboveThreshold(t) => values
-            .iter()
-            .take(max_components)
-            .take_while(|&&v| v > t)
-            .count(),
-    };
+        if values[k] <= 0.0 {
+            break;
+        }
+        energy += values[k];
+        k += 1;
+    }
+    let k = extend_over_cluster(values, k, max_components);
     let kept = DMatrix::from_fn(vectors.nrows(), k, |i, j| vectors[(i, j)]);
     (values[..k].to_vec(), kept)
 }
@@ -431,13 +343,12 @@ pub fn extend_over_cluster(values: &[f64], mut k: usize, cap: usize) -> usize {
 }
 
 fn validate(opts: &LanczosOptions) -> Result<()> {
-    let rule_ok = match opts.rule {
-        StopRule::EnergyFraction(f) => (0.0..=1.0).contains(&f),
-        StopRule::AboveThreshold(t) => t.is_finite(),
-    };
-    if !rule_ok {
+    if !(0.0..=1.0).contains(&opts.energy_fraction) {
         return Err(NumError::Domain {
-            detail: format!("invalid stop rule {:?}", opts.rule),
+            detail: format!(
+                "Lanczos energy fraction must be in [0, 1], got {}",
+                opts.energy_fraction
+            ),
         });
     }
     if !(opts.tol > 0.0 && opts.tol.is_finite()) {
@@ -531,12 +442,13 @@ mod tests {
     fn energy_rule_matches_full_solver_on_grid_kernel() {
         let a = grid_kernel(9, 2.5); // n = 81, has degenerate pairs
         let opts = LanczosOptions {
-            rule: StopRule::EnergyFraction(0.99),
+            energy_fraction: 0.99,
             ..LanczosOptions::default()
         };
         let (vals, vecs) = top_eigenpairs(&a, &opts).unwrap();
         let (full_vals, full_vecs) = symmetric_eigen_ql(&a).unwrap();
-        let (want_vals, _) = filter_full_spectrum(&full_vals, &full_vecs, opts.rule, a.nrows());
+        let (want_vals, _) =
+            filter_full_spectrum(&full_vals, &full_vecs, opts.energy_fraction, a.nrows());
         assert_eq!(vals.len(), want_vals.len(), "component count");
         for (got, want) in vals.iter().zip(&want_vals) {
             assert!((got - want).abs() < 1e-9 * want_vals[0], "{got} vs {want}");
@@ -580,45 +492,10 @@ mod tests {
     }
 
     #[test]
-    fn negative_eigenpairs_finds_planted_negative_direction() {
-        // PSD grid kernel plus a planted negative rank-one bump.
-        let mut a = grid_kernel(8, 2.0); // n = 64
-        let n = a.nrows();
-        let u: Vec<f64> = (0..n)
-            .map(|i| ((i as f64 * 0.7).sin() + 0.3) / (n as f64).sqrt())
-            .collect();
-        let u_norm = norm2(&u);
-        let strength = 0.5;
-        for i in 0..n {
-            for j in 0..n {
-                a[(i, j)] -= strength * (u[i] / u_norm) * (u[j] / u_norm) * 4.0;
-            }
-        }
-        let (neg_vals, neg_vecs) = negative_eigenpairs(&a, 1e-10, 1).unwrap();
-        let (full_vals, _) = symmetric_eigen_ql(&a).unwrap();
-        let want: Vec<f64> = full_vals
-            .iter()
-            .rev()
-            .filter(|&&v| v < -1e-10)
-            .cloned()
-            .collect();
-        assert_eq!(neg_vals.len(), want.len(), "negative count");
-        for (got, want) in neg_vals.iter().zip(&want) {
-            assert!((got - want).abs() < 1e-8, "{got} vs {want}");
-        }
-        for (i, &l) in neg_vals.iter().enumerate() {
-            let v = neg_vecs.column(i);
-            let mut av = a.mul_vec(&v);
-            axpy(-l, &v, &mut av);
-            assert!(norm2(&av) < 1e-8, "pair {i}");
-        }
-    }
-
-    #[test]
     fn results_are_bit_identical_across_thread_counts() {
         let a = grid_kernel(9, 3.0);
         let base = LanczosOptions {
-            rule: StopRule::EnergyFraction(0.95),
+            energy_fraction: 0.95,
             ..LanczosOptions::default()
         };
         let (v1, m1) = top_eigenpairs(&a, &LanczosOptions { threads: 1, ..base }).unwrap();
@@ -636,7 +513,6 @@ mod tests {
     fn max_components_caps_the_result() {
         let a = grid_kernel(8, 2.0);
         let opts = LanczosOptions {
-            rule: StopRule::EnergyFraction(1.0),
             max_components: Some(3),
             ..LanczosOptions::default()
         };
@@ -653,25 +529,23 @@ mod tests {
     fn filter_full_spectrum_rules() {
         let vals = vec![4.0, 3.0, 2.0, 1.0, -0.5];
         let vecs = DMatrix::identity(5);
-        let (kept, m) = filter_full_spectrum(&vals, &vecs, StopRule::EnergyFraction(0.7), 5);
+        let (kept, m) = filter_full_spectrum(&vals, &vecs, 0.7, 5);
         // trace = 9.5, target 6.65 → 4 + 3 = 7 ≥ 6.65 → 2 components.
         assert_eq!(kept, vec![4.0, 3.0]);
         assert_eq!(m.ncols(), 2);
-        let (kept, _) = filter_full_spectrum(&vals, &vecs, StopRule::AboveThreshold(1.5), 5);
-        assert_eq!(kept, vec![4.0, 3.0, 2.0]);
-        let (kept, _) = filter_full_spectrum(&vals, &vecs, StopRule::EnergyFraction(1.0), 3);
+        let (kept, _) = filter_full_spectrum(&vals, &vecs, 1.0, 3);
         assert_eq!(kept.len(), 3);
     }
 
     #[test]
     fn rejects_invalid_options() {
         let a = DMatrix::identity(4);
-        let bad_rule = LanczosOptions {
-            rule: StopRule::EnergyFraction(1.5),
+        let bad_energy = LanczosOptions {
+            energy_fraction: 1.5,
             ..LanczosOptions::default()
         };
         assert!(matches!(
-            top_eigenpairs(&a, &bad_rule),
+            top_eigenpairs(&a, &bad_energy),
             Err(NumError::Domain { .. })
         ));
         let bad_tol = LanczosOptions {
@@ -682,7 +556,6 @@ mod tests {
             top_eigenpairs(&a, &bad_tol),
             Err(NumError::Domain { .. })
         ));
-        assert!(negative_eigenpairs(&a, -1.0, 1).is_err());
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //!   ([`precond::Ic0`]) and a geometric-multigrid V-cycle
 //!   ([`multigrid::Multigrid`]) — used by the thermal simulator,
 //! * special functions (`erf`, `ln_gamma`, regularized incomplete gamma),
-//! * probability distributions (normal, gamma/χ², Weibull, exponential) with
-//!   PDFs, CDFs, quantiles and sampling,
+//! * probability distributions (normal, gamma/χ²) with PDFs, CDFs,
+//!   quantiles and sampling,
 //! * 1-D quadrature rules (midpoint, Simpson, Gauss–Legendre),
-//! * interpolation (linear, bilinear, on rectilinear grids),
+//! * bilinear interpolation on rectilinear grids,
 //! * histograms and descriptive statistics (R², mutual information,
 //!   Kolmogorov–Smirnov distance),
 //! * a deterministic pseudo-random stream ([`rng::Xoshiro256pp`]) and

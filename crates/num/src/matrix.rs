@@ -283,13 +283,6 @@ impl DMatrix {
         (0..self.nrows).map(|i| self[(i, i)]).sum()
     }
 
-    /// Scales every entry in place.
-    pub fn scale_mut(&mut self, s: f64) {
-        for v in &mut self.data {
-            *v *= s;
-        }
-    }
-
     /// Quadratic form `xᵀ·A·x`.
     ///
     /// # Panics

@@ -1084,28 +1084,10 @@ pub fn lane_le<const W: usize>(xs: &[f64; W], threshold: f64) -> [bool; W] {
     mask
 }
 
-/// Per-lane select `mask[w] ? a[w] : b[w]`, bit-exact in either arm
-/// (the lane-array form of the cores' branchless [`select`]) — the
-/// lo/hi interval update of a lane-parallel bisection.
-#[inline(always)]
-pub fn lane_select<const W: usize>(mask: &[bool; W], a: &[f64; W], b: &[f64; W]) -> [f64; W] {
-    let mut out = [0.0; W];
-    for w in 0..W {
-        out[w] = select(mask[w], a[w], b[w]);
-    }
-    out
-}
-
 /// Horizontal OR of a lane mask: `true` if any lane is set.
 #[inline(always)]
 pub fn lane_any<const W: usize>(mask: &[bool; W]) -> bool {
     mask.iter().any(|&m| m)
-}
-
-/// Horizontal AND of a lane mask: `true` if every lane is set.
-#[inline(always)]
-pub fn lane_all<const W: usize>(mask: &[bool; W]) -> bool {
-    mask.iter().all(|&m| m)
 }
 
 /// Intermediate tile length for [`failure_term_slice`]'s two-pass
@@ -1159,10 +1141,10 @@ pub fn failure_poly_threshold(scale: f64) -> f64 {
 /// screen can skip work without changing any element's bits:
 ///
 /// * all `x ≥ x_sat` → every element's large arm rounds to exactly 1.0
-///   (see [`FAILURE_SAT`]), so the tile is filled with 1.0 — zero
+///   (see `FAILURE_SAT`), so the tile is filled with 1.0 — zero
 ///   transcendentals;
 /// * all `x < x_tiny` → the tiny arm `−(z + z²/2)` is three flops past
-///   the hazard `exp` (see [`FAILURE_TINY_Z`]);
+///   the hazard `exp` (see `FAILURE_TINY_Z`);
 /// * all `x < x_small` → the small arm `−(z + z²·P(z))` needs no second
 ///   `exp`, so the tile costs one transcendental pass;
 /// * mixed tiles evaluate all arms branchlessly per element.
@@ -1284,12 +1266,12 @@ fn failure_term_tiles_big(xs: &[f64], scale: f64, x_sat: f64, out: &mut [f64]) {
 /// bit-identical to [`failure_term_slice`]; the bounds only let the
 /// whole slice be classified into one regime up front:
 ///
-/// * `lo ≥ x_sat` → saturated fill (exact 1.0, see [`FAILURE_SAT`]);
+/// * `lo ≥ x_sat` → saturated fill (exact 1.0, see `FAILURE_SAT`);
 /// * `hi < x_tiny` → single tiny-arm pass;
 /// * `hi < x_small` → single small-arm pass (tiny still selected per
 ///   element);
 /// * `lo ≥ x_small` → big-arm-only two-pass route (the light
-///   [`failure_big`] finish instead of the 3-arm select);
+///   `failure_big` finish instead of the 3-arm select);
 /// * otherwise → the tiled screens of the unbounded path.
 ///
 /// NaN bounds (e.g. from NaN coefficients) fail every comparison and
@@ -1438,11 +1420,11 @@ fn hazard_regime<const W: usize>(arg: &[f64; W], x_small: f64, x_sat: f64) -> Re
 /// the same elementwise expressions the general route selects for those
 /// arguments, so the screens change cost, never bits:
 ///
-/// * all `arg ≥ x_sat` → `p` rounds to exactly 1.0 (see [`FAILURE_SAT`])
+/// * all `arg ≥ x_sat` → `p` rounds to exactly 1.0 (see `FAILURE_SAT`)
 ///   and `ln_1p(−1)` is `−∞`, so the block contributes an exact `−∞`
 ///   fill — zero transcendentals. (A dead block at age `x` forces
 ///   `ln S = −∞`; the bisection's `≤ target` compare handles it.)
-/// * all `arg < x_small` → `|z| <` [`EXPM1_SWITCH`] takes `expm1`'s
+/// * all `arg < x_small` → `|z| < EXPM1_SWITCH` takes `expm1`'s
 ///   small arm, and the resulting `p ≤ 0.293` keeps `−p` inside
 ///   `ln_1p`'s small-arm window `[−1/3, 0.5]` — one `exp` plus two
 ///   short polynomials, no second `exp` and no exponent split. This is
@@ -1909,7 +1891,7 @@ pub fn ln_surv_tile_sum<const W: usize>(
 /// lane's own bracket with branchless bitwise selects on `s ≤ target`
 /// (NaN compares false, freezing that lane's bracket — the caller's
 /// mask semantics). Bit-identical, round for round, to a caller loop of
-/// [`ln_surv_tile_fold`] + [`lane_le`] + [`lane_select`]; hoisting the
+/// [`ln_surv_tile_fold`] + [`lane_le`] + a per-lane select; hoisting the
 /// loop inside the dispatched clone exists purely so the bracket state
 /// stays in registers across all `steps` rounds instead of paying a
 /// non-inlinable dispatch per round.
@@ -1986,7 +1968,7 @@ unsafe fn ln_surv_bisect_avx512<const W: usize, F: LaneFold<W>>(
 /// fused: runs `steps` rounds of per-lane bracket halving on
 /// `lo`/`hi` in place, against the log-survival threshold `target`, the
 /// blocks composed through `fold`. Parameters and per-element math are
-/// exactly [`ln_surv_tile_fold`]'s; see [`ln_surv_bisect_body`] for the
+/// exactly [`ln_surv_tile_fold`]'s; see `ln_surv_bisect_body` for the
 /// bit-identity contract with the unfused caller loop and the NaN/mask
 /// semantics. One dispatched call replaces `steps` of them — the
 /// bracket arrays live in registers for the whole solve.
@@ -2335,17 +2317,10 @@ mod tests {
         let xs = [1.0, 2.0, f64::NAN, -3.0];
         let mask = lane_le::<4>(&xs, 1.5);
         assert_eq!(mask, [true, false, false, true]);
-        let a = [10.0, 20.0, 30.0, 40.0];
-        let b = [-1.0, -2.0, -3.0, -4.0];
-        let sel = lane_select::<4>(&mask, &a, &b);
-        assert_eq!(sel, [10.0, -2.0, -3.0, 40.0]);
         // Selects are bit-exact: -0.0 and NaN payloads survive.
-        let weird = lane_select::<2>(&[true, false], &[-0.0, -0.0], &[f64::NAN, f64::NAN]);
-        assert_eq!(weird[0].to_bits(), (-0.0f64).to_bits());
-        assert!(weird[1].is_nan());
+        assert_eq!(select(true, -0.0, f64::NAN).to_bits(), (-0.0f64).to_bits());
+        assert!(select(false, -0.0, f64::NAN).is_nan());
         assert!(lane_any::<4>(&mask));
-        assert!(!lane_all::<4>(&mask));
-        assert!(lane_all::<2>(&[true, true]));
         assert!(!lane_any::<2>(&[false, false]));
     }
 

@@ -268,11 +268,11 @@ const EXP_GRID_RESYNC: usize = 32;
 
 /// Fills `out[k·stride]` for `k in 0..n` with
 /// `scale · exp(rate · (x0 + k·step))` using the geometric recurrence
-/// `w[k+1] = w[k] · exp(rate·step)` — one `exp` per [`EXP_GRID_RESYNC`]
-/// grid points instead of one per point.
+/// `w[k+1] = w[k] · exp(rate·step)` — one `exp` per `EXP_GRID_RESYNC`
+/// (32) grid points instead of one per point.
 ///
 /// The recurrence is re-anchored against multiplicative drift every
-/// [`EXP_GRID_RESYNC`] points, bounding the relative error at
+/// 32 points, bounding the relative error at
 /// `≈ EXP_GRID_RESYNC · ε ≈ 7e-15` — far below the discretization error
 /// of any histogram the grid weights.
 ///

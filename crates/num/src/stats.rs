@@ -72,15 +72,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population variance (0 when empty).
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
     /// Sample standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.sample_variance().sqrt()
@@ -250,36 +241,6 @@ pub fn sample_variance(data: &[f64]) -> f64 {
     data.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / (data.len() - 1) as f64
 }
 
-/// Sample skewness (Fisher–Pearson, bias-uncorrected).
-///
-/// # Panics
-///
-/// Panics if `data.len() < 2` or the data is constant.
-pub fn skewness(data: &[f64]) -> f64 {
-    assert!(data.len() >= 2, "skewness needs at least 2 points");
-    let m = mean(data);
-    let n = data.len() as f64;
-    let m2 = data.iter().map(|&x| (x - m).powi(2)).sum::<f64>() / n;
-    let m3 = data.iter().map(|&x| (x - m).powi(3)).sum::<f64>() / n;
-    assert!(m2 > 0.0, "skewness undefined for constant data");
-    m3 / m2.powf(1.5)
-}
-
-/// Sample excess kurtosis (bias-uncorrected): 0 for a Gaussian.
-///
-/// # Panics
-///
-/// Panics if `data.len() < 2` or the data is constant.
-pub fn excess_kurtosis(data: &[f64]) -> f64 {
-    assert!(data.len() >= 2, "kurtosis needs at least 2 points");
-    let m = mean(data);
-    let n = data.len() as f64;
-    let m2 = data.iter().map(|&x| (x - m).powi(2)).sum::<f64>() / n;
-    let m4 = data.iter().map(|&x| (x - m).powi(4)).sum::<f64>() / n;
-    assert!(m2 > 0.0, "kurtosis undefined for constant data");
-    m4 / (m2 * m2) - 3.0
-}
-
 /// Linear-interpolated empirical quantile of **sorted** data.
 ///
 /// # Errors
@@ -387,19 +348,6 @@ pub fn ks_distance(sample: &mut [f64], cdf: impl Fn(f64) -> f64) -> Result<f64> 
     Ok(d)
 }
 
-/// Relative error `|estimate − reference| / |reference|`.
-///
-/// # Panics
-///
-/// Panics if `reference == 0`.
-pub fn relative_error(estimate: f64, reference: f64) -> f64 {
-    assert!(
-        reference != 0.0,
-        "relative error undefined for zero reference"
-    );
-    ((estimate - reference) / reference).abs()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,24 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn skewness_and_kurtosis_of_known_shapes() {
-        // Symmetric data: zero skew.
-        let sym = [-2.0, -1.0, 0.0, 1.0, 2.0];
-        assert!(skewness(&sym).abs() < 1e-12);
-        // Right-skewed data: positive skew.
-        let right = [0.0, 0.0, 0.0, 0.1, 10.0];
-        assert!(skewness(&right) > 1.0);
-        // Uniform-ish data: negative excess kurtosis (platykurtic).
-        let uniform: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        assert!(excess_kurtosis(&uniform) < -1.0);
-        // Heavy-tailed data: positive excess kurtosis.
-        let mut heavy = vec![0.0; 98];
-        heavy.push(50.0);
-        heavy.push(-50.0);
-        assert!(excess_kurtosis(&heavy) > 10.0);
-    }
-
-    #[test]
     fn quantile_sketch_tracks_sorted_quantiles() {
         // Deterministic, non-uniformly spaced data in [0, 10).
         let data: Vec<f64> = (0..2000)
@@ -616,11 +546,5 @@ mod tests {
         assert_eq!(a.count(), 1);
         assert!(QuantileSketch::new(1.0, 0.0, 4).is_err());
         assert!(QuantileSketch::new(0.0, 1.0, 0).is_err());
-    }
-
-    #[test]
-    fn relative_error_basics() {
-        assert!((relative_error(1.1, 1.0) - 0.1).abs() < 1e-12);
-        assert!((relative_error(0.9, 1.0) - 0.1).abs() < 1e-12);
     }
 }

@@ -223,111 +223,17 @@ impl ThicknessModel {
         })
     }
 
-    /// Constructs a model directly from a caller-supplied grid covariance
-    /// matrix (e.g. extracted from silicon, or from a quad-tree model).
-    ///
-    /// `covariance` must be the full correlated covariance (global +
-    /// spatial), `n_grids × n_grids`. The eigensolver is chosen
-    /// automatically; use [`ThicknessModel::from_covariance_with`] to pin
-    /// it.
-    ///
-    /// # Errors
-    ///
-    /// * [`VariationError::InvalidParameter`] on dimension mismatches,
-    /// * [`VariationError::InvalidCovariance`] if the matrix has a
-    ///   significantly negative eigenvalue,
-    /// * [`VariationError::Numerical`] if the eigendecomposition fails.
-    pub fn from_covariance(
-        grid: GridSpec,
-        nominal: Vec<f64>,
+    /// Eigendecomposes the grid covariance, checks it is positive
+    /// semidefinite, and keeps the components up to the energy target as
+    /// loadings scaled by `√λ`. Returns the loadings plus the solver used
+    /// and the `(eigen, truncation)` stage timings for
+    /// [`ThicknessModelBuilder::build_with_stats`].
+    fn principal_loadings(
         covariance: &DMatrix,
-        sigma_ind: f64,
-        budget: VarianceBudget,
-        kernel: CorrelationKernel,
-        energy_fraction: f64,
-    ) -> Result<Self> {
-        Self::from_covariance_with(
-            grid,
-            nominal,
-            covariance,
-            sigma_ind,
-            budget,
-            kernel,
-            &SpectralOptions::energy(energy_fraction),
-        )
-    }
-
-    /// As [`ThicknessModel::from_covariance`], but with full control over
-    /// the spectral stage: solver backend, energy target, component cap,
-    /// tolerance and threading (see [`SpectralOptions`]).
-    ///
-    /// With `energy_fraction < 1` on a large grid the decomposition takes
-    /// the Lanczos top-k path and only the retained components are ever
-    /// computed — the dominant cost of model construction drops from
-    /// `O(n³)` to `O(k·n²)`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ThicknessModel::from_covariance`]. Note that a truncated
-    /// (partial-spectrum) solve cannot observe the smallest eigenvalue, so
-    /// indefiniteness beyond what the trace reveals goes undetected —
-    /// repair measured covariances first (see
-    /// [`crate::extraction::nearest_psd`]).
-    pub fn from_covariance_with(
-        grid: GridSpec,
-        nominal: Vec<f64>,
-        covariance: &DMatrix,
-        sigma_ind: f64,
-        budget: VarianceBudget,
-        kernel: CorrelationKernel,
         spectral: &SpectralOptions,
-    ) -> Result<Self> {
-        Self::decompose_covariance(
-            grid, nominal, covariance, sigma_ind, budget, kernel, spectral,
-        )
-        .map(|(model, _, _)| model)
-    }
-
-    /// Shared core: eigendecompose, validate, truncate, scale loadings.
-    /// Returns the model plus the solver used and the `(eigen, truncation)`
-    /// stage timings for [`ThicknessModelBuilder::build_with_stats`].
-    fn decompose_covariance(
-        grid: GridSpec,
-        nominal: Vec<f64>,
-        covariance: &DMatrix,
-        sigma_ind: f64,
-        budget: VarianceBudget,
-        kernel: CorrelationKernel,
-        spectral: &SpectralOptions,
-    ) -> Result<(Self, SpectralSolver, (f64, f64))> {
-        let n = grid.n_grids();
-        if covariance.nrows() != n || covariance.ncols() != n {
-            return Err(VariationError::InvalidParameter {
-                detail: format!(
-                    "covariance is {}x{} but the grid has {} cells",
-                    covariance.nrows(),
-                    covariance.ncols(),
-                    n
-                ),
-            });
-        }
-        if nominal.len() != n {
-            return Err(VariationError::InvalidParameter {
-                detail: format!("nominal has {} entries for {} grids", nominal.len(), n),
-            });
-        }
-        if !(sigma_ind >= 0.0) {
-            return Err(VariationError::InvalidParameter {
-                detail: format!("sigma_ind must be non-negative, got {sigma_ind}"),
-            });
-        }
+    ) -> Result<(DMatrix, SpectralSolver, (f64, f64))> {
+        let n = covariance.nrows();
         let energy_fraction = spectral.energy_fraction;
-        if !(0.0 < energy_fraction && energy_fraction <= 1.0) {
-            return Err(VariationError::InvalidParameter {
-                detail: format!("energy_fraction must be in (0, 1], got {energy_fraction}"),
-            });
-        }
-
         let eigen_start = Instant::now();
         let eig = SymmetricEigen::with_options(covariance, spectral)?;
         let eigen_s = eigen_start.elapsed().as_secs_f64();
@@ -382,16 +288,7 @@ impl ThicknessModel {
             DMatrix::from_fn(n, kept, |g, k| v[(g, k)] * eigenvalues[k].sqrt())
         };
         let truncation_s = truncation_start.elapsed().as_secs_f64();
-
-        let model = ThicknessModel {
-            grid,
-            nominal,
-            loadings,
-            sigma_ind,
-            budget,
-            kernel,
-        };
-        Ok((model, eig.solver(), (eigen_s, truncation_s)))
+        Ok((loadings, eig.solver(), (eigen_s, truncation_s)))
     }
 }
 
@@ -578,6 +475,18 @@ impl ThicknessModelBuilder {
                 detail: format!("invalid kernel {kernel:?}"),
             });
         }
+        let sigma_ind = budget.sigma_independent();
+        if !(sigma_ind >= 0.0) {
+            return Err(VariationError::InvalidParameter {
+                detail: format!("sigma_ind must be non-negative, got {sigma_ind}"),
+            });
+        }
+        let energy_fraction = self.spectral.energy_fraction;
+        if !(0.0 < energy_fraction && energy_fraction <= 1.0) {
+            return Err(VariationError::InvalidParameter {
+                detail: format!("energy_fraction must be in (0, 1], got {energy_fraction}"),
+            });
+        }
 
         let n = grid.n_grids();
         let var_g = budget.sigma_global().powi(2);
@@ -597,15 +506,16 @@ impl ThicknessModelBuilder {
             })
             .collect();
 
-        let (model, solver, (eigen_s, truncation_s)) = ThicknessModel::decompose_covariance(
+        let (loadings, solver, (eigen_s, truncation_s)) =
+            ThicknessModel::principal_loadings(&cov, &self.spectral)?;
+        let model = ThicknessModel {
             grid,
             nominal,
-            &cov,
-            budget.sigma_independent(),
+            loadings,
+            sigma_ind,
             budget,
             kernel,
-            &self.spectral,
-        )?;
+        };
         let stats = ModelBuildStats {
             n_grids: n,
             n_components: model.n_components(),
@@ -865,21 +775,5 @@ mod tests {
             *m.kernel(),
         )
         .is_err());
-    }
-
-    #[test]
-    fn from_covariance_checks_dimensions() {
-        let grid = GridSpec::square_unit(2).unwrap();
-        let cov = DMatrix::identity(3); // wrong size
-        let err = ThicknessModel::from_covariance(
-            grid,
-            vec![2.2; 4],
-            &cov,
-            0.01,
-            VarianceBudget::itrs_2008(2.2).unwrap(),
-            CorrelationKernel::Exponential { rel_distance: 0.5 },
-            1.0,
-        );
-        assert!(err.is_err());
     }
 }

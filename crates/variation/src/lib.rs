@@ -44,19 +44,15 @@
 
 mod budget;
 mod canonical;
-mod extraction;
 mod grid;
 mod kernel;
-mod quadtree;
 mod sampling;
 mod systematic;
 
 pub use budget::VarianceBudget;
 pub use canonical::{ModelBuildStats, ThicknessModel, ThicknessModelBuilder};
-pub use extraction::{extract_covariance, nearest_psd, nearest_psd_with, ExtractedModel};
 pub use grid::GridSpec;
 pub use kernel::CorrelationKernel;
-pub use quadtree::QuadTreeModel;
 pub use sampling::{FieldSampler, GridBaseSample};
 pub use systematic::SystematicPattern;
 

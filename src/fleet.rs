@@ -300,8 +300,9 @@ pub struct ChipOutcome {
     /// groups with spares).
     pub p_mission: f64,
     /// Index of the block with the largest mission-end failure
-    /// probability (ties resolve to the lowest index; see
-    /// [`update_weakest`] for the full tie/NaN rule).
+    /// probability. Ties resolve to the lowest index, and a NaN
+    /// probability never wins, so a chip whose blocks are all NaN
+    /// reports block 0.
     pub weakest_block: usize,
     /// Age (seconds) at which the chip's failure probability reaches the
     /// budget, under steady mission repetition; clamped to the solve

@@ -559,8 +559,19 @@ mod tests {
             r#"{"op": "manage_step", "session": "s", "dt_s": 1e6, "vdd_v": 1.2, "dt_k": "+40"}"#
                 .to_string(),
             r#"{"op": "p_at", "session": "s", "t_s": 1e8}"#.to_string(),
+            // Ages at or below zero are refused, not answered with P = 1.
+            r#"{"op": "p_at", "session": "s", "t_s": 0}"#.to_string(),
+            r#"{"op": "p_at", "session": "s", "t_s": -5}"#.to_string(),
+            r#"{"op": "p_at", "session": "s", "t_s": 1e8}"#.to_string(),
+            // A step below 0 K is refused and leaves no damage behind.
+            r#"{"op": "manage_step", "session": "s", "dt_s": 1e6, "vdd_v": 1.2, "dt_k": -400}"#
+                .to_string(),
+            r#"{"op": "manage_step", "session": "s", "dt_s": 1e6, "vdd_v": 1.2}"#.to_string(),
         ]);
-        let ok = [false, false, false, false, true, false, false, false, true];
+        let ok = [
+            false, false, false, false, true, false, false, false, true, false, false, true, false,
+            true,
+        ];
         assert_eq!(replies.len(), ok.len());
         for (reply, ok) in replies.iter().zip(ok) {
             assert_eq!(
@@ -571,6 +582,15 @@ mod tests {
             );
             assert_eq!(reply.get("error").is_some(), !ok);
         }
+        // The step after the refused one is the session's first: its
+        // probability is the fresh manager's, not the poisoned P = 1.
+        let first = run(&[
+            format!(r#"{{"op": "open", "session": "s", "spec": {spec}}}"#),
+            r#"{"op": "manage_step", "session": "s", "dt_s": 1e6, "vdd_v": 1.2}"#.to_string(),
+        ]);
+        let p_now = |reply: &Json| reply.get("p_now").and_then(Json::as_f64);
+        assert!(p_now(&first[1]).is_some_and(|p| p < 1e-3));
+        assert_eq!(p_now(&replies[13]), p_now(&first[1]));
     }
 
     #[test]

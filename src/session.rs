@@ -282,8 +282,10 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates engine failures.
+    /// Rejects an age that is not finite and positive; propagates engine
+    /// failures.
     pub fn p_at(&mut self, t_s: f64) -> Result<f64> {
+        check_age(t_s)?;
         self.stats.queries += 1;
         self.engine.failure_probability(t_s).map_err(Error::from)
     }
@@ -292,8 +294,10 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates engine failures.
+    /// Rejects any age that is not finite and positive; propagates engine
+    /// failures.
     pub fn p_at_many(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
+        ts.iter().try_for_each(|&t_s| check_age(t_s))?;
         self.stats.queries += ts.len() as u64;
         self.engine.failure_probabilities(ts).map_err(Error::from)
     }
@@ -435,6 +439,19 @@ impl Session {
     }
 }
 
+/// Rejects a query age that is not finite and positive: P(0) is
+/// degenerate (engines disagree on it, and some assert on it), and a
+/// non-finite age has no meaning.
+fn check_age(t_s: f64) -> Result<()> {
+    if t_s > 0.0 && t_s.is_finite() {
+        Ok(())
+    } else {
+        Err(Error::Spec(format!(
+            "t_s must be finite and > 0, got {t_s}"
+        )))
+    }
+}
+
 /// The engine spec with the session-level thread override applied.
 fn effective_engine(spec: &AnalysisSpec) -> EngineSpec {
     match spec.threads {
@@ -482,7 +499,7 @@ pub(crate) fn compile(spec: &AnalysisSpec) -> Result<CompiledModel> {
 mod tests {
     use super::*;
     use statobd_circuits::Benchmark;
-    use statobd_core::{BlockSpec, ChipSpec, EngineKind};
+    use statobd_core::{BlockSpec, ChipSpec, EngineKind, EngineSpec, MonteCarloConfig, StMcConfig};
 
     fn tiny_chip() -> ChipSpec {
         let mut chip = ChipSpec::new();
@@ -564,6 +581,37 @@ mod tests {
         let again = Session::open(&spec, &cache).unwrap();
         assert_eq!(again.stats().source, SessionSource::Cache);
         let _ = std::fs::remove_dir_all(cache.root());
+    }
+
+    #[test]
+    fn every_engine_rejects_ages_that_are_not_finite_and_positive() {
+        for kind in EngineKind::ALL {
+            let engine = match kind.default_spec() {
+                EngineSpec::StMc(c) => EngineSpec::StMc(StMcConfig {
+                    n_samples: 500,
+                    ..c
+                }),
+                EngineSpec::MonteCarlo(c) => {
+                    EngineSpec::MonteCarlo(MonteCarloConfig { n_chips: 50, ..c })
+                }
+                spec => spec,
+            };
+            let mut s = Session::build(&tiny_spec(kind).with_engine_spec(engine)).unwrap();
+            for t in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let err = s.p_at(t).expect_err("age must be rejected");
+                assert!(err.to_string().contains("t_s"), "{kind} at {t}: {err}");
+            }
+            assert!(s.p_at_many(&[1e6, 0.0]).is_err(), "{kind}");
+            assert_eq!(
+                s.stats().queries,
+                0,
+                "{kind}: rejected ages are not queries"
+            );
+            for t in [1e-300, 1e300] {
+                let p = s.p_at(t).unwrap();
+                assert!((0.0..=1.0).contains(&p), "{kind}: P({t:e}) = {p}");
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use statobd::core::{
     MonteCarlo, MonteCarloConfig, ReliabilityEngine, StClosed, StFast, StFastConfig, StMc,
     StMcConfig,
 };
-use statobd::device::{ClosedFormTech, TableTech};
+use statobd::device::ClosedFormTech;
 use statobd::thermal::ThermalConfig;
 use statobd::variation::{
     CorrelationKernel, ThicknessModel, ThicknessModelBuilder, VarianceBudget,
@@ -143,24 +143,6 @@ fn guard_band_is_most_pessimistic_temp_unaware_in_between() {
         t_guard < t_unaware && t_unaware < t_aware,
         "ordering violated: guard {t_guard:e}, unaware {t_unaware:e}, aware {t_aware:e}"
     );
-}
-
-#[test]
-fn table_tech_reproduces_closed_form_through_the_whole_pipeline() {
-    let built = build_design(Benchmark::C1, &quick_design_config()).unwrap();
-    let model = model_for(&built);
-    let cf = ClosedFormTech::nominal_45nm();
-    let table = TableTech::from_model(&cf, 300.0, 430.0, 261, 1.2, 40.0).unwrap();
-
-    let a_cf = ChipAnalysis::new(built.spec.clone(), model.clone(), &cf).unwrap();
-    let a_tab = ChipAnalysis::new(built.spec.clone(), model, &table).unwrap();
-    let mut e_cf = StFast::new(&a_cf, StFastConfig::default());
-    let mut e_tab = StFast::new(&a_tab, StFastConfig::default());
-    let t = 1e9;
-    let p_cf = e_cf.failure_probability(t).unwrap();
-    let p_tab = e_tab.failure_probability(t).unwrap();
-    let rel = ((p_cf - p_tab) / p_cf).abs();
-    assert!(rel < 0.02, "closed-form {p_cf:e} vs table {p_tab:e}");
 }
 
 #[test]
