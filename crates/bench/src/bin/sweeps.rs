@@ -1,21 +1,25 @@
-//! Sweep benchmark: scalar-loop vs batched time-sweep evaluation for
-//! every reliability engine, emitting machine-readable
-//! `BENCH_sweeps.json` so the repo accumulates a perf trajectory.
+//! Sweep benchmark: one-point calls vs one batched time sweep for every
+//! reliability engine, emitting machine-readable `BENCH_sweeps.json` so
+//! the repo accumulates a perf trajectory.
 //!
-//! For each design × engine × sweep length the runner times `n` scalar
-//! `failure_probability` calls against one batched
-//! `failure_probabilities` call over the same log-spaced times, verifies
-//! the two are **bit-identical**, and records build time, both eval
-//! times, the speedup and the batched throughput.
+//! Every engine evaluates `P(t)` only in its batched
+//! `failure_probabilities`; `failure_probability(t)` is a one-point call
+//! of it. For each design × engine × sweep length the runner times `n`
+//! one-point `failure_probability` calls — through the same path — against
+//! one `failure_probabilities` call over the same log-spaced times,
+//! verifies the two are **bit-identical**, and records build time, both
+//! eval times, the speedup and the batched throughput. The JSON keeps
+//! its historical field names: `scalar_eval_s` is the time of the `n`
+//! one-point calls.
 //!
 //! Each engine is warmed up (one throwaway evaluation, so lazily built
 //! node sets and tables are charged to neither path) and every
 //! measurement is the minimum over several repetitions, with fast cells
 //! iterated until each repetition is long enough to time reliably. Full
-//! runs additionally **assert batched ≥ scalar for every row** and exit
-//! non-zero otherwise, so a committed `BENCH_sweeps.json` can never
-//! contain a batched-path regression (`--quick` smokes skip the speedup
-//! assertion but keep the bit-identity check).
+//! runs additionally **assert one sweep ≥ n one-point calls for every
+//! row** and exit non-zero otherwise, so a committed `BENCH_sweeps.json`
+//! can never contain a batched-path regression (`--quick` smokes skip
+//! the speedup assertion but keep the bit-identity check).
 //!
 //! ```text
 //! cargo run --release -p statobd-bench --bin sweeps -- \
@@ -50,7 +54,8 @@ struct SweepRow {
     sweep_len: usize,
     /// Engine construction seconds (tables, chip samples, node sets).
     build_s: f64,
-    /// Wall seconds for `sweep_len` scalar `failure_probability` calls.
+    /// Wall seconds for `sweep_len` one-point `failure_probability`
+    /// calls (the historical field name).
     scalar_eval_s: f64,
     /// Wall seconds for one batched `failure_probabilities` call.
     batched_eval_s: f64,
@@ -58,8 +63,8 @@ struct SweepRow {
     speedup: f64,
     /// Time points per second through the batched path.
     batched_evals_per_s: f64,
-    /// Whether every batched probability matched the scalar loop bit for
-    /// bit (the run aborts with a non-zero exit if any row is false).
+    /// Whether every batched probability matched its one-point call bit
+    /// for bit (the run aborts with a non-zero exit if any row is false).
     bit_identical: bool,
 }
 
@@ -127,7 +132,7 @@ fn main() {
             let build_s = build_start.elapsed().as_secs_f64();
 
             // Charge lazily built node sets / tables to neither timed
-            // path (historically they landed in the first scalar sweep,
+            // path (historically they landed in the first one-point loop,
             // inflating short-sweep speedups).
             engine
                 .failure_probability(0.5 * (BRACKET.0 + BRACKET.1))
@@ -136,16 +141,16 @@ fn main() {
             for &n in &sweeps {
                 let ts = log_times(n);
 
-                let scalar: Vec<f64> = ts
+                let one_point: Vec<f64> = ts
                     .iter()
-                    .map(|&t| engine.failure_probability(t).expect("scalar eval"))
+                    .map(|&t| engine.failure_probability(t).expect("one-point eval"))
                     .collect();
                 let batched = engine.failure_probabilities(&ts).expect("batched eval");
 
-                let bit_identical = bit_identical(&scalar, &batched);
+                let bit_identical = bit_identical(&one_point, &batched);
                 gates.check(bit_identical, || {
                     format!(
-                        "{} {} n={n}: batched results diverged from the scalar loop",
+                        "{} {} n={n}: batched results diverged from the one-point calls",
                         benchmark.name(),
                         kind.name()
                     )
@@ -164,7 +169,7 @@ fn main() {
                                 engine.failure_probabilities(&ts).expect("batched eval");
                             } else {
                                 for &t in &ts {
-                                    engine.failure_probability(t).expect("scalar eval");
+                                    engine.failure_probability(t).expect("one-point eval");
                                 }
                             }
                         })
@@ -173,8 +178,8 @@ fn main() {
                 let speedup = scalar_eval_s / batched_eval_s.max(1e-12);
                 gates.bar(speedup >= 1.0, || {
                     format!(
-                        "{} {} n={n}: batched {batched_eval_s:.3e}s slower than scalar \
-                         {scalar_eval_s:.3e}s ({speedup:.3}x)",
+                        "{} {} n={n}: batched {batched_eval_s:.3e}s slower than one-point \
+                         calls {scalar_eval_s:.3e}s ({speedup:.3}x)",
                         benchmark.name(),
                         kind.name(),
                     )
@@ -192,7 +197,7 @@ fn main() {
                     bit_identical,
                 };
                 println!(
-                    "  {:<9} n={:<4} build {:>9.4}s  scalar {:>9.4}s  batched {:>9.4}s  \
+                    "  {:<9} n={:<4} build {:>9.4}s  1-point {:>9.4}s  batched {:>9.4}s  \
                      {:>6.1}x  {}",
                     row.engine,
                     row.sweep_len,

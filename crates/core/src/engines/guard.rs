@@ -5,7 +5,7 @@
 
 use crate::chip::ChipAnalysis;
 use crate::engines::composition::{Composition, CompositionAccumulator};
-use crate::engines::ReliabilityEngine;
+use crate::engines::{check_times, ReliabilityEngine};
 use crate::{CoreError, Result};
 
 /// Configuration of the guard-band baseline.
@@ -140,32 +140,17 @@ impl ReliabilityEngine for GuardBand {
         "guard"
     }
 
-    fn failure_probability(&mut self, t_s: f64) -> Result<f64> {
-        // P(t) = 1 − exp(−A·(t/α)^(b·x_min)), evaluated stably.
-        if t_s <= 0.0 {
-            return Ok(0.0);
-        }
-        let beta = self.b_worst * self.x_min_nm;
-        let kernel = (beta * (t_s / self.alpha_worst_s).ln()).exp();
-        if self.composition.is_weakest_link() {
-            return Ok(-(-self.total_area * kernel).exp_m1());
-        }
-        let mut chip = self.composition.accumulator(self.block_areas.len());
-        Ok(self.grouped_probability(&mut chip, kernel))
-    }
-
-    /// The closed form is two `exp`s per point; the batched win is simply
-    /// hoisting the Weibull slope `β = b·x_min` out of the loop.
+    /// `P(t) = 1 − exp(−A·(t/α)^(b·x_min))`, evaluated stably: two
+    /// `exp`s per point, with the Weibull slope `β = b·x_min` hoisted out
+    /// of the loop.
     fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
+        check_times(ts)?;
         let beta = self.b_worst * self.x_min_nm;
         let mut chip = (!self.composition.is_weakest_link())
             .then(|| self.composition.accumulator(self.block_areas.len()));
         Ok(ts
             .iter()
             .map(|&t_s| {
-                if t_s <= 0.0 {
-                    return 0.0;
-                }
                 let kernel = (beta * (t_s / self.alpha_worst_s).ln()).exp();
                 match &mut chip {
                     None => -(-self.total_area * kernel).exp_m1(),

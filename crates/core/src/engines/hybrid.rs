@@ -18,7 +18,7 @@
 use crate::chip::ChipAnalysis;
 use crate::engines::composition::Composition;
 use crate::engines::st_fast::{BlockQuadrature, StFastConfig};
-use crate::engines::ReliabilityEngine;
+use crate::engines::{check_times, ReliabilityEngine};
 use crate::gfun::GCoefficients;
 use crate::{CoreError, Result};
 use statobd_num::impl_json_struct;
@@ -111,60 +111,48 @@ impl HybridConfig {
 #[derive(Debug, Clone)]
 struct BlockTable {
     /// Bilinear interpolant of `ln P_j` over `(γ, b)`.
-    ln_p: BilinearData,
+    ln_p: Bilinear,
     /// The block's current Weibull scale `α_j` (s).
     alpha_s: f64,
     /// The block's current `b_j` (1/nm).
     b_per_nm: f64,
 }
 
-impl_json_struct!(BlockTable {
-    ln_p,
-    alpha_s,
-    b_per_nm
-});
-
-/// Serializable backing for [`Bilinear`] (axes + row-major values).
-#[derive(Debug, Clone)]
-struct BilinearData {
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    values: Vec<f64>,
-}
-
-// Manual (de)serialization instead of `impl_json_struct`: the table
-// grids scale with the density config, so they use the packed bit-exact
-// float encoding to keep persisted artifacts cheap to load.
-impl statobd_num::json::ToJson for BilinearData {
+// Manual (de)serialization instead of `impl_json_struct`: `ln_p` is
+// written as its axes and row-major values, and since the table grids
+// scale with the density config, in the packed bit-exact float encoding
+// to keep persisted artifacts cheap to load.
+impl statobd_num::json::ToJson for BlockTable {
     fn to_json(&self) -> statobd_num::json::Json {
         use statobd_num::json::{pack_f64s, Json};
+        let ln_p = Json::Object(vec![
+            ("xs".to_string(), pack_f64s(self.ln_p.xs())),
+            ("ys".to_string(), pack_f64s(self.ln_p.ys())),
+            ("values".to_string(), pack_f64s(self.ln_p.values())),
+        ]);
         Json::Object(vec![
-            ("xs".to_string(), pack_f64s(&self.xs)),
-            ("ys".to_string(), pack_f64s(&self.ys)),
-            ("values".to_string(), pack_f64s(&self.values)),
+            ("ln_p".to_string(), ln_p),
+            ("alpha_s".to_string(), self.alpha_s.to_json()),
+            ("b_per_nm".to_string(), self.b_per_nm.to_json()),
         ])
     }
 }
 
-impl statobd_num::json::FromJson for BilinearData {
+impl statobd_num::json::FromJson for BlockTable {
     fn from_json(v: &statobd_num::json::Json) -> statobd_num::json::Result<Self> {
-        use statobd_num::json::{unpack_f64s, JsonError};
-        let field = |k: &str| {
+        use statobd_num::json::{unpack_f64s, Json, JsonError};
+        fn field<'j>(v: &'j Json, k: &str) -> statobd_num::json::Result<&'j Json> {
             v.get(k)
-                .ok_or_else(|| JsonError::new(format!("missing field '{k}' in BilinearData")))
-        };
-        Ok(BilinearData {
-            xs: unpack_f64s(field("xs")?)?,
-            ys: unpack_f64s(field("ys")?)?,
-            values: unpack_f64s(field("values")?)?,
+                .ok_or_else(|| JsonError::new(format!("missing field '{k}' in BlockTable")))
+        }
+        let ln_p = field(v, "ln_p")?;
+        let axis = |k| unpack_f64s(field(ln_p, k)?);
+        Ok(BlockTable {
+            ln_p: Bilinear::new(axis("xs")?, axis("ys")?, axis("values")?)
+                .map_err(|e| JsonError::new(e.to_string()))?,
+            alpha_s: f64::from_json(field(v, "alpha_s")?)?,
+            b_per_nm: f64::from_json(field(v, "b_per_nm")?)?,
         })
-    }
-}
-
-impl BilinearData {
-    fn to_interp(&self) -> Result<Bilinear> {
-        Bilinear::new(self.xs.clone(), self.ys.clone(), self.values.clone())
-            .map_err(CoreError::from)
     }
 }
 
@@ -172,7 +160,6 @@ impl BilinearData {
 #[derive(Debug)]
 pub struct HybridTables {
     tables: Vec<BlockTable>,
-    interps: Vec<Bilinear>,
     config: HybridConfig,
     /// The chip's block composition, captured at build time — the engine
     /// is self-contained (no `ChipAnalysis` borrow at query time), so the
@@ -212,7 +199,6 @@ impl HybridTables {
             .collect();
 
         let mut tables = Vec::with_capacity(analysis.n_blocks());
-        let mut interps = Vec::with_capacity(analysis.n_blocks());
         let threads = parallel::resolve_threads(config.threads);
         for block in analysis.blocks() {
             let quadrature = BlockQuadrature::new(block.moments(), &quad)?;
@@ -241,21 +227,14 @@ impl HybridTables {
                 row
             });
             let values: Vec<f64> = rows.into_iter().flatten().collect();
-            let data = BilinearData {
-                xs: gammas.clone(),
-                ys: bs.clone(),
-                values,
-            };
-            interps.push(data.to_interp()?);
             tables.push(BlockTable {
-                ln_p: data,
+                ln_p: Bilinear::new(gammas.clone(), bs.clone(), values)?,
                 alpha_s: block.alpha_s(),
                 b_per_nm: block.b_per_nm(),
             });
         }
         Ok(HybridTables {
             tables,
-            interps,
             config,
             composition: analysis.composition().clone(),
             off_grid: AtomicU64::new(0),
@@ -385,15 +364,15 @@ impl HybridTables {
             })
     }
 
-    /// The shared `(γ, b)` lookup kernel of every query path (scalar,
-    /// batched, effective-age), with off-grid accounting.
+    /// The shared `(γ, b)` lookup kernel of every query path (per-block,
+    /// sweep, effective-age), with off-grid accounting.
     fn eval_tracked(&self, block_idx: usize, gamma: f64, b_per_nm: f64) -> f64 {
         let (_, g_hi) = self.config.gamma_range;
         let (b_lo, b_hi) = self.config.b_range;
         if gamma > g_hi || b_per_nm < b_lo || b_per_nm > b_hi {
             self.off_grid.fetch_add(1, Ordering::Relaxed);
         }
-        let ln_p = self.interps[block_idx].eval(gamma, b_per_nm);
+        let ln_p = self.tables[block_idx].ln_p.eval(gamma, b_per_nm);
         ln_p.exp().min(1.0)
     }
 
@@ -442,11 +421,6 @@ impl HybridTables {
         let s = SerializedTables::from_json(v).map_err(|e| CoreError::InvalidParameter {
             detail: format!("deserialization failed: {e}"),
         })?;
-        let interps = s
-            .tables
-            .iter()
-            .map(|t| t.ln_p.to_interp())
-            .collect::<Result<Vec<_>>>()?;
         s.composition
             .validate(s.tables.len())
             .map_err(|e| CoreError::InvalidParameter {
@@ -454,7 +428,6 @@ impl HybridTables {
             })?;
         Ok(HybridTables {
             tables: s.tables,
-            interps,
             config: s.config,
             composition: s.composition,
             off_grid: AtomicU64::new(0),
@@ -482,20 +455,13 @@ impl ReliabilityEngine for HybridTables {
         "hybrid"
     }
 
-    fn failure_probability(&mut self, t_s: f64) -> Result<f64> {
-        let mut chip = self.composition.accumulator(self.tables.len());
-        for j in 0..self.tables.len() {
-            chip.absorb(j, self.block_failure_probability(j, t_s)?);
-        }
-        Ok(chip.failure_probability())
-    }
-
     /// Batched table interpolation: the per-block `(α, b)` operating
     /// points are hoisted out of the time loop, and long sweeps fan out
     /// over threads one time point per work item (each point's
-    /// weakest-link composition runs in block order, so the result is
-    /// bit-identical to the scalar loop at any thread count).
+    /// composition runs in block order, so every entry is bit-identical
+    /// to a one-point call at any thread count).
     fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
+        check_times(ts)?;
         // One (α, b) pair per block, resolved once.
         let points: Vec<(f64, f64)> = self
             .tables

@@ -26,8 +26,8 @@ use guard::{GuardBand, GuardBandConfig};
 /// and a plain sum `Σ_j p_j` is only the first-order expansion — it
 /// overestimates and exceeds 1 once damage accumulates). Every analytic
 /// engine and the runtime reliability manager compose through this one
-/// accumulator, in block order, so their scalar and batched paths stay
-/// bit-identical.
+/// accumulator, in block order, so their compositions agree bit for
+/// bit.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WeakestLink {
     /// Running `Σ_j ln(1 − p_j)` (≤ 0; `−∞` once any block is certain
@@ -110,32 +110,24 @@ pub trait ReliabilityEngine {
     /// `"MC"`, ...) matching the paper's method abbreviations.
     fn name(&self) -> &str;
 
-    /// The ensemble failure probability at time `t_s` (seconds).
-    ///
-    /// # Errors
-    ///
-    /// Engine-specific numerical failures.
-    fn failure_probability(&mut self, t_s: f64) -> Result<f64>;
-
     /// The ensemble failure probabilities at every time in `ts` (seconds),
-    /// in order — the batched form of
-    /// [`failure_probability`](ReliabilityEngine::failure_probability).
+    /// in order — the one evaluation path of every engine.
     ///
     /// Time sweeps dominate everything downstream of the engines (lifetime
     /// bisection, failure-rate curves, the Table III benchmarks), and most
     /// engines carry per-evaluation state that is invariant across `t`
     /// (Monte-Carlo chip histograms and bin-weight tables, quadrature node
-    /// sets, lookup tables). Every engine in this crate overrides this
-    /// method with an implementation that amortizes that state over the
-    /// whole sweep and fans the work out across threads; results are
-    /// **bit-identical** to the scalar loop at any thread count.
-    ///
-    /// The default implementation is the plain scalar loop, so foreign
-    /// `ReliabilityEngine` impls keep working unchanged.
+    /// sets, lookup tables). Every engine in this crate amortizes that
+    /// state over the whole sweep and fans the work out across threads;
+    /// each entry is **bit-identical** to a one-point call at the same
+    /// time, at any thread count.
     ///
     /// # Errors
     ///
-    /// Engine-specific numerical failures, as for the scalar method.
+    /// Every engine in this crate returns
+    /// [`crate::CoreError::InvalidParameter`] if any time is not finite
+    /// and `> 0`, before evaluating anything; otherwise engine-specific
+    /// numerical failures.
     ///
     /// # Example
     ///
@@ -147,17 +139,28 @@ pub trait ReliabilityEngine {
     /// struct Toy;
     /// impl ReliabilityEngine for Toy {
     ///     fn name(&self) -> &str { "toy" }
-    ///     fn failure_probability(&mut self, t: f64) -> Result<f64> {
-    ///         Ok(-(-t / 1e9_f64).exp_m1())
+    ///     fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
+    ///         Ok(ts.iter().map(|&t| -(-t / 1e9_f64).exp_m1()).collect())
     ///     }
     /// }
     /// let ps = Toy.failure_probabilities(&[1e8, 1e9])?;
     /// assert_eq!(ps.len(), 2);
     /// assert!(ps[0] < ps[1]);
+    /// assert_eq!(Toy.failure_probability(1e8)?, ps[0]);
     /// # Ok::<(), statobd_core::CoreError>(())
     /// ```
-    fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
-        ts.iter().map(|&t| self.failure_probability(t)).collect()
+    fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>>;
+
+    /// The ensemble failure probability at time `t_s` (seconds): a
+    /// one-point
+    /// [`failure_probabilities`](ReliabilityEngine::failure_probabilities)
+    /// call.
+    ///
+    /// # Errors
+    ///
+    /// As for the batched method.
+    fn failure_probability(&mut self, t_s: f64) -> Result<f64> {
+        Ok(self.failure_probabilities(std::slice::from_ref(&t_s))?[0])
     }
 
     /// How many time points per
@@ -167,10 +170,29 @@ pub trait ReliabilityEngine {
     ///
     /// Engines with a large per-call fixed cost (the Monte-Carlo engine
     /// sweeps every chip histogram once per call) or an internal thread
-    /// fan-out report a hint above 1; the default of 1 keeps scalar-loop
-    /// engines on classic bisection, which minimizes total evaluations.
+    /// or lane fan-out report a hint above 1; the default of 1 keeps
+    /// point-by-point engines on classic bisection, which minimizes total
+    /// evaluations.
     fn sweep_batch_hint(&self) -> usize {
         1
+    }
+}
+
+/// The time check at the top of every engine's
+/// [`failure_probabilities`](ReliabilityEngine::failure_probabilities):
+/// an age that is not finite and `> 0` has no failure probability, so
+/// the whole sweep is refused before any work.
+///
+/// # Errors
+///
+/// Returns [`crate::CoreError::InvalidParameter`] naming the first
+/// offending time.
+pub(crate) fn check_times(ts: &[f64]) -> Result<()> {
+    match ts.iter().find(|&&t| !(t.is_finite() && t > 0.0)) {
+        Some(t) => Err(crate::CoreError::InvalidParameter {
+            detail: format!("time must be finite and > 0 s, got {t}"),
+        }),
+        None => Ok(()),
     }
 }
 

@@ -16,10 +16,9 @@
 //! from its own counter-based RNG stream, so results are bit-identical at
 //! any thread count.
 
-use crate::blod::uv_from_grid_base;
 use crate::chip::ChipAnalysis;
 use crate::engines::composition::Composition;
-use crate::engines::ReliabilityEngine;
+use crate::engines::{check_times, ReliabilityEngine};
 use crate::{CoreError, Result};
 use statobd_num::parallel;
 use statobd_num::rng::{NormalSampler, Xoshiro256pp};
@@ -71,11 +70,21 @@ struct BlockAllocation {
 /// repeated sweep/solve calls allocate nothing once warm.
 #[derive(Debug, Default)]
 struct McWorkspace {
-    /// Bin-weight table; `[block][bin]` for scalar fills, `[block][bin][t]`
-    /// for batched fills.
+    /// Bin-weight table, laid out `[block][bin][t]`.
     weights: Vec<f64>,
-    /// Per-chip failure probabilities, laid out `[chip][t]`.
+    /// Per-chip hazards or failure probabilities, laid out `[chip][t]`.
     per_chip: Vec<f64>,
+}
+
+/// What the per-chip kernel ([`MonteCarlo::fill_per_chip`]) writes for
+/// each `(chip, t)`.
+#[derive(Clone, Copy)]
+enum PerChip {
+    /// The chip's cumulative hazard `H_chip(t) = Σ_j H_j(t)` — the mean
+    /// breakdown count, whatever the composition.
+    Hazard,
+    /// The chip's conditional failure probability under its composition.
+    Failure,
 }
 
 /// The Monte-Carlo reference engine (`MC` in Table III).
@@ -86,8 +95,6 @@ pub struct MonteCarlo<'a> {
     allocations: Vec<BlockAllocation>,
     /// Device-count histograms, laid out `[chip][block][bin]`.
     counts: Vec<u32>,
-    /// Exact per-chip-block `(u, v)` pairs (kept for validation studies).
-    uv: Vec<(f64, f64)>,
     /// Wall-clock seconds spent sampling chips.
     build_seconds: f64,
     /// Cached evaluation scratch (weight tables, per-chip probabilities).
@@ -161,7 +168,6 @@ impl<'a> MonteCarlo<'a> {
         let n_blocks = analysis.n_blocks();
         let stride_chip = n_blocks * config.bins;
         let mut counts = vec![0u32; config.n_chips * stride_chip];
-        let mut uv = vec![(0.0, 0.0); config.n_chips * n_blocks];
 
         let threads = parallel::resolve_threads(config.threads);
         // Chunk size is fixed (not derived from the thread count) so the
@@ -172,14 +178,11 @@ impl<'a> MonteCarlo<'a> {
         let start = std::time::Instant::now();
         {
             let allocations = &allocations;
-            parallel::for_each_chunk_pair_mut(
+            parallel::for_each_chunk_mut(
                 &mut counts,
-                stride_chip,
-                &mut uv,
-                n_blocks,
-                chunk_chips,
+                chunk_chips * stride_chip,
                 threads,
-                |chunk_idx, count_chunk, uv_chunk| {
+                |chunk_idx, count_chunk| {
                     let n_pc = model.n_components();
                     let mut z = vec![0.0; n_pc];
                     let first_chip = chunk_idx * chunk_chips;
@@ -195,9 +198,7 @@ impl<'a> MonteCarlo<'a> {
                         let base = model.grid_base(&z);
                         let chip_counts =
                             &mut count_chunk[local * stride_chip..(local + 1) * stride_chip];
-                        for (j, (block, alloc)) in
-                            analysis.blocks().iter().zip(allocations.iter()).enumerate()
-                        {
+                        for (j, alloc) in allocations.iter().enumerate() {
                             let bins = &mut chip_counts[j * config.bins..(j + 1) * config.bins];
                             let inv_w = 1.0 / alloc.bin_w;
                             for &(g, m_g) in &alloc.per_grid {
@@ -209,8 +210,6 @@ impl<'a> MonteCarlo<'a> {
                                     bins[idx] += 1;
                                 }
                             }
-                            uv_chunk[local * n_blocks + j] =
-                                uv_from_grid_base(block.spec().grid_weights(), &base, sigma_ind);
                         }
                     }
                 },
@@ -223,7 +222,6 @@ impl<'a> MonteCarlo<'a> {
             config,
             allocations,
             counts,
-            uv,
             build_seconds,
             ws: std::cell::RefCell::new(McWorkspace::default()),
         })
@@ -239,60 +237,33 @@ impl<'a> MonteCarlo<'a> {
         self.config.n_chips
     }
 
-    /// The exact `(u_j, v_j)` of block `block_idx` on chip `chip_idx`
-    /// (used by validation experiments such as the paper's Figs. 5–7).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn chip_block_uv(&self, chip_idx: usize, block_idx: usize) -> (f64, f64) {
-        let n_blocks = self.analysis.n_blocks();
-        assert!(chip_idx < self.config.n_chips && block_idx < n_blocks);
-        self.uv[chip_idx * n_blocks + block_idx]
-    }
-
     /// Per-chip cumulative hazards `H_chip(t) = Σ_j (A_j/m_j) Σ_i
-    /// (t/α_j)^{b_j x_i}` for every sampled chip.
+    /// (t/α_j)^{b_j x_i}` for every sampled chip — the mean breakdown
+    /// count, whatever the chip's composition.
     pub fn per_chip_hazard(&self, t_s: f64) -> Vec<f64> {
-        let mut ws = self.ws.borrow_mut();
-        self.fill_bin_weights(std::slice::from_ref(&t_s), &mut ws.weights);
-        let weights = &ws.weights;
-        let n_blocks = self.analysis.n_blocks();
-        let bins = self.config.bins;
-        let stride_chip = n_blocks * bins;
-        (0..self.config.n_chips)
-            .map(|chip| {
-                let chip_counts = &self.counts[chip * stride_chip..(chip + 1) * stride_chip];
-                let mut hazard = 0.0;
-                for j in 0..n_blocks {
-                    let w = &weights[j * bins..(j + 1) * bins];
-                    let c = &chip_counts[j * bins..(j + 1) * bins];
-                    let mut acc = 0.0;
-                    for (wi, ci) in w.iter().zip(c) {
-                        if *ci != 0 {
-                            acc += wi * *ci as f64;
-                        }
-                    }
-                    hazard += acc;
-                }
-                hazard
-            })
-            .collect()
+        self.fill_per_chip(std::slice::from_ref(&t_s), PerChip::Hazard)
+            .to_vec()
     }
 
     /// Per-chip conditional failure probabilities `1 − R_chip(t)` for
-    /// every sampled chip (the lifetime-distribution view of Fig. 10).
+    /// every sampled chip under the chip's composition (the
+    /// lifetime-distribution view of Fig. 10). Their mean in chip order
+    /// is [`ReliabilityEngine::failure_probability`], bit for bit.
     pub fn per_chip_failure(&self, t_s: f64) -> Vec<f64> {
-        self.per_chip_hazard(t_s)
-            .into_iter()
-            .map(|h| -(-h).exp_m1())
-            .collect()
+        self.fill_per_chip(std::slice::from_ref(&t_s), PerChip::Failure)
+            .to_vec()
     }
 
     /// Ensemble probability that at least `k` breakdowns occur by `t` —
     /// the multi-breakdown (SBD-tolerant design) extension: breakdowns
     /// arrive as a Poisson process with the chip's cumulative hazard as
     /// its mean, so `P(N ≥ k) = P_gamma(k, H_chip)` averaged over chips.
+    ///
+    /// Breakdowns are counted chip-wide, whatever the chip's
+    /// [`Composition`]: under weakest-link `k = 1` is
+    /// [`ReliabilityEngine::failure_probability`], while redundancy
+    /// groups, which survive spare breakdowns, fail less often than
+    /// `k = 1` says.
     ///
     /// # Errors
     ///
@@ -315,132 +286,18 @@ impl<'a> MonteCarlo<'a> {
         Ok(acc / hazards.len() as f64)
     }
 
-    /// Samples one failure time of chip `chip_idx` by inverse transform:
-    /// given the chip's thicknesses, `T` satisfies `H_chip(T) = E` with
-    /// `E ~ Exp(1)` — solved by bisection on `ln t`. This is the "simulate
-    /// the failure time of N sample chips" view behind the paper's
-    /// Fig. 10 lifetime distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chip_idx` is out of range.
-    pub fn sample_failure_time<R: statobd_num::rng::Rng + ?Sized>(
-        &self,
-        chip_idx: usize,
-        rng: &mut R,
-    ) -> f64 {
-        assert!(chip_idx < self.config.n_chips, "chip index out of range");
-        let e = statobd_num::rng::sample_exp1(rng);
-        // Bracket in log-time.
-        let hazard_at = |t: f64| -> f64 {
-            let mut ws = self.ws.borrow_mut();
-            self.fill_bin_weights(std::slice::from_ref(&t), &mut ws.weights);
-            let weights = &ws.weights;
-            let n_blocks = self.analysis.n_blocks();
-            let bins = self.config.bins;
-            let stride_chip = n_blocks * bins;
-            let chip_counts = &self.counts[chip_idx * stride_chip..(chip_idx + 1) * stride_chip];
-            let mut hazard = 0.0;
-            for j in 0..n_blocks {
-                let w = &weights[j * bins..(j + 1) * bins];
-                let c = &chip_counts[j * bins..(j + 1) * bins];
-                for (wi, ci) in w.iter().zip(c) {
-                    if *ci != 0 {
-                        hazard += wi * *ci as f64;
-                    }
-                }
-            }
-            hazard
-        };
-        let (mut lo, mut hi) = (1e2_f64, 1e14_f64);
-        while hazard_at(lo) > e {
-            lo /= 16.0;
-        }
-        while hazard_at(hi) < e {
-            hi *= 16.0;
-        }
-        let (mut ln_lo, mut ln_hi) = (lo.ln(), hi.ln());
-        for _ in 0..80 {
-            let mid = 0.5 * (ln_lo + ln_hi);
-            if hazard_at(mid.exp()) < e {
-                ln_lo = mid;
-            } else {
-                ln_hi = mid;
-            }
-            if ln_hi - ln_lo < 1e-9 {
-                break;
-            }
-        }
-        (0.5 * (ln_lo + ln_hi)).exp()
-    }
-
-    /// Fills `out` with the per-block per-bin hazard weights
-    /// `(A_j/m_j)·exp(γ_j(t)·b_j·x_bin)` for every requested time, laid out
-    /// `[block][bin][t]` (so for a single time this is the classic
-    /// `[block][bin]` table).
-    ///
-    /// The bin axis is uniform, so each `(block, t)` row is a geometric
-    /// progression filled by [`statobd_num::special::scaled_exp_grid`] —
-    /// one `exp` per resync window instead of one per bin (and at lane
-    /// widths > 1 those resync anchors are themselves batched through one
-    /// vectorized exp per row; see [`statobd_num::simd`]).
-    fn fill_bin_weights(&self, ts: &[f64], out: &mut Vec<f64>) {
-        let bins = self.config.bins;
-        let n_t = ts.len();
-        out.clear();
-        out.resize(self.analysis.n_blocks() * bins * n_t, 0.0);
-        for (j, (block, alloc)) in self
-            .analysis
-            .blocks()
-            .iter()
-            .zip(self.allocations.iter())
-            .enumerate()
-        {
-            let area_per_device = block.spec().area() / block.spec().m_devices() as f64;
-            let x0 = alloc.x_lo + 0.5 * alloc.bin_w;
-            for (ti, &t_s) in ts.iter().enumerate() {
-                let gamma = (t_s / block.alpha_s()).ln();
-                let gb = gamma * block.b_per_nm();
-                statobd_num::special::scaled_exp_grid(
-                    area_per_device,
-                    gb,
-                    x0,
-                    alloc.bin_w,
-                    bins,
-                    &mut out[j * bins * n_t + ti..],
-                    n_t,
-                );
-            }
-        }
-    }
-}
-
-impl ReliabilityEngine for MonteCarlo<'_> {
-    fn name(&self) -> &str {
-        "MC"
-    }
-
-    fn failure_probability(&mut self, t_s: f64) -> Result<f64> {
-        // Route through the batched kernel so the scalar and batched paths
-        // share one implementation (and are trivially bit-identical).
-        Ok(self.failure_probabilities(std::slice::from_ref(&t_s))?[0])
-    }
-
-    /// One parallel pass over the chip histograms evaluating every
-    /// requested time per chip visit: the weight table holds all
-    /// `(block, bin, t)` entries up front, and the innermost loop runs
-    /// over `t` with unit stride, so the 200-point sweeps behind
-    /// [`crate::failure_rate_curve`] traverse the (large) count array once
-    /// instead of 200 times.
-    fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
-        if ts.is_empty() {
-            return Ok(Vec::new());
-        }
+    /// The per-chip kernel behind every query: one parallel pass over the
+    /// chip histograms that evaluates every time in `ts` per chip visit,
+    /// returning the workspace's `[chip][t]` table of `what`. The weight
+    /// table holds all `(block, bin, t)` entries up front and the
+    /// innermost loop runs over `t` with unit stride, so the 200-point
+    /// sweeps behind [`crate::failure_rate_curve`] traverse the (large)
+    /// count array once instead of 200 times.
+    fn fill_per_chip(&self, ts: &[f64], what: PerChip) -> std::cell::RefMut<'_, Vec<f64>> {
         let n_t = ts.len();
         let n_blocks = self.analysis.n_blocks();
         let bins = self.config.bins;
         let stride_chip = n_blocks * bins;
-        let n_chips = self.config.n_chips;
         let threads = parallel::resolve_threads(self.config.threads);
 
         let mut ws = self.ws.borrow_mut();
@@ -448,7 +305,7 @@ impl ReliabilityEngine for MonteCarlo<'_> {
         let McWorkspace { weights, per_chip } = &mut *ws;
         let weights: &[f64] = weights;
         per_chip.clear();
-        per_chip.resize(n_chips * n_t, 0.0);
+        per_chip.resize(self.config.n_chips * n_t, 0.0);
 
         // Fixed chunking (as in `build`) and disjoint per-chip output rows
         // keep the result independent of the worker count; capture the
@@ -462,9 +319,9 @@ impl ReliabilityEngine for MonteCarlo<'_> {
         // runs the spares directly through a linear-space Poisson-binomial
         // pass — the "simulate spares on every sample chip" reference the
         // analytic log-space DP is validated against.
-        let groups = match self.analysis.composition() {
-            Composition::WeakestLink => None,
-            Composition::Groups(groups) => Some(groups.as_slice()),
+        let groups = match (what, self.analysis.composition()) {
+            (PerChip::Failure, Composition::Groups(groups)) => Some(groups.as_slice()),
+            _ => None,
         };
         let chunk_chips = 16;
         parallel::for_each_chunk_mut(
@@ -507,13 +364,14 @@ impl ReliabilityEngine for MonteCarlo<'_> {
                         }
                     }
                     let out = &mut out_chunk[local * n_t..(local + 1) * n_t];
-                    match groups {
-                        None => {
+                    match (what, groups) {
+                        (PerChip::Hazard, _) => out.copy_from_slice(&hazards),
+                        (PerChip::Failure, None) => {
                             for (o, h) in out.iter_mut().zip(&hazards) {
                                 *o = -(-h).exp_m1();
                             }
                         }
-                        Some(groups) => {
+                        (PerChip::Failure, Some(groups)) => {
                             for (ti, o) in out.iter_mut().enumerate() {
                                 let mut survival = 1.0;
                                 for group in groups {
@@ -539,18 +397,72 @@ impl ReliabilityEngine for MonteCarlo<'_> {
                 }
             },
         );
+        std::cell::RefMut::map(ws, |ws| &mut ws.per_chip)
+    }
 
-        // Ensemble mean, reduced serially in chip order — the same
-        // summation order as the scalar path at any thread count.
+    /// Fills `out` with the per-block per-bin hazard weights
+    /// `(A_j/m_j)·exp(γ_j(t)·b_j·x_bin)` for every requested time, laid out
+    /// `[block][bin][t]`.
+    ///
+    /// The bin axis is uniform, so each `(block, t)` row is a geometric
+    /// progression filled by [`statobd_num::special::scaled_exp_grid`] —
+    /// one `exp` per resync window instead of one per bin (and at lane
+    /// widths > 1 those resync anchors are themselves batched through one
+    /// vectorized exp per row; see [`statobd_num::simd`]).
+    fn fill_bin_weights(&self, ts: &[f64], out: &mut Vec<f64>) {
+        let bins = self.config.bins;
+        let n_t = ts.len();
+        out.clear();
+        out.resize(self.analysis.n_blocks() * bins * n_t, 0.0);
+        for (j, (block, alloc)) in self
+            .analysis
+            .blocks()
+            .iter()
+            .zip(self.allocations.iter())
+            .enumerate()
+        {
+            let area_per_device = block.spec().area() / block.spec().m_devices() as f64;
+            let x0 = alloc.x_lo + 0.5 * alloc.bin_w;
+            for (ti, &t_s) in ts.iter().enumerate() {
+                let gamma = (t_s / block.alpha_s()).ln();
+                let gb = gamma * block.b_per_nm();
+                statobd_num::special::scaled_exp_grid(
+                    area_per_device,
+                    gb,
+                    x0,
+                    alloc.bin_w,
+                    bins,
+                    &mut out[j * bins * n_t + ti..],
+                    n_t,
+                );
+            }
+        }
+    }
+}
+
+impl ReliabilityEngine for MonteCarlo<'_> {
+    fn name(&self) -> &str {
+        "MC"
+    }
+
+    /// The per-chip kernel's failure probabilities, averaged over chips
+    /// serially in chip order — the same summation order at any thread
+    /// count.
+    fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
+        check_times(ts)?;
+        if ts.is_empty() {
+            return Ok(Vec::new());
+        }
+        let n_t = ts.len();
+        let per_chip = self.fill_per_chip(ts, PerChip::Failure);
         let mut totals = vec![0.0; n_t];
-        for chip in 0..n_chips {
-            let row = &per_chip[chip * n_t..(chip + 1) * n_t];
+        for row in per_chip.chunks_exact(n_t) {
             for (tot, p) in totals.iter_mut().zip(row) {
                 *tot += p;
             }
         }
         for tot in totals.iter_mut() {
-            *tot /= n_chips as f64;
+            *tot /= self.config.n_chips as f64;
         }
         Ok(totals)
     }
@@ -661,53 +573,36 @@ mod tests {
 
     #[test]
     fn per_chip_failure_bounds_and_mean() {
-        let a = analysis(5_000);
-        let mut mc = MonteCarlo::build(
-            &a,
-            MonteCarloConfig {
-                n_chips: 100,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let t = 1e9;
-        let per_chip = mc.per_chip_failure(t);
-        assert_eq!(per_chip.len(), 100);
-        assert!(per_chip.iter().all(|&p| (0.0..=1.0).contains(&p)));
-        let mean: f64 = per_chip.iter().sum::<f64>() / 100.0;
-        assert!((mean - mc.failure_probability(t).unwrap()).abs() < 1e-15);
-    }
-
-    #[test]
-    fn chip_uv_matches_blod_statistics() {
-        // Across chips, the sampled (u, v) must match the analytic BLOD
-        // moments — tying the MC reference back to eqs. 22/24.
-        let a = analysis(20_000);
-        let mc = MonteCarlo::build(
-            &a,
-            MonteCarloConfig {
-                n_chips: 4000,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mut u_stats = statobd_num::stats::OnlineStats::new();
-        let mut v_stats = statobd_num::stats::OnlineStats::new();
-        for chip in 0..4000 {
-            let (u, v) = mc.chip_block_uv(chip, 0);
-            u_stats.push(u);
-            v_stats.push(v);
+        // The per-chip probabilities apply the chip's composition, so
+        // their chip-order mean is the engine's P(t) bit for bit — with
+        // spares as well as under weakest-link.
+        let spared = analysis(5_000)
+            .with_composition(Composition::uniform_spares(2, 1))
+            .unwrap();
+        for a in [analysis(5_000), spared] {
+            let mut mc = MonteCarlo::build(
+                &a,
+                MonteCarloConfig {
+                    n_chips: 100,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            for t in [1e9, 1e10] {
+                let per_chip = mc.per_chip_failure(t);
+                assert_eq!(per_chip.len(), 100);
+                assert!(per_chip.iter().all(|&p| (0.0..=1.0).contains(&p)));
+                let mean = per_chip.iter().fold(0.0, |acc, p| acc + p) / 100.0;
+                let p = mc.failure_probability(t).unwrap();
+                assert!(p > 0.0, "degenerate P({t:e})");
+                assert_eq!(
+                    mean.to_bits(),
+                    p.to_bits(),
+                    "{:?} at {t:e}: per-chip mean {mean:e} vs P {p:e}",
+                    a.composition()
+                );
+            }
         }
-        let m = a.blocks()[0].moments();
-        assert!((u_stats.mean() - m.u_nominal()).abs() < 3e-3 * m.u_nominal());
-        assert!((u_stats.std_dev() - m.u_sigma()).abs() < 0.05 * m.u_sigma());
-        let v_expected = m.v_floor() + m.q_trace();
-        assert!(
-            (v_stats.mean() - v_expected).abs() < 0.05 * v_expected,
-            "v mean {} vs {}",
-            v_stats.mean(),
-            v_expected
-        );
     }
 
     #[test]
@@ -732,34 +627,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_failure_times_match_the_reliability_curve() {
-        let a = analysis(5_000);
-        let mut mc = MonteCarlo::build(
-            &a,
-            MonteCarloConfig {
-                n_chips: 60,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Median of sampled failure times across chips should match the
-        // t where P(t) = 0.5.
-        let mut rng = Xoshiro256pp::seed_from_u64(10);
-        let mut times: Vec<f64> = (0..60)
-            .flat_map(|chip| {
-                (0..20)
-                    .map(|_| mc.sample_failure_time(chip, &mut rng))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        times.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        let median = times[times.len() / 2];
-        let t_half = crate::lifetime::solve_lifetime(&mut mc, 0.5, (1e6, 1e12)).unwrap();
-        let rel = ((median - t_half) / t_half).abs();
-        assert!(rel < 0.25, "median {median:e} vs P=0.5 time {t_half:e}");
-    }
-
-    #[test]
     fn multi_breakdown_consistency() {
         let a = analysis(5_000);
         let mut mc = MonteCarlo::build(
@@ -771,14 +638,35 @@ mod tests {
         )
         .unwrap();
         let t = 1e10;
-        // k = 1 equals the engine probability exactly (same hazards).
+        // Under weakest-link, k = 1 equals the engine probability exactly
+        // (same hazards, same chip-order mean).
+        assert!(a.composition().is_weakest_link());
         let p1 = mc.failure_probability_multi(t, 1).unwrap();
         let p_engine = mc.failure_probability(t).unwrap();
-        assert!((p1 - p_engine).abs() < 1e-15);
+        assert_eq!(p1.to_bits(), p_engine.to_bits());
         // Decreasing in k, and a 2-SBD-tolerant design lives longer.
         let p2 = mc.failure_probability_multi(t, 2).unwrap();
         assert!(p2 < p1);
         assert!(mc.failure_probability_multi(t, 0).is_err());
+        // Breakdowns are counted chip-wide: a spare absorbs one, so the
+        // spared chip fails less often than k = 1 says.
+        let spared = a
+            .with_composition(Composition::uniform_spares(2, 1))
+            .unwrap();
+        let mut mc = MonteCarlo::build(
+            &spared,
+            MonteCarloConfig {
+                n_chips: 100,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let p_spared = mc.failure_probability(t).unwrap();
+        assert_eq!(
+            mc.failure_probability_multi(t, 1).unwrap().to_bits(),
+            p1.to_bits()
+        );
+        assert!(p_spared < p1, "spared {p_spared:e} vs k = 1 {p1:e}");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::chip::ChipAnalysis;
 use crate::engines::st_fast::{StFast, StFastConfig};
-use crate::engines::ReliabilityEngine;
+use crate::engines::{check_times, ReliabilityEngine};
 use crate::gfun::GCoefficients;
 use crate::Result;
 
@@ -37,8 +37,10 @@ impl<'a> StClosed<'a> {
         }
     }
 
-    /// Closed-form per-block failure probability, or `None` when the
-    /// gamma MGF diverges and the numerical fallback is required.
+    /// Closed-form per-block failure probability
+    /// `A·exp(s₁u₀ + s₁²σ_u²/2)·MGF_v(s₂)`, or `None` when the gamma MGF
+    /// diverges or the result leaves the first-order regime
+    /// (`p ≥ 0.01`) and the numerical fallback is required.
     pub fn block_failure_probability_closed(&self, block_idx: usize, t_s: f64) -> Option<f64> {
         let block = &self.analysis.blocks()[block_idx];
         let coeff = GCoefficients::at(t_s, block.alpha_s(), block.b_per_nm());
@@ -50,11 +52,7 @@ impl<'a> StClosed<'a> {
         let p = block.spec().area() * mean_term * v_term;
         // First-order validity: the approximation 1 − e^{−x} ≈ x is only
         // trustworthy for small x.
-        if p < 0.01 {
-            Some(p)
-        } else {
-            None
-        }
+        (p < 0.01).then_some(p)
     }
 }
 
@@ -63,67 +61,27 @@ impl ReliabilityEngine for StClosed<'_> {
         "st_closed"
     }
 
-    fn failure_probability(&mut self, t_s: f64) -> Result<f64> {
-        let mut chip = self
-            .analysis
-            .composition()
-            .accumulator(self.analysis.n_blocks());
-        for j in 0..self.analysis.n_blocks() {
-            let p = match self.block_failure_probability_closed(j, t_s) {
-                Some(p) => p,
-                None => self.fallback.block_failure_probability(j, t_s)?,
-            };
-            chip.absorb(j, p);
-        }
-        Ok(chip.failure_probability())
-    }
-
-    /// Hoists the per-block BLOD moments out of the time loop; the
-    /// closed-form kernel is a handful of `exp`s, so a serial sweep is
-    /// already orders of magnitude cheaper than a quadrature engine (and
-    /// the rare fallback shares `StFast`'s cached node sets).
+    /// The closed-form kernel is a handful of `exp`s per block, so a
+    /// serial sweep is already orders of magnitude cheaper than a
+    /// quadrature engine (and the rare fallback shares `StFast`'s cached
+    /// node sets).
     fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
-        // (α, b, area, u₀, σ_u², v-dist) per block, resolved once.
-        let blocks: Vec<_> = self
-            .analysis
-            .blocks()
-            .iter()
-            .map(|block| {
-                let m = block.moments();
-                (
-                    block.alpha_s(),
-                    block.b_per_nm(),
-                    block.spec().area(),
-                    m.u_nominal(),
-                    m.u_sigma(),
-                    m.v_dist(),
-                )
-            })
-            .collect();
-        let mut out = Vec::with_capacity(ts.len());
-        let mut chip = self.analysis.composition().accumulator(blocks.len());
-        for (ti, &t_s) in ts.iter().enumerate() {
-            chip.reset();
-            for (j, (alpha_s, b_per_nm, area, u0, u_sigma, v_dist)) in blocks.iter().enumerate() {
-                let coeff = GCoefficients::at(t_s, *alpha_s, *b_per_nm);
-                let mean_term =
-                    (coeff.s1 * u0 + 0.5 * coeff.s1 * coeff.s1 * u_sigma * u_sigma).exp();
-                let closed = v_dist
-                    .mgf(coeff.s2)
-                    .ok()
-                    .map(|v_term| area * mean_term * v_term)
-                    .filter(|&p| p < 0.01);
-                chip.absorb(
-                    j,
-                    match closed {
+        check_times(ts)?;
+        let n_blocks = self.analysis.n_blocks();
+        let mut chip = self.analysis.composition().accumulator(n_blocks);
+        ts.iter()
+            .map(|&t_s| {
+                chip.reset();
+                for j in 0..n_blocks {
+                    let p = match self.block_failure_probability_closed(j, t_s) {
                         Some(p) => p,
-                        None => self.fallback.block_failure_probability(j, ts[ti])?,
-                    },
-                );
-            }
-            out.push(chip.failure_probability());
-        }
-        Ok(out)
+                        None => self.fallback.block_failure_probability(j, t_s)?,
+                    };
+                    chip.absorb(j, p);
+                }
+                Ok(chip.failure_probability())
+            })
+            .collect()
     }
 }
 

@@ -15,7 +15,7 @@
 
 use crate::blod::{MeanDist, VarianceDist};
 use crate::chip::ChipAnalysis;
-use crate::engines::ReliabilityEngine;
+use crate::engines::{check_times, ReliabilityEngine};
 use crate::gfun::GCoefficients;
 use crate::{CoreError, Result};
 use statobd_num::dist::ContinuousDistribution;
@@ -508,26 +508,29 @@ impl BlockQuadrature {
     /// (e.g. one per sweep time) sharing this block's node grid, writing
     /// `out[i] = integrate(area, coeffs[i])`.
     ///
-    /// At widths 4/8 the batch is processed `W` items at a time — each
-    /// `(u, v)` node contributes to `W` integrals from one fused lane
-    /// evaluation, with each u-row tiled so the argument and term
-    /// buffers stay cache-resident. Segment sums, weight application and
-    /// the saturated-row skip mirror [`Self::integrate`] exactly, so
-    /// every entry is bit-identical to a single call at the same width.
+    /// A batch of one runs [`Self::integrate`], whose lanes run across
+    /// the quadrature nodes. At widths 4/8 a longer batch is processed
+    /// `W` items at a time — each `(u, v)` node contributes to `W`
+    /// integrals from one fused lane evaluation, with each u-row tiled so
+    /// the argument and term buffers stay cache-resident. Segment sums,
+    /// weight application and the saturated-row skip mirror
+    /// [`Self::integrate`] exactly, so every entry is bit-identical to a
+    /// single call at the same width.
     ///
     /// # Panics
     ///
     /// Panics if `coeffs.len() != out.len()`.
     pub(crate) fn integrate_many(&self, area: f64, coeffs: &[GCoefficients], out: &mut [f64]) {
         assert_eq!(coeffs.len(), out.len(), "integrate_many length mismatch");
-        match simd::active_width() {
-            simd::LaneWidth::W1 => {
+        match (coeffs, simd::active_width()) {
+            (&[coeff], _) => out[0] = self.integrate(area, coeff),
+            (_, simd::LaneWidth::W1) => {
                 for (o, &coeff) in out.iter_mut().zip(coeffs) {
                     *o = self.integrate_scalar(area, coeff);
                 }
             }
-            simd::LaneWidth::W4 => self.integrate_many_lanes::<4>(area, coeffs, out),
-            simd::LaneWidth::W8 => self.integrate_many_lanes::<8>(area, coeffs, out),
+            (_, simd::LaneWidth::W4) => self.integrate_many_lanes::<4>(area, coeffs, out),
+            (_, simd::LaneWidth::W8) => self.integrate_many_lanes::<8>(area, coeffs, out),
         }
     }
 
@@ -739,32 +742,23 @@ impl ReliabilityEngine for StFast<'_> {
         "st_fast"
     }
 
-    fn failure_probability(&mut self, t_s: f64) -> Result<f64> {
-        let mut chip = self
-            .analysis
-            .composition()
-            .accumulator(self.analysis.n_blocks());
-        for j in 0..self.analysis.n_blocks() {
-            chip.absorb(j, self.block_failure_probability(j, t_s)?);
-        }
-        Ok(chip.failure_probability())
-    }
-
     /// Reuses the time-independent quadrature node sets and evaluates the
     /// sweep as `(block × time-chunk)` work items of up to `T_CHUNK` (64)
     /// times each, every chunk running one `BlockQuadrature::integrate_many`
-    /// lane sweep. Chunk boundaries are fixed (never derived from the
-    /// thread count), per-item accumulation matches the single-call node
-    /// order, and the per-time weakest-link compositions run in block
-    /// order — so the result is bit-identical to the scalar loop at any
-    /// thread count and any lane width.
+    /// call (lanes across the chunk's times, or across the quadrature
+    /// nodes for a one-time chunk). Chunk boundaries are fixed (never
+    /// derived from the thread count), per-item accumulation matches the
+    /// single-integral node order, and the per-time compositions run in
+    /// block order — so every entry is bit-identical to a one-point call
+    /// at any thread count and any lane width.
     fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
+        check_times(ts)?;
         let quads = self.quadratures()?;
         let blocks = self.analysis.blocks();
         let n_blocks = blocks.len();
         let n_t = ts.len();
         if n_t == 0 || n_blocks == 0 {
-            return Ok(vec![0.0; 0]);
+            return Ok(vec![0.0; n_t]);
         }
         let chunks_per_block = n_t.div_ceil(T_CHUNK);
         let eval_chunk = |idx: usize| -> Vec<f64> {
@@ -781,10 +775,12 @@ impl ReliabilityEngine for StFast<'_> {
             chunk
         };
         let n_items = n_blocks * chunks_per_block;
-        let threads = statobd_num::parallel::resolve_threads(self.config.threads);
-        let chunks: Vec<Vec<f64>> = if n_items < 2 || threads <= 1 {
+        // A one-point call stays serial: one integral per block amortizes
+        // neither the thread-count lookup nor the thread spawn.
+        let chunks: Vec<Vec<f64>> = if n_t == 1 {
             (0..n_items).map(eval_chunk).collect()
         } else {
+            let threads = statobd_num::parallel::resolve_threads(self.config.threads);
             statobd_num::parallel::run_indexed(n_items, threads, eval_chunk)
         };
         let mut per_block_t = vec![0.0; n_blocks * n_t];

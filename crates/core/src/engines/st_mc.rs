@@ -10,7 +10,7 @@
 //! `f(u,v) ≈ f(u)·f(v)` approximation costs (~0.1 %).
 
 use crate::chip::ChipAnalysis;
-use crate::engines::ReliabilityEngine;
+use crate::engines::{check_times, ReliabilityEngine};
 use crate::gfun::GCoefficients;
 use crate::{CoreError, Result};
 use statobd_num::hist::Histogram2d;
@@ -89,10 +89,11 @@ impl<'a> StMc<'a> {
         // stream derived from (seed, i), so results do not depend on the
         // thread partitioning. The flat layout [sample][block] gives each
         // thread a disjoint mutable slice. Within a chunk the (u, v)
-        // evaluation runs `width` samples per tile through the lane-FMA
+        // evaluation runs `width` samples per tile through the
         // `uv_given_z_tile` kernel; each sample still consumes its own
-        // `(seed, sample)` stream, so the fill is bit-identical to the
-        // scalar loop at every lane width.
+        // `(seed, sample)` stream and every lane keeps the scalar
+        // component order, so the fill is bit-identical at every lane
+        // width.
         let n_blocks = analysis.n_blocks();
         let mut flat = vec![(0.0, 0.0); config.n_samples * n_blocks];
         let threads = parallel::resolve_threads(config.threads);
@@ -108,7 +109,7 @@ impl<'a> StMc<'a> {
                 match width {
                     LaneWidth::W8 => fill_uv_tiled::<8>(analysis, config.seed, first, n, chunk),
                     LaneWidth::W4 => fill_uv_tiled::<4>(analysis, config.seed, first, n, chunk),
-                    LaneWidth::W1 => fill_uv_scalar(analysis, config.seed, first, 0, n, chunk),
+                    LaneWidth::W1 => fill_uv_tiled::<1>(analysis, config.seed, first, n, chunk),
                 }
             },
         );
@@ -162,8 +163,12 @@ impl<'a> StMc<'a> {
     /// `H(t) = Σ_j A_j·g_j(u_j, v_j)`, so
     /// `P(N ≥ k) = P_gamma(k, H)` averaged over the sampled `(u, v)`.
     ///
-    /// `k = 1` reduces to [`ReliabilityEngine::failure_probability`]
-    /// (with per-sample instead of histogram evaluation).
+    /// Breakdowns are counted chip-wide, whatever the chip's
+    /// [`Composition`](crate::Composition): under weakest-link `k = 1`
+    /// reduces to [`ReliabilityEngine::failure_probability`] (with
+    /// per-sample instead of histogram evaluation), while redundancy
+    /// groups, which survive spare breakdowns, fail less often than
+    /// `k = 1` says.
     ///
     /// # Errors
     ///
@@ -205,16 +210,6 @@ impl<'a> StMc<'a> {
         Ok(acc / n_samples as f64)
     }
 
-    /// Per-block failure probability via the joint-histogram integral sum.
-    pub fn block_failure_probability(&self, block_idx: usize, t_s: f64) -> f64 {
-        let block = &self.analysis.blocks()[block_idx];
-        let coeff = GCoefficients::at(t_s, block.alpha_s(), block.b_per_nm());
-        let area = block.spec().area();
-        let hist = &self.joints[block_idx].hist;
-        let probs = hist.joint_probabilities();
-        block_probability_from_masses(hist, &probs, area, coeff)
-    }
-
     /// The joint histogram of block `block_idx` (used by the Fig. 6/7
     /// reproduction to compare joint vs marginal-product PDFs).
     ///
@@ -228,11 +223,12 @@ impl<'a> StMc<'a> {
 
 /// Fills `chunk` (flat `[sample][block]` layout) with exact `(u, v)`
 /// pairs for samples `first..first + n`, evaluated `W` samples per tile
-/// through [`statobd_variation` moments'] SoA `uv_given_z_tile`. The
-/// principal-component draws stay scalar and per-sample — each sample's
-/// `(seed, sample)` substream is consumed in the documented order — and
-/// the ragged tail (`n % W` samples) runs the scalar path, so the chunk
-/// contents are bit-identical to [`fill_uv_scalar`] at every width.
+/// through the SoA `uv_given_z_tile` kernel. The principal-component
+/// draws stay scalar and per-sample — each sample's `(seed, sample)`
+/// substream is consumed in the documented order — and a last tile with
+/// fewer than `W` samples left draws the samples that follow and drops
+/// their lanes, so every pair is a function of its own sample alone at
+/// every width (width 1 is the plain per-sample loop).
 fn fill_uv_tiled<const W: usize>(
     analysis: &ChipAnalysis,
     seed: u64,
@@ -245,8 +241,7 @@ fn fill_uv_tiled<const W: usize>(
     let mut z = vec![0.0; n_pc];
     let mut z_tile = vec![0.0; n_pc * W];
     let (mut u, mut v) = ([0.0; W], [0.0; W]);
-    let mut local = 0;
-    while local + W <= n {
+    for local in (0..n).step_by(W) {
         for w in 0..W {
             let sample = first + local + w;
             let mut rng = Xoshiro256pp::stream(seed, sample as u64);
@@ -256,46 +251,20 @@ fn fill_uv_tiled<const W: usize>(
                 z_tile[k * W + w] = z[k];
             }
         }
+        let live = (n - local).min(W);
         for (j, block) in analysis.blocks().iter().enumerate() {
             block
                 .moments()
                 .uv_given_z_tile::<W>(&z_tile, &mut u, &mut v);
-            for w in 0..W {
+            for w in 0..live {
                 chunk[(local + w) * n_blocks + j] = (u[w], v[w]);
             }
         }
-        local += W;
-    }
-    fill_uv_scalar(analysis, seed, first, local, n, chunk);
-}
-
-/// The scalar reference fill for samples `first + from .. first + n` —
-/// the pre-tiling chunk loop, also used for ragged tile tails.
-fn fill_uv_scalar(
-    analysis: &ChipAnalysis,
-    seed: u64,
-    first: usize,
-    from: usize,
-    n: usize,
-    chunk: &mut [(f64, f64)],
-) {
-    let n_pc = analysis.model().n_components();
-    let n_blocks = analysis.n_blocks();
-    let mut z = vec![0.0; n_pc];
-    for local in from..n {
-        let sample = first + local;
-        let mut rng = Xoshiro256pp::stream(seed, sample as u64);
-        let mut normal = NormalSampler::new();
-        normal.fill(&mut rng, &mut z);
-        for (j, block) in analysis.blocks().iter().enumerate() {
-            chunk[local * n_blocks + j] = block.moments().uv_given_z(&z);
-        }
     }
 }
 
-/// The integral sum over precomputed joint-bin masses — the shared kernel
-/// of the scalar and batched evaluation paths (same bin order, same
-/// zero-mass skips, so the two are bit-identical).
+/// The integral sum over precomputed joint-bin masses, in bin order with
+/// zero-mass bins skipped.
 fn block_probability_from_masses(
     hist: &Histogram2d,
     probs: &[f64],
@@ -322,23 +291,13 @@ impl ReliabilityEngine for StMc<'_> {
         "st_MC"
     }
 
-    fn failure_probability(&mut self, t_s: f64) -> Result<f64> {
-        let mut chip = self
-            .analysis
-            .composition()
-            .accumulator(self.analysis.n_blocks());
-        for j in 0..self.analysis.n_blocks() {
-            chip.absorb(j, self.block_failure_probability(j, t_s));
-        }
-        Ok(chip.failure_probability())
-    }
-
     /// Computes each block's joint-bin masses once for the whole sweep
     /// (instead of once per `(block, t)` evaluation) and fans the
     /// `(block × t)` integral sums out over threads as a flat work list;
-    /// per-time weakest-link compositions run in block order, so the
-    /// result is bit-identical to the scalar loop at any thread count.
+    /// per-time compositions run in block order, so every entry is
+    /// bit-identical to a one-point call at any thread count.
     fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
+        check_times(ts)?;
         let n_t = ts.len();
         let n_blocks = self.analysis.n_blocks();
         // Hoisted time-independent per-block data: (histogram, bin masses,
@@ -365,7 +324,9 @@ impl ReliabilityEngine for StMc<'_> {
             block_probability_from_masses(hist, probs, *area, coeff)
         };
         let n_items = n_blocks * n_t;
-        let per_block_t: Vec<f64> = if n_items < 8 {
+        // One-point calls and tiny sweeps stay serial: they amortize
+        // neither the thread-count lookup nor the thread spawn.
+        let per_block_t: Vec<f64> = if n_t == 1 || n_items < 8 {
             (0..n_items).map(eval_one).collect()
         } else {
             let threads = parallel::resolve_threads(self.threads);
@@ -517,6 +478,8 @@ mod tests {
         let a = analysis();
         let mut e = StMc::new(&a, StMcConfig::default()).unwrap();
         let t = 1e9;
+        // The k = 1 reduction holds under weakest-link only.
+        assert!(a.composition().is_weakest_link());
         let p_hist = e.failure_probability(t).unwrap();
         let p_k1 = e.failure_probability_multi(t, 1).unwrap();
         // Histogram binning vs per-sample evaluation: small difference.

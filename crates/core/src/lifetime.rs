@@ -34,8 +34,8 @@ use crate::{CoreError, Result};
 /// struct Toy;
 /// impl ReliabilityEngine for Toy {
 ///     fn name(&self) -> &str { "toy" }
-///     fn failure_probability(&mut self, t: f64) -> Result<f64> {
-///         Ok(-(-(t / 1e9_f64).powi(2)).exp_m1())
+///     fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
+///         Ok(ts.iter().map(|&t| -(-(t / 1e9_f64).powi(2)).exp_m1()).collect())
 ///     }
 /// }
 /// let t = solve_lifetime(&mut Toy, 1e-6, (1.0, 1e12))?;
@@ -237,10 +237,6 @@ pub fn solve_lifetime_after_burn_in<E: ReliabilityEngine + ?Sized>(
         fn name(&self) -> &str {
             "burn_in"
         }
-        fn failure_probability(&mut self, t_s: f64) -> Result<f64> {
-            let p_total = self.inner.failure_probability(self.t_burn + t_s)?;
-            Ok(((p_total - self.p_burn) / (1.0 - self.p_burn)).clamp(0.0, 1.0))
-        }
         fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
             let shifted: Vec<f64> = ts.iter().map(|&t| self.t_burn + t).collect();
             Ok(self
@@ -344,8 +340,11 @@ mod tests {
         fn name(&self) -> &str {
             "weib"
         }
-        fn failure_probability(&mut self, t: f64) -> Result<f64> {
-            Ok(-(-(t / self.tau).powf(self.beta)).exp_m1())
+        fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
+            Ok(ts
+                .iter()
+                .map(|&t| -(-(t / self.tau).powf(self.beta)).exp_m1())
+                .collect())
         }
     }
 
@@ -401,8 +400,8 @@ mod tests {
             fn name(&self) -> &str {
                 "flat"
             }
-            fn failure_probability(&mut self, _t: f64) -> Result<f64> {
-                Ok(1e-9)
+            fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
+                Ok(vec![1e-9; ts.len()])
             }
         }
         assert!(matches!(
@@ -502,10 +501,15 @@ mod tests {
             fn name(&self) -> &str {
                 "mixture"
             }
-            fn failure_probability(&mut self, t: f64) -> Result<f64> {
-                let weak = -(-(t / 1e6_f64).powf(1.76)).exp_m1();
-                let strong = -(-(t / 1e10_f64).powf(1.76)).exp_m1();
-                Ok(1e-3 * weak + (1.0 - 1e-3) * strong)
+            fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
+                Ok(ts
+                    .iter()
+                    .map(|&t| {
+                        let weak = -(-(t / 1e6_f64).powf(1.76)).exp_m1();
+                        let strong = -(-(t / 1e10_f64).powf(1.76)).exp_m1();
+                        1e-3 * weak + (1.0 - 1e-3) * strong
+                    })
+                    .collect())
             }
         }
         let fresh = solve_lifetime(&mut Mixture, 1e-5, (1.0, 1e12)).unwrap();

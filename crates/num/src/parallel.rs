@@ -113,60 +113,6 @@ where
     });
 }
 
-/// Like [`for_each_chunk_mut`] but advances two slices in lock-step:
-/// `f(chunk_index, a_chunk, b_chunk)` where chunk `i` covers items
-/// `[i · per_chunk, (i+1) · per_chunk)` scaled by each slice's stride.
-///
-/// This serves consumers that maintain parallel arrays for the same work
-/// items (e.g. per-chip failure counts plus per-chip diagnostics).
-pub fn for_each_chunk_pair_mut<A, B, F>(
-    a: &mut [A],
-    stride_a: usize,
-    b: &mut [B],
-    stride_b: usize,
-    per_chunk: usize,
-    threads: usize,
-    f: F,
-) where
-    A: Send,
-    B: Send,
-    F: Fn(usize, &mut [A], &mut [B]) + Sync,
-{
-    assert!(per_chunk > 0, "per_chunk must be positive");
-    assert!(stride_a > 0 && stride_b > 0, "strides must be positive");
-    debug_assert_eq!(a.len() % stride_a, 0);
-    debug_assert_eq!(b.len() % stride_b, 0);
-    debug_assert_eq!(a.len() / stride_a, b.len() / stride_b);
-    let n_chunks = (a.len() / stride_a).div_ceil(per_chunk).max(1);
-    let workers = threads.max(1).min(n_chunks);
-    if workers <= 1 {
-        for (i, (ca, cb)) in a
-            .chunks_mut(per_chunk * stride_a)
-            .zip(b.chunks_mut(per_chunk * stride_b))
-            .enumerate()
-        {
-            f(i, ca, cb);
-        }
-        return;
-    }
-    let queue = Mutex::new(
-        a.chunks_mut(per_chunk * stride_a)
-            .zip(b.chunks_mut(per_chunk * stride_b))
-            .enumerate(),
-    );
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let item = queue.lock().expect("chunk queue poisoned").next();
-                match item {
-                    Some((i, (ca, cb))) => f(i, ca, cb),
-                    None => break,
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,30 +146,6 @@ mod tests {
             for (i, &v) in data.iter().enumerate() {
                 assert_eq!(v, i as u64 + 1, "threads={threads}");
             }
-        }
-    }
-
-    #[test]
-    fn paired_chunks_stay_in_lockstep() {
-        for threads in [1, 2, 4, 8] {
-            // 10 items, stride 3 in `a`, stride 2 in `b`, 4 items per chunk.
-            let mut a = vec![0usize; 30];
-            let mut b = vec![0usize; 20];
-            for_each_chunk_pair_mut(&mut a, 3, &mut b, 2, 4, threads, |chunk_idx, ca, cb| {
-                assert_eq!(ca.len() / 3, cb.len() / 2);
-                for v in ca.iter_mut() {
-                    *v = chunk_idx + 1;
-                }
-                for v in cb.iter_mut() {
-                    *v = chunk_idx + 1;
-                }
-            });
-            assert_eq!(&a[..12], &[1; 12]);
-            assert_eq!(&a[12..24], &[2; 12]);
-            assert_eq!(&a[24..], &[3; 6]);
-            assert_eq!(&b[..8], &[1; 8]);
-            assert_eq!(&b[8..16], &[2; 8]);
-            assert_eq!(&b[16..], &[3; 4]);
         }
     }
 

@@ -1,13 +1,17 @@
-//! Batched-vs-scalar equivalence: for every engine kind,
-//! `failure_probabilities(ts)` must be **bit-identical** to the scalar
-//! `failure_probability` loop — at any worker-thread count. This is the
-//! contract that lets `solve_lifetime`, `failure_rate_curve` and the
-//! benchmarks route everything through the batched API without changing a
-//! single reported number.
+//! One-point-vs-sweep equivalence: every engine evaluates `P(t)` only in
+//! its batched `failure_probabilities(ts)`, and `failure_probability(t)`
+//! is a one-point call of it. The reference loops below are therefore n
+//! one-point calls through the same path, and each sweep entry must be
+//! **bit-identical** to its one-point call — at any worker-thread count,
+//! whatever the chunking, lane packing or fan-out of the rest of the
+//! sweep (st_fast even takes a different lane layout for a batch of one).
+//! This is the contract that lets `solve_lifetime`, `failure_rate_curve`
+//! and the benchmarks batch their probes without changing a single
+//! reported number.
 
 use statobd::circuits::{build_design, Benchmark, DesignConfig};
 use statobd::core::{build_engine, ChipAnalysis, EngineKind, EngineSpec, MonteCarloConfig};
-use statobd::core::{ReliabilityEngine, StMc, StMcConfig};
+use statobd::core::{CoreError, ReliabilityEngine, StMc, StMcConfig};
 use statobd::device::ClosedFormTech;
 use statobd::num::simd::{self, LaneWidth};
 use statobd::variation::{CorrelationKernel, ThicknessModelBuilder, VarianceBudget};
@@ -16,7 +20,7 @@ use std::sync::{Mutex, MutexGuard};
 /// Lane-width forcing is process-global, so the cross-width test holds
 /// this lock while overriding and every other test holds it plainly —
 /// otherwise a width flip mid-test could change an engine's lane
-/// dispatch between its scalar reference and batched evaluation.
+/// dispatch between its one-point reference and batched evaluation.
 static WIDTH_LOCK: Mutex<()> = Mutex::new(());
 
 fn width_guard() -> MutexGuard<'static, ()> {
@@ -88,11 +92,11 @@ fn batched_matches_scalar_loop_for_every_engine_at_any_thread_count() {
     let ts: Vec<f64> = (0..37).map(|i| 10f64.powf(5.0 + i as f64 * 0.2)).collect();
 
     for kind in EngineKind::ALL {
-        // Scalar reference at one thread.
+        // One-point reference at one thread.
         let mut reference = build_engine(&analysis, &spec_for(kind, 1)).expect("engine");
         let scalar: Vec<f64> = ts
             .iter()
-            .map(|&t| reference.failure_probability(t).expect("scalar P(t)"))
+            .map(|&t| reference.failure_probability(t).expect("one-point P(t)"))
             .collect();
         assert!(
             scalar.iter().any(|&p| p > 0.0),
@@ -106,7 +110,7 @@ fn batched_matches_scalar_loop_for_every_engine_at_any_thread_count() {
             for (i, (&a, &b)) in scalar.iter().zip(&batched).enumerate() {
                 assert!(
                     a.to_bits() == b.to_bits(),
-                    "{kind}: P(t[{i}]) differs at {threads} threads: scalar {a:e} vs batched {b:e}"
+                    "{kind}: P(t[{i}]) differs at {threads} threads: one-point {a:e} vs batched {b:e}"
                 );
             }
         }
@@ -126,11 +130,11 @@ fn batched_handles_degenerate_sweeps() {
             "{kind}: empty sweep"
         );
         let single = engine.failure_probabilities(&[1e9]).expect("single");
-        let scalar = engine.failure_probability(1e9).expect("scalar");
+        let scalar = engine.failure_probability(1e9).expect("one-point");
         assert_eq!(single.len(), 1);
         assert!(
             single[0].to_bits() == scalar.to_bits(),
-            "{kind}: single-point batch differs from scalar"
+            "{kind}: single-point batch differs from the one-point call"
         );
         let repeated = engine.failure_probabilities(&[1e9; 5]).expect("repeated");
         assert!(
@@ -141,17 +145,17 @@ fn batched_handles_degenerate_sweeps() {
 }
 
 /// The `st_MC` joint-PDF construction fills its sample chunks through
-/// the SoA `uv_given_z_tile` kernel; every lane accumulates in the same
-/// component order as the scalar fill, so the engine must be
-/// **bit-identical** across lane widths {1, 4, 8} — including the ragged
-/// tile tail an awkward sample count leaves in the final chunk.
+/// the SoA `uv_given_z_tile` kernel at every width; every lane
+/// accumulates in the same component order, so the engine must be
+/// **bit-identical** across lane widths {1, 4, 8} — including the masked
+/// partial tile an awkward sample count leaves in the final chunk.
 #[test]
 fn st_mc_chunk_fill_bit_identical_across_lane_widths() {
     let analysis = c1_analysis();
     let ts: Vec<f64> = (0..9).map(|i| 10f64.powf(7.0 + i as f64 * 0.5)).collect();
     // 1037 = 4 full 256-sample chunks + 13: the last chunk exercises one
-    // full width-8 tile plus a 5-sample scalar tail (and a 1-sample tail
-    // at width 4), on top of the 2-thread chunk partitioning.
+    // full width-8 tile plus a masked partial tile of 5 live samples (and
+    // of 1 at width 4), on top of the 2-thread chunk partitioning.
     let config = StMcConfig {
         n_samples: 1037,
         threads: Some(2),
@@ -178,5 +182,39 @@ fn st_mc_chunk_fill_bit_identical_across_lane_widths() {
             c.to_bits(),
             "w8 differs at t[{i}]: {a:e} vs {c:e}"
         );
+    }
+}
+
+/// Every engine refuses an age that is not finite and `> 0` with a
+/// structured error — one check at the top of its one evaluation path,
+/// for a one-point call and a sweep alike — and answers a probability in
+/// `[0, 1]` at the extreme finite ages.
+#[test]
+fn engines_reject_times_that_are_not_finite_and_positive() {
+    let _width = width_guard();
+    let analysis = c1_analysis();
+    let bad: [&[f64]; 6] = [
+        &[0.0],
+        &[-1.0],
+        &[f64::NAN],
+        &[f64::INFINITY],
+        &[f64::NEG_INFINITY],
+        &[1e6, 0.0],
+    ];
+    for kind in EngineKind::ALL {
+        let mut engine = build_engine(&analysis, &spec_for(kind, 1)).expect("engine");
+        for ts in bad {
+            assert!(
+                matches!(
+                    engine.failure_probabilities(ts),
+                    Err(CoreError::InvalidParameter { .. })
+                ),
+                "{kind}: accepted {ts:?}"
+            );
+        }
+        for t in [1e-300, 1e300] {
+            let p = engine.failure_probability(t).expect("extreme finite age");
+            assert!((0.0..=1.0).contains(&p), "{kind}: P({t:e}) = {p}");
+        }
     }
 }

@@ -3,8 +3,8 @@
 //! the Monte-Carlo weight table) must agree across lane widths within
 //! the layer's 1e-12 relative gate — width 1 reproduces the historical
 //! scalar bits, widths 4 and 8 agree bitwise with each other — and the
-//! StFast batched sweep must stay bit-identical to its scalar loop at
-//! the default width.
+//! StFast batched sweep (lanes across times) must stay bit-identical to
+//! its one-point calls (lanes across quadrature nodes) at every width.
 //!
 //! Width forcing is process-global, so every test serializes on one
 //! mutex and restores the environment default before releasing.
