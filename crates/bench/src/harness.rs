@@ -1,9 +1,10 @@
-//! The harness every gated bench binary runs on: one command line
-//! ([`Cli`]: `--quick` and `--out` on top of the binary's own
-//! [`Flags`]), one gate collector that writes the JSON report
-//! ([`Gates`]), one interleaved re-measure ([`remeasure`]), one NaN-aware
-//! relative divergence ([`rel_divergence`]) and one log-spaced time grid
-//! ([`log_times`]).
+//! The harness the bench binaries run on: one command line ([`Cli`]:
+//! `--quick` and `--out` on top of the binary's own [`Flags`]), one gate
+//! collector that writes the JSON report ([`Gates`]), one interleaved
+//! re-measure ([`remeasure`]), one NaN-aware relative divergence
+//! ([`rel_divergence`]) and one log-spaced time grid ([`log_times`]).
+//! The `paper` binary uses the command line only: it ends the parse with
+//! [`Cli::finish`] and writes no report.
 //!
 //! Exit codes: 0 when every gate passed; 1 when a gate failed (the
 //! report is still written); 2 on bad arguments, before any work is done
@@ -56,33 +57,26 @@ impl Cli {
         self.flag("--threads", at_least(0), default, default)
     }
 
-    /// Reads `--out` (default `out`) and ends the parse: exits 2 listing
-    /// every bad, missing or unknown argument, else opens the gate
-    /// collector for the report.
+    /// Reads `--out` (default `out`) and ends the parse (see
+    /// [`Cli::finish`]), then opens the gate collector for the report.
     pub fn gates(mut self, out: &str) -> Gates {
         let out = self.flags.value("--out", path, out.to_string());
-        exit_on_bad_arguments(self.flags.finish());
         Gates {
-            quick: self.quick,
+            quick: self.finish(),
             out,
             failures: Vec::new(),
         }
     }
-}
 
-/// Exits 2 listing every problem of a finished parse.
-fn exit_on_bad_arguments(parsed: Result<(), String>) {
-    if let Err(problems) = parsed {
-        eprintln!("{problems}");
-        std::process::exit(2);
+    /// Ends the parse without opening a report: exits 2 listing every
+    /// bad, missing or unknown argument, else returns `--quick`.
+    pub fn finish(self) -> bool {
+        if let Err(problems) = self.flags.finish() {
+            eprintln!("{problems}");
+            std::process::exit(2);
+        }
+        self.quick
     }
-}
-
-/// `--quick` for a binary that takes no other flag.
-pub fn quick_flag() -> bool {
-    let cli = Cli::from_env();
-    exit_on_bad_arguments(cli.flags.finish());
-    cli.quick
 }
 
 /// Parses a benchmark design name (`C1` … `MC16`).

@@ -1,5 +1,6 @@
-//! Every gated bench binary rejects bad arguments with exit code 2 before
-//! doing any work: no report file is written.
+//! Every bench binary rejects bad arguments with exit code 2 before
+//! doing any work: a gated binary writes no report, and `paper` prints no
+//! experiment.
 
 use std::path::Path;
 use std::process::Command;
@@ -42,5 +43,25 @@ fn bad_arguments_exit_2_without_writing_a_report() {
             assert_rejected(name, exe, &dir, &["--out", report, "--solvers", "jacobi"]);
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn paper_rejects_bad_arguments_before_any_experiment() {
+    for args in [
+        &["--bogus"][..],
+        &["--only", "nope"],
+        &["--only"],
+        &["table3"],
+        &["--quick", "--only", "table3,nope"],
+        &["--quick", "fig1"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+            .args(args)
+            .output()
+            .expect("paper runs");
+        assert_eq!(out.status.code(), Some(2), "paper {args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "paper {args:?} printed {out:?}");
+        assert!(!out.stderr.is_empty(), "paper {args:?} gave no reason");
     }
 }
