@@ -42,7 +42,7 @@
 //!   "throughput", "profile": "datacenter", "lane_width": 8,
 //!   "chips": 100000, "threads": 1, "shards": 1, "run_s": ...,
 //!   "chips_per_s": ..., "exceed_budget": ..., "deterministic": true,
-//!   "workspaces_ok": true }, ... ],
+//!   "workspaces_ok": true, "max_solve_steps": 5 }, ... ],
 //!   "speedup": [ { "profile": "datacenter", "composition":
 //!   "weakest_link", "chips": 100000, "lane_width": 8,
 //!   "scalar_chips_per_s": ..., "tiled_chips_per_s": ..., "speedup": ...,
@@ -94,6 +94,8 @@ struct FleetRow {
     deterministic: bool,
     /// `workspaces_created <= shards` held for this run.
     workspaces_ok: bool,
+    /// The most lifetime-solve probes one lane tile took.
+    max_solve_steps: u64,
 }
 
 impl_json_struct!(FleetRow {
@@ -108,7 +110,8 @@ impl_json_struct!(FleetRow {
     chips_per_s,
     exceed_budget,
     deterministic,
-    workspaces_ok
+    workspaces_ok,
+    max_solve_steps
 });
 
 /// One scalar-vs-tiled speedup row (single thread, one mission profile,
@@ -259,9 +262,11 @@ fn push_row(
         exceed_budget: report.aggregates.exceed_budget,
         deterministic,
         workspaces_ok: report.workspaces_created <= report.shards,
+        max_solve_steps: report.max_solve_steps,
     };
     println!(
-        "  {:<12} {:<13} w={} chips={:<8} t={} s={}  {:>7.3}s  {:>9.0} chips/s  {}{}",
+        "  {:<12} {:<13} w={} chips={:<8} t={} s={}  {:>7.3}s  {:>9.0} chips/s  \
+         {} probes/tile  {}{}",
         r.scenario,
         r.profile,
         r.lane_width,
@@ -270,6 +275,7 @@ fn push_row(
         r.shards,
         r.run_s,
         r.chips_per_s,
+        r.max_solve_steps,
         if r.deterministic { "ok" } else { "DIVERGED" },
         if r.workspaces_ok { "" } else { " ALLOCATING" }
     );

@@ -21,6 +21,14 @@
 //! can never contain a batched-path regression (`--quick` smokes skip
 //! the speedup assertion but keep the bit-identity check).
 //!
+//! Each design × engine also gets a lifetime row per per-million target:
+//! the engine calls and time points one `solve_lifetime` over
+//! `LIFETIME_BRACKET_S` makes (through a counting wrapper), its seconds
+//! per solve, and its relative distance from a 200-step bisection of the
+//! same engine. Two gates hold for these rows at every size, `--quick`
+//! included: at most [`MAX_SOLVE_POINTS`] time points per solve, and at
+//! most [`MAX_SOLVE_REL`] from the bisection.
+//!
 //! ```text
 //! cargo run --release -p statobd-bench --bin sweeps -- \
 //!     [--quick] [--out BENCH_sweeps.json] [--designs C1,C3] \
@@ -34,13 +42,20 @@
 //! { "threads": 1, "rows": [ { "design": "C1", "engine": "MC",
 //!   "sweep_len": 200, "build_s": ..., "scalar_eval_s": ...,
 //!   "batched_eval_s": ..., "speedup": ..., "batched_evals_per_s": ...,
-//!   "bit_identical": true }, ... ] }
+//!   "bit_identical": true }, ... ],
+//!   "lifetimes": [ { "design": "C1", "engine": "st_fast", "target":
+//!   1e-6, "calls": 7, "points": 7, "solve_s": ..., "lifetime_s": ...,
+//!   "rel_to_bisection": ... }, ... ] }
 //! ```
 
+use statobd::LIFETIME_BRACKET_S;
 use statobd_bench::harness::{bit_identical, design, log_times, remeasure, Cli};
 use statobd_bench::{measure_min, session_for, BRACKET};
 use statobd_circuits::Benchmark;
-use statobd_core::{build_engine, EngineKind, EngineSpec, MonteCarloConfig};
+use statobd_core::{
+    build_engine, params, solve_lifetime, EngineKind, EngineSpec, MonteCarloConfig,
+    ReliabilityEngine, Result,
+};
 use statobd_num::flags::{at_least, list};
 use statobd_num::impl_json_struct;
 use std::time::Instant;
@@ -81,15 +96,94 @@ impl_json_struct!(SweepRow {
     bit_identical
 });
 
+/// Most time points one lifetime solve may spend (gated at every size).
+const MAX_SOLVE_POINTS: usize = 8;
+
+/// Largest relative distance of a solved lifetime from the 200-step
+/// bisection (gated at every size).
+const MAX_SOLVE_REL: f64 = 1e-10;
+
+/// One lifetime solve: a (design, engine, target) cell.
+#[derive(Debug, Clone)]
+struct LifetimeRow {
+    design: String,
+    engine: String,
+    /// Target failure probability (1 or 10 per million).
+    target: f64,
+    /// Engine calls the solve made.
+    calls: usize,
+    /// Time points over all those calls.
+    points: usize,
+    /// Wall seconds per solve.
+    solve_s: f64,
+    /// The solved lifetime (seconds).
+    lifetime_s: f64,
+    /// Relative distance of `lifetime_s` from a 200-step bisection of the
+    /// same engine.
+    rel_to_bisection: f64,
+}
+
+impl_json_struct!(LifetimeRow {
+    design,
+    engine,
+    target,
+    calls,
+    points,
+    solve_s,
+    lifetime_s,
+    rel_to_bisection
+});
+
 /// The whole report (`BENCH_sweeps.json`).
 #[derive(Debug, Clone)]
 struct SweepReport {
     /// Worker threads every engine was pinned to (0 = all cores).
     threads: usize,
     rows: Vec<SweepRow>,
+    lifetimes: Vec<LifetimeRow>,
 }
 
-impl_json_struct!(SweepReport { threads, rows });
+impl_json_struct!(SweepReport {
+    threads,
+    rows,
+    lifetimes
+});
+
+/// An engine wrapper counting the calls and time points it is asked for.
+struct Counting<'e> {
+    inner: &'e mut dyn ReliabilityEngine,
+    calls: usize,
+    points: usize,
+}
+
+impl ReliabilityEngine for Counting<'_> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
+        self.calls += 1;
+        self.points += ts.len();
+        self.inner.failure_probabilities(ts)
+    }
+}
+
+/// `P(t) = target` by 200 bisection steps on `ln t` over `bracket`,
+/// stopping early once the midpoint no longer splits the bracket.
+fn bisect_lifetime(engine: &mut dyn ReliabilityEngine, target: f64, bracket: (f64, f64)) -> f64 {
+    let (mut lo, mut hi) = (bracket.0.ln(), bracket.1.ln());
+    for _ in 0..200 {
+        let mid = 0.5 * (lo + hi);
+        if !(lo < mid && mid < hi) {
+            break;
+        }
+        if engine.failure_probability(mid.exp()).expect("P(t)") >= target {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    (0.5 * (lo + hi)).exp()
+}
 
 fn main() {
     let mut cli = Cli::from_env();
@@ -105,6 +199,7 @@ fn main() {
     let mut gates = cli.gates("BENCH_sweeps.json");
     let threads = (threads_flag > 0).then_some(threads_flag);
     let mut rows = Vec::new();
+    let mut lifetimes = Vec::new();
     println!("lane dispatch: {}", statobd_num::simd::dispatch_label());
 
     for &benchmark in &designs {
@@ -213,11 +308,54 @@ fn main() {
                 );
                 rows.push(row);
             }
+
+            for target in [params::ONE_PER_MILLION, params::TEN_PER_MILLION] {
+                let mut counting = Counting {
+                    inner: engine.as_mut(),
+                    calls: 0,
+                    points: 0,
+                };
+                let lifetime_s = solve_lifetime(&mut counting, target, LIFETIME_BRACKET_S)
+                    .expect("lifetime solve");
+                let (calls, points) = (counting.calls, counting.points);
+                let solve_s = measure_min(|| {
+                    solve_lifetime(engine.as_mut(), target, LIFETIME_BRACKET_S)
+                        .expect("lifetime solve")
+                });
+                let exact = bisect_lifetime(engine.as_mut(), target, LIFETIME_BRACKET_S);
+                let rel_to_bisection = ((lifetime_s - exact) / exact).abs();
+                let what = format!("{} {} at {target:e}", benchmark.name(), kind.name());
+                gates.check(points <= MAX_SOLVE_POINTS, || {
+                    format!("{what}: {points} time points per solve (> {MAX_SOLVE_POINTS})")
+                });
+                gates.check(rel_to_bisection <= MAX_SOLVE_REL, || {
+                    format!(
+                        "{what}: lifetime {lifetime_s:e} is {rel_to_bisection:.2e} from the \
+                         bisection's {exact:e} (> {MAX_SOLVE_REL:e})"
+                    )
+                });
+                println!(
+                    "  {:<9} lifetime @ {target:e}: {calls} calls, {points} points, \
+                     {solve_s:.3e}s per solve, {rel_to_bisection:.1e} from bisection",
+                    kind.name()
+                );
+                lifetimes.push(LifetimeRow {
+                    design: benchmark.name().to_string(),
+                    engine: kind.name().to_string(),
+                    target,
+                    calls,
+                    points,
+                    solve_s,
+                    lifetime_s,
+                    rel_to_bisection,
+                });
+            }
         }
     }
 
     gates.finish(&SweepReport {
         threads: threads_flag,
         rows,
+        lifetimes,
     });
 }

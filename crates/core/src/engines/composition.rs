@@ -496,7 +496,7 @@ mod tests {
     /// bit, on the chip log-survival itself — through the mission-end
     /// entry and inside the fused survival kernel — for weakest-link and
     /// every group shape. (Lifetimes alone would hide an ulp drift: it
-    /// rarely flips a bisection step.)
+    /// rarely moves a solved lifetime.)
     #[test]
     fn width_1_lane_folds_reproduce_the_accumulators_bitwise() {
         use statobd_num::simd::{self, GroupFold, LaneFold, WeakestLinkFold};

@@ -486,12 +486,6 @@ impl ReliabilityEngine for HybridTables {
             eval_one(&ts[i])
         }))
     }
-
-    fn sweep_batch_hint(&self) -> usize {
-        // Lookups are cheap but the trait-object round trip is not free;
-        // a modest batch keeps solve drivers from calling one-at-a-time.
-        8
-    }
 }
 
 #[cfg(test)]

@@ -113,8 +113,8 @@ pub trait ReliabilityEngine {
     /// The ensemble failure probabilities at every time in `ts` (seconds),
     /// in order — the one evaluation path of every engine.
     ///
-    /// Time sweeps dominate everything downstream of the engines (lifetime
-    /// bisection, failure-rate curves, the Table III benchmarks), and most
+    /// Time sweeps dominate everything downstream of the engines
+    /// (failure-rate curves, the Table III benchmarks), and most
     /// engines carry per-evaluation state that is invariant across `t`
     /// (Monte-Carlo chip histograms and bin-weight tables, quadrature node
     /// sets, lookup tables). Every engine in this crate amortizes that
@@ -161,20 +161,6 @@ pub trait ReliabilityEngine {
     /// As for the batched method.
     fn failure_probability(&mut self, t_s: f64) -> Result<f64> {
         Ok(self.failure_probabilities(std::slice::from_ref(&t_s))?[0])
-    }
-
-    /// How many time points per
-    /// [`failure_probabilities`](ReliabilityEngine::failure_probabilities)
-    /// call this engine can absorb at little extra cost — the batch width
-    /// iterative drivers like [`crate::solve_lifetime`] should aim for.
-    ///
-    /// Engines with a large per-call fixed cost (the Monte-Carlo engine
-    /// sweeps every chip histogram once per call) or an internal thread
-    /// or lane fan-out report a hint above 1; the default of 1 keeps
-    /// point-by-point engines on classic bisection, which minimizes total
-    /// evaluations.
-    fn sweep_batch_hint(&self) -> usize {
-        1
     }
 }
 

@@ -466,12 +466,6 @@ impl ReliabilityEngine for MonteCarlo<'_> {
         }
         Ok(totals)
     }
-
-    fn sweep_batch_hint(&self) -> usize {
-        // Each call pays a full traversal of the count histograms; batching
-        // a handful of times per visit is nearly free.
-        16
-    }
 }
 
 #[cfg(test)]

@@ -553,15 +553,17 @@ impl BlockQuadrature {
             let mut idx = 0;
             while idx < coeffs.len() {
                 let m = (coeffs.len() - idx).min(W);
-                // Unused lanes of a remainder chunk run on zero
-                // coefficients (finite everywhere) and are discarded.
+                // Unused lanes of a remainder chunk repeat the chunk's
+                // last coefficients and are discarded. Zero coefficients
+                // would put their argument, 0, above the polynomial
+                // threshold, and the lane-max regime split would then
+                // send whole rows down the general path.
                 let mut s1 = [0.0; W];
                 let mut s2 = [0.0; W];
-                for (lane, coeff) in s1.iter_mut().zip(&coeffs[idx..idx + m]) {
-                    *lane = coeff.s1;
-                }
-                for (lane, coeff) in s2.iter_mut().zip(&coeffs[idx..idx + m]) {
-                    *lane = coeff.s2;
+                for w in 0..W {
+                    let coeff = &coeffs[idx + w.min(m - 1)];
+                    s1[w] = coeff.s1;
+                    s2[w] = coeff.s2;
                 }
                 let mut acc = [0.0; W];
                 let mut fill = 0;
@@ -799,13 +801,6 @@ impl ReliabilityEngine for StFast<'_> {
                 chip.failure_probability()
             })
             .collect())
-    }
-
-    fn sweep_batch_hint(&self) -> usize {
-        // Each block chunk is a lane sweep: a full 8-wide chunk per call
-        // keeps the lanes busy even single-threaded, and extra workers
-        // each want their own chunk of work.
-        statobd_num::parallel::resolve_threads(self.config.threads).max(8)
     }
 }
 

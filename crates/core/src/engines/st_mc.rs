@@ -343,10 +343,6 @@ impl ReliabilityEngine for StMc<'_> {
             })
             .collect())
     }
-
-    fn sweep_batch_hint(&self) -> usize {
-        statobd_num::parallel::resolve_threads(self.threads)
-    }
 }
 
 #[cfg(test)]

@@ -1,27 +1,35 @@
 //! Lifetime solving (paper eq. 32): inverting the ensemble failure
-//! probability for the n-faults-per-million-parts criteria.
+//! probability for the n-faults-per-million-parts criteria, with the
+//! Weibull-plot root-finder of [`statobd_num::root`].
 
 use crate::engines::ReliabilityEngine;
 use crate::{CoreError, Result};
+use statobd_num::root::Illinois;
 
-/// Solves `P(t) = p_target` for `t` by bracket expansion plus a
-/// multi-section search on `ln t`.
+/// Bracket tolerance of [`solve_lifetime`] on `ln t`: a solve that has
+/// not met the residual test stops once the bracket is this narrow.
+const LN_T_TOL: f64 = 1e-10;
+
+/// Solves `P(t) = p_target` for `t`: bracket expansion, then an Illinois
+/// (regula falsi) solve on the Weibull plot of `P`.
 ///
-/// `bracket = (t_lo, t_hi)` is the initial search interval (seconds); it
-/// is expanded geometrically (up to 60 ×4 steps each way) if the root
-/// lies outside. All probes go through
-/// [`ReliabilityEngine::failure_probabilities`] in batches sized by the
-/// engine's [`ReliabilityEngine::sweep_batch_hint`], so engines with a
-/// large per-call fixed cost (Monte-Carlo histogram sweeps) or an internal
-/// thread fan-out answer several probes per round trip; for hint-1 engines
-/// this degenerates to classic bisection.
+/// `bracket = (t_lo, t_hi)` is the initial search interval (seconds). The
+/// solver probes `P` at both edges; if the root lies outside, it steps the
+/// edge ×4 outward, one probe at a time (up to 60 steps each way). It then
+/// runs [`Illinois`] at one lane on `x = ln t` with the residual
+/// `ln(−ln(1 − P)) − ln(−ln(1 − p_target))`, on which the paper's Weibull
+/// device law (eq. 4) and the log-quadratic kernel of eq. 17 make the
+/// curve nearly straight, so a few secant steps land on the root. Every
+/// probe is a one-point [`ReliabilityEngine::failure_probability`] call;
+/// the paper's designs take at most 8 per solve.
 ///
 /// # Errors
 ///
 /// * [`CoreError::InvalidParameter`] for a non-positive bracket or a
 ///   target outside `(0, 1)`,
 /// * [`CoreError::SolveFailed`] if no bracket contains the root (e.g. the
-///   engine's probability saturates below the target),
+///   engine's probability saturates below the target), or if the engine
+///   returns NaN at a probe,
 /// * any engine evaluation error.
 ///
 /// # Example
@@ -58,94 +66,66 @@ pub fn solve_lifetime<E: ReliabilityEngine + ?Sized>(
             detail: format!("invalid bracket ({t_lo}, {t_hi})"),
         });
     }
-
-    // All probes go through the batched API; the engine's hint says how
-    // many points per call it can absorb at little extra cost (1 = plain
-    // bisection, which minimizes total evaluations for scalar engines).
-    let k = engine.sweep_batch_hint().clamp(1, 32);
-
-    // Expand until the bracket straddles the target, probing a geometric
-    // ladder of up-to-`k` candidates per call (÷4 rungs downward, ×4
-    // upward — the same ×4 steps and 60-expansion cap as the scalar
-    // search). Every failing rung is itself a valid bound, so the
-    // opposite side tightens for free.
-    let mut probes_left = 61usize; // the original bound + 60 expansions
-    let mut t = t_lo;
-    loop {
-        let rungs: Vec<f64> = (0..k.min(probes_left))
-            .map(|i| t / 4f64.powi(i as i32))
-            .collect();
-        let ps = engine.failure_probabilities(&rungs)?;
-        if let Some(i) = ps.iter().position(|&p| p <= p_target) {
-            t_lo = rungs[i];
-            if i > 0 {
-                t_hi = t_hi.min(rungs[i - 1]);
-            }
-            break;
+    let weibull = |p: f64| (-(-p).ln_1p()).ln();
+    let f_target = weibull(p_target);
+    // One probe: P(t) and its residual, a NaN refused rather than read
+    // as either side of the target.
+    let mut probe = |t: f64| -> Result<(f64, f64)> {
+        let p = engine.failure_probability(t)?;
+        if p.is_nan() {
+            return Err(CoreError::SolveFailed {
+                detail: format!("failure probability is NaN at t={t:.3e}"),
+            });
         }
-        probes_left -= rungs.len();
-        if probes_left == 0 {
+        Ok((p, weibull(p) - f_target))
+    };
+
+    // Expand until the bracket straddles the target: ×4 steps outward
+    // from each edge, up to 60 each way. The edge a step leaves becomes
+    // the opposite bound, probe and all.
+    const EXPANSIONS: u32 = 60;
+    let (mut p_lo, mut f_lo) = probe(t_lo)?;
+    let mut upper = None;
+    let mut steps = 0;
+    while p_lo > p_target {
+        if steps == EXPANSIONS {
             return Err(CoreError::SolveFailed {
                 detail: format!(
-                    "failure probability still {:.3e} > target {p_target:.3e} at t={:.3e}",
-                    ps[ps.len() - 1],
-                    rungs[rungs.len() - 1]
+                    "failure probability still {p_lo:.3e} > target {p_target:.3e} at t={t_lo:.3e}"
                 ),
             });
         }
-        t_hi = t_hi.min(rungs[rungs.len() - 1]);
-        t = rungs[rungs.len() - 1] / 4.0;
+        (t_hi, upper) = (t_lo, Some((p_lo, f_lo)));
+        t_lo /= 4.0;
+        (p_lo, f_lo) = probe(t_lo)?;
+        steps += 1;
     }
-    let mut probes_left = 61usize;
-    let mut t = t_hi;
-    loop {
-        let rungs: Vec<f64> = (0..k.min(probes_left))
-            .map(|i| t * 4f64.powi(i as i32))
-            .collect();
-        let ps = engine.failure_probabilities(&rungs)?;
-        if let Some(i) = ps.iter().position(|&p| p >= p_target) {
-            t_hi = rungs[i];
-            if i > 0 {
-                t_lo = t_lo.max(rungs[i - 1]);
-            }
-            break;
-        }
-        probes_left -= rungs.len();
-        if probes_left == 0 {
+    let (mut p_hi, mut f_hi) = match upper {
+        Some(known) => known,
+        None => probe(t_hi)?,
+    };
+    let mut steps = 0;
+    while p_hi < p_target {
+        if steps == EXPANSIONS {
             return Err(CoreError::SolveFailed {
                 detail: format!(
-                    "failure probability only {:.3e} < target {p_target:.3e} at t={:.3e}",
-                    ps[ps.len() - 1],
-                    rungs[rungs.len() - 1]
+                    "failure probability only {p_hi:.3e} < target {p_target:.3e} at t={t_hi:.3e}"
                 ),
             });
         }
-        t_lo = t_lo.max(rungs[rungs.len() - 1]);
-        t = rungs[rungs.len() - 1] * 4.0;
+        (t_lo, f_lo) = (t_hi, f_hi);
+        t_hi *= 4.0;
+        (p_hi, f_hi) = probe(t_hi)?;
+        steps += 1;
     }
 
-    // Multi-section search on ln t: `k` equispaced interior points per
-    // call shrink the bracket by (k+1)× per round (k = 1 is classic
-    // bisection).
-    let mut ln_lo = t_lo.ln();
-    let mut ln_hi = t_hi.ln();
-    for _ in 0..200 {
-        if ln_hi - ln_lo < 1e-10 {
-            break;
-        }
-        let step = (ln_hi - ln_lo) / (k as f64 + 1.0);
-        let mids: Vec<f64> = (1..=k).map(|i| (ln_lo + step * i as f64).exp()).collect();
-        let ps = engine.failure_probabilities(&mids)?;
-        let idx = ps.iter().position(|&p| p >= p_target).unwrap_or(k);
-        let new_hi = if idx == k {
-            ln_hi
-        } else {
-            ln_lo + step * (idx + 1) as f64
-        };
-        ln_lo += step * idx as f64;
-        ln_hi = new_hi;
+    let mut solver = Illinois::<1>::new([t_lo.ln()], [f_lo], [t_hi.ln()], [f_hi], [true], LN_T_TOL);
+    while !solver.done() {
+        let [x] = solver.probe();
+        let (_, f) = probe(x.exp())?;
+        solver.update(&[f]);
     }
-    Ok((0.5 * (ln_lo + ln_hi)).exp())
+    Ok(solver.roots()[0].exp())
 }
 
 /// Evaluates the failure-rate curve `P(t)` at `n` log-spaced times over
@@ -245,9 +225,6 @@ pub fn solve_lifetime_after_burn_in<E: ReliabilityEngine + ?Sized>(
                 .into_iter()
                 .map(|p_total| ((p_total - self.p_burn) / (1.0 - self.p_burn)).clamp(0.0, 1.0))
                 .collect())
-        }
-        fn sweep_batch_hint(&self) -> usize {
-            self.inner.sweep_batch_hint()
         }
     }
     let p_burn = engine.failure_probability(t_burn_s)?;
@@ -408,6 +385,98 @@ mod tests {
             solve_lifetime(&mut Flat, 1e-3, (1.0, 10.0)),
             Err(CoreError::SolveFailed { .. })
         ));
+    }
+
+    #[test]
+    fn zero_and_saturated_edges_fall_back_to_the_midpoint() {
+        // P rounds to exactly 0 at the lower edge ((t/τ)² underflows) and
+        // to 1 at the upper one, so the residual is −∞ and +∞ there and
+        // the first probes bisect until both ends are finite.
+        let mut e = Weib {
+            tau: 1e9,
+            beta: 2.0,
+        };
+        let bracket = (1e-191, 1e12);
+        let ps = e.failure_probabilities(&[bracket.0, bracket.1]).unwrap();
+        assert_eq!(ps, [0.0, 1.0]);
+        let t = solve_lifetime(&mut e, 1e-6, bracket).unwrap();
+        let expected = 1e9 * (-(-1e-6f64).ln_1p()).sqrt();
+        assert!(((t - expected) / expected).abs() < 1e-10, "{t:e}");
+    }
+
+    /// The Weibull law `P = 1 − exp(−(t/1e10)^1.5)`, NaN on an open
+    /// window of ages.
+    #[derive(Debug)]
+    struct NanWindow(f64, f64);
+
+    impl ReliabilityEngine for NanWindow {
+        fn name(&self) -> &str {
+            "nan_window"
+        }
+        fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
+            Ok(ts
+                .iter()
+                .map(|&t| {
+                    if self.0 < t && t < self.1 {
+                        f64::NAN
+                    } else {
+                        -(-(t / 1e10_f64).powf(1.5)).exp_m1()
+                    }
+                })
+                .collect())
+        }
+    }
+
+    #[test]
+    fn an_engine_nan_is_an_error_never_a_lifetime() {
+        // The 1 ppm root is 1e6 s. A NaN read as "below target" once
+        // turned this NaN window above the root into a lifetime of
+        // 1.0000000000209461e9 s. P saturates at the upper edge, so the
+        // first probe is the bracket midpoint, inside the window: it is
+        // refused, naming its time.
+        match solve_lifetime(&mut NanWindow(1e7, 1e9), 1e-6, (1e4, 1e13)) {
+            Err(CoreError::SolveFailed { detail }) => {
+                assert!(detail.contains("NaN at t=3.162e8"), "{detail}")
+            }
+            other => panic!("expected SolveFailed, got {other:?}"),
+        }
+        // A NaN at a bracket edge is refused too.
+        assert!(matches!(
+            solve_lifetime(&mut NanWindow(1e3, 1e5), 1e-6, (1e4, 1e13)),
+            Err(CoreError::SolveFailed { .. })
+        ));
+        // A window the solve never probes leaves the root untouched.
+        let root = 1e10 * (-(-1e-6f64).ln_1p()).powf(1.0 / 1.5);
+        let t = solve_lifetime(&mut NanWindow(1e11, 1e12), 1e-6, (1e4, 1e13)).unwrap();
+        assert!(((t - root) / root).abs() < 1e-10, "{t:e} vs {root:e}");
+    }
+
+    #[test]
+    fn a_kinked_weibull_plot_converges_on_the_bracket_width() {
+        // Two Weibull slopes joined at t_k, the target placed on the kink:
+        // no secant is exact, so the solve ends on the 1e-10 bracket width.
+        #[derive(Debug)]
+        struct Kinked;
+        const T_K: f64 = 3e7;
+        fn hazard(t: f64) -> f64 {
+            let h_k = (T_K / 1e10_f64).powf(1.2);
+            if t < T_K {
+                (t / 1e10_f64).powf(1.2)
+            } else {
+                h_k * (t / T_K).powf(3.5)
+            }
+        }
+        impl ReliabilityEngine for Kinked {
+            fn name(&self) -> &str {
+                "kinked"
+            }
+            fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
+                Ok(ts.iter().map(|&t| -(-hazard(t)).exp_m1()).collect())
+            }
+        }
+        let target = -(-hazard(T_K)).exp_m1();
+        let t = solve_lifetime(&mut Kinked, target, (1e4, 1e13)).unwrap();
+        assert!(((t - T_K) / T_K).abs() < 1e-9, "{t:e} vs {T_K:e}");
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //!   Kolmogorov–Smirnov distance),
 //! * a deterministic pseudo-random stream ([`rng::Xoshiro256pp`]) and
 //!   normal/exponential samplers,
+//! * a lane-parallel Illinois root-finder on the Weibull scale
+//!   ([`root::Illinois`]), behind every lifetime solve,
 //! * a runtime-dispatched SIMD-style lane layer ([`simd`]) with
 //!   vectorized `exp`/`exp_m1`/`ln_1p` kernels for the engines' hot
 //!   transcendental loops,
@@ -69,6 +71,7 @@ pub mod precond;
 pub mod quad;
 pub mod quadform;
 pub mod rng;
+pub mod root;
 pub mod simd;
 pub mod sparse;
 pub mod special;

@@ -60,6 +60,7 @@
 //! The engine-level acceptance gate on derived probabilities is `1e-12`
 //! relative — two orders looser than these kernels deliver.
 
+use crate::root::Illinois;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 // ---------------------------------------------------------------------------
@@ -275,8 +276,8 @@ const EXP_TAIL: [f64; 12] = [
 /// Estrin evaluation of the shared tail polynomial `P(r)`.
 ///
 /// Estrin rather than Horner because the hot consumers are
-/// latency-bound: the fleet bisection's serial step chain runs this on
-/// two-vector tiles where a 12-deep Horner chain (~8 cycles per
+/// latency-bound: the fleet lifetime solve's serial probe chain runs
+/// this on two-vector tiles where a 12-deep Horner chain (~8 cycles per
 /// mul+add level) IS the critical path. Estrin's tree needs the same
 /// multiply count at ~4 levels of depth. The reassociated rounding
 /// stays in the kernels' ulp class (the truncation analysis on the
@@ -382,8 +383,8 @@ const ATANH_TAIL: [f64; 11] = [
 ];
 
 /// Estrin evaluation of `Q(w) = Σ w^k/(2k+1)` — same shallow-tree
-/// rationale as [`exp_tail`]: the bisection's serial step chain is
-/// bound by this polynomial's depth, not its multiply count.
+/// rationale as [`exp_tail`]: the lifetime solve's serial probe chain
+/// is bound by this polynomial's depth, not its multiply count.
 #[inline(always)]
 fn atanh_poly(w: f64) -> f64 {
     let c = &ATANH_TAIL;
@@ -1413,7 +1414,7 @@ fn hazard_regime<const W: usize>(arg: &[f64; W], x_small: f64, x_sat: f64) -> Re
 ///
 /// [`absorb`](LaneFold::absorb) — the once-per-chip mission-end entry —
 /// evaluates libm `ln_1p` at every width, the mission-end expression the
-/// lane-tiled fleet has always used. Per bisection step,
+/// lane-tiled fleet has always used. Per lifetime-solve probe,
 /// [`absorb_hazard`](LaneFold::absorb_hazard) at widths > 1 screens each
 /// block's lane arguments into a regime, exactly like
 /// [`failure_term_slice`]'s tile screens — each screened route evaluates
@@ -1423,13 +1424,13 @@ fn hazard_regime<const W: usize>(arg: &[f64; W], x_small: f64, x_sat: f64) -> Re
 /// * all `arg ≥ x_sat` → `p` rounds to exactly 1.0 (see `FAILURE_SAT`)
 ///   and `ln_1p(−1)` is `−∞`, so the block contributes an exact `−∞`
 ///   fill — zero transcendentals. (A dead block at age `x` forces
-///   `ln S = −∞`; the bisection's `≤ target` compare handles it.)
+///   `ln S = −∞`; the solve's residual is then `+∞` and it bisects.)
 /// * all `arg < x_small` → `|z| < EXPM1_SWITCH` takes `expm1`'s
 ///   small arm, and the resulting `p ≤ 0.293` keeps `−p` inside
 ///   `ln_1p`'s small-arm window `[−1/3, 0.5]` — one `exp` plus two
 ///   short polynomials, no second `exp` and no exponent split. This is
-///   the regime the bisection converges in (per-block `p` near the
-///   fleet budget), so it carries most of the 52 steps.
+///   the regime the lifetime solve converges in (per-block `p` near the
+///   fleet budget), so it carries most of its probes.
 /// * mixed (or any NaN lane) → the general both-arm cores.
 ///
 /// Width 1 runs the general libm expression unscreened: the scalar
@@ -1731,7 +1732,7 @@ impl<const W: usize> LaneFold<W> for GroupFold<'_, W> {
 }
 
 // ---------------------------------------------------------------------------
-// Fused lane-tile survival kernel (fleet lifetime bisection)
+// Fused lane-tile survival kernels (fleet lifetime solve)
 // ---------------------------------------------------------------------------
 
 /// Shared body of [`ln_surv_tile_fold`]: per lane `w`, the chip
@@ -1826,7 +1827,7 @@ fn assert_tile_shape<const W: usize>(block_params: &[f64], bu: &[f64], bbv: &[f6
     assert_eq!(bbv.len(), n, "bbv tile length mismatch");
 }
 
-/// One step of the fleet's lane-parallel lifetime bisection, fused:
+/// One probe of the fleet's lane-parallel lifetime solve, fused:
 /// fills `out[w]` with the `W`-chip tile's chip log-survivals at per-lane
 /// log-ages `x[w]`, the blocks composed through `fold`.
 /// `block_params` holds one `(ln_rate, area, x_small, x_sat)` quad per
@@ -1838,11 +1839,12 @@ fn assert_tile_shape<const W: usize>(block_params: &[f64], bu: &[f64], bbv: &[f6
 ///
 /// The transcendentals are the fold's (libm at `W = 1`, the polynomial
 /// cores wider); callers choose the fused kernel for the dispatch
-/// economics, not different math: the bisection evaluates ~54 of these
-/// per tile on slices of `n_blocks·W` elements, where dispatched passes
-/// plus fixup loops per step would cost more than the transcendental
-/// work itself. Dispatch is by detected ISA alone — the caller has
-/// already committed to the lane width `W`.
+/// economics, not different math: the fleet evaluates ~7 of these per
+/// tile (the two bracket edges and ~5 solve probes) on slices of
+/// `n_blocks·W` elements, where dispatched passes plus fixup loops per
+/// probe would cost more than the transcendental work itself. Dispatch
+/// is by detected ISA alone — the caller has already committed to the
+/// lane width `W`.
 ///
 /// # Panics
 ///
@@ -1964,14 +1966,16 @@ unsafe fn ln_surv_bisect_avx512<const W: usize, F: LaneFold<W>>(
     ln_surv_bisect_body::<W, F>(lo, hi, target, steps, block_params, bu, bbv, fold);
 }
 
-/// The fleet's lane-parallel masked lifetime bisection, whole-loop
-/// fused: runs `steps` rounds of per-lane bracket halving on
-/// `lo`/`hi` in place, against the log-survival threshold `target`, the
-/// blocks composed through `fold`. Parameters and per-element math are
-/// exactly [`ln_surv_tile_fold`]'s; see `ln_surv_bisect_body` for the
-/// bit-identity contract with the unfused caller loop and the NaN/mask
-/// semantics. One dispatched call replaces `steps` of them — the
-/// bracket arrays live in registers for the whole solve.
+/// A lane-parallel masked lifetime bisection, whole-loop fused (the
+/// fleet's solve before [`ln_surv_solve_fold`], kept as its reference
+/// and for stage-by-stage replays): runs `steps` rounds of per-lane
+/// bracket halving on `lo`/`hi` in place, against the log-survival
+/// threshold `target`, the blocks composed through `fold`. Parameters
+/// and per-element math are exactly [`ln_surv_tile_fold`]'s; see
+/// `ln_surv_bisect_body` for the bit-identity contract with the unfused
+/// caller loop and the NaN/mask semantics. One dispatched call replaces
+/// `steps` of them — the bracket arrays live in registers for the whole
+/// solve.
 ///
 /// # Panics
 ///
@@ -2022,6 +2026,117 @@ pub fn ln_surv_bisect<const W: usize>(
 ) {
     let mut fold = WeakestLinkFold::default();
     ln_surv_bisect_fold::<W, _>(lo, hi, target, steps, block_params, bu, bbv, &mut fold);
+}
+
+/// The Weibull-plot residual of lane log-survivals `s` against a target
+/// survival `S*`: `f = ln(−s) − ln_neg_target`, with
+/// `ln_neg_target = ln(−ln S*)` (see [`crate::root`]) and the lane
+/// logarithm picked on `W` (libm at width 1).
+#[inline(always)]
+pub fn weibull_residual<const W: usize>(s: &[f64; W], ln_neg_target: f64) -> [f64; W] {
+    let mut f = [0.0; W];
+    for w in 0..W {
+        f[w] = ln_w::<W>(-s[w]) - ln_neg_target;
+    }
+    f
+}
+
+/// Shared body of [`ln_surv_solve_fold`]: runs `solver` to completion,
+/// each probe one [`ln_surv_tile_body`] pass.
+#[inline(always)]
+fn ln_surv_solve_body<const W: usize, F: LaneFold<W>>(
+    solver: &mut Illinois<W>,
+    ln_neg_target: f64,
+    block_params: &[f64],
+    bu: &[f64],
+    bbv: &[f64],
+    fold: &mut F,
+) {
+    let mut s = [0.0; W];
+    while !solver.done() {
+        let x = solver.probe();
+        ln_surv_tile_body::<W, F>(&x, block_params, bu, bbv, fold, &mut s);
+        solver.update(&weibull_residual::<W>(&s, ln_neg_target));
+    }
+}
+
+/// AVX2 clone of [`ln_surv_solve_body`].
+///
+/// # Safety
+///
+/// Caller must have verified `avx2` via `is_x86_feature_detected!`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn ln_surv_solve_avx2<const W: usize, F: LaneFold<W>>(
+    solver: &mut Illinois<W>,
+    ln_neg_target: f64,
+    block_params: &[f64],
+    bu: &[f64],
+    bbv: &[f64],
+    fold: &mut F,
+) {
+    ln_surv_solve_body::<W, F>(solver, ln_neg_target, block_params, bu, bbv, fold);
+}
+
+/// AVX-512F clone of [`ln_surv_solve_body`].
+///
+/// # Safety
+///
+/// Caller must have verified `avx512f` via `is_x86_feature_detected!`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn ln_surv_solve_avx512<const W: usize, F: LaneFold<W>>(
+    solver: &mut Illinois<W>,
+    ln_neg_target: f64,
+    block_params: &[f64],
+    bu: &[f64],
+    bbv: &[f64],
+    fold: &mut F,
+) {
+    ln_surv_solve_body::<W, F>(solver, ln_neg_target, block_params, bu, bbv, fold);
+}
+
+/// The fleet's lane-parallel lifetime solve, whole-loop fused: runs
+/// `solver` — an [`Illinois`] solve per lane on the Weibull-plot
+/// residual, seeded by the caller from the lanes' bracket-edge
+/// log-survivals through [`weibull_residual`] — to completion, and
+/// returns its probe count. Each probe is one [`ln_surv_tile_fold`]
+/// pass at the lanes' probe ages, its log-survivals turned into
+/// residuals against `ln_neg_target = ln(−ln S*)`. A stopped lane rides
+/// along without moving, so its root depends on its own inputs and `W`
+/// alone. Parameters and per-element math are [`ln_surv_tile_fold`]'s,
+/// and one dispatched call runs the whole solve so its state stays in
+/// registers.
+///
+/// # Panics
+///
+/// Panics if `block_params.len()` is not a multiple of 4 or `bu`/`bbv`
+/// are not exactly `(block_params.len() / 4) · W` long.
+pub fn ln_surv_solve_fold<const W: usize, F: LaneFold<W>>(
+    solver: &mut Illinois<W>,
+    ln_neg_target: f64,
+    block_params: &[f64],
+    bu: &[f64],
+    bbv: &[f64],
+    fold: &mut F,
+) -> u32 {
+    assert_tile_shape::<W>(block_params, bu, bbv);
+    match isa() {
+        Isa::Portable => {
+            ln_surv_solve_body::<W, F>(solver, ln_neg_target, block_params, bu, bbv, fold)
+        }
+        // SAFETY: `isa()` only reports tiers confirmed by runtime CPUID
+        // feature detection on this machine.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe {
+            ln_surv_solve_avx2::<W, F>(solver, ln_neg_target, block_params, bu, bbv, fold)
+        },
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe {
+            ln_surv_solve_avx512::<W, F>(solver, ln_neg_target, block_params, bu, bbv, fold)
+        },
+    }
+    solver.steps()
 }
 
 #[cfg(test)]
@@ -2483,5 +2598,123 @@ mod tests {
         assert_eq!(LaneWidth::parse("fast"), None);
         assert_eq!(LaneWidth::W8.to_string(), "8");
         assert_eq!(LaneWidth::W4.lanes(), 4);
+    }
+
+    /// Runs [`ln_surv_solve_fold`] on a `W`-chip tile and checks each
+    /// active lane's root, bit for bit, against a one-lane Illinois loop
+    /// over that lane's own log-survivals; inactive lanes never move.
+    /// Returns the kernel's probe count.
+    fn check_solve_against_lane_loops<const W: usize, F: LaneFold<W>>(
+        block_params: &[f64],
+        bu: &[f64],
+        bbv: &[f64],
+        target: f64,
+        masked: &[bool; W],
+        fold: &mut F,
+    ) -> u32 {
+        let (lo, hi) = (1e2f64.ln(), 1e16f64.ln());
+        let (tol, c) = (1e-13, (-target).ln());
+        let mut s_lo = [0.0; W];
+        let mut s_hi = [0.0; W];
+        ln_surv_tile_fold::<W, F>(&[lo; W], block_params, bu, bbv, fold, &mut s_lo);
+        ln_surv_tile_fold::<W, F>(&[hi; W], block_params, bu, bbv, fold, &mut s_hi);
+        let mut active = [false; W];
+        let mut censored = 0;
+        for w in 0..W {
+            let in_range = s_lo[w] > target && s_hi[w] <= target;
+            censored += usize::from(!in_range);
+            active[w] = in_range && !masked[w];
+        }
+        assert!(censored >= 2, "the tile must carry censored lanes");
+        let (f_lo, f_hi) = (weibull_residual(&s_lo, c), weibull_residual(&s_hi, c));
+        let mut solver = Illinois::<W>::new([lo; W], f_lo, [hi; W], f_hi, active, tol);
+        let steps = ln_surv_solve_fold::<W, F>(&mut solver, c, block_params, bu, bbv, fold);
+        let root = solver.roots();
+        let mut most = 0;
+        for w in 0..W {
+            if !active[w] {
+                assert_eq!(root[w], 0.5 * (lo + hi), "inactive lane {w}");
+                continue;
+            }
+            // Lane w alone: each probe broadcast to the tile, lane w read
+            // back (a lane's value depends on its own age only).
+            let mut lane = Illinois::<1>::new([lo], [f_lo[w]], [hi], [f_hi[w]], [true], tol);
+            let mut s = [0.0; W];
+            while !lane.done() {
+                let [x] = lane.probe();
+                ln_surv_tile_fold::<W, F>(&[x; W], block_params, bu, bbv, fold, &mut s);
+                lane.update(&[weibull_residual(&s, c)[w]]);
+            }
+            assert_eq!(root[w].to_bits(), lane.roots()[0].to_bits(), "lane {w}");
+            assert!(!lane.nan()[0] && !solver.nan()[w]);
+            most = most.max(lane.steps());
+        }
+        assert_eq!(steps, most, "the tile runs until its slowest lane stops");
+        steps
+    }
+
+    /// A physical tile: three blocks whose hazards grow with age, lane
+    /// slopes spread so that lane 1 has failed at the lower bracket edge
+    /// and lane 2 never reaches the budget (both censored).
+    fn solve_tile<const W: usize>() -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let mut block_params = Vec::new();
+        for (ln_rate, area) in [(-40.0, 5e4), (-38.5, 9e4), (-41.0, 3e4)] {
+            block_params.extend([
+                ln_rate,
+                area,
+                failure_poly_threshold(area),
+                failure_sat_threshold(area),
+            ]);
+        }
+        let n_blocks = block_params.len() / 4;
+        let mut bu = vec![0.0; n_blocks * W];
+        let mut bbv = vec![0.0; n_blocks * W];
+        for j in 0..n_blocks {
+            for w in 0..W {
+                bu[j * W + w] = match w {
+                    1 => 0.2,
+                    2 => 30.0,
+                    _ => 1.3 + 0.11 * w as f64 + 0.05 * j as f64,
+                };
+                bbv[j * W + w] = 0.004 + 0.001 * ((w + j) % 3) as f64;
+            }
+        }
+        (block_params, bu, bbv)
+    }
+
+    #[test]
+    fn fused_lifetime_solve_matches_per_lane_root_finder_loops() {
+        let target = (-1e-6f64).ln_1p();
+        fn run<const W: usize>(target: f64) {
+            let (block_params, bu, bbv) = solve_tile::<W>();
+            // The last lane is masked like a ragged tail's spare lane.
+            let mut masked = [false; W];
+            masked[W - 1] = true;
+            let steps = check_solve_against_lane_loops::<W, _>(
+                &block_params,
+                &bu,
+                &bbv,
+                target,
+                &masked,
+                &mut WeakestLinkFold::<W>::default(),
+            );
+            assert!(
+                (1..=8).contains(&steps),
+                "weakest-link W={W}: {steps} probes"
+            );
+            let layout = GroupLayout::new(vec![0, 0, 0], &[1]);
+            let mut rows = vec![0.0; layout.rows() * W];
+            let steps = check_solve_against_lane_loops::<W, _>(
+                &block_params,
+                &bu,
+                &bbv,
+                target,
+                &masked,
+                &mut GroupFold::<W>::new(&layout, &mut rows),
+            );
+            assert!((1..=8).contains(&steps), "one spare W={W}: {steps} probes");
+        }
+        run::<4>(target);
+        run::<8>(target);
     }
 }

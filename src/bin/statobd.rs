@@ -615,11 +615,13 @@ fn fleet(design: &str, mut flags: Flags) -> Result<(), String> {
         report.threads, report.shards, report.run_s, report.chips_per_s, report.workspaces_created
     );
     println!(
-        "  {}: {} chips/tile, {} lane tile(s), {} masked lane(s) in the last",
+        "  {}: {} chips/tile, {} lane tile(s), {} masked lane(s) in the last, \
+         at most {} lifetime probe(s) per tile",
         report.lanes,
         report.lane_width,
         report.lane_tiles,
-        (report.lane_tiles * report.lane_width).saturating_sub(a.chips)
+        (report.lane_tiles * report.lane_width).saturating_sub(a.chips),
+        report.max_solve_steps
     );
     println!(
         "budget P = {:.1e}: {} chips over budget at mission end ({:.3}%)",

@@ -40,9 +40,12 @@
 //! dimension across chips: each lane still consumes its own
 //! `substream(chip)` in the documented draw order (the sampling stays
 //! per-lane scalar — the polar method is rejection-based), but the
-//! `(u, v)` dot products, the mission-end failure terms and each of the
-//! 52 lifetime-bisection steps run `W` chips at once through the lane
-//! kernels, with per-lane lo/hi selects and censoring masks. Lane-tile
+//! `(u, v)` dot products, the mission-end failure terms and each probe of
+//! the lifetime solve run `W` chips at once through the lane kernels.
+//! The solve is an Illinois root-finder on the Weibull plot
+//! ([`statobd_num::root`]): each lane keeps its own bracket and stops on
+//! its own mask, and censored lanes are never solved. A tile takes about
+//! five probes, where a bisection took 52. Lane-tile
 //! boundaries are absolute multiples of `W` inside the fixed
 //! [`TILE_CHIPS`] work tiles (`TILE_CHIPS % 8 == 0`); the ragged tail at
 //! the fleet end runs as a masked partial tile, whose spare lanes
@@ -51,7 +54,8 @@
 //! never of the shard layout, the fleet size or its tile neighbours: the
 //! bit-identity guarantees above hold per fixed width. `W = 1` runs the
 //! same kernel on the libm expressions (picked at compile time), which
-//! reproduces the historical scalar bits; wider tiles agree with it to
+//! reproduces the scalar oracle of `tests/fleet_consistency.rs` bit for
+//! bit; wider tiles agree with it to
 //! ≤ 1e-12 relative per chip (enforced by `tests/fleet_consistency.rs`).
 //!
 //! The blocks compose into chip failure through a [`LaneFold`]: the
@@ -87,6 +91,7 @@ use statobd_manager::MissionProfile;
 use statobd_num::impl_json_struct;
 use statobd_num::parallel::{resolve_threads, run_indexed};
 use statobd_num::rng::{Rng, Xoshiro256pp};
+use statobd_num::root::Illinois;
 use statobd_num::simd::{self, GroupFold, GroupLayout, LaneFold, LaneWidth, WeakestLinkFold};
 use statobd_num::stats::QuantileSketch;
 use statobd_variation::{FieldSampler, SystematicPattern, ThicknessModel};
@@ -109,9 +114,10 @@ pub const QUANTILE_LEVELS: [f64; 8] = [0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99, 
 /// as censored at the edge.
 pub const LIFE_BRACKET_S: (f64, f64) = (1e2, 1e16);
 
-/// Bisection iterations for the per-chip lifetime solve on `x = ln t`.
-/// 52 halvings of the ~32-wide bracket reach f64 resolution.
-const LIFE_BISECTIONS: u32 = 52;
+/// Bracket tolerance of the per-chip lifetime solve on `x = ln t`: tight
+/// enough that a solve ending on the bracket width still agrees across
+/// lane widths far inside the 1e-12 per-chip gate.
+pub const LIFE_LN_T_TOL: f64 = 1e-13;
 
 /// Log₁₀-seconds layout of the lifetime quantile sketch (0.05 decades per
 /// bin).
@@ -233,15 +239,17 @@ struct CompiledFleet<'a> {
     analysis: &'a ChipAnalysis,
     blocks: Vec<BlockMission>,
     /// Flat `(ln_rate, area, x_small, x_sat)` quad per block — the
-    /// parameter layout of the fused [`simd::ln_surv_tile_sum`]
-    /// bisection kernel, with the regime-screen thresholds precomputed
-    /// once per compile.
+    /// parameter layout of the fused survival kernels
+    /// ([`simd::ln_surv_tile_fold`], [`simd::ln_surv_solve_fold`]), with
+    /// the regime-screen thresholds precomputed once per compile.
     block_params: Vec<f64>,
     base_rng: Xoshiro256pp,
     wafer: SystematicPattern,
     budget: f64,
     /// `ln(1 − budget)`: the log-survival threshold of the lifetime solve.
     ln1p_neg_budget: f64,
+    /// `ln(−ln(1 − budget))`: the same threshold on the Weibull plot.
+    ln_neg_target: f64,
     /// How block failures compose into chip failure — the analysis's own
     /// composition or the [`FleetConfig::spares`] override — as a lane
     /// fold layout; `None` is weakest-link.
@@ -474,6 +482,10 @@ pub struct FleetReport {
     /// Lane tiles evaluated, `⌈chips / lane_width⌉`: the last one is a
     /// masked partial tile when `lane_width` does not divide the fleet.
     pub lane_tiles: u64,
+    /// The most lifetime-solve probes one lane tile took (0 when every
+    /// chip was censored). A tile's count depends only on its chips and
+    /// the width, so this is deterministic at a fixed width.
+    pub max_solve_steps: u64,
     /// Wall time of the evaluation+reduction (seconds).
     pub run_s: f64,
     /// Headline throughput: chips evaluated per second.
@@ -490,6 +502,7 @@ impl_json_struct!(FleetReport {
     lanes,
     lane_width,
     lane_tiles,
+    max_solve_steps,
     run_s,
     chips_per_s,
     workspaces_created,
@@ -557,6 +570,7 @@ fn compile_fleet<'a>(
         wafer: config.wafer,
         budget: config.budget,
         ln1p_neg_budget: (-config.budget).ln_1p(),
+        ln_neg_target: (-(-config.budget).ln_1p()).ln(),
         groups,
     })
 }
@@ -580,9 +594,9 @@ fn update_weakest(j: usize, p: f64, weakest_block: &mut usize, weakest_p: &mut f
 impl CompiledFleet<'_> {
     /// Evaluates the chip range `[chip_lo, chip_hi)` in lane tiles of
     /// `width`, feeding each outcome to `sink` in chip order and
-    /// returning the number of lane tiles evaluated. Callers pass
-    /// work-tile ranges aligned to [`TILE_CHIPS`], so a partial tile
-    /// only ever occurs at the fleet end.
+    /// returning the work done. Callers pass work-tile ranges aligned to
+    /// [`TILE_CHIPS`], so a partial tile only ever occurs at the fleet
+    /// end.
     fn evaluate(
         &self,
         width: LaneWidth,
@@ -590,7 +604,7 @@ impl CompiledFleet<'_> {
         chip_hi: u64,
         ws: &mut Workspace<'_>,
         sink: &mut impl FnMut(ChipOutcome),
-    ) -> u64 {
+    ) -> TileWork {
         match width {
             LaneWidth::W1 => self.evaluate_lanes::<1>(chip_lo, chip_hi, ws, sink),
             LaneWidth::W4 => self.evaluate_lanes::<4>(chip_lo, chip_hi, ws, sink),
@@ -606,7 +620,7 @@ impl CompiledFleet<'_> {
         chip_hi: u64,
         ws: &mut Workspace<'_>,
         sink: &mut impl FnMut(ChipOutcome),
-    ) -> u64 {
+    ) -> TileWork {
         match &self.groups {
             None => {
                 let mut fold = WeakestLinkFold::<W>::default();
@@ -627,32 +641,37 @@ impl CompiledFleet<'_> {
         tile: &mut TileScratch<'_>,
         fold: &mut impl LaneFold<W>,
         sink: &mut impl FnMut(ChipOutcome),
-    ) -> u64 {
-        let mut tiles = 0;
+    ) -> TileWork {
+        let mut work = TileWork::default();
         for chip0 in (chip_lo..chip_hi).step_by(W) {
             // Lanes past `chip_hi` evaluate the chips that follow it and
             // are masked out here.
             let live = (chip_hi - chip0).min(W as u64) as usize;
-            for &outcome in &self.evaluate_tile::<W>(chip0, tile, fold)[..live] {
+            let (outcomes, steps) = self.evaluate_tile::<W>(chip0, tile, fold);
+            for &outcome in &outcomes[..live] {
                 sink(outcome);
             }
-            tiles += 1;
+            work.merge(TileWork {
+                tiles: 1,
+                max_solve_steps: u64::from(steps),
+            });
         }
-        tiles
+        work
     }
 
     /// Evaluates the `W` chips `chip0..chip0 + W` as one lane tile:
     /// per-lane scalar sampling (the substream draw-order contract), then
     /// `(u, v)` dot products, mission-end failure terms composed through
-    /// `fold`, and the lane-parallel masked lifetime bisection across all
-    /// `W` chips at once. Every stage is elementwise per lane, so each
-    /// outcome is a function of its own chip and `W` alone.
+    /// `fold`, and the lane-parallel lifetime solve across all `W` chips
+    /// at once. Every stage is elementwise per lane, so each outcome is a
+    /// function of its own chip and `W` alone. Also returns the probes
+    /// the lifetime solve took.
     fn evaluate_tile<const W: usize>(
         &self,
         chip0: u64,
         ws: &mut TileScratch<'_>,
         fold: &mut impl LaneFold<W>,
-    ) -> [ChipOutcome; W] {
+    ) -> ([ChipOutcome; W], u32) {
         // Draw order is part of the contract (the consistency test
         // replays it): wafer position first, then the principal
         // components. Sampling stays per-lane scalar — the polar method
@@ -709,19 +728,19 @@ impl CompiledFleet<'_> {
         // Budget lifetime under steady mission repetition:
         // γ_j(t) = ln_rate_j + ln t, so on x = ln t the chip log-survival
         // ln S(x) is monotone decreasing (more time never helps any
-        // block); bisect for ln S(x) = ln(1 − budget). Censoring masks
+        // block); solve for ln S(x) = ln(1 − budget). Censoring masks
         // come from the bracket edges: a low-censored lane never reports
         // high censoring.
         let n = self.blocks.len() * W;
         let (bu, bbv) = (&ws.bu[..n], &ws.bbv[..n]);
         let target = self.ln1p_neg_budget;
-        let lo_edge = [LIFE_BRACKET_S.0.ln(); W];
-        let hi_edge = [LIFE_BRACKET_S.1.ln(); W];
-        let mut s = [0.0; W];
-        simd::ln_surv_tile_fold(&lo_edge, &self.block_params, bu, bbv, fold, &mut s);
-        let censored_low = simd::lane_le::<W>(&s, target);
-        simd::ln_surv_tile_fold(&hi_edge, &self.block_params, bu, bbv, fold, &mut s);
-        let reaches_budget = simd::lane_le::<W>(&s, target);
+        let (lo_edge, hi_edge) = (LIFE_BRACKET_S.0.ln(), LIFE_BRACKET_S.1.ln());
+        let mut s_lo = [0.0; W];
+        let mut s_hi = [0.0; W];
+        simd::ln_surv_tile_fold(&[lo_edge; W], &self.block_params, bu, bbv, fold, &mut s_lo);
+        let censored_low = simd::lane_le::<W>(&s_lo, target);
+        simd::ln_surv_tile_fold(&[hi_edge; W], &self.block_params, bu, bbv, fold, &mut s_hi);
+        let reaches_budget = simd::lane_le::<W>(&s_hi, target);
         let mut active = [false; W];
         let mut censored_high = [false; W];
         for w in 0..W {
@@ -729,27 +748,23 @@ impl CompiledFleet<'_> {
             active[w] = !censored_low[w] && !censored_high[w];
         }
 
-        // Lane-parallel masked bisection: every step evaluates ln S for
-        // all W chips at once; per-lane selects move each lane's own
-        // bracket. Censored lanes ride along harmlessly (their bracket
-        // converges somewhere, but the censored edge wins below); if the
-        // whole tile is censored the 52 steps are skipped. The whole
-        // solve is one dispatched kernel call so the brackets stay in
-        // registers across steps — see [`simd::ln_surv_bisect_fold`].
-        let mut lo = lo_edge;
-        let mut hi = hi_edge;
-        if simd::lane_any::<W>(&active) {
-            simd::ln_surv_bisect_fold(
-                &mut lo,
-                &mut hi,
-                target,
-                LIFE_BISECTIONS,
-                &self.block_params,
-                bu,
-                bbv,
-                fold,
-            );
-        }
+        // Lane-parallel Illinois solve on the Weibull plot, seeded by the
+        // edge survivals above: every probe evaluates ln S for all W
+        // chips at once, and each lane stops on its own. Censored lanes
+        // are never solved, so a fully censored tile returns at once.
+        // The whole solve is one dispatched kernel call so its state
+        // stays in registers — see [`simd::ln_surv_solve_fold`].
+        let c = self.ln_neg_target;
+        let mut solver = Illinois::<W>::new(
+            [lo_edge; W],
+            simd::weibull_residual(&s_lo, c),
+            [hi_edge; W],
+            simd::weibull_residual(&s_hi, c),
+            active,
+            LIFE_LN_T_TOL,
+        );
+        let steps = simd::ln_surv_solve_fold(&mut solver, c, &self.block_params, bu, bbv, fold);
+        let (root, nan) = (solver.roots(), solver.nan());
 
         let mut out = [ChipOutcome {
             p_mission: 0.0,
@@ -763,8 +778,10 @@ impl CompiledFleet<'_> {
                 LIFE_BRACKET_S.0
             } else if censored_high[w] {
                 LIFE_BRACKET_S.1
+            } else if nan[w] {
+                f64::NAN
             } else {
-                (0.5 * (lo[w] + hi[w])).exp()
+                root[w].exp()
             };
             out[w] = ChipOutcome {
                 p_mission: -ln_mission[w].exp_m1(),
@@ -774,7 +791,22 @@ impl CompiledFleet<'_> {
                 censored_high: censored_high[w],
             };
         }
-        out
+        (out, steps)
+    }
+}
+
+/// What a run of lane tiles did: the tiles evaluated and the most
+/// lifetime-solve probes one of them took.
+#[derive(Clone, Copy, Debug, Default)]
+struct TileWork {
+    tiles: u64,
+    max_solve_steps: u64,
+}
+
+impl TileWork {
+    fn merge(&mut self, other: TileWork) {
+        self.tiles += other.tiles;
+        self.max_solve_steps = self.max_solve_steps.max(other.max_solve_steps);
     }
 }
 
@@ -803,6 +835,7 @@ pub fn run_fleet(
     let n_blocks = analysis.n_blocks();
     let workspaces_created = AtomicU64::new(0);
     let lane_tiles = AtomicU64::new(0);
+    let max_solve_steps = AtomicU64::new(0);
     // Captured once so every shard runs the same dispatch even if a
     // concurrent force_width lands mid-run.
     let width = simd::active_width();
@@ -813,16 +846,18 @@ pub fn run_fleet(
         let mut ws = Workspace::new(&compiled, width.lanes(), &workspaces_created);
         let tile_lo = n_tiles * s as u64 / shards as u64;
         let tile_hi = n_tiles * (s as u64 + 1) / shards as u64;
-        let mut shard_lane_tiles = 0;
+        let mut work = TileWork::default();
         for tile in tile_lo..tile_hi {
             let chip_lo = tile * TILE_CHIPS;
             let chip_hi = (chip_lo + TILE_CHIPS).min(config.chips);
-            shard_lane_tiles +=
+            work.merge(
                 compiled.evaluate(width, chip_lo, chip_hi, &mut ws, &mut |outcome| {
                     acc.absorb(&outcome, compiled.budget);
-                });
+                }),
+            );
         }
-        lane_tiles.fetch_add(shard_lane_tiles, Ordering::Relaxed);
+        lane_tiles.fetch_add(work.tiles, Ordering::Relaxed);
+        max_solve_steps.fetch_max(work.max_solve_steps, Ordering::Relaxed);
         Ok(acc)
     });
 
@@ -879,6 +914,7 @@ pub fn run_fleet(
         lanes: simd::dispatch_label(),
         lane_width: width.lanes() as u64,
         lane_tiles: lane_tiles.load(Ordering::Relaxed),
+        max_solve_steps: max_solve_steps.load(Ordering::Relaxed),
         run_s,
         chips_per_s: config.chips as f64 / run_s.max(1e-12),
         workspaces_created: workspaces_created.load(Ordering::Relaxed),
@@ -1158,8 +1194,16 @@ mod tests {
             {
                 let mut ws = Workspace::new(&compiled, width.lanes(), &AtomicU64::new(0));
                 let mut seen = 0u64;
-                let tiles = compiled.evaluate(width, 0, 19, &mut ws, &mut |_| seen += 1);
-                assert_eq!(tiles, want_tiles, "{width:?} spares={spares}: lane tiles");
+                let work = compiled.evaluate(width, 0, 19, &mut ws, &mut |_| seen += 1);
+                assert_eq!(
+                    work.tiles, want_tiles,
+                    "{width:?} spares={spares}: lane tiles"
+                );
+                assert!(
+                    (1..=8).contains(&work.max_solve_steps),
+                    "{width:?} spares={spares}: {} lifetime probes in one tile",
+                    work.max_solve_steps
+                );
                 assert_eq!(seen, 19, "every chip reported exactly once");
             }
         }

@@ -69,7 +69,7 @@ pub use artifact::{ArtifactCache, CompiledModel, CACHE_ENV, FORMAT_VERSION};
 pub use error::{Error, Result};
 pub use fleet::{
     chip_outcomes, run_fleet, ChipOutcome, FleetAggregates, FleetConfig, FleetReport,
-    LIFE_BRACKET_S as FLEET_LIFE_BRACKET_S, QUANTILE_LEVELS,
+    LIFE_BRACKET_S as FLEET_LIFE_BRACKET_S, LIFE_LN_T_TOL as FLEET_LIFE_LN_T_TOL, QUANTILE_LEVELS,
 };
 pub use serve::{serve, serve_lines, ServeConfig};
 pub use session::{

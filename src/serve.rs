@@ -21,7 +21,7 @@
 //! | `sweep` | `session`, `t_lo_s`, `t_hi_s`, `points` | `curve` = `[[t, p], ...]` |
 //! | `lifetime` | `session`, `target` | `t_s`, `years` |
 //! | `manage_step` | `session`, `dt_s`, `vdd_v`, `temps_k` *or* `dt_k` | `p_now`, `p_projected`, `level`, `capped`, `vdd_v` |
-//! | `fleet` | `session`, opt. `chips`, `profile`, `seed`, `budget`, `shards` | `aggregates`, `threads`, `shards`, `lanes`, `lane_width`, `lane_tiles`, `run_s`, `chips_per_s`, `workspaces_created` |
+//! | `fleet` | `session`, opt. `chips`, `profile`, `seed`, `budget`, `shards` | `aggregates`, `threads`, `shards`, `lanes`, `lane_width`, `lane_tiles`, `max_solve_steps`, `run_s`, `chips_per_s`, `workspaces_created` |
 //! | `stats` | `session` | `stats`, `lanes` (SIMD lane dispatch label) |
 //! | `close` | `session` | `closed` |
 //! | `shutdown` | — | — (server exits after replying) |

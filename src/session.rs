@@ -41,8 +41,9 @@ use statobd_variation::{GridSpec, ThicknessModelBuilder};
 use std::sync::Arc;
 
 /// The lifetime-solve bracket shared by every session query (seconds):
-/// generous enough for any physical design, tight enough to converge in a
-/// few dozen bisections.
+/// generous enough for any physical design. Its edges are the solve's
+/// first two probes, and the secant steps of [`solve_lifetime`] reach
+/// the root from them in about six more.
 pub const LIFETIME_BRACKET_S: (f64, f64) = (1e4, 1e13);
 
 /// The most points one [`Session::sweep`] evaluates: far beyond any

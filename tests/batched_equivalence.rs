@@ -5,9 +5,9 @@
 //! **bit-identical** to its one-point call — at any worker-thread count,
 //! whatever the chunking, lane packing or fan-out of the rest of the
 //! sweep (st_fast even takes a different lane layout for a batch of one).
-//! This is the contract that lets `solve_lifetime`, `failure_rate_curve`
-//! and the benchmarks batch their probes without changing a single
-//! reported number.
+//! This is the contract that lets `failure_rate_curve` and the benchmarks
+//! batch their probes, and `solve_lifetime` probe one point per call,
+//! without changing a single reported number.
 
 use statobd::circuits::{build_design, Benchmark, DesignConfig};
 use statobd::core::{build_engine, ChipAnalysis, EngineKind, EngineSpec, MonteCarloConfig};

@@ -8,7 +8,7 @@
 use statobd::circuits::{build_design, Benchmark, DesignConfig};
 use statobd::core::{
     build_engine, solve_lifetime, ChipAnalysis, Composition, EngineKind, EngineSpec,
-    MonteCarloConfig, RedundancyGroup, StFast,
+    MonteCarloConfig, RedundancyGroup, ReliabilityEngine, Result, StFast, StMcConfig,
 };
 use statobd::device::ClosedFormTech;
 use statobd::variation::{CorrelationKernel, ThicknessModelBuilder, VarianceBudget};
@@ -75,6 +75,92 @@ fn st_fast_st_closed_and_monte_carlo_agree_on_c1() {
         "st_fast vs MC: {t_fast:e} vs {t_mc:e} ({:.1} %)",
         100.0 * mc_err
     );
+}
+
+/// An engine wrapper counting the calls a solve makes and the widest
+/// one.
+struct Counting<'e> {
+    inner: &'e mut dyn ReliabilityEngine,
+    calls: usize,
+    widest: usize,
+}
+
+impl ReliabilityEngine for Counting<'_> {
+    fn name(&self) -> &str {
+        "counting"
+    }
+    fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
+        self.calls += 1;
+        self.widest = self.widest.max(ts.len());
+        self.inner.failure_probabilities(ts)
+    }
+}
+
+/// `P(t) = target` by 200 bisection steps on `ln t` (stopping early once
+/// the midpoint no longer splits the bracket): the reference the
+/// lifetime solver is checked against.
+fn bisect_lifetime(engine: &mut dyn ReliabilityEngine, target: f64, bracket: (f64, f64)) -> f64 {
+    let (mut lo, mut hi) = (bracket.0.ln(), bracket.1.ln());
+    for _ in 0..200 {
+        let mid = 0.5 * (lo + hi);
+        if !(lo < mid && mid < hi) {
+            break;
+        }
+        if engine.failure_probability(mid.exp()).expect("P(t)") >= target {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    (0.5 * (lo + hi)).exp()
+}
+
+/// Every engine kind solves its 1 and 10 ppm lifetimes on C1 and C3 in at
+/// most 8 one-point calls, landing within 1e-10 relative of a 200-step
+/// bisection of the same engine.
+#[test]
+fn lifetime_solves_take_at_most_8_one_point_calls_on_every_engine() {
+    let bracket = statobd::LIFETIME_BRACKET_S;
+    for benchmark in [Benchmark::C1, Benchmark::C3] {
+        let analysis = bench_analysis(benchmark);
+        for kind in EngineKind::ALL {
+            // Small sampled engines: the solver sees the same smooth
+            // ensemble curve at any sample count.
+            let spec = match kind {
+                EngineKind::StMc => EngineSpec::StMc(StMcConfig {
+                    n_samples: 2000,
+                    ..StMcConfig::default()
+                }),
+                EngineKind::MonteCarlo => EngineSpec::MonteCarlo(MonteCarloConfig {
+                    n_chips: 50,
+                    ..MonteCarloConfig::default()
+                }),
+                _ => kind.default_spec(),
+            };
+            let mut engine = build_engine(&analysis, &spec).expect("engine");
+            for target in [1e-6, 1e-5] {
+                let mut counting = Counting {
+                    inner: engine.as_mut(),
+                    calls: 0,
+                    widest: 0,
+                };
+                let t = solve_lifetime(&mut counting, target, bracket).expect("lifetime");
+                let (calls, widest) = (counting.calls, counting.widest);
+                let what = format!("{benchmark:?} {kind} at {target:e}");
+                assert!(
+                    calls <= 8 && widest == 1,
+                    "{what}: {calls} calls, up to {widest} points each"
+                );
+                let exact = bisect_lifetime(engine.as_mut(), target, bracket);
+                let rel = ((t - exact) / exact).abs();
+                assert!(
+                    rel <= 1e-10,
+                    "{what}: {t:e} vs bisection {exact:e} ({rel:.2e})"
+                );
+                eprintln!("{what}: {calls} calls, {rel:.1e} from bisection");
+            }
+        }
+    }
 }
 
 /// The scoped-thread Monte-Carlo fan-out uses per-chip counter-based RNG

@@ -13,10 +13,12 @@ use statobd::device::{ClosedFormTech, ObdTechnology};
 use statobd::manager::MissionProfile;
 use statobd::num::json;
 use statobd::num::rng::{Rng, Xoshiro256pp};
+use statobd::num::root::Illinois;
 use statobd::num::simd::{self, LaneWidth};
 use statobd::variation::FieldSampler;
 use statobd::{
-    chip_outcomes, run_fleet, AnalysisSpec, ChipOutcome, FleetConfig, Session, FLEET_LIFE_BRACKET_S,
+    chip_outcomes, run_fleet, AnalysisSpec, ChipOutcome, FleetConfig, Session,
+    FLEET_LIFE_BRACKET_S, FLEET_LIFE_LN_T_TOL,
 };
 use std::sync::{Mutex, MutexGuard};
 
@@ -125,12 +127,12 @@ struct RefBlock {
     area: f64,
 }
 
-/// Bisection steps of the fleet's lifetime solve.
-const LIFE_BISECTIONS: u32 = 52;
-
 /// The scalar fleet evaluator that preceded the lane-tiled kernel,
-/// moved verbatim onto public APIs: the oracle every width and
-/// composition is checked against.
+/// moved onto public APIs: the oracle every width and composition is
+/// checked against. Its lifetime step runs the public Illinois
+/// root-finder at one lane on the oracle's own libm ln S (see
+/// [`ScalarOracle::solve_lifetime`]), and a 200-step bisection of the
+/// same ln S checks that solve.
 struct ScalarOracle<'a> {
     session: &'a Session,
     blocks: Vec<RefBlock>,
@@ -188,6 +190,43 @@ impl<'a> ScalarOracle<'a> {
         }
     }
 
+    /// The budget lifetime `x = ln t` of a chip whose ln S straddles
+    /// `target` on `(lo, hi)`: the Illinois solve on the Weibull-plot
+    /// residual `ln(−ln S) − ln(−target)`, at the fleet's tolerance.
+    fn solve_lifetime(&self, lo: f64, hi: f64, target: f64, bu: &[f64], bbv: &[f64]) -> f64 {
+        let residual = |s: f64| (-s).ln() - (-target).ln();
+        let (s_lo, s_hi) = (self.ln_survival(lo, bu, bbv), self.ln_survival(hi, bu, bbv));
+        let mut solver = Illinois::<1>::new(
+            [lo],
+            [residual(s_lo)],
+            [hi],
+            [residual(s_hi)],
+            [true],
+            FLEET_LIFE_LN_T_TOL,
+        );
+        while !solver.done() {
+            let [x] = solver.probe();
+            solver.update(&[residual(self.ln_survival(x, bu, bbv))]);
+        }
+        solver.roots()[0]
+    }
+
+    /// The reference the root-finder is checked against: 200 bisection
+    /// steps of `ln S(x) ≤ target` on `(lo, hi)`, far past f64
+    /// resolution.
+    fn bisect_lifetime(&self, lo: f64, hi: f64, target: f64, bu: &[f64], bbv: &[f64]) -> f64 {
+        let (mut lo, mut hi) = (lo, hi);
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if self.ln_survival(mid, bu, bbv) <= target {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
     /// The chip log-survival at log-age `x = ln t` under steady mission
     /// repetition, composed through the chip's composition.
     fn ln_survival(&self, x: f64, bu: &[f64], bbv: &[f64]) -> f64 {
@@ -238,10 +277,10 @@ impl<'a> ScalarOracle<'a> {
         }
         let p_mission = chip_acc.failure_probability();
 
-        // Budget lifetime: bisect ln S(x) = ln(1 − budget) on x = ln t.
+        // Budget lifetime: solve ln S(x) = ln(1 − budget) on x = ln t.
         let target = (-self.config.budget).ln_1p();
         let ln_surv = |x: f64| self.ln_survival(x, &bu, &bbv);
-        let (mut lo, mut hi) = (FLEET_LIFE_BRACKET_S.0.ln(), FLEET_LIFE_BRACKET_S.1.ln());
+        let (lo, hi) = (FLEET_LIFE_BRACKET_S.0.ln(), FLEET_LIFE_BRACKET_S.1.ln());
         let mut censored_low = false;
         let mut censored_high = false;
         let lifetime_s = if ln_surv(lo) <= target {
@@ -251,15 +290,7 @@ impl<'a> ScalarOracle<'a> {
             censored_high = true;
             FLEET_LIFE_BRACKET_S.1
         } else {
-            for _ in 0..LIFE_BISECTIONS {
-                let mid = 0.5 * (lo + hi);
-                if ln_surv(mid) <= target {
-                    hi = mid;
-                } else {
-                    lo = mid;
-                }
-            }
-            (0.5 * (lo + hi)).exp()
+            self.solve_lifetime(lo, hi, target, &bu, &bbv).exp()
         };
         OracleChip {
             outcome: ChipOutcome {
@@ -407,6 +438,63 @@ fn width_1_outcomes_are_bit_identical_to_the_scalar_oracle() {
                 "{what} chip {chip}: {got:?} vs {want:?}"
             );
             assert_eq!(got, &want, "{what} chip {chip}");
+        }
+    }
+}
+
+/// The oracle's root-finder lands on the root: every uncensored oracle
+/// lifetime is within 1e-12 relative of a 200-step bisection of the same
+/// ln S, for weakest-link, a uniform spare and two groups.
+#[test]
+fn oracle_lifetimes_match_a_200_step_bisection() {
+    let (plain, grouped) = (session(), two_group_session());
+    let (lo, hi) = (FLEET_LIFE_BRACKET_S.0.ln(), FLEET_LIFE_BRACKET_S.1.ln());
+    for (what, session, config) in [
+        ("weakest-link", &plain, config(37)),
+        ("spares", &plain, spares_config(37)),
+        ("two groups", &grouped, config(37)),
+    ] {
+        let oracle = ScalarOracle::new(session, &config);
+        let target = (-config.budget).ln_1p();
+        let mut solved = 0;
+        for chip in 0..37 {
+            let c = oracle.evaluate_chip(chip);
+            if c.outcome.censored_low || c.outcome.censored_high {
+                continue;
+            }
+            let exact = oracle.bisect_lifetime(lo, hi, target, &c.bu, &c.bbv).exp();
+            let rel = ((c.outcome.lifetime_s - exact) / exact).abs();
+            assert!(
+                rel <= 1e-12,
+                "{what} chip {chip}: lifetime {} vs bisection {exact} (rel {rel:.3e})",
+                c.outcome.lifetime_s
+            );
+            solved += 1;
+        }
+        assert!(solved > 0, "{what}: no uncensored chip to check");
+    }
+}
+
+/// Every lane tile of the test fleets solves its lifetimes in at most 8
+/// probes of the chip log-survival, at every width and composition.
+#[test]
+fn lifetime_solves_take_at_most_8_probes_per_tile() {
+    let tech = ClosedFormTech::nominal_45nm();
+    let (plain, grouped) = (session(), two_group_session());
+    let guard = ForcedWidth::new(LaneWidth::W1);
+    for w in WIDTHS {
+        guard.set(w);
+        for (what, session, config) in [
+            ("weakest-link", &plain, config(300)),
+            ("spares", &plain, spares_config(300)),
+            ("two groups", &grouped, config(300)),
+        ] {
+            let report = run_fleet(session.analysis(), &tech, &config).unwrap();
+            assert!(
+                (1..=8).contains(&report.max_solve_steps),
+                "{w:?} {what}: {} probes in one tile",
+                report.max_solve_steps
+            );
         }
     }
 }
