@@ -1,9 +1,8 @@
 //! Thermal linear-algebra benchmark: times the steady-state solve, the
-//! leakage fixed point (warm vs cold start) and the transient stepper
-//! with both linear solvers (IC(0)-PCG, the reference, and MGCG) on the
-//! Alpha EV6 reference profile, and emits machine-readable
-//! `BENCH_thermal.json` so the repo accumulates a perf trajectory for the
-//! thermal fast path.
+//! leakage fixed point (warm vs cold start) and the transient stepper,
+//! all on multigrid-preconditioned CG (MGCG), on the Alpha EV6 reference
+//! profile, and emits machine-readable `BENCH_thermal.json` so the repo
+//! accumulates a perf trajectory for the thermal fast path.
 //!
 //! ```text
 //! cargo run --release -p statobd-bench --bin thermal -- \
@@ -11,42 +10,40 @@
 //!     [--threads 1]
 //! ```
 //!
-//! Row kinds:
+//! Row kinds, one of each per grid:
 //!
 //! * `steady` — one linear solve (leakage folded into fixed dynamic
-//!   power), both solvers at every grid: the MGCG-vs-IC(0) speedup
-//!   headline.
+//!   power).
 //! * `leakage_warm` / `leakage_cold` — the full leakage–temperature fixed
 //!   point with warm starting on and off; the CG-iteration totals show
 //!   what warm starting buys.
-//! * `transient` — a 3·τ_v backward-Euler run with the auto-dispatched
-//!   solver: one operator + preconditioner build amortized over all steps.
+//! * `transient` — a 3·τ_v backward-Euler run: one operator +
+//!   preconditioner build amortized over all steps.
 //!
-//! Every solved temperature field is checked against the grid's first
-//! IC(0) map of the same problem, steady or leakage (block mean and max
-//! within 1e-6 K); the run exits non-zero on mismatch. Defaults measure
-//! the algorithmic win at `--threads 1`.
+//! Gate: at every grid the warm and cold fixed points agree on every
+//! block's mean and max temperature within 1e-6 K; the run exits non-zero
+//! otherwise. (The solver itself is checked against a dense Cholesky
+//! solve by the thermal crate's tests.) Defaults measure at
+//! `--threads 1`.
 
 use statobd_bench::harness::Cli;
 use statobd_num::flags::{at_least, list};
 use statobd_num::impl_json_struct;
 use statobd_thermal::{
     alpha_ev6_floorplan, alpha_ev6_power, BlockPower, Floorplan, PowerModel, TemperatureMap,
-    ThermalConfig, ThermalSolver, ThermalSolverKind,
+    ThermalConfig, ThermalSolver,
 };
 
 /// Consistency tolerance (K) on block mean/max temperatures.
 const AGREE_TOL_K: f64 = 1e-6;
 
-/// One measurement: a (grid, kind, solver) cell.
+/// One measurement: a (grid, kind) cell.
 #[derive(Debug, Clone)]
 struct ThermalRow {
     grid_side: usize,
     n_cells: usize,
     /// `steady`, `leakage_warm`, `leakage_cold` or `transient`.
     kind: String,
-    /// Resolved solver name (`auto` never appears).
-    solver: String,
     /// Conductance assembly + power rasterization seconds.
     assembly_s: f64,
     /// Preconditioner build seconds.
@@ -61,11 +58,9 @@ struct ThermalRow {
     total_cg_iters: usize,
     /// Relative residual of the final CG solve (0 for transient rows).
     final_residual: f64,
-    /// IC(0)-PCG total at the same (grid, kind) divided by this total (0
-    /// for the IC(0) rows themselves and for transient rows).
-    speedup_vs_ic0: f64,
-    /// Whether block temperatures match the grid's reference map (the run
-    /// aborts non-zero if any is false).
+    /// For `leakage_cold`: whether its block temperatures match the warm
+    /// fixed point's (the run exits non-zero if any is false); true on
+    /// the other rows.
     consistent: bool,
 }
 
@@ -73,7 +68,6 @@ impl_json_struct!(ThermalRow {
     grid_side,
     n_cells,
     kind,
-    solver,
     assembly_s,
     precond_s,
     solve_s,
@@ -81,7 +75,6 @@ impl_json_struct!(ThermalRow {
     outer_iters,
     total_cg_iters,
     final_residual,
-    speedup_vs_ic0,
     consistent
 });
 
@@ -110,18 +103,17 @@ fn zero_leakage(pm: &PowerModel) -> PowerModel {
     out
 }
 
-fn config(side: usize, solver: ThermalSolverKind, warm_start: bool) -> ThermalConfig {
+fn config(side: usize, warm_start: bool) -> ThermalConfig {
     ThermalConfig {
         nx: side,
         ny: side,
-        solver,
         warm_start,
         ..ThermalConfig::default()
     }
 }
 
 /// Block mean and max temperatures, the quantities the reliability model
-/// consumes — the consistency contract between solver variants.
+/// consumes — the consistency contract between warm and cold starts.
 fn block_temps(map: &TemperatureMap, fp: &Floorplan) -> Vec<f64> {
     fp.blocks()
         .iter()
@@ -136,20 +128,17 @@ fn agrees(a: &[f64], b: &[f64]) -> bool {
     a.iter().zip(b).all(|(x, y)| (x - y).abs() < AGREE_TOL_K)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn print_row(row: &ThermalRow) {
     println!(
-        "  {:<13} {:<11} outer {:>3}  cg {:>6}  asm {:>7.4}s  pre {:>7.4}s  \
-         solve {:>8.4}s  total {:>8.4}s  {:>6.1}x  {}",
+        "  {:<13} outer {:>3}  cg {:>6}  asm {:>7.4}s  pre {:>7.4}s  \
+         solve {:>8.4}s  total {:>8.4}s  {}",
         row.kind,
-        row.solver,
         row.outer_iters,
         row.total_cg_iters,
         row.assembly_s,
         row.precond_s,
         row.solve_s,
         row.total_s,
-        row.speedup_vs_ic0,
         if row.consistent { "ok" } else { "MISMATCH" }
     );
 }
@@ -169,71 +158,51 @@ fn main() {
     let fp = alpha_ev6_floorplan().expect("floorplan");
     let pm = alpha_ev6_power().expect("power");
     let pm_steady = zero_leakage(&pm);
-    let solvers = [ThermalSolverKind::Ic0Pcg, ThermalSolverKind::Mgcg];
 
     let mut rows: Vec<ThermalRow> = Vec::new();
     for &side in &grids {
         println!("grid {side}x{side} ({} cells):", side * side);
-        let mut reference: Option<Vec<f64>> = None;
-        let mut leakage_reference: Option<Vec<f64>> = None;
-        let baseline = |rows: &[ThermalRow], kind: &str| {
-            rows.iter()
-                .find(|r| r.grid_side == side && r.kind == kind && r.solver == "ic0_pcg")
-                .map(|r| r.total_s)
-        };
-
-        for &solver in &solvers {
-            // Steady: one linear solve, the headline comparison; then the
-            // leakage fixed point, warm vs cold.
-            for (kind, warm) in [
-                ("steady", true),
-                ("leakage_warm", true),
-                ("leakage_cold", false),
-            ] {
-                let (power, reference) = if kind == "steady" {
-                    (&pm_steady, &mut reference)
-                } else {
-                    (&pm, &mut leakage_reference)
-                };
-                let t0 = std::time::Instant::now();
-                let map = ThermalSolver::new(config(side, solver, warm))
-                    .solve(&fp, power)
-                    .expect("thermal solve");
-                let total_s = t0.elapsed().as_secs_f64();
-                let temps = block_temps(&map, &fp);
-                let consistent = reference.as_ref().is_none_or(|r| agrees(&temps, r));
-                gates.check(consistent, || {
-                    format!(
-                        "{side}x{side} {kind} {}: block temperatures diverged from the reference",
-                        solver.name()
-                    )
-                });
-                reference.get_or_insert(temps);
-                let b = map.breakdown();
-                let row = ThermalRow {
-                    grid_side: side,
-                    n_cells: side * side,
-                    kind: kind.to_string(),
-                    solver: b.solver.clone(),
-                    assembly_s: b.assembly_s,
-                    precond_s: b.precond_s,
-                    solve_s: b.solve_s,
-                    total_s,
-                    outer_iters: map.leakage_iterations(),
-                    total_cg_iters: map.total_cg_iterations(),
-                    final_residual: map.final_residual(),
-                    speedup_vs_ic0: baseline(&rows, kind)
-                        .map(|b| b / total_s.max(1e-12))
-                        .unwrap_or(0.0),
-                    consistent,
-                };
-                print_row(&row);
-                rows.push(row);
+        // Steady: one linear solve; then the leakage fixed point, warm vs
+        // cold.
+        let mut warm_temps = Vec::new();
+        for (kind, power, warm) in [
+            ("steady", &pm_steady, true),
+            ("leakage_warm", &pm, true),
+            ("leakage_cold", &pm, false),
+        ] {
+            let t0 = std::time::Instant::now();
+            let map = ThermalSolver::new(config(side, warm))
+                .solve(&fp, power)
+                .expect("thermal solve");
+            let total_s = t0.elapsed().as_secs_f64();
+            let temps = block_temps(&map, &fp);
+            let consistent = kind != "leakage_cold" || agrees(&temps, &warm_temps);
+            gates.check(consistent, || {
+                format!("{side}x{side}: cold-start block temperatures diverged from warm-start")
+            });
+            if kind == "leakage_warm" {
+                warm_temps = temps;
             }
+            let b = map.breakdown();
+            let row = ThermalRow {
+                grid_side: side,
+                n_cells: side * side,
+                kind: kind.to_string(),
+                assembly_s: b.assembly_s,
+                precond_s: b.precond_s,
+                solve_s: b.solve_s,
+                total_s,
+                outer_iters: map.leakage_iterations(),
+                total_cg_iters: map.total_cg_iterations(),
+                final_residual: map.final_residual(),
+                consistent,
+            };
+            print_row(&row);
+            rows.push(row);
         }
 
-        // Transient: auto-dispatched solver, 3 vertical time constants.
-        let cfg = config(side, ThermalSolverKind::Auto, true);
+        // Transient: 3 vertical time constants.
+        let cfg = config(side, true);
         let tau_v = cfg.r_package * cfg.c_volumetric * cfg.die_thickness;
         let t0 = std::time::Instant::now();
         let result = ThermalSolver::new(cfg)
@@ -246,7 +215,6 @@ fn main() {
             grid_side: side,
             n_cells: side * side,
             kind: "transient".to_string(),
-            solver: s.solver.clone(),
             assembly_s: s.assembly_s,
             precond_s: s.precond_s,
             solve_s: s.solve_s,
@@ -254,7 +222,6 @@ fn main() {
             outer_iters: s.steps,
             total_cg_iters: s.total_cg_iterations,
             final_residual: 0.0,
-            speedup_vs_ic0: 0.0,
             consistent: true,
         };
         print_row(&row);

@@ -8,9 +8,9 @@
 //!   QL for full spectra, blocked Lanczos for truncated ones — plus a
 //!   Cholesky factorization),
 //! * sparse matrices and a preconditioned conjugate-gradient solver with a
-//!   pluggable [`cg::Preconditioner`] — zero-fill incomplete Cholesky
-//!   ([`precond::Ic0`]) and a geometric-multigrid V-cycle
-//!   ([`multigrid::Multigrid`]) — used by the thermal simulator,
+//!   pluggable [`cg::Preconditioner`], preconditioned for the thermal
+//!   simulator by a geometric-multigrid V-cycle
+//!   ([`multigrid::Multigrid`], MGCG),
 //! * special functions (`erf`, `ln_gamma`, regularized incomplete gamma),
 //! * probability distributions (normal, gamma/χ²) with PDFs, CDFs,
 //!   quantiles and sampling,
@@ -67,7 +67,6 @@ pub mod lanczos;
 pub mod matrix;
 pub mod multigrid;
 pub mod parallel;
-pub mod precond;
 pub mod quad;
 pub mod quadform;
 pub mod rng;

@@ -14,7 +14,9 @@
 //!
 //! The symmetric smoothing makes one V-cycle an SPD linear operator, so the
 //! cycle serves as a CG preconditioner ([`Preconditioner`] impl): the
-//! configuration ("MGCG") the thermal solver dispatches to on large grids.
+//! configuration ("MGCG") behind every thermal solve, at every grid size.
+//! A grid of at most `coarse_max_cells` cells has no fine level, so there
+//! the V-cycle is the exact dense solve and MGCG converges in one step.
 
 use crate::cg::Preconditioner;
 use crate::cholesky::Cholesky;
@@ -282,10 +284,6 @@ impl Preconditioner for Multigrid {
         // A single-level hierarchy makes the V-cycle the exact coarse solve.
         z.fill(0.0);
         self.v_cycle(r, z);
-    }
-
-    fn name(&self) -> &'static str {
-        "multigrid"
     }
 }
 

@@ -184,8 +184,8 @@ impl CsrMatrix {
         }
     }
 
-    /// Returns the diagonal entries (zero where absent) — used as a Jacobi
-    /// preconditioner by the CG solver.
+    /// Returns the diagonal entries (zero where absent) — the damped-Jacobi
+    /// smoother of the multigrid V-cycle.
     pub fn diagonal(&self) -> Vec<f64> {
         let mut d = vec![0.0; self.nrows.min(self.ncols)];
         for i in 0..d.len() {
@@ -197,16 +197,6 @@ impl CsrMatrix {
             }
         }
         d
-    }
-
-    /// The column indices and values of row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= nrows`.
-    pub fn row(&self, i: usize) -> (&[usize], &[f64]) {
-        let (start, end) = (self.row_ptr[i], self.row_ptr[i + 1]);
-        (&self.col_idx[start..end], &self.values[start..end])
     }
 
     /// The transpose `Aᵀ` (column indices within each row stay sorted).

@@ -11,10 +11,8 @@
 //! 3. a [`ThermalSolver`] that discretizes the die into a grid of thermal
 //!    cells with lateral silicon conductances and a vertical
 //!    package-to-ambient path, and solves the steady state with
-//!    preconditioned conjugate gradients — `IC(0)` on small and medium
-//!    grids, multigrid-preconditioned CG on large ones, chosen by
-//!    [`ThermalSolverKind`] — iterating the warm-started
-//!    leakage–temperature fixed point,
+//!    multigrid-preconditioned conjugate gradients (MGCG), iterating the
+//!    warm-started leakage–temperature fixed point,
 //! 4. a [`TemperatureMap`] from which per-block worst-case/mean
 //!    temperatures are extracted for the reliability model.
 //!
@@ -54,9 +52,7 @@ mod transient;
 pub use floorplan::{Block, Floorplan, Rect};
 pub use power::{dynamic_power, BlockPower, PowerModel, LEAKAGE_REF_K};
 pub use profiles::{alpha_ev6_floorplan, alpha_ev6_power, many_core_floorplan, many_core_power};
-pub use solver::{
-    BlockTempStats, SolveBreakdown, TemperatureMap, ThermalConfig, ThermalSolver, ThermalSolverKind,
-};
+pub use solver::{BlockTempStats, SolveBreakdown, TemperatureMap, ThermalConfig, ThermalSolver};
 pub use transient::{TransientResult, TransientStats};
 
 use statobd_num::NumError;

@@ -15,116 +15,17 @@
 //! fixed point to convergence, warm-starting each linear solve from the
 //! previous temperature field.
 //!
-//! The linear solver ([`ThermalSolverKind`]) is zero-fill incomplete
-//! Cholesky (`IC(0)`) PCG for small/medium grids and multigrid-
-//! preconditioned CG (MGCG) — whose iteration count does not grow with
-//! resolution — for large ones. [`ThermalSolverKind::Auto`] picks by grid
-//! size, mirroring the spectral pipeline's `SpectralOptions` dispatch.
+//! The linear solver is multigrid-preconditioned CG (MGCG,
+//! [`Multigrid`]): its iteration count does not grow with resolution, and
+//! a grid of at most 64 cells is one exact coarse solve.
 
 use crate::floorplan::{Floorplan, Rect};
 use crate::power::PowerModel;
 use crate::{Result, ThermalError};
-use statobd_num::cg::{solve_pcg, CgOptions, Preconditioner};
+use statobd_num::cg::{solve_pcg, CgOptions};
 use statobd_num::impl_json_struct;
-use statobd_num::json::{FromJson, Json, JsonError, ToJson};
 use statobd_num::multigrid::{Multigrid, MultigridOptions};
-use statobd_num::precond::Ic0;
 use statobd_num::sparse::{CooMatrix, CsrMatrix};
-
-/// Which preconditioned CG variant backs the thermal solve.
-///
-/// Both variants produce the same temperature field to solver tolerance;
-/// they differ only in cost. `Auto` dispatches by grid size the way the
-/// spectral pipeline's `SpectralOptions` dispatches eigensolvers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThermalSolverKind {
-    /// Choose by grid size: MGCG from
-    /// [`ThermalSolverKind::MGCG_MIN_CELLS`] cells upward, `IC(0)`-PCG
-    /// below.
-    Auto,
-    /// Zero-fill incomplete-Cholesky preconditioned CG.
-    Ic0Pcg,
-    /// Geometric-multigrid V-cycle preconditioned CG.
-    Mgcg,
-}
-
-impl ThermalSolverKind {
-    /// Grid size (cells) from which `Auto` dispatches to MGCG: below this
-    /// the `IC(0)` factorization's cheap setup wins, above it the
-    /// resolution-independent multigrid iteration count does (measured
-    /// crossover on the alpha profile, see `BENCH_thermal.json`).
-    pub const MGCG_MIN_CELLS: usize = 64 * 64;
-
-    /// Every kind, in the order error messages list their names.
-    pub const ALL: [ThermalSolverKind; 3] = [
-        ThermalSolverKind::Auto,
-        ThermalSolverKind::Ic0Pcg,
-        ThermalSolverKind::Mgcg,
-    ];
-
-    /// Stable lower-case name for logs, stats and benchmark reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ThermalSolverKind::Auto => "auto",
-            ThermalSolverKind::Ic0Pcg => "ic0_pcg",
-            ThermalSolverKind::Mgcg => "mgcg",
-        }
-    }
-
-    /// The accepted names, comma-separated, for error messages.
-    pub fn expected() -> String {
-        Self::ALL.map(Self::name).join(", ")
-    }
-
-    /// Parses a solver name (accepting a few aliases).
-    pub fn parse(name: &str) -> Option<Self> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(ThermalSolverKind::Auto),
-            "ic0_pcg" | "ic0" => Some(ThermalSolverKind::Ic0Pcg),
-            "mgcg" | "multigrid" => Some(ThermalSolverKind::Mgcg),
-            _ => None,
-        }
-    }
-
-    /// Resolves `Auto` for a grid of `n_cells`; concrete kinds map to
-    /// themselves.
-    pub fn resolve(self, n_cells: usize) -> Self {
-        match self {
-            ThermalSolverKind::Auto => {
-                if n_cells >= Self::MGCG_MIN_CELLS {
-                    ThermalSolverKind::Mgcg
-                } else {
-                    ThermalSolverKind::Ic0Pcg
-                }
-            }
-            kind => kind,
-        }
-    }
-}
-
-impl ToJson for ThermalSolverKind {
-    fn to_json(&self) -> Json {
-        Json::String(self.name().to_string())
-    }
-}
-
-impl FromJson for ThermalSolverKind {
-    fn from_json(v: &Json) -> statobd_num::json::Result<Self> {
-        let name = v
-            .as_str()
-            .ok_or_else(|| JsonError::new(format!("expected a solver name string, got {v}")))?;
-        ThermalSolverKind::parse(name).ok_or_else(|| {
-            JsonError::new(format!(
-                "unknown thermal solver {name:?} (expected {})",
-                ThermalSolverKind::expected()
-            ))
-        })
-    }
-
-    fn from_missing() -> Option<Self> {
-        Some(ThermalSolverKind::Auto)
-    }
-}
 
 /// Physical and numerical configuration of the thermal solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -160,9 +61,6 @@ pub struct ThermalConfig {
     /// Volumetric heat capacity of silicon (J/(m³·K)) — used only by the
     /// transient solver.
     pub c_volumetric: f64,
-    /// Linear-solver variant ([`ThermalSolverKind::Auto`] dispatches by
-    /// grid size).
-    pub solver: ThermalSolverKind,
     /// Relative residual tolerance of each CG solve.
     pub cg_rel_tol: f64,
     /// Iteration cap of each CG solve.
@@ -185,7 +83,6 @@ impl_json_struct!(ThermalConfig {
     max_leakage_iters,
     leakage_tol_k,
     c_volumetric,
-    solver,
     cg_rel_tol,
     cg_max_iter,
     warm_start,
@@ -206,7 +103,6 @@ impl Default for ThermalConfig {
             max_leakage_iters: 25,
             leakage_tol_k: 1e-3,
             c_volumetric: 1.63e6,
-            solver: ThermalSolverKind::Auto,
             cg_rel_tol: 1e-9,
             cg_max_iter: 50_000,
             warm_start: true,
@@ -380,45 +276,13 @@ pub(crate) fn rasterize_power(
     (dyn_cell, leak_cell_ref)
 }
 
-/// A built preconditioner, dispatched from a resolved
-/// [`ThermalSolverKind`] and reused across every solve on the same
-/// operator (all leakage iterations, all transient steps).
-#[derive(Debug)]
-pub(crate) enum BuiltPreconditioner {
-    /// Zero-fill incomplete Cholesky.
-    Ic0(Ic0),
-    /// Geometric-multigrid V-cycle (MGCG).
-    Multigrid(Box<Multigrid>),
-}
-
-impl BuiltPreconditioner {
-    /// Builds the preconditioner `kind` (must be resolved, not `Auto`)
-    /// for the operator `a` on an `nx × ny` grid.
-    pub(crate) fn build(
-        kind: ThermalSolverKind,
-        a: &CsrMatrix,
-        nx: usize,
-        ny: usize,
-    ) -> Result<Self> {
-        let fail = |e: statobd_num::NumError| ThermalError::SolveFailed {
-            detail: format!("building {} preconditioner: {e}", kind.name()),
-        };
-        Ok(match kind.resolve(nx * ny) {
-            ThermalSolverKind::Auto => unreachable!("resolve never returns Auto"),
-            ThermalSolverKind::Ic0Pcg => BuiltPreconditioner::Ic0(Ic0::new(a).map_err(fail)?),
-            ThermalSolverKind::Mgcg => BuiltPreconditioner::Multigrid(Box::new(
-                Multigrid::new(a, nx, ny, &MultigridOptions::default()).map_err(fail)?,
-            )),
-        })
-    }
-
-    /// The trait object the CG solver consumes.
-    pub(crate) fn as_dyn(&self) -> &dyn Preconditioner {
-        match self {
-            BuiltPreconditioner::Ic0(m) => m,
-            BuiltPreconditioner::Multigrid(m) => m.as_ref(),
-        }
-    }
+/// Builds the MGCG preconditioner for the operator `a` on an `nx × ny`
+/// grid, reused across every solve on that operator (all leakage
+/// iterations, all transient steps).
+pub(crate) fn multigrid(a: &CsrMatrix, nx: usize, ny: usize) -> Result<Multigrid> {
+    Multigrid::new(a, nx, ny, &MultigridOptions::default()).map_err(|e| ThermalError::SolveFailed {
+        detail: format!("building the multigrid preconditioner: {e}"),
+    })
 }
 
 /// Wall-time and convergence breakdown of a steady-state solve, carried on
@@ -426,12 +290,9 @@ impl BuiltPreconditioner {
 /// real cost.
 #[derive(Debug, Clone, Default)]
 pub struct SolveBreakdown {
-    /// Resolved linear-solver name (`ic0_pcg` or `mgcg`).
-    pub solver: String,
     /// Conductance assembly plus power rasterization seconds.
     pub assembly_s: f64,
-    /// Preconditioner construction seconds (IC(0) factorization or
-    /// multigrid hierarchy build).
+    /// Multigrid hierarchy build seconds.
     pub precond_s: f64,
     /// Accumulated CG seconds over all leakage iterations.
     pub solve_s: f64,
@@ -672,9 +533,8 @@ impl ThermalSolver {
         let (dyn_cell, leak_cell_ref) = rasterize_power(floorplan, power, nx, ny);
         let assembly_s = t_assembly.elapsed().as_secs_f64();
 
-        let resolved = cfg.solver.resolve(n);
         let t_precond = std::time::Instant::now();
-        let precond = BuiltPreconditioner::build(resolved, &op.matrix, nx, ny)?;
+        let precond = multigrid(&op.matrix, nx, ny)?;
         let precond_s = t_precond.elapsed().as_secs_f64();
 
         // Leakage–temperature fixed point.
@@ -708,12 +568,11 @@ impl ThermalSolver {
             }
             let guess = cfg.warm_start.then_some(temps.as_slice());
             let t_solve = std::time::Instant::now();
-            let sol =
-                solve_pcg(&op.matrix, &rhs, guess, precond.as_dyn(), &cg_opts).map_err(|e| {
-                    ThermalError::SolveFailed {
-                        detail: format!("{} failed: {e}", resolved.name()),
-                    }
-                })?;
+            let sol = solve_pcg(&op.matrix, &rhs, guess, &precond, &cg_opts).map_err(|e| {
+                ThermalError::SolveFailed {
+                    detail: format!("mgcg failed: {e}"),
+                }
+            })?;
             solve_s += t_solve.elapsed().as_secs_f64();
             cg_iterations.push(sol.iterations);
             final_residual = sol.relative_residual;
@@ -738,7 +597,6 @@ impl ThermalSolver {
         let mut map =
             TemperatureMap::from_parts(nx, ny, floorplan.die_w(), floorplan.die_h(), temps);
         map.breakdown = SolveBreakdown {
-            solver: resolved.name().to_string(),
             assembly_s,
             precond_s,
             solve_s,
@@ -972,61 +830,6 @@ mod tests {
     }
 
     #[test]
-    fn solver_kind_parse_and_names_round_trip() {
-        for kind in ThermalSolverKind::ALL {
-            assert_eq!(ThermalSolverKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(ThermalSolverKind::expected(), "auto, ic0_pcg, mgcg");
-        assert_eq!(
-            ThermalSolverKind::parse("multigrid"),
-            Some(ThermalSolverKind::Mgcg)
-        );
-        assert_eq!(ThermalSolverKind::parse("nope"), None);
-        // The retired tiers fail loudly instead of aliasing to a survivor.
-        for retired in ["plain_cg", "jacobi_pcg", "jacobi", "cg"] {
-            assert_eq!(ThermalSolverKind::parse(retired), None, "{retired}");
-        }
-        let json = statobd_num::json::to_string(&ThermalConfig::default());
-        assert!(json.contains(r#""solver":"auto""#), "{json}");
-        let retired = json.replace(r#""solver":"auto""#, r#""solver":"jacobi_pcg""#);
-        let err = statobd_num::json::from_str::<ThermalConfig>(&retired)
-            .unwrap_err()
-            .to_string();
-        assert!(
-            err.contains("unknown thermal solver") && err.contains("auto, ic0_pcg, mgcg"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn auto_dispatch_follows_grid_size() {
-        assert_eq!(
-            ThermalSolverKind::Auto.resolve(32 * 32),
-            ThermalSolverKind::Ic0Pcg
-        );
-        assert_eq!(
-            ThermalSolverKind::Auto.resolve(ThermalSolverKind::MGCG_MIN_CELLS),
-            ThermalSolverKind::Mgcg
-        );
-        assert_eq!(
-            ThermalSolverKind::Ic0Pcg.resolve(1 << 20),
-            ThermalSolverKind::Ic0Pcg
-        );
-    }
-
-    #[test]
-    fn config_json_round_trips_solver_kind() {
-        let cfg = ThermalConfig {
-            solver: ThermalSolverKind::Mgcg,
-            cg_rel_tol: 1e-8,
-            ..ThermalConfig::default()
-        };
-        let json = statobd_num::json::to_string(&cfg);
-        let back: ThermalConfig = statobd_num::json::from_str(&json).unwrap();
-        assert_eq!(back, cfg);
-    }
-
-    #[test]
     fn breakdown_reports_convergence_cost() {
         let (fp, pm) = one_block_chip(30.0);
         let solver = ThermalSolver::new(ThermalConfig {
@@ -1036,15 +839,96 @@ mod tests {
         });
         let map = solver.solve(&fp, &pm).unwrap();
         let b = map.breakdown();
-        assert_eq!(b.solver, "ic0_pcg");
         assert_eq!(b.cg_iterations.len(), map.leakage_iterations());
         assert!(map.total_cg_iterations() > 0);
         assert!(map.final_residual() <= solver.config().cg_rel_tol);
         assert!(b.assembly_s >= 0.0 && b.precond_s >= 0.0 && b.solve_s > 0.0);
     }
 
+    /// The exact reference: the leakage fixed point of [`ThermalSolver::solve`]
+    /// (same start, update and stopping rule) with every linear solve done
+    /// by one dense Cholesky factor of the assembled operator.
+    fn dense_cholesky_fixed_point(
+        cfg: &ThermalConfig,
+        fp: &Floorplan,
+        pm: &PowerModel,
+    ) -> Vec<f64> {
+        let op = assemble_conductance(cfg, fp.die_w(), fp.die_h());
+        let (dyn_cell, leak_cell_ref) = rasterize_power(fp, pm, cfg.nx, cfg.ny);
+        let n = dyn_cell.len();
+        let factor = Cholesky::new(&DMatrix::from_fn(n, n, |i, j| op.matrix.get(i, j))).unwrap();
+        let mut temps = vec![cfg.ambient_k; n];
+        for _ in 0..cfg.max_leakage_iters {
+            let rhs: Vec<f64> = (0..n)
+                .map(|i| {
+                    let leak = leak_cell_ref[i]
+                        * ((temps[i] - crate::power::LEAKAGE_REF_K) / cfg.leakage_theta_k).exp();
+                    dyn_cell[i] + leak + op.g_v * cfg.ambient_k
+                })
+                .collect();
+            let next = factor.solve(&rhs).unwrap();
+            let max_delta = next
+                .iter()
+                .zip(&temps)
+                .map(|(new, old)| (new - old).abs())
+                .fold(0.0f64, f64::max);
+            temps = next;
+            if max_delta < cfg.leakage_tol_k {
+                break;
+            }
+        }
+        temps
+    }
+
+    /// MGCG against the dense reference: 1e-8 relative per cell, 1e-6 K
+    /// on each block's mean and max. Returns both cell fields.
+    fn assert_matches_dense_reference(
+        cfg: ThermalConfig,
+        fp: &Floorplan,
+        pm: &PowerModel,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let exact = dense_cholesky_fixed_point(&cfg, fp, pm);
+        let map = ThermalSolver::new(cfg).solve(fp, pm).unwrap();
+        let grid = format!("{}x{}", cfg.nx, cfg.ny);
+        for (a, b) in map.temps().iter().zip(&exact) {
+            assert!((a - b).abs() < 1e-8 * b.abs(), "{grid}: cell {a} vs {b}");
+        }
+        let reference = TemperatureMap::from_parts(cfg.nx, cfg.ny, fp.die_w(), fp.die_h(), exact);
+        for block in fp.blocks() {
+            let (m, r) = (
+                map.block_stats(block.rect()),
+                reference.block_stats(block.rect()),
+            );
+            assert!(
+                (m.mean_k - r.mean_k).abs() < 1e-6 && (m.max_k - r.max_k).abs() < 1e-6,
+                "{grid} block {}: mean {} vs {}, max {} vs {}",
+                block.name(),
+                m.mean_k,
+                r.mean_k,
+                m.max_k,
+                r.max_k
+            );
+        }
+        (map.temps, reference.temps)
+    }
+
+    fn profiles() -> [(&'static str, Floorplan, PowerModel); 2] {
+        [
+            (
+                "alpha",
+                crate::alpha_ev6_floorplan().unwrap(),
+                crate::alpha_ev6_power().unwrap(),
+            ),
+            (
+                "many_core",
+                crate::many_core_floorplan().unwrap(),
+                crate::many_core_power(&[0, 3, 5, 10, 12, 15], 9.0).unwrap(),
+            ),
+        ]
+    }
+
     #[test]
-    fn both_kinds_match_a_dense_cholesky_solve_on_a_hotspot() {
+    fn mgcg_matches_a_dense_cholesky_solve_on_a_hotspot() {
         let mut fp = Floorplan::new(0.016, 0.016).unwrap();
         fp.add_block(Block::new("hot", Rect::new(0.001, 0.001, 0.004, 0.004).unwrap()).unwrap())
             .unwrap();
@@ -1061,26 +945,39 @@ mod tests {
             ny: 24,
             ..ThermalConfig::default()
         };
-        // The oracle: a dense Cholesky solve of the same assembled operator.
-        let op = assemble_conductance(&cfg, fp.die_w(), fp.die_h());
-        let (dyn_cell, _) = rasterize_power(&fp, &pm, cfg.nx, cfg.ny);
-        let rhs: Vec<f64> = dyn_cell
-            .iter()
-            .map(|p| p + op.g_v * cfg.ambient_k)
-            .collect();
-        let n = rhs.len();
-        let dense = DMatrix::from_fn(n, n, |i, j| op.matrix.get(i, j));
-        let exact = Cholesky::new(&dense).unwrap().solve(&rhs).unwrap();
-        for kind in [ThermalSolverKind::Ic0Pcg, ThermalSolverKind::Mgcg] {
-            let map = ThermalSolver::new(ThermalConfig {
-                solver: kind,
-                ..cfg
-            })
-            .solve(&fp, &pm)
-            .unwrap();
-            assert_eq!(map.breakdown().solver, kind.name());
-            for (a, b) in map.temps().iter().zip(&exact) {
-                assert!((a - b).abs() < 1e-6, "{} diverged: {a} vs {b}", kind.name());
+        let (mgcg, exact) = assert_matches_dense_reference(cfg, &fp, &pm);
+        for (a, b) in mgcg.iter().zip(&exact) {
+            assert!((a - b).abs() < 1e-6, "mgcg diverged: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn mgcg_matches_a_dense_cholesky_leakage_fixed_point_on_both_profiles() {
+        for (name, fp, pm) in profiles() {
+            let cfg = ThermalConfig {
+                nx: 32,
+                ny: 32,
+                ..ThermalConfig::default()
+            };
+            let map = ThermalSolver::new(cfg).solve(&fp, &pm).unwrap();
+            assert!(
+                map.leakage_iterations() >= 2,
+                "{name}: leakage never fed back"
+            );
+            assert_matches_dense_reference(cfg, &fp, &pm);
+        }
+    }
+
+    #[test]
+    fn mgcg_matches_a_dense_cholesky_solve_on_tiny_and_odd_grids() {
+        for (_, fp, pm) in profiles() {
+            for (nx, ny) in [(1, 1), (1, 2), (2, 3), (3, 7), (7, 4)] {
+                let cfg = ThermalConfig {
+                    nx,
+                    ny,
+                    ..ThermalConfig::default()
+                };
+                assert_matches_dense_reference(cfg, &fp, &pm);
             }
         }
     }

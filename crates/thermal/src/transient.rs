@@ -28,7 +28,7 @@
 use crate::floorplan::Floorplan;
 use crate::power::PowerModel;
 use crate::solver::{
-    assemble_conductance, rasterize_power, BuiltPreconditioner, TemperatureMap, ThermalSolver,
+    assemble_conductance, multigrid, rasterize_power, TemperatureMap, ThermalSolver,
 };
 use crate::{Result, ThermalError};
 use statobd_num::cg::solve_pcg;
@@ -41,8 +41,6 @@ const TAU_RESOLUTION: f64 = 16.0;
 /// assembled operator and preconditioner across all steps.
 #[derive(Debug, Clone, Default)]
 pub struct TransientStats {
-    /// Resolved linear-solver name backing every step.
-    pub solver: String,
     /// Backward-Euler steps taken.
     pub steps: usize,
     /// Sub-step length (s).
@@ -130,9 +128,8 @@ impl ThermalSolver {
         let m = op.matrix.with_shifted_diagonal(shift)?;
         let assembly_s = t_assembly.elapsed().as_secs_f64();
 
-        let resolved = cfg.solver.resolve(n);
         let t_precond = std::time::Instant::now();
-        let precond = BuiltPreconditioner::build(resolved, &m, nx, ny)?;
+        let precond = multigrid(&m, nx, ny)?;
         let precond_s = t_precond.elapsed().as_secs_f64();
 
         let g_v = op.g_v;
@@ -151,9 +148,9 @@ impl ThermalSolver {
                 }
                 let guess = cfg.warm_start.then_some(temps.as_slice());
                 let t_solve = std::time::Instant::now();
-                let sol = solve_pcg(&m, &rhs, guess, precond.as_dyn(), &cg_opts).map_err(|e| {
+                let sol = solve_pcg(&m, &rhs, guess, &precond, &cg_opts).map_err(|e| {
                     ThermalError::SolveFailed {
-                        detail: format!("transient {} failed: {e}", resolved.name()),
+                        detail: format!("transient mgcg failed: {e}"),
                     }
                 })?;
                 solve_s += t_solve.elapsed().as_secs_f64();
@@ -180,7 +177,6 @@ impl ThermalSolver {
         Ok(TransientResult {
             snapshots,
             stats: TransientStats {
-                solver: resolved.name().to_string(),
                 steps: n_snapshots * steps_per_snap,
                 dt_s: dt,
                 operator_assemblies: 1,
@@ -290,7 +286,6 @@ mod tests {
         assert!(s.steps >= 5, "expected at least one step per snapshot");
         assert!(s.dt_s > 0.0);
         assert!(s.total_cg_iterations > 0);
-        assert_eq!(s.solver, "ic0_pcg");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! compact (single-line) JSON:
 //!
 //! ```text
-//! {"format_version":2,"spec_hash":"<fnv1a-64 hex of the canonical spec>",
+//! {"format_version":4,"spec_hash":"<fnv1a-64 hex of the canonical spec>",
 //!  "spec":{...canonical spec echo...},"checksum":"<fnv1a-64 hex>"}
 //! {"analysis":{...},"tables":{...}}
 //! ```
@@ -52,7 +52,10 @@ use std::path::{Path, PathBuf};
 /// the move of correlation grids below 8 × 8 from Jacobi to QL, whose
 /// eigenbasis inside degenerate clusters differs, so a cold build and an
 /// older artifact would sample different (equally valid) realizations.
-pub const FORMAT_VERSION: u64 = 3;
+/// Version 4 marks the move of thermal grids below 64 × 64 cells from
+/// IC(0)-PCG to MGCG: their block temperatures, and so the compiled model,
+/// move by up to 1e-7 K under an unchanged spec hash.
+pub const FORMAT_VERSION: u64 = 4;
 
 /// Environment variable overriding the default cache root.
 pub const CACHE_ENV: &str = "STATOBD_CACHE";

@@ -54,9 +54,7 @@
 //!   --checkpoint <path>  restore the damage state from this file if it
 //!                    exists, and save the updated state back on exit
 //!
-//! options for thermal:
-//!   --solver <name>  linear solver: auto, ic0_pcg, mgcg (default auto:
-//!                    IC(0)-PCG below 64x64 cells, MGCG from there up)
+//! options for thermal (the linear solver is multigrid-preconditioned CG):
 //!   --grid <n>       thermal grid side                (default 64)
 //!   --timings        print the assembly / preconditioner / solve
 //!                    wall-time breakdown, per-iteration CG counts and the
@@ -90,16 +88,14 @@ use statobd::manager::{
 };
 use statobd::num::flags::{at_least, path, positive, probability, Flags};
 use statobd::num::json::{self, FromJson};
-use statobd::thermal::{
-    kelvin_to_celsius, Floorplan, PowerModel, ThermalConfig, ThermalSolver, ThermalSolverKind,
-};
+use statobd::thermal::{kelvin_to_celsius, Floorplan, PowerModel, ThermalConfig, ThermalSolver};
 use statobd::variation::{CorrelationKernel, SystematicPattern};
 use statobd::{run_fleet, AnalysisSpec, ArtifactCache, FleetConfig, ServeConfig, Session};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  statobd template <out.json>\n  statobd analyze <C1..C6|MC16|spec.json> [--rho f] [--grid n] [--l0 n] [--target f] [--engine st_fast|st_MC|st_closed|hybrid|guard|MC] [--threads n] [--mc n] [--curve n] [--cache] [--timings]\n  statobd bench <C1..C6|MC16|spec.json> [same options as analyze]\n  statobd serve [--socket path] [--cache-dir path] [--no-cache|--quick] [--max-sessions n]\n  statobd thermal <floorplan.json> <power.json> [--solver auto|ic0_pcg|mgcg] [--grid n] [--timings]\n  statobd manage <C1..C6|MC16|spec.json> <schedule.json> [--rho f] [--grid n] [--l0 n] [--threads n] [--checkpoint path]\n  statobd manage template <out.json>\n  statobd fleet <C1..C6|MC16|spec.json> [--chips n] [--profile name] [--seed n] [--budget f] [--wafer-depth f] [--spares n] [--rho f] [--grid n] [--threads n] [--shards n] [--json]"
+        "usage:\n  statobd template <out.json>\n  statobd analyze <C1..C6|MC16|spec.json> [--rho f] [--grid n] [--l0 n] [--target f] [--engine st_fast|st_MC|st_closed|hybrid|guard|MC] [--threads n] [--mc n] [--curve n] [--cache] [--timings]\n  statobd bench <C1..C6|MC16|spec.json> [same options as analyze]\n  statobd serve [--socket path] [--cache-dir path] [--no-cache|--quick] [--max-sessions n]\n  statobd thermal <floorplan.json> <power.json> [--grid n] [--timings]\n  statobd manage <C1..C6|MC16|spec.json> <schedule.json> [--rho f] [--grid n] [--l0 n] [--threads n] [--checkpoint path]\n  statobd manage template <out.json>\n  statobd fleet <C1..C6|MC16|spec.json> [--chips n] [--profile name] [--seed n] [--budget f] [--wafer-depth f] [--spares n] [--rho f] [--grid n] [--threads n] [--shards n] [--json]"
     );
     ExitCode::FAILURE
 }
@@ -144,20 +140,11 @@ fn st_fast_config(flags: &mut Flags) -> StFastConfig {
     }
 }
 
-/// The thermal solve `--solver` and `--grid` select.
+/// The thermal solve `--grid` selects.
 fn thermal_config(flags: &mut Flags) -> ThermalConfig {
     let defaults = ThermalConfig::default();
-    let solver = |name: &str| {
-        ThermalSolverKind::parse(name).ok_or_else(|| {
-            format!(
-                "unknown solver '{name}' (expected {})",
-                ThermalSolverKind::expected()
-            )
-        })
-    };
     let side = flags.opt("--grid", at_least(1));
     ThermalConfig {
-        solver: flags.value("--solver", solver, defaults.solver),
         nx: side.unwrap_or(defaults.nx),
         ny: side.unwrap_or(defaults.ny),
         ..defaults
@@ -175,8 +162,8 @@ fn thermal(fp_path: &str, pm_path: &str, mut flags: Flags) -> Result<(), String>
     if timings {
         let b = map.breakdown();
         println!(
-            "thermal solve: {}x{} grid, solver {}",
-            config.nx, config.ny, b.solver
+            "thermal solve: {}x{} grid, solver mgcg",
+            config.nx, config.ny
         );
         println!(
             "  assembly {:.4} s  preconditioner {:.4} s  solve {:.4} s",
@@ -888,10 +875,11 @@ mod tests {
             f.finish().map(|()| config)
         };
         assert!(parse(&["--grid", "0"]).is_err());
-        let config = parse(&["--grid", "32", "--solver", "mgcg"]).unwrap();
+        let config = parse(&["--grid", "32"]).unwrap();
         assert_eq!((config.nx, config.ny), (32, 32));
-        assert_eq!(config.solver, ThermalSolverKind::Mgcg);
-        assert!(parse(&["--solver", "jacobi_pcg"]).is_err());
+        // MGCG is the only solver, so there is no `--solver` flag.
+        let err = parse(&["--grid", "32", "--solver", "mgcg"]).unwrap_err();
+        assert!(err.contains("--solver"), "{err}");
     }
 
     #[test]

@@ -78,24 +78,10 @@ struct Reply {
     shutdown: bool,
 }
 
-impl Server {
-    fn new(config: ServeConfig) -> Self {
-        Server {
-            config,
-            sessions: Vec::new(),
-        }
-    }
-
-    /// Handles one request line; never fails — malformed input becomes an
-    /// error reply.
-    fn handle(&mut self, line: &str) -> Reply {
-        let (id, result) = match Json::parse(line) {
-            Ok(request) => {
-                let id = request.get("id").cloned();
-                (id, self.dispatch(&request))
-            }
-            Err(e) => (None, Err(Error::Spec(format!("unparseable request: {e}")))),
-        };
+impl Reply {
+    /// The wire reply for a request's outcome: `"ok"` first (after the
+    /// echoed `id`, when present), then the op's fields or the error.
+    fn wrap(id: Option<Json>, result: Result<Reply>) -> Reply {
         match result {
             Ok(Reply { json, shutdown }) => {
                 let mut members = vec![("ok".to_string(), Json::Bool(true))];
@@ -124,6 +110,28 @@ impl Server {
                 }
             }
         }
+    }
+}
+
+impl Server {
+    fn new(config: ServeConfig) -> Self {
+        Server {
+            config,
+            sessions: Vec::new(),
+        }
+    }
+
+    /// Handles one request line; never fails — malformed input becomes an
+    /// error reply.
+    fn handle(&mut self, line: &str) -> Reply {
+        let (id, result) = match Json::parse(line) {
+            Ok(request) => {
+                let id = request.get("id").cloned();
+                (id, self.dispatch(&request))
+            }
+            Err(e) => (None, Err(Error::Spec(format!("unparseable request: {e}")))),
+        };
+        Reply::wrap(id, result)
     }
 
     fn dispatch(&mut self, request: &Json) -> Result<Reply> {
@@ -316,27 +324,47 @@ fn report_json(report: &StepReport) -> Json {
 /// # Errors
 ///
 /// Returns [`Error::Io`] only for transport failures; per-request
-/// problems become `{"ok": false}` replies.
-pub fn serve_lines<R: BufRead, W: Write>(
-    reader: R,
+/// problems, a line that is not UTF-8 included, become `{"ok": false}`
+/// replies.
+pub fn serve_lines<R: BufRead, W: Write>(reader: R, writer: W, config: ServeConfig) -> Result<()> {
+    serve_connection(&mut Server::new(config), reader, writer).map(|_shutdown| ())
+}
+
+/// The per-connection loop behind stdin and every socket connection:
+/// reads each request up to `\n` into one reused buffer, strips a trailing
+/// `\r` as [`BufRead::lines`] does, skips blank lines, and writes and
+/// flushes one reply per request. Returns whether a `shutdown` request
+/// ended it (`false` at EOF).
+fn serve_connection<R: BufRead, W: Write>(
+    server: &mut Server,
+    mut reader: R,
     mut writer: W,
-    config: ServeConfig,
-) -> Result<()> {
-    let mut server = Server::new(config);
-    for line in reader.lines() {
-        let line = line.map_err(|e| Error::Io(format!("reading request: {e}")))?;
-        if line.trim().is_empty() {
-            continue;
+) -> Result<bool> {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let read = reader
+            .read_until(b'\n', &mut buf)
+            .map_err(|e| Error::Io(format!("reading request: {e}")))?;
+        if read == 0 {
+            return Ok(false);
         }
-        let reply = server.handle(&line);
+        let line = match buf.strip_suffix(b"\n") {
+            Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+            None => &buf,
+        };
+        let reply = match std::str::from_utf8(line) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => server.handle(text),
+            Err(e) => Reply::wrap(None, Err(Error::Spec(format!("request is not UTF-8: {e}")))),
+        };
         writeln!(writer, "{}", reply.json.to_compact())
             .and_then(|()| writer.flush())
             .map_err(|e| Error::Io(format!("writing reply: {e}")))?;
         if reply.shutdown {
-            break;
+            return Ok(true);
         }
     }
-    Ok(())
 }
 
 /// Runs the server on stdin/stdout, or on a unix socket when `socket` is
@@ -372,29 +400,14 @@ fn serve_socket(config: ServeConfig, path: &std::path::Path) -> Result<()> {
     let listener = UnixListener::bind(path)
         .map_err(|e| Error::Io(format!("binding {}: {e}", path.display())))?;
     let mut server = Server::new(config);
-    'accept: for stream in listener.incoming() {
+    for stream in listener.incoming() {
         let stream = stream.map_err(|e| Error::Io(format!("accepting connection: {e}")))?;
-        let mut writer = stream
+        let writer = stream
             .try_clone()
             .map_err(|e| Error::Io(format!("cloning stream: {e}")))?;
-        let reader = std::io::BufReader::new(stream);
-        for line in reader.lines() {
-            // A dropped client connection ends this session's loop but
-            // not the server.
-            let Ok(line) = line else { continue 'accept };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let reply = server.handle(&line);
-            if writeln!(writer, "{}", reply.json.to_compact())
-                .and_then(|()| writer.flush())
-                .is_err()
-            {
-                continue 'accept;
-            }
-            if reply.shutdown {
-                break 'accept;
-            }
+        // A transport error ends this connection but not the server.
+        if let Ok(true) = serve_connection(&mut server, std::io::BufReader::new(stream), writer) {
+            break;
         }
     }
     let _ = std::fs::remove_file(path);
@@ -534,6 +547,33 @@ mod tests {
             .and_then(Json::as_str)
             .unwrap()
             .contains("did you mean"));
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_gets_an_error_reply() {
+        let open = format!(
+            r#"{{"id": 1, "op": "open", "session": "s", "spec": {}}}"#,
+            tiny_spec_json()
+        );
+        let mut input = open.into_bytes();
+        input.extend_from_slice(b"\n\xff\xfe\r\n");
+        input.extend_from_slice(br#"{"id": 3, "op": "p_at", "session": "s", "t_s": 1e8}"#);
+        let mut out = Vec::new();
+        serve_lines(input.as_slice(), &mut out, ServeConfig::default()).unwrap();
+        let replies: Vec<Json> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| Json::parse(l).unwrap())
+            .collect();
+        assert_eq!(replies.len(), 3, "one reply per line");
+        let ok = |i: usize| replies[i].get("ok").and_then(Json::as_bool);
+        assert_eq!(ok(0), Some(true));
+        assert_eq!(ok(1), Some(false));
+        let error = replies[1].get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("not UTF-8"), "{error}");
+        // The session opened before the bad line is still hot.
+        assert_eq!(ok(2), Some(true), "{}", replies[2].to_compact());
+        assert_eq!(replies[2].get("id").and_then(Json::as_f64), Some(3.0));
     }
 
     #[test]

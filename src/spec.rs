@@ -374,12 +374,36 @@ impl AnalysisSpec {
     }
 }
 
+/// The names `thermal.solver` could hold when a spec chose the thermal
+/// linear solver. MGCG is the only solver now, but every spec hash covers
+/// the member, so it stays on the wire and nowhere else: written as
+/// `"auto"` right after `c_volumetric`, optional on read, and any other
+/// name is an error.
+const THERMAL_SOLVER_NAMES: [&str; 5] = ["auto", "mgcg", "multigrid", "ic0_pcg", "ic0"];
+
+/// The thermal configuration's JSON with the wire-only `solver` member.
+fn thermal_to_json(thermal: &ThermalConfig) -> Json {
+    let mut json = thermal.to_json();
+    let Json::Object(members) = &mut json else {
+        unreachable!("ThermalConfig::to_json builds an object");
+    };
+    let at = members
+        .iter()
+        .position(|(k, _)| k == "c_volumetric")
+        .expect("ThermalConfig::to_json writes c_volumetric");
+    members.insert(
+        at + 1,
+        ("solver".to_string(), Json::String("auto".to_string())),
+    );
+    json
+}
+
 impl ToJson for AnalysisSpec {
     fn to_json(&self) -> Json {
         let mut json = Json::Object(vec![
             ("design".to_string(), self.design.to_json()),
             ("grid_side".to_string(), self.grid_side.to_json()),
-            ("thermal".to_string(), self.thermal.to_json()),
+            ("thermal".to_string(), thermal_to_json(&self.thermal)),
             ("vdd_v".to_string(), self.vdd_v.to_json()),
             (
                 "area_per_device".to_string(),
@@ -421,6 +445,15 @@ impl FromJson for AnalysisSpec {
             spec.grid_side = usize::from_json(v)?;
         }
         if let Some(v) = field("thermal") {
+            if let Some(solver) = v.get("solver") {
+                let name = solver.as_str().map(|s| s.trim().to_ascii_lowercase());
+                if !name.is_some_and(|n| THERMAL_SOLVER_NAMES.contains(&n.as_str())) {
+                    return Err(JsonError::new(format!(
+                        "unknown thermal solver {solver} (expected {})",
+                        THERMAL_SOLVER_NAMES.join(", ")
+                    )));
+                }
+            }
             spec.thermal = ThermalConfig::from_json(v)?;
         }
         if let Some(v) = field("vdd_v") {
@@ -564,6 +597,71 @@ mod tests {
         let bad = AnalysisSpec::chip(chip).with_composition(Composition::uniform_spares(1, 1));
         let err = bad.validate().unwrap_err().to_string();
         assert!(err.contains("composition"), "{err}");
+    }
+
+    #[test]
+    fn spec_hashes_the_benchmark_keys_on_stay_pinned() {
+        // Both are keys of the repository benchmark's goldens; a change
+        // that moves either fails every operation of that benchmark.
+        let c1 = AnalysisSpec::benchmark(Benchmark::C1);
+        assert_eq!(c1.spec_hash().unwrap(), "cddfb8bd683fc093");
+        let mut smoke = c1
+            .with_grid_side(5)
+            .with_engine(EngineKind::StFast)
+            .with_threads(Some(1));
+        smoke.model.kernel = CorrelationKernel::Exponential { rel_distance: 0.25 };
+        (smoke.thermal.nx, smoke.thermal.ny) = (16, 16);
+        assert_eq!(smoke.spec_hash().unwrap(), "4596830cc7214677");
+    }
+
+    #[test]
+    fn thermal_solver_member_stays_on_the_wire_as_auto() {
+        let spec = AnalysisSpec::benchmark(Benchmark::C3);
+        for text in [json::to_string(&spec), spec.canonical_json().unwrap()] {
+            assert!(
+                text.contains(r#""c_volumetric":1630000,"solver":"auto","cg_rel_tol""#),
+                "{text}"
+            );
+        }
+        let back: AnalysisSpec = json::from_str(&json::to_string(&spec)).unwrap();
+        assert_eq!(back, spec);
+    }
+
+    #[test]
+    fn thermal_solver_member_accepts_every_name_a_spec_could_carry() {
+        let base = AnalysisSpec::benchmark(Benchmark::C1);
+        let text = json::to_string(&base);
+        let with_solver = |name: &str| text.replace(r#""solver":"auto""#, name);
+        // Every old name, and no member at all, parses to the same spec
+        // and hash.
+        for name in [
+            "auto",
+            "mgcg",
+            "multigrid",
+            "ic0_pcg",
+            "ic0",
+            " MGCG ",
+            "IC0_PCG",
+        ] {
+            let spec: AnalysisSpec =
+                json::from_str(&with_solver(&format!(r#""solver":"{name}""#))).unwrap();
+            assert_eq!(spec, base, "{name}");
+            assert_eq!(spec.spec_hash().unwrap(), base.spec_hash().unwrap());
+        }
+        let omitted = text.replace(r#""solver":"auto","#, "");
+        assert!(!omitted.contains("solver"), "{omitted}");
+        assert_eq!(json::from_str::<AnalysisSpec>(&omitted).unwrap(), base);
+        // Retired tiers, unknown names and non-strings are errors.
+        for bad in [r#""jacobi_pcg""#, r#""plain_cg""#, r#""nope""#, "3", "null"] {
+            let err = json::from_str::<AnalysisSpec>(&with_solver(&format!(r#""solver":{bad}"#)))
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains("unknown thermal solver")
+                    && err.contains("auto, mgcg, multigrid, ic0_pcg, ic0"),
+                "{bad}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -291,6 +291,71 @@ fn serve_answers_a_request_script_on_stdin() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[cfg(unix)]
+#[test]
+fn serve_keeps_sessions_hot_across_socket_connections() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    let dir = std::env::temp_dir().join("statobd_cli_socket");
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket = dir.join("serve.sock");
+    let mut child = Command::new(bin())
+        .args(["serve", "--no-cache", "--socket", socket.to_str().unwrap()])
+        .spawn()
+        .expect("spawn serve");
+    let connect = || {
+        for _ in 0..600 {
+            if let Ok(stream) = UnixStream::connect(&socket) {
+                return stream;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+        panic!("no server listening on {}", socket.display());
+    };
+    // Sends one raw request line and returns the reply line.
+    let ask = |stream: &mut UnixStream, line: &[u8]| {
+        stream.write_all(line).unwrap();
+        stream.write_all(b"\n").unwrap();
+        let mut reply = String::new();
+        BufReader::new(stream.try_clone().unwrap())
+            .read_line(&mut reply)
+            .unwrap();
+        reply
+    };
+
+    let mut first = connect();
+    let reply = ask(
+        &mut first,
+        br#"{"id": 1, "op": "open", "session": "c1", "spec": {"design": "C1", "grid_side": 6}}"#,
+    );
+    assert!(reply.contains(r#""ok":true"#), "{reply}");
+    drop(first);
+
+    // A new connection finds the session hot.
+    let mut second = connect();
+    let reply = ask(
+        &mut second,
+        br#"{"id": 2, "op": "p_at", "session": "c1", "t_s": 3.156e8}"#,
+    );
+    assert!(
+        reply.contains(r#""ok":true"#) && reply.contains(r#""p":"#),
+        "{reply}"
+    );
+    let reply = ask(&mut second, b"\xff\xfe");
+    assert!(
+        reply.contains(r#""ok":false"#) && reply.contains("not UTF-8"),
+        "{reply}"
+    );
+    let reply = ask(&mut second, br#"{"id": 3, "op": "shutdown"}"#);
+    assert!(reply.contains(r#""ok":true"#), "{reply}");
+
+    let status = child.wait().expect("serve exits");
+    assert!(status.success(), "{status:?}");
+    assert!(!socket.exists(), "the socket file outlived the server");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn thermal_subcommand_reports_block_temperatures() {
     use statobd::thermal::{Block, BlockPower, Floorplan, PowerModel, Rect};
@@ -321,22 +386,20 @@ fn thermal_subcommand_reports_block_temperatures() {
     assert!(stdout.contains("die: min"), "{stdout}");
     assert!(stdout.contains("hot"), "{stdout}");
 
-    // The retired solver tiers are unknown names, not aliases.
-    for retired in ["plain_cg", "jacobi_pcg"] {
-        let out = Command::new(bin())
-            .args([
-                "thermal",
-                fp_path.to_str().unwrap(),
-                pm_path.to_str().unwrap(),
-                "--solver",
-                retired,
-            ])
-            .output()
-            .expect("run thermal");
-        assert!(!out.status.success(), "{retired} should be rejected");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("auto, ic0_pcg, mgcg"), "{stderr}");
-    }
+    // MGCG is the only solver, so `--solver` is an unknown flag.
+    let out = Command::new(bin())
+        .args([
+            "thermal",
+            fp_path.to_str().unwrap(),
+            pm_path.to_str().unwrap(),
+            "--solver",
+            "mgcg",
+        ])
+        .output()
+        .expect("run thermal");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option --solver"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

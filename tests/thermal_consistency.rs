@@ -1,24 +1,25 @@
-//! Cross-solver consistency of the thermal fast path: MGCG must produce
-//! the same temperature field as IC(0)-PCG on the reference profiles, warm
-//! starting must change the cost but not the fixed point, and the
-//! transient stepper must amortize one operator build over all steps.
+//! Consistency of the thermal fast path at the default 64² grid: MGCG at
+//! the default CG tolerance must produce the temperature field of a
+//! tight-tolerance MGCG reference on the reference profiles, warm starting
+//! must change the cost but not the fixed point, and the transient stepper
+//! must amortize one operator build over all steps. (The dense-Cholesky
+//! oracle checks live with the solver, on grids up to 32².)
 
 use statobd::thermal::{
     alpha_ev6_floorplan, alpha_ev6_power, many_core_floorplan, many_core_power, Floorplan,
-    PowerModel, TemperatureMap, ThermalConfig, ThermalSolver, ThermalSolverKind,
+    PowerModel, TemperatureMap, ThermalConfig, ThermalSolver,
 };
 
-fn solve_with(kind: ThermalSolverKind, fp: &Floorplan, pm: &PowerModel) -> TemperatureMap {
+fn solve_with(cg_rel_tol: f64, fp: &Floorplan, pm: &PowerModel) -> TemperatureMap {
     let solver = ThermalSolver::new(ThermalConfig {
-        solver: kind,
+        cg_rel_tol,
         ..ThermalConfig::default()
     });
     solver.solve(fp, pm).expect("solve")
 }
 
 /// Per-cell fields must agree to 1e-8 relative, block temperatures to
-/// 1e-6 K — the contract that lets either solver feed the reliability
-/// model.
+/// 1e-6 K — the contract that lets the solve feed the reliability model.
 fn assert_fields_agree(reference: &TemperatureMap, other: &TemperatureMap, label: &str) {
     for (a, b) in other.temps().iter().zip(reference.temps()) {
         assert!(
@@ -45,21 +46,21 @@ fn assert_blocks_agree(fp: &Floorplan, reference: &TemperatureMap, other: &Tempe
 }
 
 #[test]
-fn all_solver_tiers_agree_on_alpha_profile() {
+fn mgcg_matches_a_tight_tolerance_reference_on_alpha_profile() {
     let fp = alpha_ev6_floorplan().unwrap();
     let pm = alpha_ev6_power().unwrap();
-    let reference = solve_with(ThermalSolverKind::Ic0Pcg, &fp, &pm);
-    let map = solve_with(ThermalSolverKind::Mgcg, &fp, &pm);
+    let reference = solve_with(1e-12, &fp, &pm);
+    let map = solve_with(ThermalConfig::default().cg_rel_tol, &fp, &pm);
     assert_fields_agree(&reference, &map, "mgcg");
     assert_blocks_agree(&fp, &reference, &map);
 }
 
 #[test]
-fn all_solver_tiers_agree_on_many_core_profile() {
+fn mgcg_matches_a_tight_tolerance_reference_on_many_core_profile() {
     let fp = many_core_floorplan().unwrap();
     let pm = many_core_power(&[0, 3, 5, 10, 12, 15], 9.0).unwrap();
-    let reference = solve_with(ThermalSolverKind::Ic0Pcg, &fp, &pm);
-    let map = solve_with(ThermalSolverKind::Mgcg, &fp, &pm);
+    let reference = solve_with(1e-12, &fp, &pm);
+    let map = solve_with(ThermalConfig::default().cg_rel_tol, &fp, &pm);
     assert_fields_agree(&reference, &map, "mgcg");
     assert_blocks_agree(&fp, &reference, &map);
 }
@@ -68,10 +69,7 @@ fn all_solver_tiers_agree_on_many_core_profile() {
 fn warm_start_reaches_same_fixed_point_with_fewer_cg_iterations() {
     let fp = alpha_ev6_floorplan().unwrap();
     let pm = alpha_ev6_power().unwrap();
-    let base = ThermalConfig {
-        solver: ThermalSolverKind::Ic0Pcg,
-        ..ThermalConfig::default()
-    };
+    let base = ThermalConfig::default();
     let warm = ThermalSolver::new(base)
         .solve(&fp, &pm)
         .expect("warm solve");
@@ -97,46 +95,30 @@ fn warm_start_reaches_same_fixed_point_with_fewer_cg_iterations() {
 }
 
 #[test]
-fn auto_dispatch_reports_the_resolved_tier() {
-    let fp = alpha_ev6_floorplan().unwrap();
-    let pm = alpha_ev6_power().unwrap();
-    let small = ThermalSolver::new(ThermalConfig {
-        nx: 32,
-        ny: 32,
-        ..ThermalConfig::default()
-    })
-    .solve(&fp, &pm)
-    .unwrap();
-    assert_eq!(small.breakdown().solver, "ic0_pcg");
-    let large = ThermalSolver::new(ThermalConfig::default())
-        .solve(&fp, &pm)
-        .unwrap();
-    assert_eq!(large.breakdown().solver, "mgcg");
-}
-
-#[test]
 fn transient_amortizes_one_operator_over_all_steps() {
     let fp = alpha_ev6_floorplan().unwrap();
     let pm = alpha_ev6_power().unwrap();
-    let cfg = ThermalConfig {
-        nx: 32,
-        ny: 32,
-        ..ThermalConfig::default()
-    };
-    let tau_v = cfg.r_package * cfg.c_volumetric * cfg.die_thickness;
-    let result = ThermalSolver::new(cfg)
-        .solve_transient(&fp, &pm, cfg.ambient_k, 2.0 * tau_v, 4)
-        .expect("transient");
-    let s = &result.stats;
-    assert_eq!(s.operator_assemblies, 1);
-    assert_eq!(s.preconditioner_builds, 1);
-    assert!(s.steps >= 4);
-    // Warm-started implicit steps must stay cheap: far below what
-    // re-assembling or cold-starting every step would cost.
-    assert!(
-        s.total_cg_iterations < s.steps * 40,
-        "{} CG iterations over {} steps",
-        s.total_cg_iterations,
-        s.steps
-    );
+    for side in [16, 32] {
+        let cfg = ThermalConfig {
+            nx: side,
+            ny: side,
+            ..ThermalConfig::default()
+        };
+        let tau_v = cfg.r_package * cfg.c_volumetric * cfg.die_thickness;
+        let result = ThermalSolver::new(cfg)
+            .solve_transient(&fp, &pm, cfg.ambient_k, 2.0 * tau_v, 4)
+            .expect("transient");
+        let s = &result.stats;
+        assert_eq!(s.operator_assemblies, 1, "{side}x{side}");
+        assert_eq!(s.preconditioner_builds, 1, "{side}x{side}");
+        assert!(s.steps >= 4, "{side}x{side}");
+        // Warm-started implicit steps must stay cheap: far below what
+        // re-assembling or cold-starting every step would cost.
+        assert!(
+            s.total_cg_iterations < s.steps * 40,
+            "{side}x{side}: {} CG iterations over {} steps",
+            s.total_cg_iterations,
+            s.steps
+        );
+    }
 }
