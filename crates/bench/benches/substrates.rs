@@ -4,7 +4,7 @@
 //! (`harness = false`) built on [`statobd_bench::timing`].
 
 use statobd_bench::timing::Group;
-use statobd_num::eigen::{SpectralOptions, SpectralSolver, SymmetricEigen};
+use statobd_num::eigen::SymmetricEigen;
 use statobd_num::matrix::DMatrix;
 use statobd_num::special::{gamma_p, norm_inv_cdf};
 use statobd_thermal::{alpha_ev6_floorplan, alpha_ev6_power, ThermalConfig, ThermalSolver};
@@ -34,19 +34,8 @@ fn bench_spectral_eigen() {
         let a = DMatrix::from_fn(n, n, |i, j| {
             (-((i as f64 - j as f64).abs()) / (n as f64 / 4.0)).exp()
         });
-        // Full-spectrum backend.
-        let opts = SpectralOptions::full()
-            .with_solver(SpectralSolver::TridiagonalQl)
-            .with_threads(1);
         group.bench(&format!("tridiagonal_ql_{n}x{n}"), || {
-            black_box(SymmetricEigen::with_options(&a, &opts).unwrap())
-        });
-        // Top-k path at the default model-construction energy target.
-        let opts = SpectralOptions::energy(0.95)
-            .with_solver(SpectralSolver::Lanczos)
-            .with_threads(1);
-        group.bench(&format!("lanczos_0.95_{n}x{n}"), || {
-            black_box(SymmetricEigen::with_options(&a, &opts).unwrap())
+            black_box(SymmetricEigen::new(&a).unwrap())
         });
     }
 }

@@ -26,7 +26,7 @@
 use crate::chip::BlockSpec;
 use crate::Result;
 use statobd_num::dist::{ContinuousDistribution, Gamma, Normal};
-use statobd_num::eigen::{SpectralOptions, SymmetricEigen};
+use statobd_num::eigen::{filter_full_spectrum, SymmetricEigen};
 use statobd_num::matrix::DMatrix;
 use statobd_num::simd;
 use statobd_variation::ThicknessModel;
@@ -34,11 +34,12 @@ use statobd_variation::ThicknessModel;
 /// Fraction of `tr(Q)` the retained low-rank projection of `Q` must
 /// capture (used by the sampling-based engines to evaluate `v(z)`).
 ///
-/// The within-block dispersion spectrum decays fast — neighbouring grids
-/// are strongly correlated — so a handful of components carry virtually
-/// all of `tr(Q)`; truncating at `1 − 10⁻⁴` keeps `v(z)` accurate to a
-/// relative 10⁻⁴ — two orders below the method's ~1 % accuracy target —
-/// while making the `st_MC` sampling an order of magnitude cheaper.
+/// Truncating at `1 − 10⁻⁴` keeps `v(z)` accurate to a relative 10⁻⁴,
+/// two orders below the method's ~1 % accuracy target. The cut keeps
+/// almost every component: the centred Gram matrix of a block with
+/// `n_bg` grids has at most `n_bg − 1` nonzero eigenvalues, and summed
+/// over the blocks at the paper's 25 × 25 grid and ρ = 0.5 the cut keeps
+/// 695 of the 696 on C1, 711 of 728 on C3 and all 468 on MC16.
 const PROJECTION_ENERGY: f64 = 1.0 - 1e-4;
 
 /// Distribution of the BLOD sample mean `u_j`.
@@ -281,19 +282,15 @@ impl BlodMoments {
         };
 
         // Low-rank projections a_r = Fᵀ·y_r (y_r eigenvectors of G), so
-        // zᵀQz = Σ_r (a_rᵀz)². Retained until PROJECTION_ENERGY of tr(Q).
+        // zᵀQz = Σ_r (a_rᵀz)². Retained until PROJECTION_ENERGY of tr(Q);
+        // the cut keeps positive eigenvalues only.
         let mut v_projections = Vec::new();
         if q_trace > 1e-30 {
-            // The truncated solve computes only the retained components:
-            // on large blocks the Gram decomposition drops from O(m³) to
-            // O(k·m²).
-            let eig =
-                SymmetricEigen::with_options(&gram, &SpectralOptions::energy(PROJECTION_ENERGY))?;
-            for (r, &mu) in eig.eigenvalues().iter().enumerate() {
-                if mu <= 0.0 {
-                    break;
-                }
-                let y: Vec<f64> = eig.eigenvectors().column(r);
+            let eig = SymmetricEigen::new(&gram)?;
+            let (_, ys) =
+                filter_full_spectrum(eig.eigenvalues(), eig.eigenvectors(), PROJECTION_ENERGY);
+            for r in 0..ys.ncols() {
+                let y: Vec<f64> = ys.column(r);
                 // a_r = Fᵀ y_r.
                 let mut a = vec![0.0; n_pc];
                 for (row_idx, &yv) in y.iter().enumerate() {

@@ -4,9 +4,8 @@
 //! statistical oxide-breakdown reliability analysis:
 //!
 //! * dense linear algebra ([`matrix::DMatrix`], symmetric
-//!   eigendecomposition — Householder tridiagonalization + implicit-shift
-//!   QL for full spectra, blocked Lanczos for truncated ones — plus a
-//!   Cholesky factorization),
+//!   eigendecomposition by Householder tridiagonalization + implicit-shift
+//!   QL ([`eigen::SymmetricEigen`]), a Cholesky factorization),
 //! * sparse matrices and a preconditioned conjugate-gradient solver with a
 //!   pluggable [`cg::Preconditioner`], preconditioned for the thermal
 //!   simulator by a geometric-multigrid V-cycle
@@ -63,7 +62,6 @@ pub mod hash;
 pub mod hist;
 pub mod interp;
 pub mod json;
-pub mod lanczos;
 pub mod matrix;
 pub mod multigrid;
 pub mod parallel;

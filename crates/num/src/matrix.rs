@@ -184,39 +184,6 @@ impl DMatrix {
         }
     }
 
-    /// Rows below this size × cols product run the serial matvec even when
-    /// more threads are available — the fan-out costs more than it saves.
-    const PARALLEL_MATVEC_MIN_FLOPS: usize = 64 * 1024;
-
-    /// Matrix–vector product `A·x` with the rows fanned out over `threads`
-    /// workers.
-    ///
-    /// Each output element is an independent dot product evaluated in index
-    /// order, so the result is **bit-identical at any thread count**. Small
-    /// products fall back to the serial loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != ncols`.
-    pub fn mul_vec_parallel(&self, x: &[f64], threads: usize) -> Vec<f64> {
-        assert_eq!(x.len(), self.ncols, "vector length must equal ncols");
-        let mut y = vec![0.0; self.nrows];
-        if threads <= 1 || self.nrows * self.ncols < Self::PARALLEL_MATVEC_MIN_FLOPS {
-            self.mul_vec_into(x, &mut y);
-            return y;
-        }
-        // 16 rows per chunk: enough work per item to amortize scheduling,
-        // fixed boundaries so the output never depends on the schedule.
-        let rows_per_chunk = 16;
-        crate::parallel::for_each_chunk_mut(&mut y, rows_per_chunk, threads, |ci, chunk| {
-            let base = ci * rows_per_chunk;
-            for (r, out) in chunk.iter_mut().enumerate() {
-                *out = dot(self.row(base + r), x);
-            }
-        });
-        y
-    }
-
     /// Matrix–matrix product `A·B`.
     ///
     /// # Errors
@@ -367,11 +334,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Euclidean norm of a slice.
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 /// `y ← y + alpha * x` (BLAS axpy).
 ///
 /// # Panics
@@ -462,7 +424,6 @@ mod tests {
     #[test]
     fn vector_helpers() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[1.0, -1.0], &mut y);
         assert_eq!(y, vec![3.0, -1.0]);
@@ -475,21 +436,6 @@ mod tests {
         let mut y = vec![0.0; 7];
         a.mul_vec_into(&x, &mut y);
         assert_eq!(y, a.mul_vec(&x));
-    }
-
-    #[test]
-    fn parallel_matvec_is_bit_identical_to_serial() {
-        // Large enough to take the parallel path when threads > 1.
-        let n = 300;
-        let a = DMatrix::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 97) as f64 / 9.7 - 5.0);
-        let x: Vec<f64> = (0..n).map(|i| ((i * 13) % 29) as f64 - 14.0).collect();
-        let serial = a.mul_vec(&x);
-        for threads in [1, 2, 8] {
-            let pv = a.mul_vec_parallel(&x, threads);
-            for (s, p) in serial.iter().zip(&pv) {
-                assert_eq!(s.to_bits(), p.to_bits(), "threads={threads}");
-            }
-        }
     }
 
     #[test]

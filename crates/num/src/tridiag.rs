@@ -1,23 +1,21 @@
 //! Householder tridiagonalization and the implicit-shift QL
 //! eigensolver for symmetric matrices.
 //!
-//! This is the full-spectrum solver of the spectral pipeline (see
-//! [`crate::eigen::SpectralOptions`]): a symmetric matrix is first
-//! reduced to tridiagonal form `A = Q·T·Qᵀ` by `n − 2` Householder
-//! reflections (`~4n³/3` flops), then the tridiagonal eigenproblem is
-//! solved by QL iterations with implicit Wilkinson shifts, accumulating
-//! the rotations into `Q`. The total cost is `O(n³)` with a small
-//! constant and no sweep-count growth on large matrices.
-//!
-//! The Lanczos top-k path ([`crate::lanczos`]) calls
-//! [`symmetric_eigen_ql`] on its small projected block matrix, so both
-//! backends share this one dense iteration.
+//! This is the one eigensolver of the workspace, behind
+//! [`crate::eigen::SymmetricEigen`]: a symmetric matrix is first reduced
+//! to tridiagonal form `A = Q·T·Qᵀ` by `n − 2` Householder reflections
+//! (`~4n³/3` flops), then the tridiagonal eigenproblem is solved by QL
+//! iterations with implicit Wilkinson shifts, accumulating the rotations
+//! into `Q`. The total cost is `O(n³)` with a small constant and no
+//! sweep-count growth on large matrices.
 
 use crate::matrix::DMatrix;
 use crate::{NumError, Result};
 
 /// Maximum implicit-shift QL iterations per eigenvalue. Convergence is
-/// cubic once the shift locks on; well-posed inputs use 2–3.
+/// cubic once the shift locks on; well-posed inputs use 2–3. An
+/// eigenvalue that uses them all up is deflated if its coupling is at the
+/// rounding level of the whole matrix (see [`symmetric_eigen_ql`]).
 pub const MAX_QL_ITERS: usize = 50;
 
 /// Full eigendecomposition `A = V · diag(λ) · Vᵀ` of a symmetric matrix
@@ -32,8 +30,9 @@ pub const MAX_QL_ITERS: usize = 50;
 /// # Errors
 ///
 /// [`NumError::NoConvergence`] if any eigenvalue needs more than
-/// [`MAX_QL_ITERS`] QL iterations (does not occur for finite symmetric
-/// input in practice).
+/// [`MAX_QL_ITERS`] QL iterations and its coupling is still above
+/// `ε·maxᵢ(|dᵢ| + |eᵢ|)`, the rounding level of the tridiagonal matrix
+/// (does not occur for finite symmetric input in practice).
 pub fn symmetric_eigen_ql(a: &DMatrix) -> Result<(Vec<f64>, DMatrix)> {
     let n = a.nrows();
     if n == 0 {
@@ -157,6 +156,16 @@ fn ql_implicit_shift(d: &mut [f64], e: &mut [f64], z: &mut DMatrix) -> Result<()
         e[i - 1] = e[i];
     }
     e[n - 1] = 0.0;
+    // Rounding level of the whole matrix. The split test below compares
+    // a coupling with its two diagonal neighbours only, which never
+    // passes when those are themselves at rounding level (the tail of a
+    // smooth kernel's spectrum); such a stalled coupling is deflated
+    // against this floor instead.
+    let floor = f64::EPSILON
+        * d.iter()
+            .zip(e.iter())
+            .map(|(d, e)| d.abs() + e.abs())
+            .fold(0.0, f64::max);
 
     for l in 0..n {
         let mut iters = 0;
@@ -174,6 +183,10 @@ fn ql_implicit_shift(d: &mut [f64], e: &mut [f64], z: &mut DMatrix) -> Result<()
                 break; // d[l] converged.
             }
             if iters >= MAX_QL_ITERS {
+                if e[l].abs() <= floor {
+                    e[l] = 0.0;
+                    break; // d[l] converged to rounding level.
+                }
                 return Err(NumError::NoConvergence {
                     iterations: iters,
                     residual: e[l].abs(),
@@ -288,23 +301,29 @@ mod tests {
 
     #[test]
     fn grid_correlation_matrix_decomposes() {
-        // The same 2-D grid kernel the variation model assembles; its
+        // The 2-D grid kernels the variation model assembles: their
         // symmetry produces degenerate eigenvalue pairs, which the QL
-        // deflation must handle.
-        let side = 7;
-        let n = side * side;
-        let coord = |k: usize| ((k % side) as f64, (k / side) as f64);
-        let a = DMatrix::from_fn(n, n, |i, j| {
-            let (xi, yi) = coord(i);
-            let (xj, yj) = coord(j);
-            (-(((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt()) / 3.0).exp()
-        });
-        let (vals, vecs) = symmetric_eigen_ql(&a).unwrap();
-        check_decomposition(&a, &vals, &vecs, 1e-9);
-        let sum: f64 = vals.iter().sum();
-        assert_close(sum, a.trace(), 1e-9);
-        for &l in &vals {
-            assert!(l > -1e-9, "correlation eigenvalue {l} should be >= 0");
+        // deflation must handle, and the smooth Gaussian one (ρ = 0.25 at
+        // 18×18) puts most of its spectrum at rounding level, where the
+        // neighbour-relative split test alone never deflates.
+        let exponential = |d2: f64| (-d2.sqrt() / 3.0).exp();
+        let gaussian = |d2: f64| (-d2 / 4.5f64.powi(2)).exp();
+        let kernels: [(usize, &dyn Fn(f64) -> f64); 2] = [(7, &exponential), (18, &gaussian)];
+        for (side, kernel) in kernels {
+            let n = side * side;
+            let coord = |k: usize| ((k % side) as f64, (k / side) as f64);
+            let a = DMatrix::from_fn(n, n, |i, j| {
+                let (xi, yi) = coord(i);
+                let (xj, yj) = coord(j);
+                kernel((xi - xj).powi(2) + (yi - yj).powi(2))
+            });
+            let (vals, vecs) = symmetric_eigen_ql(&a).unwrap();
+            check_decomposition(&a, &vals, &vecs, 1e-9);
+            let sum: f64 = vals.iter().sum();
+            assert_close(sum, a.trace(), 1e-9);
+            for &l in &vals {
+                assert!(l > -1e-9, "correlation eigenvalue {l} should be >= 0");
+            }
         }
     }
 

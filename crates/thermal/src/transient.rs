@@ -37,18 +37,15 @@ use statobd_num::cg::solve_pcg;
 /// constant `τ_v` (sets the target `dt = τ_v / TAU_RESOLUTION`).
 const TAU_RESOLUTION: f64 = 16.0;
 
-/// Cost accounting of a transient run — proof that the stepper reuses one
-/// assembled operator and preconditioner across all steps.
+/// Cost accounting of a transient run: the steps taken, their CG
+/// iterations, and the time spent assembling the stepped operator,
+/// building its preconditioner (both once per run) and solving.
 #[derive(Debug, Clone, Default)]
 pub struct TransientStats {
     /// Backward-Euler steps taken.
     pub steps: usize,
     /// Sub-step length (s).
     pub dt_s: f64,
-    /// Times the stepped operator `A + (C/dt)·I` was assembled (always 1).
-    pub operator_assemblies: usize,
-    /// Times the preconditioner was built (always 1).
-    pub preconditioner_builds: usize,
     /// CG iterations summed over all steps.
     pub total_cg_iterations: usize,
     /// Operator assembly plus power rasterization seconds.
@@ -179,8 +176,6 @@ impl ThermalSolver {
             stats: TransientStats {
                 steps: n_snapshots * steps_per_snap,
                 dt_s: dt,
-                operator_assemblies: 1,
-                preconditioner_builds: 1,
                 total_cg_iterations,
                 assembly_s,
                 precond_s,
@@ -277,12 +272,10 @@ mod tests {
     }
 
     #[test]
-    fn stepper_assembles_operator_and_preconditioner_once() {
+    fn stepper_reports_its_steps_and_cg_cost() {
         let (fp, pm, solver) = setup(10.0);
         let result = solver.solve_transient(&fp, &pm, 318.15, 0.05, 5).unwrap();
         let s = &result.stats;
-        assert_eq!(s.operator_assemblies, 1);
-        assert_eq!(s.preconditioner_builds, 1);
         assert!(s.steps >= 5, "expected at least one step per snapshot");
         assert!(s.dt_s > 0.0);
         assert!(s.total_cg_iterations > 0);

@@ -13,7 +13,7 @@
 use crate::{
     CorrelationKernel, GridSpec, Result, SystematicPattern, VarianceBudget, VariationError,
 };
-use statobd_num::eigen::{SpectralOptions, SpectralSolver, SymmetricEigen};
+use statobd_num::eigen::{extend_over_cluster, SymmetricEigen};
 use statobd_num::matrix::DMatrix;
 use std::time::Instant;
 
@@ -23,20 +23,18 @@ const EIG_FLOOR: f64 = 1e-12;
 
 /// Wall-clock breakdown of one model construction (see
 /// [`ThicknessModelBuilder::build_with_stats`]): covariance assembly,
-/// eigendecomposition, and loading truncation/scaling, plus what the
-/// spectral stage produced. The timings are measured, so they vary
-/// run-to-run; the structural fields are deterministic.
+/// eigendecomposition, and loading truncation/scaling, plus the model's
+/// size. The timings are measured, so they vary run-to-run; the
+/// structural fields are deterministic.
 #[derive(Debug, Clone, Copy)]
 pub struct ModelBuildStats {
     /// Correlation-grid count `n` (the covariance is `n × n`).
     pub n_grids: usize,
     /// Principal components retained by the truncation.
     pub n_components: usize,
-    /// Eigensolver backend that actually ran.
-    pub solver: SpectralSolver,
     /// Seconds spent assembling the grid covariance matrix.
     pub covariance_s: f64,
-    /// Seconds spent in the (possibly truncated) eigendecomposition.
+    /// Seconds spent in the eigendecomposition.
     pub eigen_s: f64,
     /// Seconds spent selecting components and scaling the loadings.
     pub truncation_s: f64,
@@ -224,53 +222,35 @@ impl ThicknessModel {
     }
 
     /// Eigendecomposes the grid covariance, checks it is positive
-    /// semidefinite, and keeps the components up to the energy target as
-    /// loadings scaled by `√λ`. Returns the loadings plus the solver used
-    /// and the `(eigen, truncation)` stage timings for
+    /// semidefinite, and keeps the numerically positive components as
+    /// loadings scaled by `√λ`. Returns the loadings plus the
+    /// `(eigen, truncation)` stage timings for
     /// [`ThicknessModelBuilder::build_with_stats`].
-    fn principal_loadings(
-        covariance: &DMatrix,
-        spectral: &SpectralOptions,
-    ) -> Result<(DMatrix, SpectralSolver, (f64, f64))> {
+    fn principal_loadings(covariance: &DMatrix) -> Result<(DMatrix, (f64, f64))> {
         let n = covariance.nrows();
-        let energy_fraction = spectral.energy_fraction;
         let eigen_start = Instant::now();
-        let eig = SymmetricEigen::with_options(covariance, spectral)?;
+        let eig = SymmetricEigen::new(covariance)?;
         let eigen_s = eigen_start.elapsed().as_secs_f64();
 
         let truncation_start = Instant::now();
         let eigenvalues = eig.eigenvalues();
         let lambda_max = eigenvalues.first().copied().unwrap_or(0.0).max(0.0);
-        if eig.is_full() {
-            if let Some(&min) = eigenvalues.last() {
-                if min < -1e-8 * lambda_max.max(1.0) {
-                    return Err(VariationError::InvalidCovariance {
-                        min_eigenvalue: min,
-                    });
-                }
+        if let Some(&min) = eigenvalues.last() {
+            if min < -1e-8 * lambda_max.max(1.0) {
+                return Err(VariationError::InvalidCovariance {
+                    min_eigenvalue: min,
+                });
             }
-        } else if covariance.trace() < -1e-8 * lambda_max.max(1.0) {
-            // The partial spectrum cannot see the smallest eigenvalue; a
-            // negative trace is the one indefiniteness signal still
-            // available.
-            return Err(VariationError::InvalidCovariance {
-                min_eigenvalue: covariance.trace(),
-            });
         }
 
-        // Retain components: positive eigenvalues up to the requested
-        // cumulative energy fraction. The total energy is the trace — for
-        // a PSD covariance that equals the positive-eigenvalue sum, and
-        // using the trace keeps the selection identical whether the
-        // spectrum arrived complete (QL) or already truncated at
-        // the same target (Lanczos).
+        // Retain components: eigenvalues above the floor, until their
+        // cumulative sum reaches the trace (the whole energy of a PSD
+        // covariance).
         let total_energy = covariance.trace();
         let mut kept = 0;
         let mut cum = 0.0;
         for &l in eigenvalues {
-            if l <= EIG_FLOOR * lambda_max
-                || (total_energy > 0.0 && cum >= energy_fraction * total_energy)
-            {
+            if l <= EIG_FLOOR * lambda_max || (total_energy > 0.0 && cum >= total_energy) {
                 break;
             }
             cum += l;
@@ -278,8 +258,9 @@ impl ThicknessModel {
         }
         // Symmetric grids have exactly repeated eigenvalues; never cut
         // inside such a cluster or the retained subspace (and hence the
-        // model covariance) would depend on the solver backend.
-        kept = statobd_num::lanczos::extend_over_cluster(eigenvalues, kept, eigenvalues.len());
+        // model covariance) would depend on which basis of its eigenspace
+        // the solver returned.
+        kept = extend_over_cluster(eigenvalues, kept);
         // Degenerate case: a zero covariance (pure-independent budget).
         let loadings = if kept == 0 {
             DMatrix::zeros(n, 0)
@@ -288,7 +269,7 @@ impl ThicknessModel {
             DMatrix::from_fn(n, kept, |g, k| v[(g, k)] * eigenvalues[k].sqrt())
         };
         let truncation_s = truncation_start.elapsed().as_secs_f64();
-        Ok((loadings, eig.solver(), (eigen_s, truncation_s)))
+        Ok((loadings, (eigen_s, truncation_s)))
     }
 }
 
@@ -356,7 +337,6 @@ pub struct ThicknessModelBuilder {
     budget: Option<VarianceBudget>,
     kernel: Option<CorrelationKernel>,
     systematic: SystematicPattern,
-    spectral: SpectralOptions,
 }
 
 impl Default for ThicknessModelBuilder {
@@ -375,7 +355,6 @@ impl ThicknessModelBuilder {
             budget: None,
             kernel: None,
             systematic: SystematicPattern::None,
-            spectral: SpectralOptions::full(),
         }
     }
 
@@ -406,22 +385,6 @@ impl ThicknessModelBuilder {
     /// Sets a wafer-level systematic pattern (optional; default none).
     pub fn systematic(mut self, pattern: SystematicPattern) -> Self {
         self.systematic = pattern;
-        self
-    }
-
-    /// Sets the PCA energy fraction to retain (optional; default 1.0 keeps
-    /// every numerically positive component). Fractions below 1 on a large
-    /// grid route the decomposition onto the Lanczos top-k path.
-    pub fn energy_fraction(mut self, fraction: f64) -> Self {
-        self.spectral.energy_fraction = fraction;
-        self
-    }
-
-    /// Sets the full spectral configuration — solver backend, energy
-    /// target, component cap, tolerance, threading (optional; default
-    /// full spectrum with automatic solver).
-    pub fn spectral(mut self, spectral: SpectralOptions) -> Self {
-        self.spectral = spectral;
         self
     }
 
@@ -481,12 +444,6 @@ impl ThicknessModelBuilder {
                 detail: format!("sigma_ind must be non-negative, got {sigma_ind}"),
             });
         }
-        let energy_fraction = self.spectral.energy_fraction;
-        if !(0.0 < energy_fraction && energy_fraction <= 1.0) {
-            return Err(VariationError::InvalidParameter {
-                detail: format!("energy_fraction must be in (0, 1], got {energy_fraction}"),
-            });
-        }
 
         let n = grid.n_grids();
         let var_g = budget.sigma_global().powi(2);
@@ -506,8 +463,7 @@ impl ThicknessModelBuilder {
             })
             .collect();
 
-        let (loadings, solver, (eigen_s, truncation_s)) =
-            ThicknessModel::principal_loadings(&cov, &self.spectral)?;
+        let (loadings, (eigen_s, truncation_s)) = ThicknessModel::principal_loadings(&cov)?;
         let model = ThicknessModel {
             grid,
             nominal,
@@ -519,7 +475,6 @@ impl ThicknessModelBuilder {
         let stats = ModelBuildStats {
             n_grids: n,
             n_components: model.n_components(),
-            solver,
             covariance_s,
             eigen_s,
             truncation_s,
@@ -552,6 +507,33 @@ mod tests {
         for &(a, c) in &[(0usize, 0usize), (0, 35), (5, 17), (12, 12)] {
             let d = grid.distance(a, c);
             let expected = var_g + var_s * (-d / 0.5).exp();
+            let got = m.covariance(a, c);
+            assert!(
+                (got - expected).abs() < 1e-10,
+                "cov({a},{c}): {got} vs {expected}"
+            );
+        }
+    }
+
+    #[test]
+    fn gaussian_kernel_with_a_rounding_level_tail_builds() {
+        // The smooth kernel's smallest eigenvalues sit at rounding level,
+        // where QL once stalled instead of deflating them.
+        let rel = 0.25;
+        let m = ThicknessModelBuilder::new()
+            .grid(GridSpec::square_unit(18).unwrap())
+            .nominal(2.2)
+            .budget(VarianceBudget::itrs_2008(2.2).unwrap())
+            .kernel(CorrelationKernel::Gaussian { rel_distance: rel })
+            .build()
+            .unwrap();
+        let grid = *m.grid();
+        let b = m.budget();
+        let var_g = b.sigma_global().powi(2);
+        let var_s = b.sigma_spatial().powi(2);
+        for &(a, c) in &[(0usize, 0usize), (0, 323), (5, 17), (40, 41), (160, 161)] {
+            let d = grid.distance(a, c);
+            let expected = var_g + var_s * (-(d / rel).powi(2)).exp();
             let got = m.covariance(a, c);
             assert!(
                 (got - expected).abs() < 1e-10,
@@ -613,23 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn energy_truncation_reduces_components() {
-        let full = build_model(8, 0.75);
-        let truncated = ThicknessModelBuilder::new()
-            .grid(GridSpec::square_unit(8).unwrap())
-            .nominal(2.2)
-            .budget(VarianceBudget::itrs_2008(2.2).unwrap())
-            .kernel(CorrelationKernel::Exponential { rel_distance: 0.75 })
-            .energy_fraction(0.99)
-            .build()
-            .unwrap();
-        assert!(truncated.n_components() < full.n_components());
-        // Truncated model still captures at least 99 % of grid variance.
-        let expected = full.grid_sigma(0);
-        assert!(truncated.grid_sigma(0) > 0.99 * expected);
-    }
-
-    #[test]
     fn pure_independent_budget_has_no_components() {
         let m = ThicknessModelBuilder::new()
             .grid(GridSpec::square_unit(3).unwrap())
@@ -670,8 +635,6 @@ mod tests {
             .kernel(CorrelationKernel::Exponential { rel_distance: 0.0 })
             .build()
             .is_err());
-        assert!(base().nominal(2.2).energy_fraction(0.0).build().is_err());
-        assert!(base().nominal(2.2).energy_fraction(1.5).build().is_err());
     }
 
     #[test]
@@ -685,40 +648,10 @@ mod tests {
             .unwrap();
         assert_eq!(stats.n_grids, 64);
         assert_eq!(stats.n_components, model.n_components());
-        // Full spectrum → tridiagonal QL.
-        assert_eq!(stats.solver, SpectralSolver::TridiagonalQl);
         assert!(stats.covariance_s >= 0.0);
         assert!(stats.eigen_s >= 0.0);
         assert!(stats.truncation_s >= 0.0);
         assert!(stats.total_s() >= stats.eigen_s);
-    }
-
-    #[test]
-    fn solver_choice_does_not_change_the_model() {
-        let build = |spectral: SpectralOptions| {
-            ThicknessModelBuilder::new()
-                .grid(GridSpec::square_unit(8).unwrap())
-                .nominal(2.2)
-                .budget(VarianceBudget::itrs_2008(2.2).unwrap())
-                .kernel(CorrelationKernel::Exponential { rel_distance: 0.5 })
-                .spectral(spectral)
-                .build()
-                .unwrap()
-        };
-        // The exponential kernel has a flat spectral tail: on the 8x8 grid
-        // 0.95 of the energy sits in the leading ~30 components, while
-        // 0.9999 would need essentially all 64.
-        let energy = 0.95;
-        let ql = build(SpectralOptions::energy(energy).with_solver(SpectralSolver::TridiagonalQl));
-        let lan = build(SpectralOptions::energy(energy).with_solver(SpectralSolver::Lanczos));
-        assert_eq!(ql.n_components(), lan.n_components());
-        assert!(ql.n_components() < 64, "energy target should truncate");
-        // The loadings differ by sign / degenerate rotation, but the
-        // covariance they span is the same model.
-        let scale = ql.covariance(0, 0);
-        for &(a, b) in &[(0usize, 0usize), (0, 63), (9, 40), (21, 21)] {
-            assert!((ql.covariance(a, b) - lan.covariance(a, b)).abs() < 1e-8 * scale);
-        }
     }
 
     #[test]

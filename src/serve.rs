@@ -12,7 +12,9 @@
 //! One JSON object per line in, one per line out. Every request carries an
 //! `op`; every reply carries `"ok"` and echoes the request's `id` when
 //! present. Errors are structured replies (`{"ok": false, "error": ...}`)
-//! — a bad request never kills the server.
+//! — a bad request never kills the server. A line longer than
+//! [`MAX_LINE_BYTES`] gets such a reply and the rest of it is discarded
+//! unread, so no request can grow the server's memory without bound.
 //!
 //! | op | request fields | reply fields |
 //! |---|---|---|
@@ -42,7 +44,11 @@ use crate::session::Session;
 use crate::spec::AnalysisSpec;
 use statobd_manager::{MissionProfile, StepReport};
 use statobd_num::json::{FromJson, Json, ToJson};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
+
+/// The longest request line the server reads, its `\n` excluded (8 MiB,
+/// far above the largest inline chip spec).
+const MAX_LINE_BYTES: usize = 8 << 20;
 
 /// Server configuration.
 #[derive(Debug)]
@@ -331,21 +337,24 @@ pub fn serve_lines<R: BufRead, W: Write>(reader: R, writer: W, config: ServeConf
 }
 
 /// The per-connection loop behind stdin and every socket connection:
-/// reads each request up to `\n` into one reused buffer, strips a trailing
-/// `\r` as [`BufRead::lines`] does, skips blank lines, and writes and
-/// flushes one reply per request. Returns whether a `shutdown` request
-/// ended it (`false` at EOF).
+/// reads each request up to `\n` into one reused buffer of at most
+/// [`MAX_LINE_BYTES`] (answering a longer line with an error and skipping
+/// its rest), strips a trailing `\r` as [`BufRead::lines`] does, skips
+/// blank lines, and writes and flushes one reply per request. Returns
+/// whether a `shutdown` request ended it (`false` at EOF).
 fn serve_connection<R: BufRead, W: Write>(
     server: &mut Server,
     mut reader: R,
     mut writer: W,
 ) -> Result<bool> {
+    let io_error = |e: std::io::Error| Error::Io(format!("reading request: {e}"));
     let mut buf = Vec::new();
     loop {
         buf.clear();
-        let read = reader
+        let read = (&mut reader)
+            .take(MAX_LINE_BYTES as u64 + 1)
             .read_until(b'\n', &mut buf)
-            .map_err(|e| Error::Io(format!("reading request: {e}")))?;
+            .map_err(io_error)?;
         if read == 0 {
             return Ok(false);
         }
@@ -353,10 +362,20 @@ fn serve_connection<R: BufRead, W: Write>(
             Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
             None => &buf,
         };
-        let reply = match std::str::from_utf8(line) {
-            Ok(text) if text.trim().is_empty() => continue,
-            Ok(text) => server.handle(text),
-            Err(e) => Reply::wrap(None, Err(Error::Spec(format!("request is not UTF-8: {e}")))),
+        let reply = if line.len() > MAX_LINE_BYTES {
+            reader.skip_until(b'\n').map_err(io_error)?;
+            Reply::wrap(
+                None,
+                Err(Error::Spec(format!(
+                    "request line longer than {MAX_LINE_BYTES} bytes; the line was discarded"
+                ))),
+            )
+        } else {
+            match std::str::from_utf8(line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => server.handle(text),
+                Err(e) => Reply::wrap(None, Err(Error::Spec(format!("request is not UTF-8: {e}")))),
+            }
         };
         writeln!(writer, "{}", reply.json.to_compact())
             .and_then(|()| writer.flush())
@@ -574,6 +593,37 @@ mod tests {
         // The session opened before the bad line is still hot.
         assert_eq!(ok(2), Some(true), "{}", replies[2].to_compact());
         assert_eq!(replies[2].get("id").and_then(Json::as_f64), Some(3.0));
+    }
+
+    #[test]
+    fn an_over_long_line_gets_an_error_reply_and_serving_goes_on() {
+        let open = format!(
+            r#"{{"id": 1, "op": "open", "session": "s", "spec": {}}}"#,
+            tiny_spec_json()
+        );
+        // A request padded to exactly the cap is read; one byte more is not.
+        let stats = r#"{"id": 2, "op": "stats", "session": "s"}"#;
+        let padded = |len: usize| stats.to_string() + &" ".repeat(len - stats.len());
+        let (at_cap, over_cap) = (padded(MAX_LINE_BYTES), padded(MAX_LINE_BYTES + 1));
+        let query = r#"{"id": 4, "op": "p_at", "session": "s", "t_s": 1e8}"#;
+        let input = [open.as_str(), &at_cap, &over_cap, query].join("\n");
+        let mut out = Vec::new();
+        serve_lines(input.as_bytes(), &mut out, ServeConfig::default()).unwrap();
+        let replies: Vec<Json> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| Json::parse(l).unwrap())
+            .collect();
+        assert_eq!(replies.len(), 4, "one reply per line");
+        let ok = |i: usize| replies[i].get("ok").and_then(Json::as_bool);
+        assert_eq!(ok(0), Some(true));
+        assert_eq!(ok(1), Some(true), "{}", replies[1].to_compact());
+        assert_eq!(ok(2), Some(false));
+        let error = replies[2].get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains(&MAX_LINE_BYTES.to_string()), "{error}");
+        // The rest of the long line was skipped, not read as requests.
+        assert_eq!(ok(3), Some(true), "{}", replies[3].to_compact());
+        assert_eq!(replies[3].get("id").and_then(Json::as_f64), Some(4.0));
     }
 
     #[test]
