@@ -13,7 +13,11 @@
 //! * `mc_weight_table`: a batched Monte-Carlo sweep (the
 //!   `scaled_exp_grid` weight-table fill plus histogram traversal —
 //!   recurrence-dominated, reported for completeness without a speedup
-//!   bar).
+//!   bar),
+//! * `uv_projection`: eight seeded principal-component draws projected
+//!   through every block of C3 by `uv_given_z_tile` (the fleet's and
+//!   st_MC's `(u, v)` stage), `W` draws per tile. Every width must equal
+//!   the scalar `uv_given_z` of each draw bit for bit.
 //!
 //! Every width-4/8 row is gated at ≤ 1e-12 relative against the width-1
 //! reference values. Full runs additionally require a ≥ 2× best-width
@@ -28,12 +32,12 @@
 //!     [--quick] [--out BENCH_kernels.json] [--threads 1]
 //! ```
 
-use statobd_bench::harness::{log_times, rel_divergence, Cli};
+use statobd_bench::harness::{bit_identical, log_times, rel_divergence, Cli};
 use statobd_bench::{measure_min, session_for};
 use statobd_circuits::Benchmark;
 use statobd_core::{
-    build_engine, EngineSpec, HybridConfig, HybridTables, MonteCarloConfig, ReliabilityEngine,
-    StFastConfig,
+    build_engine, ChipAnalysis, EngineSpec, HybridConfig, HybridTables, MonteCarloConfig,
+    ReliabilityEngine, StFastConfig,
 };
 use statobd_num::impl_json_struct;
 use statobd_num::simd::{self, LaneWidth};
@@ -176,6 +180,61 @@ fn sample_args(n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     (exp_args, exp_m1_args, ln_1p_args)
 }
 
+/// Draws projected per `uv_projection` evaluation: one tile at the
+/// widest lane width.
+const UV_DRAWS: usize = 8;
+
+/// Seeded principal-component draws for the `uv_projection` row.
+fn sample_draws(n_pc: usize) -> Vec<Vec<f64>> {
+    use statobd_num::rng::{NormalSampler, Xoshiro256pp};
+    let mut rng = Xoshiro256pp::seed_from_u64(0x75765f70726f6a);
+    let mut normal = NormalSampler::new();
+    (0..UV_DRAWS)
+        .map(|_| {
+            let mut z = vec![0.0; n_pc];
+            normal.fill(&mut rng, &mut z);
+            z
+        })
+        .collect()
+}
+
+/// Times the `(u, v)` projection of `draws` through every block at lane
+/// width `W` (`UV_DRAWS / W` tiles per evaluation) and returns seconds per
+/// evaluation with the `(u, v)` values in `[draw][block]` order.
+fn project_draws<const W: usize>(analysis: &ChipAnalysis, draws: &[Vec<f64>]) -> (f64, Vec<f64>) {
+    let n_pc = analysis.model().n_components();
+    let tiles: Vec<Vec<f64>> = draws
+        .chunks_exact(W)
+        .map(|tile_draws| {
+            let mut tile = vec![0.0; n_pc * W];
+            for (w, z) in tile_draws.iter().enumerate() {
+                for (k, &zk) in z.iter().enumerate() {
+                    tile[k * W + w] = zk;
+                }
+            }
+            tile
+        })
+        .collect();
+    let blocks = analysis.blocks();
+    let mut values = vec![0.0; draws.len() * blocks.len() * 2];
+    let mut project = || {
+        for (t, tile) in tiles.iter().enumerate() {
+            let (mut u, mut v) = ([0.0; W], [0.0; W]);
+            for (j, block) in blocks.iter().enumerate() {
+                block.moments().uv_given_z_tile::<W>(tile, &mut u, &mut v);
+                for w in 0..W {
+                    let at = ((t * W + w) * blocks.len() + j) * 2;
+                    values[at] = u[w];
+                    values[at + 1] = v[w];
+                }
+            }
+        }
+    };
+    let eval_s = measure_min(&mut project);
+    project();
+    (eval_s, values)
+}
+
 fn main() {
     let mut cli = Cli::from_env();
     let threads_flag = cli.threads(1);
@@ -268,7 +327,35 @@ fn main() {
         },
     );
 
+    // The (u, v) projection, against the scalar per-draw evaluation.
+    let draws = sample_draws(analysis.model().n_components());
+    let scalar_uv: Vec<f64> = draws
+        .iter()
+        .flat_map(|z| analysis.blocks().iter().map(|b| b.moments().uv_given_z(z)))
+        .flat_map(|(u, v)| [u, v])
+        .collect();
+    let mut uv_bit_exact = Vec::new();
+    bench_widths(
+        "uv_projection",
+        &format!("{UV_DRAWS}-draw pass"),
+        &mut rows,
+        || {
+            let (eval_s, values) = match simd::active_width() {
+                LaneWidth::W1 => project_draws::<1>(analysis, &draws),
+                LaneWidth::W4 => project_draws::<4>(analysis, &draws),
+                LaneWidth::W8 => project_draws::<8>(analysis, &draws),
+            };
+            uv_bit_exact.push(bit_identical(&values, &scalar_uv));
+            (eval_s, values)
+        },
+    );
+
     // --- Gates -------------------------------------------------------------
+    for (width, exact) in WIDTHS.iter().zip(&uv_bit_exact) {
+        gates.check(*exact, || {
+            format!("uv_projection w={width}: differs from uv_given_z in some bit")
+        });
+    }
     for row in rows.iter().filter(|r| r.width > 1) {
         gates.check(row.max_rel_err <= GATE_REL_ERR, || {
             format!(

@@ -42,6 +42,12 @@ use statobd_variation::ThicknessModel;
 /// 695 of the 696 on C1, 711 of 728 on C3 and all 468 on MC16.
 const PROJECTION_ENERGY: f64 = 1.0 - 1e-4;
 
+/// Rows of the projection matrix that [`BlodMoments::uv_given_z_tile`]
+/// projects per kernel call, into a stack buffer (16 KiB at `W = 8`).
+/// Every block of the bundled designs at the paper's 25 × 25 grid has
+/// fewer (at most 169, on C6), so each of their blocks is one call.
+const UV_TILE_ROWS: usize = 256;
+
 /// Distribution of the BLOD sample mean `u_j`.
 #[derive(Debug, Clone)]
 pub enum MeanDist {
@@ -148,8 +154,14 @@ impl VarianceDist {
 pub struct BlodMoments {
     /// Nominal sample mean `u_{j,0}`.
     u_nominal: f64,
-    /// Principal-component sensitivities `u_{j,k}` (eq. 22).
-    u_coeffs: Vec<f64>,
+    /// The projection rows, row-major with `n_components` columns: row 0
+    /// holds the principal-component sensitivities `u_{j,k}` (eq. 22),
+    /// rows `1..` the low-rank projection vectors `a_r` with
+    /// `zᵀQz = Σ_r (a_rᵀ z)²`. One matrix so a lane tile projects both in
+    /// one pass ([`BlodMoments::uv_given_z_tile`]).
+    uv_rows: Vec<f64>,
+    /// Row length of `uv_rows`: the model's principal-component count.
+    n_components: usize,
     /// `σ_u = ‖u_coeffs‖`.
     u_sigma: f64,
     /// `v_{j,0}`: the independent-variance floor (plus systematic spread).
@@ -158,8 +170,6 @@ pub struct BlodMoments {
     q_trace: f64,
     /// `tr(Q_j²)`.
     q_trace_sq: f64,
-    /// Low-rank projection vectors `a_r` with `zᵀQz = Σ_r (a_rᵀ z)²`.
-    v_projections: Vec<Vec<f64>>,
     /// The fitted χ² scale `â` (0 when `Q = 0`).
     chi2_scale: f64,
     /// The fitted χ² degrees of freedom `b̂` (0 when `Q = 0`).
@@ -174,14 +184,14 @@ impl statobd_num::json::ToJson for BlodMoments {
         use statobd_num::json::{pack_f64s, Json};
         Json::Object(vec![
             ("u_nominal".to_string(), self.u_nominal.to_json()),
-            ("u_coeffs".to_string(), pack_f64s(&self.u_coeffs)),
+            ("u_coeffs".to_string(), pack_f64s(self.u_coeffs())),
             ("u_sigma".to_string(), self.u_sigma.to_json()),
             ("v_floor".to_string(), self.v_floor.to_json()),
             ("q_trace".to_string(), self.q_trace.to_json()),
             ("q_trace_sq".to_string(), self.q_trace_sq.to_json()),
             (
                 "v_projections".to_string(),
-                Json::Array(self.v_projections.iter().map(|p| pack_f64s(p)).collect()),
+                Json::Array(self.v_rows().map(pack_f64s).collect()),
             ),
             ("chi2_scale".to_string(), self.chi2_scale.to_json()),
             ("chi2_dof".to_string(), self.chi2_dof.to_json()),
@@ -191,30 +201,45 @@ impl statobd_num::json::ToJson for BlodMoments {
 
 impl statobd_num::json::FromJson for BlodMoments {
     fn from_json(v: &statobd_num::json::Json) -> statobd_num::json::Result<Self> {
-        use statobd_num::json::{unpack_f64s, Json, JsonError};
+        use statobd_num::json::{packed_f64_len, unpack_f64s_into, Json, JsonError};
         let field = |k: &str| {
             v.get(k)
                 .ok_or_else(|| JsonError::new(format!("missing field '{k}' in BlodMoments")))
         };
-        let v_projections = match field("v_projections")? {
-            Json::Array(rows) => rows
-                .iter()
-                .map(unpack_f64s)
-                .collect::<statobd_num::json::Result<Vec<_>>>()?,
+        let u_row = field("u_coeffs")?;
+        let rows = match field("v_projections")? {
+            Json::Array(rows) => rows,
             other => {
                 return Err(JsonError::new(format!(
                     "expected an array of packed projections, got {other}"
                 )))
             }
         };
+        // The u row, then each projection row appended after it, in one
+        // allocation sized from the document itself. A row of another
+        // length would misalign every row after it.
+        let mut uv_rows = Vec::with_capacity(
+            packed_f64_len(u_row) + rows.iter().map(packed_f64_len).sum::<usize>(),
+        );
+        unpack_f64s_into(u_row, &mut uv_rows)?;
+        let n_components = uv_rows.len();
+        for (r, row) in rows.iter().enumerate() {
+            unpack_f64s_into(row, &mut uv_rows)?;
+            let len = uv_rows.len() - (r + 1) * n_components;
+            if len != n_components {
+                return Err(JsonError::new(format!(
+                    "v projection {r} has {len} components, u_coeffs {n_components}"
+                )));
+            }
+        }
         Ok(BlodMoments {
             u_nominal: f64::from_json(field("u_nominal")?)?,
-            u_coeffs: unpack_f64s(field("u_coeffs")?)?,
+            uv_rows,
+            n_components,
             u_sigma: f64::from_json(field("u_sigma")?)?,
             v_floor: f64::from_json(field("v_floor")?)?,
             q_trace: f64::from_json(field("q_trace")?)?,
             q_trace_sq: f64::from_json(field("q_trace_sq")?)?,
-            v_projections,
             chi2_scale: f64::from_json(field("chi2_scale")?)?,
             chi2_dof: f64::from_json(field("chi2_dof")?)?,
         })
@@ -237,16 +262,18 @@ impl BlodMoments {
         let n_pc = model.n_components();
         let weights = block.grid_weights();
 
-        // u coefficients (eq. 22): u_k = Σ_g w_g λ[g, k].
-        let mut u_coeffs = vec![0.0; n_pc];
+        // u coefficients (eq. 22): u_k = Σ_g w_g λ[g, k], the first row
+        // of the projection matrix.
+        let mut uv_rows = vec![0.0; n_pc];
         let mut u_nominal = 0.0;
         for &(g, w) in weights {
             u_nominal += w * model.nominal()[g];
             let row = model.loadings().row(g);
-            for (uk, l) in u_coeffs.iter_mut().zip(row) {
+            for (uk, l) in uv_rows.iter_mut().zip(row) {
                 *uk += w * l;
             }
         }
+        let u_coeffs = &uv_rows[..];
         let u_sigma = u_coeffs.iter().map(|c| c * c).sum::<f64>().sqrt();
 
         // Centered factor rows: F[r] = sqrt(w_g) (λ_g − u_coeffs), so that
@@ -282,17 +309,18 @@ impl BlodMoments {
         };
 
         // Low-rank projections a_r = Fᵀ·y_r (y_r eigenvectors of G), so
-        // zᵀQz = Σ_r (a_rᵀz)². Retained until PROJECTION_ENERGY of tr(Q);
-        // the cut keeps positive eigenvalues only.
-        let mut v_projections = Vec::new();
+        // zᵀQz = Σ_r (a_rᵀz)², appended as rows 1.. of the projection
+        // matrix. Retained until PROJECTION_ENERGY of tr(Q); the cut keeps
+        // positive eigenvalues only.
         if q_trace > 1e-30 {
             let eig = SymmetricEigen::new(&gram)?;
             let (_, ys) =
                 filter_full_spectrum(eig.eigenvalues(), eig.eigenvectors(), PROJECTION_ENERGY);
+            uv_rows.resize((1 + ys.ncols()) * n_pc, 0.0);
             for r in 0..ys.ncols() {
                 let y: Vec<f64> = ys.column(r);
                 // a_r = Fᵀ y_r.
-                let mut a = vec![0.0; n_pc];
+                let a = &mut uv_rows[(1 + r) * n_pc..(2 + r) * n_pc];
                 for (row_idx, &yv) in y.iter().enumerate() {
                     if yv == 0.0 {
                         continue;
@@ -302,18 +330,17 @@ impl BlodMoments {
                         *ak += yv * fv;
                     }
                 }
-                v_projections.push(a);
             }
         }
 
         Ok(BlodMoments {
             u_nominal,
-            u_coeffs,
+            uv_rows,
+            n_components: n_pc,
             u_sigma,
             v_floor,
             q_trace,
             q_trace_sq,
-            v_projections,
             chi2_scale,
             chi2_dof,
         })
@@ -326,7 +353,14 @@ impl BlodMoments {
 
     /// Principal-component sensitivities of the sample mean.
     pub fn u_coeffs(&self) -> &[f64] {
-        &self.u_coeffs
+        &self.uv_rows[..self.n_components]
+    }
+
+    /// The low-rank projection vectors `a_r` of `v(z)`, in order.
+    fn v_rows(&self) -> std::slice::ChunksExact<'_, f64> {
+        // With no components there are no projections and the slice is
+        // empty; `max(1)` only keeps the chunk size valid.
+        self.uv_rows[self.n_components..].chunks_exact(self.n_components.max(1))
     }
 
     /// Standard deviation of the sample mean.
@@ -361,15 +395,14 @@ impl BlodMoments {
 
     /// Number of retained low-rank projection vectors for `v(z)`.
     pub fn n_projections(&self) -> usize {
-        self.v_projections.len()
+        self.v_rows().len()
     }
 
     /// The retained eigenvalues of the quadratic form `Q_j` (the squared
     /// norms of the projection vectors) — the input to the exact Imhof
     /// evaluation of the sample-variance distribution.
     pub fn q_eigenvalues(&self) -> Vec<f64> {
-        self.v_projections
-            .iter()
+        self.v_rows()
             .map(|a| a.iter().map(|x| x * x).sum())
             .collect()
     }
@@ -418,13 +451,13 @@ impl BlodMoments {
     ///
     /// Panics if `z.len()` does not match the model's component count.
     pub fn uv_given_z(&self, z: &[f64]) -> (f64, f64) {
-        assert_eq!(z.len(), self.u_coeffs.len(), "component count mismatch");
+        assert_eq!(z.len(), self.n_components, "component count mismatch");
         let mut u = self.u_nominal;
-        for (c, zk) in self.u_coeffs.iter().zip(z) {
+        for (c, zk) in self.u_coeffs().iter().zip(z) {
             u += c * zk;
         }
         let mut v = self.v_floor;
-        for a in &self.v_projections {
+        for a in self.v_rows() {
             let mut d = 0.0;
             for (ak, zk) in a.iter().zip(z) {
                 d += ak * zk;
@@ -438,11 +471,16 @@ impl BlodMoments {
     /// lane dimension across draws: `z_tile[k·W + w]` holds component `k`
     /// of draw `w` (SoA), and `u[w]`/`v[w]` receive draw `w`'s moments.
     ///
-    /// Every lane accumulates in the same `k`-sequential order as
-    /// [`BlodMoments::uv_given_z`], so lane `w` is **bit-identical** to
-    /// the scalar evaluation of its draw at any `W` — the property that
-    /// lets the fleet's chip tiles and the `st_MC` chunk fill adopt this
-    /// without changing a single reported number.
+    /// The projection matrix goes through [`simd::lane_matvec_acc`] with
+    /// row 0 seeded at `u_nominal` and the projection rows at 0, then
+    /// `v = v_floor + Σ_r d_r²` in row order. Every output accumulates in
+    /// the same `k`-sequential order as [`BlodMoments::uv_given_z`], so
+    /// lane `w` is **bit-identical** to the scalar evaluation of its draw
+    /// at any `W` — the property that lets the fleet's chip tiles and the
+    /// `st_MC` chunk fill adopt this without changing a single reported
+    /// number. The rows go through the kernel in chunks held on the
+    /// stack; each block of the bundled designs at the paper's 25 × 25
+    /// grid is one chunk, so one kernel call.
     ///
     /// # Panics
     ///
@@ -453,16 +491,30 @@ impl BlodMoments {
         u: &mut [f64; W],
         v: &mut [f64; W],
     ) {
-        assert_eq!(
-            z_tile.len(),
-            self.u_coeffs.len() * W,
-            "component tile size mismatch"
-        );
-        *u = [self.u_nominal; W];
-        simd::lane_dot_acc::<W>(&self.u_coeffs, z_tile, u);
+        let n = self.n_components;
+        assert_eq!(z_tile.len(), n * W, "component tile size mismatch");
+        let rows = 1 + self.n_projections();
+        let mut d = [[0.0; W]; UV_TILE_ROWS];
         *v = [self.v_floor; W];
-        for a in &self.v_projections {
-            simd::lane_dot_sq_acc::<W>(a, z_tile, v);
+        for r0 in (0..rows).step_by(UV_TILE_ROWS) {
+            let out = &mut d[..(rows - r0).min(UV_TILE_ROWS)];
+            out.fill([0.0; W]);
+            if r0 == 0 {
+                out[0] = [self.u_nominal; W];
+            }
+            let a = &self.uv_rows[r0 * n..(r0 + out.len()) * n];
+            simd::lane_matvec_acc::<W>(a, n, z_tile, out);
+            let projections = if r0 == 0 {
+                *u = out[0];
+                &out[1..]
+            } else {
+                &out[..]
+            };
+            for dr in projections {
+                for w in 0..W {
+                    v[w] += dr[w] * dr[w];
+                }
+            }
         }
     }
 }
@@ -514,11 +566,11 @@ mod tests {
     #[test]
     fn uv_tile_lanes_match_scalar_bitwise() {
         // Every lane of the SoA tile evaluation must reproduce the
-        // scalar uv_given_z of its draw bit for bit, at both tile widths
-        // and for tiles that exercise multiple v projections.
+        // scalar uv_given_z of its draw bit for bit, at every tile width
+        // and for every pass shape of the row-blocked kernel: blocks of
+        // 1 + n_projections = 1, 5, 8, 9 and at least 17 rows (an 8-row
+        // pass, an overlapping last pass, 4/2/1-row passes).
         let m = model(5);
-        let mom =
-            BlodMoments::characterize(&m, &block(vec![(0, 0.3), (7, 0.3), (20, 0.4)])).unwrap();
         let n_pc = m.n_components();
         let mut rng = Xoshiro256pp::seed_from_u64(99);
         let mut normal = NormalSampler::new();
@@ -538,14 +590,71 @@ mod tests {
             }
             let (mut u, mut v) = ([0.0; W], [0.0; W]);
             mom.uv_given_z_tile::<W>(&tile, &mut u, &mut v);
+            let rows = 1 + mom.n_projections();
             for (w, draw) in draws.iter().enumerate() {
                 let (su, sv) = mom.uv_given_z(draw);
-                assert_eq!(u[w].to_bits(), su.to_bits(), "u lane {w} of {W}");
-                assert_eq!(v[w].to_bits(), sv.to_bits(), "v lane {w} of {W}");
+                assert_eq!(
+                    u[w].to_bits(),
+                    su.to_bits(),
+                    "u lane {w} of {W}, {rows} rows"
+                );
+                assert_eq!(
+                    v[w].to_bits(),
+                    sv.to_bits(),
+                    "v lane {w} of {W}, {rows} rows"
+                );
             }
         }
-        check::<4>(&mom, n_pc, &mut rng, &mut normal);
-        check::<8>(&mom, n_pc, &mut rng, &mut normal);
+        // Blocks over the first g grids have up to g rows.
+        let mut row_counts = Vec::new();
+        for g in 1..=n_pc.min(25) {
+            let grids = (0..g).map(|i| (i, 1.0 / g as f64)).collect();
+            let mom = BlodMoments::characterize(&m, &block(grids)).unwrap();
+            row_counts.push(1 + mom.n_projections());
+            check::<1>(&mom, n_pc, &mut rng, &mut normal);
+            check::<4>(&mom, n_pc, &mut rng, &mut normal);
+            check::<8>(&mom, n_pc, &mut rng, &mut normal);
+        }
+        for rows in [1, 5, 8, 9] {
+            assert!(
+                row_counts.contains(&rows),
+                "no {rows}-row block in {row_counts:?}"
+            );
+        }
+        assert!(row_counts.iter().any(|&r| r >= 17), "{row_counts:?}");
+    }
+
+    #[test]
+    fn from_json_rejects_a_projection_row_of_another_length() {
+        // The rows are read into one flat matrix, so a short or long row
+        // would shift every row after it: a corrupt artifact must fail to
+        // parse instead.
+        use statobd_num::json::{FromJson, Json, ToJson};
+        let m = model(4);
+        let mom = BlodMoments::characterize(&m, &block(vec![(0, 0.5), (15, 0.5)])).unwrap();
+        assert!(mom.n_projections() > 0);
+        let json = mom.to_json();
+        let back = BlodMoments::from_json(&json).unwrap();
+        assert_eq!(back.uv_rows, mom.uv_rows);
+        assert_eq!(back.n_projections(), mom.n_projections());
+        let resized = |edit: &dyn Fn(&mut String)| {
+            let Json::Object(mut fields) = json.clone() else {
+                panic!("moments serialize as an object")
+            };
+            for (key, value) in &mut fields {
+                if let (true, Json::Array(rows)) = (key == "v_projections", value) {
+                    let Json::String(row) = &mut rows[0] else {
+                        panic!("packed row")
+                    };
+                    edit(row);
+                }
+            }
+            BlodMoments::from_json(&Json::Object(fields))
+        };
+        let err = resized(&|row| row.truncate(row.len() - 16)).unwrap_err();
+        assert!(err.to_string().contains("v projection 0"), "{err}");
+        let err = resized(&|row| row.push_str(&"0".repeat(16))).unwrap_err();
+        assert!(err.to_string().contains("v projection 0"), "{err}");
     }
 
     #[test]

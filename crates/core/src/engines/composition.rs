@@ -9,7 +9,7 @@
 //! chip survives while every group does. [`Composition`] describes that
 //! structure; [`CompositionAccumulator`] evaluates it from per-block
 //! failure probabilities, in log-survival space, with the same relative
-//! precision discipline as [`WeakestLink`](super::WeakestLink).
+//! precision discipline as [`WeakestLink`].
 //!
 //! # Numerical form
 //!
@@ -71,7 +71,7 @@ statobd_num::impl_json_struct!(RedundancyGroup { blocks, spares });
 pub enum Composition {
     /// The paper's model: the chip fails with its first block
     /// (every block is its own 1-out-of-1 group). This variant routes
-    /// through the plain [`WeakestLink`](super::WeakestLink) accumulator
+    /// through the plain [`WeakestLink`] accumulator
     /// verbatim, so existing results stay bit-identical.
     #[default]
     WeakestLink,

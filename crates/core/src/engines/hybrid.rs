@@ -439,8 +439,10 @@ impl HybridTables {
 struct SerializedTables {
     tables: Vec<BlockTable>,
     config: HybridConfig,
-    /// Absent in pre-composition documents; [`Composition::from_missing`]
-    /// fills in weakest-link.
+    /// The chip's composition, saved with the tables it composes. A
+    /// document without the member reads as weakest-link: `Composition`'s
+    /// [`FromJson::from_missing`](statobd_num::json::FromJson::from_missing)
+    /// supplies it.
     composition: Composition,
 }
 

@@ -534,6 +534,29 @@ pub fn pack_f64s(xs: &[f64]) -> Json {
 /// Returns an error for any other JSON shape, a hex string whose length
 /// is not a multiple of 16, or a non-hex digit.
 pub fn unpack_f64s(v: &Json) -> Result<Vec<f64>> {
+    let mut out = Vec::new();
+    unpack_f64s_into(v, &mut out)?;
+    Ok(out)
+}
+
+/// The number of floats [`unpack_f64s`] reads from `v` when it succeeds
+/// (0 for a shape it rejects): for sizing one buffer for several rows.
+pub fn packed_f64_len(v: &Json) -> usize {
+    match v {
+        Json::String(s) => s.len() / 16,
+        Json::Array(items) => items.len(),
+        _ => 0,
+    }
+}
+
+/// [`unpack_f64s`] appending to `out`, so several packed rows can be
+/// read into one flat buffer without a copy per row.
+///
+/// # Errors
+///
+/// As [`unpack_f64s`]; on error `out` may hold part of the row.
+pub fn unpack_f64s_into(v: &Json, out: &mut Vec<f64>) -> Result<()> {
+    out.reserve(packed_f64_len(v));
     match v {
         Json::String(s) => {
             if s.len() % 16 != 0 {
@@ -542,9 +565,7 @@ pub fn unpack_f64s(v: &Json) -> Result<Vec<f64>> {
                     s.len()
                 )));
             }
-            let bytes = s.as_bytes();
-            let mut out = Vec::with_capacity(bytes.len() / 16);
-            for chunk in bytes.chunks_exact(16) {
+            for chunk in s.as_bytes().chunks_exact(16) {
                 let mut bits: u64 = 0;
                 for &b in chunk {
                     let nibble = (b as char)
@@ -554,9 +575,14 @@ pub fn unpack_f64s(v: &Json) -> Result<Vec<f64>> {
                 }
                 out.push(f64::from_bits(bits));
             }
-            Ok(out)
+            Ok(())
         }
-        Json::Array(_) => Vec::<f64>::from_json(v),
+        Json::Array(items) => {
+            for x in items {
+                out.push(f64::from_json(x)?);
+            }
+            Ok(())
+        }
         other => Err(JsonError::new(format!(
             "expected a packed f64 string or array, got {other}"
         ))),
@@ -955,5 +981,24 @@ mod tests {
         m.insert("fpu".to_string(), 0.25);
         let back: BTreeMap<String, f64> = from_str(&to_string(&m)).unwrap();
         assert_eq!(back, m);
+    }
+
+    #[test]
+    fn packed_rows_append_into_one_buffer_bit_exactly() {
+        let a = [1.5, -0.0, f64::MIN_POSITIVE / 4.0, f64::NAN];
+        let b = [2.0f64.powi(-60), -7.25];
+        let (packed_a, plain_b) = (pack_f64s(&a), b.to_json());
+        assert_eq!(packed_f64_len(&packed_a), 4);
+        assert_eq!(packed_f64_len(&plain_b), 2);
+        assert_eq!(packed_f64_len(&Json::Null), 0);
+        let mut out = Vec::new();
+        unpack_f64s_into(&packed_a, &mut out).unwrap();
+        unpack_f64s_into(&plain_b, &mut out).unwrap();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out), bits(&[&a[..], &b[..]].concat()));
+        assert_eq!(bits(&unpack_f64s(&packed_a).unwrap()), bits(&a));
+        assert!(unpack_f64s(&Json::String("0123".into())).is_err());
+        assert!(unpack_f64s(&Json::String("g".repeat(16))).is_err());
+        assert!(unpack_f64s(&Json::Null).is_err());
     }
 }

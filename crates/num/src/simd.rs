@@ -1029,50 +1029,6 @@ pub fn lane_sum_acc<const W: usize>(terms: &[f64], acc: &mut [f64; W]) {
     }
 }
 
-/// Accumulates `acc[w] += Σ_k coeffs[k] · tile[k·W + w]` — one dot
-/// product per lane of a `W`-interleaved SoA tile (`tile[k·W + w]` is
-/// component `k` of item `w`). Each lane's accumulation is sequential in
-/// `k` (vectorization runs *across* the `W` lanes) and uses plain
-/// mul-then-add, so every lane reproduces the scalar left-to-right dot
-/// product `acc += Σ c_k·z_k` bit for bit at any width.
-///
-/// # Panics
-///
-/// Panics if `tile.len() != coeffs.len() · W`.
-#[inline(always)]
-pub fn lane_dot_acc<const W: usize>(coeffs: &[f64], tile: &[f64], acc: &mut [f64; W]) {
-    assert_eq!(tile.len(), coeffs.len() * W, "lane dot length mismatch");
-    for (chunk, &c) in tile.chunks_exact(W).zip(coeffs) {
-        let chunk: &[f64; W] = chunk.try_into().expect("chunks_exact yields W");
-        for w in 0..W {
-            acc[w] += c * chunk[w];
-        }
-    }
-}
-
-/// Accumulates `acc[w] += (Σ_k coeffs[k] · tile[k·W + w])²` — the squared
-/// projection term of a variance quadratic form, one lane per item. The
-/// inner dot is `k`-sequential per lane like [`lane_dot_acc`], so each
-/// lane is bit-identical to the scalar `d = Σ a_k·z_k; acc += d·d`.
-///
-/// # Panics
-///
-/// Panics if `tile.len() != coeffs.len() · W`.
-#[inline(always)]
-pub fn lane_dot_sq_acc<const W: usize>(coeffs: &[f64], tile: &[f64], acc: &mut [f64; W]) {
-    assert_eq!(tile.len(), coeffs.len() * W, "lane dot length mismatch");
-    let mut d = [0.0; W];
-    for (chunk, &c) in tile.chunks_exact(W).zip(coeffs) {
-        let chunk: &[f64; W] = chunk.try_into().expect("chunks_exact yields W");
-        for w in 0..W {
-            d[w] += c * chunk[w];
-        }
-    }
-    for w in 0..W {
-        acc[w] += d[w] * d[w];
-    }
-}
-
 /// Per-lane comparison mask `xs[w] <= threshold` — the branch condition
 /// of a lane-parallel bisection step. NaN lanes compare false, matching
 /// the scalar `if x <= t` the mask replaces.
@@ -1089,6 +1045,137 @@ pub fn lane_le<const W: usize>(xs: &[f64; W], threshold: f64) -> [bool; W] {
 #[inline(always)]
 pub fn lane_any<const W: usize>(mask: &[bool; W]) -> bool {
     mask.iter().any(|&m| m)
+}
+
+// ---------------------------------------------------------------------------
+// Row-blocked lane matrix-vector product (the (u, v) projection)
+// ---------------------------------------------------------------------------
+
+/// Rows `r0..r0 + R` of [`lane_matvec_acc`] in one pass over the `n`
+/// components: `out[r0 + i][w] += Σ_k a[(r0 + i)·n + k] · z_tile[k·W + w]`,
+/// each output `k`-sequential with a separate multiply and add, and the
+/// `R·W` sums held in registers for the whole pass.
+#[inline(always)]
+fn matvec_pass<const W: usize, const R: usize>(
+    a: &[f64],
+    n: usize,
+    z_tile: &[f64],
+    r0: usize,
+    out: &mut [[f64; W]],
+) {
+    let acc: &mut [[f64; W]; R] = (&mut out[r0..r0 + R])
+        .try_into()
+        .expect("the caller passes R rows");
+    let rows: [&[f64]; R] = std::array::from_fn(|i| &a[(r0 + i) * n..][..n]);
+    let mut sums = *acc;
+    for (k, z) in (0..n).zip(z_tile.chunks_exact(W)) {
+        let z: &[f64; W] = z.try_into().expect("chunks_exact yields W");
+        for i in 0..R {
+            // SAFETY: every row is sliced to exactly `n` elements above
+            // and `k < n` comes from the range. (A checked index costs a
+            // compare and branch per row and component, which the
+            // compiler does not hoist: ~1.6× on the whole pass.)
+            let c = unsafe { *rows[i].get_unchecked(k) };
+            for w in 0..W {
+                sums[i][w] += c * z[w];
+            }
+        }
+    }
+    *acc = sums;
+}
+
+/// Shared body of [`lane_matvec_acc`]: `P`-row passes, then the rows
+/// left over in 4-, 2- and 1-row passes. One row's `k`-sequential sum is
+/// a serial chain of dependent adds, bound by the add latency; `P`
+/// independent chains per lane keep the vector adders busy. No pass
+/// changes the order of any output's sum.
+#[inline(always)]
+fn lane_matvec_body<const W: usize, const P: usize>(
+    a: &[f64],
+    n: usize,
+    z_tile: &[f64],
+    out: &mut [[f64; W]],
+) {
+    let rows = out.len();
+    let mut r0 = 0;
+    while rows - r0 >= P {
+        matvec_pass::<W, P>(a, n, z_tile, r0, out);
+        r0 += P;
+    }
+    if P > 4 && rows - r0 >= 4 {
+        matvec_pass::<W, 4>(a, n, z_tile, r0, out);
+        r0 += 4;
+    }
+    if P > 2 && rows - r0 >= 2 {
+        matvec_pass::<W, 2>(a, n, z_tile, r0, out);
+        r0 += 2;
+    }
+    if rows > r0 {
+        matvec_pass::<W, 1>(a, n, z_tile, r0, out);
+    }
+}
+
+/// AVX2 clone of [`lane_matvec_body`], four rows per pass: eight rows of
+/// a `W = 8` tile would need all sixteen vector registers for their
+/// sums alone, and the spills cost more than the extra chains gain.
+///
+/// # Safety
+///
+/// Caller must have verified `avx2` via `is_x86_feature_detected!`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn lane_matvec_avx2<const W: usize>(
+    a: &[f64],
+    n: usize,
+    z_tile: &[f64],
+    out: &mut [[f64; W]],
+) {
+    lane_matvec_body::<W, 4>(a, n, z_tile, out);
+}
+
+/// AVX-512F clone of [`lane_matvec_body`], eight rows per pass (eight of
+/// the 32 vector registers at `W = 8`).
+///
+/// # Safety
+///
+/// Caller must have verified `avx512f` via `is_x86_feature_detected!`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn lane_matvec_avx512<const W: usize>(
+    a: &[f64],
+    n: usize,
+    z_tile: &[f64],
+    out: &mut [[f64; W]],
+) {
+    lane_matvec_body::<W, 8>(a, n, z_tile, out);
+}
+
+/// Accumulates `out[r][w] += Σ_k a[r·n + k] · z_tile[k·W + w]`: the
+/// row-major `out.len() × n` matrix `a` applied to each lane of a
+/// `W`-interleaved SoA tile (`z_tile[k·W + w]` is component `k` of item
+/// `w`). Every output accumulates in `k` order with a plain multiply then
+/// add, so `out[r][w]` reproduces the scalar left-to-right sum
+/// `out[r][w] += a[r·n + k]·z_k` bit for bit at any width, row count and
+/// ISA. Rows run several per pass (eight under AVX-512F, four
+/// otherwise, then 4-, 2- and 1-row passes for the rows left over), so
+/// each lane has independent add chains in flight instead of waiting on
+/// one row's chain; the passes run in the detected ISA's clone.
+///
+/// # Panics
+///
+/// Panics if `a.len() != out.len() · n` or `z_tile.len() != n · W`.
+pub fn lane_matvec_acc<const W: usize>(a: &[f64], n: usize, z_tile: &[f64], out: &mut [[f64; W]]) {
+    assert_eq!(a.len(), out.len() * n, "matrix shape mismatch");
+    assert_eq!(z_tile.len(), n * W, "lane tile length mismatch");
+    match isa() {
+        Isa::Portable => lane_matvec_body::<W, 4>(a, n, z_tile, out),
+        // SAFETY: `isa()` only reports tiers confirmed by runtime CPUID
+        // feature detection on this machine.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { lane_matvec_avx2::<W>(a, n, z_tile, out) },
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { lane_matvec_avx512::<W>(a, n, z_tile, out) },
+    }
 }
 
 /// Intermediate tile length for [`failure_term_slice`]'s two-pass
@@ -2404,27 +2491,71 @@ mod tests {
     }
 
     #[test]
-    fn lane_dot_acc_matches_scalar_bitwise() {
-        // Each lane must reproduce a scalar left-to-right dot product bit
-        // for bit — the property the SoA (u, v) tile evaluation rests on.
-        let coeffs: Vec<f64> = (0..17).map(|k| 0.3 - 0.07 * k as f64).collect();
-        const W: usize = 4;
-        let tile: Vec<f64> = (0..17 * W).map(|i| (i as f64 * 0.831).sin()).collect();
-        let mut acc = [1.5; W];
-        lane_dot_acc::<W>(&coeffs, &tile, &mut acc);
-        let mut sq = [0.25; W];
-        lane_dot_sq_acc::<W>(&coeffs, &tile, &mut sq);
-        for w in 0..W {
-            let mut scalar = 1.5;
-            let mut d = 0.0;
-            for (k, &c) in coeffs.iter().enumerate() {
-                scalar += c * tile[k * W + w];
-                d += c * tile[k * W + w];
+    fn lane_matvec_acc_matches_scalar_bitwise() {
+        // Every output must reproduce the scalar k-sequential
+        // multiply-then-add sum from its seed bit for bit — the property
+        // the (u, v) tile projection rests on — at every row count (whole
+        // 8- and 4-row passes and every 4/2/1-row tail), through the
+        // dispatched kernel, the shared body at both pass heights and
+        // each ISA clone the host can run.
+        fn check<const W: usize>() {
+            let n = 37;
+            let z_tile: Vec<f64> = (0..n * W).map(|i| (i as f64 * 0.831).sin()).collect();
+            for rows in (0..=20).chain([71, 72, 73]) {
+                let a: Vec<f64> = (0..rows * n)
+                    .map(|i| (i as f64 * 0.377).cos() * 0.7)
+                    .collect();
+                let seed: Vec<[f64; W]> = (0..rows)
+                    .map(|r| std::array::from_fn(|w| 0.01 * (r * W + w) as f64 - 0.3))
+                    .collect();
+                let mut expect = seed.clone();
+                for (r, e) in expect.iter_mut().enumerate() {
+                    for w in 0..W {
+                        for k in 0..n {
+                            e[w] += a[r * n + k] * z_tile[k * W + w];
+                        }
+                    }
+                }
+                let same = |got: &[[f64; W]], path: &str| {
+                    for (r, (g, e)) in got.iter().zip(&expect).enumerate() {
+                        for w in 0..W {
+                            assert_eq!(
+                                g[w].to_bits(),
+                                e[w].to_bits(),
+                                "{path}: W={W} rows={rows} row {r} lane {w}"
+                            );
+                        }
+                    }
+                };
+                let mut out = seed.clone();
+                lane_matvec_acc::<W>(&a, n, &z_tile, &mut out);
+                same(&out, "dispatched");
+                let mut out = seed.clone();
+                lane_matvec_body::<W, 4>(&a, n, &z_tile, &mut out);
+                same(&out, "4-row body");
+                let mut out = seed.clone();
+                lane_matvec_body::<W, 8>(&a, n, &z_tile, &mut out);
+                same(&out, "8-row body");
+                #[cfg(target_arch = "x86_64")]
+                {
+                    if std::arch::is_x86_feature_detected!("avx2") {
+                        let mut out = seed.clone();
+                        // SAFETY: avx2 was detected on this host.
+                        unsafe { lane_matvec_avx2::<W>(&a, n, &z_tile, &mut out) };
+                        same(&out, "avx2");
+                    }
+                    if std::arch::is_x86_feature_detected!("avx512f") {
+                        let mut out = seed.clone();
+                        // SAFETY: avx512f was detected on this host.
+                        unsafe { lane_matvec_avx512::<W>(&a, n, &z_tile, &mut out) };
+                        same(&out, "avx512f");
+                    }
+                }
             }
-            assert_eq!(acc[w].to_bits(), scalar.to_bits(), "dot lane {w}");
-            let scalar_sq = 0.25 + d * d;
-            assert_eq!(sq[w].to_bits(), scalar_sq.to_bits(), "dot-sq lane {w}");
         }
+        check::<1>();
+        check::<4>();
+        check::<8>();
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! to tridiagonal form `A = Q·T·Qᵀ` by `n − 2` Householder reflections
 //! (`~4n³/3` flops), then the tridiagonal eigenproblem is solved by QL
 //! iterations with implicit Wilkinson shifts, accumulating the rotations
-//! into `Q`. The total cost is `O(n³)` with a small constant and no
-//! sweep-count growth on large matrices.
+//! into `Qᵀ` (transposed in place, so each rotation updates two
+//! contiguous rows). The total cost is `O(n³)` with a small constant and
+//! no sweep-count growth on large matrices.
 
 use crate::matrix::DMatrix;
 use crate::{NumError, Result};
@@ -34,10 +35,33 @@ pub const MAX_QL_ITERS: usize = 50;
 /// `ε·maxᵢ(|dᵢ| + |eᵢ|)`, the rounding level of the tridiagonal matrix
 /// (does not occur for finite symmetric input in practice).
 pub fn symmetric_eigen_ql(a: &DMatrix) -> Result<(Vec<f64>, DMatrix)> {
-    let n = a.nrows();
-    if n == 0 {
+    if a.nrows() == 0 {
         return Ok((Vec::new(), DMatrix::zeros(0, 0)));
     }
+    let (mut d, mut e, mut q) = tridiagonal_form(a);
+    // Row k of Qᵀ is column k of Q: each rotation below then reads and
+    // writes two contiguous rows instead of two strided columns. In
+    // place, because a second n² buffer would raise the peak memory of
+    // every model build.
+    transpose_in_place(&mut q);
+    ql_implicit_shift(&mut d, &mut e, |i, s, c| {
+        let n = q.ncols();
+        let (upper, lower) = q.as_mut_slice().split_at_mut((i + 1) * n);
+        let (row, next) = (&mut upper[i * n..], &mut lower[..n]);
+        for (zi, zn) in row.iter_mut().zip(next) {
+            let f = *zn;
+            *zn = s * *zi + c * f;
+            *zi = c * *zi - s * f;
+        }
+    })?;
+    Ok(sort_descending(d, q))
+}
+
+/// `A = Q·T·Qᵀ` of the exactly symmetrized `a`: the diagonal and
+/// coupling of `T` (as [`householder_tridiagonalize`] returns them) and
+/// `Q`.
+fn tridiagonal_form(a: &DMatrix) -> (Vec<f64>, Vec<f64>, DMatrix) {
+    let n = a.nrows();
     let mut q = a.clone();
     // Symmetrize exactly so rounding asymmetry cannot leak into the
     // reflections.
@@ -48,9 +72,19 @@ pub fn symmetric_eigen_ql(a: &DMatrix) -> Result<(Vec<f64>, DMatrix)> {
             q[(j, i)] = avg;
         }
     }
-    let (mut d, mut e) = householder_tridiagonalize(&mut q);
-    ql_implicit_shift(&mut d, &mut e, &mut q)?;
-    Ok(sort_descending(d, q))
+    let (d, e) = householder_tridiagonalize(&mut q);
+    (d, e, q)
+}
+
+/// Transposes the square matrix `m` in place.
+fn transpose_in_place(m: &mut DMatrix) {
+    let n = m.nrows();
+    let data = m.as_mut_slice();
+    for i in 0..n {
+        for j in (i + 1)..n {
+            data.swap(i * n + j, j * n + i);
+        }
+    }
 }
 
 /// Reduces the symmetric matrix stored in `a` to tridiagonal form,
@@ -143,10 +177,16 @@ fn householder_tridiagonalize(a: &mut DMatrix) -> (Vec<f64>, Vec<f64>) {
 }
 
 /// Implicit-shift QL on the tridiagonal `(d, e)` (with `e[i]` coupling
-/// rows `i − 1` and `i`), accumulating rotations into the columns of `z`.
-/// On success `d` holds the (unsorted) eigenvalues and column `k` of `z`
-/// the eigenvector for `d[k]`.
-fn ql_implicit_shift(d: &mut [f64], e: &mut [f64], z: &mut DMatrix) -> Result<()> {
+/// rows `i − 1` and `i`). Each plane rotation of eigenvectors `i` and
+/// `i + 1` by sine `s` and cosine `c` is handed to `rotate(i, s, c)`,
+/// which applies `(zᵢ, zᵢ₊₁) ← (c·zᵢ − s·zᵢ₊₁, s·zᵢ + c·zᵢ₊₁)` to each
+/// element of the accumulated basis. On success `d` holds the (unsorted)
+/// eigenvalues, and eigenvector `k` of the basis belongs to `d[k]`.
+fn ql_implicit_shift(
+    d: &mut [f64],
+    e: &mut [f64],
+    mut rotate: impl FnMut(usize, f64, f64),
+) -> Result<()> {
     let n = d.len();
     if n <= 1 {
         return Ok(());
@@ -203,7 +243,7 @@ fn ql_implicit_shift(d: &mut [f64], e: &mut [f64], z: &mut DMatrix) -> Result<()
             let mut p = 0.0;
             let mut underflow = false;
             for i in (l..m).rev() {
-                let mut f = s * e[i];
+                let f = s * e[i];
                 let b = c * e[i];
                 r = f.hypot(g);
                 e[i + 1] = r;
@@ -221,12 +261,7 @@ fn ql_implicit_shift(d: &mut [f64], e: &mut [f64], z: &mut DMatrix) -> Result<()
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                // Accumulate the rotation into the eigenvector columns.
-                for k in 0..z.nrows() {
-                    f = z[(k, i + 1)];
-                    z[(k, i + 1)] = s * z[(k, i)] + c * f;
-                    z[(k, i)] = c * z[(k, i)] - s * f;
-                }
+                rotate(i, s, c);
             }
             if underflow {
                 continue;
@@ -240,13 +275,14 @@ fn ql_implicit_shift(d: &mut [f64], e: &mut [f64], z: &mut DMatrix) -> Result<()
 }
 
 /// Sorts eigenpairs into descending-eigenvalue order (the
-/// principal-component convention used across the workspace).
-fn sort_descending(d: Vec<f64>, z: DMatrix) -> (Vec<f64>, DMatrix) {
+/// principal-component convention used across the workspace), with the
+/// eigenvectors read from the rows of `zt` and returned as columns.
+fn sort_descending(d: Vec<f64>, zt: DMatrix) -> (Vec<f64>, DMatrix) {
     let n = d.len();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&i, &j| d[j].partial_cmp(&d[i]).expect("eigenvalues are finite"));
     let eigenvalues: Vec<f64> = order.iter().map(|&i| d[i]).collect();
-    let eigenvectors = DMatrix::from_fn(z.nrows(), n, |i, k| z[(i, order[k])]);
+    let eigenvectors = DMatrix::from_fn(zt.ncols(), n, |i, k| zt[(order[k], i)]);
     (eigenvalues, eigenvectors)
 }
 
@@ -299,24 +335,47 @@ mod tests {
         assert_eq!(vals, vec![3.0, 2.0, 1.0]);
     }
 
-    #[test]
-    fn grid_correlation_matrix_decomposes() {
-        // The 2-D grid kernels the variation model assembles: their
-        // symmetry produces degenerate eigenvalue pairs, which the QL
-        // deflation must handle, and the smooth Gaussian one (ρ = 0.25 at
-        // 18×18) puts most of its spectrum at rounding level, where the
-        // neighbour-relative split test alone never deflates.
+    /// The 2-D grid kernels the variation model assembles: the
+    /// exponential one at 7×7 and the smooth Gaussian one (ρ = 0.25) at
+    /// 18×18.
+    fn grid_kernel_matrices() -> Vec<DMatrix> {
         let exponential = |d2: f64| (-d2.sqrt() / 3.0).exp();
         let gaussian = |d2: f64| (-d2 / 4.5f64.powi(2)).exp();
         let kernels: [(usize, &dyn Fn(f64) -> f64); 2] = [(7, &exponential), (18, &gaussian)];
-        for (side, kernel) in kernels {
-            let n = side * side;
-            let coord = |k: usize| ((k % side) as f64, (k / side) as f64);
-            let a = DMatrix::from_fn(n, n, |i, j| {
-                let (xi, yi) = coord(i);
-                let (xj, yj) = coord(j);
-                kernel((xi - xj).powi(2) + (yi - yj).powi(2))
-            });
+        kernels
+            .into_iter()
+            .map(|(side, kernel)| {
+                let n = side * side;
+                let coord = |k: usize| ((k % side) as f64, (k / side) as f64);
+                DMatrix::from_fn(n, n, |i, j| {
+                    let (xi, yi) = coord(i);
+                    let (xj, yj) = coord(j);
+                    kernel((xi - xj).powi(2) + (yi - yj).powi(2))
+                })
+            })
+            .collect()
+    }
+
+    /// Free-particle chain: known spectrum 2 − 2·cos(kπ/(n+1)).
+    fn free_particle_chain(n: usize) -> DMatrix {
+        DMatrix::from_fn(n, n, |i, j| {
+            if i == j {
+                2.0
+            } else if i.abs_diff(j) == 1 {
+                -1.0
+            } else {
+                0.0
+            }
+        })
+    }
+
+    #[test]
+    fn grid_correlation_matrix_decomposes() {
+        // The grid kernels' symmetry produces degenerate eigenvalue pairs,
+        // which the QL deflation must handle, and the Gaussian one puts
+        // most of its spectrum at rounding level, where the
+        // neighbour-relative split test alone never deflates.
+        for a in grid_kernel_matrices() {
             let (vals, vecs) = symmetric_eigen_ql(&a).unwrap();
             check_decomposition(&a, &vals, &vecs, 1e-9);
             let sum: f64 = vals.iter().sum();
@@ -329,23 +388,54 @@ mod tests {
 
     #[test]
     fn free_particle_chain_matches_closed_form_spectrum() {
-        // Free-particle chain: known spectrum 2 − 2·cos(kπ/(n+1)).
         let n = 12;
-        let dense = DMatrix::from_fn(n, n, |i, j| {
-            if i == j {
-                2.0
-            } else if i.abs_diff(j) == 1 {
-                -1.0
-            } else {
-                0.0
-            }
-        });
+        let dense = free_particle_chain(n);
         let (vals, vecs) = symmetric_eigen_ql(&dense).unwrap();
         check_decomposition(&dense, &vals, &vecs, 1e-10);
         for (k, &v) in vals.iter().enumerate() {
             let expect =
                 2.0 - 2.0 * ((n - k) as f64 * std::f64::consts::PI / (n as f64 + 1.0)).cos();
             assert_close(v, expect, 1e-10);
+        }
+    }
+
+    #[test]
+    fn row_rotations_match_the_column_oracle_bitwise() {
+        // The solver accumulates its rotations into the rows of Qᵀ; the
+        // textbook loop rotates two strided columns of Q with the same
+        // arithmetic per element. Both must give the same eigenpairs bit
+        // for bit on every test matrix.
+        fn by_columns(a: &DMatrix) -> (Vec<f64>, DMatrix) {
+            let (mut d, mut e, mut z) = tridiagonal_form(a);
+            ql_implicit_shift(&mut d, &mut e, |i, s, c| {
+                for k in 0..z.nrows() {
+                    let f = z[(k, i + 1)];
+                    z[(k, i + 1)] = s * z[(k, i)] + c * f;
+                    z[(k, i)] = c * z[(k, i)] - s * f;
+                }
+            })
+            .unwrap();
+            sort_descending(d, z.transpose())
+        }
+        let mut matrices = grid_kernel_matrices();
+        matrices.push(free_particle_chain(12));
+        matrices.push(DMatrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]));
+        matrices.push(DMatrix::from_rows(&[
+            &[3.0, 0.0, 0.0],
+            &[0.0, 1.0, 0.0],
+            &[0.0, 0.0, 2.0],
+        ]));
+        for a in &matrices {
+            let (vals, vecs) = symmetric_eigen_ql(a).unwrap();
+            let (oracle_vals, oracle_vecs) = by_columns(a);
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&vals), bits(&oracle_vals), "n = {}", a.nrows());
+            assert_eq!(
+                bits(vecs.as_slice()),
+                bits(oracle_vecs.as_slice()),
+                "n = {}",
+                a.nrows()
+            );
         }
     }
 

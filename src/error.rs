@@ -1,6 +1,6 @@
 //! The facade error type: one enum wrapping every substrate failure plus
 //! the facade's own spec/artifact diagnostics, so [`crate::Session`] and
-//! [`crate::serve`] callers handle a single error type.
+//! [`crate::serve()`] callers handle a single error type.
 
 use statobd_circuits::CircuitError;
 use statobd_core::CoreError;
