@@ -8,8 +8,8 @@
 //! survives as long as at most `s` of its blocks have failed, and the
 //! chip survives while every group does. [`Composition`] describes that
 //! structure; [`CompositionAccumulator`] evaluates it from per-block
-//! failure probabilities, in log-survival space, with the same relative
-//! precision discipline as [`WeakestLink`].
+//! failure probabilities, in log-survival space, so the `10⁻⁶` regime
+//! keeps full relative precision.
 //!
 //! # Numerical form
 //!
@@ -30,20 +30,21 @@
 //! composes groups weakest-link style (survival multiplies).
 //!
 //! A group with zero spares *is* weakest-link over its blocks: the
-//! accumulator then reduces to the plain `Σ ln_1p(−p_j)` running sum —
-//! the bit-identical operation sequence of
-//! [`WeakestLink::absorb`](super::WeakestLink::absorb) — which is what
-//! keeps 1-out-of-1 degenerate configurations exactly on today's
-//! numbers.
+//! accumulator then reduces to the plain `Σ ln_1p(−p_j)` running sum of
+//! [`Composition::WeakestLink`], the same operation sequence, which is
+//! what keeps 1-out-of-1 degenerate configurations exactly on the
+//! paper's numbers.
 //!
-//! The per-block recurrence itself is [`simd::group_absorb`], run here
-//! at lane width 1 (libm, the scalar bits) and by the fleet's lane
-//! kernels across chip tiles — one definition for both.
+//! The accumulator *is* the fleet's lane fold at width 1 (libm, the
+//! scalar bits): a [`WeakestLinkFold`], or a [`GroupFold`] running the
+//! recurrence of [`simd::group_absorb`] — one definition for the
+//! engines, the manager and the fleet's chip tiles.
+//!
+//! [`simd::group_absorb`]: statobd_num::simd::group_absorb
 
-use super::WeakestLink;
 use crate::{CoreError, Result};
 use statobd_num::json::{FromJson, Json, JsonError, ToJson};
-use statobd_num::simd::{self, GroupLayout};
+use statobd_num::simd::{GroupFold, GroupLayout, LaneFold, WeakestLinkFold};
 
 /// One redundancy group: a set of block indices that survives while at
 /// most [`spares`](RedundancyGroup::spares) of them have failed
@@ -70,9 +71,8 @@ statobd_num::impl_json_struct!(RedundancyGroup { blocks, spares });
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum Composition {
     /// The paper's model: the chip fails with its first block
-    /// (every block is its own 1-out-of-1 group). This variant routes
-    /// through the plain [`WeakestLink`] accumulator
-    /// verbatim, so existing results stay bit-identical.
+    /// (every block is its own 1-out-of-1 group), composed as
+    /// `P = −expm1(Σ_j ln(1 − p_j))` through [`WeakestLinkFold`].
     #[default]
     WeakestLink,
     /// Redundancy groups with spares. Must partition the chip's blocks:
@@ -146,19 +146,21 @@ impl Composition {
     /// A reusable accumulator for a chip with `n_blocks` blocks. The
     /// composition must already be [`validate`](Composition::validate)d.
     pub fn accumulator(&self, n_blocks: usize) -> CompositionAccumulator {
-        let inner = match self {
-            Composition::WeakestLink => AccImpl::WeakestLink(WeakestLink::new()),
-            Composition::Groups(groups) => AccImpl::Groups {
-                group_of: group_of(groups, n_blocks),
-                states: groups.iter().map(|g| GroupState::new(g.spares)).collect(),
+        let fold = match self.group_layout(n_blocks) {
+            None => Fold::WeakestLink(WeakestLinkFold::default()),
+            Some(layout) => Fold::Groups {
+                rows: vec![0.0; layout.rows()],
+                layout,
             },
         };
-        CompositionAccumulator { inner }
+        let mut acc = CompositionAccumulator { fold };
+        acc.reset();
+        acc
     }
 
     /// The lane-fold shape of this composition for a chip with
     /// `n_blocks` blocks — `None` for weakest-link, which folds through
-    /// [`simd::WeakestLinkFold`]. The composition must already be
+    /// [`WeakestLinkFold`]. The composition must already be
     /// [`validate`](Composition::validate)d.
     pub fn group_layout(&self, n_blocks: usize) -> Option<GroupLayout> {
         match self {
@@ -176,11 +178,11 @@ impl Composition {
     /// # Example
     ///
     /// ```
-    /// use statobd_core::{compose_weakest_link, Composition};
+    /// use statobd_core::Composition;
     /// let ps = [0.1, 0.2, 0.3];
-    /// // Weakest-link is the degenerate case...
+    /// // Weakest-link: the chip dies with its first block...
     /// let wl = Composition::WeakestLink.compose(&ps);
-    /// assert_eq!(wl, compose_weakest_link(ps));
+    /// assert!((wl - (1.0 - 0.9 * 0.8 * 0.7)).abs() < 1e-15);
     /// // ...while one spare across the chip tolerates the first failure.
     /// let spared = Composition::uniform_spares(3, 1).compose(&ps);
     /// assert!(spared < wl);
@@ -247,49 +249,14 @@ fn group_of(groups: &[RedundancyGroup], n_blocks: usize) -> Vec<usize> {
     group_of
 }
 
-/// Per-group dynamic-program state (see the module docs), in the
-/// width-1 row shape of [`simd::group_absorb`].
+/// The fold an accumulator runs: a width-1 instance of the fleet's.
 #[derive(Debug, Clone)]
-struct GroupState {
-    /// `ln P(exactly m absorbed blocks failed)` for `m = 0..=spares`.
-    ln_at: Vec<[f64; 1]>,
-    /// `ln P(more than `spares` absorbed blocks failed)`.
-    ln_fail: [f64; 1],
-}
-
-impl GroupState {
-    fn new(spares: usize) -> Self {
-        let mut ln_at = vec![[f64::NEG_INFINITY]; spares + 1];
-        ln_at[0] = [0.0];
-        GroupState {
-            ln_at,
-            ln_fail: [f64::NEG_INFINITY],
-        }
-    }
-
-    fn reset(&mut self) {
-        self.ln_at.fill([f64::NEG_INFINITY]);
-        self.ln_at[0] = [0.0];
-        self.ln_fail = [f64::NEG_INFINITY];
-    }
-
-    fn absorb(&mut self, p: f64) {
-        simd::group_absorb::<1>(&mut self.ln_at, &mut self.ln_fail, &[p], &[(-p).ln_1p()]);
-    }
-
-    /// `ln P(group survives)` = `ln(1 − Q)` with `Q` the failure tail.
-    fn ln_survival(&self) -> f64 {
-        simd::group_ln_survival::<1>(&self.ln_at, &self.ln_fail)[0]
-    }
-}
-
-#[derive(Debug, Clone)]
-enum AccImpl {
-    WeakestLink(WeakestLink),
+enum Fold {
+    WeakestLink(WeakestLinkFold<1>),
     Groups {
-        /// Block index → group index (dense; every block owned).
-        group_of: Vec<usize>,
-        states: Vec<GroupState>,
+        layout: GroupLayout,
+        /// The [`GroupFold`]'s state rows.
+        rows: Vec<f64>,
     },
 }
 
@@ -299,45 +266,39 @@ enum AccImpl {
 /// Feed every block once via [`absorb`](CompositionAccumulator::absorb)
 /// (any order), then read the chip-level result;
 /// [`reset`](CompositionAccumulator::reset) makes the accumulator
-/// reusable without reallocating. (The fleet runs the same recurrence
-/// across chip tiles through `num::simd::GroupFold`.)
+/// reusable without reallocating. It is the width-1 instance of the
+/// fleet's lane folds — a [`WeakestLinkFold`], or a [`GroupFold`] over
+/// a row buffer it owns — so a chip composes to the same bits here and
+/// in a width-1 fleet tile.
 #[derive(Debug, Clone)]
 pub struct CompositionAccumulator {
-    inner: AccImpl,
+    fold: Fold,
 }
 
 impl CompositionAccumulator {
     /// Absorbs block `block`'s failure probability.
     ///
-    /// `p` is clamped to `[0, 1]`. A NaN is rejected loudly in debug
-    /// builds and maps to certain failure (`p = 1`) in release builds,
-    /// matching [`WeakestLink::absorb`](super::WeakestLink::absorb).
+    /// `p` is clamped to `[0, 1]`. A NaN is a bug upstream, never a
+    /// legitimate probability: debug builds reject it loudly, and
+    /// release builds read it as certain failure (`p = 1`), the
+    /// conservative reading that never raises the reported survival.
     pub fn absorb(&mut self, block: usize, p: f64) {
-        match &mut self.inner {
-            AccImpl::WeakestLink(acc) => acc.absorb(p),
-            AccImpl::Groups { group_of, states } => {
-                debug_assert!(
-                    !p.is_nan(),
-                    "CompositionAccumulator::absorb: NaN failure probability for block {block}"
-                );
-                let p = if p.is_nan() { 1.0 } else { p.clamp(0.0, 1.0) };
-                states[group_of[block]].absorb(p);
-            }
+        debug_assert!(
+            !p.is_nan(),
+            "CompositionAccumulator::absorb: NaN failure probability for block {block}"
+        );
+        match &mut self.fold {
+            Fold::WeakestLink(fold) => fold.absorb(block, &[p]),
+            Fold::Groups { layout, rows } => GroupFold::<1>::new(layout, rows).absorb(block, &[p]),
         }
     }
 
     /// The chip-level `ln P(chip survives)`: the sum of the group
     /// log-survivals, in group order.
     pub fn ln_survival(&self) -> f64 {
-        match &self.inner {
-            AccImpl::WeakestLink(acc) => acc.ln_survival(),
-            AccImpl::Groups { states, .. } => {
-                let mut total = 0.0;
-                for state in states {
-                    total += state.ln_survival();
-                }
-                total
-            }
+        match &self.fold {
+            Fold::WeakestLink(fold) => fold.ln_survival()[0],
+            Fold::Groups { layout, rows } => layout.ln_survival::<1>(rows)[0],
         }
     }
 
@@ -348,13 +309,9 @@ impl CompositionAccumulator {
 
     /// Clears the absorbed state (no allocation).
     pub fn reset(&mut self) {
-        match &mut self.inner {
-            AccImpl::WeakestLink(acc) => *acc = WeakestLink::new(),
-            AccImpl::Groups { states, .. } => {
-                for state in states {
-                    state.reset();
-                }
-            }
+        match &mut self.fold {
+            Fold::WeakestLink(fold) => fold.clear(),
+            Fold::Groups { layout, rows } => GroupFold::<1>::new(layout, rows).clear(),
         }
     }
 }
@@ -362,7 +319,6 @@ impl CompositionAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engines::compose_weakest_link;
     use statobd_num::rng::{Rng, Xoshiro256pp};
 
     /// Brute-force group survival: sum over every failure subset of size
@@ -393,15 +349,18 @@ mod tests {
         );
         groups.validate(ps.len()).unwrap();
         let grouped = groups.compose(&ps);
-        let weakest = compose_weakest_link(ps);
+        let weakest = Composition::WeakestLink.compose(&ps);
         assert_eq!(
             grouped.to_bits(),
             weakest.to_bits(),
             "{grouped:e} vs {weakest:e}"
         );
-        // And the explicit WeakestLink variant delegates verbatim.
-        let delegated = Composition::WeakestLink.compose(&ps);
-        assert_eq!(delegated.to_bits(), weakest.to_bits());
+        // And weakest-link is the plain libm log-survival sum, verbatim.
+        let mut ln_survival = 0.0;
+        for p in ps {
+            ln_survival += (-p).ln_1p();
+        }
+        assert_eq!(weakest.to_bits(), (-ln_survival.exp_m1()).to_bits());
     }
 
     #[test]
@@ -499,7 +458,7 @@ mod tests {
     /// rarely moves a solved lifetime.)
     #[test]
     fn width_1_lane_folds_reproduce_the_accumulators_bitwise() {
-        use statobd_num::simd::{self, GroupFold, LaneFold, WeakestLinkFold};
+        use statobd_num::simd;
         // Per block (ln_rate, area, b·u, b²·v): over the age sweep the
         // failure probabilities run from ~1e-6 to saturation.
         let blocks = [

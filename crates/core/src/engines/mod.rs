@@ -14,82 +14,6 @@ use crate::chip::ChipAnalysis;
 use crate::Result;
 use guard::{GuardBand, GuardBandConfig};
 
-/// Weakest-link accumulator: composes per-block failure probabilities
-/// into the chip-level `P = 1 − Π_j (1 − p_j)` on log-survival,
-///
-/// ```text
-/// P = −expm1( Σ_j ln(1 − p_j) )
-/// ```
-///
-/// so the `10⁻⁶` regime keeps full relative precision (a naive product
-/// of `1 − p_j` terms loses everything below the `1 − ...` cancellation,
-/// and a plain sum `Σ_j p_j` is only the first-order expansion — it
-/// overestimates and exceeds 1 once damage accumulates). Every analytic
-/// engine and the runtime reliability manager compose through this one
-/// accumulator, in block order, so their compositions agree bit for
-/// bit.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WeakestLink {
-    /// Running `Σ_j ln(1 − p_j)` (≤ 0; `−∞` once any block is certain
-    /// to fail).
-    ln_survival: f64,
-}
-
-impl WeakestLink {
-    /// An empty accumulator (`P = 0`).
-    pub fn new() -> Self {
-        WeakestLink::default()
-    }
-
-    /// Absorbs one block's failure probability (clamped to `[0, 1]`).
-    ///
-    /// A NaN input is a bug upstream, never a legitimate probability:
-    /// `NaN.clamp(0.0, 1.0)` is NaN, which used to poison `ln_survival`
-    /// silently — every later query returned NaN with no hint of the
-    /// offending block. Debug builds now panic at the call site;
-    /// release builds map NaN to certain failure (`p = 1`), the
-    /// deterministic conservative reading of "this block's probability
-    /// is not a number".
-    pub fn absorb(&mut self, p: f64) {
-        debug_assert!(
-            !p.is_nan(),
-            "WeakestLink::absorb: NaN block failure probability"
-        );
-        let p = if p.is_nan() { 1.0 } else { p };
-        self.ln_survival += (-p.clamp(0.0, 1.0)).ln_1p();
-    }
-
-    /// The running `Σ_j ln(1 − p_j)` (≤ 0).
-    pub fn ln_survival(&self) -> f64 {
-        self.ln_survival
-    }
-
-    /// The composed chip-level failure probability `1 − Π_j (1 − p_j)`.
-    pub fn failure_probability(&self) -> f64 {
-        -self.ln_survival.exp_m1()
-    }
-}
-
-/// One-shot weakest-link composition of an iterator of per-block
-/// failure probabilities.
-///
-/// # Example
-///
-/// ```
-/// use statobd_core::compose_weakest_link;
-/// let p = compose_weakest_link([0.5, 0.5]);
-/// assert!((p - 0.75).abs() < 1e-15);
-/// // Tiny probabilities keep their relative precision.
-/// let p = compose_weakest_link([1e-9, 1e-9]);
-/// assert!((p / 2e-9 - 1.0).abs() < 1e-9);
-/// ```
-pub fn compose_weakest_link<I: IntoIterator<Item = f64>>(ps: I) -> f64 {
-    let mut acc = WeakestLink::new();
-    for p in ps {
-        acc.absorb(p);
-    }
-    acc.failure_probability()
-}
 use hybrid::{HybridConfig, HybridTables};
 use monte_carlo::{MonteCarlo, MonteCarloConfig};
 use st_closed::StClosed;
@@ -436,14 +360,20 @@ pub fn build_engine<'a>(
 
 #[cfg(test)]
 mod tests {
+    use super::composition::Composition;
     use super::*;
+
+    /// The paper's chip composition of per-block failure probabilities.
+    fn weakest_link(ps: &[f64]) -> f64 {
+        Composition::WeakestLink.compose(ps)
+    }
 
     #[test]
     fn weakest_link_matches_direct_product() {
         // Moderate probabilities: compare against the direct product.
         let ps = [0.1, 0.25, 0.5];
         let direct = 1.0 - ps.iter().map(|p| 1.0 - p).product::<f64>();
-        let composed = compose_weakest_link(ps);
+        let composed = weakest_link(&ps);
         assert!((composed - direct).abs() < 1e-15, "{composed} vs {direct}");
     }
 
@@ -452,7 +382,7 @@ mod tests {
         // 100 blocks at 1e-8 each: P = 1 − (1 − 1e-8)^100. The naive
         // 1 − product form would round each factor; the log-survival
         // form keeps ~15 significant digits.
-        let composed = compose_weakest_link((0..100).map(|_| 1e-8));
+        let composed = weakest_link(&[1e-8; 100]);
         let exact = -(100.0 * (-1e-8_f64).ln_1p()).exp_m1();
         assert!(
             ((composed - exact) / exact).abs() < 1e-14,
@@ -464,11 +394,11 @@ mod tests {
 
     #[test]
     fn weakest_link_saturates_at_one() {
-        assert_eq!(compose_weakest_link([0.3, 1.0, 0.2]), 1.0);
+        assert_eq!(weakest_link(&[0.3, 1.0, 0.2]), 1.0);
         // Out-of-range inputs are clamped, never amplified.
-        assert_eq!(compose_weakest_link([1.5]), 1.0);
-        assert_eq!(compose_weakest_link([-0.5]), 0.0);
-        assert_eq!(compose_weakest_link(std::iter::empty()), 0.0);
+        assert_eq!(weakest_link(&[1.5]), 1.0);
+        assert_eq!(weakest_link(&[-0.5]), 0.0);
+        assert_eq!(weakest_link(&[]), 0.0);
     }
 
     // Regression for the silent NaN absorption: a NaN block probability
@@ -478,7 +408,7 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, should_panic(expected = "NaN"))]
     fn weakest_link_rejects_nan_deterministically() {
-        assert_eq!(compose_weakest_link([0.25, f64::NAN]), 1.0);
+        assert_eq!(weakest_link(&[0.25, f64::NAN]), 1.0);
     }
 
     #[test]

@@ -91,8 +91,7 @@ struct QuadScratch {
 /// elementwise tiled screens. Run boundaries never affect bits — every
 /// kernel route applies the same elementwise `(x, scale)` arms.
 ///
-/// `stride` is buffer elements per logical node (1 for the single
-/// path, the lane count for the batched path).
+/// `stride` is buffer elements per logical node: the walk's lane count.
 fn kernel_runs(args: &[f64], terms: &mut [f64], segs: &[Segment], area: f64, stride: usize) {
     let mut start = 0;
     let mut len = 0;
@@ -155,11 +154,11 @@ thread_local! {
 }
 
 /// Flattened-node budget per lane tile: the argument and term buffers
-/// are 8 KiB each, comfortably L1-resident. Both quadrature paths use
-/// `NODE_TILE / W` nodes per tile at lane width `W` (the batched path
-/// interleaves `W` lanes per node, the single path matches its
-/// segmentation so per-segment partial sums group identically and the
-/// two stay bit-identical at the same width).
+/// are 8 KiB each, comfortably L1-resident. The lane walk tiles at
+/// `NODE_TILE / W` logical nodes at the active lane width `W`, also
+/// when a one-item batch runs it at one lane, so per-segment partial
+/// sums group identically and a single integral stays bit-identical to
+/// its entry in a batch at the same width.
 const NODE_TILE: usize = 1024;
 
 /// Sweep times per batched work item. Fixed (never thread-derived) so
@@ -330,7 +329,7 @@ impl BlockQuadrature {
     /// `arg` would swallow a NaN the kernel must propagate). The two
     /// crossings are found by bisection; a narrow mixed band remains
     /// between them when lanes cross the threshold at different `v`
-    /// (always empty on the single path, where max ≡ min). Uncertified
+    /// (always empty on a one-lane walk, where max ≡ min). Uncertified
     /// rows are classified whole-mixed — the mixed kernel path handles
     /// descending arguments and propagates NaN elementwise.
     fn regime_split(
@@ -384,111 +383,11 @@ impl BlockQuadrature {
     }
 
     /// Evaluates `∫∫ (1 − e^{−A·g(u,v)}) f_u(u) f_v(v) du dv` for the
-    /// given kernel coefficients.
-    ///
-    /// At lane width 1 this runs the historical scalar loop verbatim.
-    /// At widths 4/8 the flattened `(u, v)` node walk is tiled at
-    /// `NODE_TILE / W` logical nodes and split into u-row ∩ tile
-    /// [`Segment`]s: the probability weight is constant per segment, so
-    /// each accumulates a plain term sum (one add per node) with the
-    /// weight multiplied in once. Rows whose minimum argument clears
-    /// [`simd::failure_sat_threshold`] skip argument fill and kernel
-    /// entirely — every term there is exactly 1.0 and a sequential sum
-    /// of ones is exact, so the skip contributes `wuv · len` with
-    /// unchanged bits. Crucially the segment boundaries follow the
-    /// *logical* node walk, never the skip decisions, so partial-sum
-    /// grouping — and therefore every output bit — matches
-    /// [`Self::integrate_many`] at the same width even where the two
-    /// paths screen differently.
+    /// given kernel coefficients: a one-item [`Self::integrate_many`].
     pub(crate) fn integrate(&self, area: f64, coeff: GCoefficients) -> f64 {
-        let width = simd::active_width();
-        if width == simd::LaneWidth::W1 {
-            return self.integrate_scalar(area, coeff);
-        }
-        let cap = NODE_TILE / width.lanes();
-        let x_sat = simd::failure_sat_threshold(area);
-        let x_poly = simd::failure_poly_threshold(area);
-        SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            scratch.args.resize(cap, 0.0);
-            scratch.terms.resize(cap, 0.0);
-            scratch.segs.clear();
-            let mut p = 0.0;
-            let mut fill = 0; // logical nodes in the current tile
-            let mut bfill = 0; // buffered (non-skipped) nodes
-            let flush = |scratch: &mut QuadScratch, bfill: usize, p: &mut f64| {
-                kernel_runs(
-                    &scratch.args[..bfill],
-                    &mut scratch.terms[..bfill],
-                    &scratch.segs,
-                    area,
-                    1,
-                );
-                for seg in &scratch.segs {
-                    let sum = if seg.skip {
-                        seg.len as f64
-                    } else {
-                        let mut s = 0.0;
-                        for &term in &scratch.terms[seg.start..seg.start + seg.len] {
-                            s += term;
-                        }
-                        s
-                    };
-                    *p += seg.wuv * sum;
-                }
-                scratch.segs.clear();
-            };
-            for (&u, &wu) in self.u_nodes.iter().zip(&self.u_weights) {
-                let su = coeff.s1 * u;
-                let wuv = wu * self.v_weight;
-                let skip = self.row_min_arg(su, coeff.s2) >= x_sat;
-                let mut vi = 0;
-                while vi < self.v_nodes.len() {
-                    let run = (cap - fill).min(self.v_nodes.len() - vi);
-                    let (poly_len, poly_hi, big_len, big_lo) = if skip {
-                        (0, f64::NAN, 0, f64::NAN)
-                    } else {
-                        let e0 = su + coeff.s2 * self.v_nodes[vi];
-                        let e1 = su + coeff.s2 * self.v_nodes[vi + run - 1];
-                        let nan = e0.is_nan() || e1.is_nan();
-                        let arg = |v: f64| su + coeff.s2 * v;
-                        self.regime_split(vi, run, x_poly, !nan && coeff.s2 >= 0.0, arg, arg)
-                    };
-                    if !skip {
-                        simd::affine_slice(
-                            su,
-                            coeff.s2,
-                            &self.v_nodes[vi..vi + run],
-                            &mut scratch.args[bfill..bfill + run],
-                        );
-                    }
-                    scratch.segs.push(Segment {
-                        start: bfill,
-                        len: run,
-                        wuv,
-                        skip,
-                        poly_len,
-                        poly_hi,
-                        big_len,
-                        big_lo,
-                    });
-                    if !skip {
-                        bfill += run;
-                    }
-                    fill += run;
-                    vi += run;
-                    if fill == cap {
-                        flush(scratch, bfill, &mut p);
-                        fill = 0;
-                        bfill = 0;
-                    }
-                }
-            }
-            if fill > 0 {
-                flush(scratch, bfill, &mut p);
-            }
-            p.clamp(0.0, 1.0)
-        })
+        let mut p = [0.0];
+        self.integrate_many(area, &[coeff], &mut p);
+        p[0]
     }
 
     /// The pre-lane-layer scalar loop, kept verbatim: it defines the
@@ -508,45 +407,60 @@ impl BlockQuadrature {
     /// (e.g. one per sweep time) sharing this block's node grid, writing
     /// `out[i] = integrate(area, coeffs[i])`.
     ///
-    /// A batch of one runs [`Self::integrate`], whose lanes run across
-    /// the quadrature nodes. At widths 4/8 a longer batch is processed
-    /// `W` items at a time — each `(u, v)` node contributes to `W`
-    /// integrals from one fused lane evaluation, with each u-row tiled so
-    /// the argument and term buffers stay cache-resident. Segment sums,
-    /// weight application and the saturated-row skip mirror
-    /// [`Self::integrate`] exactly, so every entry is bit-identical to a
-    /// single call at the same width.
+    /// At lane width 1 every entry runs the historical scalar loop. At
+    /// widths 4/8 the batch runs through [`Self::integrate_lanes`], `W`
+    /// items at a time; a batch of one runs it at one lane, whose
+    /// failure-term kernel then runs its lanes across the quadrature
+    /// nodes. Either way the walk tiles at `NODE_TILE / W` logical nodes
+    /// for the active width `W`, so the segment sums group alike and
+    /// every entry is bit-identical to a one-item call at the same
+    /// width.
     ///
     /// # Panics
     ///
     /// Panics if `coeffs.len() != out.len()`.
     pub(crate) fn integrate_many(&self, area: f64, coeffs: &[GCoefficients], out: &mut [f64]) {
         assert_eq!(coeffs.len(), out.len(), "integrate_many length mismatch");
-        match (coeffs, simd::active_width()) {
-            (&[coeff], _) => out[0] = self.integrate(area, coeff),
+        let width = simd::active_width();
+        let cap = NODE_TILE / width.lanes();
+        match (coeffs.len(), width) {
             (_, simd::LaneWidth::W1) => {
                 for (o, &coeff) in out.iter_mut().zip(coeffs) {
                     *o = self.integrate_scalar(area, coeff);
                 }
             }
-            (_, simd::LaneWidth::W4) => self.integrate_many_lanes::<4>(area, coeffs, out),
-            (_, simd::LaneWidth::W8) => self.integrate_many_lanes::<8>(area, coeffs, out),
+            (1, _) => self.integrate_lanes::<1>(area, coeffs, cap, out),
+            (_, simd::LaneWidth::W4) => self.integrate_lanes::<4>(area, coeffs, cap, out),
+            (_, simd::LaneWidth::W8) => self.integrate_lanes::<8>(area, coeffs, cap, out),
         }
     }
 
-    fn integrate_many_lanes<const W: usize>(
+    /// The lane walk behind [`Self::integrate_many`], `W` items at a time:
+    /// each `(u, v)` node contributes to `W` integrals from one fused lane
+    /// evaluation. The flattened node walk is tiled at `cap` logical
+    /// nodes (the argument and term buffers hold `cap · W` values) and
+    /// split into u-row ∩ tile [`Segment`]s: the probability weight is
+    /// constant per segment, so each lane accumulates a plain term sum
+    /// (one add per node) with the weight multiplied in once. Rows whose
+    /// minimum argument clears [`simd::failure_sat_threshold`] in every
+    /// lane skip argument fill and kernel entirely — every term there is
+    /// exactly 1.0 and a sequential sum of ones is exact, so the skip
+    /// contributes `wuv · len` with unchanged bits. The segment
+    /// boundaries follow the *logical* node walk, never the skip
+    /// decisions, so every lane's partial-sum grouping — and therefore
+    /// every output bit — depends on `cap` alone, never on `W` or on the
+    /// other items of the batch.
+    fn integrate_lanes<const W: usize>(
         &self,
         area: f64,
         coeffs: &[GCoefficients],
+        cap: usize,
         out: &mut [f64],
     ) {
-        let cap = NODE_TILE / W;
         let x_sat = simd::failure_sat_threshold(area);
         let x_poly = simd::failure_poly_threshold(area);
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            // Same cache budget as the single path: `cap` flattened
-            // nodes × W interleaved lanes per buffer.
             scratch.args.resize(cap * W, 0.0);
             scratch.terms.resize(cap * W, 0.0);
 
@@ -606,7 +520,7 @@ impl BlockQuadrature {
                     // get exact 1.0 terms from the kernel's own screen,
                     // and segment boundaries follow the logical walk
                     // either way, so skipped and computed lanes agree
-                    // bit for bit with the single-integral path.
+                    // bit for bit with a one-lane walk.
                     let skip = (0..W).all(|w| self.row_min_arg(su[w], s2[w]) >= x_sat);
                     let mut vi = 0;
                     while vi < self.v_nodes.len() {
@@ -749,8 +663,8 @@ impl ReliabilityEngine for StFast<'_> {
     /// times each, every chunk running one `BlockQuadrature::integrate_many`
     /// call (lanes across the chunk's times, or across the quadrature
     /// nodes for a one-time chunk). Chunk boundaries are fixed (never
-    /// derived from the thread count), per-item accumulation matches the
-    /// single-integral node order, and the per-time compositions run in
+    /// derived from the thread count), per-item accumulation matches a
+    /// one-item walk's node order, and the per-time compositions run in
     /// block order — so every entry is bit-identical to a one-point call
     /// at any thread count and any lane width.
     fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {

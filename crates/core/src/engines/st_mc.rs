@@ -15,8 +15,9 @@ use crate::gfun::GCoefficients;
 use crate::{CoreError, Result};
 use statobd_num::hist::Histogram2d;
 use statobd_num::parallel;
-use statobd_num::rng::{NormalSampler, Xoshiro256pp};
+use statobd_num::rng::Xoshiro256pp;
 use statobd_num::simd::{self, LaneWidth};
+use statobd_variation::FieldSampler;
 
 /// Configuration of the [`StMc`] engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -223,12 +224,13 @@ impl<'a> StMc<'a> {
 
 /// Fills `chunk` (flat `[sample][block]` layout) with exact `(u, v)`
 /// pairs for samples `first..first + n`, evaluated `W` samples per tile
-/// through the SoA `uv_given_z_tile` kernel. The principal-component
-/// draws stay scalar and per-sample — each sample's `(seed, sample)`
-/// substream is consumed in the documented order — and a last tile with
-/// fewer than `W` samples left draws the samples that follow and drops
-/// their lanes, so every pair is a function of its own sample alone at
-/// every width (width 1 is the plain per-sample loop).
+/// through the SoA `uv_given_z_tile` kernel. Each sample's principal
+/// components are drawn by a freshly reset [`FieldSampler`] from its own
+/// `(seed, sample)` stream, straight into its lane of the tile, in the
+/// documented order; a last tile with fewer than `W` samples left draws
+/// the samples that follow and drops their lanes, so every pair is a
+/// function of its own sample alone at every width (width 1 is the plain
+/// per-sample loop).
 fn fill_uv_tiled<const W: usize>(
     analysis: &ChipAnalysis,
     seed: u64,
@@ -236,20 +238,15 @@ fn fill_uv_tiled<const W: usize>(
     n: usize,
     chunk: &mut [(f64, f64)],
 ) {
-    let n_pc = analysis.model().n_components();
     let n_blocks = analysis.n_blocks();
-    let mut z = vec![0.0; n_pc];
-    let mut z_tile = vec![0.0; n_pc * W];
+    let mut sampler = FieldSampler::new(analysis.model());
+    let mut z_tile = vec![0.0; analysis.model().n_components() * W];
     let (mut u, mut v) = ([0.0; W], [0.0; W]);
     for local in (0..n).step_by(W) {
         for w in 0..W {
-            let sample = first + local + w;
-            let mut rng = Xoshiro256pp::stream(seed, sample as u64);
-            let mut normal = NormalSampler::new();
-            normal.fill(&mut rng, &mut z);
-            for k in 0..n_pc {
-                z_tile[k * W + w] = z[k];
-            }
+            let mut rng = Xoshiro256pp::stream(seed, (first + local + w) as u64);
+            sampler.reset();
+            sampler.sample_z_lane(&mut rng, &mut z_tile, W, w);
         }
         let live = (n - local).min(W);
         for (j, block) in analysis.blocks().iter().enumerate() {

@@ -88,10 +88,7 @@ pub use engines::monte_carlo::{MonteCarlo, MonteCarloConfig};
 pub use engines::st_closed::StClosed;
 pub use engines::st_fast::{StFast, StFastConfig, VarianceMethod};
 pub use engines::st_mc::{StMc, StMcConfig};
-pub use engines::{
-    build_engine, compose_weakest_link, edit_distance, EngineKind, EngineSpec, ReliabilityEngine,
-    WeakestLink,
-};
+pub use engines::{build_engine, edit_distance, EngineKind, EngineSpec, ReliabilityEngine};
 pub use gfun::{conditional_block_failure, g_function, GCoefficients};
 pub use lifetime::{
     burn_in_failure_probability, effective_weibull_slope, failure_rate_curve, fit_rate,

@@ -25,9 +25,12 @@
 //!   expressed as design-independent [`PhaseSpec`] sequences; the fleet
 //!   workload evaluates chip populations against these.
 //! * [`ReliabilityManager`] — ties it together: advances damage, reads
-//!   the chip failure probability off the tables (weakest-link composed
-//!   on log-survival via [`statobd_core::WeakestLink`]), projects it to
-//!   end of service, and walks the DVFS ladder against the budget.
+//!   the chip failure probability off the tables (the chip's
+//!   [`Composition`](statobd_core::Composition), weakest-link by default,
+//!   composed on log-survival by a
+//!   [`CompositionAccumulator`](statobd_core::CompositionAccumulator)),
+//!   projects it to end of service, and walks the DVFS ladder against
+//!   the budget.
 //!
 //! The manager's table queries share the engine-side off-grid
 //! accounting: the tables are widened at build time to cover the service

@@ -6,9 +6,11 @@
 //! `[block][bin][t]` weight tables — all dominated by `exp`, `exp_m1`
 //! and `ln_1p` calls. This module replaces those with *array-of-lanes*
 //! kernels: plain `[f64; W]` chunks evaluated by branch-free
-//! range-reduction + polynomial cores that LLVM auto-vectorizes, wrapped
-//! in `#[target_feature]` clones so one binary carries portable, AVX2 and
-//! AVX-512F code paths selected once at startup.
+//! range-reduction + polynomial cores that LLVM auto-vectorizes. One
+//! dispatcher runs every vector kernel inside an AVX2 or AVX-512F
+//! `#[target_feature]` trampoline, or with baseline codegen, picked by
+//! CPU feature detection once at startup, so one binary carries all
+//! three code paths.
 //!
 //! # Lane widths and determinism
 //!
@@ -23,8 +25,8 @@
 //!   *elementwise deterministic*: they contain only IEEE-754 `+`/`*`/`/`
 //!   and bit manipulation (no FMA contraction, no reductions), so a given
 //!   input produces the same bits regardless of lane position, chunk
-//!   boundary, vector width, or which ISA clone ran. Width 4 and width 8
-//!   therefore agree **bitwise**; they differ from width 1 by the
+//!   boundary, vector width, or which ISA trampoline ran. Width 4 and
+//!   width 8 therefore agree **bitwise**; they differ from width 1 by the
 //!   polynomial-vs-libm rounding (≈2 ulp-class, see below).
 //!
 //! Reductions are *not* performed here — callers keep their own
@@ -165,10 +167,10 @@ pub fn force_width(w: Option<LaneWidth>) {
 enum Isa {
     /// Baseline codegen (SSE2 on x86-64, NEON-ish elsewhere).
     Portable,
-    /// AVX2 clone (256-bit lanes).
+    /// AVX2 trampoline (256-bit lanes).
     #[cfg(target_arch = "x86_64")]
     Avx2,
-    /// AVX-512F clone (512-bit lanes).
+    /// AVX-512F trampoline (512-bit lanes).
     #[cfg(target_arch = "x86_64")]
     Avx512,
 }
@@ -216,8 +218,8 @@ fn detect_isa() -> Isa {
     Isa::Portable
 }
 
-fn isa_name() -> &'static str {
-    match isa() {
+fn isa_name(isa: Isa) -> &'static str {
+    match isa {
         Isa::Portable => "portable",
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => "avx2",
@@ -238,7 +240,7 @@ pub fn dispatch_label() -> String {
     };
     match w {
         LaneWidth::W1 => format!("1 lane (scalar libm, {source})"),
-        _ => format!("{} lanes ({}, {source})", w.lanes(), isa_name()),
+        _ => format!("{} lanes ({}, {source})", w.lanes(), isa_name(isa())),
     }
 }
 
@@ -637,12 +639,67 @@ impl<const W: usize> std::ops::Mul for F64Lanes<W> {
 }
 
 // ---------------------------------------------------------------------------
-// Slice kernels with per-ISA clones
+// One dispatcher: every vector kernel runs in the detected ISA's trampoline
 // ---------------------------------------------------------------------------
 
-/// An elementwise kernel instantiable inside the `#[target_feature]`
-/// clones (a trait rather than a closure so monomorphization carries the
-/// captured state — e.g. the fused kernel's scale — into each ISA body).
+/// One call of a dispatched lane kernel: a struct of the call's
+/// arguments whose [`run`](Kernel::run), always `#[inline(always)]`, is
+/// the kernel body. [`dispatch`] runs it inside the detected ISA's
+/// `#[target_feature]` trampoline, so the body is compiled once per tier
+/// with that tier's vector codegen. Every tier runs the same IEEE
+/// arithmetic (rustc never contracts a multiply and an add into an FMA),
+/// so the tier changes speed, never bits. `isa` is a constant inside each
+/// trampoline, so a body may pick its blocking from it at no cost.
+///
+/// A new lane kernel is a new `Kernel` struct, never a clone of its own.
+trait Kernel {
+    type Out;
+    fn run(self, isa: Isa) -> Self::Out;
+}
+
+/// The AVX2 trampoline of [`dispatch`].
+///
+/// # Safety
+///
+/// The caller must have verified `avx2` via `is_x86_feature_detected!`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn run_avx2<K: Kernel>(k: K) -> K::Out {
+    k.run(Isa::Avx2)
+}
+
+/// The AVX-512F trampoline of [`dispatch`].
+///
+/// # Safety
+///
+/// The caller must have verified `avx512f` via `is_x86_feature_detected!`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn run_avx512<K: Kernel>(k: K) -> K::Out {
+    k.run(Isa::Avx512)
+}
+
+/// Runs `k` in the trampoline of the detected ISA, or with baseline
+/// codegen when neither AVX tier is present.
+fn dispatch<K: Kernel>(k: K) -> K::Out {
+    match isa() {
+        Isa::Portable => k.run(Isa::Portable),
+        // SAFETY: `isa()` only reports tiers confirmed by runtime CPUID
+        // feature detection on this machine.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { run_avx2(k) },
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { run_avx512(k) },
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Slice kernels
+// ---------------------------------------------------------------------------
+
+/// An elementwise op of a [`MapSlice`] kernel (a trait rather than a
+/// closure so monomorphization carries the captured state — e.g. the
+/// fused kernel's scale — into each ISA's body).
 trait Elem: Copy {
     fn eval(self, x: f64) -> f64;
 }
@@ -779,141 +836,93 @@ fn failure_finish_elem(x: f64, z: f64, x_tiny: f64, x_small: f64) -> f64 {
     select(x < x_tiny, failure_tiny(z), r)
 }
 
-#[inline(always)]
-fn failure_finish_body<const W: usize>(
-    xs: &[f64],
-    zs: &[f64],
+/// The general second pass of [`failure_term_slice`]'s lane route:
+/// `out[i]` is the failure term of the argument `xs[i]` from its negated
+/// hazard `zs[i]`, all three arms evaluated and one picked per element
+/// by `x`.
+struct FailureFinish<'a, const W: usize> {
+    xs: &'a [f64],
+    zs: &'a [f64],
     x_tiny: f64,
     x_small: f64,
-    out: &mut [f64],
-) {
-    let n = xs.len();
-    let rem = n - n % W;
-    for ((xc, zc), oc) in xs[..rem]
-        .chunks_exact(W)
-        .zip(zs[..rem].chunks_exact(W))
-        .zip(out[..rem].chunks_exact_mut(W))
-    {
-        let xc: &[f64; W] = xc.try_into().expect("chunks_exact yields W");
-        let zc: &[f64; W] = zc.try_into().expect("chunks_exact yields W");
-        let oc: &mut [f64; W] = oc.try_into().expect("chunks_exact yields W");
-        for w in 0..W {
-            oc[w] = failure_finish_elem(xc[w], zc[w], x_tiny, x_small);
+    out: &'a mut [f64],
+}
+
+impl<const W: usize> Kernel for FailureFinish<'_, W> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self, _: Isa) {
+        let FailureFinish {
+            xs,
+            zs,
+            x_tiny,
+            x_small,
+            out,
+        } = self;
+        let n = xs.len();
+        let rem = n - n % W;
+        // Each chunk is computed into a local array and copied out, as
+        // `MapSlice` does: slices that arrive as struct fields carry no
+        // no-alias facts, and a store straight into `out` would order
+        // every later load of `xs` and `zs` behind it (measured 1.5–2.5×
+        // slower on `failure_term_slice`).
+        for ((xc, zc), oc) in xs[..rem]
+            .chunks_exact(W)
+            .zip(zs[..rem].chunks_exact(W))
+            .zip(out[..rem].chunks_exact_mut(W))
+        {
+            let xc: &[f64; W] = xc.try_into().expect("chunks_exact yields W");
+            let zc: &[f64; W] = zc.try_into().expect("chunks_exact yields W");
+            let mut lanes = [0.0; W];
+            for w in 0..W {
+                lanes[w] = failure_finish_elem(xc[w], zc[w], x_tiny, x_small);
+            }
+            oc.copy_from_slice(&lanes);
+        }
+        for j in rem..n {
+            out[j] = failure_finish_elem(xs[j], zs[j], x_tiny, x_small);
         }
     }
-    for j in rem..n {
-        out[j] = failure_finish_elem(xs[j], zs[j], x_tiny, x_small);
-    }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn failure_finish_avx2<const W: usize>(
-    xs: &[f64],
-    zs: &[f64],
-    x_tiny: f64,
-    x_small: f64,
-    out: &mut [f64],
-) {
-    failure_finish_body::<W>(xs, zs, x_tiny, x_small, out);
+/// Chunked elementwise map of `op` over `xs`: full `W`-lane chunks
+/// through fixed-size arrays (the shape LLVM vectorizes), the remainder
+/// through the same elementwise core — so results never depend on where
+/// chunk boundaries fall.
+struct MapSlice<'a, const W: usize, E> {
+    op: E,
+    xs: &'a [f64],
+    out: &'a mut [f64],
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn failure_finish_avx512<const W: usize>(
-    xs: &[f64],
-    zs: &[f64],
-    x_tiny: f64,
-    x_small: f64,
-    out: &mut [f64],
-) {
-    failure_finish_body::<W>(xs, zs, x_tiny, x_small, out);
-}
+impl<const W: usize, E: Elem> Kernel for MapSlice<'_, W, E> {
+    type Out = ();
 
-fn failure_finish<const W: usize>(
-    xs: &[f64],
-    zs: &[f64],
-    x_tiny: f64,
-    x_small: f64,
-    out: &mut [f64],
-) {
-    match isa() {
-        Isa::Portable => failure_finish_body::<W>(xs, zs, x_tiny, x_small, out),
-        // SAFETY: `isa()` only reports tiers confirmed by runtime CPUID
-        // feature detection on this machine.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { failure_finish_avx2::<W>(xs, zs, x_tiny, x_small, out) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { failure_finish_avx512::<W>(xs, zs, x_tiny, x_small, out) },
-    }
-}
-
-/// Chunked elementwise map: full `W`-lane chunks through fixed-size
-/// arrays (the shape LLVM vectorizes), remainder through the same
-/// elementwise core — so results never depend on where chunk boundaries
-/// fall.
-#[inline(always)]
-fn map_slice<const W: usize, K: Elem>(k: K, xs: &[f64], out: &mut [f64]) {
-    let n = xs.len();
-    let mut i = 0;
-    while i + W <= n {
-        let mut lanes = [0.0; W];
-        lanes.copy_from_slice(&xs[i..i + W]);
-        for lane in &mut lanes {
-            *lane = k.eval(*lane);
+    #[inline(always)]
+    fn run(self, _: Isa) {
+        let MapSlice { op, xs, out } = self;
+        let n = xs.len();
+        let mut i = 0;
+        while i + W <= n {
+            let mut lanes = [0.0; W];
+            lanes.copy_from_slice(&xs[i..i + W]);
+            for lane in &mut lanes {
+                *lane = op.eval(*lane);
+            }
+            out[i..i + W].copy_from_slice(&lanes);
+            i += W;
         }
-        out[i..i + W].copy_from_slice(&lanes);
-        i += W;
-    }
-    for j in i..n {
-        out[j] = k.eval(xs[j]);
-    }
-}
-
-fn run_portable<const W: usize, K: Elem>(k: K, xs: &[f64], out: &mut [f64]) {
-    map_slice::<W, K>(k, xs, out);
-}
-
-/// AVX2 clone of [`map_slice`]: same IEEE arithmetic (rustc does not
-/// contract mul+add without explicit FMA calls), recompiled with 256-bit
-/// vector codegen.
-///
-/// # Safety
-///
-/// Caller must have verified `avx2` via `is_x86_feature_detected!`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn run_avx2<const W: usize, K: Elem>(k: K, xs: &[f64], out: &mut [f64]) {
-    map_slice::<W, K>(k, xs, out);
-}
-
-/// AVX-512F clone of [`map_slice`].
-///
-/// # Safety
-///
-/// Caller must have verified `avx512f` via `is_x86_feature_detected!`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn run_avx512<const W: usize, K: Elem>(k: K, xs: &[f64], out: &mut [f64]) {
-    map_slice::<W, K>(k, xs, out);
-}
-
-fn run_isa<const W: usize, K: Elem>(k: K, xs: &[f64], out: &mut [f64]) {
-    match isa() {
-        Isa::Portable => run_portable::<W, K>(k, xs, out),
-        // SAFETY: `isa()` only reports tiers confirmed by runtime CPUID
-        // feature detection on this machine.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { run_avx2::<W, K>(k, xs, out) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { run_avx512::<W, K>(k, xs, out) },
+        for j in i..n {
+            out[j] = op.eval(xs[j]);
+        }
     }
 }
 
 /// Dispatches one slice op: width 1 runs the caller-supplied exact `std`
 /// expression; widths 4/8 run the polynomial kernel on the detected ISA.
 #[inline]
-fn run_op<K: Elem>(k: K, xs: &[f64], out: &mut [f64], scalar: impl Fn(f64) -> f64) {
+fn run_op<E: Elem>(op: E, xs: &[f64], out: &mut [f64], scalar: impl Fn(f64) -> f64) {
     assert_eq!(
         xs.len(),
         out.len(),
@@ -925,8 +934,8 @@ fn run_op<K: Elem>(k: K, xs: &[f64], out: &mut [f64], scalar: impl Fn(f64) -> f6
                 *o = scalar(x);
             }
         }
-        LaneWidth::W4 => run_isa::<4, K>(k, xs, out),
-        LaneWidth::W8 => run_isa::<8, K>(k, xs, out),
+        LaneWidth::W4 => dispatch(MapSlice::<4, E> { op, xs, out }),
+        LaneWidth::W8 => dispatch(MapSlice::<8, E> { op, xs, out }),
     }
 }
 
@@ -970,26 +979,11 @@ pub fn ln_1p_slice(xs: &[f64], out: &mut [f64]) {
 // Quadrature support kernels: interleaved fills and plain reductions
 // ---------------------------------------------------------------------------
 //
-// These are deliberately *not* ISA-dispatched: quadrature rows are often
-// a few dozen nodes, so a real function call per segment (target_feature
-// clones cannot inline into baseline callers) would cost more than the
-// wider vectors save. Inlined at baseline codegen they still
-// auto-vectorize (SSE2) and stay a small fraction of the transcendental
-// kernel cost.
-
-/// Fills `dst[i] = a + b·vs[i]` — the argument fill of a single
-/// quadrature row (`s1·u + s2·v` over the `v` nodes).
-///
-/// # Panics
-///
-/// Panics if `vs.len() != dst.len()`.
-#[inline(always)]
-pub fn affine_slice(a: f64, b: f64, vs: &[f64], dst: &mut [f64]) {
-    assert_eq!(vs.len(), dst.len(), "affine fill length mismatch");
-    for (d, &v) in dst.iter_mut().zip(vs) {
-        *d = a + b * v;
-    }
-}
+// These are deliberately *not* dispatched: quadrature rows are often a
+// few dozen nodes, so a real function call per segment (a trampoline
+// cannot inline into its baseline caller) would cost more than the wider
+// vectors save. Inlined at baseline codegen they still auto-vectorize
+// (SSE2) and stay a small fraction of the transcendental kernel cost.
 
 /// Fills the `W`-interleaved buffer `dst[i·W + w] = a[w] + b[w]·vs[i]`
 /// — the argument fill of a `W`-item batched quadrature sweep (one `v`
@@ -1115,39 +1109,30 @@ fn lane_matvec_body<const W: usize, const P: usize>(
     }
 }
 
-/// AVX2 clone of [`lane_matvec_body`], four rows per pass: eight rows of
-/// a `W = 8` tile would need all sixteen vector registers for their
-/// sums alone, and the spills cost more than the extra chains gain.
-///
-/// # Safety
-///
-/// Caller must have verified `avx2` via `is_x86_feature_detected!`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn lane_matvec_avx2<const W: usize>(
-    a: &[f64],
+/// [`lane_matvec_acc`]'s dispatched call.
+struct LaneMatvec<'a, const W: usize> {
+    a: &'a [f64],
     n: usize,
-    z_tile: &[f64],
-    out: &mut [[f64; W]],
-) {
-    lane_matvec_body::<W, 4>(a, n, z_tile, out);
+    z_tile: &'a [f64],
+    out: &'a mut [[f64; W]],
 }
 
-/// AVX-512F clone of [`lane_matvec_body`], eight rows per pass (eight of
-/// the 32 vector registers at `W = 8`).
-///
-/// # Safety
-///
-/// Caller must have verified `avx512f` via `is_x86_feature_detected!`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn lane_matvec_avx512<const W: usize>(
-    a: &[f64],
-    n: usize,
-    z_tile: &[f64],
-    out: &mut [[f64; W]],
-) {
-    lane_matvec_body::<W, 8>(a, n, z_tile, out);
+impl<const W: usize> Kernel for LaneMatvec<'_, W> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self, isa: Isa) {
+        let LaneMatvec { a, n, z_tile, out } = self;
+        match isa {
+            // Eight rows take eight of AVX-512F's 32 vector registers at
+            // `W = 8`; on sixteen registers their sums alone would fill
+            // the file, and the spills cost more than the extra chains
+            // gain, so every other tier runs four.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => lane_matvec_body::<W, 8>(a, n, z_tile, out),
+            _ => lane_matvec_body::<W, 4>(a, n, z_tile, out),
+        }
+    }
 }
 
 /// Accumulates `out[r][w] += Σ_k a[r·n + k] · z_tile[k·W + w]`: the
@@ -1159,7 +1144,7 @@ unsafe fn lane_matvec_avx512<const W: usize>(
 /// ISA. Rows run several per pass (eight under AVX-512F, four
 /// otherwise, then 4-, 2- and 1-row passes for the rows left over), so
 /// each lane has independent add chains in flight instead of waiting on
-/// one row's chain; the passes run in the detected ISA's clone.
+/// one row's chain; the passes run in the detected ISA's trampoline.
 ///
 /// # Panics
 ///
@@ -1167,15 +1152,7 @@ unsafe fn lane_matvec_avx512<const W: usize>(
 pub fn lane_matvec_acc<const W: usize>(a: &[f64], n: usize, z_tile: &[f64], out: &mut [[f64; W]]) {
     assert_eq!(a.len(), out.len() * n, "matrix shape mismatch");
     assert_eq!(z_tile.len(), n * W, "lane tile length mismatch");
-    match isa() {
-        Isa::Portable => lane_matvec_body::<W, 4>(a, n, z_tile, out),
-        // SAFETY: `isa()` only reports tiers confirmed by runtime CPUID
-        // feature detection on this machine.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { lane_matvec_avx2::<W>(a, n, z_tile, out) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { lane_matvec_avx512::<W>(a, n, z_tile, out) },
-    }
+    dispatch(LaneMatvec { a, n, z_tile, out });
 }
 
 /// Intermediate tile length for [`failure_term_slice`]'s two-pass
@@ -1306,14 +1283,23 @@ fn failure_term_tiles(
             run_op(NegHazardOp { scale }, tile, &mut tmp[..n], |x| {
                 -scale * x.exp()
             });
+            let (zs, out) = (&tmp[..n], &mut out[i..i + n]);
             match active_width() {
                 LaneWidth::W1 => unreachable!("width 1 handled above"),
-                LaneWidth::W4 => {
-                    failure_finish::<4>(tile, &tmp[..n], x_tiny, x_small, &mut out[i..i + n])
-                }
-                LaneWidth::W8 => {
-                    failure_finish::<8>(tile, &tmp[..n], x_tiny, x_small, &mut out[i..i + n])
-                }
+                LaneWidth::W4 => dispatch(FailureFinish::<4> {
+                    xs: tile,
+                    zs,
+                    x_tiny,
+                    x_small,
+                    out,
+                }),
+                LaneWidth::W8 => dispatch(FailureFinish::<8> {
+                    xs: tile,
+                    zs,
+                    x_tiny,
+                    x_small,
+                    out,
+                }),
             }
         }
         i += n;
@@ -1407,9 +1393,8 @@ pub fn failure_term_slice_bounded(xs: &[f64], scale: f64, lo: f64, hi: f64, out:
 // ---------------------------------------------------------------------------
 
 /// A block failure probability as the compositions absorb it: clamped to
-/// `[0, 1]`, NaN read as certain failure — the rule of `statobd-core`'s
-/// `WeakestLink::absorb` and `CompositionAccumulator::absorb` (a poisoned
-/// block must never raise the reported survival).
+/// `[0, 1]`, NaN read as certain failure (a poisoned block must never
+/// raise the reported survival).
 #[inline(always)]
 fn absorbed_p(p: f64) -> f64 {
     select(p.is_nan(), 1.0, p.clamp(0.0, 1.0))
@@ -1417,8 +1402,10 @@ fn absorbed_p(p: f64) -> f64 {
 
 /// How a `W`-chip tile's per-block failure probabilities compose into
 /// each lane's chip log-survival `ln S` — the per-block step of the fused
-/// survival kernels ([`ln_surv_tile_fold`], [`ln_surv_bisect_fold`]) and
-/// of a caller's mission-end composition.
+/// survival kernels ([`ln_surv_tile_fold`], [`ln_surv_solve_fold`]) and
+/// of a caller's mission-end composition. The width-1 instances are
+/// `statobd-core`'s `CompositionAccumulator`: a chip composes to the same
+/// bits there and in a width-1 fleet tile.
 ///
 /// A fold is [`clear`](LaneFold::clear)ed, absorbs every block once in
 /// block order, and is then read through
@@ -1496,8 +1483,10 @@ fn hazard_regime<const W: usize>(arg: &[f64; W], x_small: f64, x_sat: f64) -> Re
     }
 }
 
-/// The weakest-link fold `ln S = Σ_j ln_1p(−p_j)`: the running sum of
-/// `WeakestLink::absorb`, lane by lane.
+/// The weakest-link fold `ln S = Σ_j ln_1p(−p_j)`, lane by lane: the
+/// paper's chip, which dies with its first block. The sum stays in
+/// log-survival space, so the `10⁻⁶` regime keeps full relative
+/// precision where a product of `1 − p_j` terms would cancel.
 ///
 /// [`absorb`](LaneFold::absorb) — the once-per-chip mission-end entry —
 /// evaluates libm `ln_1p` at every width, the mission-end expression the
@@ -1520,8 +1509,9 @@ fn hazard_regime<const W: usize>(arg: &[f64; W], x_small: f64, x_sat: f64) -> Re
 ///   fleet budget), so it carries most of its probes.
 /// * mixed (or any NaN lane) → the general both-arm cores.
 ///
-/// Width 1 runs the general libm expression unscreened: the scalar
-/// `WeakestLink` bits.
+/// Width 1 runs the general libm expression unscreened; it is the
+/// weakest-link `CompositionAccumulator` every analytic engine and the
+/// reliability manager compose through.
 #[derive(Clone, Copy, Debug)]
 pub struct WeakestLinkFold<const W: usize> {
     s: [f64; W],
@@ -1584,9 +1574,8 @@ impl<const W: usize> LaneFold<W> for WeakestLinkFold<W> {
 }
 
 /// One block's update of a redundancy group's log-space Poisson-binomial
-/// DP, `W` lanes at once — the recurrence of `statobd-core`'s
-/// `CompositionAccumulator` (which runs it at width 1) and of the lane
-/// [`GroupFold`]. `ln_at[m][w]` is lane `w`'s `ln P(exactly m absorbed
+/// DP, `W` lanes at once — the recurrence of [`GroupFold`].
+/// `ln_at[m][w]` is lane `w`'s `ln P(exactly m absorbed
 /// blocks failed)` for `m ≤ spares = ln_at.len() − 1`, `ln_fail[w]` its
 /// `ln P(more than spares failed)`; `p` holds the block's clamped failure
 /// probabilities and `ln1mp` their `ln(1 − p)`, which callers often hold
@@ -1614,7 +1603,7 @@ pub fn group_absorb<const W: usize>(
     ln1mp: &[f64; W],
 ) {
     // Plain lane loops throughout: `array::map` closures do not inline
-    // into the `#[target_feature]` clones and would run per lane.
+    // into the `#[target_feature]` trampolines and would run per lane.
     let spares = ln_at.len() - 1;
     if spares > 0 {
         let mut lnp = [0.0; W];
@@ -1698,13 +1687,47 @@ impl GroupLayout {
     pub fn rows(&self) -> usize {
         self.rows.last().map_or(0, |r| r.end)
     }
+
+    /// Each lane's chip log-survival, read from a fold's state `rows`
+    /// (the buffer a [`GroupFold`] of this layout keeps its state in)
+    /// without borrowing them mutably: the value of that fold's
+    /// [`ln_survival`](LaneFold::ln_survival).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len() != self.rows() · W`.
+    pub fn ln_survival<const W: usize>(&self, rows: &[f64]) -> [f64; W] {
+        let (rows, rest) = rows.as_chunks::<W>();
+        assert!(
+            rest.is_empty() && rows.len() == self.rows(),
+            "a group fold holds layout.rows() · W state values"
+        );
+        self.sum_groups(rows)
+    }
+
+    /// The chip log-survival: the groups' [`group_ln_survival`] summed in
+    /// group order.
+    #[inline(always)]
+    fn sum_groups<const W: usize>(&self, rows: &[[f64; W]]) -> [f64; W] {
+        let mut total = [0.0; W];
+        for r in &self.rows {
+            let (ln_fail, ln_at) = rows[r.clone()]
+                .split_last()
+                .expect("a group has state rows");
+            let s = group_ln_survival::<W>(ln_at, ln_fail);
+            for w in 0..W {
+                total[w] += s[w];
+            }
+        }
+        total
+    }
 }
 
 /// The redundancy-group fold: every group runs the log-space
 /// Poisson-binomial DP of [`group_absorb`] across the lanes, and the chip
-/// log-survival sums the groups' [`group_ln_survival`] in group order —
-/// lane for lane the operation sequence of `CompositionAccumulator`,
-/// whose bits the width-1 instance reproduces.
+/// log-survival sums the groups' [`group_ln_survival`] in group order.
+/// A group with zero spares is weakest-link over its blocks, so
+/// 1-out-of-1 groups reproduce the [`WeakestLinkFold`] bit for bit.
 ///
 /// The state lives in a caller-owned row buffer sized once from the
 /// layout, so folding a chip allocates nothing, for any number of groups
@@ -1804,17 +1827,7 @@ impl<const W: usize> LaneFold<W> for GroupFold<'_, W> {
 
     #[inline(always)]
     fn ln_survival(&self) -> [f64; W] {
-        let mut total = [0.0; W];
-        for r in &self.layout.rows {
-            let (ln_fail, ln_at) = self.rows[r.clone()]
-                .split_last()
-                .expect("a group has state rows");
-            let s = group_ln_survival::<W>(ln_at, ln_fail);
-            for w in 0..W {
-                total[w] += s[w];
-            }
-        }
-        total
+        self.layout.sum_groups(self.rows)
     }
 }
 
@@ -1822,8 +1835,8 @@ impl<const W: usize> LaneFold<W> for GroupFold<'_, W> {
 // Fused lane-tile survival kernels (fleet lifetime solve)
 // ---------------------------------------------------------------------------
 
-/// Shared body of [`ln_surv_tile_fold`]: per lane `w`, the chip
-/// log-survival at log-age `x[w]`,
+/// Body of [`ln_surv_tile_fold`]: per lane `w`, the chip log-survival
+/// at log-age `x[w]`,
 ///
 /// ```text
 /// s[w] = fold over blocks j of p_jw = −expm1(−area_j·exp(arg_jw))
@@ -1865,41 +1878,31 @@ fn ln_surv_tile_body<const W: usize, F: LaneFold<W>>(
     *out = fold.ln_survival();
 }
 
-/// AVX2 clone of [`ln_surv_tile_body`] (same IEEE arithmetic, 256-bit
-/// codegen).
-///
-/// # Safety
-///
-/// Caller must have verified `avx2` via `is_x86_feature_detected!`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn ln_surv_tile_avx2<const W: usize, F: LaneFold<W>>(
-    x: &[f64; W],
-    block_params: &[f64],
-    bu: &[f64],
-    bbv: &[f64],
-    fold: &mut F,
-    out: &mut [f64; W],
-) {
-    ln_surv_tile_body::<W, F>(x, block_params, bu, bbv, fold, out);
+/// [`ln_surv_tile_fold`]'s dispatched call.
+struct TileFold<'a, const W: usize, F> {
+    x: &'a [f64; W],
+    block_params: &'a [f64],
+    bu: &'a [f64],
+    bbv: &'a [f64],
+    fold: &'a mut F,
+    out: &'a mut [f64; W],
 }
 
-/// AVX-512F clone of [`ln_surv_tile_body`].
-///
-/// # Safety
-///
-/// Caller must have verified `avx512f` via `is_x86_feature_detected!`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn ln_surv_tile_avx512<const W: usize, F: LaneFold<W>>(
-    x: &[f64; W],
-    block_params: &[f64],
-    bu: &[f64],
-    bbv: &[f64],
-    fold: &mut F,
-    out: &mut [f64; W],
-) {
-    ln_surv_tile_body::<W, F>(x, block_params, bu, bbv, fold, out);
+impl<const W: usize, F: LaneFold<W>> Kernel for TileFold<'_, W, F> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self, _: Isa) {
+        let TileFold {
+            x,
+            block_params,
+            bu,
+            bbv,
+            fold,
+            out,
+        } = self;
+        ln_surv_tile_body::<W, F>(x, block_params, bu, bbv, fold, out);
+    }
 }
 
 /// Checks the shape contract shared by the fused survival kernels.
@@ -1946,15 +1949,14 @@ pub fn ln_surv_tile_fold<const W: usize, F: LaneFold<W>>(
     out: &mut [f64; W],
 ) {
     assert_tile_shape::<W>(block_params, bu, bbv);
-    match isa() {
-        Isa::Portable => ln_surv_tile_body::<W, F>(x, block_params, bu, bbv, fold, out),
-        // SAFETY: `isa()` only reports tiers confirmed by runtime CPUID
-        // feature detection on this machine.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { ln_surv_tile_avx2::<W, F>(x, block_params, bu, bbv, fold, out) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { ln_surv_tile_avx512::<W, F>(x, block_params, bu, bbv, fold, out) },
-    }
+    dispatch(TileFold {
+        x,
+        block_params,
+        bu,
+        bbv,
+        fold,
+        out,
+    });
 }
 
 /// [`ln_surv_tile_fold`] under the [`WeakestLinkFold`]: the tile
@@ -1974,134 +1976,20 @@ pub fn ln_surv_tile_sum<const W: usize>(
     ln_surv_tile_fold::<W, _>(x, block_params, bu, bbv, &mut fold, out);
 }
 
-/// Shared body of [`ln_surv_bisect_fold`]: `steps` rounds of per-lane
-/// bracket halving. Each round evaluates the tile log-survival at the
-/// per-lane midpoints through [`ln_surv_tile_body`], then moves each
-/// lane's own bracket with branchless bitwise selects on `s ≤ target`
-/// (NaN compares false, freezing that lane's bracket — the caller's
-/// mask semantics). Bit-identical, round for round, to a caller loop of
-/// [`ln_surv_tile_fold`] + [`lane_le`] + a per-lane select; hoisting the
-/// loop inside the dispatched clone exists purely so the bracket state
-/// stays in registers across all `steps` rounds instead of paying a
-/// non-inlinable dispatch per round.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn ln_surv_bisect_body<const W: usize, F: LaneFold<W>>(
-    lo: &mut [f64; W],
-    hi: &mut [f64; W],
-    target: f64,
-    steps: u32,
-    block_params: &[f64],
-    bu: &[f64],
-    bbv: &[f64],
-    fold: &mut F,
-) {
-    for _ in 0..steps {
-        let mut mid = [0.0; W];
-        for w in 0..W {
-            mid[w] = 0.5 * (lo[w] + hi[w]);
-        }
-        let mut s = [0.0; W];
-        ln_surv_tile_body::<W, F>(&mid, block_params, bu, bbv, fold, &mut s);
-        for w in 0..W {
-            let le = s[w] <= target;
-            hi[w] = select(le, mid[w], hi[w]);
-            lo[w] = select(le, lo[w], mid[w]);
-        }
-    }
-}
-
-/// AVX2 clone of [`ln_surv_bisect_body`].
-///
-/// # Safety
-///
-/// Caller must have verified `avx2` via `is_x86_feature_detected!`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn ln_surv_bisect_avx2<const W: usize, F: LaneFold<W>>(
-    lo: &mut [f64; W],
-    hi: &mut [f64; W],
-    target: f64,
-    steps: u32,
-    block_params: &[f64],
-    bu: &[f64],
-    bbv: &[f64],
-    fold: &mut F,
-) {
-    ln_surv_bisect_body::<W, F>(lo, hi, target, steps, block_params, bu, bbv, fold);
-}
-
-/// AVX-512F clone of [`ln_surv_bisect_body`].
-///
-/// # Safety
-///
-/// Caller must have verified `avx512f` via `is_x86_feature_detected!`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn ln_surv_bisect_avx512<const W: usize, F: LaneFold<W>>(
-    lo: &mut [f64; W],
-    hi: &mut [f64; W],
-    target: f64,
-    steps: u32,
-    block_params: &[f64],
-    bu: &[f64],
-    bbv: &[f64],
-    fold: &mut F,
-) {
-    ln_surv_bisect_body::<W, F>(lo, hi, target, steps, block_params, bu, bbv, fold);
-}
-
-/// A lane-parallel masked lifetime bisection, whole-loop fused (the
-/// fleet's solve before [`ln_surv_solve_fold`], kept as its reference
-/// and for stage-by-stage replays): runs `steps` rounds of per-lane
+/// A lane-parallel masked lifetime bisection under the
+/// [`WeakestLinkFold`] (the fleet's solve before [`ln_surv_solve_fold`],
+/// kept for stage-by-stage replays): runs `steps` rounds of per-lane
 /// bracket halving on `lo`/`hi` in place, against the log-survival
-/// threshold `target`, the blocks composed through `fold`. Parameters
-/// and per-element math are exactly [`ln_surv_tile_fold`]'s; see
-/// `ln_surv_bisect_body` for the bit-identity contract with the unfused
-/// caller loop and the NaN/mask semantics. One dispatched call replaces
-/// `steps` of them — the bracket arrays live in registers for the whole
-/// solve.
+/// threshold `target`. Each round is one [`ln_surv_tile_sum`] call at
+/// the per-lane midpoints, then a branchless select per lane: `hi`
+/// moves to the midpoint where `s ≤ target`, `lo` elsewhere. The fold
+/// reads a NaN hazard as certain failure, so a lane with a NaN input
+/// has `s = −∞` at every midpoint and its bracket closes on its lower
+/// edge.
 ///
 /// # Panics
 ///
-/// Panics if `block_params.len()` is not a multiple of 4 or `bu`/`bbv`
-/// are not exactly `(block_params.len() / 4) · W` long.
-#[allow(clippy::too_many_arguments)]
-pub fn ln_surv_bisect_fold<const W: usize, F: LaneFold<W>>(
-    lo: &mut [f64; W],
-    hi: &mut [f64; W],
-    target: f64,
-    steps: u32,
-    block_params: &[f64],
-    bu: &[f64],
-    bbv: &[f64],
-    fold: &mut F,
-) {
-    assert_tile_shape::<W>(block_params, bu, bbv);
-    match isa() {
-        Isa::Portable => {
-            ln_surv_bisect_body::<W, F>(lo, hi, target, steps, block_params, bu, bbv, fold)
-        }
-        // SAFETY: `isa()` only reports tiers confirmed by runtime CPUID
-        // feature detection on this machine.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe {
-            ln_surv_bisect_avx2::<W, F>(lo, hi, target, steps, block_params, bu, bbv, fold)
-        },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe {
-            ln_surv_bisect_avx512::<W, F>(lo, hi, target, steps, block_params, bu, bbv, fold)
-        },
-    }
-}
-
-/// [`ln_surv_bisect_fold`] under the [`WeakestLinkFold`].
-///
-/// # Panics
-///
-/// As [`ln_surv_bisect_fold`].
+/// As [`ln_surv_tile_fold`].
 pub fn ln_surv_bisect<const W: usize>(
     lo: &mut [f64; W],
     hi: &mut [f64; W],
@@ -2111,8 +1999,19 @@ pub fn ln_surv_bisect<const W: usize>(
     bu: &[f64],
     bbv: &[f64],
 ) {
-    let mut fold = WeakestLinkFold::default();
-    ln_surv_bisect_fold::<W, _>(lo, hi, target, steps, block_params, bu, bbv, &mut fold);
+    for _ in 0..steps {
+        let mut mid = [0.0; W];
+        for w in 0..W {
+            mid[w] = 0.5 * (lo[w] + hi[w]);
+        }
+        let mut s = [0.0; W];
+        ln_surv_tile_sum::<W>(&mid, block_params, bu, bbv, &mut s);
+        for w in 0..W {
+            let le = s[w] <= target;
+            hi[w] = select(le, mid[w], hi[w]);
+            lo[w] = select(le, lo[w], mid[w]);
+        }
+    }
 }
 
 /// The Weibull-plot residual of lane log-survivals `s` against a target
@@ -2128,59 +2027,37 @@ pub fn weibull_residual<const W: usize>(s: &[f64; W], ln_neg_target: f64) -> [f6
     f
 }
 
-/// Shared body of [`ln_surv_solve_fold`]: runs `solver` to completion,
-/// each probe one [`ln_surv_tile_body`] pass.
-#[inline(always)]
-fn ln_surv_solve_body<const W: usize, F: LaneFold<W>>(
-    solver: &mut Illinois<W>,
+/// [`ln_surv_solve_fold`]'s dispatched call: the whole solve, each probe
+/// one [`ln_surv_tile_body`] pass.
+struct Solve<'a, const W: usize, F> {
+    solver: &'a mut Illinois<W>,
     ln_neg_target: f64,
-    block_params: &[f64],
-    bu: &[f64],
-    bbv: &[f64],
-    fold: &mut F,
-) {
-    let mut s = [0.0; W];
-    while !solver.done() {
-        let x = solver.probe();
-        ln_surv_tile_body::<W, F>(&x, block_params, bu, bbv, fold, &mut s);
-        solver.update(&weibull_residual::<W>(&s, ln_neg_target));
+    block_params: &'a [f64],
+    bu: &'a [f64],
+    bbv: &'a [f64],
+    fold: &'a mut F,
+}
+
+impl<const W: usize, F: LaneFold<W>> Kernel for Solve<'_, W, F> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self, _: Isa) {
+        let Solve {
+            solver,
+            ln_neg_target,
+            block_params,
+            bu,
+            bbv,
+            fold,
+        } = self;
+        let mut s = [0.0; W];
+        while !solver.done() {
+            let x = solver.probe();
+            ln_surv_tile_body::<W, F>(&x, block_params, bu, bbv, fold, &mut s);
+            solver.update(&weibull_residual::<W>(&s, ln_neg_target));
+        }
     }
-}
-
-/// AVX2 clone of [`ln_surv_solve_body`].
-///
-/// # Safety
-///
-/// Caller must have verified `avx2` via `is_x86_feature_detected!`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn ln_surv_solve_avx2<const W: usize, F: LaneFold<W>>(
-    solver: &mut Illinois<W>,
-    ln_neg_target: f64,
-    block_params: &[f64],
-    bu: &[f64],
-    bbv: &[f64],
-    fold: &mut F,
-) {
-    ln_surv_solve_body::<W, F>(solver, ln_neg_target, block_params, bu, bbv, fold);
-}
-
-/// AVX-512F clone of [`ln_surv_solve_body`].
-///
-/// # Safety
-///
-/// Caller must have verified `avx512f` via `is_x86_feature_detected!`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn ln_surv_solve_avx512<const W: usize, F: LaneFold<W>>(
-    solver: &mut Illinois<W>,
-    ln_neg_target: f64,
-    block_params: &[f64],
-    bu: &[f64],
-    bbv: &[f64],
-    fold: &mut F,
-) {
-    ln_surv_solve_body::<W, F>(solver, ln_neg_target, block_params, bu, bbv, fold);
 }
 
 /// The fleet's lane-parallel lifetime solve, whole-loop fused: runs
@@ -2208,21 +2085,14 @@ pub fn ln_surv_solve_fold<const W: usize, F: LaneFold<W>>(
     fold: &mut F,
 ) -> u32 {
     assert_tile_shape::<W>(block_params, bu, bbv);
-    match isa() {
-        Isa::Portable => {
-            ln_surv_solve_body::<W, F>(solver, ln_neg_target, block_params, bu, bbv, fold)
-        }
-        // SAFETY: `isa()` only reports tiers confirmed by runtime CPUID
-        // feature detection on this machine.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe {
-            ln_surv_solve_avx2::<W, F>(solver, ln_neg_target, block_params, bu, bbv, fold)
-        },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe {
-            ln_surv_solve_avx512::<W, F>(solver, ln_neg_target, block_params, bu, bbv, fold)
-        },
-    }
+    dispatch(Solve {
+        solver: &mut *solver,
+        ln_neg_target,
+        block_params,
+        bu,
+        bbv,
+        fold,
+    });
     solver.steps()
 }
 
@@ -2343,9 +2213,18 @@ mod tests {
         let xs: Vec<f64> = (0..13).map(|i| -60.0 + 9.5 * i as f64).collect();
         for w in [LaneWidth::W4, LaneWidth::W8] {
             let mut out = vec![0.0; xs.len()];
+            let (op, out_ref) = (ExpOp, &mut out[..]);
             match w {
-                LaneWidth::W4 => run_isa::<4, ExpOp>(ExpOp, &xs, &mut out),
-                _ => run_isa::<8, ExpOp>(ExpOp, &xs, &mut out),
+                LaneWidth::W4 => dispatch(MapSlice::<4, _> {
+                    op,
+                    xs: &xs,
+                    out: out_ref,
+                }),
+                _ => dispatch(MapSlice::<8, _> {
+                    op,
+                    xs: &xs,
+                    out: out_ref,
+                }),
             }
             for (i, (&x, &got)) in xs.iter().zip(&out).enumerate() {
                 assert_eq!(got.to_bits(), exp_core(x).to_bits(), "{w:?} idx {i}");
@@ -2496,8 +2375,9 @@ mod tests {
         // multiply-then-add sum from its seed bit for bit — the property
         // the (u, v) tile projection rests on — at every row count (whole
         // 8- and 4-row passes and every 4/2/1-row tail), through the
-        // dispatched kernel, the shared body at both pass heights and
-        // each ISA clone the host can run.
+        // dispatched kernel and the body at both pass heights. (Each ISA's
+        // trampoline is checked against the portable run in
+        // `every_kernel_runs_alike_in_every_trampoline`.)
         fn check<const W: usize>() {
             let n = 37;
             let z_tile: Vec<f64> = (0..n * W).map(|i| (i as f64 * 0.831).sin()).collect();
@@ -2536,21 +2416,6 @@ mod tests {
                 let mut out = seed.clone();
                 lane_matvec_body::<W, 8>(&a, n, &z_tile, &mut out);
                 same(&out, "8-row body");
-                #[cfg(target_arch = "x86_64")]
-                {
-                    if std::arch::is_x86_feature_detected!("avx2") {
-                        let mut out = seed.clone();
-                        // SAFETY: avx2 was detected on this host.
-                        unsafe { lane_matvec_avx2::<W>(&a, n, &z_tile, &mut out) };
-                        same(&out, "avx2");
-                    }
-                    if std::arch::is_x86_feature_detected!("avx512f") {
-                        let mut out = seed.clone();
-                        // SAFETY: avx512f was detected on this host.
-                        unsafe { lane_matvec_avx512::<W>(&a, n, &z_tile, &mut out) };
-                        same(&out, "avx512f");
-                    }
-                }
             }
         }
         check::<1>();
@@ -2847,5 +2712,268 @@ mod tests {
         }
         run::<4>(target);
         run::<8>(target);
+    }
+
+    #[test]
+    fn ln_surv_bisect_lands_on_the_solve_roots_and_closes_censored_lanes_on_their_edges() {
+        const W: usize = 8;
+        let (block_params, bu, mut bbv) = solve_tile::<W>();
+        // A NaN hazard in lane 5's first block: certain failure.
+        let nan_lane = 5;
+        bbv[nan_lane] = f64::NAN;
+        let target = (-1e-6f64).ln_1p();
+        let (lo0, hi0) = (1e2f64.ln(), 1e16f64.ln());
+        let mut s_lo = [0.0; W];
+        let mut s_hi = [0.0; W];
+        ln_surv_tile_sum::<W>(&[lo0; W], &block_params, &bu, &bbv, &mut s_lo);
+        ln_surv_tile_sum::<W>(&[hi0; W], &block_params, &bu, &bbv, &mut s_hi);
+        let low: [bool; W] = std::array::from_fn(|w| s_lo[w] <= target);
+        let high: [bool; W] = std::array::from_fn(|w| s_hi[w] > target);
+        assert!(
+            low[1] && low[nan_lane] && high[2],
+            "the fixture's censored lanes"
+        );
+        let active: [bool; W] = std::array::from_fn(|w| !low[w] && !high[w]);
+        assert_eq!(active.iter().filter(|&&a| a).count(), W - 3);
+
+        let c = (-target).ln();
+        let (f_lo, f_hi) = (weibull_residual(&s_lo, c), weibull_residual(&s_hi, c));
+        let mut solver = Illinois::<W>::new([lo0; W], f_lo, [hi0; W], f_hi, active, 1e-13);
+        let mut fold = WeakestLinkFold::<W>::default();
+        ln_surv_solve_fold::<W, _>(&mut solver, c, &block_params, &bu, &bbv, &mut fold);
+        let roots = solver.roots();
+
+        let (mut lo, mut hi) = ([lo0; W], [hi0; W]);
+        ln_surv_bisect::<W>(&mut lo, &mut hi, target, 52, &block_params, &bu, &bbv);
+        for w in 0..W {
+            if active[w] {
+                let mid = 0.5 * (lo[w] + hi[w]);
+                let gap = (mid - roots[w]).abs();
+                assert!(
+                    gap <= 1e-12,
+                    "lane {w}: midpoint {mid} is {gap:e} off its root"
+                );
+            } else if low[w] {
+                assert_eq!(lo[w], lo0, "lane {w} keeps its lower edge");
+                assert!(hi[w] - lo0 <= 1e-12, "lane {w} closes on its lower edge");
+            } else {
+                assert_eq!(hi[w], hi0, "lane {w} keeps its upper edge");
+                assert!(hi0 - lo[w] <= 1e-12, "lane {w} closes on its upper edge");
+            }
+        }
+    }
+
+    /// Runs `k` with one tier's codegen: `run` itself on the portable
+    /// tier, that tier's trampoline otherwise.
+    fn run_on<K: Kernel>(k: K, isa: Isa) -> K::Out {
+        match isa {
+            Isa::Portable => k.run(Isa::Portable),
+            // SAFETY: `hosted_isas` lists only tiers the CPU reports.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { run_avx2(k) },
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { run_avx512(k) },
+        }
+    }
+
+    /// The portable tier, then every trampoline this CPU can run.
+    fn hosted_isas() -> Vec<Isa> {
+        #[allow(unused_mut)]
+        let mut isas = vec![Isa::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                isas.push(Isa::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                isas.push(Isa::Avx512);
+            }
+        }
+        isas
+    }
+
+    /// Asserts that `run` — which builds a kernel with fresh outputs,
+    /// runs it on the given tier and returns the output bits — gives the
+    /// portable tier's bits on every tier the CPU runs.
+    fn same_bits_on_every_isa(what: &str, run: impl Fn(Isa) -> Vec<u64>) {
+        let want = run(Isa::Portable);
+        assert!(!want.is_empty(), "{what}: no outputs");
+        for isa in hosted_isas() {
+            assert_eq!(run(isa), want, "{what} on {isa:?}");
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn map_alike<const W: usize, E: Elem>(what: &str, op: E, xs: &[f64]) {
+        same_bits_on_every_isa(&format!("{what} W={W}"), |isa| {
+            let mut out = vec![0.0; xs.len()];
+            run_on(
+                MapSlice::<W, E> {
+                    op,
+                    xs,
+                    out: &mut out,
+                },
+                isa,
+            );
+            bits(&out)
+        });
+    }
+
+    fn slice_kernels_alike<const W: usize>(xs: &[f64], zs: &[f64], scale: f64) {
+        let x_tiny = (FAILURE_TINY_Z / scale).ln();
+        let x_small = (EXPM1_SWITCH / scale).ln();
+        map_alike::<W, _>("exp", ExpOp, xs);
+        map_alike::<W, _>("exp_m1", ExpM1Op, xs);
+        map_alike::<W, _>("ln_1p", Ln1pOp, xs);
+        map_alike::<W, _>("negated hazard", NegHazardOp { scale }, xs);
+        map_alike::<W, _>("small fused", SmallFusedOp { scale, x_tiny }, xs);
+        map_alike::<W, _>("tiny fused", TinyFusedOp { scale }, xs);
+        map_alike::<W, _>("big arm", BigZOp, zs);
+        same_bits_on_every_isa(&format!("failure finish W={W}"), |isa| {
+            let mut out = vec![0.0; xs.len()];
+            let finish = FailureFinish::<W> {
+                xs,
+                zs,
+                x_tiny,
+                x_small,
+                out: &mut out,
+            };
+            run_on(finish, isa);
+            bits(&out)
+        });
+    }
+
+    fn matvec_alike<const W: usize>() {
+        let n = 37;
+        let z_tile: Vec<f64> = (0..n * W).map(|i| (i as f64 * 0.831).sin()).collect();
+        // Whole 8- and 4-row passes and every 4/2/1-row tail.
+        for rows in [1, 3, 7, 8, 13, 23] {
+            let a: Vec<f64> = (0..rows * n)
+                .map(|i| (i as f64 * 0.377).cos() * 0.7)
+                .collect();
+            same_bits_on_every_isa(&format!("matvec W={W} rows={rows}"), |isa| {
+                let mut out = vec![[0.25; W]; rows];
+                let matvec = LaneMatvec::<W> {
+                    a: &a,
+                    n,
+                    z_tile: &z_tile,
+                    out: &mut out,
+                };
+                run_on(matvec, isa);
+                bits(out.as_flattened())
+            });
+        }
+    }
+
+    fn survival_kernels_alike<const W: usize>() {
+        let (block_params, bu, mut bbv) = solve_tile::<W>();
+        // A NaN hazard takes the folds' NaN route in its lane (a wider
+        // tile's last; a one-lane tile keeps its lane to solve).
+        if W > 1 {
+            bbv[W - 1] = f64::NAN;
+        }
+        let layout = GroupLayout::new(vec![0, 1, 0], &[1, 0]);
+        let (lo, hi) = (1e2f64.ln(), 1e16f64.ln());
+        // Ages across the saturated, mixed and polynomial regimes.
+        for x0 in [lo, 10.0, 16.0, 22.0, 28.0, hi] {
+            let x: [f64; W] = std::array::from_fn(|w| x0 + 0.3 * w as f64);
+            same_bits_on_every_isa(&format!("weakest-link tile W={W} x0={x0}"), |isa| {
+                let mut out = [0.0; W];
+                let tile = TileFold {
+                    x: &x,
+                    block_params: &block_params,
+                    bu: &bu,
+                    bbv: &bbv,
+                    fold: &mut WeakestLinkFold::<W>::default(),
+                    out: &mut out,
+                };
+                run_on(tile, isa);
+                bits(&out)
+            });
+            same_bits_on_every_isa(&format!("group tile W={W} x0={x0}"), |isa| {
+                let mut rows = vec![0.0; layout.rows() * W];
+                let mut out = [0.0; W];
+                let tile = TileFold {
+                    x: &x,
+                    block_params: &block_params,
+                    bu: &bu,
+                    bbv: &bbv,
+                    fold: &mut GroupFold::<W>::new(&layout, &mut rows),
+                    out: &mut out,
+                };
+                run_on(tile, isa);
+                bits(&out)
+            });
+        }
+        let target = (-1e-6f64).ln_1p();
+        let c = (-target).ln();
+        let mut s_lo = [0.0; W];
+        let mut s_hi = [0.0; W];
+        ln_surv_tile_sum::<W>(&[lo; W], &block_params, &bu, &bbv, &mut s_lo);
+        ln_surv_tile_sum::<W>(&[hi; W], &block_params, &bu, &bbv, &mut s_hi);
+        let active: [bool; W] = std::array::from_fn(|w| s_lo[w] > target && s_hi[w] <= target);
+        assert!(
+            active.contains(&true),
+            "W={W}: the solve has a lane to solve"
+        );
+        let (f_lo, f_hi) = (weibull_residual(&s_lo, c), weibull_residual(&s_hi, c));
+        let seed = Illinois::<W>::new([lo; W], f_lo, [hi; W], f_hi, active, 1e-13);
+        let tile = (&block_params[..], &bu[..], &bbv[..]);
+        same_bits_on_every_isa(&format!("weakest-link solve W={W}"), |isa| {
+            solve_bits(isa, seed, tile, c, &mut WeakestLinkFold::<W>::default())
+        });
+        same_bits_on_every_isa(&format!("group solve W={W}"), |isa| {
+            let mut rows = vec![0.0; layout.rows() * W];
+            let mut fold = GroupFold::<W>::new(&layout, &mut rows);
+            solve_bits(isa, seed, tile, c, &mut fold)
+        });
+    }
+
+    /// Runs `solver` to completion as a [`Solve`] kernel on `isa` and
+    /// returns the bits of its roots and its probe count.
+    fn solve_bits<const W: usize, F: LaneFold<W>>(
+        isa: Isa,
+        mut solver: Illinois<W>,
+        (block_params, bu, bbv): (&[f64], &[f64], &[f64]),
+        ln_neg_target: f64,
+        fold: &mut F,
+    ) -> Vec<u64> {
+        let kernel = Solve {
+            solver: &mut solver,
+            ln_neg_target,
+            block_params,
+            bu,
+            bbv,
+            fold,
+        };
+        run_on(kernel, isa);
+        let mut out = bits(&solver.roots());
+        out.push(u64::from(solver.steps()));
+        out
+    }
+
+    #[test]
+    fn every_kernel_runs_alike_in_every_trampoline() {
+        // Every `Kernel` run through `run` (the portable tier) and through
+        // each `#[target_feature]` trampoline this CPU supports must give
+        // the same bits: the trampolines change codegen, never
+        // arithmetic. The arguments cross every failure-term regime
+        // (vanishing, polynomial, mixed, saturated), carry a NaN, and
+        // leave a ragged tail after the last full chunk.
+        let scale = 3.2e-3;
+        let mut xs: Vec<f64> = (0..203).map(|i| -30.0 + 0.37 * i as f64).collect();
+        xs[17] = f64::NAN;
+        let zs: Vec<f64> = xs.iter().map(|&x| -scale * exp_core(x)).collect();
+        slice_kernels_alike::<4>(&xs, &zs, scale);
+        slice_kernels_alike::<8>(&xs, &zs, scale);
+        matvec_alike::<1>();
+        matvec_alike::<4>();
+        matvec_alike::<8>();
+        survival_kernels_alike::<1>();
+        survival_kernels_alike::<4>();
+        survival_kernels_alike::<8>();
     }
 }

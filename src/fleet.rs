@@ -36,11 +36,11 @@
 //! # Lane tiling
 //!
 //! Every chip is evaluated in a **lane tile** of the active `num::simd`
-//! width `W` (8 on AVX-512F, 4 on AVX2, 1 under `STATOBD_LANES=1`), lane
-//! dimension across chips: each lane still consumes its own
+//! width `W` (8 on every ISA unless `STATOBD_LANES=4` or `1` overrides
+//! it), lane dimension across chips: each lane still consumes its own
 //! `substream(chip)` in the documented draw order (the sampling stays
 //! per-lane scalar — the polar method is rejection-based), but the
-//! `(u, v)` dot products, the mission-end failure terms and each probe of
+//! `(u, v)` projection, the mission-end failure terms and each probe of
 //! the lifetime solve run `W` chips at once through the lane kernels.
 //! The solve is an Illinois root-finder on the Weibull plot
 //! ([`statobd_num::root`]): each lane keeps its own bracket and stops on
