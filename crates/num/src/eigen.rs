@@ -45,12 +45,26 @@ impl SymmetricEigen {
     ///
     /// # Errors
     ///
+    /// * [`NumError::Domain`] naming the first entry (in row-major order)
+    ///   that is NaN or infinite,
     /// * [`NumError::NotSymmetric`] if `a` is not symmetric to `1e-8`
     ///   relative tolerance,
     /// * [`NumError::NoConvergence`] if the QL iteration fails (does not
     ///   occur for finite symmetric input in practice); the error carries
     ///   the matrix size, the iteration count and the remaining residual.
     pub fn new(a: &DMatrix) -> Result<Self> {
+        // Checked first: the symmetry test's running `max` drops a NaN
+        // difference and never reads the diagonal, and QL cannot
+        // converge on a non-finite entry.
+        if let Some(k) = a.as_slice().iter().position(|x| !x.is_finite()) {
+            let (i, j) = (k / a.ncols(), k % a.ncols());
+            return Err(NumError::Domain {
+                detail: format!(
+                    "matrix entry ({i}, {j}) is {}; an eigendecomposition needs finite entries",
+                    a[(i, j)]
+                ),
+            });
+        }
         let scale = a.frobenius_norm().max(1.0);
         if !a.is_symmetric(1e-8 * scale) {
             return Err(NumError::NotSymmetric);
@@ -172,6 +186,38 @@ mod tests {
         assert!(matches!(
             SymmetricEigen::new(&a),
             Err(NumError::NotSymmetric)
+        ));
+    }
+
+    #[test]
+    fn rejects_non_finite_entries_by_name() {
+        // A NaN off the diagonal passed the symmetry check (its `max`
+        // drops NaN) and ended in a NoConvergence with a NaN residual; a
+        // diagonal ∞ was never read by that check at all.
+        let cases = [
+            ((0, 2), f64::NAN, "matrix entry (0, 2) is NaN"),
+            ((1, 1), f64::INFINITY, "matrix entry (1, 1) is inf"),
+            ((1, 2), f64::NEG_INFINITY, "matrix entry (1, 2) is -inf"),
+        ];
+        for ((i, j), bad, named) in cases {
+            let mut a = DMatrix::from_fn(3, 3, |i, j| 1.0 / (1.0 + i.abs_diff(j) as f64));
+            a[(i, j)] = bad;
+            a[(j, i)] = bad;
+            match SymmetricEigen::new(&a) {
+                Err(NumError::Domain { detail }) => assert!(detail.contains(named), "{detail}"),
+                other => panic!("{bad} at ({i}, {j}): {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_a_one_by_one_nan() {
+        // QL has nothing to iterate on at n = 1: `[NaN]` came back as
+        // its own eigenvalue.
+        let a = DMatrix::from_rows(&[&[f64::NAN]]);
+        assert!(matches!(
+            SymmetricEigen::new(&a),
+            Err(NumError::Domain { detail }) if detail.contains("(0, 0) is NaN")
         ));
     }
 

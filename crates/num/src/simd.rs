@@ -164,7 +164,7 @@ pub fn force_width(w: Option<LaneWidth>) {
 
 /// Instruction-set tier the vector kernels were dispatched to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Isa {
+pub(crate) enum Isa {
     /// Baseline codegen (SSE2 on x86-64, NEON-ish elsewhere).
     Portable,
     /// AVX2 trampoline (256-bit lanes).
@@ -652,7 +652,9 @@ impl<const W: usize> std::ops::Mul for F64Lanes<W> {
 /// trampoline, so a body may pick its blocking from it at no cost.
 ///
 /// A new lane kernel is a new `Kernel` struct, never a clone of its own.
-trait Kernel {
+/// The trait is crate-visible so the eigensolver's sweeps
+/// ([`crate::tridiag`]) run through the same trampolines.
+pub(crate) trait Kernel {
     type Out;
     fn run(self, isa: Isa) -> Self::Out;
 }
@@ -681,7 +683,7 @@ unsafe fn run_avx512<K: Kernel>(k: K) -> K::Out {
 
 /// Runs `k` in the trampoline of the detected ISA, or with baseline
 /// codegen when neither AVX tier is present.
-fn dispatch<K: Kernel>(k: K) -> K::Out {
+pub(crate) fn dispatch<K: Kernel>(k: K) -> K::Out {
     match isa() {
         Isa::Portable => k.run(Isa::Portable),
         // SAFETY: `isa()` only reports tiers confirmed by runtime CPUID
@@ -2955,6 +2957,46 @@ mod tests {
         out
     }
 
+    /// The eigensolver's two sweeps on a 7 × 7 exponential kernel and a
+    /// 12 × 12 matrix with a zero-`scale` row: the reduction's `d`, `e`
+    /// and `Q`, then the QL sweep's eigenvalues and rotated basis.
+    fn eigensolver_kernels_alike() {
+        use crate::matrix::DMatrix;
+        use crate::tridiag::{QlSweep, Reduction};
+        let kernel = DMatrix::from_fn(49, 49, |i, j| {
+            let (dx, dy) = ((i % 7).abs_diff(j % 7), (i / 7).abs_diff(j / 7));
+            (-((dx * dx + dy * dy) as f64).sqrt() / 3.0).exp()
+        });
+        let split = DMatrix::from_fn(12, 12, |i, j| match (i < 5, j < 5) {
+            (true, true) | (false, false) => (0.3 * (i + j) as f64).cos() + (i == j) as u8 as f64,
+            _ => 0.0,
+        });
+        for a in [kernel, split] {
+            let n = a.nrows();
+            let reduce = |isa| {
+                let mut q = a.clone();
+                let (d, e) = run_on(Reduction(&mut q), isa);
+                (d, e, q)
+            };
+            same_bits_on_every_isa(&format!("reduction n={n}"), |isa| {
+                let (d, e, q) = reduce(isa);
+                [bits(&d), bits(&e), bits(q.as_slice())].concat()
+            });
+            let (d, e, mut zt) = reduce(Isa::Portable);
+            zt = zt.transpose();
+            same_bits_on_every_isa(&format!("QL sweep n={n}"), |isa| {
+                let (mut d, mut e, mut zt) = (d.clone(), e.clone(), zt.clone());
+                let sweep = QlSweep {
+                    d: &mut d,
+                    e: &mut e,
+                    zt: &mut zt,
+                };
+                run_on(sweep, isa).expect("QL converges");
+                [bits(&d), bits(zt.as_slice())].concat()
+            });
+        }
+    }
+
     #[test]
     fn every_kernel_runs_alike_in_every_trampoline() {
         // Every `Kernel` run through `run` (the portable tier) and through
@@ -2975,5 +3017,6 @@ mod tests {
         survival_kernels_alike::<1>();
         survival_kernels_alike::<4>();
         survival_kernels_alike::<8>();
+        eigensolver_kernels_alike();
     }
 }

@@ -9,8 +9,19 @@
 //! into `Qᵀ` (transposed in place, so each rotation updates two
 //! contiguous rows). The total cost is `O(n³)` with a small constant and
 //! no sweep-count growth on large matrices.
+//!
+//! Every inner loop runs along a row of the row-major matrix: the
+//! reduction's `A·u` product, its rank-two update and the accumulation
+//! of `Q` as well as the rotations. Each element still adds the same
+//! terms in the same order as the textbook column loops (EISPACK
+//! `tred2`/`tql2`), which the unit tests keep as bitwise oracles, so the
+//! row access changes speed, never bits. The reduction and the QL sweep
+//! each run as one kernel through the [`crate::simd`] dispatcher,
+//! compiled once per ISA tier; no tier contracts a multiply and an add,
+//! so the tier does not move a bit either.
 
 use crate::matrix::DMatrix;
+use crate::simd::{dispatch, Isa, Kernel};
 use crate::{NumError, Result};
 
 /// Maximum implicit-shift QL iterations per eigenvalue. Convergence is
@@ -26,7 +37,8 @@ pub const MAX_QL_ITERS: usize = 50;
 /// **descending** order and column `k` of the eigenvector matrix paired
 /// with eigenvalue `k` (the same convention as
 /// [`crate::eigen::SymmetricEigen`]). The caller is expected to have
-/// checked symmetry; the strictly lower triangle is the one read.
+/// checked symmetry and finiteness; the strictly lower triangle is the
+/// one read.
 ///
 /// # Errors
 ///
@@ -38,33 +50,26 @@ pub fn symmetric_eigen_ql(a: &DMatrix) -> Result<(Vec<f64>, DMatrix)> {
     if a.nrows() == 0 {
         return Ok((Vec::new(), DMatrix::zeros(0, 0)));
     }
-    let (mut d, mut e, mut q) = tridiagonal_form(a);
-    // Row k of Qᵀ is column k of Q: each rotation below then reads and
-    // writes two contiguous rows instead of two strided columns. In
-    // place, because a second n² buffer would raise the peak memory of
-    // every model build.
+    let mut q = symmetrized(a);
+    let (mut d, mut e) = dispatch(Reduction(&mut q));
+    // Row k of Qᵀ is column k of Q: each rotation then reads and writes
+    // two contiguous rows instead of two strided columns. In place,
+    // because a second n² buffer would raise the peak memory of every
+    // model build.
     transpose_in_place(&mut q);
-    ql_implicit_shift(&mut d, &mut e, |i, s, c| {
-        let n = q.ncols();
-        let (upper, lower) = q.as_mut_slice().split_at_mut((i + 1) * n);
-        let (row, next) = (&mut upper[i * n..], &mut lower[..n]);
-        for (zi, zn) in row.iter_mut().zip(next) {
-            let f = *zn;
-            *zn = s * *zi + c * f;
-            *zi = c * *zi - s * f;
-        }
+    dispatch(QlSweep {
+        d: &mut d,
+        e: &mut e,
+        zt: &mut q,
     })?;
     Ok(sort_descending(d, q))
 }
 
-/// `A = Q·T·Qᵀ` of the exactly symmetrized `a`: the diagonal and
-/// coupling of `T` (as [`householder_tridiagonalize`] returns them) and
-/// `Q`.
-fn tridiagonal_form(a: &DMatrix) -> (Vec<f64>, Vec<f64>, DMatrix) {
+/// A copy of `a` symmetrized exactly, so rounding asymmetry cannot leak
+/// into the reflections.
+fn symmetrized(a: &DMatrix) -> DMatrix {
     let n = a.nrows();
     let mut q = a.clone();
-    // Symmetrize exactly so rounding asymmetry cannot leak into the
-    // reflections.
     for i in 0..n {
         for j in (i + 1)..n {
             let avg = 0.5 * (q[(i, j)] + q[(j, i)]);
@@ -72,8 +77,7 @@ fn tridiagonal_form(a: &DMatrix) -> (Vec<f64>, Vec<f64>, DMatrix) {
             q[(j, i)] = avg;
         }
     }
-    let (d, e) = householder_tridiagonalize(&mut q);
-    (d, e, q)
+    q
 }
 
 /// Transposes the square matrix `m` in place.
@@ -87,6 +91,46 @@ fn transpose_in_place(m: &mut DMatrix) {
     }
 }
 
+/// [`householder_tridiagonalize`] as one dispatched call.
+pub(crate) struct Reduction<'a>(pub(crate) &'a mut DMatrix);
+
+impl Kernel for Reduction<'_> {
+    type Out = (Vec<f64>, Vec<f64>);
+
+    #[inline(always)]
+    fn run(self, _: Isa) -> Self::Out {
+        householder_tridiagonalize(self.0)
+    }
+}
+
+/// [`ql_implicit_shift`] as one dispatched call, each rotation applied
+/// to two contiguous rows of the accumulated basis `zt` (`Qᵀ` on entry).
+pub(crate) struct QlSweep<'a> {
+    pub(crate) d: &'a mut [f64],
+    pub(crate) e: &'a mut [f64],
+    pub(crate) zt: &'a mut DMatrix,
+}
+
+impl Kernel for QlSweep<'_> {
+    type Out = Result<()>;
+
+    #[inline(always)]
+    fn run(self, _: Isa) -> Result<()> {
+        let QlSweep { d, e, zt } = self;
+        let n = zt.ncols();
+        let z = zt.as_mut_slice();
+        ql_implicit_shift(d, e, |i, s, c| {
+            let (upper, lower) = z.split_at_mut((i + 1) * n);
+            let (row, next) = (&mut upper[i * n..], &mut lower[..n]);
+            for (zi, zn) in row.iter_mut().zip(next) {
+                let f = *zn;
+                *zn = s * *zi + c * f;
+                *zi = c * *zi - s * f;
+            }
+        })
+    }
+}
+
 /// Reduces the symmetric matrix stored in `a` to tridiagonal form,
 /// overwriting `a` with the accumulated orthogonal matrix `Q` such that
 /// `A = Q·T·Qᵀ`. Returns `(d, e)` where `d` is the diagonal of `T` and
@@ -95,85 +139,168 @@ fn transpose_in_place(m: &mut DMatrix) {
 /// Classic symmetric Householder reduction (EISPACK `tred2` lineage):
 /// reflections are built from the bottom row up, applied as rank-two
 /// updates to the remaining leading block, and accumulated in a second
-/// pass.
+/// pass. `tred2` walks columns in half of its `A·u` product and in all
+/// of its accumulation; here every inner loop walks a row, and each
+/// element still adds the same terms in the same order:
+///
+/// * `A·u` ([`lower_symv`]) reads the lower triangle by rows;
+/// * the rank-two update first forms every `qⱼ = pⱼ − hh·uⱼ` (each reads
+///   only `pⱼ` and `uⱼ`), then updates each row of the lower triangle;
+/// * the accumulation forms `g = uᵀ·Q` of the leading block as row
+///   axpys in ascending row order, then subtracts `g·(uₖ/h)` from each
+///   row `k`. In `tred2` no column's `g` reads a column that an earlier
+///   column's update wrote, so forming every `g` first changes nothing.
+#[inline(always)]
 fn householder_tridiagonalize(a: &mut DMatrix) -> (Vec<f64>, Vec<f64>) {
     let n = a.nrows();
+    let m = a.as_mut_slice();
     let mut d = vec![0.0; n];
     let mut e = vec![0.0; n];
 
     for i in (1..n).rev() {
         let l = i - 1;
+        // Rows 0..i (the block still to reduce, with column i holding
+        // u/h above the diagonal) and row i, whose first i entries become
+        // the reflection vector u.
+        let (lead, rest) = m.split_at_mut(i * n);
+        let u = &mut rest[..i];
         let mut h = 0.0;
         if l > 0 {
             // Scale the row for overflow-safe norms.
-            let scale: f64 = (0..=l).map(|k| a[(i, k)].abs()).sum();
+            let scale: f64 = u.iter().map(|x| x.abs()).sum();
             if scale == 0.0 {
-                e[i] = a[(i, l)];
+                e[i] = u[l];
             } else {
-                for k in 0..=l {
-                    a[(i, k)] /= scale;
-                    h += a[(i, k)] * a[(i, k)];
+                for x in u.iter_mut() {
+                    *x /= scale;
+                    h += *x * *x;
                 }
-                let f = a[(i, l)];
+                let f = u[l];
                 let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
                 e[i] = scale * g;
                 h -= f * g;
-                a[(i, l)] = f - g;
-                // p = A·u / h, accumulated in e[0..=l]; f = uᵀp.
+                u[l] = f - g;
+                let u = &*u;
+                for (j, &uj) in u.iter().enumerate() {
+                    lead[j * n + i] = uj / h;
+                }
+                // p = A·u / h, in e[0..=l]; f = uᵀp.
+                let p = &mut e[..i];
+                lower_symv(lead, n, u, p);
                 let mut f_acc = 0.0;
-                for j in 0..=l {
-                    a[(j, i)] = a[(i, j)] / h;
-                    let mut g_acc = 0.0;
-                    for k in 0..=j {
-                        g_acc += a[(j, k)] * a[(i, k)];
-                    }
-                    for k in (j + 1)..=l {
-                        g_acc += a[(k, j)] * a[(i, k)];
-                    }
-                    e[j] = g_acc / h;
-                    f_acc += e[j] * a[(i, j)];
+                for (pj, &uj) in p.iter_mut().zip(u) {
+                    *pj /= h;
+                    f_acc += *pj * uj;
                 }
                 // Rank-two update A ← A − u·qᵀ − q·uᵀ with
                 // q = p − (uᵀp / 2h)·u.
                 let hh = f_acc / (h + h);
-                for j in 0..=l {
-                    let f = a[(i, j)];
-                    let g = e[j] - hh * f;
-                    e[j] = g;
-                    for k in 0..=j {
-                        a[(j, k)] -= f * e[k] + g * a[(i, k)];
+                for (qj, &uj) in p.iter_mut().zip(u) {
+                    *qj -= hh * uj;
+                }
+                let q = &*p;
+                for (j, row) in lead.chunks_exact_mut(n).enumerate() {
+                    let (f, g) = (u[j], q[j]);
+                    for ((x, &qk), &uk) in row[..=j].iter_mut().zip(q).zip(u) {
+                        *x -= f * qk + g * uk;
                     }
                 }
             }
         } else {
-            e[i] = a[(i, l)];
+            e[i] = u[l];
         }
         d[i] = h;
     }
 
     // Accumulate the reflections into Q (identity for the trivial ones).
+    // Before step i the leading i × i block holds Q of the reflections
+    // below row i.
     d[0] = 0.0;
     e[0] = 0.0;
+    let mut g = vec![0.0; n];
     for i in 0..n {
+        let (lead, rest) = m.split_at_mut(i * n);
+        let row_i = &mut rest[..n];
         if d[i] != 0.0 {
-            for j in 0..i {
-                let mut g = 0.0;
-                for k in 0..i {
-                    g += a[(i, k)] * a[(k, j)];
+            let g = &mut g[..i];
+            g.fill(0.0);
+            for (&uk, q_row) in row_i[..i].iter().zip(lead.chunks_exact(n)) {
+                for (gj, &qkj) in g.iter_mut().zip(&q_row[..i]) {
+                    *gj += uk * qkj;
                 }
-                for k in 0..i {
-                    a[(k, j)] -= g * a[(k, i)];
+            }
+            for q_row in lead.chunks_exact_mut(n) {
+                // Column i holds u/h above the diagonal.
+                let w = q_row[i];
+                for (qkj, &gj) in q_row[..i].iter_mut().zip(&*g) {
+                    *qkj -= gj * w;
                 }
             }
         }
-        d[i] = a[(i, i)];
-        a[(i, i)] = 1.0;
-        for j in 0..i {
-            a[(j, i)] = 0.0;
-            a[(i, j)] = 0.0;
+        d[i] = row_i[i];
+        row_i[i] = 1.0;
+        row_i[..i].fill(0.0);
+        for q_row in lead.chunks_exact_mut(n) {
+            q_row[i] = 0.0;
         }
     }
     (d, e)
+}
+
+/// `p = A·u` for the symmetric leading `u.len()`-square block of the
+/// row-major `a` (row stride `n`), reading only its lower triangle, by
+/// rows: row `r` sets `p[r]` to its own dot `Σ_{k≤r} a[r][k]·u[k]`
+/// (summed from 0 in ascending `k`), then adds `a[r][j]·u[r]` to every
+/// `p[j]`, `j < r`. So each `p[j]` sums its row's terms, then those of
+/// rows `j + 1, …` in ascending order — the order `tred2` sums them in,
+/// reading the rest of row `j` from column `j`. Four rows run per pass,
+/// their dots interleaved so four add chains are in flight; the
+/// interleaving changes no sum's order.
+#[inline(always)]
+fn lower_symv(a: &[f64], n: usize, u: &[f64], p: &mut [f64]) {
+    const R: usize = 4;
+    let m = u.len();
+    let mut r = 0;
+    while r + R <= m {
+        let rows: [&[f64]; R] = std::array::from_fn(|t| &a[(r + t) * n..][..=r + t]);
+        let mut dots = [0.0; R];
+        for (k, &uk) in u[..r].iter().enumerate() {
+            for t in 0..R {
+                dots[t] += rows[t][k] * uk;
+            }
+        }
+        for t in 0..R {
+            for k in r..=r + t {
+                dots[t] += rows[t][k] * u[k];
+            }
+        }
+        let ur: [f64; R] = std::array::from_fn(|t| u[r + t]);
+        for (j, pj) in p[..r].iter_mut().enumerate() {
+            for t in 0..R {
+                *pj += rows[t][j] * ur[t];
+            }
+        }
+        for t in 0..R {
+            let mut x = dots[t];
+            for s in (t + 1)..R {
+                x += rows[s][r + t] * ur[s];
+            }
+            p[r + t] = x;
+        }
+        r += R;
+    }
+    for r in r..m {
+        let row = &a[r * n..][..=r];
+        let mut dot = 0.0;
+        for (&ark, &uk) in row.iter().zip(u) {
+            dot += ark * uk;
+        }
+        let ur = u[r];
+        for (pj, &arj) in p[..r].iter_mut().zip(row) {
+            *pj += arj * ur;
+        }
+        p[r] = dot;
+    }
 }
 
 /// Implicit-shift QL on the tridiagonal `(d, e)` (with `e[i]` coupling
@@ -182,6 +309,8 @@ fn householder_tridiagonalize(a: &mut DMatrix) -> (Vec<f64>, Vec<f64>) {
 /// which applies `(zᵢ, zᵢ₊₁) ← (c·zᵢ − s·zᵢ₊₁, s·zᵢ + c·zᵢ₊₁)` to each
 /// element of the accumulated basis. On success `d` holds the (unsorted)
 /// eigenvalues, and eigenvector `k` of the basis belongs to `d[k]`.
+/// Always inlined, so `rotate` compiles inside [`QlSweep`]'s trampoline.
+#[inline(always)]
 fn ql_implicit_shift(
     d: &mut [f64],
     e: &mut [f64],
@@ -399,6 +528,139 @@ mod tests {
         }
     }
 
+    /// `tred2`'s reduction as EISPACK writes it, with the column-strided
+    /// half of `A·u` and the column-strided accumulation: the bitwise
+    /// oracle of [`householder_tridiagonalize`].
+    fn column_oracle_tridiagonalize(a: &mut DMatrix) -> (Vec<f64>, Vec<f64>) {
+        let n = a.nrows();
+        let mut d = vec![0.0; n];
+        let mut e = vec![0.0; n];
+        for i in (1..n).rev() {
+            let l = i - 1;
+            let mut h = 0.0;
+            if l > 0 {
+                let scale: f64 = (0..=l).map(|k| a[(i, k)].abs()).sum();
+                if scale == 0.0 {
+                    e[i] = a[(i, l)];
+                } else {
+                    for k in 0..=l {
+                        a[(i, k)] /= scale;
+                        h += a[(i, k)] * a[(i, k)];
+                    }
+                    let f = a[(i, l)];
+                    let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
+                    e[i] = scale * g;
+                    h -= f * g;
+                    a[(i, l)] = f - g;
+                    let mut f_acc = 0.0;
+                    for j in 0..=l {
+                        a[(j, i)] = a[(i, j)] / h;
+                        let mut g_acc = 0.0;
+                        for k in 0..=j {
+                            g_acc += a[(j, k)] * a[(i, k)];
+                        }
+                        for k in (j + 1)..=l {
+                            g_acc += a[(k, j)] * a[(i, k)];
+                        }
+                        e[j] = g_acc / h;
+                        f_acc += e[j] * a[(i, j)];
+                    }
+                    let hh = f_acc / (h + h);
+                    for j in 0..=l {
+                        let f = a[(i, j)];
+                        let g = e[j] - hh * f;
+                        e[j] = g;
+                        for k in 0..=j {
+                            a[(j, k)] -= f * e[k] + g * a[(i, k)];
+                        }
+                    }
+                }
+            } else {
+                e[i] = a[(i, l)];
+            }
+            d[i] = h;
+        }
+        d[0] = 0.0;
+        e[0] = 0.0;
+        for i in 0..n {
+            if d[i] != 0.0 {
+                for j in 0..i {
+                    let mut g = 0.0;
+                    for k in 0..i {
+                        g += a[(i, k)] * a[(k, j)];
+                    }
+                    for k in 0..i {
+                        a[(k, j)] -= g * a[(k, i)];
+                    }
+                }
+            }
+            d[i] = a[(i, i)];
+            a[(i, i)] = 1.0;
+            for j in 0..i {
+                a[(j, i)] = 0.0;
+                a[(i, j)] = 0.0;
+            }
+        }
+        (d, e)
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every test matrix of the two oracle tests: the grid kernels, the
+    /// chain and the small fixed ones, plus matrices that reach every
+    /// branch of the reduction — sizes 1–3, dense sizes 5–9 (every
+    /// remainder of [`lower_symv`]'s four-row passes), a block-diagonal
+    /// matrix whose fourth row has a zero `scale` partway through and
+    /// the `h = 0` rows the accumulation skips, and a diagonal one made
+    /// only of such rows.
+    fn oracle_matrices() -> Vec<DMatrix> {
+        let mut matrices = grid_kernel_matrices();
+        matrices.push(free_particle_chain(12));
+        matrices.push(DMatrix::from_rows(&[&[4.0]]));
+        matrices.push(DMatrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]));
+        matrices.push(DMatrix::from_rows(&[
+            &[3.0, 0.0, 0.0],
+            &[0.0, 1.0, 0.0],
+            &[0.0, 0.0, 2.0],
+        ]));
+        matrices.push(DMatrix::from_rows(&[
+            &[1.0, -0.5, 0.25],
+            &[-0.5, 2.0, 0.75],
+            &[0.25, 0.75, -3.0],
+        ]));
+        for n in 5..=9 {
+            matrices.push(DMatrix::from_fn(n, n, |i, j| {
+                let (i, j) = (i.min(j) as f64, i.max(j) as f64);
+                (0.7 * i + 1.3 * j + 0.1 * i * j).sin() + if i == j { 2.0 } else { 0.0 }
+            }));
+        }
+        matrices.push(DMatrix::from_fn(9, 9, |i, j| match (i < 3, j < 3) {
+            (true, true) => 1.0 / (1.0 + i.abs_diff(j) as f64),
+            (false, false) => (-(i.abs_diff(j) as f64) / 2.0).exp() - 0.1 * (i + j) as f64,
+            _ => 0.0,
+        }));
+        matrices
+    }
+
+    #[test]
+    fn row_reduction_matches_the_column_oracle_bitwise() {
+        // The reduction reads and writes rows only; tred2 walks columns in
+        // half of its A·u product and all of its accumulation. Both must
+        // give the same d, e and Q bit for bit on every test matrix.
+        for a in &oracle_matrices() {
+            let n = a.nrows();
+            let mut q = symmetrized(a);
+            let (d, e) = dispatch(Reduction(&mut q));
+            let mut oracle_q = symmetrized(a);
+            let (oracle_d, oracle_e) = column_oracle_tridiagonalize(&mut oracle_q);
+            assert_eq!(bits(&d), bits(&oracle_d), "d, n = {n}");
+            assert_eq!(bits(&e), bits(&oracle_e), "e, n = {n}");
+            assert_eq!(bits(q.as_slice()), bits(oracle_q.as_slice()), "Q, n = {n}");
+        }
+    }
+
     #[test]
     fn row_rotations_match_the_column_oracle_bitwise() {
         // The solver accumulates its rotations into the rows of Qᵀ; the
@@ -406,7 +668,8 @@ mod tests {
         // arithmetic per element. Both must give the same eigenpairs bit
         // for bit on every test matrix.
         fn by_columns(a: &DMatrix) -> (Vec<f64>, DMatrix) {
-            let (mut d, mut e, mut z) = tridiagonal_form(a);
+            let mut z = symmetrized(a);
+            let (mut d, mut e) = column_oracle_tridiagonalize(&mut z);
             ql_implicit_shift(&mut d, &mut e, |i, s, c| {
                 for k in 0..z.nrows() {
                     let f = z[(k, i + 1)];
@@ -417,18 +680,9 @@ mod tests {
             .unwrap();
             sort_descending(d, z.transpose())
         }
-        let mut matrices = grid_kernel_matrices();
-        matrices.push(free_particle_chain(12));
-        matrices.push(DMatrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]));
-        matrices.push(DMatrix::from_rows(&[
-            &[3.0, 0.0, 0.0],
-            &[0.0, 1.0, 0.0],
-            &[0.0, 0.0, 2.0],
-        ]));
-        for a in &matrices {
+        for a in &oracle_matrices() {
             let (vals, vecs) = symmetric_eigen_ql(a).unwrap();
             let (oracle_vals, oracle_vecs) = by_columns(a);
-            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&vals), bits(&oracle_vals), "n = {}", a.nrows());
             assert_eq!(
                 bits(vecs.as_slice()),
