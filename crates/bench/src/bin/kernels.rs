@@ -2,13 +2,17 @@
 //! evaluation of the hot transcendental paths, emitting machine-readable
 //! `BENCH_kernels.json`.
 //!
-//! Four kernel groups are measured, each at every lane width with the
+//! These kernel groups are measured, each at every lane width with the
 //! same inputs:
 //!
-//! * raw `num::simd` slice kernels (`exp`, `exp_m1`, `ln_1p`) over
-//!   seeded samples of the engines' argument ranges,
+//! * raw `num::simd` slice kernels (`exp`, `exp_m1`, `ln_1p` and the
+//!   failure term) over seeded samples of the engines' argument ranges,
 //! * `st_fast_integrate`: a batched StFast failure-probability sweep on
 //!   the C3 design (the `(u, v)` quadrature lane sweep),
+//! * `st_fast_point`: one-point StFast calls on C3 at log-spaced times —
+//!   the shape of every lifetime probe and every serve `p_at` on an
+//!   StFast session, whose failure-term kernel runs its lanes across the
+//!   quadrature nodes (reported without a speedup bar),
 //! * `hybrid_table_fill`: the hybrid `(γ, b)` table construction,
 //! * `mc_weight_table`: a batched Monte-Carlo sweep (the
 //!   `scaled_exp_grid` weight-table fill plus histogram traversal —
@@ -290,6 +294,24 @@ fn main() {
             let mut engine = build_engine(analysis, &spec).expect("st_fast builds");
             let ts = ts.clone();
             move || engine.failure_probabilities(&ts).expect("st_fast sweep")
+        },
+    );
+
+    let n_point = if quick { 8 } else { 32 };
+    let point_ts = log_times(n_point);
+    bench_engine(
+        "st_fast_point",
+        &format!("{n_point} 1-pt calls"),
+        &mut rows,
+        || {
+            let spec = EngineSpec::StFast(StFastConfig::default()).with_threads(threads);
+            let mut engine = build_engine(analysis, &spec).expect("st_fast builds");
+            let ts = point_ts.clone();
+            move || {
+                ts.iter()
+                    .map(|&t| engine.failure_probability(t).expect("st_fast point"))
+                    .collect()
+            }
         },
     );
 

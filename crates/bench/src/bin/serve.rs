@@ -7,7 +7,10 @@
 //! entirely), verifies the two sessions answer a committed query sweep
 //! **bit-identically**, then times sustained queries two ways: direct
 //! [`Session::p_at`] calls and full request/reply round trips through
-//! [`serve_lines`] (JSON parse + dispatch + JSON print per query).
+//! [`serve_lines`] (JSON parse + dispatch + JSON print per query). The
+//! protocol loop opens the session from the warm cache first; its clock
+//! starts when the `open` reply is flushed, and the open is reported on
+//! its own.
 //!
 //! ```text
 //! cargo run --release -p statobd-bench --bin serve -- \
@@ -23,8 +26,8 @@
 //! { "design": "C3", "engine": "hybrid", "threads": 1,
 //!   "cold_build_s": ..., "warm_load_s": ..., "speedup": ...,
 //!   "warm_source": "cache", "bit_identical": true, "queries": 20000,
-//!   "session_queries_per_s": ..., "serve_requests_per_s": ...,
-//!   "speedup_ok": true }
+//!   "session_queries_per_s": ..., "serve_open_s": ...,
+//!   "serve_requests_per_s": ..., "speedup_ok": true }
 //! ```
 
 use statobd::{serve_lines, AnalysisSpec, ArtifactCache, EngineKind, ServeConfig, Session};
@@ -33,7 +36,7 @@ use statobd_circuits::Benchmark;
 use statobd_num::flags::at_least;
 use statobd_num::impl_json_struct;
 use statobd_num::json::ToJson;
-use std::io::Cursor;
+use std::io::{Cursor, Write};
 use std::time::Instant;
 
 /// Minimum warm/cold speedup the full run enforces; `--quick` designs
@@ -64,7 +67,11 @@ struct ServeReport {
     queries: u64,
     /// Direct `Session::p_at` queries per second on the warm session.
     session_queries_per_s: f64,
-    /// Full `serve_lines` round trips per second (parse + query + print).
+    /// Seconds from the start of the protocol loop to the flushed `open`
+    /// reply: the warm artifact load, outside `serve_requests_per_s`.
+    serve_open_s: f64,
+    /// Full `serve_lines` round trips per second (parse + query + print)
+    /// after the `open` reply: the `p_at` lines and the `shutdown`.
     serve_requests_per_s: f64,
     /// Whether the speedup criterion held (always recorded; only
     /// enforced outside `--quick`).
@@ -82,9 +89,29 @@ impl_json_struct!(ServeReport {
     bit_identical,
     queries,
     session_queries_per_s,
+    serve_open_s,
     serve_requests_per_s,
     speedup_ok
 });
+
+/// The protocol loop's reply sink: keeps the replies and notes when the
+/// first one — the `open` reply — is flushed (`serve_lines` flushes after
+/// every reply).
+struct ReplySink {
+    bytes: Vec<u8>,
+    first_flush: Option<Instant>,
+}
+
+impl Write for ReplySink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.bytes.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.first_flush.get_or_insert_with(Instant::now);
+        Ok(())
+    }
+}
 
 fn main() {
     let mut cli = Cli::from_env();
@@ -133,9 +160,10 @@ fn main() {
     assert!(checksum.is_finite());
 
     // Full protocol round trips: open once from the warm cache, then
-    // one p_at request per line. Request parsing, dispatch and reply
-    // printing are all inside the timed region — this is what a serve
-    // client actually observes per query.
+    // one p_at request per line. The clock starts when the open reply is
+    // flushed, so the one-off artifact load stays out of the rate;
+    // request parsing, dispatch and reply printing are all inside the
+    // timed region — this is what a serve client observes per query.
     let mut script = format!(
         "{{\"op\": \"open\", \"session\": \"bench\", \"spec\": {}}}\n",
         spec.to_json().to_compact()
@@ -151,11 +179,17 @@ fn main() {
         max_sessions: 2,
         cache: Some(ArtifactCache::new(&scratch)),
     };
-    let mut replies = Vec::new();
+    let mut sink = ReplySink {
+        bytes: Vec::new(),
+        first_flush: None,
+    };
     let serve_start = Instant::now();
-    serve_lines(Cursor::new(script.as_bytes()), &mut replies, config).expect("serve loop");
-    let serve_s = serve_start.elapsed().as_secs_f64();
-    let reply_text = String::from_utf8(replies).expect("utf-8 replies");
+    serve_lines(Cursor::new(script.as_bytes()), &mut sink, config).expect("serve loop");
+    let serve_end = Instant::now();
+    let opened = sink.first_flush.expect("the open reply was flushed");
+    let serve_open_s = (opened - serve_start).as_secs_f64();
+    let serve_s = (serve_end - opened).as_secs_f64();
+    let reply_text = String::from_utf8(sink.bytes).expect("utf-8 replies");
     // One reply per request (open, the queries, shutdown), all ok: an
     // empty reply stream must not pass vacuously.
     let replies = reply_text.lines().count();
@@ -175,7 +209,8 @@ fn main() {
         bit_identical,
         queries: queries as u64,
         session_queries_per_s: queries as f64 / query_s.max(1e-12),
-        serve_requests_per_s: (queries + 2) as f64 / serve_s.max(1e-12),
+        serve_open_s,
+        serve_requests_per_s: (queries + 1) as f64 / serve_s.max(1e-12),
         speedup_ok,
     };
     println!(
@@ -183,13 +218,14 @@ fn main() {
         report.design, report.engine, cold_build_s, warm_load_s, speedup, warm_source
     );
     println!(
-        "  sweep {}  |  {:.0} queries/s direct  |  {:.0} requests/s through serve",
+        "  sweep {}  |  {:.0} queries/s direct  |  serve open {:.4}s, then {:.0} requests/s",
         if bit_identical {
             "bit-identical"
         } else {
             "MISMATCH"
         },
         report.session_queries_per_s,
+        serve_open_s,
         report.serve_requests_per_s
     );
     gates.check(warm_source == "cache", || {

@@ -35,33 +35,6 @@ struct Segment {
     wuv: f64,
     /// Saturated row: every term is exactly 1.0, nothing was buffered.
     skip: bool,
-    /// Nodes in the segment's *polynomial prefix*: the leading `poly_len`
-    /// nodes are certified below the failure term's polynomial threshold
-    /// (see [`simd::failure_poly_threshold`]) for every lane, so their
-    /// kernel needs only one transcendental per element. The argument
-    /// `su + s2·v` is weakly monotone in `v` (both operations correctly
-    /// rounded) and `s2 ≥ 0` in practice, so the threshold crossings are
-    /// found by bisection over the ascending `v_nodes` slice; rows that
-    /// descend (`s2 < 0`) or carry NaN/±∞ endpoint arguments are
-    /// conservatively classified whole-mixed (`poly_len` and `big_len`
-    /// both 0), which routes them down the general elementwise path. 0
-    /// when `skip` is set.
-    poly_len: usize,
-    /// Upper bound on the prefix's arguments (the prefix's last node,
-    /// maximized over lanes). Always finite when `poly_len > 0`;
-    /// meaningless otherwise.
-    poly_hi: f64,
-    /// Nodes in the segment's *big-arm suffix*: the trailing `big_len`
-    /// nodes are certified at or above the polynomial threshold for
-    /// every lane (via the lane *minimum* — the prefix uses the lane
-    /// maximum, so a narrow mixed band can sit between them when lanes
-    /// cross the threshold at different `v`). Their kernel skips the
-    /// 3-arm select for the light big-arm finish. 0 when `skip` is set.
-    big_len: usize,
-    /// Lower bound on the suffix's arguments (the suffix's first node,
-    /// minimized over lanes). Always finite and `≥` the polynomial
-    /// threshold when `big_len > 0`; meaningless otherwise.
-    big_lo: f64,
 }
 
 /// Scratch buffers for the lane-vectorized quadrature sweeps, reused
@@ -72,80 +45,6 @@ struct QuadScratch {
     args: Vec<f64>,
     terms: Vec<f64>,
     segs: Vec<Segment>,
-}
-
-/// Runs the failure-term kernel over one tile's buffered arguments,
-/// split into maximal runs of same-regime node ranges: each segment
-/// contributes its polynomial prefix (`poly_len` nodes, one
-/// transcendental per element), a mixed band, and its big-arm suffix
-/// (`big_len` nodes, no 3-arm select), and consecutive ranges of the
-/// same class are merged into one kernel call. Rows drift through the
-/// regimes monotonically with `u` and the in-row split follows the
-/// `v`-monotone argument, so the runs are long — the dominant
-/// tiny/small nodes take their single-pass kernels instead of being
-/// dragged onto the two-pass path by one hot node in the same row or
-/// tile, and the hot tail takes the big-only route. Poly runs certify
-/// their prefix-derived upper bound and big runs their suffix-derived
-/// lower bound to [`simd::failure_term_slice_bounded`]; mixed runs
-/// (which include NaN-classified ranges) pass unbounded and fall to the
-/// elementwise tiled screens. Run boundaries never affect bits — every
-/// kernel route applies the same elementwise `(x, scale)` arms.
-///
-/// `stride` is buffer elements per logical node: the walk's lane count.
-fn kernel_runs(args: &[f64], terms: &mut [f64], segs: &[Segment], area: f64, stride: usize) {
-    let mut start = 0;
-    let mut len = 0;
-    let mut hi = f64::NEG_INFINITY;
-    let mut lo = f64::INFINITY;
-    let mut class = 0u8;
-    let flush = |start: usize, len: usize, lo: f64, hi: f64, terms: &mut [f64]| {
-        if len == 0 {
-            return;
-        }
-        simd::failure_term_slice_bounded(
-            &args[start..start + len],
-            area,
-            lo,
-            hi,
-            &mut terms[start..start + len],
-        );
-    };
-    for seg in segs {
-        if seg.skip {
-            continue;
-        }
-        // (class, nodes, run hi, run lo): poly prefix bounds above,
-        // big suffix bounds below, the mixed band not at all.
-        let ranges = [
-            (0u8, seg.poly_len, seg.poly_hi, f64::NEG_INFINITY),
-            (
-                1u8,
-                seg.len - seg.poly_len - seg.big_len,
-                f64::INFINITY,
-                f64::NEG_INFINITY,
-            ),
-            (2u8, seg.big_len, f64::INFINITY, seg.big_lo),
-        ];
-        for (c, nodes, range_hi, range_lo) in ranges {
-            if nodes == 0 {
-                continue;
-            }
-            if len > 0 && c != class {
-                flush(start, len, lo, hi, terms);
-                start += len;
-                len = 0;
-                hi = f64::NEG_INFINITY;
-                lo = f64::INFINITY;
-            }
-            class = c;
-            len += nodes * stride;
-            // Poly `poly_hi` and big `big_lo` are always finite, so the
-            // NaN-swallowing `max`/`min` folds are safe here.
-            hi = hi.max(range_hi);
-            lo = lo.min(range_lo);
-        }
-    }
-    flush(start, len, lo, hi, terms);
 }
 
 thread_local! {
@@ -313,75 +212,6 @@ impl BlockQuadrature {
         su + s2 * v
     }
 
-    /// Splits one row-run `[vi, vi + run)` at the failure term's
-    /// polynomial threshold: the returned `(poly_len, poly_hi, big_len,
-    /// big_lo)` certifies that the first `poly_len` nodes' arguments
-    /// stay below `x_poly` for **every** lane (bounded above by
-    /// `poly_hi`, the lane maximum at the prefix's last node) and that
-    /// the last `big_len` nodes' arguments sit at or above `x_poly` for
-    /// every lane (bounded below by `big_lo`, the lane minimum at the
-    /// suffix's first node). `arg_max`/`arg_min` must return the node
-    /// argument maximized/minimized over active lanes — exactly as the
-    /// buffer fill computes it — and `certified` that the bisection's
-    /// preconditions hold: the per-lane arguments are weakly ascending
-    /// in `v` (true when every lane's `s2 ≥ 0`, the practical case:
-    /// `s2 = gb²/2`) and the row endpoints are NaN-free (a lane-folding
-    /// `arg` would swallow a NaN the kernel must propagate). The two
-    /// crossings are found by bisection; a narrow mixed band remains
-    /// between them when lanes cross the threshold at different `v`
-    /// (always empty on a one-lane walk, where max ≡ min). Uncertified
-    /// rows are classified whole-mixed — the mixed kernel path handles
-    /// descending arguments and propagates NaN elementwise.
-    fn regime_split(
-        &self,
-        vi: usize,
-        run: usize,
-        x_poly: f64,
-        certified: bool,
-        arg_max: impl Fn(f64) -> f64,
-        arg_min: impl Fn(f64) -> f64,
-    ) -> (usize, f64, usize, f64) {
-        if !certified {
-            return (0, f64::NAN, 0, f64::NAN);
-        }
-        // Bisects for the first node with `arg ≥ x_poly`, returned as a
-        // prefix length (exists: `arg` is weakly ascending in `v` with
-        // arg(vi) < x_poly ≤ arg(vi + run − 1)).
-        let cross = |arg: &dyn Fn(f64) -> f64| {
-            let mut lo = vi; // arg < x_poly
-            let mut hi = vi + run - 1; // arg ≥ x_poly
-            while hi - lo > 1 {
-                let mid = lo + (hi - lo) / 2;
-                if arg(self.v_nodes[mid]) >= x_poly {
-                    hi = mid;
-                } else {
-                    lo = mid;
-                }
-            }
-            hi - vi
-        };
-        let (v_first, v_last) = (self.v_nodes[vi], self.v_nodes[vi + run - 1]);
-        let (poly_len, poly_hi) = if arg_max(v_last) < x_poly {
-            (run, arg_max(v_last))
-        } else if arg_max(v_first) >= x_poly {
-            (0, f64::NAN)
-        } else {
-            let k = cross(&arg_max);
-            (k, arg_max(self.v_nodes[vi + k - 1]))
-        };
-        let (big_len, big_lo) = if poly_len == run {
-            (0, f64::NAN)
-        } else if arg_min(v_first) >= x_poly {
-            (run, arg_min(v_first))
-        } else if arg_min(v_last) < x_poly {
-            (0, f64::NAN)
-        } else {
-            let k = cross(&arg_min);
-            (run - k, arg_min(self.v_nodes[vi + k]))
-        };
-        (poly_len, poly_hi, big_len, big_lo)
-    }
-
     /// Evaluates `∫∫ (1 − e^{−A·g(u,v)}) f_u(u) f_v(v) du dv` for the
     /// given kernel coefficients: a one-item [`Self::integrate_many`].
     pub(crate) fn integrate(&self, area: f64, coeff: GCoefficients) -> f64 {
@@ -412,9 +242,10 @@ impl BlockQuadrature {
     /// items at a time; a batch of one runs it at one lane, whose
     /// failure-term kernel then runs its lanes across the quadrature
     /// nodes. Either way the walk tiles at `NODE_TILE / W` logical nodes
-    /// for the active width `W`, so the segment sums group alike and
-    /// every entry is bit-identical to a one-item call at the same
-    /// width.
+    /// for the active width `W`, so the segment sums group alike, and
+    /// the kernel picks each node's arm from that node's argument alone,
+    /// so every entry is bit-identical to a one-item call at the same
+    /// width, whatever the other entries of the batch hold.
     ///
     /// # Panics
     ///
@@ -441,15 +272,18 @@ impl BlockQuadrature {
     /// nodes (the argument and term buffers hold `cap · W` values) and
     /// split into u-row ∩ tile [`Segment`]s: the probability weight is
     /// constant per segment, so each lane accumulates a plain term sum
-    /// (one add per node) with the weight multiplied in once. Rows whose
-    /// minimum argument clears [`simd::failure_sat_threshold`] in every
-    /// lane skip argument fill and kernel entirely — every term there is
-    /// exactly 1.0 and a sequential sum of ones is exact, so the skip
-    /// contributes `wuv · len` with unchanged bits. The segment
-    /// boundaries follow the *logical* node walk, never the skip
-    /// decisions, so every lane's partial-sum grouping — and therefore
-    /// every output bit — depends on `cap` alone, never on `W` or on the
-    /// other items of the batch.
+    /// (one add per node) with the weight multiplied in once. Each tile
+    /// flush runs [`simd::failure_term_slice`] once over the buffered
+    /// arguments, and the kernel screens each of its chunks into the
+    /// cheapest route on its own. Rows whose minimum argument clears
+    /// [`simd::failure_sat_threshold`] in every lane skip argument fill
+    /// and kernel entirely — every term there is exactly 1.0 and a
+    /// sequential sum of ones is exact, so the skip contributes
+    /// `wuv · len` with unchanged bits. The segment boundaries follow
+    /// the *logical* node walk, never the skip decisions, so every
+    /// lane's partial-sum grouping — and therefore every output bit —
+    /// depends on `cap` alone, never on `W` or on the other items of the
+    /// batch.
     fn integrate_lanes<const W: usize>(
         &self,
         area: f64,
@@ -458,7 +292,6 @@ impl BlockQuadrature {
         out: &mut [f64],
     ) {
         let x_sat = simd::failure_sat_threshold(area);
-        let x_poly = simd::failure_poly_threshold(area);
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             scratch.args.resize(cap * W, 0.0);
@@ -469,9 +302,9 @@ impl BlockQuadrature {
                 let m = (coeffs.len() - idx).min(W);
                 // Unused lanes of a remainder chunk repeat the chunk's
                 // last coefficients and are discarded. Zero coefficients
-                // would put their argument, 0, above the polynomial
-                // threshold, and the lane-max regime split would then
-                // send whole rows down the general path.
+                // would put their argument, 0, beside the used lanes' in
+                // every kernel chunk, mixing its regimes, and would keep
+                // saturated rows from being skipped.
                 let mut s1 = [0.0; W];
                 let mut s2 = [0.0; W];
                 for w in 0..W {
@@ -484,12 +317,10 @@ impl BlockQuadrature {
                 let mut bfill = 0;
                 scratch.segs.clear();
                 let flush = |scratch: &mut QuadScratch, bfill: usize, acc: &mut [f64; W]| {
-                    kernel_runs(
+                    simd::failure_term_slice(
                         &scratch.args[..bfill * W],
-                        &mut scratch.terms[..bfill * W],
-                        &scratch.segs,
                         area,
-                        W,
+                        &mut scratch.terms[..bfill * W],
                     );
                     for seg in &scratch.segs {
                         if seg.skip {
@@ -525,37 +356,12 @@ impl BlockQuadrature {
                     let mut vi = 0;
                     while vi < self.v_nodes.len() {
                         let run = (cap - fill).min(self.v_nodes.len() - vi);
-                        let (poly_len, poly_hi, big_len, big_lo) = if skip {
-                            (0, f64::NAN, 0, f64::NAN)
-                        } else {
-                            let (v0, v1) = (self.v_nodes[vi], self.v_nodes[vi + run - 1]);
-                            let mut nan = false;
-                            for w in 0..W {
-                                nan |=
-                                    (su[w] + s2[w] * v0).is_nan() || (su[w] + s2[w] * v1).is_nan();
-                            }
-                            let ascending = s2.iter().all(|&b| b >= 0.0);
-                            self.regime_split(
-                                vi,
-                                run,
-                                x_poly,
-                                !nan && ascending,
-                                |v| {
-                                    let mut h = f64::NEG_INFINITY;
-                                    for w in 0..W {
-                                        h = h.max(su[w] + s2[w] * v);
-                                    }
-                                    h
-                                },
-                                |v| {
-                                    let mut l = f64::INFINITY;
-                                    for w in 0..W {
-                                        l = l.min(su[w] + s2[w] * v);
-                                    }
-                                    l
-                                },
-                            )
-                        };
+                        scratch.segs.push(Segment {
+                            start: bfill,
+                            len: run,
+                            wuv,
+                            skip,
+                        });
                         if !skip {
                             simd::lane_affine_fill(
                                 &su,
@@ -563,18 +369,6 @@ impl BlockQuadrature {
                                 &self.v_nodes[vi..vi + run],
                                 &mut scratch.args[bfill * W..(bfill + run) * W],
                             );
-                        }
-                        scratch.segs.push(Segment {
-                            start: bfill,
-                            len: run,
-                            wuv,
-                            skip,
-                            poly_len,
-                            poly_hi,
-                            big_len,
-                            big_lo,
-                        });
-                        if !skip {
                             bfill += run;
                         }
                         fill += run;
@@ -890,6 +684,60 @@ mod tests {
             },
         );
         assert!(e.block_failure_probability(0, 1e9).is_err());
+    }
+
+    #[test]
+    fn batch_entries_never_depend_on_their_lane_neighbours() {
+        // Items whose nodes sit in different failure-term regimes share
+        // each lane chunk: a NaN item, one that saturates every node, one
+        // whose hazards vanish, and typical ones. At every batch length
+        // and lane position, each entry must equal its one-item call bit
+        // for bit, and only the NaN entry may be NaN.
+        let a = analysis();
+        let block = &a.blocks()[0];
+        let quad = BlockQuadrature::new(block.moments(), &StFastConfig::default()).unwrap();
+        let area = block.spec().area();
+        let at = |t: f64| GCoefficients::at(t, block.alpha_s(), block.b_per_nm());
+        let nan = GCoefficients {
+            s1: f64::NAN,
+            ..at(1e9)
+        };
+        let items = [
+            at(3e8),
+            nan,
+            at(1e30),
+            at(1.0),
+            at(1e9),
+            at(3e9),
+            at(1e8),
+            at(1e10),
+            at(2e9),
+        ];
+        for width in [simd::LaneWidth::W4, simd::LaneWidth::W8] {
+            simd::force_width(Some(width));
+            let single: Vec<f64> = items.iter().map(|&c| quad.integrate(area, c)).collect();
+            // Every node saturates: P is the sum of the node weights.
+            assert!(single[2] > 0.999_99, "the saturating item");
+            assert!(single[3] < 1e-12, "the vanishing item");
+            for len in 1..=items.len() {
+                for first in 0..items.len() {
+                    let k = |i: usize| (first + i) % items.len();
+                    let batch: Vec<GCoefficients> = (0..len).map(|i| items[k(i)]).collect();
+                    let mut out = vec![0.0; len];
+                    quad.integrate_many(area, &batch, &mut out);
+                    for (i, &p) in out.iter().enumerate() {
+                        let want = single[k(i)];
+                        assert!(
+                            p.to_bits() == want.to_bits() || (p.is_nan() && want.is_nan()),
+                            "{width:?} len {len} item {}: {p:e} vs {want:e}",
+                            k(i)
+                        );
+                        assert_eq!(p.is_nan(), k(i) == 1, "{width:?} item {}", k(i));
+                    }
+                }
+            }
+        }
+        simd::force_width(None);
     }
 
     #[test]

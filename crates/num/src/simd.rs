@@ -29,6 +29,14 @@
 //!   width 8 therefore agree **bitwise**; they differ from width 1 by the
 //!   polynomial-vs-libm rounding (≈2 ulp-class, see below).
 //!
+//! The dispatched slice kernels ([`exp_slice`] & co. and
+//! [`failure_term_slice`]) walk eight-element chunks at both widths 4
+//! and 8. The failure term screens each chunk into the cheapest route its
+//! arguments allow — a saturated fill, a polynomial arm, the large arm,
+//! or all three arms selected per element — and every route evaluates
+//! the arms the general expression selects, so a screen changes cost,
+//! never bits.
+//!
 //! Reductions are *not* performed here — callers keep their own
 //! accumulation order, which is how the engines preserve cross-thread and
 //! batched-vs-scalar bit-identity at any width.
@@ -699,9 +707,15 @@ pub(crate) fn dispatch<K: Kernel>(k: K) -> K::Out {
 // Slice kernels
 // ---------------------------------------------------------------------------
 
+/// Elements per chunk of the dispatched slice kernels at widths 4 and 8:
+/// one AVX-512 register, two AVX2 ones. Both widths walk the same chunks
+/// (the cores agree bitwise at any width); four-element chunks would
+/// double [`failure_term_slice`]'s per-chunk screens for no change in
+/// bits.
+const CHUNK: usize = 8;
+
 /// An elementwise op of a [`MapSlice`] kernel (a trait rather than a
-/// closure so monomorphization carries the captured state — e.g. the
-/// fused kernel's scale — into each ISA's body).
+/// closure so monomorphization carries the op into each ISA's body).
 trait Elem: Copy {
     fn eval(self, x: f64) -> f64;
 }
@@ -733,190 +747,36 @@ impl Elem for Ln1pOp {
     }
 }
 
-/// First pass of the StFast/hybrid node term: `−scale·exp(x)` (the
-/// negated hazard). The term is evaluated in two lane passes rather
-/// than one fused op — a single op would inline `exp_core` twice (once
-/// directly, once inside the finish arm's large-argument side), and the
-/// resulting register pressure in the unrolled chunk bodies costs more
-/// than the intermediate's L1 round-trip saves.
-#[derive(Clone, Copy)]
-struct NegHazardOp {
-    scale: f64,
-}
-impl Elem for NegHazardOp {
-    #[inline(always)]
-    fn eval(self, x: f64) -> f64 {
-        -self.scale * exp_core(x)
-    }
-}
-
-/// Small-|z| arm of the failure term: `−expm1(z) = −(z + z²·P(z))`.
-#[inline(always)]
-fn failure_small(z: f64) -> f64 {
-    -(z + (z * z) * exp_tail(z))
-}
-
-/// `|z|` bound for the two-term arm: dropping the `z³/6` series term
-/// costs a relative `z²/6 ≤ 6.7·10⁻¹⁵`, two orders inside the 1e-12
-/// lane budget. Quadrature arguments are dominated by this regime —
-/// hazards vanish at early times — so the cheap arm carries most nodes.
-const FAILURE_TINY_Z: f64 = 2e-7;
-
-/// Tiny-|z| arm of the failure term: `−expm1(z) ≈ −(z + z²/2)`.
-#[inline(always)]
-fn failure_tiny(z: f64) -> f64 {
-    -(z + 0.5 * (z * z))
-}
-
-/// Large-|z| arm of the failure term: `1 − e^z` (`z ≤ 0` by
-/// construction). The −54 floor keeps `exp_core` out of the subnormal
-/// range (see [`exp_m1_core`]); the select preserves NaN, which `max`
-/// would swallow.
-#[inline(always)]
-fn failure_big(z: f64) -> f64 {
-    // `!(z <= -54)` keeps NaN on the `z` side (a `max` or `||` would
-    // either swallow it or emit a short-circuit branch).
-    let floored = select(!(z <= -54.0), z, -54.0);
-    1.0 - exp_core(floored)
-}
-
-/// Single-pass failure term for a tile wholly below the small-|z|
-/// threshold: `x ↦ −expm1(−scale·e^x)` via the small arm, with the tiny
-/// arm still selected **per element** for `x < x_tiny` — a tile screen
-/// only proves `x < x_small` for every element, and the arm choice must
-/// stay a function of `(x, scale)` alone or results would depend on how
-/// callers slice the input into tiles. Only one `exp_core` is inlined
-/// (both arms are polynomial), so unlike the general fused term this op
-/// fits the vector register budget — and it skips the intermediate-`z`
-/// store/reload that the two-pass evaluation pays. Bits are identical
-/// to the two-pass composition: `z` is computed by the same expression
-/// and the arms by the same polynomials and select.
-#[derive(Clone, Copy)]
-struct SmallFusedOp {
-    scale: f64,
-    x_tiny: f64,
-}
-impl Elem for SmallFusedOp {
-    #[inline(always)]
-    fn eval(self, x: f64) -> f64 {
-        let z = -self.scale * exp_core(x);
-        select(x < self.x_tiny, failure_tiny(z), failure_small(z))
-    }
-}
-
-/// Single-pass failure term for a tile wholly in the tiny-|z| regime:
-/// one `exp_core` plus the two-term arm.
-#[derive(Clone, Copy)]
-struct TinyFusedOp {
-    scale: f64,
-}
-impl Elem for TinyFusedOp {
-    #[inline(always)]
-    fn eval(self, x: f64) -> f64 {
-        failure_tiny(-self.scale * exp_core(x))
-    }
-}
-
-/// Second pass of the big-arm-only failure route: `z ↦ 1 − e^z` via
-/// [`failure_big`]. Reachable only through
-/// [`failure_term_slice_bounded`] with a caller-certified `lo ≥
-/// x_small`, which proves every element takes the big arm of
-/// [`failure_finish_elem`] — so this op is bit-identical to the 3-arm
-/// finish while inlining one `exp_core` and no small/tiny polynomials.
-#[derive(Clone, Copy)]
-struct BigZOp;
-impl Elem for BigZOp {
-    #[inline(always)]
-    fn eval(self, z: f64) -> f64 {
-        failure_big(z)
-    }
-}
-
-#[inline(always)]
-fn failure_finish_elem(x: f64, z: f64, x_tiny: f64, x_small: f64) -> f64 {
-    let r = select(x < x_small, failure_small(z), failure_big(z));
-    select(x < x_tiny, failure_tiny(z), r)
-}
-
-/// The general second pass of [`failure_term_slice`]'s lane route:
-/// `out[i]` is the failure term of the argument `xs[i]` from its negated
-/// hazard `zs[i]`, all three arms evaluated and one picked per element
-/// by `x`.
-struct FailureFinish<'a, const W: usize> {
-    xs: &'a [f64],
-    zs: &'a [f64],
-    x_tiny: f64,
-    x_small: f64,
-    out: &'a mut [f64],
-}
-
-impl<const W: usize> Kernel for FailureFinish<'_, W> {
-    type Out = ();
-
-    #[inline(always)]
-    fn run(self, _: Isa) {
-        let FailureFinish {
-            xs,
-            zs,
-            x_tiny,
-            x_small,
-            out,
-        } = self;
-        let n = xs.len();
-        let rem = n - n % W;
-        // Each chunk is computed into a local array and copied out, as
-        // `MapSlice` does: slices that arrive as struct fields carry no
-        // no-alias facts, and a store straight into `out` would order
-        // every later load of `xs` and `zs` behind it (measured 1.5–2.5×
-        // slower on `failure_term_slice`).
-        for ((xc, zc), oc) in xs[..rem]
-            .chunks_exact(W)
-            .zip(zs[..rem].chunks_exact(W))
-            .zip(out[..rem].chunks_exact_mut(W))
-        {
-            let xc: &[f64; W] = xc.try_into().expect("chunks_exact yields W");
-            let zc: &[f64; W] = zc.try_into().expect("chunks_exact yields W");
-            let mut lanes = [0.0; W];
-            for w in 0..W {
-                lanes[w] = failure_finish_elem(xc[w], zc[w], x_tiny, x_small);
-            }
-            oc.copy_from_slice(&lanes);
-        }
-        for j in rem..n {
-            out[j] = failure_finish_elem(xs[j], zs[j], x_tiny, x_small);
-        }
-    }
-}
-
-/// Chunked elementwise map of `op` over `xs`: full `W`-lane chunks
-/// through fixed-size arrays (the shape LLVM vectorizes), the remainder
-/// through the same elementwise core — so results never depend on where
-/// chunk boundaries fall.
-struct MapSlice<'a, const W: usize, E> {
+/// Chunked elementwise map of `op` over `xs`: full [`CHUNK`]-element
+/// chunks through fixed-size arrays (the shape LLVM vectorizes), the
+/// remainder through the same elementwise core — so results never depend
+/// on where chunk boundaries fall. Each chunk is computed into a local
+/// array and copied out: slices that arrive as struct fields carry no
+/// no-alias facts, and a store straight into `out` would order every
+/// later load of `xs` behind it.
+struct MapSlice<'a, E> {
     op: E,
     xs: &'a [f64],
     out: &'a mut [f64],
 }
 
-impl<const W: usize, E: Elem> Kernel for MapSlice<'_, W, E> {
+impl<E: Elem> Kernel for MapSlice<'_, E> {
     type Out = ();
 
     #[inline(always)]
     fn run(self, _: Isa) {
         let MapSlice { op, xs, out } = self;
-        let n = xs.len();
-        let mut i = 0;
-        while i + W <= n {
-            let mut lanes = [0.0; W];
-            lanes.copy_from_slice(&xs[i..i + W]);
+        let (chunks, tail) = xs.as_chunks::<CHUNK>();
+        let (out_chunks, out_tail) = out.as_chunks_mut::<CHUNK>();
+        for (x, o) in chunks.iter().zip(out_chunks) {
+            let mut lanes = *x;
             for lane in &mut lanes {
                 *lane = op.eval(*lane);
             }
-            out[i..i + W].copy_from_slice(&lanes);
-            i += W;
+            *o = lanes;
         }
-        for j in i..n {
-            out[j] = op.eval(xs[j]);
+        for (o, &x) in out_tail.iter_mut().zip(tail) {
+            *o = op.eval(x);
         }
     }
 }
@@ -930,14 +790,12 @@ fn run_op<E: Elem>(op: E, xs: &[f64], out: &mut [f64], scalar: impl Fn(f64) -> f
         out.len(),
         "lane kernel input/output length mismatch"
     );
-    match active_width() {
-        LaneWidth::W1 => {
-            for (o, &x) in out.iter_mut().zip(xs) {
-                *o = scalar(x);
-            }
+    if active_width() == LaneWidth::W1 {
+        for (o, &x) in out.iter_mut().zip(xs) {
+            *o = scalar(x);
         }
-        LaneWidth::W4 => dispatch(MapSlice::<4, E> { op, xs, out }),
-        LaneWidth::W8 => dispatch(MapSlice::<8, E> { op, xs, out }),
+    } else {
+        dispatch(MapSlice { op, xs, out });
     }
 }
 
@@ -1157,14 +1015,53 @@ pub fn lane_matvec_acc<const W: usize>(a: &[f64], n: usize, z_tile: &[f64], out:
     dispatch(LaneMatvec { a, n, z_tile, out });
 }
 
-/// Intermediate tile length for [`failure_term_slice`]'s two-pass
-/// evaluation: 4 KiB of stack, small enough to stay L1-resident next to
-/// the caller's argument and output buffers.
-const FAILURE_TILE: usize = 512;
+// ---------------------------------------------------------------------------
+// The failure term `−expm1(−scale·eˣ)` (StFast, hybrid, fleet)
+// ---------------------------------------------------------------------------
+
+/// Small-|z| arm of the failure term: `−expm1(z) = −(z + z²·P(z))`.
+#[inline(always)]
+fn failure_small(z: f64) -> f64 {
+    -(z + (z * z) * exp_tail(z))
+}
+
+/// `|z|` bound for the two-term arm: dropping the `z³/6` series term
+/// costs a relative `z²/6 ≤ 6.7·10⁻¹⁵`, two orders inside the 1e-12
+/// lane budget. Quadrature arguments are dominated by this regime —
+/// hazards vanish at early times — so the cheap arm carries most nodes.
+const FAILURE_TINY_Z: f64 = 2e-7;
+
+/// Tiny-|z| arm of the failure term: `−expm1(z) ≈ −(z + z²/2)`.
+#[inline(always)]
+fn failure_tiny(z: f64) -> f64 {
+    -(z + 0.5 * (z * z))
+}
+
+/// Large-|z| arm of the failure term: `1 − e^z` (`z ≤ 0` by
+/// construction). The −54 floor keeps `exp_core` out of the subnormal
+/// range (see [`exp_m1_core`]); the select preserves NaN, which `max`
+/// would swallow.
+#[inline(always)]
+fn failure_big(z: f64) -> f64 {
+    // `!(z <= -54)` keeps NaN on the `z` side (a `max` or `||` would
+    // either swallow it or emit a short-circuit branch).
+    let floored = select(!(z <= -54.0), z, -54.0);
+    1.0 - exp_core(floored)
+}
+
+/// The failure term of argument `x` from its negated hazard
+/// `z = −scale·eˣ`: all three arms evaluated and one picked by `x`
+/// against the thresholds `x_tiny < x_small` derived from `scale`. This
+/// is the definition every screened route of [`FailureTerm`] reproduces.
+#[inline(always)]
+fn failure_finish_elem(x: f64, z: f64, x_tiny: f64, x_small: f64) -> f64 {
+    let r = select(x < x_small, failure_small(z), failure_big(z));
+    select(x < x_tiny, failure_tiny(z), r)
+}
 
 /// `1 − e^z` rounds to exactly 1.0 for every `z ≤ −FAILURE_SAT`
 /// (`e^{−37.5} ≈ 5.2·10⁻¹⁷` is under half the f64 spacing below 1.0), so
-/// a saturated tile can be filled with 1.0 **bit-identically** to
+/// a saturated chunk can be filled with 1.0 **bit-identically** to
 /// evaluating the large-argument arm — the fill is a work-skip, not an
 /// approximation.
 const FAILURE_SAT: f64 = 37.5;
@@ -1185,43 +1082,166 @@ pub fn failure_sat_threshold(scale: f64) -> f64 {
 /// The argument threshold below which the failure term needs only the
 /// polynomial arms (tiny/small — one `exp` per element, no second
 /// transcendental): `x < ln(EXPM1_SWITCH / scale)` guarantees
-/// `|z| < EXPM1_SWITCH` for `z = −scale·e^x`. Quadrature drivers use
-/// this to group node runs by regime before calling
-/// [`failure_term_slice_bounded`] — the grouping affects only which
-/// screened route runs, never any element's bits. NaN for `scale ≤ 0`
+/// `|z| < EXPM1_SWITCH` for `z = −scale·e^x`. The fleet's block
+/// parameters carry it for the [`LaneFold`] screens. NaN for `scale ≤ 0`
 /// or non-finite, which makes every `x < …` comparison false.
 pub fn failure_poly_threshold(scale: f64) -> f64 {
     (EXPM1_SWITCH / scale).ln()
 }
 
+/// The failure-term regime a chunk of arguments shares (see
+/// [`hazard_regime`]).
+enum Regime {
+    /// Every argument `≥ x_sat`: the term rounds to exactly 1.
+    Saturated,
+    /// Every argument `< x_tiny`: `|z| <` [`FAILURE_TINY_Z`], the
+    /// two-term arm.
+    Tiny,
+    /// Every argument `< x_small`: `|z| <` [`EXPM1_SWITCH`], so `expm1`
+    /// takes its small arm (or the tiny one).
+    Polynomial,
+    /// Every argument `≥ x_small`: the large arm `1 − e^z`.
+    Big,
+    /// Anything else, every width-1 chunk, and any chunk with a NaN.
+    Mixed,
+}
+
+/// Screens a chunk of log-hazard arguments into a [`Regime`]. The one
+/// classifier of the failure term: [`failure_term_slice`] screens each
+/// chunk with it, and the [`LaneFold`]s each block's lanes (they pass
+/// `x_tiny = −∞`, which never screens `Tiny`, and take `Big` down their
+/// general route). Each test is a lane compare folded with `&`, not
+/// `&&`, so it stays one vector compare and one mask test with no
+/// short-circuit branch; a per-chunk min/max tree cost the hybrid build
+/// ~12%. A NaN argument fails every compare, so its chunk screens
+/// [`Regime::Mixed`], the general cores. Width 1 always screens `Mixed`:
+/// its general route is the libm expression, which the polynomial
+/// shortcuts would not reproduce.
+#[inline(always)]
+fn hazard_regime<const W: usize>(arg: &[f64; W], x_tiny: f64, x_small: f64, x_sat: f64) -> Regime {
+    if W == 1 {
+        return Regime::Mixed;
+    }
+    let (mut sat, mut tiny, mut poly, mut big) = (true, true, true, true);
+    for &a in arg {
+        sat &= a >= x_sat;
+        tiny &= a < x_tiny;
+        poly &= a < x_small;
+        big &= a >= x_small;
+    }
+    if sat {
+        Regime::Saturated
+    } else if tiny {
+        Regime::Tiny
+    } else if poly {
+        Regime::Polynomial
+    } else if big {
+        Regime::Big
+    } else {
+        Regime::Mixed
+    }
+}
+
+/// The negated hazard `z = −scale·eˣ` of the failure term.
+#[inline(always)]
+fn neg_hazard(x: f64, scale: f64) -> f64 {
+    -scale * exp_core(x)
+}
+
+/// [`failure_term_slice`]'s dispatched lane route: [`CHUNK`]-element
+/// chunks, each screened by [`hazard_regime`] and evaluated on the
+/// cheapest route its regime allows; the ragged tail takes the general
+/// expression [`failure_finish_elem`]. Every route evaluates the arms
+/// that expression selects for its arguments, so the routes change
+/// cost, never bits.
+struct FailureTerm<'a> {
+    xs: &'a [f64],
+    scale: f64,
+    out: &'a mut [f64],
+}
+
+impl Kernel for FailureTerm<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self, _: Isa) {
+        let FailureTerm { xs, scale, out } = self;
+        // NaN thresholds (scale ≤ 0 or non-finite) fail every screen,
+        // so every chunk takes the mixed route.
+        let x_tiny = (FAILURE_TINY_Z / scale).ln();
+        let x_small = failure_poly_threshold(scale);
+        let x_sat = failure_sat_threshold(scale);
+        let (chunks, tail) = xs.as_chunks::<CHUNK>();
+        let (out_chunks, out_tail) = out.as_chunks_mut::<CHUNK>();
+        for (x, o) in chunks.iter().zip(out_chunks) {
+            let mut lanes = [0.0; CHUNK];
+            match hazard_regime(x, x_tiny, x_small, x_sat) {
+                Regime::Saturated => lanes = [1.0; CHUNK],
+                Regime::Tiny => {
+                    for w in 0..CHUNK {
+                        lanes[w] = failure_tiny(neg_hazard(x[w], scale));
+                    }
+                }
+                // A chunk screen proves only `x < x_small`: the tiny arm
+                // is still picked per element.
+                Regime::Polynomial => {
+                    for w in 0..CHUNK {
+                        let z = neg_hazard(x[w], scale);
+                        lanes[w] = select(x[w] < x_tiny, failure_tiny(z), failure_small(z));
+                    }
+                }
+                Regime::Big => {
+                    for w in 0..CHUNK {
+                        lanes[w] = failure_big(neg_hazard(x[w], scale));
+                    }
+                }
+                Regime::Mixed => {
+                    for w in 0..CHUNK {
+                        let z = neg_hazard(x[w], scale);
+                        lanes[w] = failure_finish_elem(x[w], z, x_tiny, x_small);
+                    }
+                }
+            }
+            *o = lanes;
+        }
+        for (o, &x) in out_tail.iter_mut().zip(tail) {
+            *o = failure_finish_elem(x, neg_hazard(x, scale), x_tiny, x_small);
+        }
+    }
+}
+
 /// Fills `out[i] = −expm1(−scale · exp(xs[i]))` — the per-node failure
 /// term of the StFast/hybrid quadratures (`xs` holds the log-domain
-/// arguments `s1·u + s2·v`, `scale` the device area).
+/// arguments `s1·u + s2·v`, `scale` the device area) and of the fleet's
+/// mission-end composition.
 ///
 /// Width 1 reproduces the engines' historical scalar expression
-/// `-(-scale * x.exp()).exp_m1()` bit for bit. Widths 4/8 evaluate the
-/// term in tiled lane passes: `z = −scale·exp(x)` first, then the
-/// `−expm1(z)` arm chosen **per element by `x`** against thresholds
-/// derived once from `scale` (`x_tiny = ln(FAILURE_TINY_Z/scale)`,
-/// `x_small = ln(EXPM1_SWITCH/scale)`, `x_sat = ln(FAILURE_SAT/scale)`).
-/// Because the arm choice depends only on `(x, scale)`, a tile-level
-/// screen can skip work without changing any element's bits:
+/// `-(-scale * x.exp()).exp_m1()` bit for bit. Widths 4/8 run one
+/// dispatched kernel over eight-element chunks. Each element's value
+/// is its `−expm1(z)` arm for `z = −scale·exp(x)`, chosen **by `x`**
+/// against thresholds derived once from `scale` (`x_tiny =
+/// ln(FAILURE_TINY_Z/scale)`, `x_small = ln(EXPM1_SWITCH/scale)`,
+/// `x_sat = ln(FAILURE_SAT/scale)`). Because the arm depends only on
+/// `(x, scale)`, each chunk can be screened into the cheapest route
+/// without changing any element's bits:
 ///
 /// * all `x ≥ x_sat` → every element's large arm rounds to exactly 1.0
-///   (see `FAILURE_SAT`), so the tile is filled with 1.0 — zero
+///   (see `FAILURE_SAT`), so the chunk is filled with 1.0 — zero
 ///   transcendentals;
-/// * all `x < x_tiny` → the tiny arm `−(z + z²/2)` is three flops past
+/// * all `x < x_tiny` → the tiny arm `−(z + z²/2)`, three flops past
 ///   the hazard `exp` (see `FAILURE_TINY_Z`);
-/// * all `x < x_small` → the small arm `−(z + z²·P(z))` needs no second
-///   `exp`, so the tile costs one transcendental pass;
-/// * mixed tiles evaluate all arms branchlessly per element.
+/// * all `x < x_small` → the small arm `−(z + z²·P(z))` (or the tiny
+///   one, per element), no second `exp`;
+/// * all `x ≥ x_small` → the large arm `1 − e^z` alone;
+/// * anything else, a NaN, and the ragged tail → all three arms
+///   evaluated branchlessly and one selected per element.
 ///
-/// The intermediate `z` is an ordinary `f64` store and every decision is
-/// elementwise in `(x, scale)`, so results are identical across lane
-/// position, tile boundary and caller slicing. In-situ quadrature args
-/// are dominated by the first two regimes (saturated hazards at late
-/// times and large defects, vanishing hazards at early times), which is
-/// what lets the lane path beat libm's early-exit fast paths.
+/// The screen is per chunk, so one hot node costs only its own chunk the
+/// general route. Results are identical across lane position, chunk
+/// boundary and caller slicing. In-situ quadrature arguments are
+/// dominated by the saturated and vanishing regimes (saturated hazards at
+/// late times and large defects, vanishing hazards at early times),
+/// which is what lets the lane path beat libm's early-exit fast paths.
 ///
 /// # Panics
 ///
@@ -1236,157 +1256,8 @@ pub fn failure_term_slice(xs: &[f64], scale: f64, out: &mut [f64]) {
         for (o, &x) in out.iter_mut().zip(xs) {
             *o = -(-scale * x.exp()).exp_m1();
         }
-        return;
-    }
-    // NaN thresholds (scale ≤ 0 or non-finite) make every screen below
-    // compare false, routing everything through the general path.
-    let x_tiny = (FAILURE_TINY_Z / scale).ln();
-    let x_small = (EXPM1_SWITCH / scale).ln();
-    let x_sat = failure_sat_threshold(scale);
-    failure_term_tiles(xs, scale, x_tiny, x_small, x_sat, out);
-}
-
-/// Lane-path tile walker behind [`failure_term_slice`]: per-tile regime
-/// screens over precomputed thresholds. Every screened route evaluates
-/// the same elementwise `(x, scale)` arms, so the screens change cost,
-/// never bits.
-fn failure_term_tiles(
-    xs: &[f64],
-    scale: f64,
-    x_tiny: f64,
-    x_small: f64,
-    x_sat: f64,
-    out: &mut [f64],
-) {
-    let mut tmp = [0.0; FAILURE_TILE];
-    let mut i = 0;
-    while i < xs.len() {
-        let n = (xs.len() - i).min(FAILURE_TILE);
-        let tile = &xs[i..i + n];
-        if tile.iter().all(|&x| x >= x_sat) {
-            out[i..i + n].fill(1.0);
-            i += n;
-            continue;
-        }
-        // NaN-ignoring max is safe here: a NaN argument that sneaks a
-        // tile into the tiny/small path still propagates through that
-        // arm's polynomial.
-        let hi = tile.iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x));
-        if hi < x_tiny {
-            run_op(TinyFusedOp { scale }, tile, &mut out[i..i + n], |x| {
-                -(-scale * x.exp()).exp_m1()
-            });
-        } else if hi < x_small {
-            let op = SmallFusedOp { scale, x_tiny };
-            run_op(op, tile, &mut out[i..i + n], |x| {
-                -(-scale * x.exp()).exp_m1()
-            });
-        } else {
-            run_op(NegHazardOp { scale }, tile, &mut tmp[..n], |x| {
-                -scale * x.exp()
-            });
-            let (zs, out) = (&tmp[..n], &mut out[i..i + n]);
-            match active_width() {
-                LaneWidth::W1 => unreachable!("width 1 handled above"),
-                LaneWidth::W4 => dispatch(FailureFinish::<4> {
-                    xs: tile,
-                    zs,
-                    x_tiny,
-                    x_small,
-                    out,
-                }),
-                LaneWidth::W8 => dispatch(FailureFinish::<8> {
-                    xs: tile,
-                    zs,
-                    x_tiny,
-                    x_small,
-                    out,
-                }),
-            }
-        }
-        i += n;
-    }
-}
-
-/// Big-arm-only tile walker: every element is caller-certified `≥
-/// x_small`, so the 3-arm finish reduces elementwise to
-/// [`failure_big`] and the per-tile max fold is unnecessary. The
-/// all-saturated screen is kept — big runs reach deep into the
-/// saturated tail, where the screen skips both passes (`1 − e^z`
-/// rounds to exactly 1.0 for `z ≤` [`FAILURE_SAT`], so the fill is
-/// bit-identical to evaluating the arm).
-fn failure_term_tiles_big(xs: &[f64], scale: f64, x_sat: f64, out: &mut [f64]) {
-    let mut tmp = [0.0; FAILURE_TILE];
-    let mut i = 0;
-    while i < xs.len() {
-        let n = (xs.len() - i).min(FAILURE_TILE);
-        let tile = &xs[i..i + n];
-        if tile.iter().all(|&x| x >= x_sat) {
-            out[i..i + n].fill(1.0);
-            i += n;
-            continue;
-        }
-        run_op(NegHazardOp { scale }, tile, &mut tmp[..n], |x| {
-            -scale * x.exp()
-        });
-        run_op(BigZOp, &tmp[..n], &mut out[i..i + n], failure_big);
-        i += n;
-    }
-}
-
-/// [`failure_term_slice`] with **caller-certified bounds**: every
-/// element of `xs` satisfies `lo ≤ x ≤ hi` (the quadrature engines know
-/// this for free — their arguments are affine in a sorted node axis, so
-/// slice bounds come from row endpoints at O(1) per row instead of the
-/// O(n) folds the unbounded screens pay). Elementwise results are
-/// bit-identical to [`failure_term_slice`]; the bounds only let the
-/// whole slice be classified into one regime up front:
-///
-/// * `lo ≥ x_sat` → saturated fill (exact 1.0, see `FAILURE_SAT`);
-/// * `hi < x_tiny` → single tiny-arm pass;
-/// * `hi < x_small` → single small-arm pass (tiny still selected per
-///   element);
-/// * `lo ≥ x_small` → big-arm-only two-pass route (the light
-///   `failure_big` finish instead of the 3-arm select);
-/// * otherwise → the tiled screens of the unbounded path.
-///
-/// NaN bounds (e.g. from NaN coefficients) fail every comparison and
-/// fall through to the general path, which propagates elementwise NaN.
-/// Callers must therefore derive bounds such that a NaN element forces
-/// NaN bounds — never clip a NaN away with `f64::min`/`max`.
-///
-/// # Panics
-///
-/// Panics if `xs.len() != out.len()`.
-pub fn failure_term_slice_bounded(xs: &[f64], scale: f64, lo: f64, hi: f64, out: &mut [f64]) {
-    assert_eq!(
-        xs.len(),
-        out.len(),
-        "lane kernel input/output length mismatch"
-    );
-    if active_width() == LaneWidth::W1 {
-        for (o, &x) in out.iter_mut().zip(xs) {
-            *o = -(-scale * x.exp()).exp_m1();
-        }
-        return;
-    }
-    let x_tiny = (FAILURE_TINY_Z / scale).ln();
-    let x_small = (EXPM1_SWITCH / scale).ln();
-    let x_sat = failure_sat_threshold(scale);
-    if lo >= x_sat {
-        out.fill(1.0);
-    } else if hi < x_tiny {
-        run_op(TinyFusedOp { scale }, xs, out, |x| {
-            -(-scale * x.exp()).exp_m1()
-        });
-    } else if hi < x_small {
-        run_op(SmallFusedOp { scale, x_tiny }, xs, out, |x| {
-            -(-scale * x.exp()).exp_m1()
-        });
-    } else if lo >= x_small {
-        failure_term_tiles_big(xs, scale, x_sat, out);
     } else {
-        failure_term_tiles(xs, scale, x_tiny, x_small, x_sat, out);
+        dispatch(FailureTerm { xs, scale, out });
     }
 }
 
@@ -1426,63 +1297,13 @@ pub trait LaneFold<const W: usize> {
     /// Absorbs block `j` from its lane log-hazards `arg`, whose failure
     /// probabilities are `p = −expm1(−area·exp(arg))`. `x_small` and
     /// `x_sat` are the block's [`failure_poly_threshold`] and
-    /// [`failure_sat_threshold`]: regime screens a fold may use to skip
-    /// work, never to change bits.
+    /// [`failure_sat_threshold`]: a fold screens the block's lanes against
+    /// them with the classifier of [`failure_term_slice`]'s chunk screens,
+    /// to skip work, never to change bits.
     fn absorb_hazard(&mut self, j: usize, arg: &[f64; W], area: f64, x_small: f64, x_sat: f64);
 
     /// Each lane's chip log-survival `ln S ≤ 0`.
     fn ln_survival(&self) -> [f64; W];
-}
-
-/// The failure-term regime a block's lane log-hazards share (see
-/// [`hazard_regime`]).
-enum Regime {
-    /// Every lane `arg ≥ x_sat`: `p` rounds to exactly 1.
-    Saturated,
-    /// Every lane `arg < x_small`: `|z| <` [`EXPM1_SWITCH`], so `expm1`
-    /// takes its small arm.
-    Polynomial,
-    /// Anything else, every width-1 block, and any block with a NaN lane.
-    Mixed,
-}
-
-/// Screens a block's lane log-hazards into a [`Regime`] from their
-/// bounds, taken by pairwise tree (log₂W select depth, not a serial
-/// W-long chain; each round folds the upper lanes onto the lower ones).
-/// A NaN argument makes the tree results arbitrary, so NaN presence is
-/// folded separately and forces [`Regime::Mixed`], the general cores.
-/// Width 1 always screens `Mixed`: its general route is the libm
-/// expression, which the polynomial shortcuts would not reproduce.
-#[inline(always)]
-fn hazard_regime<const W: usize>(arg: &[f64; W], x_small: f64, x_sat: f64) -> Regime {
-    if W == 1 {
-        return Regime::Mixed;
-    }
-    let mut nan = false;
-    for &a in arg {
-        nan |= a.is_nan();
-    }
-    let mut mn = *arg;
-    let mut mx = *arg;
-    let mut n = W;
-    while n > 1 {
-        let half = n / 2;
-        for i in 0..half {
-            let k = i + n - half;
-            mn[i] = select(mn[k] < mn[i], mn[k], mn[i]);
-            mx[i] = select(mx[k] > mx[i], mx[k], mx[i]);
-        }
-        n -= half;
-    }
-    if nan {
-        Regime::Mixed
-    } else if mn[0] >= x_sat {
-        Regime::Saturated
-    } else if mx[0] < x_small {
-        Regime::Polynomial
-    } else {
-        Regime::Mixed
-    }
 }
 
 /// The weakest-link fold `ln S = Σ_j ln_1p(−p_j)`, lane by lane: the
@@ -1494,8 +1315,8 @@ fn hazard_regime<const W: usize>(arg: &[f64; W], x_small: f64, x_sat: f64) -> Re
 /// evaluates libm `ln_1p` at every width, the mission-end expression the
 /// lane-tiled fleet has always used. Per lifetime-solve probe,
 /// [`absorb_hazard`](LaneFold::absorb_hazard) at widths > 1 screens each
-/// block's lane arguments into a regime, exactly like
-/// [`failure_term_slice`]'s tile screens — each screened route evaluates
+/// block's lane arguments into a regime with the classifier of
+/// [`failure_term_slice`]'s chunk screens — each screened route evaluates
 /// the same elementwise expressions the general route selects for those
 /// arguments, so the screens change cost, never bits:
 ///
@@ -1509,7 +1330,8 @@ fn hazard_regime<const W: usize>(arg: &[f64; W], x_small: f64, x_sat: f64) -> Re
 ///   short polynomials, no second `exp` and no exponent split. This is
 ///   the regime the lifetime solve converges in (per-block `p` near the
 ///   fleet budget), so it carries most of its probes.
-/// * mixed (or any NaN lane) → the general both-arm cores.
+/// * anything else (or any NaN lane) → the general both-arm cores. The
+///   fold has no tiny route, and takes all-big blocks down this one too.
 ///
 /// Width 1 runs the general libm expression unscreened; it is the
 /// weakest-link `CompositionAccumulator` every analytic engine and the
@@ -1540,7 +1362,7 @@ impl<const W: usize> LaneFold<W> for WeakestLinkFold<W> {
 
     #[inline(always)]
     fn absorb_hazard(&mut self, _j: usize, arg: &[f64; W], area: f64, x_small: f64, x_sat: f64) {
-        match hazard_regime(arg, x_small, x_sat) {
+        match hazard_regime(arg, f64::NEG_INFINITY, x_small, x_sat) {
             Regime::Saturated => {
                 for sv in &mut self.s {
                     *sv += f64::NEG_INFINITY;
@@ -1559,7 +1381,7 @@ impl<const W: usize> LaneFold<W> for WeakestLinkFold<W> {
                     self.s[w] += 2.0 * t * atanh_poly(t * t);
                 }
             }
-            Regime::Mixed => {
+            Regime::Tiny | Regime::Big | Regime::Mixed => {
                 for w in 0..W {
                     // e = expm1(−A·g) = −p.
                     let e = exp_m1_w::<W>(exp_w::<W>(arg[w]) * -area);
@@ -1796,16 +1618,16 @@ impl<const W: usize> LaneFold<W> for GroupFold<'_, W> {
         // e = expm1(z) = −p. The screened regimes take the arm the
         // general core selects there: exactly −1 when saturated (see
         // [`FAILURE_SAT`]), the small polynomial when `|z|` is certified
-        // below [`EXPM1_SWITCH`].
+        // below [`EXPM1_SWITCH`]; every other regime takes the general core.
         let mut e = [0.0; W];
-        match hazard_regime(arg, x_small, x_sat) {
+        match hazard_regime(arg, f64::NEG_INFINITY, x_small, x_sat) {
             Regime::Saturated => e = [-1.0; W],
             Regime::Polynomial => {
                 for w in 0..W {
                     e[w] = z[w] + (z[w] * z[w]) * exp_tail(z[w]);
                 }
             }
-            Regime::Mixed => {
+            Regime::Tiny | Regime::Big | Regime::Mixed => {
                 for w in 0..W {
                     e[w] = exp_m1_w::<W>(z[w]);
                 }
@@ -2209,27 +2031,24 @@ mod tests {
 
     #[test]
     fn slice_kernels_are_chunk_invariant() {
-        // Results must not depend on where the W-lane chunk boundaries
-        // fall: evaluate a 13-element slice (full chunks + remainder) and
-        // compare against the cores one by one, at both vector widths.
-        let xs: Vec<f64> = (0..13).map(|i| -60.0 + 9.5 * i as f64).collect();
-        for w in [LaneWidth::W4, LaneWidth::W8] {
+        // Results must not depend on where the chunk boundaries fall:
+        // evaluate every suffix of a 21-element slice (full chunks plus
+        // each remainder) and compare against the core one by one.
+        let xs: Vec<f64> = (0..21).map(|i| -60.0 + 6.5 * i as f64).collect();
+        for start in 0..=CHUNK {
+            let xs = &xs[start..];
             let mut out = vec![0.0; xs.len()];
-            let (op, out_ref) = (ExpOp, &mut out[..]);
-            match w {
-                LaneWidth::W4 => dispatch(MapSlice::<4, _> {
-                    op,
-                    xs: &xs,
-                    out: out_ref,
-                }),
-                _ => dispatch(MapSlice::<8, _> {
-                    op,
-                    xs: &xs,
-                    out: out_ref,
-                }),
-            }
+            dispatch(MapSlice {
+                op: ExpOp,
+                xs,
+                out: &mut out,
+            });
             for (i, (&x, &got)) in xs.iter().zip(&out).enumerate() {
-                assert_eq!(got.to_bits(), exp_core(x).to_bits(), "{w:?} idx {i}");
+                assert_eq!(
+                    got.to_bits(),
+                    exp_core(x).to_bits(),
+                    "start {start} idx {i}"
+                );
             }
         }
     }
@@ -2246,16 +2065,13 @@ mod tests {
 
     #[test]
     fn failure_term_matches_composition() {
-        // Long enough to cross a FAILURE_TILE boundary, so the tiled
-        // two-pass path is exercised end to end; the argument spread
-        // covers all three tile regimes (vanishing, mixed, saturated).
-        let mut xs: Vec<f64> = (0..(FAILURE_TILE + 9))
-            .map(|i| -20.0 + 4.0 * (i % 11) as f64)
-            .collect();
-        // Homogeneous stretches so the saturated-fill and small-only
-        // tile screens actually fire.
-        xs.extend(std::iter::repeat_n(30.0, FAILURE_TILE + 3));
-        xs.extend(std::iter::repeat_n(-40.0, FAILURE_TILE + 3));
+        // A cyclic argument spread puts most chunks in the mixed regime
+        // (vanishing to saturated within one chunk); homogeneous
+        // stretches after it make the saturated-fill and tiny screens
+        // fire, and the total leaves a ragged tail.
+        let mut xs: Vec<f64> = (0..521).map(|i| -20.0 + 4.0 * (i % 11) as f64).collect();
+        xs.extend(std::iter::repeat_n(30.0, 515));
+        xs.extend(std::iter::repeat_n(-40.0, 515));
         let scale = 3.2e-3;
         let mut out = vec![0.0; xs.len()];
         for w in [LaneWidth::W4, LaneWidth::W8] {
@@ -2280,14 +2096,14 @@ mod tests {
     #[test]
     fn failure_term_saturated_fill_is_exact() {
         // For z ≤ −FAILURE_SAT the large arm rounds to exactly 1.0, so
-        // the tile fill must be bit-identical to evaluating the arm.
+        // the chunk fill must be bit-identical to evaluating the arm.
         for z in [-FAILURE_SAT, -38.0, -54.0, -60.0, -700.0] {
             assert_eq!(failure_big(z).to_bits(), 1.0f64.to_bits(), "z={z}");
         }
-        // NaN still propagates through a saturated-looking tile.
+        // NaN still propagates, through a whole chunk and the tail.
         force_width(Some(LaneWidth::W8));
-        let xs = [f64::NAN; 4];
-        let mut out = [0.0; 4];
+        let xs = [f64::NAN; 12];
+        let mut out = [0.0; 12];
         failure_term_slice(&xs, 1.0, &mut out);
         assert!(out.iter().all(|o| o.is_nan()));
         force_width(None);
@@ -2295,10 +2111,10 @@ mod tests {
 
     #[test]
     fn small_screen_keeps_tiny_arm_per_element() {
-        // A slice wholly below `x_small` takes the single-pass small
-        // screen, but elements below `x_tiny` must still get the tiny
-        // arm — the arm choice is a function of `(x, scale)` alone, or
-        // results would depend on how callers tile the input.
+        // A slice wholly below `x_small` takes the polynomial route, but
+        // elements below `x_tiny` must still get the tiny arm — the arm
+        // choice is a function of `(x, scale)` alone, or results would
+        // depend on how callers slice the input.
         let scale = 1e-3;
         let x_tiny = (FAILURE_TINY_Z / scale).ln();
         let x_small = (EXPM1_SWITCH / scale).ln();
@@ -2322,51 +2138,89 @@ mod tests {
         force_width(None);
     }
 
+    /// Whether `got` carries `want`'s bits, or is a NaN where `want` is
+    /// one (LLVM keeps neither a NaN's sign nor its payload across its
+    /// rewrites).
+    fn same_term(got: f64, want: f64) -> bool {
+        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
+    }
+
     #[test]
-    fn bounded_certifications_match_unbounded_bits() {
-        // Every certification class of `failure_term_slice_bounded`
-        // (saturated, tiny, small, big-only, mixed/unbounded, NaN
-        // bounds) must reproduce the unbounded walker bit for bit —
-        // the bounds pick a route, never an answer.
+    fn failure_term_chunks_match_the_elementwise_reference() {
+        // Every chunk route (saturated fill, tiny, polynomial, big and
+        // mixed) and the ragged tail must give the elementwise
+        // reference's bits, at any slice length and start offset, so
+        // that where the chunk boundaries fall never matters.
         let scale = 1e-3;
         let x_tiny = (FAILURE_TINY_Z / scale).ln();
-        let x_small = (EXPM1_SWITCH / scale).ln();
+        let x_small = failure_poly_threshold(scale);
         let x_sat = failure_sat_threshold(scale);
-        let ramp = |lo: f64, hi: f64, n: usize| -> Vec<f64> {
-            (0..n)
-                .map(|i| lo + (hi - lo) * i as f64 / (n - 1) as f64)
-                .collect()
+        let ramp = |lo: f64, hi: f64| -> [f64; CHUNK] {
+            std::array::from_fn(|i| lo + (hi - lo) * i as f64 / (CHUNK - 1) as f64)
         };
-        let cases = [
-            ramp(x_sat + 0.5, x_sat + 40.0, 600),    // saturated
-            ramp(x_tiny - 30.0, x_tiny - 0.1, 600),  // tiny
-            ramp(x_tiny - 1.0, x_small - 0.1, 600),  // small (straddles tiny)
-            ramp(x_small + 0.01, x_sat + 5.0, 600),  // big-only, crosses saturation
-            ramp(x_tiny - 10.0, x_sat + 10.0, 1200), // mixed, crosses a tile
+        let with = |mut c: [f64; CHUNK], at: &[(usize, f64)]| {
+            for &(i, x) in at {
+                c[i] = x;
+            }
+            c
+        };
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        // Each chunk with the route its screen must pick.
+        let chunks = [
+            (ramp(x_sat, x_sat + 30.0), "saturated"),
+            ([inf; CHUNK], "saturated"),
+            (ramp(x_tiny - 30.0, x_tiny - 1e-9), "tiny"),
+            (
+                with(ramp(x_tiny - 30.0, x_tiny - 1.0), &[(2, -inf)]),
+                "tiny",
+            ),
+            (ramp(x_tiny - 1.0, x_small - 1e-9), "polynomial"),
+            (ramp(x_small, x_sat + 1.0), "big"),
+            (ramp(x_small - 0.5, x_small + 0.5), "mixed"),
+            (ramp(x_tiny - 5.0, x_sat + 5.0), "mixed"),
+            (with(ramp(x_sat, x_sat + 3.0), &[(5, nan)]), "mixed"),
+            (with(ramp(x_tiny - 9.0, x_tiny - 2.0), &[(0, nan)]), "mixed"),
+            (
+                with(ramp(x_tiny - 9.0, x_small + 2.0), &[(3, inf), (6, -inf)]),
+                "mixed",
+            ),
         ];
+        for (c, want) in &chunks {
+            let got = match hazard_regime(c, x_tiny, x_small, x_sat) {
+                Regime::Saturated => "saturated",
+                Regime::Tiny => "tiny",
+                Regime::Polynomial => "polynomial",
+                Regime::Big => "big",
+                Regime::Mixed => "mixed",
+            };
+            assert_eq!(got, *want, "{c:?}");
+        }
+        let xs: Vec<f64> = chunks.iter().flat_map(|(c, _)| *c).collect();
+        let check = |xs: &[f64], what: &str| {
+            let mut out = vec![0.0; xs.len()];
+            failure_term_slice(xs, scale, &mut out);
+            for (i, (&x, &got)) in xs.iter().zip(&out).enumerate() {
+                let want = failure_term_reference(x, scale);
+                assert!(
+                    same_term(got, want),
+                    "{what} idx {i} x={x}: {got:e} vs {want:e}"
+                );
+            }
+        };
         for w in [LaneWidth::W4, LaneWidth::W8] {
             force_width(Some(w));
-            for (case, xs) in cases.iter().enumerate() {
-                let lo = xs.iter().fold(f64::INFINITY, |m, &x| m.min(x));
-                let hi = xs.iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x));
-                let mut bounded = vec![0.0; xs.len()];
-                let mut unbounded = vec![0.0; xs.len()];
-                failure_term_slice_bounded(xs, scale, lo, hi, &mut bounded);
-                failure_term_slice(xs, scale, &mut unbounded);
-                for (i, (&b, &u)) in bounded.iter().zip(&unbounded).enumerate() {
-                    assert_eq!(b.to_bits(), u.to_bits(), "{w:?} case {case} idx {i}");
+            check(&xs, &format!("{w:?} whole"));
+            for at in (0..xs.len()).step_by(CHUNK) {
+                for start in 0..CHUNK {
+                    for len in 0..=17 {
+                        let from = at + start;
+                        if from + len <= xs.len() {
+                            let what = format!("{w:?} xs[{from}..][..{len}]");
+                            check(&xs[from..from + len], &what);
+                        }
+                    }
                 }
             }
-            // NaN bounds (NaN coefficients upstream) fail every screen
-            // comparison and still propagate elementwise NaN.
-            let xs = [x_small + 1.0, f64::NAN, x_tiny - 1.0];
-            let mut out = [0.0; 3];
-            failure_term_slice_bounded(&xs, scale, f64::NAN, f64::NAN, &mut out);
-            assert!(!out[0].is_nan() && out[1].is_nan() && !out[2].is_nan());
-            assert_eq!(
-                out[0].to_bits(),
-                failure_term_reference(xs[0], scale).to_bits()
-            );
         }
         force_width(None);
     }
@@ -2809,11 +2663,11 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    fn map_alike<const W: usize, E: Elem>(what: &str, op: E, xs: &[f64]) {
-        same_bits_on_every_isa(&format!("{what} W={W}"), |isa| {
+    fn map_alike<E: Elem>(what: &str, op: E, xs: &[f64]) {
+        same_bits_on_every_isa(what, |isa| {
             let mut out = vec![0.0; xs.len()];
             run_on(
-                MapSlice::<W, E> {
+                MapSlice {
                     op,
                     xs,
                     out: &mut out,
@@ -2824,26 +2678,18 @@ mod tests {
         });
     }
 
-    fn slice_kernels_alike<const W: usize>(xs: &[f64], zs: &[f64], scale: f64) {
-        let x_tiny = (FAILURE_TINY_Z / scale).ln();
-        let x_small = (EXPM1_SWITCH / scale).ln();
-        map_alike::<W, _>("exp", ExpOp, xs);
-        map_alike::<W, _>("exp_m1", ExpM1Op, xs);
-        map_alike::<W, _>("ln_1p", Ln1pOp, xs);
-        map_alike::<W, _>("negated hazard", NegHazardOp { scale }, xs);
-        map_alike::<W, _>("small fused", SmallFusedOp { scale, x_tiny }, xs);
-        map_alike::<W, _>("tiny fused", TinyFusedOp { scale }, xs);
-        map_alike::<W, _>("big arm", BigZOp, zs);
-        same_bits_on_every_isa(&format!("failure finish W={W}"), |isa| {
+    fn slice_kernels_alike(xs: &[f64], scale: f64) {
+        map_alike("exp", ExpOp, xs);
+        map_alike("exp_m1", ExpM1Op, xs);
+        map_alike("ln_1p", Ln1pOp, xs);
+        same_bits_on_every_isa("failure term", |isa| {
             let mut out = vec![0.0; xs.len()];
-            let finish = FailureFinish::<W> {
+            let term = FailureTerm {
                 xs,
-                zs,
-                x_tiny,
-                x_small,
+                scale,
                 out: &mut out,
             };
-            run_on(finish, isa);
+            run_on(term, isa);
             bits(&out)
         });
     }
@@ -3002,15 +2848,13 @@ mod tests {
         // Every `Kernel` run through `run` (the portable tier) and through
         // each `#[target_feature]` trampoline this CPU supports must give
         // the same bits: the trampolines change codegen, never
-        // arithmetic. The arguments cross every failure-term regime
-        // (vanishing, polynomial, mixed, saturated), carry a NaN, and
-        // leave a ragged tail after the last full chunk.
+        // arithmetic. The arguments put failure-term chunks in every
+        // regime (tiny, polynomial, big, saturated and mixed), carry a
+        // NaN, and leave a ragged tail after the last full chunk.
         let scale = 3.2e-3;
         let mut xs: Vec<f64> = (0..203).map(|i| -30.0 + 0.37 * i as f64).collect();
         xs[17] = f64::NAN;
-        let zs: Vec<f64> = xs.iter().map(|&x| -scale * exp_core(x)).collect();
-        slice_kernels_alike::<4>(&xs, &zs, scale);
-        slice_kernels_alike::<8>(&xs, &zs, scale);
+        slice_kernels_alike(&xs, scale);
         matvec_alike::<1>();
         matvec_alike::<4>();
         matvec_alike::<8>();
