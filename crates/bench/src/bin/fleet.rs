@@ -3,9 +3,10 @@
 //!
 //! Six gates, any failure exits non-zero:
 //!
-//! 1. **Cross-thread/shard determinism** — the deterministic aggregate
-//!    block of [`statobd::FleetReport`] must render to bit-identical JSON
-//!    across a thread × shard matrix (1/2/8 threads × 1/2/5 shards).
+//! 1. **Cross-thread determinism** — the deterministic aggregate block of
+//!    [`statobd::FleetReport`] must render to bit-identical JSON across
+//!    1, 2, 3 and 7 threads, one shard each: uneven shard boundaries over
+//!    a fleet whose last tile is ragged.
 //! 2. **Constant memory** — every run must report
 //!    `workspaces_created <= shards`: the hot path allocates one reusable
 //!    workspace per shard and nothing per chip.
@@ -25,7 +26,7 @@
 //!    real regression stays.
 //! 6. **Spares determinism** — the same fleet with one spare block
 //!    (`spares: 1`, the lane Poisson-binomial fold) must render
-//!    bit-identical aggregates across the full thread × shard matrix at
+//!    bit-identical aggregates across the whole thread matrix at
 //!    width 1 and at the default width, agree across the two widths
 //!    within [`DIVERGENCE_GATE`], and never exceed the failure budget
 //!    more often than the weakest-link fleet.
@@ -62,9 +63,9 @@ use statobd_num::simd::{self, LaneWidth};
 /// Wall-clock budget for the full-mode headline run (10⁶ chips).
 const HEADLINE_BUDGET_S: f64 = 120.0;
 
-/// Thread × shard determinism matrix.
-const THREAD_MATRIX: [usize; 3] = [1, 2, 8];
-const SHARD_MATRIX: [usize; 3] = [1, 2, 5];
+/// Determinism matrix: thread counts, one shard each. 3 and 7 split the
+/// determinism fleets' 8 (`--quick`) or 79 tiles unevenly.
+const THREAD_MATRIX: [usize; 4] = [1, 2, 3, 7];
 
 /// Minimum tiled/scalar throughput ratio on the datacenter profile at
 /// lane width 8 — the cross-chip tiling headline claim.
@@ -223,17 +224,11 @@ fn bench_session() -> Session {
     Session::build(&AnalysisSpec::chip(chip).with_grid_side(10)).expect("bench model compiles")
 }
 
-fn config(
-    chips: u64,
-    profile: MissionProfile,
-    threads: usize,
-    shards: Option<usize>,
-) -> FleetConfig {
+fn config(chips: u64, profile: MissionProfile, threads: usize) -> FleetConfig {
     FleetConfig {
         chips,
         profile,
         threads: (threads > 0).then_some(threads),
-        shards,
         ..FleetConfig::default()
     }
 }
@@ -282,14 +277,14 @@ fn push_row(
     gates.check(r.deterministic && r.workspaces_ok, || {
         format!(
             "{scenario} {profile} w={} t={} s={}: aggregates diverged across \
-             threads/shards or the hot path allocated per chip",
+             threads or the hot path allocated per chip",
             r.lane_width, r.threads, r.shards
         )
     });
     rows.push(r);
 }
 
-/// Runs `base` across the thread × shard matrix at lane width `width`
+/// Runs `base` across the thread matrix at lane width `width`
 /// (`None`: the default dispatch), one row each, gating aggregates
 /// bit-identical (compared as compact JSON) to the first run, which it
 /// returns.
@@ -304,21 +299,18 @@ fn matrix(
 ) -> FleetReport {
     let mut reference: Option<FleetReport> = None;
     for threads in THREAD_MATRIX {
-        for shards in SHARD_MATRIX {
-            simd::force_width(width);
-            let cfg = FleetConfig {
-                threads: Some(threads),
-                shards: Some(shards),
-                ..base.clone()
-            };
-            let report = run_fleet(analysis, tech, &cfg).expect("fleet runs");
-            simd::force_width(None);
-            let deterministic = reference.as_ref().is_none_or(|r| {
-                json::to_string(&r.aggregates) == json::to_string(&report.aggregates)
-            });
-            push_row(rows, gates, &report, scenario, "datacenter", deterministic);
-            reference.get_or_insert(report);
-        }
+        simd::force_width(width);
+        let cfg = FleetConfig {
+            threads: Some(threads),
+            ..base.clone()
+        };
+        let report = run_fleet(analysis, tech, &cfg).expect("fleet runs");
+        simd::force_width(None);
+        let deterministic = reference
+            .as_ref()
+            .is_none_or(|r| json::to_string(&r.aggregates) == json::to_string(&report.aggregates));
+        push_row(rows, gates, &report, scenario, "datacenter", deterministic);
+        reference.get_or_insert(report);
     }
     reference.expect("the matrix is not empty")
 }
@@ -370,11 +362,11 @@ fn main() {
     let tech = ClosedFormTech::nominal_45nm();
     let mut rows = Vec::new();
 
-    // Gate 1+2 — the determinism matrix: one fleet, every thread × shard
-    // combination, aggregates compared bit-for-bit.
+    // Gate 1+2 — the determinism matrix: one fleet at every thread count
+    // of the matrix, aggregates compared bit-for-bit.
     let det_chips: u64 = if quick { 2_000 } else { 20_000 };
     println!("determinism matrix ({det_chips} chips):");
-    let datacenter = |chips| config(chips, MissionProfile::datacenter(), 0, None);
+    let datacenter = |chips| config(chips, MissionProfile::datacenter(), 0);
     let det_cfg = datacenter(det_chips);
     let weakest_link = matrix(
         analysis,
@@ -389,7 +381,7 @@ fn main() {
     // Gate 6 — the redundancy-aware scenario: the same fleet with one
     // spare over the chip's blocks, composed by the lane Poisson-binomial
     // fold. At each width (forced width 1, then the default dispatch) the
-    // aggregates must be bit-identical across the thread × shard matrix;
+    // aggregates must be bit-identical across the thread matrix;
     // across the two widths they must agree within DIVERGENCE_GATE.
     let spares_chips: u64 = if quick { 2_000 } else { 20_000 };
     let default_width = simd::active_width();
@@ -439,8 +431,8 @@ fn main() {
     println!("profile throughput ({prof_chips} chips):");
     for profile in MissionProfile::all() {
         let name = profile.name();
-        let report = run_fleet(analysis, &tech, &config(prof_chips, profile, threads, None))
-            .expect("fleet runs");
+        let report =
+            run_fleet(analysis, &tech, &config(prof_chips, profile, threads)).expect("fleet runs");
         push_row(&mut rows, &mut gates, &report, "throughput", name, true);
     }
 
@@ -455,11 +447,11 @@ fn main() {
         println!("scalar vs tiled, single thread ({sp_chips} chips):");
         let spares = FleetConfig {
             spares: 1,
-            ..config(sp_chips, MissionProfile::datacenter(), 1, None)
+            ..config(sp_chips, MissionProfile::datacenter(), 1)
         };
         let configs = MissionProfile::all()
             .into_iter()
-            .map(|profile| config(sp_chips, profile, 1, None))
+            .map(|profile| config(sp_chips, profile, 1))
             .chain([spares]);
         for cfg in configs {
             // The datacenter rows chase the width-8 headline bar.
@@ -503,7 +495,7 @@ fn main() {
     let report = run_fleet(
         analysis,
         &tech,
-        &config(headline_chips, MissionProfile::datacenter(), threads, None),
+        &config(headline_chips, MissionProfile::datacenter(), threads),
     )
     .expect("fleet runs");
     gates.bar(report.run_s <= HEADLINE_BUDGET_S, || {

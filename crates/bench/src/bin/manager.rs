@@ -32,7 +32,7 @@ use statobd_bench::session_for;
 use statobd_circuits::Benchmark;
 use statobd_core::{HybridTables, ReliabilityEngine};
 use statobd_device::ClosedFormTech;
-use statobd_manager::{DvfsLevel, ManagerConfig, PolicyConfig, ReliabilityManager};
+use statobd_manager::{DvfsLevel, PolicyConfig, ReliabilityManager};
 use statobd_num::flags::{at_least, list};
 use statobd_num::impl_json_struct;
 use std::time::Instant;
@@ -152,12 +152,9 @@ fn main() {
             n_blocks,
             analysis.spec().total_devices()
         );
-        let manager_config = ManagerConfig {
-            tables: statobd_core::HybridConfig {
-                threads,
-                ..statobd_core::HybridConfig::default()
-            },
-            ..ManagerConfig::default()
+        let tables = statobd_core::HybridConfig {
+            threads,
+            ..statobd_core::HybridConfig::default()
         };
 
         // Scenario 1 — "monitor": a constant operating point at the
@@ -169,7 +166,7 @@ fn main() {
             analysis,
             Box::new(tech),
             PolicyConfig::monitoring_only(1.0, service_life_s),
-            manager_config,
+            tables,
         )
         .expect("manager builds");
         let build_s = build_start.elapsed().as_secs_f64();
@@ -246,7 +243,7 @@ fn main() {
             ],
         };
         let build_start = Instant::now();
-        let mut mgr = ReliabilityManager::new(analysis, Box::new(tech), policy, manager_config)
+        let mut mgr = ReliabilityManager::new(analysis, Box::new(tech), policy, tables)
             .expect("manager builds");
         let build_s = build_start.elapsed().as_secs_f64();
 

@@ -1,4 +1,4 @@
-//! Shared plumbing of the bench binaries and cargo benches: building the
+//! Shared plumbing of the bench binaries: building the
 //! Table II thickness model for a design ([`thickness_model_for`]),
 //! characterizing it ([`analyze`]), compiling a design through the facade
 //! ([`session_for`]), timing a code path ([`measure_min`]), and the
@@ -16,7 +16,7 @@ use statobd_device::ObdTechnology;
 use statobd_variation::{CorrelationKernel, ThicknessModel, ThicknessModelBuilder, VarianceBudget};
 
 pub mod harness;
-pub mod timing;
+mod timing;
 
 /// Default lifetime search bracket (seconds).
 pub const BRACKET: (f64, f64) = (1e6, 1e12);
@@ -69,5 +69,5 @@ pub const MIN_MEASURE_S: f64 = 1e-3;
 /// returning seconds per single call of `f`. The first (probe) call also
 /// serves as a warm-up for caches and lazy state inside `f`.
 pub fn measure_min<T>(f: impl FnMut() -> T) -> f64 {
-    timing::sample(MIN_MEASURE_S, MEASURE_REPS - 1, f64::INFINITY, f).best_s
+    timing::sample(MIN_MEASURE_S, MEASURE_REPS - 1, f)
 }

@@ -348,11 +348,6 @@ impl HybridTables {
         self.off_grid.load(Ordering::Relaxed)
     }
 
-    /// Resets the off-grid query counter to zero.
-    pub fn reset_off_grid_queries(&self) {
-        self.off_grid.store(0, Ordering::Relaxed);
-    }
-
     fn table(&self, block_idx: usize) -> Result<&BlockTable> {
         self.tables
             .get(block_idx)
@@ -672,15 +667,13 @@ mod tests {
         let _ = h.block_failure_probability_at_age(0, 1e-3, 0.5).unwrap();
         let _ = h.block_failure_probability_at_age(0, 1e-3, 1.5).unwrap();
         assert_eq!(h.off_grid_queries(), 3);
-        h.reset_off_grid_queries();
-        assert_eq!(h.off_grid_queries(), 0);
         // The engine-trait paths count too (scalar and batched agree).
         let far_future = 1e18;
         let _ = h.failure_probability(far_future).unwrap();
-        let scalar_count = h.off_grid_queries();
+        let scalar_count = h.off_grid_queries() - 3;
         assert_eq!(scalar_count, h.n_blocks() as u64);
         let _ = h.failure_probabilities(&[far_future]).unwrap();
-        assert_eq!(h.off_grid_queries(), 2 * scalar_count);
+        assert_eq!(h.off_grid_queries() - 3, 2 * scalar_count);
     }
 
     #[test]
@@ -716,12 +709,12 @@ mod tests {
             assert!(rel < 0.01, "base {pb:e} vs widened {pw:e} at t={t:e}");
         }
         // And the widened table keeps the far tail on-grid.
-        wide.reset_off_grid_queries();
+        let before = wide.off_grid_queries();
         let block = &a.blocks()[0];
         let xi_far = (4.0_f64).exp();
         let _ = wide
             .block_failure_probability_at_age(0, xi_far, block.b_per_nm())
             .unwrap();
-        assert_eq!(wide.off_grid_queries(), 0);
+        assert_eq!(wide.off_grid_queries(), before);
     }
 }

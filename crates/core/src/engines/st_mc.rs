@@ -210,16 +210,6 @@ impl<'a> StMc<'a> {
         }
         Ok(acc / n_samples as f64)
     }
-
-    /// The joint histogram of block `block_idx` (used by the Fig. 6/7
-    /// reproduction to compare joint vs marginal-product PDFs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_idx` is out of range.
-    pub fn joint_histogram(&self, block_idx: usize) -> &Histogram2d {
-        &self.joints[block_idx].hist
-    }
 }
 
 /// Fills `chunk` (flat `[sample][block]` layout) with exact `(u, v)`
@@ -491,13 +481,5 @@ mod tests {
         assert!(p1 > p2 && p2 > p3, "{p1:e} {p2:e} {p3:e}");
         assert!(p2 > 0.0);
         assert!(e.failure_probability_multi(t, 0).is_err());
-    }
-
-    #[test]
-    fn joint_histogram_is_exposed() {
-        let a = analysis();
-        let e = StMc::new(&a, StMcConfig::default()).unwrap();
-        let h = e.joint_histogram(0);
-        assert_eq!(h.total(), StMcConfig::default().n_samples as u64);
     }
 }

@@ -3,7 +3,6 @@
 use crate::{DeviceError, Result};
 use statobd_num::impl_json_struct;
 use statobd_num::json::{FromJson, Json, JsonError, ToJson};
-use statobd_num::rng::{sample_exp1, Rng};
 
 /// The failure criterion for OBD analysis.
 ///
@@ -163,19 +162,11 @@ impl DeviceObd {
         let target = -(-p).ln_1p() / self.area;
         Ok(self.alpha_s * target.powf(1.0 / self.weibull_slope()))
     }
-
-    /// Samples one failure time by inversion: `t = α·(E/a)^(1/β)` with
-    /// `E ~ Exp(1)`.
-    pub fn sample_failure_time<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let e = sample_exp1(rng);
-        self.alpha_s * (e / self.area).powf(1.0 / self.weibull_slope())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use statobd_num::rng::Xoshiro256pp;
 
     fn device() -> DeviceObd {
         DeviceObd::new(1.0, 2.2, 1.0e16, 0.65).unwrap()
@@ -242,19 +233,6 @@ mod tests {
         let t = d.quantile(1e-9).unwrap();
         let h = d.hazard_exponent(t);
         assert!((h - 1e-9).abs() / 1e-9 < 1e-9);
-    }
-
-    #[test]
-    fn sampled_failure_times_match_cdf() {
-        let d = device();
-        let mut rng = Xoshiro256pp::seed_from_u64(77);
-        let n = 100_000;
-        let t_median = d.quantile(0.5).unwrap();
-        let below = (0..n)
-            .filter(|_| d.sample_failure_time(&mut rng) < t_median)
-            .count();
-        let frac = below as f64 / n as f64;
-        assert!((frac - 0.5).abs() < 0.01, "median fraction {frac}");
     }
 
     #[test]

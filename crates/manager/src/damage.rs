@@ -104,17 +104,6 @@ impl DamageState {
         Ok(())
     }
 
-    /// The ages this state would reach after `extra_s` more seconds at
-    /// the operating point described by `alphas_s` — the policy layer's
-    /// end-of-service projection (does not mutate the state).
-    pub fn projected_ages(&self, extra_s: f64, alphas_s: &[f64]) -> Vec<f64> {
-        self.xi
-            .iter()
-            .zip(alphas_s)
-            .map(|(&xi, &alpha)| xi + extra_s / alpha)
-            .collect()
-    }
-
     /// Serializes the state to JSON for checkpointing.
     pub fn to_json(&self) -> String {
         statobd_num::json::to_string(self)
@@ -176,15 +165,6 @@ mod tests {
         d.advance(40.0, &[10.0, 20.0, 50.0]).unwrap();
         assert_eq!(d.effective_ages()[1], 2.0);
         assert!(d.repair(3).is_err());
-    }
-
-    #[test]
-    fn projection_does_not_mutate() {
-        let mut d = DamageState::new(1);
-        d.advance(10.0, &[10.0]).unwrap();
-        let proj = d.projected_ages(90.0, &[10.0]);
-        assert_eq!(proj, vec![10.0]);
-        assert_eq!(d.effective_ages(), &[1.0]);
     }
 
     #[test]

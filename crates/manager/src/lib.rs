@@ -48,7 +48,7 @@ mod profile;
 mod schedule;
 
 pub use damage::DamageState;
-pub use manager::{ManagerConfig, ReliabilityManager, StepReport};
+pub use manager::{ReliabilityManager, StepReport};
 pub use policy::{DvfsLevel, PolicyConfig};
 pub use profile::{MissionProfile, YEAR_S};
 pub use schedule::{ManageSpec, OperatingPhase, PhaseSpec};

@@ -8,31 +8,12 @@ use crate::{ManagerError, Result};
 use statobd_core::{ChipAnalysis, HybridConfig, HybridTables};
 use statobd_device::ObdTechnology;
 
-/// Construction options for [`ReliabilityManager::new`].
-#[derive(Debug, Clone, Copy)]
-pub struct ManagerConfig {
-    /// Base hybrid-table configuration. The `γ` and `b` ranges are
-    /// widened automatically ([`HybridConfig::covering_gamma`] /
-    /// [`HybridConfig::covering_b`]) so the whole service life stays
-    /// on-grid at any operating point up to the sizing headroom.
-    pub tables: HybridConfig,
-    /// Temperature headroom (K) added above the hottest (and below the
-    /// coolest) block specification temperature when sizing the table
-    /// ranges.
-    pub temp_headroom_k: f64,
-    /// Safety margin added to the widened upper `γ` edge (log units).
-    pub gamma_margin: f64,
-}
+/// Temperature headroom (K) added above the hottest (and below the
+/// coolest) block specification temperature when sizing the table ranges.
+const TEMP_HEADROOM_K: f64 = 20.0;
 
-impl Default for ManagerConfig {
-    fn default() -> Self {
-        ManagerConfig {
-            tables: HybridConfig::default(),
-            temp_headroom_k: 20.0,
-            gamma_margin: 0.5,
-        }
-    }
-}
+/// Safety margin added to the widened upper `γ` edge (log units).
+const GAMMA_MARGIN: f64 = 0.5;
 
 /// What one manager step observed and decided.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,11 +60,13 @@ impl ReliabilityManager {
     /// Builds the manager's lookup tables over `analysis`, sized for the
     /// policy's service life.
     ///
-    /// The `γ` range is widened to
-    /// `ln(service_life / α(T_max + headroom, V_max)) + margin` so the
-    /// tables cover end-of-service ages even at the worst operating
-    /// point the ladder can grant; the `b` range is widened to cover
-    /// `b(T)` over the headroom-extended temperature window.
+    /// `tables` is the base hybrid-table configuration. Its `γ` range is
+    /// widened ([`HybridConfig::covering_gamma`]) to
+    /// `ln(service_life / α(T_max + 20 K, V_max)) + 0.5` so the tables
+    /// cover end-of-service ages even at the worst operating point the
+    /// ladder can grant; its `b` range is widened
+    /// ([`HybridConfig::covering_b`]) to cover `b(T)` over the block
+    /// specification temperatures ± 20 K.
     ///
     /// # Errors
     ///
@@ -93,7 +76,7 @@ impl ReliabilityManager {
         analysis: &ChipAnalysis,
         tech: Box<dyn ObdTechnology>,
         policy: PolicyConfig,
-        config: ManagerConfig,
+        tables: HybridConfig,
     ) -> Result<Self> {
         policy.validate()?;
         let blocks = analysis.blocks();
@@ -101,12 +84,12 @@ impl ReliabilityManager {
             .iter()
             .map(|b| b.spec().temperature_k())
             .fold(f64::MIN, f64::max)
-            + config.temp_headroom_k;
+            + TEMP_HEADROOM_K;
         let t_lo = (blocks
             .iter()
             .map(|b| b.spec().temperature_k())
             .fold(f64::MAX, f64::min)
-            - config.temp_headroom_k)
+            - TEMP_HEADROOM_K)
             .max(200.0);
         let v_spec = blocks
             .iter()
@@ -125,7 +108,7 @@ impl ReliabilityManager {
         // Hotter and higher-voltage → smaller α → larger end-of-service
         // γ = ln(t_svc/α); size the grid for the worst case.
         let alpha_min = tech.alpha(t_hi, v_max);
-        let gamma_hi = (policy.service_life_s / alpha_min).ln() + config.gamma_margin;
+        let gamma_hi = (policy.service_life_s / alpha_min).ln() + GAMMA_MARGIN;
         // b(T) need not be monotone for table-driven technologies:
         // sample the window.
         let (mut b_lo, mut b_hi) = (f64::MAX, f64::MIN);
@@ -134,10 +117,7 @@ impl ReliabilityManager {
             b_lo = b_lo.min(b);
             b_hi = b_hi.max(b);
         }
-        let table_config = config
-            .tables
-            .covering_gamma(gamma_hi)
-            .covering_b(b_lo, b_hi);
+        let table_config = tables.covering_gamma(gamma_hi).covering_b(b_lo, b_hi);
         let tables = HybridTables::build(analysis, table_config)?;
         Ok(ReliabilityManager {
             damage: DamageState::new(blocks.len()),
@@ -266,9 +246,10 @@ impl ReliabilityManager {
     /// # Errors
     ///
     /// Returns [`ManagerError::InvalidParameter`] for a bad operating
-    /// point — including a temperature that is not finite and above 0 K
-    /// at any ladder level's offset — before any damage accrues, and
-    /// propagates table-query failures.
+    /// point — including a temperature that is not finite and above 0 K,
+    /// or at which `α` or `b` is not finite and positive, at any ladder
+    /// level's offset — before any state changes, and propagates
+    /// table-query failures.
     pub fn step(&mut self, dt_s: f64, temps_k: &[f64], vdd_req_v: f64) -> Result<StepReport> {
         if temps_k.len() != self.last_b.len() {
             return Err(ManagerError::InvalidParameter {
@@ -284,20 +265,7 @@ impl ReliabilityManager {
                 detail: format!("requested voltage must be positive, got {vdd_req_v}"),
             });
         }
-        // The coolest ladder offset bounds every temperature the step
-        // evaluates, whichever level it ends on.
-        let coolest_k = self
-            .policy
-            .levels
-            .iter()
-            .map(|l| l.dt_when_capped_k)
-            .fold(0.0, f64::min);
-        let evaluated = temps_k.iter().flat_map(|&t| [t, t + coolest_k]);
-        if let Some(bad) = unphysical_temperature(evaluated) {
-            return Err(ManagerError::InvalidParameter {
-                detail: format!("temperature {bad} K is not physical"),
-            });
-        }
+        self.check_operating_points(temps_k, vdd_req_v)?;
         // 1. Damage accrues at the operating point the current level
         //    grants.
         let (vdd_v, capped, dt_k) = self.granted(vdd_req_v, self.level);
@@ -359,6 +327,38 @@ impl ReliabilityManager {
         (0..steps)
             .map(|_| self.step(dt_s, &phase.temps_k, phase.vdd_v))
             .collect()
+    }
+
+    /// Checks every operating point a step can evaluate, whichever level
+    /// it ends on, so a bad one is rejected before any state changes:
+    /// each block at offset 0 and at every level's capped offset needs a
+    /// finite temperature above 0 K and a finite positive `b(T)`, and
+    /// each level's grant a finite positive `α(T, V)`.
+    fn check_operating_points(&self, temps_k: &[f64], vdd_req_v: f64) -> Result<()> {
+        let invalid = |detail| Err(ManagerError::InvalidParameter { detail });
+        for (level, lv) in self.policy.levels.iter().enumerate() {
+            let (vdd_v, _, dt_k) = self.granted(vdd_req_v, level);
+            for &t in temps_k {
+                let evaluated = [t, t + lv.dt_when_capped_k];
+                if let Some(bad) = unphysical_temperature(evaluated) {
+                    return invalid(format!("temperature {bad} K is not physical"));
+                }
+                for t_k in evaluated {
+                    let b = self.tech.b(t_k);
+                    if !(b > 0.0 && b.is_finite()) {
+                        return invalid(format!("b({t_k} K) = {b} /nm is not finite and positive"));
+                    }
+                }
+                let alpha = self.tech.alpha(t + dt_k, vdd_v);
+                if !(alpha > 0.0 && alpha.is_finite()) {
+                    return invalid(format!(
+                        "α({} K, {vdd_v} V) = {alpha} s is not finite and positive",
+                        t + dt_k
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The operating point level `level` grants for a request:
@@ -435,7 +435,36 @@ mod tests {
             a,
             Box::new(ClosedFormTech::nominal_45nm()),
             PolicyConfig::monitoring_only(1.0, 10.0 * YEAR_S),
-            ManagerConfig::default(),
+            HybridConfig::default(),
+        )
+        .unwrap()
+    }
+
+    /// A turbo/nominal ladder under a budget tight enough that sustained
+    /// turbo overruns it, but loose enough for the nominal rung to hold.
+    fn throttling_manager(a: &ChipAnalysis) -> ReliabilityManager {
+        let policy = PolicyConfig {
+            budget: 5e-6,
+            service_life_s: 10.0 * YEAR_S,
+            hysteresis: 0.8,
+            levels: vec![
+                DvfsLevel {
+                    name: "turbo".to_string(),
+                    vdd_cap_v: 1.26,
+                    dt_when_capped_k: 0.0,
+                },
+                DvfsLevel {
+                    name: "nominal".to_string(),
+                    vdd_cap_v: 1.20,
+                    dt_when_capped_k: -8.0,
+                },
+            ],
+        };
+        ReliabilityManager::new(
+            a,
+            Box::new(ClosedFormTech::nominal_45nm()),
+            policy,
+            HybridConfig::default(),
         )
         .unwrap()
     }
@@ -499,32 +528,7 @@ mod tests {
     #[test]
     fn throttle_engages_and_respects_hysteresis() {
         let a = analysis();
-        // A budget tight enough that sustained turbo overruns it, but
-        // loose enough for the nominal rung to hold.
-        let policy = PolicyConfig {
-            budget: 5e-6,
-            service_life_s: 10.0 * YEAR_S,
-            hysteresis: 0.8,
-            levels: vec![
-                DvfsLevel {
-                    name: "turbo".to_string(),
-                    vdd_cap_v: 1.26,
-                    dt_when_capped_k: 0.0,
-                },
-                DvfsLevel {
-                    name: "nominal".to_string(),
-                    vdd_cap_v: 1.20,
-                    dt_when_capped_k: -8.0,
-                },
-            ],
-        };
-        let mut mgr = ReliabilityManager::new(
-            &a,
-            Box::new(ClosedFormTech::nominal_45nm()),
-            policy,
-            ManagerConfig::default(),
-        )
-        .unwrap();
+        let mut mgr = throttling_manager(&a);
         let temps: Vec<f64> = a
             .blocks()
             .iter()
@@ -710,10 +714,46 @@ mod tests {
             &a,
             Box::new(ClosedFormTech::nominal_45nm()),
             policy,
-            ManagerConfig::default(),
+            HybridConfig::default(),
         )
         .unwrap();
         assert!(laddered.step(YEAR_S, &[5.0, 341.15], 1.2).is_err());
         assert_eq!(laddered.damage().elapsed_s(), 0.0);
+    }
+
+    #[test]
+    fn a_step_past_b_zero_changes_no_state() {
+        // b(T) = b_ref·(1 − c_b·(T − T_ref)) crosses zero near 2,000 K:
+        // a step there must be rejected before it advances the damage,
+        // the b ordinate or the ladder.
+        let a = analysis();
+        let mut mgr = throttling_manager(&a);
+        let temps: Vec<f64> = a
+            .blocks()
+            .iter()
+            .map(|b| b.spec().temperature_k())
+            .collect();
+        while mgr.level() == 0 {
+            mgr.step(YEAR_S / 12.0, &temps, 1.26).unwrap();
+        }
+        let bits = |m: &ReliabilityManager| {
+            let d = m.damage();
+            let ages: Vec<u64> = d.effective_ages().iter().map(|x| x.to_bits()).collect();
+            let p_now = m.failure_probability_now().unwrap().to_bits();
+            (
+                ages,
+                d.elapsed_s().to_bits(),
+                m.level(),
+                m.transitions(),
+                p_now,
+            )
+        };
+        let before = bits(&mgr);
+        let hot: Vec<f64> = temps.iter().map(|t| t + 2000.0).collect();
+        let errors = [1.0, 1.26].map(|vdd| mgr.step(YEAR_S, &hot, vdd).unwrap_err().to_string());
+        assert_eq!(bits(&mgr), before);
+        for err in errors {
+            assert!(err.contains("b("), "{err}");
+        }
     }
 }

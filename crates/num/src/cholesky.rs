@@ -127,11 +127,6 @@ impl Cholesky {
         }
         out
     }
-
-    /// Log-determinant of `A` (twice the log-determinant of `L`).
-    pub fn ln_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -181,12 +176,5 @@ mod tests {
         let c = Cholesky::new(&a).unwrap();
         let z = [0.3, -1.2, 2.0];
         assert_eq!(c.correlate(&z), z.to_vec());
-    }
-
-    #[test]
-    fn ln_det_matches_product_of_pivots() {
-        let a = DMatrix::from_rows(&[&[4.0, 0.0], &[0.0, 9.0]]);
-        let c = Cholesky::new(&a).unwrap();
-        assert!((c.ln_det() - (36.0f64).ln()).abs() < 1e-12);
     }
 }

@@ -64,14 +64,6 @@ impl Normal {
         Ok(Normal { mean, std_dev })
     }
 
-    /// The standard normal `N(0, 1)`.
-    pub fn standard() -> Self {
-        Normal {
-            mean: 0.0,
-            std_dev: 1.0,
-        }
-    }
-
     /// Standard deviation σ.
     pub fn std_dev(&self) -> f64 {
         self.std_dev

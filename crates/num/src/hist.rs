@@ -227,12 +227,6 @@ impl Histogram1d {
         let norm = self.total_in_range.max(1) as f64 * self.bin_width();
         self.counts.iter().map(|&c| c as f64 / norm).collect()
     }
-
-    /// Empirical probability per bin (sums to 1 over in-range mass).
-    pub fn probabilities(&self) -> Vec<f64> {
-        let n = self.total_in_range.max(1) as f64;
-        self.counts.iter().map(|&c| c as f64 / n).collect()
-    }
 }
 
 /// A uniform-bin 2-D histogram over `[xlo, xhi) × [ylo, yhi)`.
@@ -304,11 +298,6 @@ impl Histogram2d {
     /// Total in-range observations.
     pub fn total(&self) -> u64 {
         self.total_in_range
-    }
-
-    /// Observations that fell outside the range.
-    pub fn outlier_count(&self) -> u64 {
-        self.outliers
     }
 
     /// (x bin width, y bin width).
@@ -555,7 +544,7 @@ mod tests {
         h.add(2.0, 0.5);
         h.add(0.5, -0.1);
         h.add(0.5, 0.5);
-        assert_eq!(h.outlier_count(), 2);
+        assert_eq!(h.outliers, 2);
         assert_eq!(h.total(), 1);
     }
 }

@@ -15,7 +15,7 @@
 //! The symmetric smoothing makes one V-cycle an SPD linear operator, so the
 //! cycle serves as a CG preconditioner ([`Preconditioner`] impl): the
 //! configuration ("MGCG") behind every thermal solve, at every grid size.
-//! A grid of at most `coarse_max_cells` cells has no fine level, so there
+//! A grid of at most 64 cells has no fine level, so there
 //! the V-cycle is the exact dense solve and MGCG converges in one step.
 
 use crate::cg::Preconditioner;
@@ -24,31 +24,16 @@ use crate::matrix::DMatrix;
 use crate::sparse::{CooMatrix, CsrMatrix};
 use crate::{NumError, Result};
 
-/// Tuning knobs for the multigrid hierarchy.
-#[derive(Debug, Clone, Copy)]
-pub struct MultigridOptions {
-    /// Damped-Jacobi sweeps before coarse-grid correction.
-    pub nu_pre: usize,
-    /// Damped-Jacobi sweeps after coarse-grid correction (keep equal to
-    /// `nu_pre` so the V-cycle stays symmetric for CG preconditioning).
-    pub nu_post: usize,
-    /// Jacobi damping factor; 0.8 is near-optimal for 5-point stencils.
-    pub omega: f64,
-    /// Stop coarsening once a level has at most this many cells and solve
-    /// it with a dense Cholesky factorization.
-    pub coarse_max_cells: usize,
-}
-
-impl Default for MultigridOptions {
-    fn default() -> Self {
-        MultigridOptions {
-            nu_pre: 1,
-            nu_post: 1,
-            omega: 0.8,
-            coarse_max_cells: 64,
-        }
-    }
-}
+/// Damped-Jacobi sweeps before coarse-grid correction.
+const NU_PRE: usize = 1;
+/// Damped-Jacobi sweeps after coarse-grid correction (equal to [`NU_PRE`]
+/// so the V-cycle stays symmetric for CG preconditioning).
+const NU_POST: usize = 1;
+/// Jacobi damping factor; 0.8 is near-optimal for 5-point stencils.
+const OMEGA: f64 = 0.8;
+/// Coarsening stops once a level has at most this many cells, which are
+/// solved with a dense Cholesky factorization.
+const COARSE_MAX_CELLS: usize = 64;
 
 /// One fine level of the hierarchy.
 #[derive(Debug, Clone)]
@@ -69,7 +54,7 @@ struct Level {
 ///
 /// ```
 /// use statobd_num::cg::{solve_pcg, CgOptions};
-/// use statobd_num::multigrid::{Multigrid, MultigridOptions};
+/// use statobd_num::multigrid::Multigrid;
 /// use statobd_num::sparse::CooMatrix;
 ///
 /// // 2-D Laplacian + small vertical loss on a 16x16 cell grid.
@@ -91,7 +76,7 @@ struct Level {
 ///     }
 /// }
 /// let a = coo.to_csr();
-/// let mg = Multigrid::new(&a, nx, ny, &MultigridOptions::default())?;
+/// let mg = Multigrid::new(&a, nx, ny)?;
 /// let b: Vec<f64> = (0..n).map(|i| (i % 5) as f64).collect();
 /// let sol = solve_pcg(&a, &b, None, &mg, &CgOptions::default())?;
 /// assert!(sol.relative_residual <= 1e-10);
@@ -102,8 +87,6 @@ pub struct Multigrid {
     n: usize,
     levels: Vec<Level>,
     coarse: Cholesky,
-    coarse_n: usize,
-    opts: MultigridOptions,
 }
 
 /// 1-D cell-center interpolation stencil: for each of `n_fine` fine cells,
@@ -152,11 +135,10 @@ impl Multigrid {
     ///
     /// # Errors
     ///
-    /// * [`NumError::Dimension`] if `a` is not `nx·ny × nx·ny` or any
-    ///   option is out of range,
+    /// * [`NumError::Dimension`] if `a` is not `nx·ny × nx·ny`,
     /// * [`NumError::NotPositiveDefinite`] if a diagonal is non-positive
     ///   on some level or the coarsest-level Cholesky fails.
-    pub fn new(a: &CsrMatrix, nx: usize, ny: usize, opts: &MultigridOptions) -> Result<Self> {
+    pub fn new(a: &CsrMatrix, nx: usize, ny: usize) -> Result<Self> {
         let n = nx * ny;
         if n == 0 || a.nrows() != n || a.ncols() != n {
             return Err(NumError::Dimension {
@@ -167,18 +149,10 @@ impl Multigrid {
                 ),
             });
         }
-        if !(opts.omega > 0.0 && opts.omega < 2.0) || opts.coarse_max_cells == 0 {
-            return Err(NumError::Dimension {
-                detail: format!(
-                    "multigrid options out of range: omega {}, coarse_max_cells {}",
-                    opts.omega, opts.coarse_max_cells
-                ),
-            });
-        }
         let mut levels = Vec::new();
         let mut a_cur = a.clone();
         let (mut cx, mut cy) = (nx, ny);
-        while cx * cy > opts.coarse_max_cells && (cx > 2 || cy > 2) {
+        while cx * cy > COARSE_MAX_CELLS && (cx > 2 || cy > 2) {
             let (ncx, ncy) = (cx.div_ceil(2).max(1), cy.div_ceil(2).max(1));
             let p = prolongation(cx, cy, ncx, ncy);
             let r = p.transpose();
@@ -196,28 +170,12 @@ impl Multigrid {
         let coarse_n = cx * cy;
         let dense = DMatrix::from_fn(coarse_n, coarse_n, |i, j| a_cur.get(i, j));
         let coarse = Cholesky::new(&dense)?;
-        Ok(Multigrid {
-            n,
-            levels,
-            coarse,
-            coarse_n,
-            opts: *opts,
-        })
+        Ok(Multigrid { n, levels, coarse })
     }
 
     /// Operator dimension (`nx·ny`).
     pub fn dim(&self) -> usize {
         self.n
-    }
-
-    /// Number of levels, counting the coarsest direct-solve level.
-    pub fn n_levels(&self) -> usize {
-        self.levels.len() + 1
-    }
-
-    /// Cells on the coarsest (direct-solve) level.
-    pub fn coarse_cells(&self) -> usize {
-        self.coarse_n
     }
 
     /// Runs one V-cycle for `A·x = b`, refining `x` in place.
@@ -237,7 +195,7 @@ impl Multigrid {
         for _ in 0..sweeps {
             level.a.mul_vec_into(x, &mut ax);
             for i in 0..n {
-                x[i] += self.opts.omega * level.inv_diag[i] * (b[i] - ax[i]);
+                x[i] += OMEGA * level.inv_diag[i] * (b[i] - ax[i]);
             }
         }
     }
@@ -251,7 +209,7 @@ impl Multigrid {
             x.copy_from_slice(&solved);
             return;
         };
-        self.smooth(level, b, x, self.opts.nu_pre);
+        self.smooth(level, b, x, NU_PRE);
         // Restrict the residual.
         let mut r = vec![0.0; b.len()];
         level.a.mul_vec_into(x, &mut r);
@@ -266,7 +224,7 @@ impl Multigrid {
         for (xi, ei) in x.iter_mut().zip(&e) {
             *xi += ei;
         }
-        self.smooth(level, b, x, self.opts.nu_post);
+        self.smooth(level, b, x, NU_POST);
     }
 }
 
@@ -321,7 +279,7 @@ mod tests {
     }
 
     fn mgcg(a: &CsrMatrix, nx: usize, ny: usize, b: &[f64], x0: Option<&[f64]>) -> CgSolution {
-        let mg = Multigrid::new(a, nx, ny, &MultigridOptions::default()).unwrap();
+        let mg = Multigrid::new(a, nx, ny).unwrap();
         let opts = CgOptions {
             rel_tol: 1e-9,
             max_iter: 200,
@@ -384,8 +342,8 @@ mod tests {
     fn tiny_grid_degenerates_to_direct_solve() {
         let (nx, ny) = (4, 4);
         let a = grid_operator(nx, ny, 1.0, 0.5);
-        let mg = Multigrid::new(&a, nx, ny, &MultigridOptions::default()).unwrap();
-        assert_eq!(mg.n_levels(), 1);
+        let mg = Multigrid::new(&a, nx, ny).unwrap();
+        assert!(mg.levels.is_empty());
         // The single-level V-cycle is the exact Cholesky solve, so MGCG
         // converges in one step.
         let b = rough_rhs(16);
@@ -412,10 +370,10 @@ mod tests {
     fn dimension_mismatch_rejected() {
         let a = grid_operator(4, 4, 1.0, 1.0);
         assert!(matches!(
-            Multigrid::new(&a, 5, 5, &MultigridOptions::default()),
+            Multigrid::new(&a, 5, 5),
             Err(NumError::Dimension { .. })
         ));
-        let mg = Multigrid::new(&a, 4, 4, &MultigridOptions::default()).unwrap();
+        let mg = Multigrid::new(&a, 4, 4).unwrap();
         assert!(matches!(
             solve_pcg(&a, &[1.0; 9], None, &mg, &CgOptions::default()),
             Err(NumError::Dimension { .. })

@@ -39,11 +39,6 @@ impl CooMatrix {
         }
     }
 
-    /// Number of accumulated (pre-deduplication) entries.
-    pub fn nnz_triplets(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Compresses to CSR, summing duplicates.
     pub fn to_csr(&self) -> CsrMatrix {
         let mut sorted = self.entries.clone();
@@ -94,46 +89,6 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Builds a CSR matrix from raw components.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::Dimension`] if the row pointers are not a
-    /// monotone `nrows + 1` prefix of `col_idx`/`values`, if the index and
-    /// value arrays disagree in length, or if any column index is out of
-    /// range.
-    pub fn from_raw(
-        nrows: usize,
-        ncols: usize,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<usize>,
-        values: Vec<f64>,
-    ) -> Result<Self> {
-        if row_ptr.len() != nrows + 1
-            || col_idx.len() != values.len()
-            || row_ptr.first() != Some(&0)
-            || row_ptr.last() != Some(&col_idx.len())
-            || row_ptr.windows(2).any(|w| w[0] > w[1])
-            || col_idx.iter().any(|&c| c >= ncols)
-        {
-            return Err(NumError::Dimension {
-                detail: format!(
-                    "inconsistent CSR components for a {nrows}x{ncols} matrix \
-                     ({} row pointers, {} entries)",
-                    row_ptr.len(),
-                    values.len()
-                ),
-            });
-        }
-        Ok(CsrMatrix {
-            nrows,
-            ncols,
-            row_ptr,
-            col_idx,
-            values,
-        })
-    }
-
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -391,7 +346,7 @@ mod tests {
     fn zero_values_are_dropped() {
         let mut coo = CooMatrix::new(2, 2);
         coo.push(0, 1, 0.0);
-        assert_eq!(coo.nnz_triplets(), 0);
+        assert!(coo.entries.is_empty());
     }
 
     #[test]
@@ -456,17 +411,5 @@ mod tests {
             .to_csr()
             .with_shifted_diagonal(1.0)
             .is_err());
-    }
-
-    #[test]
-    fn from_raw_validates_components() {
-        let ok = CsrMatrix::from_raw(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, 2.0]).unwrap();
-        assert_eq!(ok.get(1, 1), 2.0);
-        // Column out of range.
-        assert!(CsrMatrix::from_raw(2, 2, vec![0, 1, 2], vec![0, 5], vec![1.0, 2.0]).is_err());
-        // Non-monotone row pointers.
-        assert!(CsrMatrix::from_raw(2, 2, vec![0, 2, 1], vec![0, 1], vec![1.0, 2.0]).is_err());
-        // Length mismatch.
-        assert!(CsrMatrix::from_raw(2, 2, vec![0, 1, 2], vec![0], vec![1.0, 2.0]).is_err());
     }
 }

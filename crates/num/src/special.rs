@@ -281,11 +281,10 @@ const EXP_GRID_RESYNC: usize = 32;
 /// `(scale, rate, x0, step)` always yields bit-identical values at every
 /// `k` regardless of `stride`.
 ///
-/// At lane widths > 1 (see [`crate::simd`]) the resync anchors are
-/// batched through one vectorized [`crate::simd::exp_slice`] call per
-/// fill instead of one scalar `exp` per resync block; at width 1 the
-/// historical scalar recurrence runs verbatim (bit-identical to previous
-/// releases). Both paths keep the stride-independence guarantee.
+/// The resync anchors are batched through one
+/// [`crate::simd::exp_slice`] call per fill: vectorized at lane widths 4
+/// and 8 (see [`crate::simd`]), one `f64::exp` per anchor at width 1,
+/// which reproduces the historical scalar recurrence bit for bit.
 ///
 /// # Panics
 ///
@@ -318,24 +317,9 @@ pub fn scaled_exp_grid(
         "output too short: {} slots for {n} strided writes",
         out.len()
     );
-    if crate::simd::active_width() == crate::simd::LaneWidth::W1 {
-        let ratio = (rate * step).exp();
-        let mut w = 0.0;
-        for k in 0..n {
-            if k % EXP_GRID_RESYNC == 0 {
-                w = scale * (rate * (x0 + k as f64 * step)).exp();
-            } else {
-                w *= ratio;
-            }
-            out[k * stride] = w;
-        }
-        return;
-    }
-
-    // Lane path: evaluate every resync anchor with one vectorized exp
-    // call, then run the geometric recurrence within each block. Values
-    // are computed before the strided writes, preserving stride
-    // independence.
+    // Evaluate every resync anchor with one exp_slice call, then run the
+    // geometric recurrence within each block. Values are computed before
+    // the strided writes, preserving stride independence.
     let ratio = (rate * step).exp();
     let n_anchor = n.div_ceil(EXP_GRID_RESYNC);
     let args: Vec<f64> = (0..n_anchor)

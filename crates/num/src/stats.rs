@@ -241,34 +241,6 @@ pub fn sample_variance(data: &[f64]) -> f64 {
     data.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / (data.len() - 1) as f64
 }
 
-/// Linear-interpolated empirical quantile of **sorted** data.
-///
-/// # Errors
-///
-/// Returns [`NumError::Domain`] if `data` is empty or `p ∉ [0, 1]`.
-pub fn quantile_sorted(sorted: &[f64], p: f64) -> Result<f64> {
-    if sorted.is_empty() || !(0.0..=1.0).contains(&p) {
-        return Err(NumError::Domain {
-            detail: format!(
-                "quantile needs non-empty data and p in [0,1], got n={}, p={p}",
-                sorted.len()
-            ),
-        });
-    }
-    let n = sorted.len();
-    if n == 1 {
-        return Ok(sorted[0]);
-    }
-    let pos = p * (n - 1) as f64;
-    let i = pos.floor() as usize;
-    let frac = pos - i as f64;
-    if i + 1 >= n {
-        Ok(sorted[n - 1])
-    } else {
-        Ok(sorted[i] * (1.0 - frac) + sorted[i + 1] * frac)
-    }
-}
-
 /// Coefficient of determination R² between observations and model values.
 ///
 /// This is the metric the paper quotes for the Gaussian fit of the BLOD
@@ -388,17 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn quantile_endpoints_and_median() {
-        let sorted = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(quantile_sorted(&sorted, 0.0).unwrap(), 1.0);
-        assert_eq!(quantile_sorted(&sorted, 1.0).unwrap(), 5.0);
-        assert_eq!(quantile_sorted(&sorted, 0.5).unwrap(), 3.0);
-        assert_eq!(quantile_sorted(&sorted, 0.25).unwrap(), 2.0);
-        assert!(quantile_sorted(&[], 0.5).is_err());
-        assert!(quantile_sorted(&sorted, 1.5).is_err());
-    }
-
-    #[test]
     fn r_squared_perfect_and_mean_model() {
         let obs = [1.0, 2.0, 3.0, 4.0];
         assert!((r_squared(&obs, &obs).unwrap() - 1.0).abs() < 1e-15);
@@ -467,7 +428,10 @@ mod tests {
         let bin_w = 10.0 / 200.0;
         for q in [0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99] {
             let est = sketch.quantile(q).unwrap();
-            let exact = quantile_sorted(&sorted, q).unwrap();
+            // The linear-interpolated empirical quantile.
+            let pos = q * (sorted.len() - 1) as f64;
+            let (i, frac) = (pos.floor() as usize, pos.fract());
+            let exact = sorted[i] * (1.0 - frac) + sorted[i + 1] * frac;
             assert!(
                 (est - exact).abs() <= bin_w,
                 "q={q}: sketch {est} vs exact {exact}"

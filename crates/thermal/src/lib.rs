@@ -60,11 +60,6 @@ use statobd_num::NumError;
 /// Kelvin value of 0 °C, for conversions at API boundaries.
 pub const ZERO_CELSIUS_K: f64 = 273.15;
 
-/// Converts °C to K.
-pub fn celsius_to_kelvin(c: f64) -> f64 {
-    c + ZERO_CELSIUS_K
-}
-
 /// Converts K to °C.
 pub fn kelvin_to_celsius(k: f64) -> f64 {
     k - ZERO_CELSIUS_K
@@ -127,7 +122,7 @@ mod tests {
 
     #[test]
     fn temperature_conversions_round_trip() {
-        assert_eq!(celsius_to_kelvin(0.0), 273.15);
-        assert_eq!(kelvin_to_celsius(celsius_to_kelvin(85.0)), 85.0);
+        assert_eq!(kelvin_to_celsius(273.15), 0.0);
+        assert_eq!(kelvin_to_celsius(85.0 + ZERO_CELSIUS_K), 85.0);
     }
 }

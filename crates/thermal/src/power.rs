@@ -65,11 +65,6 @@ impl BlockPower {
     pub fn leakage_at(&self, t_k: f64, theta_k: f64) -> f64 {
         self.leakage_ref_w * ((t_k - LEAKAGE_REF_K) / theta_k).exp()
     }
-
-    /// Total power at temperature `t_k`.
-    pub fn total_at(&self, t_k: f64, theta_k: f64) -> f64 {
-        self.dynamic_w + self.leakage_at(t_k, theta_k)
-    }
 }
 
 /// Power assignments for the blocks of a floorplan.
@@ -167,12 +162,6 @@ mod tests {
         assert!((hot - 2.0 * std::f64::consts::E).abs() < 1e-10);
         // Cooler than reference → less leakage.
         assert!(p.leakage_at(LEAKAGE_REF_K - 20.0, 30.0) < 2.0);
-    }
-
-    #[test]
-    fn total_power_combines_components() {
-        let p = BlockPower::new(5.0, 1.0).unwrap();
-        assert!((p.total_at(LEAKAGE_REF_K, 30.0) - 6.0).abs() < 1e-12);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::power::PowerModel;
 use crate::{Result, ThermalError};
 use statobd_num::cg::{solve_pcg, CgOptions};
 use statobd_num::impl_json_struct;
-use statobd_num::multigrid::{Multigrid, MultigridOptions};
+use statobd_num::multigrid::Multigrid;
 use statobd_num::sparse::{CooMatrix, CsrMatrix};
 
 /// Physical and numerical configuration of the thermal solve.
@@ -280,7 +280,7 @@ pub(crate) fn rasterize_power(
 /// grid, reused across every solve on that operator (all leakage
 /// iterations, all transient steps).
 pub(crate) fn multigrid(a: &CsrMatrix, nx: usize, ny: usize) -> Result<Multigrid> {
-    Multigrid::new(a, nx, ny, &MultigridOptions::default()).map_err(|e| ThermalError::SolveFailed {
+    Multigrid::new(a, nx, ny).map_err(|e| ThermalError::SolveFailed {
         detail: format!("building the multigrid preconditioner: {e}"),
     })
 }

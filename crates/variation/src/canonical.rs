@@ -164,17 +164,6 @@ impl ThicknessModel {
         ra.iter().zip(rb).map(|(x, y)| x * y).sum()
     }
 
-    /// Total per-device thickness standard deviation (correlated +
-    /// independent) for grid `g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g >= n_grids()`.
-    pub fn device_sigma(&self, g: usize) -> f64 {
-        let s = self.grid_sigma(g);
-        (s * s + self.sigma_ind * self.sigma_ind).sqrt()
-    }
-
     /// Reconstructs a model from previously computed parts — the artifact
     /// cache load path, which must skip the eigendecomposition entirely.
     ///
@@ -550,7 +539,9 @@ mod tests {
         for g in 0..m.n_grids() {
             assert!((m.grid_sigma(g) - expected).abs() < 1e-10);
         }
-        assert!((m.device_sigma(0) - b.sigma_total()).abs() < 1e-10);
+        let s = m.grid_sigma(0);
+        let device_sigma = (s * s + m.sigma_ind * m.sigma_ind).sqrt();
+        assert!((device_sigma - b.sigma_total()).abs() < 1e-10);
     }
 
     #[test]

@@ -118,15 +118,6 @@ impl GridSpec {
         ((xa - xb).powi(2) + (ya - yb).powi(2)).sqrt()
     }
 
-    /// Linear grid index containing the point `(x, y)` (clamped to the die).
-    pub fn grid_of_point(&self, x: f64, y: f64) -> usize {
-        let fx = (x / self.chip_w * self.nx as f64).floor();
-        let fy = (y / self.chip_h * self.ny as f64).floor();
-        let ix = (fx.max(0.0) as usize).min(self.nx - 1);
-        let iy = (fy.max(0.0) as usize).min(self.ny - 1);
-        iy * self.nx + ix
-    }
-
     /// Fraction of the axis-aligned rectangle `(x0, y0)–(x1, y1)` that
     /// overlaps each grid cell, as `(grid_index, overlap_area)` pairs for
     /// cells with non-zero overlap.
@@ -174,15 +165,6 @@ mod tests {
         assert_eq!(g.n_grids(), 8);
         assert_eq!(g.center(0), (0.25, 0.25));
         assert_eq!(g.center(7), (1.75, 0.75));
-        assert_eq!(g.grid_of_point(0.1, 0.1), 0);
-        assert_eq!(g.grid_of_point(1.9, 0.9), 7);
-    }
-
-    #[test]
-    fn grid_of_point_clamps() {
-        let g = GridSpec::square_unit(3).unwrap();
-        assert_eq!(g.grid_of_point(-1.0, -1.0), 0);
-        assert_eq!(g.grid_of_point(2.0, 2.0), 8);
     }
 
     #[test]

@@ -126,20 +126,6 @@ impl<'a> FieldSampler<'a> {
         self.normal.fill(rng, z);
     }
 
-    /// Draws one device thickness in grid `g` of an already-sampled die.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is out of range for the die sample.
-    pub fn sample_device<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        die: &GridBaseSample,
-        g: usize,
-    ) -> f64 {
-        die.base[g] + self.model.sigma_ind() * self.normal.sample(rng)
-    }
-
     /// Draws `count` device thicknesses in grid `g` of a die into a vector.
     ///
     /// # Panics
@@ -284,7 +270,7 @@ mod tests {
             let mut rng_b = rng_a.clone();
             // Poison the sampler with a cached spare (a lone sample()
             // call always leaves one); reset must clear it.
-            sampler.sample_device(&mut poison_rng, &die, 0);
+            sampler.sample_devices(&mut poison_rng, &die, 0, 1);
             sampler.reset();
             sampler.sample_z_lane(&mut rng_a, &mut tile, W, lane);
             let mut fresh = FieldSampler::new(&m);

@@ -17,9 +17,9 @@
 //! Run with: `cargo run --release --example reliability_manager`
 
 use statobd::circuits::Benchmark;
-use statobd::core::{params, EngineKind};
+use statobd::core::{params, EngineKind, HybridConfig};
 use statobd::device::ClosedFormTech;
-use statobd::manager::{DamageState, DvfsLevel, ManagerConfig, PolicyConfig, ReliabilityManager};
+use statobd::manager::{DamageState, DvfsLevel, PolicyConfig, ReliabilityManager};
 use statobd::{AnalysisSpec, Session};
 
 const MONTH_S: f64 = 2.63e6;
@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             },
         ],
     };
-    session.configure_manager(policy.clone(), ManagerConfig::default())?;
+    session.configure_manager(policy.clone(), HybridConfig::default())?;
     let mgr = session.manager_mut()?;
 
     // Three workload regimes: per-block temperature offsets relative to
@@ -128,7 +128,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         session.analysis(),
         Box::new(tech),
         policy,
-        ManagerConfig::default(),
+        HybridConfig::default(),
     )?;
     resumed.restore(DamageState::from_json(&json)?)?;
     println!(

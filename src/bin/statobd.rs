@@ -33,8 +33,7 @@
 //!                    every block (default 0: weakest link)
 //!   --rho <f>        relative correlation distance   (default 0.5)
 //!   --grid <n>       correlation grid side           (default 25)
-//!   --threads <n>    worker threads
-//!   --shards <n>     reducer shards (default: thread count; aggregates
+//!   --threads <n>    worker threads, one reducer shard each (aggregates
 //!                    are bit-identical for any value)
 //!   --json           print the full report as JSON
 //!
@@ -43,7 +42,6 @@
 //!   --cache-dir <p>  artifact cache root (default $STATOBD_CACHE, then
 //!                    ~/.cache/statobd)
 //!   --no-cache       always build cold, never persist artifacts
-//!   --quick          smoke mode: alias for --no-cache (used by CI)
 //!   --max-sessions <n>  hot-session LRU capacity (default 4)
 //!
 //! options for manage:
@@ -84,7 +82,7 @@ use statobd::core::{
     GuardBandConfig, HybridConfig, MonteCarloConfig, StFast, StFastConfig,
 };
 use statobd::manager::{
-    DamageState, DvfsLevel, ManageSpec, ManagerConfig, MissionProfile, PhaseSpec, PolicyConfig,
+    DamageState, DvfsLevel, ManageSpec, MissionProfile, PhaseSpec, PolicyConfig,
 };
 use statobd::num::flags::{at_least, path, positive, probability, Flags};
 use statobd::num::json::{self, FromJson};
@@ -95,7 +93,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  statobd template <out.json>\n  statobd analyze <C1..C6|MC16|spec.json> [--rho f] [--grid n] [--l0 n] [--target f] [--engine st_fast|st_MC|st_closed|hybrid|guard|MC] [--threads n] [--mc n] [--curve n] [--cache] [--timings]\n  statobd bench <C1..C6|MC16|spec.json> [same options as analyze]\n  statobd serve [--socket path] [--cache-dir path] [--no-cache|--quick] [--max-sessions n]\n  statobd thermal <floorplan.json> <power.json> [--grid n] [--timings]\n  statobd manage <C1..C6|MC16|spec.json> <schedule.json> [--rho f] [--grid n] [--l0 n] [--threads n] [--checkpoint path]\n  statobd manage template <out.json>\n  statobd fleet <C1..C6|MC16|spec.json> [--chips n] [--profile name] [--seed n] [--budget f] [--wafer-depth f] [--spares n] [--rho f] [--grid n] [--threads n] [--shards n] [--json]"
+        "usage:\n  statobd template <out.json>\n  statobd analyze <C1..C6|MC16|spec.json> [--rho f] [--grid n] [--l0 n] [--target f] [--engine st_fast|st_MC|st_closed|hybrid|guard|MC] [--threads n] [--mc n] [--curve n] [--cache] [--timings]\n  statobd bench <C1..C6|MC16|spec.json> [same options as analyze]\n  statobd serve [--socket path] [--cache-dir path] [--no-cache] [--max-sessions n]\n  statobd thermal <floorplan.json> <power.json> [--grid n] [--timings]\n  statobd manage <C1..C6|MC16|spec.json> <schedule.json> [--rho f] [--grid n] [--l0 n] [--threads n] [--checkpoint path]\n  statobd manage template <out.json>\n  statobd fleet <C1..C6|MC16|spec.json> [--chips n] [--profile name] [--seed n] [--budget f] [--wafer-depth f] [--spares n] [--rho f] [--grid n] [--threads n] [--json]"
     );
     ExitCode::FAILURE
 }
@@ -308,12 +306,8 @@ fn manage(design: &str, schedule_path: &str, mut flags: Flags) -> Result<(), Str
     let n_blocks = session.analysis().n_blocks();
 
     let start = std::time::Instant::now();
-    let manager_config = ManagerConfig {
-        tables,
-        ..ManagerConfig::default()
-    };
     session
-        .configure_manager(schedule.policy.clone(), manager_config)
+        .configure_manager(schedule.policy.clone(), tables)
         .map_err(|e| e.to_string())?;
     // Resolve the phase temperatures up front: the manager borrow below
     // is exclusive for the rest of the run.
@@ -560,7 +554,6 @@ fn fleet_config(flags: &mut Flags) -> FleetConfig {
             Some(_) => SystematicPattern::None,
             None => defaults.wafer,
         },
-        shards: flags.opt("--shards", at_least(1)),
         spares: flags.value("--spares", at_least(0), defaults.spares),
         ..defaults
     }
@@ -652,8 +645,7 @@ fn fleet(design: &str, mut flags: Flags) -> Result<(), String> {
 fn serve(mut flags: Flags) -> Result<(), String> {
     let socket = flags.opt("--socket", path);
     let cache_dir = flags.opt("--cache-dir", path);
-    // Both switches are read, so giving both is not an error.
-    let no_cache = flags.switch("--no-cache") | flags.switch("--quick");
+    let no_cache = flags.switch("--no-cache");
     let config = ServeConfig {
         max_sessions: flags.value(
             "--max-sessions",
@@ -808,8 +800,6 @@ mod tests {
             "0",
             "--threads",
             "2",
-            "--shards",
-            "5",
             "--spares",
             "1",
         ]);
@@ -820,7 +810,6 @@ mod tests {
         assert_eq!(config.seed, 7);
         assert_eq!(config.budget, 1e-5);
         assert_eq!(spec.threads, Some(2));
-        assert_eq!(config.shards, Some(5));
         assert_eq!(config.spares, 1);
         assert_eq!(config.wafer, SystematicPattern::None);
         // Absent flags keep the library defaults.
@@ -841,7 +830,8 @@ mod tests {
     fn parse_fleet_options_rejects_degenerate_values_at_parse_time() {
         for (bad, needle) in [
             (vec!["--chips", "0"], "--chips"),
-            (vec!["--shards", "0"], "--shards"),
+            // One shard per thread: there is no shard flag.
+            (vec!["--shards", "2"], "--shards"),
             (vec!["--threads", "0"], "--threads"),
             (vec!["--budget", "0"], "--budget"),
             (vec!["--budget", "1"], "--budget"),
@@ -916,6 +906,7 @@ mod tests {
         for bad in [
             vec!["--max-sessions", "0"],
             vec!["--no-cache", "--no-cache"],
+            vec!["--quick"],
             vec!["--socket"],
         ] {
             let err = serve(flags(&bad)).unwrap_err();

@@ -13,7 +13,8 @@
 //! # Determinism architecture
 //!
 //! Three properties combine to make fleet aggregates *bit-identical* at
-//! any thread count and independent of the shard layout:
+//! any thread count, and so independent of the shard layout (one shard
+//! per worker thread, clamped to the tile count):
 //!
 //! 1. **Counter-based RNG streams.** Chip `i` draws from
 //!    `base.substream(i)` ([`Xoshiro256pp::substream`]), a pure function
@@ -64,7 +65,7 @@
 //! [`Composition`]) — the log-space Poisson-binomial DP of
 //! [`simd::group_absorb`], run across the lanes on state rows held in
 //! the shard workspace. Grouped aggregates are therefore bit-identical
-//! across threads × shards at each width, and agree across widths within
+//! across thread counts at each width, and agree across widths within
 //! the same 1e-12 gate as weakest-link runs.
 //!
 //! # Constant-memory guarantee
@@ -143,20 +144,18 @@ pub struct FleetConfig {
     /// wafer position per chip; the offset shifts the die-mean oxide
     /// thickness. [`SystematicPattern::None`] disables wafer variation.
     pub wafer: SystematicPattern,
-    /// Worker threads (`None` = `STATOBD_THREADS`, then all cores).
+    /// Worker threads (`None` = `STATOBD_THREADS`, then all cores). The
+    /// run takes one shard per thread, clamped to the tile count, and
+    /// its aggregates are bit-identical for any value.
     pub threads: Option<usize>,
-    /// Shard count (`None` = the resolved thread count). Aggregates are
-    /// bit-identical for any value; this knob exists for testing that
-    /// claim and for tuning reduction granularity.
-    pub shards: Option<usize>,
     /// Spare budget for redundancy-aware composition: `0` inherits the
     /// analysis's own [`Composition`]; `s > 0` overrides it with a
     /// single k-out-of-n group spanning every block that tolerates `s`
     /// block failures before the chip fails. Grouped runs take the same
     /// lane tiles as weakest-link ones, composing through the lane
     /// Poisson-binomial fold: aggregates are bit-identical at any
-    /// thread/shard layout per lane width, and agree across widths
-    /// within 1e-12.
+    /// thread count per lane width, and agree across widths within
+    /// 1e-12.
     pub spares: usize,
 }
 
@@ -172,7 +171,6 @@ impl Default for FleetConfig {
                 center: (0.5, 0.5),
             },
             threads: None,
-            shards: None,
             spares: 0,
         }
     }
@@ -190,9 +188,6 @@ impl FleetConfig {
             return Err(Error::Spec(
                 "chips: the fleet needs at least one chip".to_string(),
             ));
-        }
-        if self.shards == Some(0) {
-            return Err(Error::Spec("shards: need at least one shard".to_string()));
         }
         if self.threads == Some(0) {
             return Err(Error::Spec(
@@ -471,7 +466,8 @@ pub struct FleetReport {
     pub aggregates: FleetAggregates,
     /// Resolved worker-thread count.
     pub threads: u64,
-    /// Resolved shard count.
+    /// Shards the run took: the resolved thread count, clamped to the
+    /// number of work tiles.
     pub shards: u64,
     /// SIMD lane dispatch active during the run, e.g.
     /// `"8 lanes (avx512f, default)"` (see [`simd::dispatch_label`]).
@@ -827,11 +823,7 @@ pub fn run_fleet(
     let compiled = compile_fleet(analysis, tech, config)?;
     let threads = resolve_threads(config.threads);
     let n_tiles = config.chips.div_ceil(TILE_CHIPS);
-    let shards = config
-        .shards
-        .unwrap_or(threads)
-        .max(1)
-        .min(n_tiles.max(1) as usize);
+    let shards = threads.min(n_tiles.max(1) as usize);
     let n_blocks = analysis.n_blocks();
     let workspaces_created = AtomicU64::new(0);
     let lane_tiles = AtomicU64::new(0);
@@ -982,7 +974,6 @@ mod tests {
                 Box::new(|c: &mut FleetConfig| c.chips = 0) as Box<dyn Fn(&mut FleetConfig)>,
                 "chips",
             ),
-            (Box::new(|c: &mut FleetConfig| c.shards = Some(0)), "shards"),
             (
                 Box::new(|c: &mut FleetConfig| c.threads = Some(0)),
                 "threads",
@@ -1038,19 +1029,21 @@ mod tests {
         )
         .unwrap();
         let mut reference: Option<String> = None;
-        for (threads, shards) in [(1, None), (2, Some(1)), (2, Some(3)), (4, Some(7))] {
+        // 1,200 chips are five tiles, the last one ragged (176 chips);
+        // seven threads clamp to five shards.
+        for threads in [1, 2, 3, 7] {
             let config = FleetConfig {
                 spares: 1,
                 threads: Some(threads),
-                shards,
                 ..base.clone()
             };
             let report = run_fleet(session.analysis(), &tech, &config).unwrap();
+            assert_eq!(report.shards, threads.min(5) as u64);
             assert!(report.workspaces_created <= report.shards);
             let rendered = json::to_string(&report.aggregates);
             match &reference {
                 None => reference = Some(rendered),
-                Some(r) => assert_eq!(r, &rendered, "threads={threads} shards={shards:?} diverged"),
+                Some(r) => assert_eq!(r, &rendered, "threads={threads} diverged"),
             }
             // One spare over two blocks: the chip survives any single
             // block failure, so every outcome weakly improves.
@@ -1082,19 +1075,21 @@ mod tests {
         let session = tiny_analysis();
         let tech = session.spec().tech.tech();
         let mut reference: Option<String> = None;
-        for (threads, shards) in [(1, None), (2, Some(1)), (2, Some(3)), (4, Some(7))] {
+        // 1,500 chips are six tiles, the last one ragged (220 chips);
+        // seven threads clamp to six shards.
+        for threads in [1, 2, 3, 7] {
             let config = FleetConfig {
                 chips: 1500,
                 threads: Some(threads),
-                shards,
                 ..FleetConfig::default()
             };
             let report = run_fleet(session.analysis(), &tech, &config).unwrap();
+            assert_eq!(report.shards, threads.min(6) as u64);
             assert!(report.workspaces_created <= report.shards);
             let rendered = json::to_string(&report.aggregates);
             match &reference {
                 None => reference = Some(rendered),
-                Some(r) => assert_eq!(r, &rendered, "threads={threads} shards={shards:?} diverged"),
+                Some(r) => assert_eq!(r, &rendered, "threads={threads} diverged"),
             }
         }
     }

@@ -23,7 +23,7 @@
 //! | `sweep` | `session`, `t_lo_s`, `t_hi_s`, `points` | `curve` = `[[t, p], ...]` |
 //! | `lifetime` | `session`, `target` | `t_s`, `years` |
 //! | `manage_step` | `session`, `dt_s`, `vdd_v`, `temps_k` *or* `dt_k` | `p_now`, `p_projected`, `level`, `capped`, `vdd_v` |
-//! | `fleet` | `session`, opt. `chips`, `profile`, `seed`, `budget`, `shards` | `aggregates`, `threads`, `shards`, `lanes`, `lane_width`, `lane_tiles`, `max_solve_steps`, `run_s`, `chips_per_s`, `workspaces_created` |
+//! | `fleet` | `session`, opt. `chips`, `profile`, `seed`, `budget`, `spares` | `aggregates`, `threads`, `shards`, `lanes`, `lane_width`, `lane_tiles`, `max_solve_steps`, `run_s`, `chips_per_s`, `workspaces_created` |
 //! | `stats` | `session` | `stats`, `lanes` (SIMD lane dispatch label) |
 //! | `close` | `session` | `closed` |
 //! | `shutdown` | — | — (server exits after replying) |
@@ -204,7 +204,6 @@ impl Server {
                     budget: opt_field(request, "budget")?.unwrap_or(defaults.budget),
                     wafer: defaults.wafer,
                     threads: session.spec().threads,
-                    shards: opt_field(request, "shards")?,
                     spares: opt_field(request, "spares")?.unwrap_or(defaults.spares),
                 };
                 let tech = session.spec().tech.tech();
@@ -520,7 +519,7 @@ mod tests {
             format!(r#"{{"op": "open", "session": "s", "spec": {spec}}}"#),
             r#"{"op": "fleet", "session": "s", "chips": 600, "profile": "htol", "seed": 9}"#
                 .to_string(),
-            r#"{"op": "fleet", "session": "s", "chips": 600, "profile": "htol", "seed": 9, "shards": 4}"#
+            r#"{"op": "fleet", "session": "s", "chips": 600, "profile": "htol", "seed": 9}"#
                 .to_string(),
             r#"{"op": "fleet", "session": "s", "profile": "weekend_warrior"}"#.to_string(),
         ]);
@@ -554,7 +553,7 @@ mod tests {
             (600.0 / lane_width).ceil(),
             "lane tiles cover the fleet exactly once: {lane_tiles} x {lane_width}"
         );
-        // A different shard count must not change the aggregates.
+        // The same request again returns the same aggregates.
         assert_eq!(
             agg.to_compact(),
             replies[2].get("aggregates").unwrap().to_compact()
@@ -681,6 +680,32 @@ mod tests {
         let p_now = |reply: &Json| reply.get("p_now").and_then(Json::as_f64);
         assert!(p_now(&first[1]).is_some_and(|p| p < 1e-3));
         assert_eq!(p_now(&replies[13]), p_now(&first[1]));
+    }
+
+    #[test]
+    fn a_refused_manage_step_leaves_the_manager_as_it_was() {
+        // b(T) crosses zero near 2,000 K, so the middle step is refused;
+        // the step after it must read the damage of the first.
+        let step = |fields: &str| {
+            format!(r#"{{"op": "manage_step", "session": "c1", "vdd_v": 1.2, {fields}}}"#)
+        };
+        let replies = run(&[
+            r#"{"op": "open", "session": "c1", "spec": {"design": "C1", "grid_side": 5}}"#
+                .to_string(),
+            step(r#""dt_s": 1e7"#),
+            step(r#""dt_s": 1e7, "dt_k": 2000"#),
+            step(r#""dt_s": 0"#),
+        ]);
+        let ok: Vec<_> = replies
+            .iter()
+            .map(|r| r.get("ok").and_then(Json::as_bool))
+            .collect();
+        assert_eq!(ok, [Some(true), Some(true), Some(false), Some(true)]);
+        let p_now = |i: usize| replies[i].get("p_now").and_then(Json::as_f64).unwrap();
+        assert!(p_now(1) > 0.0 && p_now(1) < 1e-6, "{}", p_now(1));
+        assert_eq!(p_now(3).to_bits(), p_now(1).to_bits());
+        let error = replies[2].get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("b("), "{error}");
     }
 
     #[test]

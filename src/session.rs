@@ -34,7 +34,7 @@ use statobd_core::{
     HybridConfig, HybridTables, ReliabilityEngine,
 };
 use statobd_device::ClosedFormTech;
-use statobd_manager::{ManagerConfig, PolicyConfig, ReliabilityManager, StepReport};
+use statobd_manager::{PolicyConfig, ReliabilityManager, StepReport};
 use statobd_num::impl_json_struct;
 use statobd_num::json::{FromJson, Json, JsonError, ToJson};
 use statobd_variation::{GridSpec, ThicknessModelBuilder};
@@ -354,18 +354,19 @@ impl Session {
     }
 
     /// Replaces the lazy reliability manager with one built from an
-    /// explicit policy and configuration (discarding any accumulated
-    /// damage state).
+    /// explicit policy and base hybrid-table configuration (see
+    /// [`ReliabilityManager::new`]), discarding any accumulated damage
+    /// state.
     ///
     /// # Errors
     ///
     /// Propagates manager-construction failures.
-    pub fn configure_manager(&mut self, policy: PolicyConfig, config: ManagerConfig) -> Result<()> {
+    pub fn configure_manager(&mut self, policy: PolicyConfig, tables: HybridConfig) -> Result<()> {
         self.manager = Some(ReliabilityManager::new(
             &self.analysis,
             Box::new(self.tech),
             policy,
-            config,
+            tables,
         )?);
         Ok(())
     }
@@ -429,14 +430,11 @@ impl Session {
             return Ok(());
         }
         let policy = PolicyConfig::monitoring_only(params::ONE_PER_MILLION, DEFAULT_SERVICE_LIFE_S);
-        let config = ManagerConfig {
-            tables: HybridConfig {
-                threads: self.spec.threads,
-                ..HybridConfig::default()
-            },
-            ..ManagerConfig::default()
+        let tables = HybridConfig {
+            threads: self.spec.threads,
+            ..HybridConfig::default()
         };
-        self.configure_manager(policy, config)
+        self.configure_manager(policy, tables)
     }
 }
 
@@ -597,7 +595,11 @@ mod tests {
                 }
                 spec => spec,
             };
-            let mut s = Session::build(&tiny_spec(kind).with_engine_spec(engine)).unwrap();
+            let mut s = Session::build(&AnalysisSpec {
+                engine,
+                ..tiny_spec(kind)
+            })
+            .unwrap();
             for t in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
                 let err = s.p_at(t).expect_err("age must be rejected");
                 assert!(err.to_string().contains("t_s"), "{kind} at {t}: {err}");

@@ -464,7 +464,6 @@ fn fleet_subcommand_streams_a_small_fleet() {
 fn fleet_rejects_degenerate_flags_at_parse_time() {
     for (flag, value) in [
         ("--chips", "0"),
-        ("--shards", "0"),
         ("--threads", "0"),
         ("--budget", "0"),
         ("--budget", "1.5"),
@@ -478,6 +477,15 @@ fn fleet_rejects_degenerate_flags_at_parse_time() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
     }
+    // The run takes one shard per thread: a shard count is an unknown
+    // option, whatever its value.
+    let out = Command::new(bin())
+        .args(["fleet", "C1", "--shards", "2"])
+        .output()
+        .expect("run fleet");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option --shards"), "{stderr}");
 }
 
 #[test]

@@ -20,11 +20,11 @@
 
 use statobd::circuits::{build_design, Benchmark, DesignConfig};
 use statobd::core::{
-    build_engine, params, ChipAnalysis, EngineKind, EngineSpec, HybridTables, MonteCarloConfig,
-    ReliabilityEngine,
+    build_engine, params, ChipAnalysis, EngineKind, EngineSpec, HybridConfig, HybridTables,
+    MonteCarloConfig, ReliabilityEngine,
 };
 use statobd::device::{ClosedFormTech, ObdTechnology};
-use statobd::manager::{ManagerConfig, OperatingPhase, PolicyConfig, ReliabilityManager};
+use statobd::manager::{OperatingPhase, PolicyConfig, ReliabilityManager};
 use statobd::variation::{CorrelationKernel, ThicknessModelBuilder, VarianceBudget};
 
 const YEAR_S: f64 = 3.156e7;
@@ -66,7 +66,7 @@ fn constant_point_case(benchmark: Benchmark) {
         &analysis,
         Box::new(tech),
         PolicyConfig::monitoring_only(1.0, 12.0 * YEAR_S),
-        ManagerConfig::default(),
+        HybridConfig::default(),
     )
     .unwrap();
     let temps: Vec<f64> = analysis
@@ -183,7 +183,7 @@ fn two_phase_schedule_matches_piecewise_references() {
         &analysis,
         Box::new(base),
         PolicyConfig::monitoring_only(1.0, 12.0 * YEAR_S),
-        ManagerConfig::default(),
+        HybridConfig::default(),
     )
     .unwrap();
     mgr.run_phase(&phase_a, 7).unwrap();
