@@ -6,8 +6,7 @@
 //!
 //! ```text
 //! cargo run --release -p statobd-bench --bin thermal -- \
-//!     [--quick] [--out BENCH_thermal.json] [--grids 64,128,256,512] \
-//!     [--threads 1]
+//!     [--quick] [--out BENCH_thermal.json] [--grids 64,128,256,512]
 //! ```
 //!
 //! Row kinds, one of each per grid:
@@ -26,8 +25,8 @@
 //! Gate: at every grid the warm and cold fixed points agree on every
 //! block's mean and max temperature within 1e-6 K; the run exits non-zero
 //! otherwise. (The solver itself is checked against a dense Cholesky
-//! solve by the thermal crate's tests.) Defaults measure at
-//! `--threads 1`.
+//! solve by the thermal crate's tests.) The thermal solver runs on one
+//! thread, so there is no thread setting.
 
 use statobd_bench::harness::Cli;
 use statobd_num::flags::{at_least, list};
@@ -87,12 +86,10 @@ impl_json_struct!(ThermalRow {
 /// The whole report (`BENCH_thermal.json`).
 #[derive(Debug, Clone)]
 struct ThermalReport {
-    /// Worker threads the solves were pinned to.
-    threads: usize,
     rows: Vec<ThermalRow>,
 }
 
-impl_json_struct!(ThermalReport { threads, rows });
+impl_json_struct!(ThermalReport { rows });
 
 /// The alpha power profile with leakage folded into fixed dynamic power —
 /// turns the fixed point into a single linear solve of the same total
@@ -169,7 +166,6 @@ fn print_row(row: &ThermalRow) {
 
 fn main() {
     let mut cli = Cli::from_env();
-    let threads = cli.threads(1);
     let grids = cli.flag(
         "--grids",
         list(at_least(1)),
@@ -177,8 +173,6 @@ fn main() {
         vec![32, 64],
     );
     let mut gates = cli.gates("BENCH_thermal.json");
-    // The thermal solver reads its thread budget from the environment.
-    std::env::set_var("STATOBD_THREADS", threads.to_string());
     let fp = alpha_ev6_floorplan().expect("floorplan");
     let pm = alpha_ev6_power().expect("power");
     let pm_steady = zero_leakage(&pm);
@@ -249,5 +243,5 @@ fn main() {
         rows.push(row);
     }
 
-    gates.finish(&ThermalReport { threads, rows });
+    gates.finish(&ThermalReport { rows });
 }

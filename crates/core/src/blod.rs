@@ -407,21 +407,6 @@ impl BlodMoments {
             .collect()
     }
 
-    /// Quantile of `v_j` computed by the *exact* Imhof inversion of the
-    /// quadratic form instead of the χ² two-moment fit — the ablation the
-    /// paper's reference to Imhof (its ref. 32) invites.
-    ///
-    /// # Errors
-    ///
-    /// Propagates quantile domain and Imhof convergence failures.
-    pub fn v_quantile_imhof(&self, p: f64) -> Result<f64> {
-        if self.q_trace <= 1e-30 {
-            return Ok(self.v_floor + self.q_trace);
-        }
-        let eigen = self.q_eigenvalues();
-        Ok(self.v_floor + statobd_num::quadform::imhof_quantile(&eigen, p)?)
-    }
-
     /// Distribution of the sample mean `u_j`.
     pub fn u_dist(&self) -> MeanDist {
         if self.u_sigma > 0.0 {

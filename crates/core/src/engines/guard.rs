@@ -4,8 +4,7 @@
 //! Table III shows, ~50 % pessimistic.
 
 use crate::chip::ChipAnalysis;
-use crate::engines::composition::{Composition, CompositionAccumulator};
-use crate::engines::{check_times, ReliabilityEngine};
+use crate::engines::{check_times, ChipRecord, ReliabilityEngine};
 use crate::{CoreError, Result};
 
 /// Configuration of the guard-band baseline.
@@ -36,12 +35,9 @@ pub struct GuardBand {
     b_worst: f64,
     /// Total chip area `A`.
     total_area: f64,
-    /// Per-block areas `A_j`, in block order — the grouped evaluation
-    /// needs per-block corner probabilities, not just their sum.
-    block_areas: Vec<f64>,
-    /// The chip's block composition, captured at build time (the corner
-    /// is self-contained: no `ChipAnalysis` borrow at query time).
-    composition: Composition,
+    /// The blocks and their composition — the grouped evaluation needs
+    /// per-block corner probabilities, not just their sum.
+    chip: ChipRecord,
 }
 
 impl GuardBand {
@@ -86,21 +82,8 @@ impl GuardBand {
             alpha_worst_s: worst.alpha_s(),
             b_worst: worst.b_per_nm(),
             total_area: analysis.spec().total_area(),
-            block_areas: analysis.blocks().iter().map(|b| b.spec().area()).collect(),
-            composition: analysis.composition().clone(),
+            chip: ChipRecord::of(analysis),
         })
-    }
-
-    /// The grouped corner probability at hazard kernel `k`: each block's
-    /// worst-case failure probability `1 − exp(−A_j·k)` composed through
-    /// the redundancy groups. (The weakest-link path keeps the original
-    /// whole-chip-area closed form, bit-identically.)
-    fn grouped_probability(&self, chip: &mut CompositionAccumulator, kernel: f64) -> f64 {
-        chip.reset();
-        for (j, &area) in self.block_areas.iter().enumerate() {
-            chip.absorb(j, -(-area * kernel).exp_m1());
-        }
-        chip.failure_probability()
     }
 
     /// The assumed minimum thickness (nm).
@@ -142,21 +125,25 @@ impl ReliabilityEngine for GuardBand {
 
     /// `P(t) = 1 − exp(−A·(t/α)^(b·x_min))`, evaluated stably: two
     /// `exp`s per point, with the Weibull slope `β = b·x_min` hoisted out
-    /// of the loop.
+    /// of the loop. Under redundancy groups the shared sweep composes
+    /// each block's corner probability `1 − exp(−A_j·(t/α)^β)` instead,
+    /// serially; the weakest-link path keeps the whole-chip-area closed
+    /// form, bit-identically.
     fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
-        check_times(ts)?;
         let beta = self.b_worst * self.x_min_nm;
-        let mut chip = (!self.composition.is_weakest_link())
-            .then(|| self.composition.accumulator(self.block_areas.len()));
+        let kernel = |t_s: f64| (beta * (t_s / self.alpha_worst_s).ln()).exp();
+        if !self.chip.composition.is_weakest_link() {
+            return self.chip.sweep(ts, None, usize::MAX, |j, ts, out| {
+                for (p, &t_s) in out.iter_mut().zip(ts) {
+                    *p = -(-self.chip.blocks[j].area * kernel(t_s)).exp_m1();
+                }
+                Ok(())
+            });
+        }
+        check_times(ts)?;
         Ok(ts
             .iter()
-            .map(|&t_s| {
-                let kernel = (beta * (t_s / self.alpha_worst_s).ln()).exp();
-                match &mut chip {
-                    None => -(-self.total_area * kernel).exp_m1(),
-                    Some(chip) => self.grouped_probability(chip, kernel),
-                }
-            })
+            .map(|&t_s| -(-self.total_area * kernel(t_s)).exp_m1())
             .collect())
     }
 }

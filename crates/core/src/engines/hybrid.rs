@@ -17,8 +17,8 @@
 
 use crate::chip::ChipAnalysis;
 use crate::engines::composition::Composition;
-use crate::engines::st_fast::{BlockQuadrature, StFastConfig};
-use crate::engines::{check_times, ReliabilityEngine};
+use crate::engines::st_fast::{BlockLaw, BlockQuadrature, StFastConfig};
+use crate::engines::{sweep, ReliabilityEngine};
 use crate::gfun::GCoefficients;
 use crate::{CoreError, Result};
 use statobd_num::impl_json_struct;
@@ -201,7 +201,8 @@ impl HybridTables {
         let mut tables = Vec::with_capacity(analysis.n_blocks());
         let threads = parallel::resolve_threads(config.threads);
         for block in analysis.blocks() {
-            let quadrature = BlockQuadrature::new(block.moments(), &quad)?;
+            let law = BlockLaw::new(block.moments(), quad.v_method);
+            let quadrature = BlockQuadrature::new(&law, &quad)?;
             // Fill the (γ, b) grid one γ-row per work item, each row as a
             // single lane sweep over its n_b quadratures; rows are
             // gathered in index order, so the table is identical at any
@@ -452,36 +453,24 @@ impl ReliabilityEngine for HybridTables {
         "hybrid"
     }
 
-    /// Batched table interpolation: the per-block `(α, b)` operating
-    /// points are hoisted out of the time loop, and long sweeps fan out
-    /// over threads one time point per work item (each point's
-    /// composition runs in block order, so every entry is bit-identical
-    /// to a one-point call at any thread count).
+    /// The shared sweep over table lookups at each block's current
+    /// `(α, b)` operating point. Lookups are cheap, so only sweeps of at
+    /// least 256 times are long enough to amortize the thread spawn and
+    /// fan out.
     fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
-        check_times(ts)?;
-        // One (α, b) pair per block, resolved once.
-        let points: Vec<(f64, f64)> = self
-            .tables
-            .iter()
-            .map(|table| (table.alpha_s, table.b_per_nm))
-            .collect();
-        let eval_one = |&t_s: &f64| -> f64 {
-            let mut chip = self.composition.accumulator(points.len());
-            for (j, &(alpha_s, b_per_nm)) in points.iter().enumerate() {
-                let gamma = (t_s / alpha_s).ln();
-                chip.absorb(j, self.eval_tracked(j, gamma, b_per_nm));
-            }
-            chip.failure_probability()
-        };
-        // Lookups are cheap; only fan out when the sweep is long enough to
-        // amortize the thread spawn.
-        if ts.len() < 256 {
-            return Ok(ts.iter().map(eval_one).collect());
-        }
-        let threads = parallel::resolve_threads(self.config.threads);
-        Ok(parallel::run_indexed(ts.len(), threads, |i| {
-            eval_one(&ts[i])
-        }))
+        sweep(
+            ts,
+            self.tables.len(),
+            &self.composition,
+            self.config.threads,
+            256,
+            |j, ts, out| {
+                for (p, &t_s) in out.iter_mut().zip(ts) {
+                    *p = self.block_failure_probability(j, t_s)?;
+                }
+                Ok(())
+            },
+        )
     }
 }
 

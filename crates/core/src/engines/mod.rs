@@ -11,8 +11,12 @@ pub mod st_fast;
 pub mod st_mc;
 
 use crate::chip::ChipAnalysis;
+use crate::gfun::GCoefficients;
 use crate::Result;
+use composition::Composition;
 use guard::{GuardBand, GuardBandConfig};
+use statobd_num::parallel;
+use std::sync::Mutex;
 
 use hybrid::{HybridConfig, HybridTables};
 use monte_carlo::{MonteCarlo, MonteCarloConfig};
@@ -42,9 +46,9 @@ pub trait ReliabilityEngine {
     /// engines carry per-evaluation state that is invariant across `t`
     /// (Monte-Carlo chip histograms and bin-weight tables, quadrature node
     /// sets, lookup tables). Every engine in this crate amortizes that
-    /// state over the whole sweep and fans the work out across threads;
-    /// each entry is **bit-identical** to a one-point call at the same
-    /// time, at any thread count.
+    /// state over the whole sweep, and those with a thread setting fan
+    /// the work out across threads; each entry is **bit-identical** to a
+    /// one-point call at the same time, at any thread count.
     ///
     /// # Errors
     ///
@@ -104,6 +108,147 @@ pub(crate) fn check_times(ts: &[f64]) -> Result<()> {
         }),
         None => Ok(()),
     }
+}
+
+/// Sweep times per `(block × time-chunk)` work item of [`sweep`]. Fixed
+/// (never thread-derived) so chunk boundaries — and therefore results —
+/// are independent of the worker count; large enough that per-item
+/// dispatch cost is amortized over many lane chunks.
+const T_CHUNK: usize = 64;
+
+/// What an engine reads of one block at query time, copied out of the
+/// [`ChipAnalysis`] when the engine is built.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BlockRecord {
+    /// The Weibull scale `α_j` (s).
+    pub(crate) alpha_s: f64,
+    /// The Weibull thickness coefficient `b_j` (1/nm).
+    pub(crate) b_per_nm: f64,
+    /// The block's gate area `A_j`.
+    pub(crate) area: f64,
+    /// The block's device count `m_j`.
+    pub(crate) m_devices: u64,
+}
+
+impl BlockRecord {
+    /// The `g`-kernel coefficients at time `t_s`.
+    pub(crate) fn coefficients(&self, t_s: f64) -> GCoefficients {
+        GCoefficients::at(t_s, self.alpha_s, self.b_per_nm)
+    }
+}
+
+/// What an engine owns of its chip: every block's record, in block
+/// order, and the chip's composition.
+#[derive(Debug, Clone)]
+pub(crate) struct ChipRecord {
+    pub(crate) blocks: Vec<BlockRecord>,
+    pub(crate) composition: Composition,
+}
+
+impl ChipRecord {
+    /// The copy of `analysis` an engine keeps.
+    pub(crate) fn of(analysis: &ChipAnalysis) -> Self {
+        let blocks = analysis
+            .blocks()
+            .iter()
+            .map(|block| BlockRecord {
+                alpha_s: block.alpha_s(),
+                b_per_nm: block.b_per_nm(),
+                area: block.spec().area(),
+                m_devices: block.spec().m_devices(),
+            })
+            .collect();
+        ChipRecord {
+            blocks,
+            composition: analysis.composition().clone(),
+        }
+    }
+
+    /// [`sweep`] over this chip's blocks.
+    pub(crate) fn sweep(
+        &self,
+        ts: &[f64],
+        threads: Option<usize>,
+        fan_out_at: usize,
+        kernel: impl Fn(usize, &[f64], &mut [f64]) -> Result<()> + Sync,
+    ) -> Result<Vec<f64>> {
+        let n_blocks = self.blocks.len();
+        sweep(ts, n_blocks, &self.composition, threads, fan_out_at, kernel)
+    }
+}
+
+/// The one sweep of the marginal engines — st_fast, st_MC, st_closed and
+/// hybrid — which differ only in how they evaluate one block's `P_j(t)`
+/// (eqs. 18 and 28): `kernel(j, times, out)` writes block `j`'s
+/// probabilities at `times` into `out`.
+///
+/// The sweep refuses any time that is not finite and `> 0`
+/// ([`check_times`]) before evaluating anything. It then runs the kernel
+/// over `(block × time-chunk)` items of up to [`T_CHUNK`] times and
+/// composes each time's block probabilities in block order through the
+/// chip's [`CompositionAccumulator`](composition::CompositionAccumulator).
+/// A sweep of at least `fan_out_at` times spreads its items over the
+/// engine's `threads` setting; a shorter one runs serially and reads no
+/// thread count, and a one-point call composes each block as it goes.
+/// Chunk boundaries never depend on the thread count, so every entry is
+/// bit-identical to a one-point call at any thread count.
+///
+/// # Errors
+///
+/// [`crate::CoreError::InvalidParameter`] for a bad time; otherwise the
+/// error of a failed kernel call — the first in `(block, chunk)` order
+/// when the sweep runs serially.
+pub(crate) fn sweep(
+    ts: &[f64],
+    n_blocks: usize,
+    composition: &Composition,
+    threads: Option<usize>,
+    fan_out_at: usize,
+    kernel: impl Fn(usize, &[f64], &mut [f64]) -> Result<()> + Sync,
+) -> Result<Vec<f64>> {
+    check_times(ts)?;
+    let mut chip = composition.accumulator(n_blocks);
+    // A one-point call absorbs each block as soon as its kernel returns:
+    // evaluating every block before composing, as longer sweeps do, ran
+    // hybrid's one-point lookups ~25% slower.
+    if let [_] = ts {
+        let mut p = [0.0];
+        for j in 0..n_blocks {
+            kernel(j, ts, &mut p)?;
+            chip.absorb(j, p[0]);
+        }
+        return Ok(vec![chip.failure_probability()]);
+    }
+    let n_t = ts.len();
+    // Block j's chunks lie back to back in row j, so time i sits at
+    // `j * row + i`.
+    let chunk = n_t.clamp(1, T_CHUNK);
+    let chunks = n_t.div_ceil(chunk);
+    let row = chunks * chunk;
+    let mut per_block = vec![0.0; n_blocks * row];
+    let threads = if n_t < fan_out_at { Some(1) } else { threads };
+    let failed = Mutex::new(None);
+    let workers = parallel::resolve_threads(threads);
+    parallel::for_each_chunk_mut(&mut per_block, chunk, workers, |item, out| {
+        let lo = (item % chunks) * chunk;
+        let hi = n_t.min(lo + chunk);
+        if let Err(e) = kernel(item / chunks, &ts[lo..hi], &mut out[..hi - lo]) {
+            let mut failed = failed.lock().expect("no worker panics holding it");
+            failed.get_or_insert(e);
+        }
+    });
+    if let Some(e) = failed.into_inner().expect("no worker panics holding it") {
+        return Err(e);
+    }
+    Ok((0..n_t)
+        .map(|i| {
+            chip.reset();
+            for j in 0..n_blocks {
+                chip.absorb(j, per_block[j * row + i]);
+            }
+            chip.failure_probability()
+        })
+        .collect())
 }
 
 /// The available reliability engines, by the paper's Table III
@@ -324,9 +469,9 @@ impl From<EngineKind> for EngineSpec {
 /// construction entry point used by the CLI, the benchmarks, and the
 /// examples.
 ///
-/// The returned engine borrows `analysis` (engines that keep a reference
-/// tie their lifetime to it; self-contained engines like
-/// [`HybridTables`] simply outlive the borrow).
+/// Every engine copies what it reads at query time out of `analysis`
+/// when it is built, so the returned engine owns its data and outlives
+/// the borrow.
 ///
 /// # Errors
 ///
@@ -344,10 +489,10 @@ impl From<EngineKind> for EngineSpec {
 /// # let _ = p; Ok(())
 /// # }
 /// ```
-pub fn build_engine<'a>(
-    analysis: &'a ChipAnalysis,
+pub fn build_engine(
+    analysis: &ChipAnalysis,
     spec: &EngineSpec,
-) -> Result<Box<dyn ReliabilityEngine + 'a>> {
+) -> Result<Box<dyn ReliabilityEngine>> {
     Ok(match spec {
         EngineSpec::StFast(config) => Box::new(StFast::new(analysis, *config)),
         EngineSpec::StMc(config) => Box::new(StMc::new(analysis, *config)?),

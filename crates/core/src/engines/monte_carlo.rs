@@ -18,7 +18,7 @@
 
 use crate::chip::ChipAnalysis;
 use crate::engines::composition::Composition;
-use crate::engines::{check_times, ReliabilityEngine};
+use crate::engines::{check_times, ChipRecord, ReliabilityEngine};
 use crate::{CoreError, Result};
 use statobd_num::parallel;
 use statobd_num::rng::{NormalSampler, Xoshiro256pp};
@@ -89,8 +89,8 @@ enum PerChip {
 
 /// The Monte-Carlo reference engine (`MC` in Table III).
 #[derive(Debug)]
-pub struct MonteCarlo<'a> {
-    analysis: &'a ChipAnalysis,
+pub struct MonteCarlo {
+    chip: ChipRecord,
     config: MonteCarloConfig,
     allocations: Vec<BlockAllocation>,
     /// Device-count histograms, laid out `[chip][block][bin]`.
@@ -101,7 +101,7 @@ pub struct MonteCarlo<'a> {
     ws: std::cell::RefCell<McWorkspace>,
 }
 
-impl<'a> MonteCarlo<'a> {
+impl MonteCarlo {
     /// Samples `config.n_chips` chips of the analyzed design (the
     /// expensive step — per-device work, parallelized over chips).
     ///
@@ -109,7 +109,7 @@ impl<'a> MonteCarlo<'a> {
     ///
     /// Returns [`CoreError::InvalidParameter`] for a degenerate
     /// configuration.
-    pub fn build(analysis: &'a ChipAnalysis, config: MonteCarloConfig) -> Result<Self> {
+    pub fn build(analysis: &ChipAnalysis, config: MonteCarloConfig) -> Result<Self> {
         if config.n_chips == 0 || config.bins < 8 {
             return Err(CoreError::InvalidParameter {
                 detail: format!(
@@ -218,7 +218,7 @@ impl<'a> MonteCarlo<'a> {
         let build_seconds = start.elapsed().as_secs_f64();
 
         Ok(MonteCarlo {
-            analysis,
+            chip: ChipRecord::of(analysis),
             config,
             allocations,
             counts,
@@ -295,7 +295,7 @@ impl<'a> MonteCarlo<'a> {
     /// count array once instead of 200 times.
     fn fill_per_chip(&self, ts: &[f64], what: PerChip) -> std::cell::RefMut<'_, Vec<f64>> {
         let n_t = ts.len();
-        let n_blocks = self.analysis.n_blocks();
+        let n_blocks = self.chip.blocks.len();
         let bins = self.config.bins;
         let stride_chip = n_blocks * bins;
         let threads = parallel::resolve_threads(self.config.threads);
@@ -319,7 +319,7 @@ impl<'a> MonteCarlo<'a> {
         // runs the spares directly through a linear-space Poisson-binomial
         // pass — the "simulate spares on every sample chip" reference the
         // analytic log-space DP is validated against.
-        let groups = match (what, self.analysis.composition()) {
+        let groups = match (what, &self.chip.composition) {
             (PerChip::Failure, Composition::Groups(groups)) => Some(groups.as_slice()),
             _ => None,
         };
@@ -413,19 +413,13 @@ impl<'a> MonteCarlo<'a> {
         let bins = self.config.bins;
         let n_t = ts.len();
         out.clear();
-        out.resize(self.analysis.n_blocks() * bins * n_t, 0.0);
-        for (j, (block, alloc)) in self
-            .analysis
-            .blocks()
-            .iter()
-            .zip(self.allocations.iter())
-            .enumerate()
-        {
-            let area_per_device = block.spec().area() / block.spec().m_devices() as f64;
+        out.resize(self.chip.blocks.len() * bins * n_t, 0.0);
+        for (j, (block, alloc)) in self.chip.blocks.iter().zip(&self.allocations).enumerate() {
+            let area_per_device = block.area / block.m_devices as f64;
             let x0 = alloc.x_lo + 0.5 * alloc.bin_w;
             for (ti, &t_s) in ts.iter().enumerate() {
-                let gamma = (t_s / block.alpha_s()).ln();
-                let gb = gamma * block.b_per_nm();
+                let gamma = (t_s / block.alpha_s).ln();
+                let gb = gamma * block.b_per_nm;
                 statobd_num::special::scaled_exp_grid(
                     area_per_device,
                     gb,
@@ -440,7 +434,7 @@ impl<'a> MonteCarlo<'a> {
     }
 }
 
-impl ReliabilityEngine for MonteCarlo<'_> {
+impl ReliabilityEngine for MonteCarlo {
     fn name(&self) -> &str {
         "MC"
     }

@@ -17,22 +17,22 @@
 
 use crate::chip::ChipAnalysis;
 use crate::engines::st_fast::{StFast, StFastConfig};
-use crate::engines::{check_times, ReliabilityEngine};
-use crate::gfun::GCoefficients;
+use crate::engines::ReliabilityEngine;
 use crate::Result;
 
 /// The closed-form first-order engine (`st_closed`).
 #[derive(Debug)]
-pub struct StClosed<'a> {
-    analysis: &'a ChipAnalysis,
-    fallback: StFast<'a>,
+pub struct StClosed {
+    /// The numerical fallback. It also holds the block records and laws
+    /// the closed form reads; its quadratures are built on the first
+    /// block the closed form declines, which most sweeps never reach.
+    fallback: StFast,
 }
 
-impl<'a> StClosed<'a> {
+impl StClosed {
     /// Creates the engine over a characterized chip.
-    pub fn new(analysis: &'a ChipAnalysis) -> Self {
+    pub fn new(analysis: &ChipAnalysis) -> Self {
         StClosed {
-            analysis,
             fallback: StFast::new(analysis, StFastConfig::default()),
         }
     }
@@ -42,46 +42,40 @@ impl<'a> StClosed<'a> {
     /// diverges or the result leaves the first-order regime
     /// (`p ≥ 0.01`) and the numerical fallback is required.
     pub fn block_failure_probability_closed(&self, block_idx: usize, t_s: f64) -> Option<f64> {
-        let block = &self.analysis.blocks()[block_idx];
-        let coeff = GCoefficients::at(t_s, block.alpha_s(), block.b_per_nm());
-        let m = block.moments();
-        let mean_term = (coeff.s1 * m.u_nominal()
-            + 0.5 * coeff.s1 * coeff.s1 * m.u_sigma() * m.u_sigma())
-        .exp();
-        let v_term = m.v_dist().mgf(coeff.s2).ok()?;
-        let p = block.spec().area() * mean_term * v_term;
+        let block = &self.fallback.chip.blocks[block_idx];
+        let law = &self.fallback.laws[block_idx];
+        let coeff = block.coefficients(t_s);
+        let (u0, sigma_u) = (law.u.mean(), law.u.std_dev());
+        let mean_term = (coeff.s1 * u0 + 0.5 * coeff.s1 * coeff.s1 * sigma_u * sigma_u).exp();
+        let v_term = law.v.mgf(coeff.s2).ok()?;
+        let p = block.area * mean_term * v_term;
         // First-order validity: the approximation 1 − e^{−x} ≈ x is only
         // trustworthy for small x.
         (p < 0.01).then_some(p)
     }
 }
 
-impl ReliabilityEngine for StClosed<'_> {
+impl ReliabilityEngine for StClosed {
     fn name(&self) -> &str {
         "st_closed"
     }
 
-    /// The closed-form kernel is a handful of `exp`s per block, so a
-    /// serial sweep is already orders of magnitude cheaper than a
-    /// quadrature engine (and the rare fallback shares `StFast`'s cached
-    /// node sets).
+    /// The shared sweep over the closed-form kernel, always serial: the
+    /// kernel is a handful of `exp`s per block, already orders of
+    /// magnitude cheaper than a quadrature engine, and `st_closed` has
+    /// no thread setting to bound a fan-out with. The rare fallback
+    /// shares `StFast`'s cached node sets.
     fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
-        check_times(ts)?;
-        let n_blocks = self.analysis.n_blocks();
-        let mut chip = self.analysis.composition().accumulator(n_blocks);
-        ts.iter()
-            .map(|&t_s| {
-                chip.reset();
-                for j in 0..n_blocks {
-                    let p = match self.block_failure_probability_closed(j, t_s) {
-                        Some(p) => p,
-                        None => self.fallback.block_failure_probability(j, t_s)?,
-                    };
-                    chip.absorb(j, p);
-                }
-                Ok(chip.failure_probability())
-            })
-            .collect()
+        let fast = &self.fallback;
+        fast.chip.sweep(ts, None, usize::MAX, |j, ts, out| {
+            for (p, &t_s) in out.iter_mut().zip(ts) {
+                *p = match self.block_failure_probability_closed(j, t_s) {
+                    Some(p) => p,
+                    None => fast.block_failure_probability(j, t_s)?,
+                };
+            }
+            Ok(())
+        })
     }
 }
 

@@ -13,13 +13,15 @@
 //! integrable singularity the χ² density develops at its floor when the
 //! fitted degrees of freedom drop below 2.
 
-use crate::blod::{MeanDist, VarianceDist};
+use crate::blod::{BlodMoments, MeanDist, VarianceDist};
 use crate::chip::ChipAnalysis;
-use crate::engines::{check_times, ReliabilityEngine};
+use crate::engines::{ChipRecord, ReliabilityEngine};
 use crate::gfun::GCoefficients;
 use crate::{CoreError, Result};
 use statobd_num::dist::ContinuousDistribution;
+use statobd_num::quadform::imhof_quantile;
 use statobd_num::simd;
+use std::sync::OnceLock;
 
 /// One u-row ∩ tile segment of the flattened `(u, v)` node walk. The
 /// probability weight `wu·w_v` is constant per segment, so the kernel
@@ -59,12 +61,6 @@ thread_local! {
 /// sums group identically and a single integral stays bit-identical to
 /// its entry in a batch at the same width.
 const NODE_TILE: usize = 1024;
-
-/// Sweep times per batched work item. Fixed (never thread-derived) so
-/// chunk boundaries — and therefore results — are independent of the
-/// worker count; large enough that per-item dispatch cost is amortized
-/// over many lane chunks.
-const T_CHUNK: usize = 64;
 
 /// How the sample-variance distribution `f_v` is evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -133,6 +129,34 @@ impl Default for StFastConfig {
     }
 }
 
+/// What st_fast and st_closed read of one block's BLOD: the laws of its
+/// sample mean `u` and sample variance `v`, plus the eigenvalues of its
+/// quadratic form `Q` for the Imhof variance method. A few numbers per
+/// block, copied when the engine is built; the projection rows (megabytes
+/// on the large designs) stay behind.
+#[derive(Debug, Clone)]
+pub(crate) struct BlockLaw {
+    pub(crate) u: MeanDist,
+    pub(crate) v: VarianceDist,
+    /// `Q`'s eigenvalues under [`VarianceMethod::Imhof`]; empty otherwise.
+    q_eigenvalues: Vec<f64>,
+}
+
+impl BlockLaw {
+    /// The law of a block with BLOD `moments`, for `v_method`.
+    pub(crate) fn new(moments: &BlodMoments, v_method: VarianceMethod) -> Self {
+        let q_eigenvalues = match v_method {
+            VarianceMethod::ChiSquare => Vec::new(),
+            VarianceMethod::Imhof => moments.q_eigenvalues(),
+        };
+        BlockLaw {
+            u: moments.u_dist(),
+            v: moments.v_dist(),
+            q_eigenvalues,
+        }
+    }
+}
+
 /// Precomputed quadrature nodes for one block's `(u, v)` double integral.
 ///
 /// The node sets depend only on the BLOD distributions, not on time, so
@@ -147,13 +171,14 @@ pub(crate) struct BlockQuadrature {
 }
 
 impl BlockQuadrature {
-    /// Builds the node sets for a block's BLOD under `cfg`.
+    /// Builds the node sets for a block's law under `cfg` (`law` must
+    /// carry `cfg.v_method`'s data).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] if `cfg.l0` is 0, and
     /// propagates quantile-evaluation failures.
-    pub(crate) fn new(moments: &crate::blod::BlodMoments, cfg: &StFastConfig) -> Result<Self> {
+    pub(crate) fn new(law: &BlockLaw, cfg: &StFastConfig) -> Result<Self> {
         if cfg.l0 == 0 {
             return Err(CoreError::InvalidParameter {
                 detail: "l0 must be positive".to_string(),
@@ -161,8 +186,8 @@ impl BlockQuadrature {
         }
 
         // u nodes and probability weights (midpoint over ±width·σ).
-        let (u_nodes, u_weights): (Vec<f64>, Vec<f64>) = match moments.u_dist() {
-            MeanDist::Deterministic(u) => (vec![u], vec![1.0]),
+        let (u_nodes, u_weights): (Vec<f64>, Vec<f64>) = match &law.u {
+            MeanDist::Deterministic(u) => (vec![*u], vec![1.0]),
             MeanDist::Gaussian(n) => {
                 let mu = n.mean();
                 let sd = n.std_dev();
@@ -177,14 +202,16 @@ impl BlockQuadrature {
         };
 
         // v nodes in quantile space (equal probability weights).
-        let v_nodes: Vec<f64> = match moments.v_dist() {
-            VarianceDist::Deterministic(v) => vec![v],
-            dist @ VarianceDist::ShiftedGamma { .. } => (0..cfg.l0)
+        let v_nodes: Vec<f64> = match &law.v {
+            VarianceDist::Deterministic(v) => vec![*v],
+            dist @ VarianceDist::ShiftedGamma { floor, .. } => (0..cfg.l0)
                 .map(|i| {
                     let p = (i as f64 + 0.5) / cfg.l0 as f64;
                     match cfg.v_method {
                         VarianceMethod::ChiSquare => dist.quantile(p),
-                        VarianceMethod::Imhof => moments.v_quantile_imhof(p),
+                        // The exact inversion of `v = floor + zᵀQz` (a
+                        // shifted gamma law means tr(Q) > 0).
+                        VarianceMethod::Imhof => Ok(floor + imhof_quantile(&law.q_eigenvalues, p)?),
                     }
                 })
                 .collect::<Result<Vec<f64>>>()?,
@@ -395,20 +422,26 @@ impl BlockQuadrature {
 /// The marginal-product analytic engine (`st_fast` in the paper's
 /// Table III).
 #[derive(Debug)]
-pub struct StFast<'a> {
-    analysis: &'a ChipAnalysis,
+pub struct StFast {
+    pub(super) chip: ChipRecord,
+    pub(super) laws: Vec<BlockLaw>,
     config: StFastConfig,
     /// Lazily built per-block quadratures (time-independent).
-    quadratures: std::cell::OnceCell<Result<Vec<BlockQuadrature>>>,
+    quadratures: OnceLock<Result<Vec<BlockQuadrature>>>,
 }
 
-impl<'a> StFast<'a> {
+impl StFast {
     /// Creates the engine over a characterized chip.
-    pub fn new(analysis: &'a ChipAnalysis, config: StFastConfig) -> Self {
+    pub fn new(analysis: &ChipAnalysis, config: StFastConfig) -> Self {
         StFast {
-            analysis,
+            chip: ChipRecord::of(analysis),
+            laws: analysis
+                .blocks()
+                .iter()
+                .map(|block| BlockLaw::new(block.moments(), config.v_method))
+                .collect(),
             config,
-            quadratures: std::cell::OnceCell::new(),
+            quadratures: OnceLock::new(),
         }
     }
 
@@ -419,18 +452,13 @@ impl<'a> StFast<'a> {
             // are gathered in block order, so the engine is deterministic
             // at any thread count.
             let threads = statobd_num::parallel::resolve_threads(self.config.threads);
-            let blocks = self.analysis.blocks();
-            let config = self.config;
-            statobd_num::parallel::run_indexed(blocks.len(), threads, move |j| {
-                BlockQuadrature::new(blocks[j].moments(), &config)
+            statobd_num::parallel::run_indexed(self.laws.len(), threads, |j| {
+                BlockQuadrature::new(&self.laws[j], &self.config)
             })
             .into_iter()
             .collect()
         });
-        match built {
-            Ok(v) => Ok(v.as_slice()),
-            Err(e) => Err(e.clone()),
-        }
+        built.as_deref().map_err(CoreError::clone)
     }
 
     /// The per-block failure probability
@@ -441,74 +469,30 @@ impl<'a> StFast<'a> {
     /// Returns [`CoreError::InvalidParameter`] if the configured `l0` is 0,
     /// and propagates quantile-evaluation failures.
     pub fn block_failure_probability(&self, block_idx: usize, t_s: f64) -> Result<f64> {
-        let block = &self.analysis.blocks()[block_idx];
-        let coeff = GCoefficients::at(t_s, block.alpha_s(), block.b_per_nm());
-        Ok(self.quadratures()?[block_idx].integrate(block.spec().area(), coeff))
+        let block = &self.chip.blocks[block_idx];
+        Ok(self.quadratures()?[block_idx].integrate(block.area, block.coefficients(t_s)))
     }
 }
 
-impl ReliabilityEngine for StFast<'_> {
+impl ReliabilityEngine for StFast {
     fn name(&self) -> &str {
         "st_fast"
     }
 
-    /// Reuses the time-independent quadrature node sets and evaluates the
-    /// sweep as `(block × time-chunk)` work items of up to `T_CHUNK` (64)
-    /// times each, every chunk running one `BlockQuadrature::integrate_many`
-    /// call (lanes across the chunk's times, or across the quadrature
-    /// nodes for a one-time chunk). Chunk boundaries are fixed (never
-    /// derived from the thread count), per-item accumulation matches a
-    /// one-item walk's node order, and the per-time compositions run in
-    /// block order — so every entry is bit-identical to a one-point call
-    /// at any thread count and any lane width.
+    /// The shared sweep over this engine's kernel: each `(block ×
+    /// time-chunk)` item runs one `BlockQuadrature::integrate_many` call
+    /// on the block's time-independent nodes (lanes across the chunk's
+    /// times, or across the quadrature nodes for a one-time chunk), whose
+    /// entries are bit-identical to one-item walks at any lane width. A
+    /// one-point call stays serial: one integral per block amortizes
+    /// neither the thread-count lookup nor the thread spawn.
     fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
-        check_times(ts)?;
-        let quads = self.quadratures()?;
-        let blocks = self.analysis.blocks();
-        let n_blocks = blocks.len();
-        let n_t = ts.len();
-        if n_t == 0 || n_blocks == 0 {
-            return Ok(vec![0.0; n_t]);
-        }
-        let chunks_per_block = n_t.div_ceil(T_CHUNK);
-        let eval_chunk = |idx: usize| -> Vec<f64> {
-            let (j, c) = (idx / chunks_per_block, idx % chunks_per_block);
-            let block = &blocks[j];
-            let lo = c * T_CHUNK;
-            let hi = n_t.min(lo + T_CHUNK);
-            let coeffs: Vec<GCoefficients> = ts[lo..hi]
-                .iter()
-                .map(|&t| GCoefficients::at(t, block.alpha_s(), block.b_per_nm()))
-                .collect();
-            let mut chunk = vec![0.0; hi - lo];
-            quads[j].integrate_many(block.spec().area(), &coeffs, &mut chunk);
-            chunk
-        };
-        let n_items = n_blocks * chunks_per_block;
-        // A one-point call stays serial: one integral per block amortizes
-        // neither the thread-count lookup nor the thread spawn.
-        let chunks: Vec<Vec<f64>> = if n_t == 1 {
-            (0..n_items).map(eval_chunk).collect()
-        } else {
-            let threads = statobd_num::parallel::resolve_threads(self.config.threads);
-            statobd_num::parallel::run_indexed(n_items, threads, eval_chunk)
-        };
-        let mut per_block_t = vec![0.0; n_blocks * n_t];
-        for (idx, chunk) in chunks.into_iter().enumerate() {
-            let j = idx / chunks_per_block;
-            let lo = (idx % chunks_per_block) * T_CHUNK;
-            per_block_t[j * n_t + lo..j * n_t + lo + chunk.len()].copy_from_slice(&chunk);
-        }
-        let mut chip = self.analysis.composition().accumulator(n_blocks);
-        Ok((0..n_t)
-            .map(|ti| {
-                chip.reset();
-                for j in 0..n_blocks {
-                    chip.absorb(j, per_block_t[j * n_t + ti]);
-                }
-                chip.failure_probability()
-            })
-            .collect())
+        self.chip.sweep(ts, self.config.threads, 2, |j, ts, out| {
+            let block = &self.chip.blocks[j];
+            let coeffs: Vec<GCoefficients> = ts.iter().map(|&t| block.coefficients(t)).collect();
+            self.quadratures()?[j].integrate_many(block.area, &coeffs, out);
+            Ok(())
+        })
     }
 }
 
@@ -695,7 +679,8 @@ mod tests {
         // for bit, and only the NaN entry may be NaN.
         let a = analysis();
         let block = &a.blocks()[0];
-        let quad = BlockQuadrature::new(block.moments(), &StFastConfig::default()).unwrap();
+        let law = BlockLaw::new(block.moments(), VarianceMethod::ChiSquare);
+        let quad = BlockQuadrature::new(&law, &StFastConfig::default()).unwrap();
         let area = block.spec().area();
         let at = |t: f64| GCoefficients::at(t, block.alpha_s(), block.b_per_nm());
         let nan = GCoefficients {

@@ -10,7 +10,7 @@
 //! `f(u,v) ≈ f(u)·f(v)` approximation costs (~0.1 %).
 
 use crate::chip::ChipAnalysis;
-use crate::engines::{check_times, ReliabilityEngine};
+use crate::engines::{ChipRecord, ReliabilityEngine};
 use crate::gfun::GCoefficients;
 use crate::{CoreError, Result};
 use statobd_num::hist::Histogram2d;
@@ -56,28 +56,31 @@ impl Default for StMcConfig {
 #[derive(Debug)]
 struct JointPdf {
     hist: Histogram2d,
+    /// The histogram's joint-bin masses
+    /// ([`Histogram2d::joint_probabilities`]), fixed once it is filled.
+    masses: Vec<f64>,
 }
 
 /// The numerical-joint-PDF engine (`st_MC` in the paper's Table III).
 #[derive(Debug)]
-pub struct StMc<'a> {
-    analysis: &'a ChipAnalysis,
+pub struct StMc {
+    chip: ChipRecord,
     joints: Vec<JointPdf>,
-    /// The raw per-block `(u, v)` samples, kept for joint-across-blocks
-    /// queries (multi-breakdown analysis).
-    samples: Vec<Vec<(f64, f64)>>,
+    /// The raw `(u, v)` samples, laid out `[sample][block]`, kept for
+    /// joint-across-blocks queries (multi-breakdown analysis).
+    samples: Vec<(f64, f64)>,
     /// Worker threads for batched sweeps (from the build configuration).
     threads: Option<usize>,
 }
 
-impl<'a> StMc<'a> {
+impl StMc {
     /// Builds the per-block joint `(u, v)` histograms from `config.n_samples`
     /// principal-component draws.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] for zero samples or bins.
-    pub fn new(analysis: &'a ChipAnalysis, config: StMcConfig) -> Result<Self> {
+    pub fn new(analysis: &ChipAnalysis, config: StMcConfig) -> Result<Self> {
         if config.n_samples < 100 || config.bins == 0 {
             return Err(CoreError::InvalidParameter {
                 detail: format!(
@@ -114,21 +117,15 @@ impl<'a> StMc<'a> {
                 }
             },
         );
-        // Transpose to the per-block layout the queries use.
-        let mut uv: Vec<Vec<(f64, f64)>> = vec![Vec::with_capacity(config.n_samples); n_blocks];
-        for sample in 0..config.n_samples {
-            for (j, uv_j) in uv.iter_mut().enumerate() {
-                uv_j.push(flat[sample * n_blocks + j]);
-            }
-        }
-
-        // Build histograms spanning the sampled ranges (with a small
-        // margin so the max sample lands inside).
+        // Build each block's histogram from its column of the samples,
+        // spanning the sampled ranges (with a small margin so the max
+        // sample lands inside).
         let mut joints = Vec::with_capacity(n_blocks);
-        for pairs in &uv {
+        for j in 0..n_blocks {
+            let pairs = flat.iter().skip(j).step_by(n_blocks);
             let (mut ulo, mut uhi) = (f64::INFINITY, f64::NEG_INFINITY);
             let (mut vlo, mut vhi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for &(u, v) in pairs {
+            for &(u, v) in pairs.clone() {
                 ulo = ulo.min(u);
                 uhi = uhi.max(u);
                 vlo = vlo.min(v);
@@ -146,12 +143,13 @@ impl<'a> StMc<'a> {
             for &(u, v) in pairs {
                 hist.add(u, v);
             }
-            joints.push(JointPdf { hist });
+            let masses = hist.joint_probabilities();
+            joints.push(JointPdf { hist, masses });
         }
         Ok(StMc {
-            analysis,
+            chip: ChipRecord::of(analysis),
             joints,
-            samples: uv,
+            samples: flat,
             threads: config.threads,
         })
     }
@@ -181,22 +179,16 @@ impl<'a> StMc<'a> {
             });
         }
         let coeffs: Vec<(f64, GCoefficients)> = self
-            .analysis
-            .blocks()
+            .chip
+            .blocks
             .iter()
-            .map(|b| {
-                (
-                    b.spec().area(),
-                    GCoefficients::at(t_s, b.alpha_s(), b.b_per_nm()),
-                )
-            })
+            .map(|b| (b.area, b.coefficients(t_s)))
             .collect();
-        let n_samples = self.samples[0].len();
+        let n_samples = self.samples.len() / coeffs.len();
         let mut acc = 0.0;
-        for s in 0..n_samples {
+        for sample in self.samples.chunks_exact(coeffs.len()) {
             let mut hazard = 0.0;
-            for (j, &(area, coeff)) in coeffs.iter().enumerate() {
-                let (u, v) = self.samples[j][s];
+            for (&(area, coeff), &(u, v)) in coeffs.iter().zip(sample) {
                 hazard += area * coeff.g(u, v);
             }
             // P(Poisson(H) >= k) = P_gamma(k, H); for k = 1 this is
@@ -250,85 +242,43 @@ fn fill_uv_tiled<const W: usize>(
     }
 }
 
-/// The integral sum over precomputed joint-bin masses, in bin order with
-/// zero-mass bins skipped.
-fn block_probability_from_masses(
-    hist: &Histogram2d,
-    probs: &[f64],
-    area: f64,
-    coeff: GCoefficients,
-) -> f64 {
-    let (xb, yb) = hist.shape();
+/// The integral sum over a joint histogram's bin masses, in bin order
+/// with zero-mass bins skipped.
+fn block_probability(joint: &JointPdf, area: f64, coeff: GCoefficients) -> f64 {
+    let (xb, yb) = joint.hist.shape();
     let mut p = 0.0;
     for i in 0..xb {
         for j in 0..yb {
-            let mass = probs[i * yb + j];
+            let mass = joint.masses[i * yb + j];
             if mass == 0.0 {
                 continue;
             }
-            let (u, v) = hist.bin_center(i, j);
+            let (u, v) = joint.hist.bin_center(i, j);
             p += mass * (-(-area * coeff.g(u, v)).exp_m1());
         }
     }
     p.clamp(0.0, 1.0)
 }
 
-impl ReliabilityEngine for StMc<'_> {
+impl ReliabilityEngine for StMc {
     fn name(&self) -> &str {
         "st_MC"
     }
 
-    /// Computes each block's joint-bin masses once for the whole sweep
-    /// (instead of once per `(block, t)` evaluation) and fans the
-    /// `(block × t)` integral sums out over threads as a flat work list;
-    /// per-time compositions run in block order, so every entry is
-    /// bit-identical to a one-point call at any thread count.
+    /// The shared sweep over the integral sums on each block's joint-bin
+    /// masses, which were computed once at build. One-point calls and
+    /// sweeps of fewer than 8 `(block, t)` sums stay serial: they
+    /// amortize neither the thread-count lookup nor the thread spawn.
     fn failure_probabilities(&mut self, ts: &[f64]) -> Result<Vec<f64>> {
-        check_times(ts)?;
-        let n_t = ts.len();
-        let n_blocks = self.analysis.n_blocks();
-        // Hoisted time-independent per-block data: (histogram, bin masses,
-        // area, α, b).
-        let block_data: Vec<(&Histogram2d, Vec<f64>, f64, f64, f64)> = self
-            .analysis
-            .blocks()
-            .iter()
-            .zip(self.joints.iter())
-            .map(|(block, joint)| {
-                (
-                    &joint.hist,
-                    joint.hist.joint_probabilities(),
-                    block.spec().area(),
-                    block.alpha_s(),
-                    block.b_per_nm(),
-                )
-            })
-            .collect();
-        let eval_one = |idx: usize| -> f64 {
-            let (j, ti) = (idx / n_t, idx % n_t);
-            let (hist, probs, area, alpha_s, b_per_nm) = &block_data[j];
-            let coeff = GCoefficients::at(ts[ti], *alpha_s, *b_per_nm);
-            block_probability_from_masses(hist, probs, *area, coeff)
-        };
-        let n_items = n_blocks * n_t;
-        // One-point calls and tiny sweeps stay serial: they amortize
-        // neither the thread-count lookup nor the thread spawn.
-        let per_block_t: Vec<f64> = if n_t == 1 || n_items < 8 {
-            (0..n_items).map(eval_one).collect()
-        } else {
-            let threads = parallel::resolve_threads(self.threads);
-            parallel::run_indexed(n_items, threads, eval_one)
-        };
-        let mut chip = self.analysis.composition().accumulator(n_blocks);
-        Ok((0..n_t)
-            .map(|ti| {
-                chip.reset();
-                for j in 0..n_blocks {
-                    chip.absorb(j, per_block_t[j * n_t + ti]);
+        let fan_out_from = 8usize.div_ceil(self.chip.blocks.len().max(1)).max(2);
+        self.chip
+            .sweep(ts, self.threads, fan_out_from, |j, ts, out| {
+                let block = &self.chip.blocks[j];
+                for (p, &t_s) in out.iter_mut().zip(ts) {
+                    *p = block_probability(&self.joints[j], block.area, block.coefficients(t_s));
                 }
-                chip.failure_probability()
+                Ok(())
             })
-            .collect())
     }
 }
 

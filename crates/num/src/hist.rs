@@ -240,7 +240,6 @@ pub struct Histogram2d {
     ybins: usize,
     counts: Vec<u64>,
     total_in_range: u64,
-    outliers: u64,
 }
 
 impl Histogram2d {
@@ -267,14 +266,12 @@ impl Histogram2d {
             ybins,
             counts: vec![0; xbins * ybins],
             total_in_range: 0,
-            outliers: 0,
         })
     }
 
-    /// Records one observation.
+    /// Records one observation; one outside the ranges is dropped.
     pub fn add(&mut self, x: f64, y: f64) {
         if x < self.xlo || x >= self.xhi || y < self.ylo || y >= self.yhi {
-            self.outliers += 1;
             return;
         }
         let i = (((x - self.xlo) / (self.xhi - self.xlo)) * self.xbins as f64) as usize;
@@ -540,11 +537,16 @@ mod tests {
 
     #[test]
     fn hist2d_outliers() {
+        // Points outside either range, the upper edges included, leave
+        // the counts and the total as they were.
         let mut h = Histogram2d::new((0.0, 1.0, 2), (0.0, 1.0, 2)).unwrap();
-        h.add(2.0, 0.5);
-        h.add(0.5, -0.1);
         h.add(0.5, 0.5);
-        assert_eq!(h.outliers, 2);
-        assert_eq!(h.total(), 1);
+        let (counts, total) = (h.counts().to_vec(), h.total());
+        for (x, y) in [(2.0, 0.5), (0.5, -0.1), (1.0, 0.5), (0.5, 1.0)] {
+            h.add(x, y);
+        }
+        assert_eq!(h.counts(), counts.as_slice());
+        assert_eq!(h.total(), total);
+        assert_eq!(total, 1);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! All fan-out in the workspace funnels through this module: per-chip
 //! Monte-Carlo sampling, per-block quadrature construction, hybrid table
-//! builds and the thermal solver's per-cell sweeps. Two properties are
-//! deliberate:
+//! builds, the engines' time sweeps and the fleet's chip tiles. Two
+//! properties are deliberate:
 //!
 //! * **Deterministic results at any thread count.** Work items are
 //!   identified by their index; outputs are gathered back into index order

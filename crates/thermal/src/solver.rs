@@ -541,31 +541,19 @@ impl ThermalSolver {
         let g_v = op.g_v;
         let mut temps = vec![cfg.ambient_k; n];
         let cg_opts = cfg.cg_options();
-        let threads = statobd_num::parallel::resolve_threads(None);
         let mut cg_iterations = Vec::new();
         let mut final_residual = 0.0;
         let mut solve_s = 0.0;
         for _ in 0..cfg.max_leakage_iters {
-            // Temperature-dependent leakage makes the per-cell source
-            // assembly the sweep's hot loop (an exp per cell per
-            // iteration); fan it out over fixed-size chunks so the field
-            // is identical at any thread count.
-            let mut rhs = vec![0.0; n];
-            {
-                let temps = &temps;
-                let dyn_cell = &dyn_cell;
-                let leak_cell_ref = &leak_cell_ref;
-                statobd_num::parallel::for_each_chunk_mut(&mut rhs, 1024, threads, |ci, chunk| {
-                    let base = ci * 1024;
-                    for (k, r) in chunk.iter_mut().enumerate() {
-                        let i = base + k;
-                        let leak = leak_cell_ref[i]
-                            * ((temps[i] - crate::power::LEAKAGE_REF_K) / cfg.leakage_theta_k)
-                                .exp();
-                        *r = dyn_cell[i] + leak + g_v * cfg.ambient_k;
-                    }
-                });
-            }
+            // The per-cell source: dynamic power plus the leakage at the
+            // cell's current temperature (an exp per cell per iteration).
+            let rhs: Vec<f64> = (0..n)
+                .map(|i| {
+                    let leak = leak_cell_ref[i]
+                        * ((temps[i] - crate::power::LEAKAGE_REF_K) / cfg.leakage_theta_k).exp();
+                    dyn_cell[i] + leak + g_v * cfg.ambient_k
+                })
+                .collect();
             let guess = cfg.warm_start.then_some(temps.as_slice());
             let t_solve = std::time::Instant::now();
             let sol = solve_pcg(&op.matrix, &rhs, guess, &precond, &cg_opts).map_err(|e| {

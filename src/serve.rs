@@ -15,6 +15,9 @@
 //! — a bad request never kills the server. A line longer than
 //! [`MAX_LINE_BYTES`] gets such a reply and the rest of it is discarded
 //! unread, so no request can grow the server's memory without bound.
+//! Each op takes only the request fields listed below, besides `id` and
+//! `op`: any other field (a typo such as `dt_K`) refuses the request
+//! before any work or state change, with an error naming the field.
 //!
 //! | op | request fields | reply fields |
 //! |---|---|---|
@@ -22,7 +25,7 @@
 //! | `p_at` | `session`, `t_s` | `p` |
 //! | `sweep` | `session`, `t_lo_s`, `t_hi_s`, `points` | `curve` = `[[t, p], ...]` |
 //! | `lifetime` | `session`, `target` | `t_s`, `years` |
-//! | `manage_step` | `session`, `dt_s`, `vdd_v`, `temps_k` *or* `dt_k` | `p_now`, `p_projected`, `level`, `capped`, `vdd_v` |
+//! | `manage_step` | `session`, `dt_s`, `vdd_v`, `temps_k` *or* `dt_k` (not both) | `p_now`, `p_projected`, `level`, `capped`, `vdd_v` |
 //! | `fleet` | `session`, opt. `chips`, `profile`, `seed`, `budget`, `spares` | `aggregates`, `threads`, `shards`, `lanes`, `lane_width`, `lane_tiles`, `max_solve_steps`, `run_s`, `chips_per_s`, `workspaces_created` |
 //! | `stats` | `session` | `stats`, `lanes` (SIMD lane dispatch label) |
 //! | `close` | `session` | `closed` |
@@ -145,6 +148,7 @@ impl Server {
             .get("op")
             .and_then(Json::as_str)
             .ok_or_else(|| Error::Spec("request needs a string 'op'".to_string()))?;
+        check_fields(request, op)?;
         let ok = |json: Json| {
             Ok(Reply {
                 json,
@@ -181,13 +185,17 @@ impl Server {
             "manage_step" => {
                 let dt_s = num_field(request, "dt_s")?;
                 let vdd_v = num_field(request, "vdd_v")?;
+                let temps_k = opt_field::<Vec<f64>>(request, "temps_k")?;
+                let dt_k = opt_field(request, "dt_k")?;
+                if temps_k.is_some() && dt_k.is_some() {
+                    return Err(Error::Spec(
+                        "manage_step takes 'temps_k' or 'dt_k', not both".into(),
+                    ));
+                }
                 let session = self.session(request)?;
-                let report = match opt_field::<Vec<f64>>(request, "temps_k")? {
+                let report = match temps_k {
                     Some(temps) => session.manage_step(dt_s, &temps, vdd_v)?,
-                    None => {
-                        let dt_k = opt_field(request, "dt_k")?.unwrap_or(0.0);
-                        session.manage_step_uniform(dt_s, dt_k, vdd_v)?
-                    }
+                    None => session.manage_step_uniform(dt_s, dt_k.unwrap_or(0.0), vdd_v)?,
                 };
                 ok(report_json(&report))
             }
@@ -286,6 +294,29 @@ fn object(fields: Vec<(&str, Json)>) -> Json {
             .map(|(k, v)| (k.to_string(), v))
             .collect(),
     )
+}
+
+/// Refuses a request that carries a field its op does not read (besides
+/// `id` and `op`), naming the field.
+fn check_fields(request: &Json, op: &str) -> Result<()> {
+    let fields: &[&str] = match op {
+        "open" => &["session", "spec"],
+        "p_at" => &["session", "t_s"],
+        "sweep" => &["session", "t_lo_s", "t_hi_s", "points"],
+        "lifetime" => &["session", "target"],
+        "manage_step" => &["session", "dt_s", "vdd_v", "temps_k", "dt_k"],
+        "fleet" => &["session", "chips", "profile", "seed", "budget", "spares"],
+        "stats" | "close" => &["session"],
+        "shutdown" => &[],
+        // `dispatch` refuses the op itself.
+        _ => return Ok(()),
+    };
+    let known = |key: &str| matches!(key, "id" | "op") || fields.contains(&key);
+    let members = request.as_object().unwrap_or_default();
+    match members.iter().find(|(key, _)| !known(key)) {
+        Some((key, _)) => Err(Error::Spec(format!("{op}: unknown field '{key}'"))),
+        None => Ok(()),
+    }
 }
 
 fn name_field(request: &Json) -> Result<String> {
@@ -706,6 +737,49 @@ mod tests {
         assert_eq!(p_now(3).to_bits(), p_now(1).to_bits());
         let error = replies[2].get("error").and_then(Json::as_str).unwrap();
         assert!(error.contains("b("), "{error}");
+    }
+
+    #[test]
+    fn a_request_with_an_unknown_field_is_refused_and_names_it() {
+        let open = r#"{"op": "open", "session": "c1", "spec": {"design": "C1", "grid_side": 5}}"#;
+        let step = r#"{"op": "manage_step", "session": "c1", "dt_s": 1e7, "vdd_v": 1.2}"#;
+        let replies = run(&[
+            open.to_string(),
+            r#"{"op": "p_at", "session": "c1", "t_s": 1e8, "frobnicate": true}"#.to_string(),
+            r#"{"op": "fleet", "session": "c1", "chips": 300, "shards": 4, "bogus": 1}"#
+                .to_string(),
+            // A typo'd `dt_k` must not run the step at dt_k = 0.
+            r#"{"op": "manage_step", "session": "c1", "dt_s": 1e7, "vdd_v": 1.2, "dt_K": 40}"#
+                .to_string(),
+            r#"{"op": "manage_step", "session": "c1", "dt_s": 1e7, "vdd_v": 1.2, "temps_k": [], "dt_k": 40}"#
+                .to_string(),
+            step.to_string(),
+        ]);
+        let ok: Vec<_> = replies
+            .iter()
+            .map(|r| r.get("ok").and_then(Json::as_bool))
+            .collect();
+        assert_eq!(
+            ok,
+            [
+                Some(true),
+                Some(false),
+                Some(false),
+                Some(false),
+                Some(false),
+                Some(true)
+            ]
+        );
+        let error = |i: usize| replies[i].get("error").and_then(Json::as_str).unwrap();
+        for (i, field) in [(1, "'frobnicate'"), (2, "'shards'"), (3, "'dt_K'")] {
+            assert!(error(i).contains(field), "{}", error(i));
+        }
+        assert!(error(4).contains("not both"), "{}", error(4));
+        // The refused steps changed nothing: the step after them is the
+        // session's first, bit for bit.
+        let first = run(&[open.to_string(), step.to_string()]);
+        let p_now = |reply: &Json| reply.get("p_now").and_then(Json::as_f64).unwrap();
+        assert_eq!(p_now(&replies[5]).to_bits(), p_now(&first[1]).to_bits());
     }
 
     #[test]

@@ -38,7 +38,6 @@ use statobd_manager::{PolicyConfig, ReliabilityManager, StepReport};
 use statobd_num::impl_json_struct;
 use statobd_num::json::{FromJson, Json, JsonError, ToJson};
 use statobd_variation::{GridSpec, ThicknessModelBuilder};
-use std::sync::Arc;
 
 /// The lifetime-solve bracket shared by every session query (seconds):
 /// generous enough for any physical design. Its edges are the solve's
@@ -128,12 +127,9 @@ impl_json_struct!(SessionStats {
 /// deterministic and bit-identical whether the session was built cold or
 /// loaded from the cache.
 pub struct Session {
-    // Field order is load-bearing: `engine` may borrow `analysis` through
-    // a lifetime-erased pointer (see `from_model`), so it must be declared
-    // first and therefore dropped first.
     engine: Box<dyn ReliabilityEngine>,
     manager: Option<ReliabilityManager>,
-    analysis: Arc<ChipAnalysis>,
+    analysis: ChipAnalysis,
     tech: ClosedFormTech,
     spec: AnalysisSpec,
     stats: SessionStats,
@@ -217,23 +213,11 @@ impl Session {
         let CompiledModel { analysis, tables } = model;
         let n_blocks = analysis.n_blocks();
         let n_components = analysis.model().n_components();
-        let analysis = Arc::new(analysis);
         let engine_spec = effective_engine(&spec);
         let engine: Box<dyn ReliabilityEngine> = match (&engine_spec, tables) {
-            // The hybrid engine owns its tables outright; use the
-            // persisted (or freshly built) ones directly.
+            // Use the persisted (or freshly built) hybrid tables directly.
             (EngineSpec::Hybrid(_), Some(tables)) => Box::new(tables),
-            _ => {
-                // SAFETY: `analysis` lives behind an `Arc`, so its address
-                // is stable for the allocation's lifetime regardless of
-                // how `Session` moves. The `analysis` field keeps the Arc
-                // alive for the whole session, `engine` is declared before
-                // it (dropped first), and no `&mut ChipAnalysis` is ever
-                // handed out. Erasing the borrow to 'static is therefore
-                // sound for the engine's actual use.
-                let analysis_ref: &'static ChipAnalysis = unsafe { &*Arc::as_ptr(&analysis) };
-                build_engine(analysis_ref, &engine_spec)?
-            }
+            _ => build_engine(&analysis, &engine_spec)?,
         };
         let stats = SessionStats {
             spec_hash: spec.spec_hash()?,

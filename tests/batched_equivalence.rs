@@ -87,14 +87,21 @@ fn spec_for(kind: EngineKind, threads: usize) -> EngineSpec {
 fn batched_matches_scalar_loop_for_every_engine_at_any_thread_count() {
     let _width = width_guard();
     let analysis = c1_analysis();
-    // Log-spaced sweep wide enough to hit P ~ 0 and P ~ 1 regions, with an
-    // awkward length (not a multiple of any internal chunking).
-    let ts: Vec<f64> = (0..37).map(|i| 10f64.powf(5.0 + i as f64 * 0.2)).collect();
+    // Log-spaced sweeps wide enough to hit P ~ 0 and P ~ 1 regions, with
+    // awkward lengths (not multiples of any internal chunking): 37 points
+    // 10^(5 + 0.2k), every 8th of the 300, and all 300, which span several
+    // time chunks per block and reach hybrid's 256-point fan-out. Three
+    // threads split the work unevenly.
+    let all: Vec<f64> = (0..300)
+        .map(|i| 10f64.powf(5.0 + i as f64 * 0.025))
+        .collect();
+    let every_8th: Vec<usize> = (0..37).map(|k| 8 * k).collect();
+    let every: Vec<usize> = (0..300).collect();
 
     for kind in EngineKind::ALL {
         // One-point reference at one thread.
         let mut reference = build_engine(&analysis, &spec_for(kind, 1)).expect("engine");
-        let scalar: Vec<f64> = ts
+        let scalar: Vec<f64> = all
             .iter()
             .map(|&t| reference.failure_probability(t).expect("one-point P(t)"))
             .collect();
@@ -103,16 +110,43 @@ fn batched_matches_scalar_loop_for_every_engine_at_any_thread_count() {
             "{kind}: degenerate scalar curve"
         );
 
-        for threads in [1usize, 2, 8] {
+        for threads in [1usize, 2, 3, 8] {
             let mut engine = build_engine(&analysis, &spec_for(kind, threads)).expect("engine");
-            let batched = engine.failure_probabilities(&ts).expect("batched P(t)");
-            assert_eq!(batched.len(), ts.len(), "{kind}: wrong batch length");
-            for (i, (&a, &b)) in scalar.iter().zip(&batched).enumerate() {
-                assert!(
-                    a.to_bits() == b.to_bits(),
-                    "{kind}: P(t[{i}]) differs at {threads} threads: one-point {a:e} vs batched {b:e}"
-                );
+            for picks in [&every_8th, &every] {
+                let ts: Vec<f64> = picks.iter().map(|&i| all[i]).collect();
+                let batched = engine.failure_probabilities(&ts).expect("batched P(t)");
+                assert_eq!(batched.len(), ts.len(), "{kind}: wrong batch length");
+                for (&i, &b) in picks.iter().zip(&batched) {
+                    let a = scalar[i];
+                    assert!(
+                        a.to_bits() == b.to_bits(),
+                        "{kind}: P(t[{i}]) differs in a {}-point sweep at {threads} threads: \
+                         one-point {a:e} vs batched {b:e}",
+                        ts.len()
+                    );
+                }
             }
+        }
+    }
+}
+
+/// Every engine owns what it reads at query time: one built from an
+/// analysis that is then dropped still answers, bit for bit, what an
+/// engine built from an identical analysis answers.
+#[test]
+fn engines_outlive_the_analysis_they_were_built_from() {
+    let _width = width_guard();
+    let kept = c1_analysis();
+    let ts: Vec<f64> = (0..37).map(|i| 10f64.powf(5.0 + i as f64 * 0.2)).collect();
+    for kind in EngineKind::ALL {
+        let analysis = c1_analysis();
+        let mut engine = build_engine(&analysis, &spec_for(kind, 2)).expect("engine");
+        drop(analysis);
+        let mut reference = build_engine(&kept, &spec_for(kind, 2)).expect("engine");
+        let got = engine.failure_probabilities(&ts).expect("sweep");
+        let want = reference.failure_probabilities(&ts).expect("sweep");
+        for (i, (&a, &b)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{kind}: P(t[{i}]) {a:e} vs {b:e}");
         }
     }
 }
